@@ -31,13 +31,7 @@ from .translator import (
     translate,
 )
 from .updater import abstract_form, apply_update, edit_to_json
-from .verifier import (
-    VerificationReport,
-    check_correctness,
-    check_minimality,
-    run_lemma_suite,
-    verify_translation,
-)
+from .verifier import VerificationReport, verify_translation
 from .xml_model import (
     DocumentStore,
     XmlTree,
@@ -68,8 +62,6 @@ __all__ = [
     "XviewError",
     "abstract_form",
     "apply_update",
-    "check_correctness",
-    "check_minimality",
     "classify",
     "edit_to_json",
     "evaluate_view",
@@ -81,7 +73,6 @@ __all__ = [
     "parse_update",
     "parse_view_def",
     "render_update",
-    "run_lemma_suite",
     "serialize",
     "string_value",
     "translate",

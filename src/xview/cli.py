@@ -24,7 +24,7 @@ from .fuzzgen import random_case
 from .lang import parse_update, parse_view_def, render_update
 from .translator import Rejected, rejection_to_json, translate
 from .updater import apply_update, edit_to_json
-from .verifier import check_correctness, check_minimality, run_lemma_suite, verify_translation
+from .verifier import verify_translation
 from .xml_model import DocumentStore, parse_document, serialize
 
 EXIT_OK = 0
@@ -179,18 +179,10 @@ def cmd_fuzz(args) -> int:
             if case.expect != outcome.case.value:
                 failures += 1
             else:
-                ok, _diff = check_correctness(
-                    case.view, case.update, outcome.statement, case.store
-                )
-                minimal = False
-                if ok:
-                    minimal, _w = check_minimality(
-                        case.view, case.update, outcome.statement, case.store
-                    )
-                lemmas = run_lemma_suite(
+                report = verify_translation(
                     case.view, case.update, outcome.statement, case.store, outcome.case
                 )
-                if not (ok and minimal and all(flag for _n, flag in lemmas)):
+                if not (report.precise and all(ok for _n, ok in report.lemma_checks)):
                     failures += 1
         histogram[key] = histogram.get(key, 0) + 1
 
@@ -258,6 +250,9 @@ def main(argv=None) -> int:
         return EXIT_PARSE
     except (XviewError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_EVAL
+    except RecursionError:
+        print("error: input nested too deeply to process", file=sys.stderr)
         return EXIT_EVAL
 
 

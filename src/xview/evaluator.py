@@ -25,7 +25,6 @@ from .xml_model import (
     DocumentStore,
     QualifiedPath,
     VarRoot,
-    ViewRootMark,
     XmlTree,
     copy_tree,
     locate,
@@ -63,9 +62,6 @@ class Provenance:
     source_of: dict[int, int] = field(default_factory=dict)
     gamma_expr: dict[int, int] = field(default_factory=dict)
 
-    def tuple_of_etree(self, node_id: int) -> int:
-        return self.etree_ids.index(node_id)
-
 
 @dataclass
 class ViewInstance:
@@ -92,22 +88,6 @@ def store_resolver(store: DocumentStore) -> RootResolver:
                 f"path starts with {qp.steps[0]!r}"
             )
         return locate(tree, qp.steps[1:])
-
-    return resolve
-
-
-def instance_resolver(instance_root: XmlTree) -> RootResolver:
-    """Resolve view-rooted paths against a materialized view instance."""
-
-    def resolve(qp: QualifiedPath) -> list[XmlTree]:
-        if not isinstance(qp.root, ViewRootMark):
-            raise LevelMismatch("this statement must be view-rooted")
-        if instance_root.label != qp.steps[0]:
-            raise RootLabelMismatch(
-                f"view instance has root {instance_root.label!r}, "
-                f"path starts with {qp.steps[0]!r}"
-            )
-        return locate(instance_root, qp.steps[1:])
 
     return resolve
 

@@ -81,6 +81,11 @@ class PathEqString:
 ConditionAtom = Union[PathEqPath, PathEqString]
 
 
+def atom_sides(atom: ConditionAtom) -> tuple[VarPath, ...]:
+    """The variable paths an atom compares: two for a join, one otherwise."""
+    return (atom.lhs, atom.rhs) if isinstance(atom, PathEqPath) else (atom.lhs,)
+
+
 @dataclass(frozen=True)
 class ReturnExpr:
     var: str
@@ -447,8 +452,7 @@ def _check_view(view: ViewDef) -> None:
 
     bound = {b.var for b in view.bindings}
     for atom in view.conditions:
-        sides = (atom.lhs, atom.rhs) if isinstance(atom, PathEqPath) else (atom.lhs,)
-        for var, _names in sides:
+        for var, _names in atom_sides(atom):
             if var not in bound:
                 raise UnboundVariable(f"variable {var!r} is not bound")
 
@@ -466,8 +470,7 @@ def _check_view(view: ViewDef) -> None:
     for b in view.bindings:
         source_names.update(b.source.steps)
     for atom in view.conditions:
-        sides = (atom.lhs, atom.rhs) if isinstance(atom, PathEqPath) else (atom.lhs,)
-        for _var, names in sides:
+        for _var, names in atom_sides(atom):
             source_names.update(names)
     for ret in view.returns:
         source_names.update(ret.gamma)
@@ -484,9 +487,9 @@ def _render_return(ret: ReturnExpr) -> str:
     return "{" + "/".join((ret.var,) + ret.gamma) + "}"
 
 
-def binding_of(stmt, var: str) -> Binding:
-    """Look up a variable's binding in a view or update statement."""
-    for b in stmt.bindings:
+def binding_of(bindings: tuple[Binding, ...], var: str) -> Binding:
+    """Look up a variable's binding in a for-clause."""
+    for b in bindings:
         if b.var == var:
             return b
     raise UnresolvableVariable(f"variable {var!r} is not bound")
@@ -506,7 +509,7 @@ def normalize_path(stmt, var: str, rel: tuple[str, ...] = ()) -> QualifiedPath:
         if cur in seen:
             raise CyclicBinding(f"binding chain through {var!r} loops")
         seen.add(cur)
-        source = binding_of(stmt, cur).source
+        source = binding_of(stmt.bindings, cur).source
         names = source.steps + names
         if isinstance(source.root, VarRoot):
             cur = source.root.var
@@ -586,17 +589,10 @@ def _parse_action(
     # "update x/.. ( delete L )" with L the last name of x's binding path
     # deletes the binding itself rather than all same-labeled siblings
     if target.parent_step and not target.path:
-        source = binding_of_in(bindings, target.var).source
+        source = binding_of(bindings, target.var).source
         if source.steps and source.steps[-1] == label:
             return DeleteBinding(target.var)
     return DeleteLabel(label)
-
-
-def binding_of_in(bindings: tuple[Binding, ...], var: str) -> Binding:
-    for b in bindings:
-        if b.var == var:
-            return b
-    raise UnresolvableVariable(f"variable {var!r} is not bound")
 
 
 def _statement_level(bindings: tuple[Binding, ...]) -> str:
@@ -684,6 +680,6 @@ def _render_action(stmt: UpdateStatement) -> str:
     if isinstance(action, DeleteLabel):
         return f"delete {action.label}"
     if isinstance(action, DeleteBinding):
-        source = binding_of_in(stmt.bindings, action.var).source
+        source = binding_of(stmt.bindings, action.var).source
         return f"delete {source.steps[-1]}"
     raise TypeError(f"unknown action {action!r}")

@@ -38,6 +38,7 @@ from .lang import (
     UpdateStatement,
     UpdateTarget,
     ViewDef,
+    atom_sides,
     normalize_path,
     return_last_name,
 )
@@ -158,8 +159,7 @@ def _where_paths(view: ViewDef, appended: tuple[str, tuple[str, ...]]) -> list[Q
     """Every path in the would-be translated where clause, fully expanded."""
     paths = []
     for atom in view.conditions:
-        sides = (atom.lhs, atom.rhs) if isinstance(atom, PathEqPath) else (atom.lhs,)
-        for var, names in sides:
+        for var, names in atom_sides(atom):
             paths.append(normalize_path(view, var, names))
     paths.append(normalize_path(view, appended[0], appended[1]))
     return paths

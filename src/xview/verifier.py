@@ -5,7 +5,8 @@ source update against the view instance updated directly.  Minimality is
 checked by leave-one-edit-out: if dropping any single recorded edit still
 yields a correct result, the translation over-updated the source.  Both
 oracles are independent of the translation path they judge: they only
-evaluate, apply and compare.
+evaluate, apply and compare.  The two update routes are computed once per
+verification, and every oracle reads them from that one record.
 """
 
 from __future__ import annotations
@@ -14,9 +15,9 @@ import json
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .evaluator import enumerate_bindings, evaluate_view, store_resolver
+from .evaluator import ViewInstance, enumerate_bindings, evaluate_view, store_resolver
 from .lang import DeleteBinding, UpdateStatement, ViewDef
-from .translator import Case, Mapping, map_paths
+from .translator import Case, map_paths
 from .updater import (
     Deleted,
     Edit,
@@ -61,6 +62,45 @@ class VerificationReport:
         }
 
 
+@dataclass(frozen=True)
+class _Routes:
+    """One verification's inputs and both update routes, computed once.
+
+    Route A (``via_source``) is view(update(sources)): the source update is
+    applied to one identifier-preserving copy of ``store``, whose edit log is
+    kept, and the view is evaluated on that copy.  Route B (``via_view``) is
+    update(view(sources)).  ``before`` is a separate, unmodified evaluation
+    of the view on ``store``, which itself is never mutated.
+    """
+
+    view: ViewDef
+    view_update: UpdateStatement
+    source_update: UpdateStatement
+    store: DocumentStore
+    before: ViewInstance
+    log: list[Edit]
+    via_source: ViewInstance
+    via_view: ViewInstance
+
+
+def _compute_routes(
+    view: ViewDef,
+    view_update: UpdateStatement,
+    source_update: UpdateStatement,
+    store: DocumentStore,
+) -> _Routes:
+    updated = store.copy()
+    log = apply_update(source_update, updated)
+    via_source = evaluate_view(view, updated)
+
+    before = evaluate_view(view, store)
+    via_view = evaluate_view(view, store)
+    apply_update(view_update, via_view)
+    return _Routes(
+        view, view_update, source_update, store, before, log, via_source, via_view
+    )
+
+
 def verify_translation(
     view: ViewDef,
     view_update: UpdateStatement,
@@ -68,14 +108,16 @@ def verify_translation(
     store: DocumentStore,
     case: Optional[Case] = None,
 ) -> VerificationReport:
-    """Run both oracles (and, when the case is known, the lemma suite)."""
-    correct, diff = check_correctness(view, view_update, source_update, store)
+    """Run both oracles and, on a correct translation of a known case, the
+    lemma suite.  ``store`` is left unchanged."""
+    routes = _compute_routes(view, view_update, source_update, store)
+    correct, diff = check_correctness(routes)
     minimal, witness = False, None
-    if correct:
-        minimal, witness = check_minimality(view, view_update, source_update, store)
     lemmas: list[tuple[str, bool]] = []
-    if case is not None and correct:
-        lemmas = run_lemma_suite(view, view_update, source_update, store, case)
+    if correct:
+        minimal, witness = check_minimality(routes)
+        if case is not None:
+            lemmas = run_lemma_suite(routes, case)
     return VerificationReport(correct, diff, minimal, witness, lemmas)
 
 
@@ -98,35 +140,13 @@ def tree_diff(a: XmlTree, b: XmlTree, path: str = "") -> Optional[dict]:
     return None
 
 
-def check_correctness(
-    view: ViewDef,
-    view_update: UpdateStatement,
-    source_update: UpdateStatement,
-    store: DocumentStore,
-) -> tuple[bool, Optional[dict]]:
-    """Evaluate both routes and compare the resulting instances.
-
-    Route A applies the source update to a copy of the store and evaluates
-    the view; route B evaluates the view and applies the view update to the
-    instance.  Equality is ordered and value-based.
-    """
-    updated = store.copy()
-    apply_update(source_update, updated)
-    via_source = evaluate_view(view, updated)
-
-    via_view = evaluate_view(view, store)
-    apply_update(view_update, via_view)
-
-    diff = tree_diff(via_source.tree, via_view.tree)
+def check_correctness(routes: _Routes) -> tuple[bool, Optional[dict]]:
+    """Compare the two routes' instances, ordered and value-based."""
+    diff = tree_diff(routes.via_source.tree, routes.via_view.tree)
     return diff is None, diff
 
 
-def check_minimality(
-    view: ViewDef,
-    view_update: UpdateStatement,
-    source_update: UpdateStatement,
-    store: DocumentStore,
-) -> tuple[bool, Optional[Edit]]:
+def check_minimality(routes: _Routes) -> tuple[bool, Optional[Edit]]:
     """Leave-one-edit-out search for a smaller correct translation.
 
     For every edit in the source update's log, replay the log without it
@@ -134,17 +154,12 @@ def check_minimality(
     updated instance, that edit was unnecessary and is returned as the
     witness.  An empty log is trivially minimal.
     """
-    probe = store.copy()
-    log = apply_update(source_update, probe)
-
-    expected = evaluate_view(view, store)
-    apply_update(view_update, expected)
-
+    log = routes.log
     for dropped in range(len(log)):
-        variant = store.copy()
+        variant = routes.store.copy()
         replay_edits(log[:dropped] + log[dropped + 1 :], variant)
-        instance = evaluate_view(view, variant)
-        if value_equal(instance.tree, expected.tree):
+        instance = evaluate_view(routes.view, variant)
+        if value_equal(instance.tree, routes.via_view.tree):
             return False, log[dropped]
     return True, None
 
@@ -152,13 +167,7 @@ def check_minimality(
 # ----------------------------------------------------------------------
 # Lemma suite
 
-def run_lemma_suite(
-    view: ViewDef,
-    view_update: UpdateStatement,
-    source_update: UpdateStatement,
-    store: DocumentStore,
-    case: Case,
-) -> list[tuple[str, bool]]:
+def run_lemma_suite(routes: _Routes, case: Case) -> list[tuple[str, bool]]:
     """Concrete per-instance assertions behind the translation proofs.
 
     L1: within one for-clause tuple, either every target-path tree receives
@@ -168,23 +177,20 @@ def run_lemma_suite(
         account exactly for the missing wrapper trees).
     L3: per satisfying tuple and its wrapper tree, the source-side condition
         trees satisfy the update condition exactly when the view-side ones do.
-    L4: the trees at the update's target view path agree, as ordered value
-        trees, between the two update routes.
+
+    The suite runs only on translations already found correct.  Agreement of
+    the two routes at the target view path is therefore not checked here: it
+    follows from the value equality of the whole instances.
     """
-    abstract = abstract_form(view_update)
-    mapping = map_paths(view, abstract)
-
-    results = [
-        ("L1", _lemma1(source_update, store, case)),
-        ("L2", _lemma2(view, source_update, store, case)),
-        ("L3", _lemma3(view, abstract, mapping, store)),
-        ("L4", _lemma4(view, view_update, source_update, store, abstract)),
+    return [
+        ("L1", _lemma1(routes.source_update, routes.store)),
+        ("L2", _lemma2(routes, case)),
+        ("L3", _lemma3(routes)),
     ]
-    return results
 
 
-def _lemma1(source_update: UpdateStatement, store: DocumentStore, case: Case) -> bool:
-    plan = plan_update(source_update, store.copy())
+def _lemma1(source_update: UpdateStatement, store: DocumentStore) -> bool:
+    plan = plan_update(source_update, store)
     touched = set()
     for op in plan:
         touched.add(op.child.node_id if op.kind == "delete_node" else op.node.node_id)
@@ -206,24 +212,18 @@ def _lemma1(source_update: UpdateStatement, store: DocumentStore, case: Case) ->
     return True
 
 
-def _lemma2(
-    view: ViewDef, source_update: UpdateStatement, store: DocumentStore, case: Case
-) -> bool:
-    before = evaluate_view(view, store)
-    updated = store.copy()
-    log = apply_update(source_update, updated)
-    after = evaluate_view(view, updated)
+def _lemma2(routes: _Routes, case: Case) -> bool:
+    before, after = len(routes.before.tuples), len(routes.via_source.tuples)
     if case is Case.T4:
-        removed = sum(1 for e in log if isinstance(e, Deleted))
-        return len(after.tuples) == len(before.tuples) - removed
-    return len(after.tuples) == len(before.tuples)
+        removed = sum(1 for e in routes.log if isinstance(e, Deleted))
+        return after == before - removed
+    return after == before
 
 
-def _lemma3(
-    view: ViewDef, abstract, mapping: Mapping, store: DocumentStore
-) -> bool:
-    instance = evaluate_view(view, store)
-    cond = mapping.cond
+def _lemma3(routes: _Routes) -> bool:
+    abstract = abstract_form(routes.view_update)
+    cond = map_paths(routes.view, abstract).cond
+    instance = routes.before
     view_steps = abstract.cond_path.steps[2:]  # relative to the wrapper node
     for idx, tup in enumerate(instance.tuples):
         src_hit = any(
@@ -241,25 +241,3 @@ def _lemma3(
         if src_hit != view_hit:
             return False
     return True
-
-
-def _lemma4(
-    view: ViewDef,
-    view_update: UpdateStatement,
-    source_update: UpdateStatement,
-    store: DocumentStore,
-    abstract,
-) -> bool:
-    updated = store.copy()
-    apply_update(source_update, updated)
-    via_source = evaluate_view(view, updated)
-
-    via_view = evaluate_view(view, store)
-    apply_update(view_update, via_view)
-
-    rel = abstract.target_path.steps[1:]  # relative to the view root
-    left = locate(via_source.tree, rel)
-    right = locate(via_view.tree, rel)
-    if len(left) != len(right):
-        return False
-    return all(value_equal(a, b) for a, b in zip(left, right))

@@ -15,7 +15,6 @@ from xml.parsers import expat
 
 from .errors import (
     MalformedXml,
-    NonDistinctPathNames,
     UnknownDocument,
     UnsupportedFeature,
 )
@@ -151,26 +150,6 @@ def parent_index(root: XmlTree) -> dict[int, XmlTree]:
 
 # ----------------------------------------------------------------------
 # Paths
-
-@dataclass(frozen=True)
-class Path:
-    """A non-empty slash path of pairwise distinct element names."""
-
-    names: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        if not self.names:
-            raise NonDistinctPathNames("a path needs at least one name")
-        if len(set(self.names)) != len(self.names):
-            raise NonDistinctPathNames(
-                "path names must be pairwise distinct: " + "/".join(self.names)
-            )
-
-
-def last_name(p: Path) -> str:
-    """The last element name of a path."""
-    return p.names[-1]
-
 
 @dataclass(frozen=True)
 class DocRoot:
@@ -350,9 +329,3 @@ class DocumentStore:
                 if node.node_id == node_id:
                     return node
         return None
-
-    def parent_index(self) -> dict[int, XmlTree]:
-        idx: dict[int, XmlTree] = {}
-        for tree in self.docs.values():
-            idx.update(parent_index(tree))
-        return idx

@@ -25,7 +25,7 @@ from xview.fuzzgen import (
 from xview.lang import parse_update, parse_view_def
 from xview.translator import Case, ReasonCode, Rejected, Translated, translate
 from xview.updater import Deleted, apply_update
-from xview.verifier import check_correctness, check_minimality, run_lemma_suite
+from xview.verifier import verify_translation
 from xview.xml_model import locate, serialize, string_value, value_equal
 from .conftest import (
     BKINF_XML,
@@ -72,7 +72,7 @@ def test_criterion_2_end_to_end_semantics():
     dv = parse_update(QBK_DV)
     store = _books_store()
     out = translate(view, dv)
-    correct, diff = check_correctness(view, dv, out.statement, store)
+    report = verify_translation(view, dv, out.statement, store)
 
     updated = store.copy()
     apply_update(out.statement, updated)
@@ -86,7 +86,8 @@ def test_criterion_2_end_to_end_semantics():
     )
     elapsed = time.monotonic() - start
     _report(2, "round trip equality and a single touched source subtree",
-            correct and diff is None and only_first and elapsed < 1.0,
+            report.correct and report.view_diff is None and only_first
+            and elapsed < 1.0,
             f"{elapsed:.3f}s")
 
 
@@ -94,12 +95,11 @@ def _run_translated(case) -> tuple[bool, str]:
     out = translate(case.view, case.update)
     if not isinstance(out, Translated) or out.case.value != case.expect:
         return False, f"expected {case.expect}, got {out}"
-    ok, diff = check_correctness(case.view, case.update, out.statement, case.store)
-    if not ok:
-        return False, f"correctness: {diff}"
-    minimal, witness = check_minimality(case.view, case.update, out.statement, case.store)
-    if not minimal:
-        return False, f"minimality witness: {witness}"
+    report = verify_translation(case.view, case.update, out.statement, case.store)
+    if not report.correct:
+        return False, f"correctness: {report.view_diff}"
+    if not report.minimal:
+        return False, f"minimality witness: {report.witness}"
     return True, ""
 
 
@@ -205,11 +205,15 @@ def test_criterion_7_lemma_suite_and_guard_bypass():
             if not isinstance(out, Translated):
                 failures.append((gen.__name__, i, "not translated"))
                 continue
-            checks = run_lemma_suite(
+            report = verify_translation(
                 case.view, case.update, out.statement, case.store, out.case
             )
-            bad = [name for name, ok in checks if not ok]
-            if bad:
+            if not report.correct:
+                failures.append((gen.__name__, i, report.view_diff))
+                continue
+            names = [name for name, _ok in report.lemma_checks]
+            bad = [name for name, ok in report.lemma_checks if not ok]
+            if names != ["L1", "L2", "L3"] or bad:
                 failures.append((gen.__name__, i, bad))
 
     # disabling the structural guard must produce at least one incorrect
@@ -226,7 +230,7 @@ def test_criterion_7_lemma_suite_and_guard_bypass():
         isinstance(guarded, Rejected)
         and guarded.reason is ReasonCode.TargetPrefixOfWherePath
         and isinstance(forced, Translated)
-        and not check_correctness(view, dv, forced.statement, store)[0]
+        and not verify_translation(view, dv, forced.statement, store).correct
     )
     _report(7, "lemma assertions hold on every translated case; guard bypass fails",
             not failures and bypass_shows_failure, f"failures={failures[:3]}")
@@ -238,20 +242,20 @@ def test_criterion_8_oracle_sensitivity():
 
     store = _books_store()
     padded = parse_update(QBK_DS_PADDED)
-    correct_padded, _ = check_correctness(view, dv, padded, store)
-    minimal, witness = check_minimality(view, dv, padded, store)
+    report = verify_translation(view, dv, padded, store)
+    witness = report.witness
     books = locate(store.get("bkInf.xml"), ("book",))
     unrelated_auths = locate(books[3], ("auths",))[0]
     padded_ok = (
-        correct_padded
-        and not minimal
+        report.correct
+        and not report.minimal
         and witness is not None
         and witness.parent_id == unrelated_auths.node_id
     )
 
     missing = parse_update(QBK_DS_NO_COND)
-    correct_missing, diff = check_correctness(view, dv, missing, _books_store())
-    missing_ok = not correct_missing and diff is not None
+    report = verify_translation(view, dv, missing, _books_store())
+    missing_ok = not report.correct and report.view_diff is not None
     _report(8, "over-updates yield the exact witness; dropped conditions yield a diff",
             padded_ok and missing_ok)
 

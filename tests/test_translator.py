@@ -26,7 +26,7 @@ from xview.translator import (
     translate,
 )
 from xview.updater import abstract_form
-from xview.verifier import check_correctness
+from xview.verifier import verify_translation
 from xview.xml_model import DocumentStore, parse_document
 from .conftest import EX1_VIEW, QBK_DS_PRINTED, QBK_DV, QBK_VIEW
 
@@ -244,5 +244,5 @@ def test_guard_bypass_produces_incorrect_translation(d1_store, ex1_view):
 
     forced = translate(ex1_view, dv, enforce_prefix_guard=False)
     assert isinstance(forced, Translated)
-    ok, diff = check_correctness(ex1_view, dv, forced.statement, d1_store)
-    assert not ok and diff is not None
+    report = verify_translation(ex1_view, dv, forced.statement, d1_store)
+    assert not report.correct and report.view_diff is not None

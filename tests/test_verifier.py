@@ -4,38 +4,34 @@ from __future__ import annotations
 
 import random
 
-import pytest
-
-from xview.evaluator import evaluate_view
 from xview.fuzzgen import gen_t1, gen_t2
 from xview.lang import parse_update, parse_view_def
 from xview.translator import Case, Rejected, Translated, translate
-from xview.updater import Inserted, apply_update
-from xview.verifier import (
-    check_correctness,
-    check_minimality,
-    run_lemma_suite,
-    tree_diff,
-)
-from xview.xml_model import locate, parse_document, serialize, string_value
-from .conftest import QBK_DS_NO_COND, QBK_DS_PADDED, QBK_DS_PRINTED, QBK_DV
+from xview.updater import Inserted
+from xview.verifier import tree_diff, verify_translation
+from xview.xml_model import locate, parse_document, serialize
+from .conftest import QBK_DS_NO_COND, QBK_DS_PADDED, QBK_DS_PRINTED
 
 
 def test_correctness_books_end_to_end(qbk_view, qbk_dv, qbk_store):
-    ok, diff = check_correctness(
+    report = verify_translation(
         qbk_view, qbk_dv, parse_update(QBK_DS_PRINTED), qbk_store
     )
-    assert ok and diff is None
+    assert report.correct and report.view_diff is None
 
 
 def test_correctness_fails_without_appended_condition(qbk_view, qbk_dv, qbk_store):
-    ok, diff = check_correctness(
-        qbk_view, qbk_dv, parse_update(QBK_DS_NO_COND), qbk_store
+    report = verify_translation(
+        qbk_view, qbk_dv, parse_update(QBK_DS_NO_COND), qbk_store, Case.T1
     )
-    assert not ok
+    assert not report.correct
+    diff = report.view_diff
     assert diff is not None
     # the divergence is an extra author in a non-matching book's wrapper tree
     assert "Susan" in diff["left"] and "Susan" not in diff["right"]
+    # minimality and the lemmas are only judged on correct translations
+    assert not report.minimal and report.witness is None
+    assert report.lemma_checks == []
 
 
 def test_correctness_of_noop_update(qbk_view, qbk_store):
@@ -45,25 +41,24 @@ def test_correctness_of_noop_update(qbk_view, qbk_store):
     )
     out = translate(qbk_view, dv)
     assert isinstance(out, Translated)
-    ok, _ = check_correctness(qbk_view, dv, out.statement, qbk_store)
-    assert ok
-    minimal, witness = check_minimality(qbk_view, dv, out.statement, qbk_store)
-    assert minimal and witness is None  # empty edit log
+    report = verify_translation(qbk_view, dv, out.statement, qbk_store)
+    assert report.correct
+    assert report.minimal and report.witness is None  # empty edit log
 
 
 def test_minimality_books(qbk_view, qbk_dv, qbk_store):
-    minimal, witness = check_minimality(
+    report = verify_translation(
         qbk_view, qbk_dv, parse_update(QBK_DS_PRINTED), qbk_store
     )
-    assert minimal and witness is None
+    assert report.minimal and report.witness is None
 
 
 def test_padded_update_is_correct_but_not_minimal(qbk_view, qbk_dv, qbk_store):
     padded = parse_update(QBK_DS_PADDED)
-    ok, _ = check_correctness(qbk_view, qbk_dv, padded, qbk_store)
-    assert ok
-    minimal, witness = check_minimality(qbk_view, qbk_dv, padded, qbk_store)
-    assert not minimal
+    report = verify_translation(qbk_view, qbk_dv, padded, qbk_store)
+    assert report.correct
+    assert not report.minimal
+    witness = report.witness
     assert isinstance(witness, Inserted)
     # the witness is precisely the edit on the book no subject references
     books = locate(qbk_store.get("bkInf.xml"), ("book",))
@@ -72,18 +67,30 @@ def test_padded_update_is_correct_but_not_minimal(qbk_view, qbk_dv, qbk_store):
 
 
 def test_lemma_suite_books(qbk_view, qbk_dv, qbk_store):
-    checks = run_lemma_suite(
+    report = verify_translation(
         qbk_view, qbk_dv, parse_update(QBK_DS_PRINTED), qbk_store, Case.T1
     )
-    assert checks == [("L1", True), ("L2", True), ("L3", True), ("L4", True)]
+    assert report.correct
+    assert report.lemma_checks == [("L1", True), ("L2", True), ("L3", True)]
 
 
 def test_lemma_suite_on_join_case(d1_store, ex1_view):
     dv = parse_update('for r in v/e where r/H="1" update r/G ( delete Q )')
     out = translate(ex1_view, dv)
     assert isinstance(out, Translated) and out.case is Case.T2
-    checks = run_lemma_suite(ex1_view, dv, out.statement, d1_store, out.case)
-    assert all(ok for _name, ok in checks)
+    report = verify_translation(ex1_view, dv, out.statement, d1_store, out.case)
+    assert report.correct
+    assert [name for name, _ok in report.lemma_checks] == ["L1", "L2", "L3"]
+    assert all(ok for _name, ok in report.lemma_checks)
+
+
+def test_verification_leaves_the_store_unchanged(qbk_view, qbk_dv, qbk_store):
+    before = {name: serialize(t) for name, t in qbk_store.docs.items()}
+    report = verify_translation(
+        qbk_view, qbk_dv, parse_update(QBK_DS_PADDED), qbk_store, Case.T1
+    )
+    assert report.correct and not report.minimal
+    assert {name: serialize(t) for name, t in qbk_store.docs.items()} == before
 
 
 def test_suite_unreachable_for_rejected_outcomes(ex1_view):
@@ -108,8 +115,8 @@ def test_visible_over_update_breaks_correctness():
     over_matching = parse_update(
         'for x in doc("d")/R/A where x/T="t" update x/T { insert <U>u</U> }'
     )
-    ok, diff = check_correctness(view, dv, over_matching, store)
-    assert not ok and diff is not None
+    report = verify_translation(view, dv, over_matching, store)
+    assert not report.correct and report.view_diff is not None
 
 
 def test_tree_diff_reports_first_divergence():
@@ -127,9 +134,8 @@ def test_generated_cases_pass_both_oracles():
             case = gen(rng)
             out = translate(case.view, case.update)
             assert isinstance(out, Translated)
-            ok, diff = check_correctness(case.view, case.update, out.statement, case.store)
-            assert ok, diff
-            minimal, witness = check_minimality(
+            report = verify_translation(
                 case.view, case.update, out.statement, case.store
             )
-            assert minimal, witness
+            assert report.correct, report.view_diff
+            assert report.minimal, report.witness

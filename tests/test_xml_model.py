@@ -8,21 +8,18 @@ from hypothesis import strategies as st
 
 from xview.errors import (
     MalformedXml,
-    NonDistinctPathNames,
     UnknownDocument,
     UnsupportedFeature,
 )
 from xview.xml_model import (
     DocRoot,
     DocumentStore,
-    Path,
     QualifiedPath,
     XmlTree,
     copy_tree,
     element,
     is_prefix,
     iter_nodes,
-    last_name,
     locate,
     parse_document,
     serialize,
@@ -150,19 +147,6 @@ def test_string_value(d1_store):
     c1 = locate(a, ("C",))[0]
     assert string_value(c1) == "1g1"
     assert string_value(element("x", [element("y")])) == ""
-
-
-def test_last_name():
-    assert last_name(Path(("F", "G"))) == "G"
-    assert last_name(Path(("B",))) == "B"
-    assert last_name(Path(("C", "F"))) == "F"
-
-
-def test_path_rejects_repeated_names():
-    with pytest.raises(NonDistinctPathNames):
-        Path(("A", "B", "A"))
-    with pytest.raises(NonDistinctPathNames):
-        Path(())
 
 
 def test_is_prefix():
