@@ -3,13 +3,13 @@
 Evaluation follows nested-loop semantics: each for-clause binding
 enumerates, in document order, the subtrees its path locates within the
 context fixed by the earlier bindings.  Every condition-satisfying tuple
-yields exactly one wrapper tree under the view root, and every node copied
-into the view remembers the source node it came from (provenance).
+yields exactly one wrapper tree under the view root, built from fresh-id
+copies of the trees its return expressions locate.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from .errors import LevelMismatch, RootLabelMismatch
@@ -48,27 +48,14 @@ class ForTuple:
 
 
 @dataclass
-class Provenance:
-    """Bookkeeping from tuples to wrapper trees and from copies to sources.
+class ViewInstance:
+    """A materialized evaluation result: the tree plus its tuples.
 
-    ``etree_ids[i]`` is the wrapper node built for the i-th satisfying
-    tuple (a bijection).  ``source_of`` maps every node id copied into the
-    view to the source node id it was copied from, and ``gamma_expr`` maps
-    each copied top-level child of a wrapper to the index of the return
-    expression that selected it.
+    Until an update edits the instance, the i-th wrapper tree under the
+    root is the one built for ``tuples[i]``.
     """
 
-    etree_ids: list[int] = field(default_factory=list)
-    source_of: dict[int, int] = field(default_factory=dict)
-    gamma_expr: dict[int, int] = field(default_factory=dict)
-
-
-@dataclass
-class ViewInstance:
-    """A materialized evaluation result: the tree plus its provenance."""
-
     tree: XmlTree
-    provenance: Provenance
     tuples: list[ForTuple]  # the condition-satisfying tuples, in order
 
 
@@ -142,45 +129,26 @@ def eval_condition(atoms: Iterable[ConditionAtom], tup: ForTuple) -> bool:
     return True
 
 
-def build_etree(
-    returns: Iterable[ReturnExpr], tup: ForTuple, wrapper: str
-) -> tuple[XmlTree, dict[int, int], dict[int, int]]:
+def build_etree(returns: Iterable[ReturnExpr], tup: ForTuple, wrapper: str) -> XmlTree:
     """Build one wrapper tree for a tuple.
 
     Children are deep copies of every tree located by each return
     expression: expression order outer, document order inner.  A bare
     ``{x}`` expression contributes a copy of the binding itself, root label
-    included.  Returns the wrapper node, a copy-id -> source-id map, and a
-    child-id -> return-expression-index map.
+    included.
     """
-    source_of: dict[int, int] = {}
-    gamma_expr: dict[int, int] = {}
-    children: list[XmlTree] = []
-    for idx, ret in enumerate(returns):
-        for found in locate(tup[ret.var], ret.gamma):
-            copied = copy_tree(found, id_map=source_of)
-            gamma_expr[copied.node_id] = idx
-            children.append(copied)
-    return XmlTree(wrapper, children=children), source_of, gamma_expr
+    children = [
+        copy_tree(found) for ret in returns for found in locate(tup[ret.var], ret.gamma)
+    ]
+    return XmlTree(wrapper, children=children)
 
 
 def evaluate_view(view: ViewDef, store: DocumentStore) -> ViewInstance:
     """Materialize the view against a store.
 
     Pure up to fresh identifier assignment: evaluating twice yields
-    value-equal instances with isomorphic provenance.
+    value-equal instances.
     """
-    provenance = Provenance()
-    satisfying: list[ForTuple] = []
-    children: list[XmlTree] = []
-    for tup in fortup(view, store):
-        if not eval_condition(view.conditions, tup):
-            continue
-        etree, source_of, gamma_expr = build_etree(view.returns, tup, view.wrapper)
-        provenance.etree_ids.append(etree.node_id)
-        provenance.source_of.update(source_of)
-        provenance.gamma_expr.update(gamma_expr)
-        satisfying.append(tup)
-        children.append(etree)
-    root = XmlTree(view.view_root, children=children)
-    return ViewInstance(root, provenance, satisfying)
+    satisfying = [t for t in fortup(view, store) if eval_condition(view.conditions, t)]
+    children = [build_etree(view.returns, t, view.wrapper) for t in satisfying]
+    return ViewInstance(XmlTree(view.view_root, children=children), satisfying)

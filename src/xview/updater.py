@@ -2,17 +2,20 @@
 
 Application is two-phase: a planning pass enumerates the statement's
 for-clause against the pre-edit state, evaluates conditions, resolves
-target nodes and collapses duplicate (node, action) applications so that
-only the first takes effect; an execution pass then mutates the target and
-produces an edit log.  Conditions therefore always see the pre-state, and
-re-applying the same planned action to a node is a no-op by construction.
+target nodes, collapses duplicate (node, action) applications so that
+only the first takes effect, and resolves each application to the
+``Inserted``/``Deleted`` edits it makes; an execution pass then performs
+those edits and returns them as the edit log.  Conditions therefore always
+see the pre-state, re-applying the same planned action to a node is a
+no-op by construction, and a statement that fails raises while planning,
+so it changes nothing.  Execution and log replay share one mutation.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Iterator, Optional, Union
 
 from .errors import LevelMismatch, RootLabelMismatch, TargetIsRoot, TargetNotElement
 from .evaluator import (
@@ -121,60 +124,31 @@ def edit_to_json(edit: Edit) -> str:
 
 @dataclass
 class PlannedOp:
-    """One collapsed application of the statement's action to one node.
+    """One collapsed application of the statement's action, resolved to edits.
 
-    ``kind`` is "insert", "delete_tree" or "delete_label" with ``node`` the
-    target element, or "delete_node" with ``node`` the parent and ``child``
-    the specific tree being removed (binding deletion and the localized
-    wrapper deletion both reduce to it).
+    ``target`` is the node the action applies to, and the collapse key: a
+    statement carries exactly one action, so its node id is the whole key.
+    For a binding deletion or the localized wrapper deletion the target is
+    the removed tree itself.  ``parent`` is the node the ``edits`` land
+    under.  An application that matches nothing keeps its place in the plan,
+    with no edits.
     """
 
-    kind: str
-    node: XmlTree
-    payload: Optional[XmlTree] = None
-    label: Optional[str] = None
-    child: Optional[XmlTree] = None
+    target: XmlTree
+    parent: XmlTree
+    edits: list[Edit]
 
 
-def _op_key(op: PlannedOp) -> tuple:
-    if op.kind == "insert":
-        return (op.node.node_id, "insert", serialize(op.payload))
-    if op.kind == "delete_tree":
-        return (op.node.node_id, "delete_tree", serialize(op.payload))
-    if op.kind == "delete_label":
-        return (op.node.node_id, "delete_label", op.label)
-    return (op.child.node_id, "delete_node")
-
-
-def _target_roots(stmt: UpdateStatement, target) -> list[XmlTree]:
-    if stmt.level == "source":
-        if not isinstance(target, DocumentStore):
-            raise LevelMismatch("a source-level update applies to a DocumentStore")
-        return list(target.docs.values())
-    if not isinstance(target, ViewInstance):
-        raise LevelMismatch("a view-level update applies to a ViewInstance")
-    return [target.tree]
-
-
-def _parent_index(roots: list[XmlTree]) -> dict[int, XmlTree]:
+def _parent_index(store: DocumentStore) -> dict[int, XmlTree]:
     idx: dict[int, XmlTree] = {}
-    for root in roots:
+    for root in store.docs.values():
         idx.update(parent_index(root))
     return idx
 
 
-def _add_node_action(add, node: XmlTree, action) -> None:
-    if isinstance(action, InsertTree):
-        add(PlannedOp("insert", node, payload=action.tree))
-    elif isinstance(action, DeleteTree):
-        add(PlannedOp("delete_tree", node, payload=action.tree))
-    elif isinstance(action, DeleteLabel):
-        add(PlannedOp("delete_label", node, label=action.label))
-    else:
-        raise TypeError(f"cannot plan {action!r} here")
-
-
-def _plan_view_update(stmt: UpdateStatement, instance: ViewInstance, add) -> None:
+def _view_applications(
+    stmt: UpdateStatement, instance: ViewInstance
+) -> Iterator[tuple[XmlTree, XmlTree]]:
     """Pair condition and target under the common front part of their paths.
 
     Under each node located by the shared prefix: if some subtree at the
@@ -184,6 +158,8 @@ def _plan_view_update(stmt: UpdateStatement, instance: ViewInstance, add) -> Non
     the very step the condition path descends through, the condition
     localizes to each deleted child (deleting every wrapper tree as soon as
     one matched would not survive re-evaluation of the translated update).
+
+    Yields (target, parent) pairs, as ``_resolve`` takes them.
     """
     ab = abstract_form(stmt)
     root = instance.tree
@@ -203,11 +179,11 @@ def _plan_view_update(stmt: UpdateStatement, instance: ViewInstance, add) -> Non
         and cond_steps[1] == action.label
     ):
         rest = cond_steps[2:]
-        for child in list(root.children or []):
+        for child in root.children or []:
             if child.label != action.label:
                 continue
             if any(string_value(n) == ab.cond_value for n in locate(child, rest)):
-                add(PlannedOp("delete_node", root, child=child))
+                yield child, root
         return
 
     prefix = ab.common_prefix.steps
@@ -216,13 +192,16 @@ def _plan_view_update(stmt: UpdateStatement, instance: ViewInstance, add) -> Non
     for ctx in locate(root, prefix[1:]):
         if any(string_value(n) == ab.cond_value for n in locate(ctx, cond_rest)):
             for node in locate(ctx, tgt_rest):
-                _add_node_action(add, node, action)
+                yield node, node
 
 
-def _plan_source_update(
-    stmt: UpdateStatement, store: DocumentStore, roots: list[XmlTree], add
-) -> None:
-    """Per condition-satisfying for-clause tuple, act on every target tree."""
+def _source_applications(
+    stmt: UpdateStatement, store: DocumentStore
+) -> Iterator[tuple[XmlTree, XmlTree]]:
+    """Per condition-satisfying for-clause tuple, act on every target tree.
+
+    Yields (target, parent) pairs, as ``_resolve`` takes them.
+    """
     tuples = enumerate_bindings(stmt.bindings, store_resolver(store))
     parents: Optional[dict[int, XmlTree]] = None
     for tup in tuples:
@@ -232,18 +211,18 @@ def _plan_source_update(
         if isinstance(action, DeleteBinding):
             bound = tup[action.var]
             if parents is None:
-                parents = _parent_index(roots)
+                parents = _parent_index(store)
             parent = parents.get(bound.node_id)
             if parent is None:
                 raise TargetIsRoot(
                     f"binding {action.var!r} is a root and cannot be deleted"
                 )
-            add(PlannedOp("delete_node", parent, child=bound))
+            yield bound, parent
             continue
         nodes = locate(tup[stmt.target.var], stmt.target.path)
         if stmt.target.parent_step:
             if parents is None:
-                parents = _parent_index(roots)
+                parents = _parent_index(store)
             seen: list[XmlTree] = []
             for n in nodes:
                 parent = parents.get(n.node_id)
@@ -253,80 +232,76 @@ def _plan_source_update(
                     seen.append(parent)
             nodes = seen
         for node in nodes:
-            _add_node_action(add, node, action)
+            yield node, node
+
+
+def _resolve(target: XmlTree, parent: XmlTree, action) -> list[Edit]:
+    """The edits one application makes, read off the pre-edit state.
+
+    A target other than its parent is removed whole (binding deletion and
+    the localized wrapper deletion).  Otherwise insertion appends a copy of
+    the payload last, tree deletion removes every child value-equal to the
+    payload and label deletion every child bearing the label.
+
+    Reading deletions before any edit lands is safe: every target path is a
+    fixed-length child path, so all targets of one statement sit at the same
+    depth, and no application can change another application's children.
+    """
+    if target is not parent:
+        return [Deleted(parent.node_id, target.node_id, copy_tree(target))]
+    if isinstance(action, InsertTree):
+        if target.is_text:
+            raise TargetNotElement(f"cannot insert under text leaf {target.label!r}")
+        return [Inserted(target.node_id, copy_tree(action.tree))]
+    children = target.children or []
+    if isinstance(action, DeleteTree):
+        gone = [c for c in children if value_equal(c, action.tree)]
+    elif isinstance(action, DeleteLabel):
+        gone = [c for c in children if c.label == action.label]
+    else:
+        raise TypeError(f"cannot plan {action!r} here")
+    return [Deleted(target.node_id, c.node_id, copy_tree(c)) for c in gone]
 
 
 def plan_update(stmt: UpdateStatement, target) -> list[PlannedOp]:
-    """Plan all applications against the pre-edit state, first one per key."""
-    roots = _target_roots(stmt, target)
-    plan: dict[tuple, PlannedOp] = {}
-
-    def add(op: PlannedOp) -> None:
-        plan.setdefault(_op_key(op), op)
-
-    if stmt.level == "view":
-        _plan_view_update(stmt, target, add)
+    """Plan all applications against the pre-edit state, first one per node."""
+    if stmt.level == "source":
+        if not isinstance(target, DocumentStore):
+            raise LevelMismatch("a source-level update applies to a DocumentStore")
+        applications = _source_applications(stmt, target)
     else:
-        _plan_source_update(stmt, target, roots, add)
+        if not isinstance(target, ViewInstance):
+            raise LevelMismatch("a view-level update applies to a ViewInstance")
+        applications = _view_applications(stmt, target)
+    plan: dict[int, PlannedOp] = {}
+    for node, parent in applications:
+        if node.node_id not in plan:
+            plan[node.node_id] = PlannedOp(
+                node, parent, _resolve(node, parent, stmt.action)
+            )
     return list(plan.values())
 
 
 # ----------------------------------------------------------------------
 # Execution
 
-def apply_action(node: XmlTree, action) -> list[Edit]:
-    """Apply one action to one element node, returning the edits made.
-
-    Insertion appends a fresh-id copy of the payload as the last child.
-    Tree deletion removes every child value-equal to the payload; label
-    deletion removes every child bearing the label.  Deletions that match
-    nothing return no edits.
-    """
-    if isinstance(action, InsertTree):
-        if node.is_text:
-            raise TargetNotElement(
-                f"cannot insert under text leaf {node.label!r}"
-            )
-        node.children = list(node.children or [])
-        node.children.append(copy_tree(action.tree))
-        return [Inserted(node.node_id, copy_tree(action.tree))]
-    if isinstance(action, DeleteTree):
-        return _delete_children(node, lambda c: value_equal(c, action.tree))
-    if isinstance(action, DeleteLabel):
-        return _delete_children(node, lambda c: c.label == action.label)
-    raise TypeError(f"apply_action cannot handle {action!r}")
-
-
-def _delete_children(node: XmlTree, pred) -> list[Edit]:
-    if node.is_text:
-        return []
-    keep, edits = [], []
-    for child in node.children or []:
-        if pred(child):
-            edits.append(Deleted(node.node_id, child.node_id, copy_tree(child)))
-        else:
-            keep.append(child)
-    node.children = keep
-    return edits
+def _mutate(parent: XmlTree, edit: Edit) -> None:
+    """The one mutation: append a fresh-id copy of an insertion's tree, or
+    drop a deleted child by id."""
+    if isinstance(edit, Inserted):
+        parent.children = (parent.children or []) + [copy_tree(edit.tree)]
+    else:
+        parent.children = [
+            c for c in parent.children or [] if c.node_id != edit.node_id
+        ]
 
 
 def execute_plan(plan: list[PlannedOp]) -> list[Edit]:
     edits: list[Edit] = []
     for op in plan:
-        if op.kind == "insert":
-            edits.extend(apply_action(op.node, InsertTree(op.payload)))
-        elif op.kind == "delete_tree":
-            edits.extend(apply_action(op.node, DeleteTree(op.payload)))
-        elif op.kind == "delete_label":
-            edits.extend(apply_action(op.node, DeleteLabel(op.label)))
-        else:  # delete_node
-            parent = op.node
-            parent.children = [
-                c for c in parent.children or [] if c.node_id != op.child.node_id
-            ]
-            edits.append(
-                Deleted(parent.node_id, op.child.node_id, copy_tree(op.child))
-            )
+        for edit in op.edits:
+            _mutate(op.parent, edit)
+        edits.extend(op.edits)
     return edits
 
 
@@ -337,7 +312,8 @@ def apply_update(stmt: UpdateStatement, target) -> list[Edit]:
     the action is applied to every tree at the target path under that
     context.  Duplicate (node, action) applications collapse to the first.
     An unsatisfiable condition leaves the target unchanged and the log
-    empty.
+    empty, and so does a statement that fails: every error is raised while
+    planning, before any edit lands.
     """
     return execute_plan(plan_update(stmt, target))
 
@@ -348,10 +324,4 @@ def replay_edits(edits: list[Edit], store: DocumentStore) -> None:
         parent = store.find_node(edit.parent_id)
         if parent is None:
             raise TargetIsRoot(f"edit parent {edit.parent_id} not found in store")
-        if isinstance(edit, Inserted):
-            parent.children = list(parent.children or [])
-            parent.children.append(copy_tree(edit.tree))
-        else:
-            parent.children = [
-                c for c in parent.children or [] if c.node_id != edit.node_id
-            ]
+        _mutate(parent, edit)

@@ -190,10 +190,7 @@ def run_lemma_suite(routes: _Routes, case: Case) -> list[tuple[str, bool]]:
 
 
 def _lemma1(source_update: UpdateStatement, store: DocumentStore) -> bool:
-    plan = plan_update(source_update, store)
-    touched = set()
-    for op in plan:
-        touched.add(op.child.node_id if op.kind == "delete_node" else op.node.node_id)
+    touched = {op.target.node_id for op in plan_update(source_update, store)}
 
     tuples = enumerate_bindings(source_update.bindings, store_resolver(store))
     for tup in tuples:
@@ -223,17 +220,14 @@ def _lemma2(routes: _Routes, case: Case) -> bool:
 def _lemma3(routes: _Routes) -> bool:
     abstract = abstract_form(routes.view_update)
     cond = map_paths(routes.view, abstract).cond
-    instance = routes.before
+    instance = routes.before  # never updated: wrapper i belongs to tuple i
     view_steps = abstract.cond_path.steps[2:]  # relative to the wrapper node
     for idx, tup in enumerate(instance.tuples):
         src_hit = any(
             string_value(n) == abstract.cond_value
             for n in locate(tup[cond.var], cond.gamma + cond.theta)
         )
-        etree_id = instance.provenance.etree_ids[idx]
-        etree = next(
-            c for c in instance.tree.children or [] if c.node_id == etree_id
-        )
+        etree = instance.tree.children[idx]
         view_hit = any(
             string_value(n) == abstract.cond_value
             for n in locate(etree, view_steps)

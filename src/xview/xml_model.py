@@ -86,23 +86,17 @@ def value_equal(a: XmlTree, b: XmlTree) -> bool:
     return all(value_equal(x, y) for x, y in zip(ac, bc))
 
 
-def copy_tree(
-    t: XmlTree,
-    preserve_ids: bool = False,
-    id_map: Optional[dict[int, int]] = None,
-) -> XmlTree:
+def copy_tree(t: XmlTree, preserve_ids: bool = False) -> XmlTree:
     """Deep-copy a tree.
 
     With ``preserve_ids`` the copy reuses the original identifiers (used
     for snapshotting a store before edits).  Otherwise fresh identifiers
-    are assigned; ``id_map`` is then filled with fresh-id -> source-id.
+    are assigned.
     """
     node_id = t.node_id if preserve_ids else fresh_id()
-    if id_map is not None and not preserve_ids:
-        id_map[node_id] = t.node_id
     if t.is_text:
         return XmlTree(t.label, text=t.text, node_id=node_id)
-    kids = [copy_tree(c, preserve_ids, id_map) for c in t.children or []]
+    kids = [copy_tree(c, preserve_ids) for c in t.children or []]
     return XmlTree(t.label, children=kids, node_id=node_id)
 
 

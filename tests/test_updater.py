@@ -6,21 +6,13 @@ import json
 
 import pytest
 
-from xview.errors import LevelMismatch, TargetIsRoot
+from xview.errors import LevelMismatch, TargetIsRoot, TargetNotElement
 from xview.evaluator import evaluate_view
-from xview.lang import (
-    DeleteLabel,
-    DeleteTree,
-    InsertTree,
-    parse_update,
-    parse_view_def,
-)
-from xview.translator import translate
+from xview.lang import parse_update, parse_view_def
 from xview.updater import (
     Deleted,
     Inserted,
     abstract_form,
-    apply_action,
     apply_update,
     edit_to_json,
     replay_edits,
@@ -29,13 +21,10 @@ from xview.xml_model import (
     DocumentStore,
     QualifiedPath,
     VIEW_ROOT,
-    element,
     locate,
     parse_document,
     serialize,
     string_value,
-    text_leaf,
-    value_equal,
 )
 from .conftest import QBK_DS_PRINTED, QBK_DV
 
@@ -61,31 +50,81 @@ def test_abstract_form_condition_equals_target():
     assert ab.common_prefix == ab.cond_path == ab.target_path
 
 
+def _one_doc(xml: str) -> DocumentStore:
+    store = DocumentStore()
+    store.add("d", parse_document(xml))
+    return store
+
+
+def _deletions(log) -> list[tuple[str, int, int, str]]:
+    return [
+        (json.loads(edit_to_json(e))["op"], e.parent_id, e.node_id, serialize(e.tree))
+        for e in log
+    ]
+
+
+def _assert_replay_reproduces(log, snapshot: DocumentStore, updated: DocumentStore):
+    replay_edits(log, snapshot)
+    for name in updated.docs:
+        assert serialize(snapshot.get(name)) == serialize(updated.get(name))
+
+
 def test_apply_action_insert_appends_last():
-    auths = element("auths", [text_leaf("aName", "John")])
-    edits = apply_action(auths, InsertTree(text_leaf("aName", "Susan")))
-    assert serialize(auths) == "<auths><aName>John</aName><aName>Susan</aName></auths>"
+    store = _one_doc("<r><auths><aName>John</aName></auths></r>")
+    stmt = parse_update(
+        'for x in doc("d")/r/auths where x/aName="John" '
+        "update x { insert <aName>Susan</aName> }"
+    )
+    edits = apply_update(stmt, store)
+    assert serialize(store.get("d")) == (
+        "<r><auths><aName>John</aName><aName>Susan</aName></auths></r>"
+    )
     assert len(edits) == 1 and isinstance(edits[0], Inserted)
 
 
 def test_apply_action_delete_label_removes_all():
-    a = parse_document("<A><B>b1</B><C><D>1</D></C><C><D>2</D></C><H>1</H></A>")
-    edits = apply_action(a, DeleteLabel("C"))
+    store = _one_doc("<r><A><B>b1</B><C><D>1</D></C><C><D>2</D></C><H>1</H></A></r>")
+    a = locate(store.get("d"), ("A",))[0]
+    c1, c2 = locate(a, ("C",))
+    snapshot = store.copy()
+    stmt = parse_update('for a in doc("d")/r/A where a/H="1" update a ( delete C )')
+    edits = apply_update(stmt, store)
     assert [c.label for c in a.children] == ["B", "H"]
     assert len(edits) == 2 and all(isinstance(e, Deleted) for e in edits)
+    assert _deletions(edits) == [
+        ("delete", a.node_id, c1.node_id, "<C><D>1</D></C>"),
+        ("delete", a.node_id, c2.node_id, "<C><D>2</D></C>"),
+    ]
+    _assert_replay_reproduces(edits, snapshot, store)
 
 
 def test_apply_action_delete_tree_no_match():
-    a = parse_document("<A><B>b1</B></A>")
-    assert apply_action(a, DeleteTree(text_leaf("X", "1"))) == []
-    assert serialize(a) == "<A><B>b1</B></A>"
+    store = _one_doc("<r><A><B>b1</B></A></r>")
+    stmt = parse_update(
+        'for a in doc("d")/r/A where a/B="b1" update a { delete <X>1</X> }'
+    )
+    assert apply_update(stmt, store) == []
+    assert serialize(store.get("d")) == "<r><A><B>b1</B></A></r>"
 
 
 def test_apply_action_insert_into_text_leaf_rejected():
-    from xview.errors import TargetNotElement
-
+    store = _one_doc("<r><t>1</t></r>")
+    stmt = parse_update('for x in doc("d")/r/t where x="1" update x { insert <x>2</x> }')
     with pytest.raises(TargetNotElement):
-        apply_action(text_leaf("t", "1"), InsertTree(text_leaf("x", "2")))
+        apply_update(stmt, store)
+
+
+def test_failing_update_changes_nothing():
+    # the first A's T is an element, the second's a text leaf: the statement
+    # fails on the second application, and the first must not have landed
+    xml = "<R><A><C>1</C><T><U>u</U></T></A><A><C>1</C><T>t</T></A></R>"
+    store = _one_doc(xml)
+    stmt = parse_update(
+        'for x in doc("d")/R/A where x/C="1" update x/T { insert <U>n</U> }'
+    )
+    with pytest.raises(TargetNotElement):
+        apply_update(stmt, store)
+    assert serialize(store.get("d")) == xml
 
 
 def test_apply_translated_update_to_source(qbk_store):
@@ -135,14 +174,21 @@ def test_first_application_collapse():
 
 
 def test_delete_tree_removes_all_value_equal_children():
-    store = DocumentStore()
-    store.add("d", parse_document("<r><A><C>x</C><C>x</C><C>y</C><B>1</B></A></r>"))
+    store = _one_doc("<r><A><C>x</C><C>x</C><C>y</C><B>1</B></A></r>")
+    a = locate(store.get("d"), ("A",))[0]
+    c1, c2, _ = locate(a, ("C",))
+    snapshot = store.copy()
     stmt = parse_update(
         'for a in doc("d")/r/A where a/B="1" update a { delete <C>x</C> }'
     )
     log = apply_update(stmt, store)
     assert len(log) == 2
     assert serialize(store.get("d")) == "<r><A><C>y</C><B>1</B></A></r>"
+    assert _deletions(log) == [
+        ("delete", a.node_id, c1.node_id, "<C>x</C>"),
+        ("delete", a.node_id, c2.node_id, "<C>x</C>"),
+    ]
+    _assert_replay_reproduces(log, snapshot, store)
 
 
 def test_parent_step_deletion():
@@ -156,16 +202,21 @@ def test_parent_step_deletion():
 
 
 def test_binding_deletion_spares_siblings():
-    store = DocumentStore()
-    store.add(
-        "d", parse_document("<R><A><C>1</C></A><A><C>2</C></A><A><C>1</C></A></R>")
-    )
+    store = _one_doc("<R><A><C>1</C></A><A><C>2</C></A><A><C>1</C></A></R>")
+    root = store.get("d")
+    a1, _, a3 = locate(root, ("A",))
+    snapshot = store.copy()
     stmt = parse_update(
         'for x1 in doc("d")/R/A where x1/C="1" update x1/.. ( delete A )'
     )
     log = apply_update(stmt, store)
     assert len(log) == 2
     assert serialize(store.get("d")) == "<R><A><C>2</C></A></R>"
+    assert _deletions(log) == [
+        ("delete", root.node_id, a1.node_id, "<A><C>1</C></A>"),
+        ("delete", root.node_id, a3.node_id, "<A><C>1</C></A>"),
+    ]
+    _assert_replay_reproduces(log, snapshot, store)
 
 
 def test_binding_deletion_of_root_rejected():
@@ -200,15 +251,23 @@ def test_view_update_pairs_condition_under_common_prefix(qbk_view, qbk_store):
 
 
 def test_localized_root_wrapper_deletion():
-    store = DocumentStore()
-    store.add("d", parse_document("<R><A><C>1</C></A><A><C>2</C></A></R>"))
+    store = _one_doc("<R><A><C>1</C></A><A><C>2</C></A></R>")
     view = parse_view_def('<v>{for x1 in doc("d")/R/A return <e>{x1/C}</e>}</v>')
     instance = evaluate_view(view, store)
+    e1 = instance.tree.children[0]
+    # the instance as a one-document store, so the log replays onto a snapshot
+    updated = DocumentStore()
+    updated.add("v", instance.tree)
+    snapshot = updated.copy()
     dv = parse_update('for u in v where u/e/C="1" update u ( delete e )')
     log = apply_update(dv, instance)
     # only the wrapper tree whose own subtree satisfies the condition is gone
     assert len(log) == 1
     assert serialize(instance.tree) == "<v><e><C>2</C></e></v>"
+    assert _deletions(log) == [
+        ("delete", instance.tree.node_id, e1.node_id, "<e><C>1</C></e>"),
+    ]
+    _assert_replay_reproduces(log, snapshot, updated)
 
 
 def test_edit_log_json_schema(qbk_store):
@@ -223,9 +282,7 @@ def test_replay_edits_reproduces_application(qbk_store):
     ds = parse_update(QBK_DS_PRINTED)
     snapshot = qbk_store.copy()
     log = apply_update(ds, qbk_store)
-    replay_edits(log, snapshot)
-    for name in qbk_store.docs:
-        assert serialize(snapshot.get(name)) == serialize(qbk_store.get(name))
+    _assert_replay_reproduces(log, snapshot, qbk_store)
 
 
 def test_enumeration_and_conditions_see_pre_state():
