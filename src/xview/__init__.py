@@ -8,7 +8,7 @@ and minimal.
 """
 
 from .errors import XviewError
-from .evaluator import ViewInstance, evaluate_view, fortup
+from .evaluator import ViewInstance, evaluate_view
 from .lang import (
     DeleteBinding,
     DeleteLabel,
@@ -65,7 +65,6 @@ __all__ = [
     "classify",
     "edit_to_json",
     "evaluate_view",
-    "fortup",
     "locate",
     "map_paths",
     "normalize_path",

@@ -10,7 +10,7 @@ copies of the trees its return expressions locate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Iterable
 
 from .errors import LevelMismatch, RootLabelMismatch
 from .lang import (
@@ -32,19 +32,10 @@ from .xml_model import (
 )
 
 
-@dataclass
-class ForTuple:
-    """One variable assignment produced by the for-clause.
-
-    Copies of the same source binding in different tuples share the source
-    node (and hence its identifier); there is no deduplication of
-    value-equal bindings.
-    """
-
-    assignments: dict[str, XmlTree]
-
-    def __getitem__(self, var: str) -> XmlTree:
-        return self.assignments[var]
+# One variable assignment produced by the for-clause.  Copies of the same
+# source binding in different tuples share the source node (and hence its
+# identifier); there is no deduplication of value-equal bindings.
+ForTuple = dict[str, XmlTree]
 
 
 @dataclass
@@ -59,50 +50,38 @@ class ViewInstance:
     tuples: list[ForTuple]  # the condition-satisfying tuples, in order
 
 
-RootResolver = Callable[[QualifiedPath], list[XmlTree]]
-
-
-def store_resolver(store: DocumentStore) -> RootResolver:
-    """Resolve doc(...)-rooted paths against a document store."""
-
-    def resolve(qp: QualifiedPath) -> list[XmlTree]:
-        if not isinstance(qp.root, DocRoot):
-            raise LevelMismatch("this statement must be document-rooted")
-        tree = store.get(qp.root.doc)
-        if tree.label != qp.steps[0]:
-            raise RootLabelMismatch(
-                f"document {qp.root.doc!r} has root {tree.label!r}, "
-                f"path starts with {qp.steps[0]!r}"
-            )
-        return locate(tree, qp.steps[1:])
-
-    return resolve
+def _resolve_root(source: QualifiedPath, store: DocumentStore) -> list[XmlTree]:
+    if not isinstance(source.root, DocRoot):
+        raise LevelMismatch("this statement must be document-rooted")
+    tree = store.get(source.root.doc)
+    if tree.label != source.steps[0]:
+        raise RootLabelMismatch(
+            f"document {source.root.doc!r} has root {tree.label!r}, "
+            f"path starts with {source.steps[0]!r}"
+        )
+    return locate(tree, source.steps[1:])
 
 
 def enumerate_bindings(
-    bindings: Iterable[Binding], resolve_root: RootResolver
+    bindings: Iterable[Binding], store: DocumentStore
 ) -> list[ForTuple]:
-    """Produce all for-clause tuples in nested-loop order."""
-    tuples: list[dict[str, XmlTree]] = [{}]
+    """Produce all for-clause tuples in nested-loop order, before condition
+    filtering; doc(...)-rooted paths are resolved against ``store``."""
+    tuples: list[ForTuple] = [{}]
     for binding in bindings:
-        expanded: list[dict[str, XmlTree]] = []
+        expanded: list[ForTuple] = []
         for partial in tuples:
             source = binding.source
             if isinstance(source.root, VarRoot):
                 candidates = locate(partial[source.root.var], source.steps)
             else:
-                candidates = resolve_root(source)
+                candidates = _resolve_root(source, store)
             for node in candidates:
                 assignment = dict(partial)
                 assignment[binding.var] = node
                 expanded.append(assignment)
         tuples = expanded
-    return [ForTuple(t) for t in tuples]
-
-
-def fortup(view: ViewDef, store: DocumentStore) -> list[ForTuple]:
-    """All tuples of the view's for-clause, before condition filtering."""
-    return enumerate_bindings(view.bindings, store_resolver(store))
+    return tuples
 
 
 def _located_values(tup: ForTuple, var: str, names: tuple[str, ...]) -> list[str]:
@@ -149,6 +128,10 @@ def evaluate_view(view: ViewDef, store: DocumentStore) -> ViewInstance:
     Pure up to fresh identifier assignment: evaluating twice yields
     value-equal instances.
     """
-    satisfying = [t for t in fortup(view, store) if eval_condition(view.conditions, t)]
+    satisfying = [
+        t
+        for t in enumerate_bindings(view.bindings, store)
+        if eval_condition(view.conditions, t)
+    ]
     children = [build_etree(view.returns, t, view.wrapper) for t in satisfying]
     return ViewInstance(XmlTree(view.view_root, children=children), satisfying)

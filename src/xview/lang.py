@@ -445,17 +445,6 @@ def _expect_close_tag(lx: _Lexer, name: str) -> None:
 
 
 def _check_view(view: ViewDef) -> None:
-    # first binding (and any other non-variable one) must be document-rooted
-    for b in view.bindings:
-        if isinstance(b.source.root, ViewRootMark):
-            raise QuerySyntaxError("view definitions cannot reference a view root")
-
-    bound = {b.var for b in view.bindings}
-    for atom in view.conditions:
-        for var, _names in atom_sides(atom):
-            if var not in bound:
-                raise UnboundVariable(f"variable {var!r} is not bound")
-
     seen: dict[str, str] = {}
     for ret in view.returns:
         name = return_last_name(view, ret)

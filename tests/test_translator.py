@@ -9,7 +9,6 @@ import pytest
 from xview.errors import LevelMismatch, UnmappableName
 from xview.fuzzgen import GENERATORS, random_case
 from xview.lang import (
-    PathEqPath,
     PathEqString,
     parse_update,
     parse_view_def,
@@ -21,7 +20,6 @@ from xview.translator import (
     ReasonCode,
     Rejected,
     Translated,
-    classify,
     map_paths,
     translate,
 )
@@ -86,6 +84,27 @@ def test_classify_target_prefix_rejected():
     out2 = _outcome(EX1_VIEW, 'for r in v/e where r/C/D="1" update r/H { delete P }')
     assert isinstance(out2, Rejected)
     assert out2.reason is ReasonCode.TargetPrefixOfWherePath
+
+
+def test_guard_rejects_target_inside_a_compared_tree():
+    # inserting below D changes D's string value to "12", so the view's own
+    # condition drops the row; the T1 translation is incorrect
+    view = parse_view_def(
+        '<v>{for x in doc("s")/R/A where x/C/D="1" return <e>{x/B}{x/C}</e>}</v>'
+    )
+    dv = parse_update('for r in v/e where r/B="b" update r/C/D/E { insert <G>2</G> }')
+    out = translate(view, dv)
+    assert isinstance(out, Rejected)
+    assert out.reason is ReasonCode.TargetPrefixOfWherePath
+
+    store = DocumentStore()
+    store.add("s", parse_document("<R><A><B>b</B><C><D><E><F>1</F></E></D></C></A></R>"))
+    unguarded = parse_update(
+        'for x in doc("s")/R/A where x/C/D="1" and x/B="b" '
+        "update x/C/D/E { insert <G>2</G> }"
+    )
+    report = verify_translation(view, dv, unguarded, store)
+    assert not report.correct and report.view_diff is not None
 
 
 def test_classify_no_join_rejected():
@@ -233,16 +252,23 @@ def test_classify_is_total_over_generators():
             assert isinstance(out, (Translated, Rejected))
 
 
+# The T1 statement the translator would emit for the update below if it
+# skipped the prefix guard.
+UNGUARDED_T1 = (
+    'for x in doc("r")/r/A, y in x/C, z in x/H '
+    'where y/D=z and z="1" and x/C/D="1" update x/C { delete <D>1</D> }'
+)
+
+
 def test_guard_bypass_produces_incorrect_translation(d1_store, ex1_view):
     # deleting below the target would invalidate the join condition the
-    # where clause re-checks on evaluation; with the guard disabled the
-    # translation goes through and the round trip breaks
+    # where clause re-checks on evaluation; the unguarded translation
+    # breaks the round trip
     dv = parse_update('for w in v/e where w/C/D="1" update w/C { delete <D>1</D> }')
     guarded = translate(ex1_view, dv)
     assert isinstance(guarded, Rejected)
     assert guarded.reason is ReasonCode.TargetPrefixOfWherePath
 
-    forced = translate(ex1_view, dv, enforce_prefix_guard=False)
-    assert isinstance(forced, Translated)
-    report = verify_translation(ex1_view, dv, forced.statement, d1_store)
+    forced = parse_update(UNGUARDED_T1)
+    report = verify_translation(ex1_view, dv, forced, d1_store)
     assert not report.correct and report.view_diff is not None

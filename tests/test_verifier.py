@@ -7,9 +7,9 @@ import random
 from xview.fuzzgen import gen_t1, gen_t2
 from xview.lang import parse_update, parse_view_def
 from xview.translator import Case, Rejected, Translated, translate
-from xview.updater import Inserted
+from xview.updater import Inserted, plan_update
 from xview.verifier import tree_diff, verify_translation
-from xview.xml_model import locate, parse_document, serialize
+from xview.xml_model import DocumentStore, locate, parse_document, serialize
 from .conftest import QBK_DS_NO_COND, QBK_DS_PADDED, QBK_DS_PRINTED
 
 
@@ -84,6 +84,50 @@ def test_lemma_suite_on_join_case(d1_store, ex1_view):
     assert all(ok for _name, ok in report.lemma_checks)
 
 
+def _single_doc_store(xml: str) -> DocumentStore:
+    store = DocumentStore()
+    store.add("s", parse_document(xml))
+    return store
+
+
+def test_lemma2_counts_every_tuple_of_a_deleted_binding():
+    # the deleted A has two tuples, one per C child
+    view = parse_view_def('<v>{for x in doc("s")/R/A, y in x/C return <e>{x/B}</e>}</v>')
+    store = _single_doc_store(
+        "<R><A><B>1</B><C>c</C><C>d</C></A><A><B>2</B><C>e</C></A></R>"
+    )
+    dv = parse_update('for u in v where u/e/B="1" update u ( delete e )')
+    out = translate(view, dv)
+    assert isinstance(out, Translated) and out.case is Case.T4
+    report = verify_translation(view, dv, out.statement, store, out.case)
+    assert report.correct and report.minimal
+    assert report.lemma_checks == [("L1", True), ("L2", True), ("L3", True)]
+
+
+def test_lemma1_catches_a_partial_plan_under_a_parent_step(monkeypatch):
+    # a T3 statement plans on the M parents of the deleted T trees; a plan
+    # that reaches only one of a tuple's two M parents breaks L1
+    view = parse_view_def('<v>{for x in doc("s")/R/A return <e>{x/B}{x/M/T}</e>}</v>')
+    store = _single_doc_store(
+        "<R><A><B>1</B><M><T>t</T></M><M><T>u</T></M></A></R>"
+    )
+    dv = parse_update('for w in v/e where w/B="1" update w { delete T }')
+    out = translate(view, dv)
+    assert isinstance(out, Translated) and out.case is Case.T3
+    report = verify_translation(view, dv, out.statement, store, out.case)
+    assert report.lemma_checks[0] == ("L1", True)
+
+    import xview.verifier
+
+    def partial_plan(stmt, target):
+        return plan_update(stmt, target)[1:]
+
+    monkeypatch.setattr(xview.verifier, "plan_update", partial_plan)
+    report = verify_translation(view, dv, out.statement, store, out.case)
+    assert report.correct
+    assert report.lemma_checks[0] == ("L1", False)
+
+
 def test_verification_leaves_the_store_unchanged(qbk_view, qbk_dv, qbk_store):
     before = {name: serialize(t) for name, t in qbk_store.docs.items()}
     report = verify_translation(
@@ -107,8 +151,6 @@ def test_visible_over_update_breaks_correctness():
         "<R><A><C>1</C><T><W>t</W></T></A><A><C>9</C><T><W>t</W></T></A></R>"
     )
     view = parse_view_def('<v>{for x in doc("d")/R/A return <e>{x/C}{x/T}</e>}</v>')
-    from xview.xml_model import DocumentStore
-
     store = DocumentStore()
     store.add("d", parse_document(store_xml))
     dv = parse_update('for w in v/e where w/C="1" update w/T { insert <U>u</U> }')
