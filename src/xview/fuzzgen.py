@@ -240,8 +240,8 @@ def gen_t4(rng: random.Random) -> FuzzCase:
     return _case(doc, view_text, update_text, "T4")
 
 
-def gen_insert_root_reject(rng: random.Random) -> FuzzCase:
-    """A whole wrapper tree inserted at the root has no unique placement."""
+def _bare_binding_fixture(rng: random.Random):
+    """A view whose wrapper trees each hold one bare ``{x}`` binding copy."""
     R, A, C, W, Q, E = _names(rng, 6)
     doc = (
         f"<{R}><{A}>"
@@ -252,6 +252,12 @@ def gen_insert_root_reject(rng: random.Random) -> FuzzCase:
         + f"</{A}></{R}>"
     )
     view_text = f'<{Q}>{{for x in doc("{DOC}")/{R}/{A}/{C} return <{E}>{{x}}</{E}>}}</{Q}>'
+    return doc, view_text, (C, W, Q, E)
+
+
+def gen_insert_root_reject(rng: random.Random) -> FuzzCase:
+    """A whole wrapper tree inserted at the root has no unique placement."""
+    doc, view_text, (C, W, Q, E) = _bare_binding_fixture(rng)
     update_text = (
         f'for u in {Q} where u/{E}/{C}/{W}="1" '
         f"update u {{ insert <{E}><{C}><{W}>2</{W}></{C}></{E}> }}"
@@ -261,16 +267,7 @@ def gen_insert_root_reject(rng: random.Random) -> FuzzCase:
 
 def gen_insert_production_reject(rng: random.Random) -> FuzzCase:
     """Adding a sibling to a bare-binding return breaks tuple production."""
-    R, A, C, W, Q, E = _names(rng, 6)
-    doc = (
-        f"<{R}><{A}>"
-        + "".join(
-            f"<{C}><{W}>{rng.choice(['1', '2'])}</{W}></{C}>"
-            for _ in range(rng.randint(1, 2))
-        )
-        + f"</{A}></{R}>"
-    )
-    view_text = f'<{Q}>{{for x in doc("{DOC}")/{R}/{A}/{C} return <{E}>{{x}}</{E}>}}</{Q}>'
+    doc, view_text, (C, W, Q, E) = _bare_binding_fixture(rng)
     update_text = (
         f'for w in {Q}/{E} where w/{C}/{W}="1" '
         f"update w {{ insert <{C}><{W}>2</{W}></{C}> }}"

@@ -18,7 +18,10 @@ Everything else is rejected with a reason code.  T1, T2 and T3 also
 require a prefix guard: the source path whose trees the update rewrites
 must be neither a prefix nor an extension of any path in the translated
 where clause, otherwise applying the update would change the very trees
-the conditions test, or the string values they compare.
+the conditions test, or the string values they compare.  Nor may it be a
+prefix or an extension of the path of any return expression other than the
+one the update addresses: a source tree exposed twice would show the update
+in both copies, while the view-level update edits only one.
 """
 
 from __future__ import annotations
@@ -63,6 +66,7 @@ class ReasonCode(str, enum.Enum):
     TargetPrefixOfWherePath = "TargetPrefixOfWherePath"
     UnmappableName = "UnmappableName"
     MultiVariableReturnRootDeletion = "MultiVariableReturnRootDeletion"
+    OverlappingExposure = "OverlappingExposure"
 
 
 @dataclass(frozen=True)
@@ -178,6 +182,26 @@ def _guard_trips(
     )
 
 
+def _exposed_elsewhere(
+    view: ViewDef, rewritten: QualifiedPath, through: ReturnExpr
+) -> bool:
+    """True when a return expression other than ``through`` exposes trees on
+    the rewritten path's branch: a source edit there also changes that
+    expression's copies, which the view-level update leaves alone."""
+    others = [
+        normalize_path(view, r.var, r.gamma) for r in view.returns if r != through
+    ]
+    return any(is_prefix(rewritten, o) or is_prefix(o, rewritten) for o in others)
+
+
+def _overlap(rewritten: QualifiedPath) -> tuple[ReasonCode, str]:
+    return (
+        ReasonCode.OverlappingExposure,
+        f"path {'/'.join(rewritten.steps)} is a prefix or an extension of "
+        f"another return expression's path",
+    )
+
+
 def _single_return_var(view: ViewDef) -> Optional[str]:
     vars_used = {ret.var for ret in view.returns}
     if len(vars_used) == 1:
@@ -264,15 +288,19 @@ def classify(
                 f"extension of a translated where-clause path",
             )
         if mapping.cond.var == mapping.target.var:
-            return Case.T1
-        partners = _join_partner_vars(view, mapping.cond)
-        if mapping.target.var in partners:
-            return Case.T2
-        return (
-            ReasonCode.CondTargetDifferentVarsNoJoin,
-            f"condition maps to {mapping.cond.var!r} and target to "
-            f"{mapping.target.var!r}, and no join atom links them",
-        )
+            case = Case.T1
+        elif mapping.target.var in _join_partner_vars(view, mapping.cond):
+            case = Case.T2
+        else:
+            return (
+                ReasonCode.CondTargetDifferentVarsNoJoin,
+                f"condition maps to {mapping.cond.var!r} and target to "
+                f"{mapping.target.var!r}, and no join atom links them",
+            )
+        through = ReturnExpr(mapping.target.var, mapping.target.gamma)
+        if _exposed_elsewhere(view, target_qp, through):
+            return _overlap(target_qp)
+        return case
 
     single = _single_return_var(view)
     if tslot == "wrapper":
@@ -301,6 +329,8 @@ def classify(
                     f"deleted path {'/'.join(deleted_qp.steps)} is a prefix or "
                     f"an extension of a translated where-clause path",
                 )
+            if _exposed_elsewhere(view, deleted_qp, ret):
+                return _overlap(deleted_qp)
             return Case.T3
         return (
             ReasonCode.NoUniqueSourcePlacement,

@@ -1,5 +1,10 @@
 """Apply update statements to document stores and view instances.
 
+There is one update engine.  A view-level statement is first rewritten into
+the one-binding source-level statement its abstract form describes, over
+the view instance held as a one-document store; from there both levels are
+planned and executed alike.
+
 Application is two-phase: a planning pass enumerates the statement's
 for-clause against the pre-edit state, evaluates conditions, resolves
 target nodes, collapses duplicate (node, action) applications so that
@@ -17,18 +22,21 @@ import json
 from dataclasses import dataclass
 from typing import Iterator, Optional, Union
 
-from .errors import LevelMismatch, RootLabelMismatch, TargetIsRoot, TargetNotElement
+from .errors import LevelMismatch, TargetIsRoot, TargetNotElement
 from .evaluator import ViewInstance, enumerate_bindings, eval_condition
 from .lang import (
+    Binding,
     DeleteBinding,
     DeleteLabel,
     DeleteTree,
     InsertTree,
     PathEqString,
     UpdateStatement,
+    UpdateTarget,
     normalize_path,
 )
 from .xml_model import (
+    DocRoot,
     DocumentStore,
     QualifiedPath,
     XmlTree,
@@ -36,7 +44,6 @@ from .xml_model import (
     locate,
     parent_index,
     serialize,
-    string_value,
     value_equal,
 )
 
@@ -120,10 +127,9 @@ class PlannedOp:
 
     ``target`` is the node the action applies to, and the collapse key: a
     statement carries exactly one action, so its node id is the whole key.
-    For a binding deletion or the localized wrapper deletion the target is
-    the removed tree itself.  ``parent`` is the node the ``edits`` land
-    under.  An application that matches nothing keeps its place in the plan,
-    with no edits.
+    For a binding deletion the target is the removed tree itself.
+    ``parent`` is the node the ``edits`` land under.  An application that
+    matches nothing keeps its place in the plan, with no edits.
     """
 
     target: XmlTree
@@ -138,53 +144,40 @@ def _parent_index(store: DocumentStore) -> dict[int, XmlTree]:
     return idx
 
 
-def _view_applications(
+def _as_source_statement(
     stmt: UpdateStatement, instance: ViewInstance
-) -> Iterator[tuple[XmlTree, XmlTree]]:
-    """Pair condition and target under the common front part of their paths.
+) -> tuple[UpdateStatement, DocumentStore]:
+    """The one-binding statement a view-level statement's abstract form
+    describes, over the instance held as a one-document store.
 
-    Under each node located by the shared prefix: if some subtree at the
-    condition remainder satisfies the equality, the action applies to every
-    subtree at the target remainder.  One exception, forced by the source
-    translation of root-level wrapper deletion: when the deleted label is
-    the very step the condition path descends through, the condition
-    localizes to each deleted child (deleting every wrapper tree as soon as
-    one matched would not survive re-evaluation of the translated update).
-
-    Yields (target, parent) pairs, as ``_resolve`` takes them.
+    The variable ranges over the common front part of the condition and
+    target paths; the condition and the target are their remainders under
+    it.  One exception, forced by the source translation of root-level
+    wrapper deletion: when the deleted label is the very step the condition
+    path descends through, the variable ranges over the deleted children and
+    each one whose own subtree satisfies the condition is deleted as a
+    binding (deleting every wrapper tree as soon as one matched would not
+    survive re-evaluation of the translated update).
     """
     ab = abstract_form(stmt)
-    root = instance.tree
-    if root.label != ab.target_path.steps[0]:
-        raise RootLabelMismatch(
-            f"view instance has root {root.label!r}, "
-            f"statement addresses {ab.target_path.steps[0]!r}"
-        )
-
-    action = stmt.action
     cond_steps = ab.cond_path.steps
-    tgt_steps = ab.target_path.steps
+    prefix = ab.common_prefix.steps
+    target = UpdateTarget("c", ab.target_path.steps[len(prefix):])
+    action = stmt.action
     if (
         isinstance(action, DeleteLabel)
-        and len(tgt_steps) == 1
-        and len(cond_steps) > 1
-        and cond_steps[1] == action.label
+        and len(ab.target_path.steps) == 1
+        and cond_steps[1:2] == (action.label,)
     ):
-        rest = cond_steps[2:]
-        for child in root.children or []:
-            if child.label != action.label:
-                continue
-            if any(string_value(n) == ab.cond_value for n in locate(child, rest)):
-                yield child, root
-        return
-
-    prefix = ab.common_prefix.steps
-    cond_rest = cond_steps[len(prefix):]
-    tgt_rest = tgt_steps[len(prefix):]
-    for ctx in locate(root, prefix[1:]):
-        if any(string_value(n) == ab.cond_value for n in locate(ctx, cond_rest)):
-            for node in locate(ctx, tgt_rest):
-                yield node, node
+        prefix = cond_steps[:2]
+        target = UpdateTarget("c", (), parent_step=True)
+        action = DeleteBinding("c")
+    view = prefix[0]
+    store = DocumentStore()
+    store.add(view, instance.tree)
+    binding = Binding("c", QualifiedPath(DocRoot(view), prefix))
+    cond = PathEqString(("c", cond_steps[len(prefix):]), ab.cond_value)
+    return UpdateStatement("source", (binding,), (cond,), target, action), store
 
 
 def _source_applications(
@@ -230,10 +223,10 @@ def _source_applications(
 def _resolve(target: XmlTree, parent: XmlTree, action) -> list[Edit]:
     """The edits one application makes, read off the pre-edit state.
 
-    A target other than its parent is removed whole (binding deletion and
-    the localized wrapper deletion).  Otherwise insertion appends a copy of
-    the payload last, tree deletion removes every child value-equal to the
-    payload and label deletion every child bearing the label.
+    A target other than its parent is removed whole (binding deletion).
+    Otherwise insertion appends a copy of the payload last, tree deletion
+    removes every child value-equal to the payload and label deletion every
+    child bearing the label.
 
     Reading deletions before any edit lands is safe: every target path is a
     fixed-length child path, so all targets of one statement sit at the same
@@ -260,13 +253,12 @@ def plan_update(stmt: UpdateStatement, target) -> list[PlannedOp]:
     if stmt.level == "source":
         if not isinstance(target, DocumentStore):
             raise LevelMismatch("a source-level update applies to a DocumentStore")
-        applications = _source_applications(stmt, target)
     else:
         if not isinstance(target, ViewInstance):
             raise LevelMismatch("a view-level update applies to a ViewInstance")
-        applications = _view_applications(stmt, target)
+        stmt, target = _as_source_statement(stmt, target)
     plan: dict[int, PlannedOp] = {}
-    for node, parent in applications:
+    for node, parent in _source_applications(stmt, target):
         if node.node_id not in plan:
             plan[node.node_id] = PlannedOp(
                 node, parent, _resolve(node, parent, stmt.action)

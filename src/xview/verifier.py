@@ -15,8 +15,13 @@ import json
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .evaluator import ViewInstance, enumerate_bindings, evaluate_view
-from .lang import DeleteBinding, UpdateStatement, ViewDef
+from .evaluator import (
+    ViewInstance,
+    enumerate_bindings,
+    eval_condition,
+    evaluate_view,
+)
+from .lang import DeleteBinding, PathEqString, UpdateStatement, ViewDef
 from .translator import Case, map_paths
 from .updater import (
     Deleted,
@@ -24,6 +29,7 @@ from .updater import (
     abstract_form,
     apply_update,
     edit_to_json,
+    execute_plan,
     plan_update,
     replay_edits,
 )
@@ -33,7 +39,6 @@ from .xml_model import (
     copy_tree,
     locate,
     serialize,
-    string_value,
     value_equal,
 )
 
@@ -68,8 +73,9 @@ class _Routes:
     """One verification's inputs and both update routes, computed once.
 
     Route A (``via_source``) is view(update(sources)): the source update is
-    applied to one identifier-preserving copy of ``store``, whose edit log is
-    kept, and the view is evaluated on that copy.  Route B (``via_view``) is
+    planned and applied on one identifier-preserving copy of ``store``, whose
+    planned target ids (``touched``) and edit log are kept, and the view is
+    evaluated on that copy.  Route B (``via_view``) is
     update(view(sources)), applied to a fresh-id copy of ``before``, the
     unmodified evaluation of the view on ``store``; ``store`` itself is never
     mutated.
@@ -80,6 +86,7 @@ class _Routes:
     source_update: UpdateStatement
     store: DocumentStore
     before: ViewInstance
+    touched: frozenset[int]
     log: list[Edit]
     via_source: ViewInstance
     via_view: ViewInstance
@@ -92,14 +99,24 @@ def _compute_routes(
     store: DocumentStore,
 ) -> _Routes:
     updated = store.copy()
-    log = apply_update(source_update, updated)
+    plan = plan_update(source_update, updated)
+    touched = frozenset(op.target.node_id for op in plan)
+    log = execute_plan(plan)
     via_source = evaluate_view(view, updated)
 
     before = evaluate_view(view, store)
     via_view = ViewInstance(copy_tree(before.tree), before.tuples)
     apply_update(view_update, via_view)
     return _Routes(
-        view, view_update, source_update, store, before, log, via_source, via_view
+        view,
+        view_update,
+        source_update,
+        store,
+        before,
+        touched,
+        log,
+        via_source,
+        via_view,
     )
 
 
@@ -186,17 +203,16 @@ def run_lemma_suite(routes: _Routes, case: Case) -> list[tuple[str, bool]]:
     follows from the value equality of the whole instances.
     """
     return [
-        ("L1", _lemma1(routes.source_update, routes.store)),
+        ("L1", _lemma1(routes)),
         ("L2", _lemma2(routes, case)),
         ("L3", _lemma3(routes)),
     ]
 
 
-def _lemma1(source_update: UpdateStatement, store: DocumentStore) -> bool:
-    touched = {op.target.node_id for op in plan_update(source_update, store)}
-
+def _lemma1(routes: _Routes) -> bool:
+    source_update, touched = routes.source_update, routes.touched
     target = source_update.target
-    tuples = enumerate_bindings(source_update.bindings, store)
+    tuples = enumerate_bindings(source_update.bindings, routes.store)
     for tup in tuples:
         if isinstance(source_update.action, DeleteBinding):
             ids = {tup[source_update.action.var].node_id}
@@ -227,18 +243,12 @@ def _lemma2(routes: _Routes, case: Case) -> bool:
 def _lemma3(routes: _Routes) -> bool:
     abstract = abstract_form(routes.view_update)
     cond = map_paths(routes.view, abstract).cond
+    src_atom = PathEqString((cond.var, cond.gamma + cond.theta), abstract.cond_value)
+    # relative to the wrapper node, bound to the variable "w"
+    view_atom = PathEqString(("w", abstract.cond_path.steps[2:]), abstract.cond_value)
     instance = routes.before  # never updated: wrapper i belongs to tuple i
-    view_steps = abstract.cond_path.steps[2:]  # relative to the wrapper node
-    for idx, tup in enumerate(instance.tuples):
-        src_hit = any(
-            string_value(n) == abstract.cond_value
-            for n in locate(tup[cond.var], cond.gamma + cond.theta)
-        )
-        etree = instance.tree.children[idx]
-        view_hit = any(
-            string_value(n) == abstract.cond_value
-            for n in locate(etree, view_steps)
-        )
-        if src_hit != view_hit:
+    for tup, etree in zip(instance.tuples, instance.tree.children):
+        view_hit = eval_condition((view_atom,), {"w": etree})
+        if eval_condition((src_atom,), tup) != view_hit:
             return False
     return True

@@ -22,6 +22,15 @@ EX1_VIEW = (
     "return <e>{x/B}{x/C}{y/F/G}{z}</e>}</v>"
 )
 
+# EX1_VIEW with {x/C} replaced by {y/D}: the same join, but every source
+# subtree is exposed through one return expression only, so T2 updates of
+# the G trees translate.
+EX1_DISJOINT_VIEW = (
+    '<v>{for x in doc("r")/r/A, y in x/C, z in x/H '
+    'where y/D=z and z="1" '
+    "return <e>{x/B}{y/D}{y/F/G}{z}</e>}</v>"
+)
+
 # Books with authors and titles; universities with subjects that reference
 # book titles.  The first book is used by two universities, the last book
 # matches no subject at all (its mark element, shared with the first book,
@@ -102,6 +111,11 @@ def d1_store() -> DocumentStore:
 @pytest.fixture
 def ex1_view():
     return parse_view_def(EX1_VIEW)
+
+
+@pytest.fixture
+def ex1_disjoint_view():
+    return parse_view_def(EX1_DISJOINT_VIEW)
 
 
 @pytest.fixture

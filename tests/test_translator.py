@@ -26,7 +26,13 @@ from xview.translator import (
 from xview.updater import abstract_form
 from xview.verifier import verify_translation
 from xview.xml_model import DocumentStore, parse_document
-from .conftest import EX1_VIEW, QBK_DS_PRINTED, QBK_DV, QBK_VIEW
+from .conftest import (
+    EX1_DISJOINT_VIEW,
+    EX1_VIEW,
+    QBK_DS_PRINTED,
+    QBK_DV,
+    QBK_VIEW,
+)
 
 
 def _mapping_for(view_text: str, update_text: str) -> Mapping:
@@ -73,8 +79,41 @@ def test_classify_books_update_is_t1():
 def test_classify_join_case_is_t2():
     # condition maps to the bare-binding side of the join, target to the
     # other join variable's subtree
-    out = _outcome(EX1_VIEW, 'for r in v/e where r/H="1" update r/G { delete P }')
+    out = _outcome(
+        EX1_DISJOINT_VIEW, 'for r in v/e where r/H="1" update r/G { delete P }'
+    )
     assert isinstance(out, Translated) and out.case is Case.T2
+
+
+OVERLAP_VIEW = '<v>{for x in doc("s")/R/A return <e>{x/C}{x/T}{x/T/U}</e>}</v>'
+OVERLAP_DV = 'for r in v/e where r/C="1" update r/T { insert <U>new</U> }'
+
+
+def test_overlapping_exposure_rejected():
+    # the target T is also exposed below {x/T/U}; in EX1_VIEW the G trees
+    # are also exposed inside {x/C}; the T3 deletion removes T trees that
+    # {x/M/T/U} exposes as well
+    for view_text, update_text in (
+        (OVERLAP_VIEW, OVERLAP_DV),
+        (EX1_VIEW, 'for r in v/e where r/H="1" update r/G { delete P }'),
+        (
+            '<v>{for x in doc("s")/R/A return <e>{x/C}{x/M/T}{x/M/T/U}</e>}</v>',
+            'for w in v/e where w/C="1" update w { delete T }',
+        ),
+    ):
+        out = _outcome(view_text, update_text)
+        assert isinstance(out, Rejected)
+        assert out.reason is ReasonCode.OverlappingExposure
+
+    # the T1 statement the guard turns away: the new U surfaces twice
+    view = parse_view_def(OVERLAP_VIEW)
+    store = DocumentStore()
+    store.add("s", parse_document("<R><A><C>1</C><T><U>u</U></T></A></R>"))
+    unguarded = parse_update(
+        'for x in doc("s")/R/A where x/C="1" update x/T { insert <U>new</U> }'
+    )
+    report = verify_translation(view, parse_update(OVERLAP_DV), unguarded, store)
+    assert not report.correct and report.view_diff is not None
 
 
 def test_classify_target_prefix_rejected():
@@ -102,6 +141,29 @@ def test_guard_rejects_target_inside_a_compared_tree():
     unguarded = parse_update(
         'for x in doc("s")/R/A where x/C/D="1" and x/B="b" '
         "update x/C/D/E { insert <G>2</G> }"
+    )
+    report = verify_translation(view, dv, unguarded, store)
+    assert not report.correct and report.view_diff is not None
+
+
+def test_guard_checks_the_appended_condition():
+    # the appended condition x/C="1" holds for the A as a whole, so the
+    # unguarded statement inserts into the second C's D as well
+    view = parse_view_def('<v>{for x in doc("s")/R/A return <e>{x/B}{x/C}</e>}</v>')
+    dv = parse_update('for r in v/e where r/C="1" update r/C/D { insert <G>2</G> }')
+    out = translate(view, dv)
+    assert isinstance(out, Rejected)
+    assert out.reason is ReasonCode.TargetPrefixOfWherePath
+
+    store = DocumentStore()
+    store.add(
+        "s",
+        parse_document(
+            "<R><A><B>b</B><C><D><F>1</F></D></C><C><D><F>2</F></D></C></A></R>"
+        ),
+    )
+    unguarded = parse_update(
+        'for x in doc("s")/R/A where x/C="1" update x/C/D { insert <G>2</G> }'
     )
     report = verify_translation(view, dv, unguarded, store)
     assert not report.correct and report.view_diff is not None

@@ -6,7 +6,12 @@ import json
 
 import pytest
 
-from xview.errors import LevelMismatch, TargetIsRoot, TargetNotElement
+from xview.errors import (
+    LevelMismatch,
+    RootLabelMismatch,
+    TargetIsRoot,
+    TargetNotElement,
+)
 from xview.evaluator import evaluate_view
 from xview.lang import parse_update, parse_view_def
 from xview.updater import (
@@ -248,6 +253,31 @@ def test_view_update_pairs_condition_under_common_prefix(qbk_view, qbk_store):
         title = string_value(locate(use, ("title",))[0])
         names = string_value(locate(use, ("auths",))[0])
         assert ("Zed" in names) == (title == "IS")
+
+
+def test_view_update_common_prefix_reaches_below_the_wrapper():
+    # the common prefix v/e/T pairs the condition with each T on its own,
+    # not with the whole wrapper tree
+    store = _one_doc("<R><A><C>c</C><T><U>1</U></T><T><U>2</U></T></A></R>")
+    view = parse_view_def('<v>{for x in doc("d")/R/A return <e>{x/C}{x/T}</e>}</v>')
+    instance = evaluate_view(view, store)
+    dv = parse_update('for r in v/e where r/T/U="1" update r/T { insert <W>w</W> }')
+    log = apply_update(dv, instance)
+    assert len(log) == 1
+    assert serialize(instance.tree) == (
+        "<v><e><C>c</C><T><U>1</U><W>w</W></T><T><U>2</U></T></e></v>"
+    )
+
+
+def test_view_update_on_another_root_label_rejected():
+    store = _one_doc("<R><A><C>1</C></A></R>")
+    view = parse_view_def('<v>{for x in doc("d")/R/A return <e>{x/C}</e>}</v>')
+    instance = evaluate_view(view, store)
+    dv = parse_update('for r in w/e where r/C="1" update r { delete C }')
+    with pytest.raises(RootLabelMismatch) as info:
+        apply_update(dv, instance)
+    assert "'v'" in str(info.value) and "'w'" in str(info.value)
+    assert serialize(instance.tree) == "<v><e><C>1</C></e></v>"
 
 
 def test_localized_root_wrapper_deletion():

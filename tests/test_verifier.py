@@ -2,13 +2,19 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 from xview.fuzzgen import gen_t1, gen_t2
 from xview.lang import parse_update, parse_view_def
 from xview.translator import Case, Rejected, Translated, translate
-from xview.updater import Inserted, plan_update
-from xview.verifier import tree_diff, verify_translation
+from xview.updater import Inserted
+from xview.verifier import (
+    _compute_routes,
+    run_lemma_suite,
+    tree_diff,
+    verify_translation,
+)
 from xview.xml_model import DocumentStore, locate, parse_document, serialize
 from .conftest import QBK_DS_NO_COND, QBK_DS_PADDED, QBK_DS_PRINTED
 
@@ -74,11 +80,13 @@ def test_lemma_suite_books(qbk_view, qbk_dv, qbk_store):
     assert report.lemma_checks == [("L1", True), ("L2", True), ("L3", True)]
 
 
-def test_lemma_suite_on_join_case(d1_store, ex1_view):
+def test_lemma_suite_on_join_case(d1_store, ex1_disjoint_view):
     dv = parse_update('for r in v/e where r/H="1" update r/G ( delete Q )')
-    out = translate(ex1_view, dv)
+    out = translate(ex1_disjoint_view, dv)
     assert isinstance(out, Translated) and out.case is Case.T2
-    report = verify_translation(ex1_view, dv, out.statement, d1_store, out.case)
+    report = verify_translation(
+        ex1_disjoint_view, dv, out.statement, d1_store, out.case
+    )
     assert report.correct
     assert [name for name, _ok in report.lemma_checks] == ["L1", "L2", "L3"]
     assert all(ok for _name, ok in report.lemma_checks)
@@ -104,7 +112,7 @@ def test_lemma2_counts_every_tuple_of_a_deleted_binding():
     assert report.lemma_checks == [("L1", True), ("L2", True), ("L3", True)]
 
 
-def test_lemma1_catches_a_partial_plan_under_a_parent_step(monkeypatch):
+def test_lemma1_catches_a_partial_plan_under_a_parent_step():
     # a T3 statement plans on the M parents of the deleted T trees; a plan
     # that reaches only one of a tuple's two M parents breaks L1
     view = parse_view_def('<v>{for x in doc("s")/R/A return <e>{x/B}{x/M/T}</e>}</v>')
@@ -117,15 +125,13 @@ def test_lemma1_catches_a_partial_plan_under_a_parent_step(monkeypatch):
     report = verify_translation(view, dv, out.statement, store, out.case)
     assert report.lemma_checks[0] == ("L1", True)
 
-    import xview.verifier
-
-    def partial_plan(stmt, target):
-        return plan_update(stmt, target)[1:]
-
-    monkeypatch.setattr(xview.verifier, "plan_update", partial_plan)
-    report = verify_translation(view, dv, out.statement, store, out.case)
-    assert report.correct
-    assert report.lemma_checks[0] == ("L1", False)
+    # L1 reads route A's planned target ids; drop one of the two M parents
+    routes = _compute_routes(view, dv, out.statement, store)
+    assert len(routes.touched) == 2
+    partial = dataclasses.replace(
+        routes, touched=routes.touched - {min(routes.touched)}
+    )
+    assert run_lemma_suite(partial, out.case)[0] == ("L1", False)
 
 
 def test_verification_leaves_the_store_unchanged(qbk_view, qbk_dv, qbk_store):
