@@ -26,7 +26,6 @@ from .translator import (
     ReasonCode,
     Rejected,
     Translated,
-    classify,
     map_paths,
     translate,
 )
@@ -62,7 +61,6 @@ __all__ = [
     "XviewError",
     "abstract_form",
     "apply_update",
-    "classify",
     "edit_to_json",
     "evaluate_view",
     "locate",

@@ -34,7 +34,6 @@ from .errors import LevelMismatch, UnmappableName
 from .lang import (
     DeleteBinding,
     DeleteLabel,
-    DeleteTree,
     InsertTree,
     PathEqPath,
     PathEqString,
@@ -156,51 +155,7 @@ def map_paths(view: ViewDef, abstract: AbstractUpdate) -> Mapping:
 
 
 # ----------------------------------------------------------------------
-# Classification
-
-def _where_paths(view: ViewDef, appended: tuple[str, tuple[str, ...]]) -> list[QualifiedPath]:
-    """Every path in the would-be translated where clause, fully expanded."""
-    paths = []
-    for atom in view.conditions:
-        for var, names in atom_sides(atom):
-            paths.append(normalize_path(view, var, names))
-    paths.append(normalize_path(view, appended[0], appended[1]))
-    return paths
-
-
-def _guard_trips(
-    view: ViewDef,
-    rewritten: QualifiedPath,
-    appended: tuple[str, tuple[str, ...]],
-) -> bool:
-    """True when the rewritten path and some where-clause path lie on one
-    branch: either the update rewrites a compared tree, or it edits inside
-    one and so changes its string value."""
-    return any(
-        is_prefix(rewritten, w) or is_prefix(w, rewritten)
-        for w in _where_paths(view, appended)
-    )
-
-
-def _exposed_elsewhere(
-    view: ViewDef, rewritten: QualifiedPath, through: ReturnExpr
-) -> bool:
-    """True when a return expression other than ``through`` exposes trees on
-    the rewritten path's branch: a source edit there also changes that
-    expression's copies, which the view-level update leaves alone."""
-    others = [
-        normalize_path(view, r.var, r.gamma) for r in view.returns if r != through
-    ]
-    return any(is_prefix(rewritten, o) or is_prefix(o, rewritten) for o in others)
-
-
-def _overlap(rewritten: QualifiedPath) -> tuple[ReasonCode, str]:
-    return (
-        ReasonCode.OverlappingExposure,
-        f"path {'/'.join(rewritten.steps)} is a prefix or an extension of "
-        f"another return expression's path",
-    )
-
+# Translation
 
 def _single_return_var(view: ViewDef) -> Optional[str]:
     vars_used = {ret.var for ret in view.returns}
@@ -224,137 +179,51 @@ def _join_partner_vars(view: ViewDef, cond: MappedPath) -> set[str]:
     return partners
 
 
-def classify(
-    view: ViewDef,
-    abstract: AbstractUpdate,
-    mapping: Mapping,
-) -> Union[Case, tuple[ReasonCode, str]]:
-    """Decide the translation case, or the reason no translation is emitted.
+def _guard(
+    rewritten: QualifiedPath,
+    paths: list[QualifiedPath],
+    reason: ReasonCode,
+    detail: str,
+) -> Optional[Rejected]:
+    """Reject when the rewritten path and some path in ``paths`` lie on one
+    branch, one a prefix of the other; ``detail`` takes the rewritten path."""
+    if any(is_prefix(rewritten, p) or is_prefix(p, rewritten) for p in paths):
+        return Rejected(reason, detail.format("/".join(rewritten.steps)))
+    return None
 
-    The four cases form a whitelist; anything outside them is rejected
-    without claiming impossibility beyond the argued shapes.
-    """
-    action = abstract.action
-    tslot = mapping.target.slot
 
-    if isinstance(action, InsertTree) and tslot in ("wrapper", "root"):
-        label = action.tree.label
-        if tslot == "root":
-            if label == view.wrapper:
-                return (
-                    ReasonCode.NoUniqueSourcePlacement,
-                    "a new wrapper tree could extend an existing source "
-                    "context or a newly created one; no unique placement exists",
-                )
-            return (
-                ReasonCode.InsertionAtWrapperOrRoot,
-                f"inserting {label!r} at the view root does not match the "
-                f"view structure",
+def _misplaced_insert(view: ViewDef, label: str, slot: str) -> Rejected:
+    """Why an insertion at the wrapper or root level has no translation."""
+    if slot == "root":
+        if label == view.wrapper:
+            return Rejected(
+                ReasonCode.NoUniqueSourcePlacement,
+                "a new wrapper tree could extend an existing source "
+                "context or a newly created one; no unique placement exists",
             )
-        ret = _find_return(view, label)
-        if ret is None:
-            return (
-                ReasonCode.InsertionAtWrapperOrRoot,
-                f"inserted label {label!r} matches no return expression",
-            )
-        if not ret.gamma:
-            return (
-                ReasonCode.ViolatesProduction,
-                f"each wrapper tree holds exactly one {label!r} child (the "
-                f"binding itself); inserting another breaks tuple production",
-            )
-        return (
-            ReasonCode.NoSpecifiableCondition,
-            f"no condition can single out which source {ret.var!r} binding "
-            f"should receive the new {label!r} tree",
+        return Rejected(
+            ReasonCode.InsertionAtWrapperOrRoot,
+            f"inserting {label!r} at the view root does not match the "
+            f"view structure",
         )
-
-    if mapping.cond.slot != "gamma":
-        return (
-            ReasonCode.UnmappableName,
-            "the condition path must reach into a returned subtree",
+    ret = _find_return(view, label)
+    if ret is None:
+        return Rejected(
+            ReasonCode.InsertionAtWrapperOrRoot,
+            f"inserted label {label!r} matches no return expression",
         )
-
-    appended = (mapping.cond.var, mapping.cond.gamma + mapping.cond.theta)
-
-    if tslot == "gamma":
-        target_qp = normalize_path(
-            view, mapping.target.var, mapping.target.gamma + mapping.target.theta
+    if not ret.gamma:
+        return Rejected(
+            ReasonCode.ViolatesProduction,
+            f"each wrapper tree holds exactly one {label!r} child (the "
+            f"binding itself); inserting another breaks tuple production",
         )
-        if _guard_trips(view, target_qp, appended):
-            return (
-                ReasonCode.TargetPrefixOfWherePath,
-                f"target path {'/'.join(target_qp.steps)} is a prefix or an "
-                f"extension of a translated where-clause path",
-            )
-        if mapping.cond.var == mapping.target.var:
-            case = Case.T1
-        elif mapping.target.var in _join_partner_vars(view, mapping.cond):
-            case = Case.T2
-        else:
-            return (
-                ReasonCode.CondTargetDifferentVarsNoJoin,
-                f"condition maps to {mapping.cond.var!r} and target to "
-                f"{mapping.target.var!r}, and no join atom links them",
-            )
-        through = ReturnExpr(mapping.target.var, mapping.target.gamma)
-        if _exposed_elsewhere(view, target_qp, through):
-            return _overlap(target_qp)
-        return case
+    return Rejected(
+        ReasonCode.NoSpecifiableCondition,
+        f"no condition can single out which source {ret.var!r} binding "
+        f"should receive the new {label!r} tree",
+    )
 
-    single = _single_return_var(view)
-    if tslot == "wrapper":
-        if isinstance(action, DeleteLabel):
-            if single is None:
-                return (
-                    ReasonCode.MultiVariableReturnRootDeletion,
-                    "wrapper-level deletion needs a single-variable return clause",
-                )
-            ret = _find_return(view, action.label)
-            if ret is None:
-                return (
-                    ReasonCode.UnmappableName,
-                    f"deleted label {action.label!r} matches no return expression",
-                )
-            if not ret.gamma:
-                return (
-                    ReasonCode.ViolatesProduction,
-                    f"deleting the {action.label!r} child would leave wrapper "
-                    f"trees that tuple production can never yield",
-                )
-            deleted_qp = normalize_path(view, single, ret.gamma)
-            if _guard_trips(view, deleted_qp, appended):
-                return (
-                    ReasonCode.TargetPrefixOfWherePath,
-                    f"deleted path {'/'.join(deleted_qp.steps)} is a prefix or "
-                    f"an extension of a translated where-clause path",
-                )
-            if _exposed_elsewhere(view, deleted_qp, ret):
-                return _overlap(deleted_qp)
-            return Case.T3
-        return (
-            ReasonCode.NoUniqueSourcePlacement,
-            "wrapper-level deletion must name a child label",
-        )
-
-    # root level
-    if isinstance(action, DeleteLabel) and action.label == view.wrapper:
-        if single is None:
-            return (
-                ReasonCode.MultiVariableReturnRootDeletion,
-                "root-level wrapper deletion needs a single-variable return clause",
-            )
-        return Case.T4
-    if isinstance(action, (DeleteTree, DeleteLabel)):
-        return (
-            ReasonCode.NoUniqueSourcePlacement,
-            "a root-level deletion must delete the wrapper label",
-        )
-    return (ReasonCode.UnmappableName, "unsupported root-level update shape")
-
-
-# ----------------------------------------------------------------------
-# Translation
 
 def translate(
     view: ViewDef,
@@ -362,11 +231,13 @@ def translate(
 ) -> TranslationOutcome:
     """Rewrite a view-level update into a source-level one, or reject it.
 
-    A translated statement copies the view's for-clause verbatim, appends
-    the mapped condition to the end of the view's where clause, and updates
-    the mapped target path with the original action (T1/T2), deletes the
-    returned trees from their parents (T3), or deletes the bindings
-    themselves (T4).
+    One pass maps the paths, decides the case and builds the statement.
+    The four cases form a whitelist; anything outside them is rejected
+    without claiming impossibility beyond the argued shapes.  A translated
+    statement copies the view's for-clause verbatim, appends the mapped
+    condition to the end of the view's where clause, and updates the mapped
+    target path with the original action (T1/T2), deletes the returned
+    trees from their parents (T3), or deletes the bindings themselves (T4).
     """
     if view_update.level != "view":
         raise LevelMismatch("translate expects a view-level update")
@@ -375,33 +246,109 @@ def translate(
         mapping = map_paths(view, abstract)
     except UnmappableName as exc:
         return Rejected(ReasonCode.UnmappableName, str(exc))
+    cond, tgt, action = mapping.cond, mapping.target, abstract.action
 
-    outcome = classify(view, abstract, mapping)
-    if isinstance(outcome, tuple):
-        return Rejected(*outcome)
-
-    appended = PathEqString(
-        (mapping.cond.var, mapping.cond.gamma + mapping.cond.theta),
-        abstract.cond_value,
-    )
-    conditions = view.conditions + (appended,)
-
-    if outcome in (Case.T1, Case.T2):
-        target = UpdateTarget(
-            mapping.target.var, mapping.target.gamma + mapping.target.theta
+    if isinstance(action, InsertTree) and tgt.slot != "gamma":
+        return _misplaced_insert(view, action.tree.label, tgt.slot)
+    if cond.slot != "gamma":
+        return Rejected(
+            ReasonCode.UnmappableName,
+            "the condition path must reach into a returned subtree",
         )
-        action = abstract.action
-    elif outcome is Case.T3:
-        ret = _find_return(view, abstract.action.label)
-        target = UpdateTarget(ret.var, ret.gamma, parent_step=True)
-        action = DeleteLabel(abstract.action.label)
-    else:  # T4
-        var = _single_return_var(view)
-        target = UpdateTarget(var, (), parent_step=True)
-        action = DeleteBinding(var)
+    appended = PathEqString((cond.var, cond.gamma + cond.theta), abstract.cond_value)
+    conditions = view.conditions + (appended,)
+    where = [
+        normalize_path(view, var, names)
+        for atom in conditions
+        for var, names in atom_sides(atom)
+    ]
 
+    single = _single_return_var(view)
+    if tgt.slot == "gamma":
+        rewritten = normalize_path(view, tgt.var, tgt.gamma + tgt.theta)
+        rejected = _guard(
+            rewritten,
+            where,
+            ReasonCode.TargetPrefixOfWherePath,
+            "target path {} is a prefix or an extension of a translated "
+            "where-clause path",
+        )
+        if rejected:
+            return rejected
+        if cond.var == tgt.var:
+            case = Case.T1
+        elif tgt.var in _join_partner_vars(view, cond):
+            case = Case.T2
+        else:
+            return Rejected(
+                ReasonCode.CondTargetDifferentVarsNoJoin,
+                f"condition maps to {cond.var!r} and target to "
+                f"{tgt.var!r}, and no join atom links them",
+            )
+        through = ReturnExpr(tgt.var, tgt.gamma)
+        target = UpdateTarget(tgt.var, tgt.gamma + tgt.theta)
+    elif tgt.slot == "wrapper":
+        if not isinstance(action, DeleteLabel):
+            return Rejected(
+                ReasonCode.NoUniqueSourcePlacement,
+                "wrapper-level deletion must name a child label",
+            )
+        if single is None:
+            return Rejected(
+                ReasonCode.MultiVariableReturnRootDeletion,
+                "wrapper-level deletion needs a single-variable return clause",
+            )
+        through = _find_return(view, action.label)
+        if through is None:
+            return Rejected(
+                ReasonCode.UnmappableName,
+                f"deleted label {action.label!r} matches no return expression",
+            )
+        if not through.gamma:
+            return Rejected(
+                ReasonCode.ViolatesProduction,
+                f"deleting the {action.label!r} child would leave wrapper "
+                f"trees that tuple production can never yield",
+            )
+        rewritten = normalize_path(view, single, through.gamma)
+        rejected = _guard(
+            rewritten,
+            where,
+            ReasonCode.TargetPrefixOfWherePath,
+            "deleted path {} is a prefix or an extension of a translated "
+            "where-clause path",
+        )
+        if rejected:
+            return rejected
+        case = Case.T3
+        target = UpdateTarget(single, through.gamma, parent_step=True)
+    else:  # root level: only deleting the wrapper label itself translates
+        if not (isinstance(action, DeleteLabel) and action.label == view.wrapper):
+            return Rejected(
+                ReasonCode.NoUniqueSourcePlacement,
+                "a root-level deletion must delete the wrapper label",
+            )
+        if single is None:
+            return Rejected(
+                ReasonCode.MultiVariableReturnRootDeletion,
+                "root-level wrapper deletion needs a single-variable return clause",
+            )
+        target = UpdateTarget(single, (), parent_step=True)
+        statement = UpdateStatement(
+            "source", view.bindings, conditions, target, DeleteBinding(single)
+        )
+        return Translated(statement, Case.T4)
+
+    rejected = _guard(
+        rewritten,
+        [normalize_path(view, r.var, r.gamma) for r in view.returns if r != through],
+        ReasonCode.OverlappingExposure,
+        "path {} is a prefix or an extension of another return expression's path",
+    )
+    if rejected:
+        return rejected
     statement = UpdateStatement("source", view.bindings, conditions, target, action)
-    return Translated(statement, outcome)
+    return Translated(statement, case)
 
 
 def rejection_to_json(rejected: Rejected) -> dict:
