@@ -2,7 +2,7 @@
 
 The pipeline is: reduce the view update to its abstract form, map its full
 view paths back to for-clause expressions through the return clause, then
-classify the shape against the four translatable cases:
+match the shape against the four translatable cases:
 
   T1  the update stays inside one selected subtree: condition and target
       map to the same variable;
@@ -14,14 +14,30 @@ classify the shape against the four translatable cases:
   T4  a whole wrapper tree is deleted at the view root: the source binding
       itself is removed.
 
-Everything else is rejected with a reason code.  T1, T2 and T3 also
-require a prefix guard: the source path whose trees the update rewrites
-must be neither a prefix nor an extension of any path in the translated
-where clause, otherwise applying the update would change the very trees
-the conditions test, or the string values they compare.  Nor may it be a
-prefix or an extension of the path of any return expression other than the
-one the update addresses: a source tree exposed twice would show the update
-in both copies, while the view-level update edits only one.
+Everything else is rejected with a reason code.  A translation must also
+pass one path guard.  The rewritten path is the target path (T1, T2) or the
+deleted path (T3, T4); it is checked against three lists of source paths,
+in this order:
+
+  where     the paths of the translated where clause.  Trips when one is a
+            prefix or an extension of the rewritten path: the update would
+            change the trees the conditions test, or the string values they
+            compare (TargetPrefixOfWherePath).
+  returns   the paths of the return expressions other than the one the
+            update goes through.  Same test: a source tree exposed twice
+            would show the update in both copies, while the view-level
+            update edits only one (OverlappingExposure).
+  bindings  the binding paths at or below the level where the update adds
+            or removes trees: the target's children for T1 and T2, the
+            deleted trees for T3 and T4.  Trips when the rewritten path is
+            a prefix of one, so rows of that variable would vanish or
+            multiply on re-evaluation (BindingPathAffected).
+
+For T4, paths rooted at the deleted variable or at a variable chained
+below it are left out of every list: all their rows go with the deleted
+binding.  A T2 candidate whose variables no join links is rejected
+(CondTargetDifferentVarsNoJoin) after the where check and before the other
+two.
 """
 
 from __future__ import annotations
@@ -46,7 +62,7 @@ from .lang import (
     return_last_name,
 )
 from .updater import AbstractUpdate, abstract_form
-from .xml_model import QualifiedPath, is_prefix
+from .xml_model import QualifiedPath, VarRoot, is_prefix
 
 
 class Case(str, enum.Enum):
@@ -66,6 +82,7 @@ class ReasonCode(str, enum.Enum):
     UnmappableName = "UnmappableName"
     MultiVariableReturnRootDeletion = "MultiVariableReturnRootDeletion"
     OverlappingExposure = "OverlappingExposure"
+    BindingPathAffected = "BindingPathAffected"
 
 
 @dataclass(frozen=True)
@@ -257,35 +274,25 @@ def translate(
         )
     appended = PathEqString((cond.var, cond.gamma + cond.theta), abstract.cond_value)
     conditions = view.conditions + (appended,)
-    where = [
-        normalize_path(view, var, names)
-        for atom in conditions
-        for var, names in atom_sides(atom)
-    ]
 
     single = _single_return_var(view)
+    chain: set[str] = set()  # variables whose paths the guards leave out
+    no_join: Optional[Rejected] = None
     if tgt.slot == "gamma":
+        noun = "target path"
         rewritten = normalize_path(view, tgt.var, tgt.gamma + tgt.theta)
-        rejected = _guard(
-            rewritten,
-            where,
-            ReasonCode.TargetPrefixOfWherePath,
-            "target path {} is a prefix or an extension of a translated "
-            "where-clause path",
-        )
-        if rejected:
-            return rejected
+        depth = len(rewritten.steps) + 1  # the action adds or removes children
         if cond.var == tgt.var:
             case = Case.T1
         elif tgt.var in _join_partner_vars(view, cond):
             case = Case.T2
         else:
-            return Rejected(
+            no_join = Rejected(
                 ReasonCode.CondTargetDifferentVarsNoJoin,
                 f"condition maps to {cond.var!r} and target to "
                 f"{tgt.var!r}, and no join atom links them",
             )
-        through = ReturnExpr(tgt.var, tgt.gamma)
+        through: Optional[ReturnExpr] = ReturnExpr(tgt.var, tgt.gamma)
         target = UpdateTarget(tgt.var, tgt.gamma + tgt.theta)
     elif tgt.slot == "wrapper":
         if not isinstance(action, DeleteLabel):
@@ -310,16 +317,9 @@ def translate(
                 f"deleting the {action.label!r} child would leave wrapper "
                 f"trees that tuple production can never yield",
             )
+        noun = "deleted path"
         rewritten = normalize_path(view, single, through.gamma)
-        rejected = _guard(
-            rewritten,
-            where,
-            ReasonCode.TargetPrefixOfWherePath,
-            "deleted path {} is a prefix or an extension of a translated "
-            "where-clause path",
-        )
-        if rejected:
-            return rejected
+        depth = len(rewritten.steps)
         case = Case.T3
         target = UpdateTarget(single, through.gamma, parent_step=True)
     else:  # root level: only deleting the wrapper label itself translates
@@ -333,17 +333,49 @@ def translate(
                 ReasonCode.MultiVariableReturnRootDeletion,
                 "root-level wrapper deletion needs a single-variable return clause",
             )
+        # every row of the deleted variable and of the variables chained
+        # below it goes with the deleted binding
+        chain.add(single)
+        for b in view.bindings:
+            if isinstance(b.source.root, VarRoot) and b.source.root.var in chain:
+                chain.add(b.var)
+        noun = "deleted path"
+        rewritten = normalize_path(view, single)
+        depth = len(rewritten.steps)
+        case, through = Case.T4, None
         target = UpdateTarget(single, (), parent_step=True)
-        statement = UpdateStatement(
-            "source", view.bindings, conditions, target, DeleteBinding(single)
-        )
-        return Translated(statement, Case.T4)
+        action = DeleteBinding(single)
 
-    rejected = _guard(
-        rewritten,
-        [normalize_path(view, r.var, r.gamma) for r in view.returns if r != through],
-        ReasonCode.OverlappingExposure,
-        "path {} is a prefix or an extension of another return expression's path",
+    def outside(var_paths) -> list[QualifiedPath]:
+        return [normalize_path(view, v, ns) for v, ns in var_paths if v not in chain]
+
+    # the guard over where, return and binding paths; see the module docstring
+    rejected = (
+        _guard(
+            rewritten,
+            outside(side for atom in conditions for side in atom_sides(atom)),
+            ReasonCode.TargetPrefixOfWherePath,
+            noun + " {} is a prefix or an extension of a translated "
+            "where-clause path",
+        )
+        or no_join
+        or _guard(
+            rewritten,
+            outside((r.var, r.gamma) for r in view.returns if r != through),
+            ReasonCode.OverlappingExposure,
+            "path {} is a prefix or an extension of another return expression's path",
+        )
+        or _guard(
+            rewritten,
+            [
+                p
+                for p in outside((b.var, ()) for b in view.bindings)
+                if len(p.steps) >= depth
+            ],
+            ReasonCode.BindingPathAffected,
+            noun + " {} is a prefix of another variable's binding path: the "
+            "update adds or removes trees that variable ranges over",
+        )
     )
     if rejected:
         return rejected

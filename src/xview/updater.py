@@ -68,16 +68,11 @@ class AbstractUpdate:
 
 
 def abstract_form(stmt: UpdateStatement) -> AbstractUpdate:
-    """Expand the statement's condition and target paths through its bindings.
-
-    The condition slot takes the statement's string-equality atom (for
-    source-level statements, the last one: translated statements append
-    their atom to the end of the where clause).
-    """
-    string_atoms = [a for a in stmt.conditions if isinstance(a, PathEqString)]
-    if not string_atoms:
-        raise LevelMismatch("the statement has no string-equality condition")
-    atom = string_atoms[-1]
+    """Expand a view-level statement's condition and target paths through
+    its bindings; the condition slot takes its one string-equality atom."""
+    if stmt.level != "view":
+        raise LevelMismatch("the abstract form is defined for view-level updates")
+    (atom,) = stmt.conditions
     cond_path = normalize_path(stmt, atom.lhs[0], atom.lhs[1])
     target_path = normalize_path(stmt, stmt.target.var, stmt.target.path)
     common = 0

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -307,6 +308,69 @@ def test_fuzz_seed_7_histogram_is_pinned(capsys):
         "Rejected(ViolatesProduction): 118\n"
         "failures: 0\n"
     )
+
+
+def test_fuzz_seed_3_histogram_is_pinned(capsys):
+    assert main(["fuzz", "--seed", "3", "--count", "3000"]) == 0
+    assert capsys.readouterr().out == (
+        "T1: 326\n"
+        "T2: 349\n"
+        "T3: 341\n"
+        "T4: 359\n"
+        "Rejected(CondTargetDifferentVarsNoJoin): 323\n"
+        "Rejected(NoSpecifiableCondition): 335\n"
+        "Rejected(NoUniqueSourcePlacement): 309\n"
+        "Rejected(TargetPrefixOfWherePath): 313\n"
+        "Rejected(ViolatesProduction): 345\n"
+        "failures: 0\n"
+    )
+
+
+def test_fuzz_seed_11_histogram_is_pinned(capsys):
+    assert main(["fuzz", "--seed", "11", "--count", "1000"]) == 0
+    assert capsys.readouterr().out == (
+        "T1: 122\n"
+        "T2: 101\n"
+        "T3: 116\n"
+        "T4: 95\n"
+        "Rejected(CondTargetDifferentVarsNoJoin): 104\n"
+        "Rejected(NoSpecifiableCondition): 110\n"
+        "Rejected(NoUniqueSourcePlacement): 118\n"
+        "Rejected(TargetPrefixOfWherePath): 106\n"
+        "Rejected(ViolatesProduction): 128\n"
+        "failures: 0\n"
+    )
+
+
+DEMO = Path(__file__).resolve().parent.parent / "demo"
+
+
+def test_readme_demo_commands(capsys):
+    books = [
+        "--doc",
+        f"bkInf.xml={DEMO / 'bkInf.xml'}",
+        "--doc",
+        f"subjInf.xml={DEMO / 'subjInf.xml'}",
+    ]
+    books_update = [
+        "--view",
+        str(DEMO / "books_view.xq"),
+        "--update",
+        str(DEMO / "add_author.xq"),
+    ]
+    view = ["--view", str(DEMO / "view.xq")]
+    assert main(["eval", *view, "--doc", f"r={DEMO / 'd1.xml'}"]) == 0
+    assert capsys.readouterr().out.startswith("<v>")
+
+    assert main(["translate", *books_update]) == 0
+    assert parse_update(capsys.readouterr().out) == parse_update(QBK_DS_PRINTED)
+
+    assert main(["verify", *books_update, *books, "--format", "json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["case"] == "T1" and report["correct"] and report["minimal"]
+
+    assert main(["translate", *view, "--update", str(DEMO / "drop_refs.xq")]) == 2
+    assert json.loads(capsys.readouterr().out)["reason"] == "OverlappingExposure"
 
 
 def test_deeply_nested_document_exits_with_eval_error(tmp_path, capsys):

@@ -334,3 +334,129 @@ def test_guard_bypass_produces_incorrect_translation(d1_store, ex1_view):
     forced = parse_update(UNGUARDED_T1)
     report = verify_translation(ex1_view, dv, forced, d1_store)
     assert not report.correct and report.view_diff is not None
+
+
+def _store(xml: str) -> DocumentStore:
+    store = DocumentStore()
+    store.add("s", parse_document(xml))
+    return store
+
+
+# (view, source, view update, reason, the unguarded statement)
+BINDING_REPROS = {
+    "t4_self_join": (
+        '<v>{for x in doc("s")/R/A, y in doc("s")/R/A return <e>{y}</e>}</v>',
+        "<R><A><C>2</C></A><A><B>1</B></A></R>",
+        'for u in v where u/e/A="1" update u ( delete e )',
+        ReasonCode.BindingPathAffected,
+        'for x in doc("s")/R/A, y in doc("s")/R/A where y="1" update y/.. { delete A }',
+    ),
+    "t4_where_path_through_deleted_binding": (
+        '<v>{for x in doc("s")/R/A, y in x/B where x/B/D="1" return <e>{y}</e>}</v>',
+        "<R><A><B><D>1</D></B><B><D>2</D></B></A></R>",
+        'for u in v where u/e/B/D="1" update u ( delete e )',
+        ReasonCode.TargetPrefixOfWherePath,
+        'for x in doc("s")/R/A, y in x/B where x/B/D="1" and y/D="1" '
+        "update y/.. { delete B }",
+    ),
+    "t4_where_path_above_deleted_binding": (
+        '<v>{for x in doc("s")/R/A, y in x/B where x="12" return <e>{y}</e>}</v>',
+        "<R><A><B>1</B><B>2</B></A></R>",
+        'for u in v where u/e/B="1" update u ( delete e )',
+        ReasonCode.TargetPrefixOfWherePath,
+        'for x in doc("s")/R/A, y in x/B where x="12" and y="1" '
+        "update y/.. { delete B }",
+    ),
+    "t3_binding_inside_deleted_subtree": (
+        '<v>{for x in doc("s")/R/A, y in x/T return <e>{x/C}{x/T}</e>}</v>',
+        "<R><A><C>1</C><T><W>w</W></T></A></R>",
+        'for w in v/e where w/C="1" update w { delete T }',
+        ReasonCode.BindingPathAffected,
+        'for x in doc("s")/R/A, y in x/T where x/C="1" update x/T/.. { delete T }',
+    ),
+    "t1_delete_below_target": (
+        '<v>{for x in doc("s")/R/A, y in x/T/W return <e>{x/C}{x/T}</e>}</v>',
+        "<R><A><C>1</C><T><W>w</W><W>v</W></T></A></R>",
+        'for r in v/e where r/C="1" update r/T { delete W }',
+        ReasonCode.BindingPathAffected,
+        'for x in doc("s")/R/A, y in x/T/W where x/C="1" update x/T { delete W }',
+    ),
+    "t1_insert_below_target": (
+        '<v>{for x in doc("s")/R/A, y in x/T/W return <e>{x/C}{x/T}</e>}</v>',
+        "<R><A><C>1</C><T><W>w</W><W>v</W></T></A></R>",
+        'for r in v/e where r/C="1" update r/T { insert <W>n</W> }',
+        ReasonCode.BindingPathAffected,
+        'for x in doc("s")/R/A, y in x/T/W where x/C="1" '
+        "update x/T { insert <W>n</W> }",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BINDING_REPROS))
+def test_update_changing_a_binding_range_rejected(name):
+    # each update adds or removes trees that a binding ranges over, so rows
+    # vanish or multiply on re-evaluation; the unguarded statement shows it
+    view_text, xml, update_text, reason, unguarded = BINDING_REPROS[name]
+    view, dv = parse_view_def(view_text), parse_update(update_text)
+    out = translate(view, dv)
+    assert isinstance(out, Rejected) and out.reason is reason
+    report = verify_translation(view, dv, parse_update(unguarded), _store(xml))
+    assert not report.correct and report.view_diff is not None
+
+
+# (view, source, view update, case)
+BINDING_CONTROLS = {
+    "t4_self_join_on_a_disjoint_path": (
+        '<v>{for x in doc("s")/R/Z, y in doc("s")/R/A return <e>{y}</e>}</v>',
+        "<R><Z>z</Z><A><C>2</C></A><A><B>1</B></A></R>",
+        'for u in v where u/e/A="1" update u ( delete e )',
+        Case.T4,
+    ),
+    "t4_where_path_beside_deleted_binding": (
+        '<v>{for x in doc("s")/R/A, y in x/B where x/C="2" return <e>{y}</e>}</v>',
+        "<R><A><C>2</C><B><D>1</D></B><B><D>2</D></B></A></R>",
+        'for u in v where u/e/B/D="1" update u ( delete e )',
+        Case.T4,
+    ),
+    "t1_target_equal_to_a_binding_path": (
+        '<v>{for x in doc("s")/R/A, y in x/T return <e>{x/C}{x/T}</e>}</v>',
+        "<R><A><C>1</C><T><W>w</W></T></A></R>",
+        'for r in v/e where r/C="1" update r/T { insert <W>n</W> }',
+        Case.T1,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BINDING_CONTROLS))
+def test_update_beside_a_binding_range_translates_precisely(name):
+    view_text, xml, update_text, case = BINDING_CONTROLS[name]
+    view, dv = parse_view_def(view_text), parse_update(update_text)
+    out = translate(view, dv)
+    assert isinstance(out, Translated) and out.case is case
+    report = verify_translation(view, dv, out.statement, _store(xml), out.case)
+    assert report.precise
+    assert report.lemma_checks == [("L1", True), ("L2", True), ("L3", True)]
+
+
+@pytest.mark.parametrize(
+    "view_text, update_text, reason",
+    [
+        # trips the where-clause check and the missing join
+        (
+            '<v>{for x in doc("s")/R/A, y in doc("s")/R/Z where x/C=x/C/B '
+            "return <e>{x/C}{y/D/B}</e>}</v>",
+            'for r in v/e where r/B/E="1" update r/C { insert <F>f</F> }',
+            ReasonCode.TargetPrefixOfWherePath,
+        ),
+        # trips the missing join and the overlap check
+        (
+            '<v>{for x in doc("s")/R/A, y in x/B '
+            "return <e>{x/D}{y/C}{x/D/B}</e>}</v>",
+            'for r in v/e where r/C="2" update r/B { insert <F>f</F> }',
+            ReasonCode.CondTargetDifferentVarsNoJoin,
+        ),
+    ],
+)
+def test_reason_code_precedence(view_text, update_text, reason):
+    out = _outcome(view_text, update_text)
+    assert isinstance(out, Rejected) and out.reason is reason

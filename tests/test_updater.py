@@ -55,6 +55,11 @@ def test_abstract_form_condition_equals_target():
     assert ab.common_prefix == ab.cond_path == ab.target_path
 
 
+def test_abstract_form_rejects_source_level_statement():
+    with pytest.raises(LevelMismatch):
+        abstract_form(parse_update(QBK_DS_PRINTED))
+
+
 def _one_doc(xml: str) -> DocumentStore:
     store = DocumentStore()
     store.add("d", parse_document(xml))
