@@ -28,10 +28,11 @@ in this order:
             would show the update in both copies, while the view-level
             update edits only one (OverlappingExposure).
   bindings  the binding paths at or below the level where the update adds
-            or removes trees: the target's children for T1 and T2, the
-            deleted trees for T3 and T4.  Trips when the rewritten path is
-            a prefix of one, so rows of that variable would vanish or
-            multiply on re-evaluation (BindingPathAffected).
+            or removes trees.  Trips when the path of those trees is a
+            prefix of one: the target path plus the inserted or deleted
+            label for T1 and T2, the deleted path for T3 and T4.  Rows of
+            that variable would vanish or multiply on re-evaluation
+            (BindingPathAffected).
 
 For T4, paths rooted at the deleted variable or at a variable chained
 below it are left out of every list: all their rows go with the deleted
@@ -281,7 +282,9 @@ def translate(
     if tgt.slot == "gamma":
         noun = "target path"
         rewritten = normalize_path(view, tgt.var, tgt.gamma + tgt.theta)
-        depth = len(rewritten.steps) + 1  # the action adds or removes children
+        # the action adds or removes children bearing its label
+        label = action.label if isinstance(action, DeleteLabel) else action.tree.label
+        changed = QualifiedPath(rewritten.root, rewritten.steps + (label,))
         if cond.var == tgt.var:
             case = Case.T1
         elif tgt.var in _join_partner_vars(view, cond):
@@ -319,7 +322,7 @@ def translate(
             )
         noun = "deleted path"
         rewritten = normalize_path(view, single, through.gamma)
-        depth = len(rewritten.steps)
+        changed = rewritten
         case = Case.T3
         target = UpdateTarget(single, through.gamma, parent_step=True)
     else:  # root level: only deleting the wrapper label itself translates
@@ -341,7 +344,7 @@ def translate(
                 chain.add(b.var)
         noun = "deleted path"
         rewritten = normalize_path(view, single)
-        depth = len(rewritten.steps)
+        changed = rewritten
         case, through = Case.T4, None
         target = UpdateTarget(single, (), parent_step=True)
         action = DeleteBinding(single)
@@ -366,15 +369,15 @@ def translate(
             "path {} is a prefix or an extension of another return expression's path",
         )
         or _guard(
-            rewritten,
+            changed,
             [
                 p
                 for p in outside((b.var, ()) for b in view.bindings)
-                if len(p.steps) >= depth
+                if len(p.steps) >= len(changed.steps)
             ],
             ReasonCode.BindingPathAffected,
-            noun + " {} is a prefix of another variable's binding path: the "
-            "update adds or removes trees that variable ranges over",
+            "the update adds or removes the trees at {}, which another "
+            "variable's binding path equals or passes through",
         )
     )
     if rejected:

@@ -3,10 +3,13 @@
 Correctness compares, as ordered value trees, the view evaluated after the
 source update against the view instance updated directly.  Minimality is
 checked by leave-one-edit-out: if dropping any single recorded edit still
-yields a correct result, the translation over-updated the source.  Both
-oracles are independent of the translation path they judge: they only
-evaluate, apply and compare.  The two update routes are computed once per
-verification, and every oracle reads them from that one record.
+yields a correct result, the translation over-updated the source.  It probes
+on one working store, route A's updated one: each edit is undone in place,
+the view is compared with the directly updated instance without being
+built, and the edit is redone.  Both oracles are independent of the
+translation path they judge: they only evaluate, apply and compare.  The
+two update routes are computed once per verification, and every oracle
+reads them from that one record.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from .translator import Case, map_paths
 from .updater import (
     Deleted,
     Edit,
+    Inserted,
     abstract_form,
     apply_update,
     edit_to_json,
@@ -37,6 +41,7 @@ from .xml_model import (
     DocumentStore,
     XmlTree,
     copy_tree,
+    iter_nodes,
     locate,
     serialize,
     value_equal,
@@ -73,12 +78,13 @@ class _Routes:
     """One verification's inputs and both update routes, computed once.
 
     Route A (``via_source``) is view(update(sources)): the source update is
-    planned and applied on one identifier-preserving copy of ``store``, whose
-    planned target ids (``touched``) and edit log are kept, and the view is
-    evaluated on that copy.  Route B (``via_view``) is
+    planned and applied on one identifier-preserving copy of ``store``
+    (``updated``), whose planned target ids (``touched``) and edit log are
+    kept, and the view is evaluated on that copy.  Route B (``via_view``) is
     update(view(sources)), applied to a fresh-id copy of ``before``, the
     unmodified evaluation of the view on ``store``; ``store`` itself is never
-    mutated.
+    mutated.  The minimality check probes on ``updated`` and leaves it
+    value-equal to route A's state.
     """
 
     view: ViewDef
@@ -86,6 +92,7 @@ class _Routes:
     source_update: UpdateStatement
     store: DocumentStore
     before: ViewInstance
+    updated: DocumentStore
     touched: frozenset[int]
     log: list[Edit]
     via_source: ViewInstance
@@ -113,6 +120,7 @@ def _compute_routes(
         source_update,
         store,
         before,
+        updated,
         touched,
         log,
         via_source,
@@ -168,19 +176,79 @@ def check_correctness(routes: _Routes) -> tuple[bool, Optional[dict]]:
 def check_minimality(routes: _Routes) -> tuple[bool, Optional[Edit]]:
     """Leave-one-edit-out search for a smaller correct translation.
 
-    For every edit in the source update's log, replay the log without it
-    on a fresh copy of the store; if the view still matches the directly
-    updated instance, that edit was unnecessary and is returned as the
-    witness.  An empty log is trivially minimal.
+    Probes on route A's updated store: for every edit in the source update's
+    log, in log order, undo it in place, compare the view on that store with
+    the directly updated instance, and redo it.  If the view still matches,
+    that edit was unnecessary and is returned as the witness.  Each probe
+    sees exactly the store a replay of the log without that edit would
+    give, and the store is back in route A's state afterwards, whatever the
+    outcome.  An empty log is trivially minimal.
     """
-    log = routes.log
-    for dropped in range(len(log)):
-        variant = routes.store.copy()
-        replay_edits(log[:dropped] + log[dropped + 1 :], variant)
-        instance = evaluate_view(routes.view, variant)
-        if value_equal(instance.tree, routes.via_view.tree):
-            return False, log[dropped]
+    work = routes.updated
+    nodes = _nodes_by_id(work)
+    originals = _nodes_by_id(routes.store)
+    for edit in routes.log:
+        _undo(edit, nodes[edit.parent_id], originals)
+        try:
+            same = _view_matches(routes.view, work, routes.via_view.tree)
+        finally:
+            replay_edits([edit], work)
+        if same:
+            return False, edit
     return True, None
+
+
+def _nodes_by_id(store: DocumentStore) -> dict[int, XmlTree]:
+    return {n.node_id: n for root in store.docs.values() for n in iter_nodes(root)}
+
+
+def _undo(edit: Edit, parent: XmlTree, originals: dict[int, XmlTree]) -> None:
+    """Revert one logged edit on its parent in route A's store.
+
+    An insertion appended last, and a log holds at most one per parent (the
+    planner collapses applications on the target), so its undo drops the
+    last child.  A deletion puts back an id-preserving copy of the original
+    node, after the original siblings that precede it and are still there.
+    """
+    children = parent.children or []
+    if isinstance(edit, Inserted):
+        if not children or not value_equal(children[-1], edit.tree):
+            raise RuntimeError(
+                f"node {edit.parent_id}'s last child is not the logged insertion"
+            )
+        parent.children = children[:-1]
+        return
+    siblings = originals[edit.parent_id].children or []
+    at = next(i for i, c in enumerate(siblings) if c.node_id == edit.node_id)
+    before = {c.node_id for c in siblings[:at]}
+    pos = sum(1 for c in children if c.node_id in before)
+    restored = copy_tree(siblings[at], preserve_ids=True)
+    parent.children = children[:pos] + [restored] + children[pos:]
+
+
+def _view_matches(view: ViewDef, store: DocumentStore, expected: XmlTree) -> bool:
+    """``value_equal(evaluate_view(view, store).tree, expected)``, decided
+    without building the view: each satisfying tuple's located return trees
+    are compared with the matching wrapper's children, up to the first
+    mismatch."""
+    if expected.label != view.view_root or expected.is_text:
+        return False
+    wrappers = expected.children or []
+    row = 0
+    for tup in enumerate_bindings(view.bindings, store):
+        if not eval_condition(view.conditions, tup):
+            continue
+        if row == len(wrappers):
+            return False
+        wrapper = wrappers[row]
+        row += 1
+        if wrapper.label != view.wrapper or wrapper.is_text:
+            return False
+        found = [n for ret in view.returns for n in locate(tup[ret.var], ret.gamma)]
+        kids = wrapper.children or []
+        if len(found) != len(kids) or not all(map(value_equal, found, kids)):
+            return False
+    return row == len(wrappers)
 
 
 # ----------------------------------------------------------------------

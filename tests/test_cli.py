@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 from pathlib import Path
 
 import pytest
 
+from xview import xml_model
 from xview.cli import main
 from xview.lang import parse_update
 from xview.xml_model import parse_document, serialize, value_equal
@@ -219,7 +221,10 @@ def test_verify_books(files, capsys):
     assert report["lemmas"] == {"L1": True, "L2": True, "L3": True}
 
 
-def test_verify_with_padded_override(files, capsys):
+def test_verify_with_padded_override(files, capsys, monkeypatch):
+    # node ids restart at 1, as in a fresh process, so the witness's parent
+    # id is the one `xview verify` prints
+    monkeypatch.setattr(xml_model, "_COUNTER", itertools.count(1))
     code = main(
         [
             "verify",
@@ -237,7 +242,12 @@ def test_verify_with_padded_override(files, capsys):
     report = json.loads(capsys.readouterr().out)
     assert code == 5
     assert report["correct"] and not report["minimal"]
-    assert report["witness"]["op"] == "insert"
+    # the insertion under the fourth book's auths, which no subject references
+    assert report["witness"] == {
+        "op": "insert",
+        "parent": 17,
+        "tree": "<aName>Susan</aName>",
+    }
 
 
 def test_verify_rejected_update(files, tmp_path, capsys):

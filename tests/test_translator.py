@@ -438,6 +438,28 @@ def test_update_beside_a_binding_range_translates_precisely(name):
     assert report.lemma_checks == [("L1", True), ("L2", True), ("L3", True)]
 
 
+def test_binding_guard_reads_the_action_label():
+    # y ranges over the W children of T: an update under T that adds or
+    # removes V children leaves y's rows alone, one on W children does not
+    view = parse_view_def(
+        '<v>{for x in doc("s")/R/A, y in x/T/W return <e>{x/C}{x/T}</e>}</v>'
+    )
+    xml = "<R><A><C>1</C><T><W>w</W><V>v</V></T></A></R>"
+    dv = parse_update('for r in v/e where r/C="1" update r/T { delete V }')
+    out = translate(view, dv)
+    assert isinstance(out, Translated) and out.case is Case.T1
+    report = verify_translation(view, dv, out.statement, _store(xml), out.case)
+    assert report.precise
+    assert report.lemma_checks == [("L1", True), ("L2", True), ("L3", True)]
+
+    for action in ("insert <W>n</W>", "delete W"):
+        dv = parse_update(f'for r in v/e where r/C="1" update r/T {{ {action} }}')
+        out = translate(view, dv)
+        assert isinstance(out, Rejected)
+        assert out.reason is ReasonCode.BindingPathAffected
+        assert "R/A/T/W" in out.detail
+
+
 @pytest.mark.parametrize(
     "view_text, update_text, reason",
     [

@@ -4,18 +4,29 @@ from __future__ import annotations
 
 import dataclasses
 import random
+from typing import Optional
 
-from xview.fuzzgen import gen_t1, gen_t2
+from xview.evaluator import evaluate_view
+from xview.fuzzgen import gen_t1, gen_t2, random_case
 from xview.lang import parse_update, parse_view_def
 from xview.translator import Case, Rejected, Translated, translate
-from xview.updater import Inserted
+from xview.updater import Deleted, Edit, Inserted, replay_edits
 from xview.verifier import (
     _compute_routes,
+    check_correctness,
+    check_minimality,
     run_lemma_suite,
     tree_diff,
     verify_translation,
 )
-from xview.xml_model import DocumentStore, locate, parse_document, serialize
+from xview.xml_model import (
+    DocumentStore,
+    iter_nodes,
+    locate,
+    parse_document,
+    serialize,
+    value_equal,
+)
 from .conftest import QBK_DS_NO_COND, QBK_DS_PADDED, QBK_DS_PRINTED
 
 
@@ -187,3 +198,127 @@ def test_generated_cases_pass_both_oracles():
             )
             assert report.correct, report.view_diff
             assert report.minimal, report.witness
+
+
+# ----------------------------------------------------------------------
+# Minimality against a copy-and-replay reference
+
+
+def _leave_one_out_reference(routes) -> tuple[bool, Optional[Edit]]:
+    """The plain leave-one-edit-out oracle: for each edit, replay the rest
+    of the log on a fresh copy of the store and build the view."""
+    log = routes.log
+    for dropped in range(len(log)):
+        variant = routes.store.copy()
+        replay_edits(log[:dropped] + log[dropped + 1 :], variant)
+        if value_equal(evaluate_view(routes.view, variant).tree, routes.via_view.tree):
+            return False, log[dropped]
+    return True, None
+
+
+def _store_state(store: DocumentStore) -> list[tuple[str, str, list[int]]]:
+    return [
+        (name, serialize(t), [n.node_id for n in iter_nodes(t)])
+        for name, t in store.docs.items()
+    ]
+
+
+def test_minimality_matches_the_reference_oracle():
+    # each generated translation is verified as translated, without its
+    # appended condition and without its whole where clause; the last
+    # over-updates rows the view's own condition hides
+    rng = random.Random(5)
+    checked = over_updates = 0
+    for _ in range(200):
+        case = random_case(rng)
+        out = translate(case.view, case.update)
+        if not isinstance(out, Translated):
+            continue
+        stmt = out.statement
+        for conditions in (stmt.conditions, stmt.conditions[:-1], ()):
+            variant = dataclasses.replace(stmt, conditions=conditions)
+            routes = _compute_routes(case.view, case.update, variant, case.store)
+            if not check_correctness(routes)[0]:
+                continue
+            expected = _leave_one_out_reference(routes)
+            minimal, witness = check_minimality(routes)
+            assert minimal == expected[0]
+            assert witness is expected[1]
+            checked += 1
+            over_updates += not minimal
+    assert checked > 150 and over_updates > 20
+
+
+# A view whose condition reads the string value of T, so the order of T's
+# children decides which rows show.  The second A is hidden: its T reads
+# "aycbd" before the update and "acd" after, and no K matches either.  Its
+# K values are the string values T takes when its first Z comes back, or
+# when its second Z comes back anywhere but between V and W.
+ORDER_VIEW = (
+    '<v>{for x in doc("s")/R/A where x/T=x/K return <e>{x/B}{x/T}</e>}</v>'
+)
+ORDER_XML = (
+    "<R>"
+    "<A><B>2</B><T><U>a</U><Z>y</Z><V>c</V><Z>b</Z><W>d</W></T>"
+    "<K>aycd</K><K>bacd</K><K>abcd</K><K>acdb</K></A>"
+    "<A><B>1</B><T><Z>x</Z><Q>p</Q></T><K>xp</K><K>p</K></A>"
+    "</R>"
+)
+ORDER_DV = 'for r in v/e where r/B="1" update r/T { delete Z }'
+# drops the view's condition and the update's, so it deletes the hidden Zs too
+ORDER_PADDED = 'for x in doc("s")/R/A where x/T=x/T update x/T { delete Z }'
+
+
+def test_deletion_witness_mid_log_is_put_back_in_place():
+    view, dv = parse_view_def(ORDER_VIEW), parse_update(ORDER_DV)
+    store = _single_doc_store(ORDER_XML)
+    routes = _compute_routes(view, dv, parse_update(ORDER_PADDED), store)
+    assert check_correctness(routes) == (True, None)
+    # the log: the hidden A's two Zs, then the shown A's Z
+    assert [serialize(e.tree) for e in routes.log] == [
+        "<Z>y</Z>",
+        "<Z>b</Z>",
+        "<Z>x</Z>",
+    ]
+    state = _store_state(routes.updated)
+    minimal, witness = check_minimality(routes)
+    assert _store_state(routes.updated) == state
+
+    # back between V and W, the second Z leaves the hidden A hidden
+    hidden_t = locate(store.get("s"), ("A", "T"))[0]
+    assert not minimal and witness is routes.log[1]
+    assert isinstance(witness, Deleted)
+    assert witness.parent_id == hidden_t.node_id
+    assert witness.node_id == hidden_t.children[3].node_id
+    assert _leave_one_out_reference(routes) == (False, witness)
+
+
+def test_minimal_root_deletion_leaves_route_a_store_unchanged():
+    view = parse_view_def('<v>{for x in doc("s")/R/A return <e>{x/C}{x/T}</e>}</v>')
+    store = _single_doc_store(
+        "<R><A><C>1</C><T>a</T></A><A><C>2</C><T>b</T></A>"
+        "<A><C>1</C><T>c</T></A><A><C>2</C><T>d</T></A></R>"
+    )
+    dv = parse_update('for u in v where u/e/C="1" update u ( delete e )')
+    out = translate(view, dv)
+    assert isinstance(out, Translated) and out.case is Case.T4
+    routes = _compute_routes(view, dv, out.statement, store)
+    assert len(routes.log) == 2
+    state = _store_state(routes.updated)
+    assert check_minimality(routes) == (True, None)
+    assert _store_state(routes.updated) == state
+
+
+def test_probe_with_a_row_missing_does_not_match():
+    # the inserted W adds a row; undoing it leaves one wrapper short of the
+    # directly updated instance, whose first wrapper it still matches
+    view = parse_view_def(
+        '<v>{for x in doc("s")/R/A, y in x/T/W return <e>{x/C}</e>}</v>'
+    )
+    store = _single_doc_store("<R><A><C>1</C><T><W>w</W></T></A></R>")
+    dv = parse_update('for u in v where u/e/C="1" update u { insert <e><C>1</C></e> }')
+    ds = parse_update('for x in doc("s")/R/A where x/C="1" update x/T { insert <W>n</W> }')
+    routes = _compute_routes(view, dv, ds, store)
+    assert check_correctness(routes) == (True, None)
+    assert check_minimality(routes) == (True, None)
+    assert _leave_one_out_reference(routes) == (True, None)
