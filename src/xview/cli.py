@@ -1,7 +1,7 @@
 """Command-line front end: eval, translate, apply, verify, fuzz.
 
-Exit codes: 0 success, 2 untranslatable update, 3 parse error, 4
-evaluation or I/O error, 5 verification failure.
+Exit codes: 0 success, 2 untranslatable update, 3 parse error (a malformed
+command line included), 4 evaluation or I/O error, 5 verification failure.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ EXIT_PARSE = 3
 EXIT_EVAL = 4
 EXIT_VERIFY = 5
 
-_PARSE_ERRORS = (QuerySyntaxError, MalformedXml, UnsupportedFeature, LevelMismatch)
+_PARSE_ERRORS = (QuerySyntaxError, MalformedXml, UnsupportedFeature)
 
 
 def _load_store(pairs: list[str]) -> DocumentStore:
@@ -194,8 +194,17 @@ def cmd_fuzz(args) -> int:
     return EXIT_OK if failures == 0 else EXIT_VERIFY
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors exit with the parse-error code
+    rather than argparse's 2, which here means an untranslatable update."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_PARSE, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="xview",
         description="Translate updates on virtual XML views into source updates.",
     )

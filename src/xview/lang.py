@@ -5,6 +5,12 @@ The concrete grammar is small: identifiers are alphanumeric (a leading
 string literals are double-quoted with no escapes, and the update action is
 written in braces or parentheses (braces are canonical on render).
 
+The action ends the statement, so an ``insert`` or ``delete`` payload is
+all the text from its ``<`` up to the statement's closing delimiter, and
+the document parser alone reads it: it is one element, which may be
+preceded by an XML declaration, as a document may.  A payload that is not
+well-formed is a syntax error of the statement.
+
 View definitions look like::
 
     <v>{ for x in doc("r")/r/A, y in x/C
@@ -33,6 +39,7 @@ from .errors import (
     DuplicateReturnName,
     DuplicateVariable,
     LevelMismatch,
+    MalformedXml,
     NonDistinctPathNames,
     QuerySyntaxError,
     UnboundVariable,
@@ -101,40 +108,37 @@ class ViewDef:
     returns: tuple[ReturnExpr, ...]
 
 
-class InsertTree:
+class _TreeAction:
+    """An action carrying an XML payload; equal on the payload's value tree."""
+
+    __slots__ = ("tree",)
+    verb = ""
+
+    def __init__(self, tree: XmlTree) -> None:
+        self.tree = tree
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is type(self) and value_equal(self.tree, other.tree)
+
+    def __hash__(self) -> int:
+        return hash((self.verb, serialize(self.tree)))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({serialize(self.tree)})"
+
+
+class InsertTree(_TreeAction):
     """Insert a copy of the payload as the last child of each target node."""
 
-    __slots__ = ("tree",)
-
-    def __init__(self, tree: XmlTree) -> None:
-        self.tree = tree
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, InsertTree) and value_equal(self.tree, other.tree)
-
-    def __hash__(self) -> int:
-        return hash(("insert", serialize(self.tree)))
-
-    def __repr__(self) -> str:
-        return f"InsertTree({serialize(self.tree)})"
+    __slots__ = ()
+    verb = "insert"
 
 
-class DeleteTree:
+class DeleteTree(_TreeAction):
     """Delete every child of each target node that is value-equal to the payload."""
 
-    __slots__ = ("tree",)
-
-    def __init__(self, tree: XmlTree) -> None:
-        self.tree = tree
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, DeleteTree) and value_equal(self.tree, other.tree)
-
-    def __hash__(self) -> int:
-        return hash(("delete", serialize(self.tree)))
-
-    def __repr__(self) -> str:
-        return f"DeleteTree({serialize(self.tree)})"
+    __slots__ = ()
+    verb = "delete"
 
 
 @dataclass(frozen=True)
@@ -248,51 +252,12 @@ class _Lexer:
         self.accept("punct", "$")
         return self.expect("name")
 
-    def at_raw_tag(self) -> bool:
-        """True when the next raw character opens an XML payload."""
-        if self._tok is not None:
-            return self._tok[0] == "punct" and self._tok[1] == "<"
-        save = self.pos
-        self._skip_ws()
-        ok = self.pos < len(self.text) and self.text[self.pos] == "<"
-        self.pos = save
-        return ok
-
-    def scan_xml_fragment(self) -> str:
-        """Consume one balanced XML element from the raw input."""
-        if self._tok is not None:
-            # roll back a buffered "<" so the scan starts at the tag
-            kind, value, pos = self._tok
-            if not (kind == "punct" and value == "<"):
-                raise QuerySyntaxError("expected an XML payload")
-            self.pos = pos
-            self._tok = None
-        self._skip_ws()
-        start = self.pos
-        if start >= len(self.text) or self.text[start] != "<":
-            raise QuerySyntaxError(f"expected an XML payload at offset {start}")
-        depth = 0
-        i = start
-        n = len(self.text)
-        while i < n:
-            if self.text[i] != "<":
-                i += 1
-                continue
-            if self.text.startswith("<!", i) or self.text.startswith("<?", i):
-                raise QuerySyntaxError("unsupported markup in XML payload")
-            close = self.text.find(">", i)
-            if close < 0:
-                break
-            tag = self.text[i : close + 1]
-            if tag.startswith("</"):
-                depth -= 1
-            elif not tag.endswith("/>"):
-                depth += 1
-            i = close + 1
-            if depth == 0:
-                self.pos = i
-                return self.text[start:i]
-        raise QuerySyntaxError("unterminated XML payload")
+    def take_to_last(self) -> str:
+        """Consume the raw text from the next token up to the input's last
+        non-blank character, which is left to be lexed next."""
+        start = self.peek()[2]
+        self.pos, self._tok = len(self.text.rstrip()) - 1, None
+        return self.text[start : self.pos]
 
 
 # ----------------------------------------------------------------------
@@ -553,6 +518,8 @@ def parse_update(text: str) -> UpdateStatement:
     if opener[:2] not in (("punct", "{"), ("punct", "(")):
         raise QuerySyntaxError("expected '{' or '(' before the update action")
     closer = "}" if opener[1] == "{" else ")"
+    if not text.rstrip().endswith(closer):
+        raise QuerySyntaxError(f"expected the statement to end with {closer!r}")
     action = _parse_action(lx, bindings, target)
     lx.expect("punct", closer)
     if lx.peek()[0] != "eof":
@@ -569,11 +536,11 @@ def _parse_action(
 ) -> Action:
     kw = lx.expect("kw")
     if kw == "insert":
-        return InsertTree(parse_document(lx.scan_xml_fragment()))
+        return InsertTree(_parse_payload(lx))
     if kw != "delete":
         raise QuerySyntaxError(f"unknown action {kw!r}")
-    if lx.at_raw_tag():
-        return DeleteTree(parse_document(lx.scan_xml_fragment()))
+    if lx.peek()[:2] == ("punct", "<"):
+        return DeleteTree(_parse_payload(lx))
     label = lx.expect("name")
     # "update x/.. ( delete L )" with L the last name of x's binding path
     # deletes the binding itself rather than all same-labeled siblings
@@ -584,10 +551,22 @@ def _parse_action(
     return DeleteLabel(label)
 
 
+def _parse_payload(lx: _Lexer) -> XmlTree:
+    # the action's closing delimiter ends the input (parse_update checks
+    # it), so the payload is everything up to that delimiter; rstrip drops
+    # the blanks the lexer skips there, a wider class than XML whitespace
+    kind, value, pos = lx.peek()
+    if (kind, value) != ("punct", "<"):
+        raise QuerySyntaxError(f"expected an XML payload at offset {pos}")
+    try:
+        return parse_document(lx.take_to_last().rstrip())
+    except MalformedXml as exc:
+        raise QuerySyntaxError(f"malformed XML payload at offset {pos}: {exc}") from None
+
+
 def _statement_level(bindings: tuple[Binding, ...]) -> str:
+    # the first binding is always doc(...)- or view-rooted
     roots = [b.source.root for b in bindings if not isinstance(b.source.root, VarRoot)]
-    if not roots:
-        raise QuerySyntaxError("the first binding cannot reference a variable")
     if all(isinstance(r, DocRoot) for r in roots):
         return "source"
     if all(isinstance(r, ViewRootMark) for r in roots):
@@ -614,8 +593,6 @@ def _check_update(stmt: UpdateStatement) -> None:
             raise QuerySyntaxError(
                 "all view-rooted bindings must address the same view"
             )
-    if not stmt.conditions:
-        raise QuerySyntaxError("an update statement needs a where clause")
 
 
 # ----------------------------------------------------------------------
@@ -662,10 +639,8 @@ def _render_target(target: UpdateTarget) -> str:
 
 def _render_action(stmt: UpdateStatement) -> str:
     action = stmt.action
-    if isinstance(action, InsertTree):
-        return f"insert {serialize(action.tree)}"
-    if isinstance(action, DeleteTree):
-        return f"delete {serialize(action.tree)}"
+    if isinstance(action, _TreeAction):
+        return f"{action.verb} {serialize(action.tree)}"
     if isinstance(action, DeleteLabel):
         return f"delete {action.label}"
     if isinstance(action, DeleteBinding):

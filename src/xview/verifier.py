@@ -25,7 +25,7 @@ from .evaluator import (
     evaluate_view,
 )
 from .lang import DeleteBinding, PathEqString, UpdateStatement, ViewDef
-from .translator import Case, map_paths
+from .translator import Case
 from .updater import (
     Deleted,
     Edit,
@@ -263,8 +263,9 @@ def run_lemma_suite(routes: _Routes, case: Case) -> list[tuple[str, bool]]:
     L2: applying the source update does not change how many tuples satisfy
         the view condition (root deletions excepted: there the satisfying
         tuples left are exactly those whose deleted binding survived).
-    L3: per satisfying tuple and its wrapper tree, the source-side condition
-        trees satisfy the update condition exactly when the view-side ones do.
+    L3: per satisfying tuple and its wrapper tree, the source update's
+        where clause, as emitted, holds exactly when the view update's
+        condition holds on the wrapper tree.
 
     The suite runs only on translations already found correct.  Agreement of
     the two routes at the target view path is therefore not checked here: it
@@ -310,13 +311,14 @@ def _lemma2(routes: _Routes, case: Case) -> bool:
 
 def _lemma3(routes: _Routes) -> bool:
     abstract = abstract_form(routes.view_update)
-    cond = map_paths(routes.view, abstract).cond
-    src_atom = PathEqString((cond.var, cond.gamma + cond.theta), abstract.cond_value)
     # relative to the wrapper node, bound to the variable "w"
     view_atom = PathEqString(("w", abstract.cond_path.steps[2:]), abstract.cond_value)
+    # a translated statement keeps the view's for-clause, so each view tuple
+    # binds every variable its where clause reads
+    source_conditions = routes.source_update.conditions
     instance = routes.before  # never updated: wrapper i belongs to tuple i
     for tup, etree in zip(instance.tuples, instance.tree.children):
         view_hit = eval_condition((view_atom,), {"w": etree})
-        if eval_condition((src_atom,), tup) != view_hit:
+        if eval_condition(source_conditions, tup) != view_hit:
             return False
     return True

@@ -90,6 +90,44 @@ def test_eval_parse_error(files, tmp_path, capsys):
     assert main(["eval", "--view", str(bad)]) == 3
 
 
+@pytest.mark.parametrize(
+    "action",
+    [
+        "{ insert <D/><E/> }",
+        "{ insert <D/> junk }",
+        "{ insert <!--c--><D/> }",
+        "{ insert <D/>",
+    ],
+    ids=["two-roots", "junk-after-root", "comment-first", "no-closing-brace"],
+)
+def test_malformed_payload_exits_with_parse_error(tmp_path, capsys, action):
+    update = tmp_path / "bad.xq"
+    update.write_text(
+        f'for x in doc("d")/r/A where x/B="1" update x/C {action}', encoding="utf-8"
+    )
+    assert main(["apply", "--update", str(update)]) == 3
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["eval"], ["fuzz", "--seed", "x", "--count", "1"], ["bogus"]],
+    ids=["missing-option", "bad-option-value", "unknown-command"],
+)
+def test_usage_error_exits_with_parse_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 3
+    assert "error:" in capsys.readouterr().err
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert "usage:" in capsys.readouterr().out
+
+
 def test_malformed_doc_binding(files, capsys):
     code = main(["eval", "--view", files["ex1.xq"], "--doc", "nopath"])
     assert code == 4

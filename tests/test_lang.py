@@ -190,6 +190,47 @@ def test_update_parse_errors(text, exc):
         parse_update(text)
 
 
+_STMT = 'for x in doc("d")/r/A where x/B="1" update x/C '
+
+
+@pytest.mark.parametrize(
+    "parse,text",
+    [
+        (parse_update, 'for x in doc("d")/r/A where x/B="1 update x/C { delete D }'),
+        (parse_update, _STMT + "{ delete D };"),
+        (parse_update, 'for x in doc("s") where x/B="1" update x/C { delete D }'),
+        (parse_update, 'for x in doc("s")/R/A, y in x where y/B="1" update y/C { delete D }'),
+        (parse_update, _STMT + "{ delete D } x"),
+        (parse_view_def, '<v>{for x in doc("s")/R/A return <e>{x/B}</e>}</v> x'),
+        (parse_update, _STMT + "delete D"),
+        (parse_update, _STMT + "{ where D }"),
+        (parse_update, 'for r in v/e, s in w/f where r/B="1" update r/C { delete D }'),
+        (parse_update, _STMT + "{ insert D }"),
+    ],
+    ids=[
+        "unterminated-string",
+        "stray-semicolon",
+        "doc-without-path",
+        "variable-without-path",
+        "trailing-after-update",
+        "trailing-after-view",
+        "no-action-opener",
+        "unknown-action",
+        "two-views",
+        "insert-without-payload",
+    ],
+)
+def test_statement_syntax_errors(parse, text):
+    with pytest.raises(QuerySyntaxError):
+        parse(text)
+
+
+def test_payload_may_hold_the_closing_delimiter():
+    u = parse_update(_STMT + "{ insert <D>}</D> }")
+    assert isinstance(u.action, InsertTree)
+    assert u.action.tree.label == "D" and u.action.tree.text == "}"
+
+
 def test_update_payload_attribute_rejected_by_document_parser():
     from xview.errors import UnsupportedFeature
 

@@ -460,6 +460,65 @@ def test_binding_guard_reads_the_action_label():
         assert "R/A/T/W" in out.detail
 
 
+V1 = '<v>{for x in doc("s")/R/A return <e>{x/B}{x/C}</e>}</v>'
+V2 = '<v>{for x in doc("s")/R/A, y in x/C return <e>{x/B}{y/D}</e>}</v>'
+
+
+@pytest.mark.parametrize(
+    "view_text, update_text, reason, detail",
+    [
+        (
+            V1,
+            'for r in w/e where r/B="1" update r/C { delete D }',
+            ReasonCode.UnmappableName,
+            "condition path does not start at the view root 'v'",
+        ),
+        (
+            V1,
+            'for r in v/f where r/B="1" update r/C { delete D }',
+            ReasonCode.UnmappableName,
+            "condition path v/f/B does not descend through the wrapper 'e'",
+        ),
+        (
+            V1,
+            'for u in v where u/e/B="1" update u { insert <Z>1</Z> }',
+            ReasonCode.InsertionAtWrapperOrRoot,
+            "inserting 'Z' at the view root does not match the view structure",
+        ),
+        (
+            V1,
+            'for r in v/e where r="1" update r/C { delete D }',
+            ReasonCode.UnmappableName,
+            "the condition path must reach into a returned subtree",
+        ),
+        (
+            V2,
+            'for r in v/e where r/B="1" update r { delete D }',
+            ReasonCode.MultiVariableReturnRootDeletion,
+            "wrapper-level deletion needs a single-variable return clause",
+        ),
+        (
+            V1,
+            'for r in v/e where r/B="1" update r { delete Z }',
+            ReasonCode.UnmappableName,
+            "deleted label 'Z' matches no return expression",
+        ),
+    ],
+    ids=[
+        "foreign-view-root",
+        "foreign-wrapper",
+        "insert-at-root",
+        "condition-on-wrapper",
+        "wrapper-deletion-two-variables",
+        "deleted-label-unreturned",
+    ],
+)
+def test_rarely_generated_rejections(view_text, update_text, reason, detail):
+    out = _outcome(view_text, update_text)
+    assert isinstance(out, Rejected)
+    assert (out.reason, out.detail) == (reason, detail)
+
+
 @pytest.mark.parametrize(
     "view_text, update_text, reason",
     [

@@ -51,6 +51,15 @@ def test_correctness_fails_without_appended_condition(qbk_view, qbk_dv, qbk_stor
     assert report.lemma_checks == []
 
 
+def test_lemma3_judges_the_emitted_where_clause(qbk_view, qbk_dv, qbk_store):
+    # the statement lacks the appended title="IS" atom, so on the DB and AI
+    # tuples its where clause holds while the view condition does not
+    routes = _compute_routes(
+        qbk_view, qbk_dv, parse_update(QBK_DS_NO_COND), qbk_store
+    )
+    assert ("L3", False) in run_lemma_suite(routes, Case.T1)
+
+
 def test_correctness_of_noop_update(qbk_view, qbk_store):
     dv = parse_update(
         'for r in view(Qbk)/Qbk/use where r/title="ZZZ" '
