@@ -9,8 +9,9 @@ copies of the trees its return expressions locate.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .errors import LevelMismatch, RootLabelMismatch
 from .lang import (
@@ -50,7 +51,7 @@ class ViewInstance:
     tuples: list[ForTuple]  # the condition-satisfying tuples, in order
 
 
-def _resolve_root(source: QualifiedPath, store: DocumentStore) -> list[XmlTree]:
+def _doc_root(source: QualifiedPath, store: DocumentStore) -> XmlTree:
     if not isinstance(source.root, DocRoot):
         raise LevelMismatch("this statement must be document-rooted")
     tree = store.get(source.root.doc)
@@ -59,7 +60,42 @@ def _resolve_root(source: QualifiedPath, store: DocumentStore) -> list[XmlTree]:
             f"document {source.root.doc!r} has root {tree.label!r}, "
             f"path starts with {source.steps[0]!r}"
         )
-    return locate(tree, source.steps[1:])
+    return tree
+
+
+def binding_scope(
+    binding: Binding, store: DocumentStore
+) -> tuple[Callable[[ForTuple], XmlTree], tuple[str, ...]]:
+    """Where a binding's path is evaluated from, as ``bind_level`` reads it:
+    a function from the partial tuple of the earlier bindings to the context
+    node, and the path's steps below that node."""
+    source = binding.source
+    if isinstance(source.root, VarRoot):
+        return operator.itemgetter(source.root.var), source.steps
+    root = _doc_root(source, store)
+    return (lambda _partial: root), source.steps[1:]
+
+
+def bind_level(
+    binding: Binding, partials: list[ForTuple], store: DocumentStore
+) -> list[ForTuple]:
+    """One level of the nested loop: extend each partial tuple, in order, by
+    every node the binding's path locates from its context."""
+    if not partials:
+        return []
+    source, var = binding.source, binding.var
+    relative = isinstance(source.root, VarRoot)
+    if relative:
+        context, steps = source.root.var, source.steps
+    else:  # a document-rooted path locates the same nodes for every partial
+        nodes = locate(_doc_root(source, store), source.steps[1:])
+    expanded: list[ForTuple] = []
+    for partial in partials:
+        for node in locate(partial[context], steps) if relative else nodes:
+            assignment = dict(partial)
+            assignment[var] = node
+            expanded.append(assignment)
+    return expanded
 
 
 def enumerate_bindings(
@@ -69,18 +105,7 @@ def enumerate_bindings(
     filtering; doc(...)-rooted paths are resolved against ``store``."""
     tuples: list[ForTuple] = [{}]
     for binding in bindings:
-        expanded: list[ForTuple] = []
-        for partial in tuples:
-            source = binding.source
-            if isinstance(source.root, VarRoot):
-                candidates = locate(partial[source.root.var], source.steps)
-            else:
-                candidates = _resolve_root(source, store)
-            for node in candidates:
-                assignment = dict(partial)
-                assignment[binding.var] = node
-                expanded.append(assignment)
-        tuples = expanded
+        tuples = bind_level(binding, tuples, store)
     return tuples
 
 

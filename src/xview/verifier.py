@@ -5,21 +5,28 @@ source update against the view instance updated directly.  Minimality is
 checked by leave-one-edit-out: if dropping any single recorded edit still
 yields a correct result, the translation over-updated the source.  It probes
 on one working store, route A's updated one: each edit is undone in place,
-the view is compared with the directly updated instance without being
-built, and the edit is redone.  Both oracles are independent of the
-translation path they judge: they only evaluate, apply and compare.  The
-two update routes are computed once per verification, and every oracle
-reads them from that one record.
+the view is checked against the directly updated instance, and the edit is
+redone.  A probe re-checks only the tuples the undone edit reaches, read off
+an index of route A's store and view built once per verification, so a
+verification costs a few evaluations, not one per edit.  Both oracles are
+independent of the translation path they judge: they only evaluate, apply
+and compare.  The two update routes are computed once per verification,
+and every oracle reads them from that one record.
 """
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import json
 from dataclasses import dataclass, field
 from typing import Optional
 
 from .evaluator import (
+    ForTuple,
     ViewInstance,
+    bind_level,
+    binding_scope,
     enumerate_bindings,
     eval_condition,
     evaluate_view,
@@ -84,7 +91,7 @@ class _Routes:
     update(view(sources)), applied to a fresh-id copy of ``before``, the
     unmodified evaluation of the view on ``store``; ``store`` itself is never
     mutated.  The minimality check probes on ``updated`` and leaves it
-    value-equal to route A's state.
+    holding the same nodes as before.
     """
 
     view: ViewDef
@@ -177,38 +184,77 @@ def check_minimality(routes: _Routes) -> tuple[bool, Optional[Edit]]:
     """Leave-one-edit-out search for a smaller correct translation.
 
     Probes on route A's updated store: for every edit in the source update's
-    log, in log order, undo it in place, compare the view on that store with
-    the directly updated instance, and redo it.  If the view still matches,
+    log, in log order, undo it in place, check whether the view on that store
+    still equals the directly updated instance, and redo it.  If it does,
     that edit was unnecessary and is returned as the witness.  Each probe
     sees exactly the store a replay of the log without that edit would
-    give, and the store is back in route A's state afterwards, whatever the
-    outcome.  An empty log is trivially minimal.
+    give, and the store holds the same nodes afterwards, whatever the
+    outcome.
+
+    The check runs only on correct translations, so route A's view equals
+    the directly updated instance, and a probe matches exactly when undoing
+    its edit leaves route A's view unchanged.  An undo changes one parent's
+    child list, so a probe re-checks only the tuples that reach that parent
+    (see ``_ProbeIndex``), not the whole view.  An empty log is trivially
+    minimal.
     """
+    if not routes.log:
+        return True, None
     work = routes.updated
-    nodes = _nodes_by_id(work)
-    originals = _nodes_by_id(routes.store)
+    index = _ProbeIndex(routes.view, work)
+    deletions = [edit for edit in routes.log if isinstance(edit, Deleted)]
+    restore = _restore_points(deletions, routes.store) if deletions else {}
+    wrappers = routes.via_view.tree.children or []
     for edit in routes.log:
-        _undo(edit, nodes[edit.parent_id], originals)
+        parent = index.nodes[edit.parent_id]
+        moved = _undo(edit, parent, restore)
         try:
-            same = _view_matches(routes.view, work, routes.via_view.tree)
+            same = index.unchanged_without(edit, parent, moved, wrappers)
         finally:
             replay_edits([edit], work)
+        if isinstance(edit, Inserted):
+            # the redo appended a fresh-id copy: keep the indexed node
+            parent.children[-1] = moved
         if same:
             return False, edit
     return True, None
 
 
-def _nodes_by_id(store: DocumentStore) -> dict[int, XmlTree]:
-    return {n.node_id: n for root in store.docs.values() for n in iter_nodes(root)}
+def _restore_points(
+    deletions: list[Deleted], store: DocumentStore
+) -> dict[int, tuple[XmlTree, int]]:
+    """Per deleted node id: the original node, read off the unmodified
+    ``store``, and its place among its parent's children in route A's state,
+    after the original siblings that precede it and are still there."""
+    place = {
+        child.node_id: (child, at)
+        for root in store.docs.values()
+        for node in iter_nodes(root)
+        for at, child in enumerate(node.children or ())
+    }
+    gone: dict[int, list[int]] = {}  # parent id -> its deleted children's places
+    for edit in deletions:
+        gone.setdefault(edit.parent_id, []).append(place[edit.node_id][1])
+    for places in gone.values():
+        places.sort()
+    points = {}
+    for edit in deletions:
+        original, at = place[edit.node_id]
+        earlier = bisect.bisect_left(gone[edit.parent_id], at)  # deleted before it
+        points[edit.node_id] = (original, at - earlier)
+    return points
 
 
-def _undo(edit: Edit, parent: XmlTree, originals: dict[int, XmlTree]) -> None:
-    """Revert one logged edit on its parent in route A's store.
+def _undo(
+    edit: Edit, parent: XmlTree, restore: dict[int, tuple[XmlTree, int]]
+) -> XmlTree:
+    """Revert one logged edit on its parent in route A's store, and return
+    the child it removed or put back.
 
     An insertion appended last, and a log holds at most one per parent (the
     planner collapses applications on the target), so its undo drops the
     last child.  A deletion puts back an id-preserving copy of the original
-    node, after the original siblings that precede it and are still there.
+    node at its restore point.
     """
     children = parent.children or []
     if isinstance(edit, Inserted):
@@ -217,38 +263,180 @@ def _undo(edit: Edit, parent: XmlTree, originals: dict[int, XmlTree]) -> None:
                 f"node {edit.parent_id}'s last child is not the logged insertion"
             )
         parent.children = children[:-1]
-        return
-    siblings = originals[edit.parent_id].children or []
-    at = next(i for i, c in enumerate(siblings) if c.node_id == edit.node_id)
-    before = {c.node_id for c in siblings[:at]}
-    pos = sum(1 for c in children if c.node_id in before)
-    restored = copy_tree(siblings[at], preserve_ids=True)
+        return children[-1]
+    original, pos = restore[edit.node_id]
+    restored = copy_tree(original, preserve_ids=True)
     parent.children = children[:pos] + [restored] + children[pos:]
+    return restored
 
 
-def _view_matches(view: ViewDef, store: DocumentStore, expected: XmlTree) -> bool:
-    """``value_equal(evaluate_view(view, store).tree, expected)``, decided
-    without building the view: each satisfying tuple's located return trees
-    are compared with the matching wrapper's children, up to the first
-    mismatch."""
-    if expected.label != view.view_root or expected.is_text:
-        return False
-    wrappers = expected.children or []
-    row = 0
-    for tup in enumerate_bindings(view.bindings, store):
-        if not eval_condition(view.conditions, tup):
-            continue
-        if row == len(wrappers):
+# A tuple's re-checked outcome: its place in tuple order, the number of rows
+# shown before that place, whether it showed a row, and the trees of the row
+# it shows with the edit undone (None if it shows none).
+_Change = tuple[tuple, int, bool, Optional[list[XmlTree]]]
+
+
+class _ProbeIndex:
+    """Route A's store and view, indexed so that a probe re-checks only the
+    tuples its undone edit reaches.
+
+    Built once per verification, on the store with every edit applied: the
+    node-id and parent maps; each binding level's partial tuples, keyed by
+    the node that level's path is evaluated from; and every enumerated
+    tuple with its condition flag, its row number and the ids of the nodes
+    it binds.  Undoing an edit changes one parent P's child list.  Only
+    three sets of tuples can then differ, and a probe re-evaluates those:
+
+    - tuples that appear because a binding path runs through P to a
+      restored child (the indexed partials, extended through that child and
+      through the later bindings);
+    - indexed tuples that bind a node of an insertion that was removed;
+    - surviving tuples that bind P or one of its ancestors, the only nodes
+      whose subtrees changed.
+
+    Every other tuple keeps its condition result and its row.
+    """
+
+    def __init__(self, view: ViewDef, store: DocumentStore) -> None:
+        self.view, self.store = view, store
+        self.nodes: dict[int, XmlTree] = {}
+        self.parents: dict[int, XmlTree] = {}
+        for root in store.docs.values():
+            for node in iter_nodes(root):
+                self.nodes[node.node_id] = node
+                for child in node.children or ():
+                    self.parents[child.node_id] = node
+        # (level, context id) -> partial tuples; level -> path steps
+        self.partials: dict[tuple[int, int], list[ForTuple]] = {}
+        self.steps: dict[int, tuple[str, ...]] = {}
+        level: list[ForTuple] = [{}]
+        for i, binding in enumerate(view.bindings):
+            if level:
+                context, self.steps[i] = binding_scope(binding, store)
+                for partial in level:
+                    key = (i, context(partial).node_id)
+                    self.partials.setdefault(key, []).append(partial)
+            level = bind_level(binding, level, store)
+        self.tuples = level
+        self.shown = [eval_condition(view.conditions, t) for t in level]
+        # rows_before[t]: rows shown by the tuples before t (t's row number)
+        self.rows_before = list(itertools.accumulate(self.shown, initial=0))
+        self.binders: dict[int, list[int]] = {}
+        for t, tup in enumerate(level):
+            for node in tup.values():
+                self.binders.setdefault(node.node_id, []).append(t)
+
+    def unchanged_without(
+        self, edit: Edit, parent: XmlTree, moved: XmlTree, wrappers: list[XmlTree]
+    ) -> bool:
+        """Whether the view on the store, with ``edit`` undone, still has
+        exactly the rows ``wrappers``: those of the view with it applied.
+        ``moved`` is the child of ``parent`` the undo put back or removed.
+
+        The answer is exact: if the row count holds while rows appear or
+        go, every row that moves is compared with the row in its new place."""
+        chain = [parent]
+        while chain[-1].node_id in self.parents:
+            chain.append(self.parents[chain[-1].node_id])
+        hit = {t for node in chain for t in self.binders.get(node.node_id, ())}
+        gone: set[int] = set()
+        fresh: list[ForTuple] = []
+        if isinstance(edit, Inserted):
+            gone = {
+                t
+                for node in iter_nodes(moved)
+                for t in self.binders.get(node.node_id, ())
+            }
+        else:
+            fresh = self._through(chain, moved)
+        changes: list[_Change] = []
+        for t in sorted(hit | gone):
+            row = None if t in gone else self._row(self.tuples[t])
+            if self.shown[t] or row is not None:
+                changes.append(((t, 1), self.rows_before[t], self.shown[t], row))
+        appeared = [(tup, row) for tup in fresh if (row := self._row(tup)) is not None]
+        shown_before = sum(change[2] for change in changes)
+        shown_after = len(appeared) + sum(change[3] is not None for change in changes)
+        if shown_after != shown_before:
+            return False  # the row count changes
+        if appeared:
+            changes.extend(self._placed(appeared))
+            changes.sort(key=lambda change: change[0])
+        return _rows_agree(changes, wrappers)
+
+    def _row(self, tup: ForTuple) -> Optional[list[XmlTree]]:
+        """The trees of the row ``tup`` shows, or None if it shows none."""
+        if not eval_condition(self.view.conditions, tup):
+            return None
+        return [n for ret in self.view.returns for n in locate(tup[ret.var], ret.gamma)]
+
+    def _through(self, chain: list[XmlTree], restored: XmlTree) -> list[ForTuple]:
+        """The tuples a restored child adds: per binding level, the partials
+        indexed under a context in ``chain`` (the child's parent and its
+        ancestors) whose path runs through ``restored``, extended by the
+        nodes that path reaches under it and through the later bindings."""
+        bindings = self.view.bindings
+        found: list[ForTuple] = []
+        below = (restored.label,)  # the labels from the context down to it
+        for context in chain:
+            for i, binding in enumerate(bindings):
+                partials = self.partials.get((i, context.node_id))
+                if not partials or self.steps[i][: len(below)] != below:
+                    continue
+                nodes = locate(restored, self.steps[i][len(below) :])
+                level = [{**p, binding.var: n} for p in partials for n in nodes]
+                for later in bindings[i + 1 :]:
+                    level = bind_level(later, level, self.store)
+                found.extend(level)
+            below = (context.label,) + below
+        return found
+
+    def _placed(
+        self, appeared: list[tuple[ForTuple, list[XmlTree]]]
+    ) -> list[_Change]:
+        """Give each new showing tuple its place in nested-loop order, which
+        is the order of its nodes' positions in the documents."""
+        order = {
+            n.node_id: k
+            for k, n in enumerate(
+                n for root in self.store.docs.values() for n in iter_nodes(root)
+            )
+        }
+
+        def key(tup: ForTuple) -> tuple[int, ...]:
+            return tuple(order[n.node_id] for n in tup.values())
+
+        keys = [key(tup) for tup in self.tuples]
+        out: list[_Change] = []
+        for tup, row in appeared:
+            at = bisect.bisect_left(keys, key(tup))
+            out.append(((at, 0, key(tup)), self.rows_before[at], False, row))
+        return out
+
+
+def _rows_agree(changes: list[_Change], wrappers: list[XmlTree]) -> bool:
+    """Whether the re-checked tuples, in tuple order, leave the rows
+    ``wrappers`` as they are, given that the row count does not change.
+
+    Rows of tuples that were not re-checked keep their trees but may move
+    by as many places as rows appeared before them, less those that went.
+    """
+    offset = start = 0  # rows gained so far; first row not yet accounted for
+    for _place, cursor, shown, row in changes:
+        if offset and not all(
+            value_equal(wrappers[r], wrappers[r + offset]) for r in range(start, cursor)
+        ):
             return False
-        wrapper = wrappers[row]
-        row += 1
-        if wrapper.label != view.wrapper or wrapper.is_text:
-            return False
-        found = [n for ret in view.returns for n in locate(tup[ret.var], ret.gamma)]
-        kids = wrapper.children or []
-        if len(found) != len(kids) or not all(map(value_equal, found, kids)):
-            return False
-    return row == len(wrappers)
+        if row is not None:
+            kids = wrappers[cursor + offset].children or []
+            if len(row) != len(kids) or not all(map(value_equal, row, kids)):
+                return False
+            offset += 1
+        if shown:
+            offset -= 1
+            cursor += 1
+        start = cursor
+    return True
 
 
 # ----------------------------------------------------------------------

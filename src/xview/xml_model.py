@@ -101,10 +101,17 @@ def copy_tree(t: XmlTree, preserve_ids: bool = False) -> XmlTree:
 
 
 def iter_nodes(t: XmlTree) -> Iterator[XmlTree]:
-    """Yield every node of the tree in document (preorder) order."""
-    yield t
-    for c in t.children or []:
-        yield from iter_nodes(c)
+    """Yield every node of the tree in document (preorder) order.
+
+    The walk keeps its own stack, so a tree of any depth is walked without
+    recursion.
+    """
+    stack = [t]
+    while stack:
+        node = stack.pop()
+        yield node
+        if node.children:
+            stack.extend(node.children[::-1])
 
 
 def string_value(t: XmlTree) -> str:

@@ -6,12 +6,15 @@ import dataclasses
 import random
 from typing import Optional
 
-from xview.evaluator import evaluate_view
+from xview.errors import XviewError
+from xview import verifier
+from xview.evaluator import ViewInstance, enumerate_bindings, evaluate_view
 from xview.fuzzgen import gen_t1, gen_t2, random_case
-from xview.lang import parse_update, parse_view_def
+from xview.lang import UpdateStatement, ViewDef, parse_update, parse_view_def
 from xview.translator import Case, Rejected, Translated, translate
-from xview.updater import Deleted, Edit, Inserted, replay_edits
+from xview.updater import Deleted, Edit, Inserted, apply_update, replay_edits
 from xview.verifier import (
+    _Routes,
     _compute_routes,
     check_correctness,
     check_minimality,
@@ -21,6 +24,7 @@ from xview.verifier import (
 )
 from xview.xml_model import (
     DocumentStore,
+    copy_tree,
     iter_nodes,
     locate,
     parse_document,
@@ -331,3 +335,317 @@ def test_probe_with_a_row_missing_does_not_match():
     assert check_correctness(routes) == (True, None)
     assert check_minimality(routes) == (True, None)
     assert _leave_one_out_reference(routes) == (True, None)
+
+
+# ----------------------------------------------------------------------
+# Minimality probes against a rebuilt view, one probe at a time
+
+LABELS = "ABCD"
+
+
+def _free_path(rng: random.Random) -> tuple[str, ...]:
+    return tuple(rng.sample(LABELS, rng.randint(1, 2)))
+
+
+def _free_doc(rng: random.Random, paths: list[tuple[str, ...]]) -> str:
+    """A document under R that mostly follows ``paths``, with leaves 1 or 2."""
+
+    def grow(here: tuple[str, ...]) -> str:
+        label = here[-1]
+        depth = len(here)
+        deeper = [p[depth] for p in paths if len(p) > depth and p[:depth] == here]
+        if depth == 4 or (not deeper and rng.random() < 0.7):
+            return f"<{label}>{rng.choice('12')}</{label}>"
+
+        def child() -> str:
+            on_path = deeper and rng.random() < 0.8
+            return grow(here + (rng.choice(deeper if on_path else LABELS),))
+
+        kids = "".join(child() for _ in range(rng.randint(0, 3)))
+        return f"<{label}>{kids}</{label}>"
+
+    firsts = [p[0] for p in paths]
+    tops = "".join(grow((rng.choice(firsts),)) for _ in range(rng.randint(1, 3)))
+    return f"<R>{tops}</R>"
+
+
+def _free_case(rng: random.Random) -> tuple[str, str, str]:
+    """A view over ``doc("s")``, a source update along its own paths, and a
+    document that mostly follows those paths."""
+    under = {"x": _free_path(rng)}  # each variable's path below R
+    bindings = [f'x in doc("s")/R/{"/".join(under["x"])}']
+    if rng.random() < 0.6:  # a variable chained below x
+        step = _free_path(rng)
+        under["y"] = under["x"] + step
+        bindings.append(f'y in x/{"/".join(step)}')
+    if rng.random() < 0.4:  # a second doc-rooted variable
+        under["z"] = _free_path(rng)
+        bindings.append(f'z in doc("s")/R/{"/".join(under["z"])}')
+    names = list(under)
+    paths = list(under.values())
+
+    def operand() -> str:
+        var = rng.choice(names)
+        path = _free_path(rng) if rng.random() < 0.7 else ()
+        paths.append(under[var] + path)
+        return "/".join((var, *path))
+
+    atoms = []
+    for _ in range(rng.choice((0, 1, 1, 2))):
+        lhs = operand()
+        rhs = operand() if rng.random() < 0.5 else f'"{rng.choice("12")}"'
+        atoms.append(f"{lhs}={rhs}")
+    returns = {}
+    for _ in range(rng.randint(1, 2)):
+        ret = operand()
+        returns.setdefault(paths[-1][-1], ret)
+    where = f" where {' and '.join(atoms)}" if atoms else ""
+    view = (
+        f"<v>{{for {', '.join(bindings)}{where} return "
+        f"<e>{''.join('{' + r + '}' for r in returns.values())}</e>}}</v>"
+    )
+
+    cond = f'{operand()}="{rng.choice("12")}"' if rng.random() < 0.5 else "x=x"
+    var = rng.choice(names)
+    # the target and label lie on a path the view reads
+    base = under[var]
+    own = rng.choice([p[len(base) :] for p in paths if p[: len(base)] == base] + [()])
+    own = own or _free_path(rng)
+    cut = rng.randrange(len(own))
+    target, label = "/".join((var, *own[:cut])), own[cut]
+    paths.append(base + own)
+    value = rng.choice("12")
+    action = rng.choice(
+        (
+            f"{{ insert <{label}>{value}</{label}> }}",
+            f"{{ delete {label} }}",
+            f"{{ delete <{label}>{value}</{label}> }}",
+            None,
+        )
+    )
+    if action is None:
+        target, action = f"{var}/..", f"{{ delete {under[var][-1]} }}"
+    update = f"for {', '.join(bindings)} where {cond} update {target} {action}"
+    return view, update, _free_doc(rng, paths)
+
+
+def _own_routes(view: ViewDef, stmt: UpdateStatement, store: DocumentStore):
+    """Routes whose directly updated instance is route A's own view, so every
+    translation is correct and every probe is reached."""
+    updated = store.copy()
+    log = apply_update(stmt, updated)
+    via_source = evaluate_view(view, updated)
+    own = ViewInstance(copy_tree(via_source.tree), via_source.tuples)
+    return _Routes(
+        view, stmt, stmt, store, via_source, updated, frozenset(), log, via_source, own
+    )
+
+
+def _probes_against_rebuilt_views(routes) -> list[bool]:
+    """Run each edit's probe alone and check its answer against the view
+    built on a copy of the store that lacks that edit; return, per edit,
+    whether leaving it out changes the view."""
+    log, updated = routes.log, routes.updated
+    state = _store_state(updated)
+    changes = []
+    for at, edit in enumerate(log):
+        variant = routes.store.copy()
+        replay_edits(log[:at] + log[at + 1 :], variant)
+        same = value_equal(
+            evaluate_view(routes.view, variant).tree, routes.via_view.tree
+        )
+        probe = dataclasses.replace(routes, log=[edit])
+        assert check_minimality(probe) == (not same, edit if same else None), at
+        assert _store_state(updated) == state
+        changes.append(not same)
+    return changes
+
+
+def test_every_probe_matches_a_rebuilt_view():
+    # each probe is judged against route A's own view, so it is reached
+    # whether or not the update is a correct translation of anything
+    rng = random.Random(11)
+    probes = changed = 0
+    for _ in range(1200):
+        view_text, update_text, doc = _free_case(rng)
+        try:
+            view, stmt = parse_view_def(view_text), parse_update(update_text)
+            routes = _own_routes(view, stmt, _single_doc_store(doc))
+        except XviewError:
+            continue
+        changes = _probes_against_rebuilt_views(routes)
+        probes += len(changes)
+        changed += sum(changes)
+    assert probes > 600 and changed >= 100
+
+
+# Shapes a probe must re-check through the index, each against the reference
+
+
+def _check_against_reference(routes) -> tuple[bool, Optional[Edit]]:
+    expected = _leave_one_out_reference(routes)
+    got = check_minimality(routes)
+    assert got[0] == expected[0] and got[1] is expected[1]
+    return got
+
+
+def test_probe_finds_a_restored_row_when_route_a_has_no_row():
+    # the deletion removes every row, and the variant without a where
+    # clause every A: then route A's store has no tuple at all, and a
+    # restored A is found only through the partial indexed under R
+    view = parse_view_def(
+        '<v>{for x in doc("s")/R/A where x/C="1" return <e>{x/B}{x/C}</e>}</v>'
+    )
+    store = _single_doc_store(
+        "<R><A><B>a</B><C>1</C></A><A><B>b</B><C>2</C></A><A><B>c</B><C>1</C></A></R>"
+    )
+    dv = parse_update('for u in v where u/e/C="1" update u ( delete e )')
+    out = translate(view, dv)
+    assert isinstance(out, Translated) and out.case is Case.T4
+    routes = _compute_routes(view, dv, out.statement, store)
+    assert check_correctness(routes)[0] and not routes.via_source.tuples
+    assert _check_against_reference(routes) == (True, None)
+
+    padded = dataclasses.replace(out.statement, conditions=())
+    routes = _compute_routes(view, dv, padded, store)
+    assert check_correctness(routes)[0]
+    assert enumerate_bindings(view.bindings, routes.updated) == []
+    assert _check_against_reference(routes) == (False, routes.log[1])  # the hidden A
+
+
+def test_probe_restores_a_node_into_both_sides_of_a_self_join():
+    # x and y range over the same As; a restored A joins as x, as y and
+    # with itself
+    view = parse_view_def(
+        '<v>{for x in doc("s")/R/A, y in doc("s")/R/A where x/C=y/D '
+        "return <e>{x/B}{y/E}</e>}</v>"
+    )
+    store = _single_doc_store(
+        "<R>"
+        "<A><B>1</B><C>1</C><D>2</D><E>1</E><F>0</F></A>"
+        "<A><B>2</B><C>2</C><D>1</D><E>2</E><F>1</F></A>"
+        "<A><B>3</B><C>3</C><D>3</D><E>3</E><F>1</F></A>"
+        "<A><B>4</B><C>4</C><D>5</D><E>4</E><F>1</F></A>"
+        "</R>"
+    )
+    # the second A joins the first both ways, the third joins itself, and
+    # the fourth joins nothing
+    stmt = parse_update(
+        'for x in doc("s")/R/A, y in doc("s")/R/A where x/F="1" '
+        "update x/.. { delete A }"
+    )
+    routes = _own_routes(view, stmt, store)
+    assert len(routes.log) == 3 and routes.via_source.tuples == []
+    assert _probes_against_rebuilt_views(routes) == [True, True, False]
+    assert _check_against_reference(routes) == (False, routes.log[2])
+
+
+def test_probe_extends_every_book_through_a_restored_subject(qbk_view, qbk_store):
+    # the restored subj is reached from its uni, under each of the four
+    # books' partials; only the DB book joins it
+    stmt = parse_update(
+        'for x in doc("bkInf.xml")/bkInf/book, y in doc("subjInf.xml")/subjInf/uni, '
+        'z in y/subjs/subj where z/sName="DataBasics" update z/.. { delete subj }'
+    )
+    routes = _own_routes(qbk_view, stmt, qbk_store)
+    assert len(routes.log) == 1 and isinstance(routes.log[0], Deleted)
+    assert len(routes.via_source.tuples) == 3
+    assert _probes_against_rebuilt_views(routes) == [True]
+    assert _check_against_reference(routes) == (True, None)
+
+
+def test_probe_rechecks_a_row_an_insertion_hid():
+    # inserting under T changes T's string value: the first A's row hides,
+    # while the second A's row was hidden before and stays hidden
+    view = parse_view_def(
+        '<v>{for x in doc("s")/R/A where x/T="1" return <e>{x/B}</e>}</v>'
+    )
+    store = _single_doc_store(
+        "<R><A><B>a</B><T><U>1</U></T></A><A><B>b</B><T><U>2</U></T></A></R>"
+    )
+    stmt = parse_update(
+        'for x in doc("s")/R/A where x=x update x/T { insert <U>3</U> }'
+    )
+    routes = _own_routes(view, stmt, store)
+    assert [isinstance(e, Inserted) for e in routes.log] == [True, True]
+    assert routes.via_source.tuples == []
+    assert _probes_against_rebuilt_views(routes) == [True, False]
+    assert _check_against_reference(routes) == (False, routes.log[1])
+
+
+def test_probe_compares_rows_that_move_past_unchanged_rows():
+    # undoing the deletion turns A's T from "1" into "12", so A's row moves
+    # from Z1's block to Z2's, past the rows of the other two As
+    view = parse_view_def(
+        '<v>{for z in doc("s")/R/Z, x in doc("s")/R/A where x/T=z '
+        "return <e>{x/B}</e>}</v>"
+    )
+    stmt = parse_update(
+        'for x in doc("s")/R/A where x/B="a" update x/T { delete <U>2</U> }'
+    )
+    for middle, moved_rows_differ in (("a", False), ("p", True)):
+        # the rows read a, middle, a before the undo and middle, a, a after
+        store = _single_doc_store(
+            "<R><Z>1</Z><Z>12</Z>"
+            "<A><B>a</B><T><U>1</U><U>2</U></T></A>"
+            f"<A><B>{middle}</B><T><U>1</U></T></A>"
+            "<A><B>a</B><T><U>1</U></T></A></R>"
+        )
+        routes = _own_routes(view, stmt, store)
+        assert len(routes.via_source.tuples) == 3
+        assert _probes_against_rebuilt_views(routes) == [moved_rows_differ]
+        assert _check_against_reference(routes)[0] == moved_rows_differ
+
+
+def test_probe_places_a_restored_tuple_in_nested_loop_order():
+    # the undo restores A's second Z and turns A's P from "1" into "12": A's
+    # two rows, one per V "1", become two rows with the V "12", one of them
+    # through the restored Z; the row count stays as it was
+    view = parse_view_def(
+        '<v>{for x in doc("s")/R/A, y in x/P/Z, v in doc("s")/R/V where x/P=v '
+        "return <e>{x/B}</e>}</v>"
+    )
+    stmt = parse_update(
+        'for x in doc("s")/R/A where x/B="a" update x/P { delete <Z>2</Z> }'
+    )
+    for first in ("a", "p"):
+        store = _single_doc_store(
+            f"<R><A><B>{first}</B><P><Z>12</Z></P></A>"
+            "<A><B>a</B><P><Z>1</Z><Z>2</Z></P></A>"
+            "<A><B>q</B><P><Z>12</Z></P></A>"
+            "<V>1</V><V>1</V><V>12</V></R>"
+        )
+        routes = _own_routes(view, stmt, store)
+        assert len(routes.via_source.tuples) == 4
+        # only where the restored row lands decides: the rows stay
+        # first, a, a, q either way
+        assert _probes_against_rebuilt_views(routes) == [False]
+        assert _check_against_reference(routes) == (False, routes.log[0])
+
+
+def test_minimality_checks_grow_linearly_with_the_document(monkeypatch):
+    # a T4 root deletion of half the items: one check per tuple to build the
+    # index and one per restored item, where re-checking every tuple per
+    # probe would grow with the square of the document
+    view = parse_view_def('<v>{for x in doc("s")/R/A return <e>{x/C}{x/T}</e>}</v>')
+    dv = parse_update('for u in v where u/e/C="1" update u ( delete e )')
+    out = translate(view, dv)
+    assert isinstance(out, Translated) and out.case is Case.T4
+    calls = []
+    counted = verifier.eval_condition
+
+    def counting(*args):
+        calls[-1] += 1
+        return counted(*args)
+
+    monkeypatch.setattr(verifier, "eval_condition", counting)
+    for items in (40, 160):
+        doc = "".join(
+            f"<A><C>{1 + i % 2}</C><T><W>w{i}</W></T></A>" for i in range(items)
+        )
+        store = _single_doc_store(f"<R>{doc}</R>")
+        routes = _compute_routes(view, dv, out.statement, store)
+        assert len(routes.log) == items // 2
+        calls.append(0)
+        assert check_minimality(routes) == (True, None)
+    assert 0 < calls[1] <= 5 * calls[0]

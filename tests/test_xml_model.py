@@ -21,6 +21,7 @@ from xview.xml_model import (
     is_prefix,
     iter_nodes,
     locate,
+    parent_index,
     parse_document,
     serialize,
     string_value,
@@ -229,3 +230,20 @@ def test_prop_locate_order_and_distinctness(t):
         positions = [order[n.node_id] for n in found]
         assert positions == sorted(positions)
         assert len(set(positions)) == len(positions)
+
+
+def test_iter_nodes_walks_a_deep_chain_in_preorder():
+    # far deeper than the recursion limit; built in code, not parsed
+    root = element("n")
+    chain = [root]
+    for _ in range(5000):
+        child = element("n")
+        chain[-1].children.append(child)
+        chain.append(child)
+    assert [n.node_id for n in iter_nodes(root)] == [n.node_id for n in chain]
+    parents = parent_index(root)
+    assert len(parents) == 5000
+    assert all(parents[c.node_id] is p for p, c in zip(chain, chain[1:]))
+
+    branching = parse_document("<a><b><c>1</c><d/></b><e>2</e></a>")
+    assert [n.label for n in iter_nodes(branching)] == ["a", "b", "c", "d", "e"]
