@@ -5,13 +5,19 @@ enumerates, in document order, the subtrees its path locates within the
 context fixed by the earlier bindings.  Every condition-satisfying tuple
 yields exactly one wrapper tree under the view root, built from fresh-id
 copies of the trees its return expressions locate.
+
+The where clause is tested per pass: ``condition_test`` prepares it once
+for the tuples of one for-clause, and while the store stays unedited it
+reads each atom side's string values once per bound node.  A join still
+enumerates the full cross product, but each tuple then costs a few dict
+reads, not a walk of every subtree its atoms locate.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import AbstractSet, Callable, Iterable, Sequence
 
 from .errors import LevelMismatch, RootLabelMismatch
 from .lang import (
@@ -109,28 +115,108 @@ def enumerate_bindings(
     return tuples
 
 
-def _located_values(tup: ForTuple, var: str, names: tuple[str, ...]) -> list[str]:
-    return [string_value(n) for n in locate(tup[var], names)]
+# A prepared where clause: tuple -> whether it satisfies every atom.
+ConditionTest = Callable[[ForTuple], bool]
 
 
-def eval_condition(atoms: Iterable[ConditionAtom], tup: ForTuple) -> bool:
-    """Conjunction over atoms with existential equality semantics.
+def _recurring_vars(bindings: Sequence[Binding]) -> AbstractSet[str]:
+    """The variables that two tuples of the for-clause can bind to one node.
 
-    A path=path atom holds iff some located subtree on the left and some on
-    the right have equal string values; a path=string atom holds iff some
-    located subtree's string value equals the literal.  An empty relative
-    path denotes the binding itself; an empty conjunction is true.
+    A variable's node fixes the nodes of the variables its path is
+    relative to (its context chain), since a located node has one ancestor
+    at each depth.  So if that chain holds every binding, the node fixes
+    the whole tuple and no two tuples share it, as in any one-binding
+    clause.
     """
-    for atom in atoms:
-        lvals = _located_values(tup, atom.lhs[0], atom.lhs[1])
-        if isinstance(atom, PathEqString):
-            if atom.value not in lvals:
-                return False
-        else:
-            rvals = _located_values(tup, atom.rhs[0], atom.rhs[1])
-            if not set(lvals) & set(rvals):
-                return False
+    chains: dict[str, frozenset[str]] = {}
+    for binding in bindings:
+        root = binding.source.root
+        above = chains[root.var] if isinstance(root, VarRoot) else frozenset()
+        chains[binding.var] = above | {binding.var}
+    whole = len(chains)
+    return {var for var, chain in chains.items() if len(chain) < whole}
+
+
+def _side_values(
+    side: tuple[str, tuple[str, ...]],
+    recurring: AbstractSet[str],
+    memos: dict[tuple[str, tuple[str, ...]], dict[XmlTree, set[str]]],
+) -> Callable[[ForTuple], set[str]]:
+    """A function from a tuple to the string values one atom side locates.
+
+    A side over a recurring variable reads them once per bound node, into
+    the memo it shares with every other atom reading the same side.
+    """
+    var, names = side
+    if var not in recurring:
+        return lambda tup: {string_value(n) for n in locate(tup[var], names)}
+    memo = memos.setdefault(side, {})
+
+    def values(tup: ForTuple) -> set[str]:
+        node = tup[var]
+        found = memo.get(node)
+        if found is None:
+            found = memo[node] = {string_value(n) for n in locate(node, names)}
+        return found
+
+    return values
+
+
+def _always(_tup: ForTuple) -> bool:
     return True
+
+
+def condition_test(
+    atoms: Sequence[ConditionAtom], bindings: Sequence[Binding]
+) -> ConditionTest:
+    """Prepare a where clause for one pass over tuples of ``bindings``.
+
+    The test is a conjunction over atoms with existential equality
+    semantics: a path=path atom holds iff some located subtree on the left
+    and some on the right have equal string values; a path=string atom holds
+    iff some located subtree's string value equals the literal.  An empty
+    relative path denotes the binding itself; an empty conjunction is true.
+
+    Each atom side's string values are read once per bound node and kept
+    for the test's lifetime, so the store must not be edited while the test
+    is in use: build one per pass.  A side over a variable that no two
+    tuples of the for-clause share (any variable of a one-binding clause),
+    or over a variable outside ``bindings``, is read afresh, since keeping
+    it could never pay.
+    """
+    if not atoms:
+        return _always
+    recurring = _recurring_vars(bindings) if len(bindings) > 1 else frozenset()
+    memos: dict[tuple[str, tuple[str, ...]], dict[XmlTree, set[str]]] = {}
+    checks: list[ConditionTest] = []
+    for atom in atoms:
+        lhs = _side_values(atom.lhs, recurring, memos)
+        if isinstance(atom, PathEqString):
+            checks.append(lambda tup, lhs=lhs, value=atom.value: value in lhs(tup))
+        else:
+            rhs = _side_values(atom.rhs, recurring, memos)
+            checks.append(
+                lambda tup, lhs=lhs, rhs=rhs: not lhs(tup).isdisjoint(rhs(tup))
+            )
+    if len(checks) == 1:
+        return checks[0]
+
+    def test(tup: ForTuple) -> bool:
+        for check in checks:
+            if not check(tup):
+                return False
+        return True
+
+    return test
+
+
+def eval_condition(atoms: Sequence[ConditionAtom], tup: ForTuple) -> bool:
+    """Whether one tuple satisfies the atoms, as ``condition_test`` decides.
+
+    For many tuples of one pass, build the test once instead: it reads each
+    bound node's values once.
+    """
+    return condition_test(atoms, ())(tup)
 
 
 def build_etree(returns: Iterable[ReturnExpr], tup: ForTuple, wrapper: str) -> XmlTree:
@@ -153,10 +239,7 @@ def evaluate_view(view: ViewDef, store: DocumentStore) -> ViewInstance:
     Pure up to fresh identifier assignment: evaluating twice yields
     value-equal instances.
     """
-    satisfying = [
-        t
-        for t in enumerate_bindings(view.bindings, store)
-        if eval_condition(view.conditions, t)
-    ]
+    holds = condition_test(view.conditions, view.bindings)
+    satisfying = [t for t in enumerate_bindings(view.bindings, store) if holds(t)]
     children = [build_etree(view.returns, t, view.wrapper) for t in satisfying]
     return ViewInstance(XmlTree(view.view_root, children=children), satisfying)

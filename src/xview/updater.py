@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Iterator, Optional, Union
 
 from .errors import LevelMismatch, TargetIsRoot, TargetNotElement
-from .evaluator import ViewInstance, enumerate_bindings, eval_condition
+from .evaluator import ViewInstance, condition_test, enumerate_bindings
 from .lang import (
     Binding,
     DeleteBinding,
@@ -183,9 +183,10 @@ def _source_applications(
     Yields (target, parent) pairs, as ``_resolve`` takes them.
     """
     tuples = enumerate_bindings(stmt.bindings, store)
+    holds = condition_test(stmt.conditions, stmt.bindings)
     parents: Optional[dict[int, XmlTree]] = None
     for tup in tuples:
-        if not eval_condition(stmt.conditions, tup):
+        if not holds(tup):
             continue
         action = stmt.action
         if isinstance(action, DeleteBinding):

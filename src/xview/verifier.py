@@ -23,12 +23,13 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .evaluator import (
+    ConditionTest,
     ForTuple,
     ViewInstance,
     bind_level,
     binding_scope,
+    condition_test,
     enumerate_bindings,
-    eval_condition,
     evaluate_view,
 )
 from .lang import DeleteBinding, PathEqString, UpdateStatement, ViewDef
@@ -318,7 +319,8 @@ class _ProbeIndex:
                     self.partials.setdefault(key, []).append(partial)
             level = bind_level(binding, level, store)
         self.tuples = level
-        self.shown = [eval_condition(view.conditions, t) for t in level]
+        holds = condition_test(view.conditions, view.bindings)
+        self.shown = [holds(t) for t in level]
         # rows_before[t]: rows shown by the tuples before t (t's row number)
         self.rows_before = list(itertools.accumulate(self.shown, initial=0))
         self.binders: dict[int, list[int]] = {}
@@ -349,12 +351,16 @@ class _ProbeIndex:
             }
         else:
             fresh = self._through(chain, moved)
+        # a fresh test per probe: values read before the undo may be stale
+        holds = condition_test(self.view.conditions, self.view.bindings)
         changes: list[_Change] = []
         for t in sorted(hit | gone):
-            row = None if t in gone else self._row(self.tuples[t])
+            row = None if t in gone else self._row(self.tuples[t], holds)
             if self.shown[t] or row is not None:
                 changes.append(((t, 1), self.rows_before[t], self.shown[t], row))
-        appeared = [(tup, row) for tup in fresh if (row := self._row(tup)) is not None]
+        appeared = [
+            (tup, row) for tup in fresh if (row := self._row(tup, holds)) is not None
+        ]
         shown_before = sum(change[2] for change in changes)
         shown_after = len(appeared) + sum(change[3] is not None for change in changes)
         if shown_after != shown_before:
@@ -364,9 +370,10 @@ class _ProbeIndex:
             changes.sort(key=lambda change: change[0])
         return _rows_agree(changes, wrappers)
 
-    def _row(self, tup: ForTuple) -> Optional[list[XmlTree]]:
-        """The trees of the row ``tup`` shows, or None if it shows none."""
-        if not eval_condition(self.view.conditions, tup):
+    def _row(self, tup: ForTuple, holds: ConditionTest) -> Optional[list[XmlTree]]:
+        """The trees of the row ``tup`` shows, or None if it shows none;
+        ``holds`` is the view's condition test on the store as it is now."""
+        if not holds(tup):
             return None
         return [n for ret in self.view.returns for n in locate(tup[ret.var], ret.gamma)]
 
@@ -503,10 +510,11 @@ def _lemma3(routes: _Routes) -> bool:
     view_atom = PathEqString(("w", abstract.cond_path.steps[2:]), abstract.cond_value)
     # a translated statement keeps the view's for-clause, so each view tuple
     # binds every variable its where clause reads
-    source_conditions = routes.source_update.conditions
+    source = routes.source_update
+    source_holds = condition_test(source.conditions, source.bindings)
+    view_holds = condition_test((view_atom,), ())
     instance = routes.before  # never updated: wrapper i belongs to tuple i
     for tup, etree in zip(instance.tuples, instance.tree.children):
-        view_hit = eval_condition((view_atom,), {"w": etree})
-        if eval_condition(source_conditions, tup) != view_hit:
+        if source_holds(tup) != view_holds({"w": etree}):
             return False
     return True

@@ -115,10 +115,14 @@ def iter_nodes(t: XmlTree) -> Iterator[XmlTree]:
 
 
 def string_value(t: XmlTree) -> str:
-    """Concatenation of all descendant text in document order."""
+    """Concatenation of all descendant text in document order.
+
+    The walk is ``iter_nodes``'s, so a tree of any depth is read without
+    recursion; a text leaf is read directly.
+    """
     if t.is_text:
         return t.text or ""
-    return "".join(string_value(c) for c in t.children or [])
+    return "".join(n.text for n in iter_nodes(t) if n.text)
 
 
 def locate(ctx: XmlTree, names: Sequence[str]) -> list[XmlTree]:

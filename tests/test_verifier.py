@@ -632,13 +632,18 @@ def test_minimality_checks_grow_linearly_with_the_document(monkeypatch):
     out = translate(view, dv)
     assert isinstance(out, Translated) and out.case is Case.T4
     calls = []
-    counted = verifier.eval_condition
+    prepare = verifier.condition_test
 
-    def counting(*args):
-        calls[-1] += 1
-        return counted(*args)
+    def counting_test(*args):
+        holds = prepare(*args)
 
-    monkeypatch.setattr(verifier, "eval_condition", counting)
+        def counted(tup):
+            calls[-1] += 1
+            return holds(tup)
+
+        return counted
+
+    monkeypatch.setattr(verifier, "condition_test", counting_test)
     for items in (40, 160):
         doc = "".join(
             f"<A><C>{1 + i % 2}</C><T><W>w{i}</W></T></A>" for i in range(items)

@@ -247,3 +247,18 @@ def test_iter_nodes_walks_a_deep_chain_in_preorder():
 
     branching = parse_document("<a><b><c>1</c><d/></b><e>2</e></a>")
     assert [n.label for n in iter_nodes(branching)] == ["a", "b", "c", "d", "e"]
+
+
+def test_string_value_reads_a_deep_chain_in_document_order():
+    # far deeper than the recursion limit; built in code, not parsed
+    root = element("n", [text_leaf("t", "a")])
+    tip = root
+    for _ in range(5000):
+        child = element("n")
+        tip.children.append(child)
+        tip = child
+    tip.children.extend([text_leaf("t", "b"), element("n", [text_leaf("t", "")])])
+    root.children.append(text_leaf("t", "c"))
+    assert string_value(root) == "abc"
+    assert string_value(tip) == "b"
+    assert string_value(text_leaf("t", "")) == ""
