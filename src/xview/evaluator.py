@@ -7,8 +7,9 @@ yields exactly one wrapper tree under the view root, built from fresh-id
 copies of the trees its return expressions locate.
 
 The where clause is tested per pass: ``condition_test`` prepares it once
-for the tuples of one for-clause, and while the store stays unedited it
-reads each atom side's string values once per bound node.  A join still
+for the tuples of one for-clause, and for a clause of several bindings,
+while the store stays unedited, it reads each atom side's string values
+once per bound node.  A join still
 enumerates the full cross product, but each tuple then costs a few dict
 reads, not a walk of every subtree its atoms locate.
 """
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import AbstractSet, Callable, Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import LevelMismatch, RootLabelMismatch
 from .lang import (
@@ -119,51 +120,29 @@ def enumerate_bindings(
 ConditionTest = Callable[[ForTuple], bool]
 
 
-def _recurring_vars(bindings: Sequence[Binding]) -> AbstractSet[str]:
-    """The variables that two tuples of the for-clause can bind to one node.
-
-    A variable's node fixes the nodes of the variables its path is
-    relative to (its context chain), since a located node has one ancestor
-    at each depth.  So if that chain holds every binding, the node fixes
-    the whole tuple and no two tuples share it, as in any one-binding
-    clause.
-    """
-    chains: dict[str, frozenset[str]] = {}
-    for binding in bindings:
-        root = binding.source.root
-        above = chains[root.var] if isinstance(root, VarRoot) else frozenset()
-        chains[binding.var] = above | {binding.var}
-    whole = len(chains)
-    return {var for var, chain in chains.items() if len(chain) < whole}
+def _located_values(node: XmlTree, names: tuple[str, ...]) -> set[str]:
+    """The string values of the subtrees ``names`` locates below ``node``."""
+    return {string_value(n) for n in locate(node, names)}
 
 
-def _side_values(
+def _memo_values(
     side: tuple[str, tuple[str, ...]],
-    recurring: AbstractSet[str],
     memos: dict[tuple[str, tuple[str, ...]], dict[XmlTree, set[str]]],
 ) -> Callable[[ForTuple], set[str]]:
-    """A function from a tuple to the string values one atom side locates.
-
-    A side over a recurring variable reads them once per bound node, into
-    the memo it shares with every other atom reading the same side.
-    """
+    """A function from a tuple to the string values one atom side locates,
+    read once per bound node into the memo that every atom reading the same
+    side shares."""
     var, names = side
-    if var not in recurring:
-        return lambda tup: {string_value(n) for n in locate(tup[var], names)}
     memo = memos.setdefault(side, {})
 
     def values(tup: ForTuple) -> set[str]:
         node = tup[var]
         found = memo.get(node)
         if found is None:
-            found = memo[node] = {string_value(n) for n in locate(node, names)}
+            found = memo[node] = _located_values(node, names)
         return found
 
     return values
-
-
-def _always(_tup: ForTuple) -> bool:
-    return True
 
 
 def condition_test(
@@ -177,29 +156,39 @@ def condition_test(
     iff some located subtree's string value equals the literal.  An empty
     relative path denotes the binding itself; an empty conjunction is true.
 
-    Each atom side's string values are read once per bound node and kept
-    for the test's lifetime, so the store must not be edited while the test
-    is in use: build one per pass.  A side over a variable that no two
-    tuples of the for-clause share (any variable of a one-binding clause),
-    or over a variable outside ``bindings``, is read afresh, since keeping
-    it could never pay.
+    With several bindings, each atom side's string values are read once per
+    bound node and kept for the test's lifetime, so the store must not be
+    edited while the test is in use: build one per pass.  With one binding
+    every tuple binds a distinct node, so nothing is kept and the values
+    are read afresh per tuple.
     """
-    if not atoms:
-        return _always
-    recurring = _recurring_vars(bindings) if len(bindings) > 1 else frozenset()
+    if len(bindings) <= 1:
+
+        def test(tup: ForTuple) -> bool:
+            for atom in atoms:
+                var, names = atom.lhs
+                lhs = _located_values(tup[var], names)
+                if isinstance(atom, PathEqString):
+                    if atom.value not in lhs:
+                        return False
+                else:
+                    var, names = atom.rhs
+                    if lhs.isdisjoint(_located_values(tup[var], names)):
+                        return False
+            return True
+
+        return test
     memos: dict[tuple[str, tuple[str, ...]], dict[XmlTree, set[str]]] = {}
     checks: list[ConditionTest] = []
     for atom in atoms:
-        lhs = _side_values(atom.lhs, recurring, memos)
+        lhs = _memo_values(atom.lhs, memos)
         if isinstance(atom, PathEqString):
             checks.append(lambda tup, lhs=lhs, value=atom.value: value in lhs(tup))
         else:
-            rhs = _side_values(atom.rhs, recurring, memos)
+            rhs = _memo_values(atom.rhs, memos)
             checks.append(
                 lambda tup, lhs=lhs, rhs=rhs: not lhs(tup).isdisjoint(rhs(tup))
             )
-    if len(checks) == 1:
-        return checks[0]
 
     def test(tup: ForTuple) -> bool:
         for check in checks:
@@ -213,8 +202,8 @@ def condition_test(
 def eval_condition(atoms: Sequence[ConditionAtom], tup: ForTuple) -> bool:
     """Whether one tuple satisfies the atoms, as ``condition_test`` decides.
 
-    For many tuples of one pass, build the test once instead: it reads each
-    bound node's values once.
+    For many tuples of one pass, build the test once instead: in a join it
+    reads each bound node's values once.
     """
     return condition_test(atoms, ())(tup)
 

@@ -117,12 +117,20 @@ def iter_nodes(t: XmlTree) -> Iterator[XmlTree]:
 def string_value(t: XmlTree) -> str:
     """Concatenation of all descendant text in document order.
 
-    The walk is ``iter_nodes``'s, so a tree of any depth is read without
+    The walk keeps its own stack, so a tree of any depth is read without
     recursion; a text leaf is read directly.
     """
-    if t.is_text:
-        return t.text or ""
-    return "".join(n.text for n in iter_nodes(t) if n.text)
+    if t.text is not None:
+        return t.text
+    texts: list[str] = []
+    stack = (t.children or [])[::-1]
+    while stack:
+        node = stack.pop()
+        if node.text is not None:
+            texts.append(node.text)
+        else:
+            stack += (node.children or [])[::-1]
+    return "".join(texts)
 
 
 def locate(ctx: XmlTree, names: Sequence[str]) -> list[XmlTree]:

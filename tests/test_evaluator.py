@@ -281,15 +281,14 @@ _JOIN_VIEWS = (
     "return <e>{x/K}{y/N}</e>}</v>",
     # an empty relative path on a text leaf, and a self-join
     '<v>{for x in doc("s")/R/A, y in doc("s")/R/A/K where x/K=y return <e>{x/P}{y}</e>}</v>',
-    # an element side holding nested text, and a literal atom on a recurring
-    # variable after a chained one
+    # an element side holding nested text, and a literal atom after a
+    # chained binding
     '<v>{for x in doc("s")/R/A, y in x/K, z in doc("s")/R/B '
     'where y=z/K and x/P="12" return <e>{y}{z/N}</e>}</v>',
     # a whole bound element compared, and two atoms on one side
     '<v>{for x in doc("s")/R/A, p in doc("s")/R/A/P where x/P=p and x/K=p/K '
     "return <e>{x/K}{p}</e>}</v>",
-    # y's chain holds every binding, so no two tuples share its node; x's
-    # node recurs once per K under it
+    # a binding relative to another: x's node recurs once per K under it
     '<v>{for x in doc("s")/R/A, y in x/K where x/P=y and y="1" return <e>{x/P}</e>}</v>',
 )
 
