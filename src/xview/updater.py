@@ -13,17 +13,29 @@ only the first takes effect, and resolves each application to the
 those edits and returns them as the edit log.  Conditions therefore always
 see the pre-state, re-applying the same planned action to a node is a
 no-op by construction, and a statement that fails raises while planning,
-so it changes nothing.  Execution and log replay share one mutation.
+so it changes nothing.
+
+A ``Deleted`` record holds the removed subtree itself, not a copy: once it
+leaves the store nothing edits it.  Execution filters each parent's child
+list once for all of a statement's deletions under it, so deleting k of n
+siblings costs n steps, not k·n; replaying a log removes one child at a
+time, in place.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterator, Optional, Union
+from typing import Callable, Iterator, Optional, Union
 
 from .errors import LevelMismatch, TargetIsRoot, TargetNotElement
-from .evaluator import ViewInstance, condition_test, enumerate_bindings
+from .evaluator import (
+    ForTuple,
+    ViewInstance,
+    binding_scope,
+    condition_test,
+    enumerate_bindings,
+)
 from .lang import (
     Binding,
     DeleteBinding,
@@ -33,6 +45,7 @@ from .lang import (
     PathEqString,
     UpdateStatement,
     UpdateTarget,
+    binding_of,
     normalize_path,
 )
 from .xml_model import (
@@ -42,7 +55,6 @@ from .xml_model import (
     XmlTree,
     copy_tree,
     locate,
-    parent_index,
     serialize,
     value_equal,
 )
@@ -98,7 +110,7 @@ class Inserted:
 class Deleted:
     parent_id: int
     node_id: int
-    tree: XmlTree  # value copy of the removed subtree
+    tree: XmlTree  # the removed subtree
 
 
 Edit = Union[Inserted, Deleted]
@@ -132,11 +144,32 @@ class PlannedOp:
     edits: list[Edit]
 
 
-def _parent_index(store: DocumentStore) -> dict[int, XmlTree]:
-    idx: dict[int, XmlTree] = {}
-    for root in store.docs.values():
-        idx.update(parent_index(root))
-    return idx
+def _parent_finder(
+    binding: Binding, store: DocumentStore
+) -> Callable[[ForTuple], Optional[XmlTree]]:
+    """A function from a for-clause tuple to the parent of the node
+    ``binding`` binds in it, or None when that node is a document root.
+
+    The parent lies one step above the bound node on the binding's path, so
+    only the nodes at that step are read, once per context node, never the
+    whole store.  (A relative binding path is never empty.)
+    """
+    context, steps = binding_scope(binding, store)
+    if not steps:
+        return lambda _tup: None
+    parents: dict[int, XmlTree] = {}  # child id -> parent, per context read
+    read: set[int] = set()
+
+    def parent_of(tup: ForTuple) -> Optional[XmlTree]:
+        ctx = context(tup)
+        if ctx.node_id not in read:
+            read.add(ctx.node_id)
+            for parent in locate(ctx, steps[:-1]):
+                for child in parent.children or ():
+                    parents[child.node_id] = parent
+        return parents.get(tup[binding.var].node_id)
+
+    return parent_of
 
 
 def _as_source_statement(
@@ -180,38 +213,37 @@ def _source_applications(
 ) -> Iterator[tuple[XmlTree, XmlTree]]:
     """Per condition-satisfying for-clause tuple, act on every target tree.
 
-    Yields (target, parent) pairs, as ``_resolve`` takes them.
+    Yields (target, parent) pairs, as ``_resolve`` takes them.  A parent
+    step is read off the paths: ``x/M/T/..`` reaches the ``M`` nodes with a
+    ``T`` child, and ``x/..`` (or a binding deletion) the parent of the node
+    bound to ``x``.
     """
     tuples = enumerate_bindings(stmt.bindings, store)
     holds = condition_test(stmt.conditions, stmt.bindings)
-    parents: Optional[dict[int, XmlTree]] = None
+    action, target = stmt.action, stmt.target
+    deletes_binding = isinstance(action, DeleteBinding)
+    parent_of = None  # built at the first tuple that needs it
     for tup in tuples:
         if not holds(tup):
             continue
-        action = stmt.action
-        if isinstance(action, DeleteBinding):
-            bound = tup[action.var]
-            if parents is None:
-                parents = _parent_index(store)
-            parent = parents.get(bound.node_id)
+        if deletes_binding or (target.parent_step and not target.path):
+            var = action.var if deletes_binding else target.var
+            if parent_of is None:
+                parent_of = _parent_finder(binding_of(stmt.bindings, var), store)
+            parent = parent_of(tup)
             if parent is None:
                 raise TargetIsRoot(
-                    f"binding {action.var!r} is a root and cannot be deleted"
+                    f"binding {var!r} is a root and cannot be deleted"
+                    if deletes_binding
+                    else "the parent step would leave the document"
                 )
-            yield bound, parent
+            yield (tup[var] if deletes_binding else parent), parent
             continue
-        nodes = locate(tup[stmt.target.var], stmt.target.path)
-        if stmt.target.parent_step:
-            if parents is None:
-                parents = _parent_index(store)
-            seen: list[XmlTree] = []
-            for n in nodes:
-                parent = parents.get(n.node_id)
-                if parent is None:
-                    raise TargetIsRoot("the parent step would leave the document")
-                if all(p.node_id != parent.node_id for p in seen):
-                    seen.append(parent)
-            nodes = seen
+        context, path = tup[target.var], target.path
+        if target.parent_step:
+            nodes = [n for n in locate(context, path[:-1]) if locate(n, path[-1:])]
+        else:
+            nodes = locate(context, path)
         for node in nodes:
             yield node, node
 
@@ -227,9 +259,13 @@ def _resolve(target: XmlTree, parent: XmlTree, action) -> list[Edit]:
     Reading deletions before any edit lands is safe: every target path is a
     fixed-length child path, so all targets of one statement sit at the same
     depth, and no application can change another application's children.
+    For the same reason a ``Deleted`` record holds the removed child itself:
+    no edit of the statement reaches into it, and once removed it is in no
+    store a later statement edits.  An ``Inserted`` record holds a copy of
+    the payload, since the statement's own payload tree is never placed.
     """
     if target is not parent:
-        return [Deleted(parent.node_id, target.node_id, copy_tree(target))]
+        return [Deleted(parent.node_id, target.node_id, target)]
     if isinstance(action, InsertTree):
         if target.is_text:
             raise TargetNotElement(f"cannot insert under text leaf {target.label!r}")
@@ -241,7 +277,7 @@ def _resolve(target: XmlTree, parent: XmlTree, action) -> list[Edit]:
         gone = [c for c in children if c.label == action.label]
     else:
         raise TypeError(f"cannot plan {action!r} here")
-    return [Deleted(target.node_id, c.node_id, copy_tree(c)) for c in gone]
+    return [Deleted(target.node_id, c.node_id, c) for c in gone]
 
 
 def plan_update(stmt: UpdateStatement, target) -> list[PlannedOp]:
@@ -266,22 +302,58 @@ def plan_update(stmt: UpdateStatement, target) -> list[PlannedOp]:
 # Execution
 
 def _mutate(parent: XmlTree, edit: Edit) -> None:
-    """The one mutation: append a fresh-id copy of an insertion's tree, or
-    drop a deleted child by id."""
+    """Replay one edit: append a fresh-id copy of an insertion's tree, or
+    remove a deleted child in place.
+
+    The child is found by identity when the logged subtree itself is back
+    under its parent (a minimality probe's redo), else by id (a replay onto
+    an id-preserving copy of the store); a child that is not there is left
+    alone.
+    """
     if isinstance(edit, Inserted):
         parent.children = (parent.children or []) + [copy_tree(edit.tree)]
-    else:
-        parent.children = [
-            c for c in parent.children or [] if c.node_id != edit.node_id
-        ]
+        return
+    children = parent.children or []
+    try:
+        at = children.index(edit.tree)
+    except ValueError:
+        found = (i for i, c in enumerate(children) if c.node_id == edit.node_id)
+        at = next(found, None)
+        if at is None:
+            return
+    del children[at]
+
+
+def _deletions(plan: list[PlannedOp]) -> tuple[list[XmlTree], set[int]]:
+    """The parents a plan deletes children of, each once, and the ids of
+    the children it deletes."""
+    parents: dict[int, XmlTree] = {}
+    gone: set[int] = set()
+    for op in plan:
+        for edit in op.edits:
+            if isinstance(edit, Deleted):
+                parents[edit.parent_id] = op.parent
+                gone.add(edit.node_id)
+    return list(parents.values()), gone
 
 
 def execute_plan(plan: list[PlannedOp]) -> list[Edit]:
+    """Perform a plan's edits and return them as the edit log, in plan order.
+
+    Insertions are appended one by one.  Deletions are grouped by parent,
+    and each parent's child list is filtered once for all of them; a child
+    is removed by its id alone, so the result is that of removing them one
+    at a time.
+    """
     edits: list[Edit] = []
     for op in plan:
         for edit in op.edits:
-            _mutate(op.parent, edit)
+            if isinstance(edit, Inserted):
+                _mutate(op.parent, edit)
         edits.extend(op.edits)
+    parents, gone = _deletions(plan)
+    for parent in parents:
+        parent.children = [c for c in parent.children or [] if c.node_id not in gone]
     return edits
 
 
@@ -299,7 +371,9 @@ def apply_update(stmt: UpdateStatement, target) -> list[Edit]:
 
 
 def replay_edits(edits: list[Edit], store: DocumentStore) -> None:
-    """Re-apply a recorded edit log to an id-preserving copy of the store."""
+    """Re-apply a recorded edit log, one edit at a time, to a store holding
+    the logged parents' ids: an id-preserving copy of the pre-edit store, or
+    the updated store itself with edits undone in place."""
     for edit in edits:
         parent = store.find_node(edit.parent_id)
         if parent is None:

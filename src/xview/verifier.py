@@ -8,10 +8,12 @@ on one working store, route A's updated one: each edit is undone in place,
 the view is checked against the directly updated instance, and the edit is
 redone.  A probe re-checks only the tuples the undone edit reaches, read off
 an index of route A's store and view built once per verification, so a
-verification costs a few evaluations, not one per edit.  Both oracles are
-independent of the translation path they judge: they only evaluate, apply
-and compare.  The two update routes are computed once per verification,
-and every oracle reads them from that one record.
+verification costs a few evaluations, not one per edit.  An undone deletion
+puts back the logged subtree itself, which still carries route A's ids, at
+a place read off its parent's child list before route A's plan ran.  Both
+oracles are independent of the translation path they judge: they only
+evaluate, apply and compare.  The two update routes are computed once per
+verification, and every oracle reads them from that one record.
 """
 
 from __future__ import annotations
@@ -38,6 +40,8 @@ from .updater import (
     Deleted,
     Edit,
     Inserted,
+    PlannedOp,
+    _deletions,
     abstract_form,
     apply_update,
     edit_to_json,
@@ -87,12 +91,13 @@ class _Routes:
 
     Route A (``via_source``) is view(update(sources)): the source update is
     planned and applied on one identifier-preserving copy of ``store``
-    (``updated``), whose planned target ids (``touched``) and edit log are
-    kept, and the view is evaluated on that copy.  Route B (``via_view``) is
-    update(view(sources)), applied to a fresh-id copy of ``before``, the
-    unmodified evaluation of the view on ``store``; ``store`` itself is never
-    mutated.  The minimality check probes on ``updated`` and leaves it
-    holding the same nodes as before.
+    (``updated``), whose planned target ids (``touched``), edit log and
+    deleted children's restore points (``restore``, see ``_restore_points``)
+    are kept, and the view is evaluated on that copy.  Route B
+    (``via_view``) is update(view(sources)), applied to a fresh-id copy of
+    ``before``, the unmodified evaluation of the view on ``store``; ``store``
+    itself is never mutated.  The minimality check probes on ``updated`` and
+    leaves it holding the same nodes as before.
     """
 
     view: ViewDef
@@ -103,6 +108,7 @@ class _Routes:
     updated: DocumentStore
     touched: frozenset[int]
     log: list[Edit]
+    restore: dict[int, int]
     via_source: ViewInstance
     via_view: ViewInstance
 
@@ -116,6 +122,7 @@ def _compute_routes(
     updated = store.copy()
     plan = plan_update(source_update, updated)
     touched = frozenset(op.target.node_id for op in plan)
+    restore = _restore_points(plan)
     log = execute_plan(plan)
     via_source = evaluate_view(view, updated)
 
@@ -131,6 +138,7 @@ def _compute_routes(
         updated,
         touched,
         log,
+        restore,
         via_source,
         via_view,
     )
@@ -203,12 +211,10 @@ def check_minimality(routes: _Routes) -> tuple[bool, Optional[Edit]]:
         return True, None
     work = routes.updated
     index = _ProbeIndex(routes.view, work)
-    deletions = [edit for edit in routes.log if isinstance(edit, Deleted)]
-    restore = _restore_points(deletions, routes.store) if deletions else {}
     wrappers = routes.via_view.tree.children or []
     for edit in routes.log:
         parent = index.nodes[edit.parent_id]
-        moved = _undo(edit, parent, restore)
+        moved = _undo(edit, parent, routes.restore)
         try:
             same = index.unchanged_without(edit, parent, moved, wrappers)
         finally:
@@ -221,41 +227,34 @@ def check_minimality(routes: _Routes) -> tuple[bool, Optional[Edit]]:
     return True, None
 
 
-def _restore_points(
-    deletions: list[Deleted], store: DocumentStore
-) -> dict[int, tuple[XmlTree, int]]:
-    """Per deleted node id: the original node, read off the unmodified
-    ``store``, and its place among its parent's children in route A's state,
-    after the original siblings that precede it and are still there."""
-    place = {
-        child.node_id: (child, at)
-        for root in store.docs.values()
-        for node in iter_nodes(root)
-        for at, child in enumerate(node.children or ())
-    }
-    gone: dict[int, list[int]] = {}  # parent id -> its deleted children's places
-    for edit in deletions:
-        gone.setdefault(edit.parent_id, []).append(place[edit.node_id][1])
-    for places in gone.values():
-        places.sort()
-    points = {}
-    for edit in deletions:
-        original, at = place[edit.node_id]
-        earlier = bisect.bisect_left(gone[edit.parent_id], at)  # deleted before it
-        points[edit.node_id] = (original, at - earlier)
+def _restore_points(plan: list[PlannedOp]) -> dict[int, int]:
+    """Per child the plan deletes, its place among its parent's children
+    with every other deletion of the plan applied: the number of siblings
+    before it that stay.
+
+    Read off the parents' child lists before the plan runs, visiting only
+    the parents of deletions; a plan without deletions reads nothing.
+    """
+    parents, gone = _deletions(plan)
+    points: dict[int, int] = {}
+    for parent in parents:
+        kept = 0
+        for child in parent.children or ():
+            if child.node_id in gone:
+                points[child.node_id] = kept
+            else:
+                kept += 1
     return points
 
 
-def _undo(
-    edit: Edit, parent: XmlTree, restore: dict[int, tuple[XmlTree, int]]
-) -> XmlTree:
+def _undo(edit: Edit, parent: XmlTree, restore: dict[int, int]) -> XmlTree:
     """Revert one logged edit on its parent in route A's store, and return
     the child it removed or put back.
 
     An insertion appended last, and a log holds at most one per parent (the
     planner collapses applications on the target), so its undo drops the
-    last child.  A deletion puts back an id-preserving copy of the original
-    node at its restore point.
+    last child.  A deletion puts the logged subtree itself back, in place,
+    at its restore point; the redo takes that same node out again.
     """
     children = parent.children or []
     if isinstance(edit, Inserted):
@@ -265,10 +264,8 @@ def _undo(
             )
         parent.children = children[:-1]
         return children[-1]
-    original, pos = restore[edit.node_id]
-    restored = copy_tree(original, preserve_ids=True)
-    parent.children = children[:pos] + [restored] + children[pos:]
-    return restored
+    parent.children.insert(restore[edit.node_id], edit.tree)
+    return edit.tree
 
 
 # A tuple's re-checked outcome: its place in tuple order, the number of rows

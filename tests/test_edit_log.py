@@ -1,0 +1,291 @@
+"""The edit log: deleted subtrees shared with the log, grouped execution,
+and the linear cost of applying and verifying deletions."""
+
+from __future__ import annotations
+
+import json
+import random
+import time
+
+import pytest
+
+from xview import verifier
+from xview.evaluator import ViewInstance, evaluate_view
+from xview.fuzzgen import random_case
+from xview.lang import parse_update, parse_view_def
+from xview.translator import Case, Translated, translate
+from xview.updater import (
+    Deleted,
+    PlannedOp,
+    _mutate,
+    apply_update,
+    edit_to_json,
+    execute_plan,
+    plan_update,
+    replay_edits,
+)
+from xview.verifier import _lemma2, verify_translation
+from xview.xml_model import (
+    DocumentStore,
+    copy_tree,
+    element,
+    iter_nodes,
+    parse_document,
+    serialize,
+    text_leaf,
+)
+
+ITEM_VIEW = '<v>{for x1 in doc("d")/R/A return <e>{x1/C}{x1/T}</e>}</v>'
+ROOT_DELETION = 'for u in v where u/e/C="1" update u ( delete e )'
+LABEL_DELETION = 'for r in v/e where r/C="1" update r/T ( delete W )'
+TREE_DELETION = 'for r in v/e where r/C="1" update r/T { delete <W>w1</W> }'
+
+
+def _items(marks: str, ws: int = 2) -> str:
+    """An R document with one A item per mark: its C holds the mark, and
+    its T holds ``ws`` W leaves, the first of them w1."""
+    items = "".join(
+        f"<A><C>{m}</C><T>{''.join(f'<W>w{k + 1}</W>' for k in range(ws))}</T></A>"
+        for m in marks
+    )
+    return f"<R>{items}</R>"
+
+
+def _store(xml: str) -> DocumentStore:
+    store = DocumentStore()
+    store.add("d", parse_document(xml))
+    return store
+
+
+def _fingerprint(log) -> list[tuple[str, list[int]]]:
+    return [(serialize(e.tree), [n.node_id for n in iter_nodes(e.tree)]) for e in log]
+
+
+def _store_state(store: DocumentStore) -> list[tuple[str, str, list[int]]]:
+    return [
+        (name, serialize(t), [n.node_id for n in iter_nodes(t)])
+        for name, t in store.docs.items()
+    ]
+
+
+# ----------------------------------------------------------------------
+# A Deleted record holds the removed subtree itself
+
+
+@pytest.mark.parametrize(
+    "update, case",
+    [(ROOT_DELETION, Case.T4), (LABEL_DELETION, Case.T1), (TREE_DELETION, Case.T1)],
+)
+def test_deleted_records_share_the_removed_subtree_safely(update, case, monkeypatch):
+    view, dv = parse_view_def(ITEM_VIEW), parse_update(update)
+    out = translate(view, dv)
+    assert isinstance(out, Translated) and out.case is case
+    store = _store(_items("1212"))
+
+    # each record is the very node that left the store
+    updated = store.copy()
+    nodes = {n.node_id: n for n in iter_nodes(updated.get("d"))}
+    log = apply_update(out.statement, updated)
+    assert log and all(isinstance(e, Deleted) for e in log)
+    left = {n.node_id for n in iter_nodes(updated.get("d"))}
+    for edit in log:
+        assert edit.tree is nodes[edit.node_id]
+        assert edit.node_id not in left
+
+    # a full verification, every undo and redo included, reads the log it
+    # computes and leaves it as it found it
+    seen = []
+    compute = verifier._compute_routes
+
+    def recording(*args):
+        routes = compute(*args)
+        seen.append((routes, _fingerprint(routes.log)))
+        return routes
+
+    monkeypatch.setattr(verifier, "_compute_routes", recording)
+    report = verify_translation(view, dv, out.statement, store, case)
+    assert report.precise and all(ok for _name, ok in report.lemma_checks)
+    ((routes, before),) = seen
+    assert len(routes.log) == len(log)
+    assert _fingerprint(routes.log) == before
+
+    # and so does every later reader of the log
+    applied = _store_state(routes.updated)
+    for edit in routes.log:
+        assert json.loads(edit_to_json(edit))["tree"] == serialize(edit.tree)
+    assert _lemma2(routes, case)
+    assert _fingerprint(routes.log) == before
+    for later in (
+        'for x in doc("d")/R/A where x/C="2" update x/T { insert <W>w9</W> }',
+        'for x in doc("d")/R/A where x/C="2" update x/T ( delete W )',
+    ):
+        assert apply_update(parse_update(later), routes.updated)
+        assert _fingerprint(routes.log) == before
+    snapshot = routes.store.copy()
+    replay_edits(routes.log, snapshot)
+    assert _store_state(snapshot) == applied
+    assert _fingerprint(routes.log) == before
+
+
+def test_replayed_log_matches_the_applied_one():
+    # the same log replayed onto an id-preserving snapshot rebuilds the
+    # applied store, node ids included, and removes nothing twice
+    store = _store(_items("121121"))
+    snapshot = store.copy()
+    log = apply_update(
+        translate(parse_view_def(ITEM_VIEW), parse_update(ROOT_DELETION)).statement,
+        store,
+    )
+    replay_edits(log, snapshot)
+    assert _store_state(snapshot) == _store_state(store)
+    replay_edits(log, snapshot)
+    assert _store_state(snapshot) == _store_state(store)
+
+
+# ----------------------------------------------------------------------
+# Grouped execution against one edit at a time
+
+
+def _one_at_a_time(plan: list[PlannedOp]):
+    """The reference execution: every edit through ``_mutate``, in order."""
+    edits = []
+    for op in plan:
+        for edit in op.edits:
+            _mutate(op.parent, edit)
+        edits.extend(op.edits)
+    return edits
+
+
+def _assert_grouped_matches_reference(plan_on) -> int:
+    """Plan twice on fresh id-preserving copies and run one plan grouped,
+    the other one edit at a time; return the number of deletions.
+
+    Inserted trees take fresh ids in each run, so those read as 0."""
+    grouped_store, plan = plan_on()
+    reference_store, reference_plan = plan_on()
+    planned = {n.node_id for t in grouped_store.docs.values() for n in iter_nodes(t)}
+    log = execute_plan(plan)
+    reference = _one_at_a_time(reference_plan)
+
+    def ids(tree):
+        return [n.node_id if n.node_id in planned else 0 for n in iter_nodes(tree)]
+
+    def state(store, log):
+        docs = [(name, serialize(t), ids(t)) for name, t in store.docs.items()]
+        edits = [
+            (type(e).__name__, e.parent_id, serialize(e.tree), ids(e.tree)) for e in log
+        ]
+        return docs, edits
+
+    assert state(grouped_store, log) == state(reference_store, reference)
+    return sum(isinstance(e, Deleted) for e in log)
+
+
+def test_grouped_execution_matches_one_edit_at_a_time_on_fuzz_cases():
+    deletions = translated = 0
+    for seed in range(20):
+        rng = random.Random(seed)
+        for _ in range(25):
+            case = random_case(rng)
+            out = translate(case.view, case.update)
+            if not isinstance(out, Translated):
+                continue
+            translated += 1
+
+            def source(case=case, out=out):
+                store = case.store.copy()
+                return store, plan_update(out.statement, store)
+
+            def view_level(case=case, instance=evaluate_view(case.view, case.store)):
+                tree = copy_tree(instance.tree, preserve_ids=True)
+                store = DocumentStore()
+                store.add("v", tree)
+                return store, plan_update(case.update, ViewInstance(tree, instance.tuples))
+
+            deletions += _assert_grouped_matches_reference(source)
+            deletions += _assert_grouped_matches_reference(view_level)
+    assert translated > 200 and deletions > 200
+
+
+@pytest.mark.parametrize(
+    "keep",
+    [
+        lambda p, c: False,  # delete all
+        lambda p, c: True,  # delete none
+        lambda p, c: (p + c) % 2 == 0,  # alternate, offset per parent
+    ],
+    ids=["all", "none", "alternate"],
+)
+def test_grouped_execution_matches_one_edit_at_a_time_on_built_plans(keep):
+    xml = "<R>" + "".join(
+        f"<P>{''.join(f'<K>{p}{c}</K>' for c in range(7))}</P>" for p in range(2)
+    ) + "</R>"
+    original = _store(xml)
+
+    def plan_on():
+        store = original.copy()
+        parents = store.get("d").children
+        plan = [
+            # interleave the two parents' applications
+            PlannedOp(child, parent, [Deleted(parent.node_id, child.node_id, child)])
+            for c in range(7)
+            for p, parent in enumerate(parents)
+            for child in [parent.children[c]]
+            if not keep(p, c)
+        ]
+        return store, plan
+
+    assert _assert_grouped_matches_reference(plan_on) == sum(
+        not keep(p, c) for p in range(2) for c in range(7)
+    )
+
+
+# ----------------------------------------------------------------------
+# The benchmark's counters and the cost of wide deletions
+
+
+def test_t4_verify_replays_each_edit_once_and_copies_the_store_once(monkeypatch):
+    view, dv = parse_view_def(ITEM_VIEW), parse_update(ROOT_DELETION)
+    out = translate(view, dv)
+    store = _store(_items("12" * 80, ws=1))
+    replays: list[int] = []
+    copies: list[int] = []
+    replay, copy = verifier.replay_edits, DocumentStore.copy
+
+    def counted_replay(edits, target):
+        replays.append(len(edits))
+        return replay(edits, target)
+
+    def counted_copy(self):
+        copies.append(1)
+        return copy(self)
+
+    monkeypatch.setattr(verifier, "replay_edits", counted_replay)
+    monkeypatch.setattr(DocumentStore, "copy", counted_copy)
+    report = verify_translation(view, dv, out.statement, store, out.case)
+    assert report.precise
+    assert replays == [1] * 80
+    assert copies == [1]
+
+
+def test_wide_root_deletion_is_linear():
+    # 25,000 of 50,000 siblings go; filtering the child list once per
+    # deleted child would take tens of seconds here
+    root = element(
+        "R",
+        (element("A", [text_leaf("C", "12"[i % 2])]) for i in range(50_000)),
+    )
+    store = DocumentStore()
+    store.add("d", root)
+    stmt = parse_update('for x in doc("d")/R/A where x/C="1" update x/.. ( delete A )')
+    start = time.perf_counter()
+    log = apply_update(stmt, store)
+    took = time.perf_counter() - start
+    assert len(log) == 25_000 and len(root.children) == 25_000
+    assert all(a.children[0].text == "2" for a in root.children)
+    assert took < 5.0
+    # one deletion's replay takes the child out of the same list
+    kids = root.children
+    kids.insert(0, log[0].tree)
+    replay_edits([log[0]], store)
+    assert root.children is kids and len(kids) == 25_000

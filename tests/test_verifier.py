@@ -12,7 +12,14 @@ from xview.evaluator import ViewInstance, enumerate_bindings, evaluate_view
 from xview.fuzzgen import gen_t1, gen_t2, random_case
 from xview.lang import UpdateStatement, ViewDef, parse_update, parse_view_def
 from xview.translator import Case, Rejected, Translated, translate
-from xview.updater import Deleted, Edit, Inserted, apply_update, replay_edits
+from xview.updater import (
+    Deleted,
+    Edit,
+    Inserted,
+    execute_plan,
+    plan_update,
+    replay_edits,
+)
 from xview.verifier import (
     _Routes,
     _compute_routes,
@@ -433,11 +440,23 @@ def _own_routes(view: ViewDef, stmt: UpdateStatement, store: DocumentStore):
     """Routes whose directly updated instance is route A's own view, so every
     translation is correct and every probe is reached."""
     updated = store.copy()
-    log = apply_update(stmt, updated)
+    plan = plan_update(stmt, updated)
+    restore = verifier._restore_points(plan)
+    log = execute_plan(plan)
     via_source = evaluate_view(view, updated)
     own = ViewInstance(copy_tree(via_source.tree), via_source.tuples)
     return _Routes(
-        view, stmt, stmt, store, via_source, updated, frozenset(), log, via_source, own
+        view,
+        stmt,
+        stmt,
+        store,
+        via_source,
+        updated,
+        frozenset(),
+        log,
+        restore,
+        via_source,
+        own,
     )
 
 
