@@ -51,7 +51,8 @@ class ViewInstance:
     """A materialized evaluation result: the tree plus its tuples.
 
     Until an update edits the instance, the i-th wrapper tree under the
-    root is the one built for ``tuples[i]``.
+    root is the one built for ``tuples[i]``.  An update edits only the
+    tree: ``tuples`` stays as evaluated.
     """
 
     tree: XmlTree
@@ -208,18 +209,18 @@ def eval_condition(atoms: Sequence[ConditionAtom], tup: ForTuple) -> bool:
     return condition_test(atoms, ())(tup)
 
 
-def build_etree(returns: Iterable[ReturnExpr], tup: ForTuple, wrapper: str) -> XmlTree:
-    """Build one wrapper tree for a tuple.
-
-    Children are deep copies of every tree located by each return
-    expression: expression order outer, document order inner.  A bare
-    ``{x}`` expression contributes a copy of the binding itself, root label
-    included.
+def row_trees(returns: Iterable[ReturnExpr], tup: ForTuple) -> list[XmlTree]:
+    """The trees of a tuple's row, uncopied: every tree located by each
+    return expression, expression order outer, document order inner.  A bare
+    ``{x}`` expression contributes the binding itself, root label included.
     """
-    children = [
-        copy_tree(found) for ret in returns for found in locate(tup[ret.var], ret.gamma)
-    ]
-    return XmlTree(wrapper, children=children)
+    return [found for ret in returns for found in locate(tup[ret.var], ret.gamma)]
+
+
+def build_etree(returns: Iterable[ReturnExpr], tup: ForTuple, wrapper: str) -> XmlTree:
+    """Build one wrapper tree for a tuple over fresh-id copies of its row
+    trees (``row_trees``)."""
+    return XmlTree(wrapper, children=[copy_tree(t) for t in row_trees(returns, tup)])
 
 
 def evaluate_view(view: ViewDef, store: DocumentStore) -> ViewInstance:

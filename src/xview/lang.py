@@ -31,6 +31,7 @@ address the parents of the located trees.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -178,6 +179,10 @@ class UpdateStatement:
 # Lexer
 
 _PUNCT = "<>{}()/,=$"
+# After blanks: a string literal, "..", a punctuation mark or a word.  \s
+# and \w match what str.isspace and str.isalnum accept (and "_"); a word
+# whose first character is not a letter or "_" is rejected by the lexer.
+_TOKEN = re.compile(r'\s*(?:("[^"]*")|(\.\.|[' + re.escape(_PUNCT) + r"])|(\w+))?")
 
 
 class _Lexer:
@@ -186,40 +191,24 @@ class _Lexer:
         self.pos = 0
         self._tok: Optional[tuple[str, str, int]] = None
 
-    def _skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
     def _lex(self) -> tuple[str, str, int]:
-        self._skip_ws()
-        start = self.pos
-        if self.pos >= len(self.text):
+        m = _TOKEN.match(self.text, self.pos)
+        string, punct, word = m.groups()
+        start = m.start(m.lastindex) if m.lastindex else m.end()
+        self.pos = m.end()
+        if string is not None:
+            return ("str", string[1:-1], start)
+        if punct is not None:
+            return ("punct", punct, start)
+        if word is not None and (word[0].isalpha() or word[0] == "_"):
+            return ("kw" if word in KEYWORDS else "name", word, start)
+        if start >= len(self.text):
             return ("eof", "", start)
-        c = self.text[self.pos]
-        if c == '"':
-            end = self.text.find('"', self.pos + 1)
-            if end < 0:
-                raise QuerySyntaxError(f"unterminated string at offset {start}")
-            value = self.text[self.pos + 1 : end]
-            self.pos = end + 1
-            return ("str", value, start)
-        if self.text.startswith("..", self.pos):
-            self.pos += 2
-            return ("punct", "..", start)
-        if c in _PUNCT:
-            self.pos += 1
-            return ("punct", c, start)
-        if c.isalpha() or c == "_":
-            end = self.pos
-            while end < len(self.text) and (
-                self.text[end].isalnum() or self.text[end] == "_"
-            ):
-                end += 1
-            word = self.text[self.pos : end]
-            self.pos = end
-            kind = "kw" if word in KEYWORDS else "name"
-            return (kind, word, start)
-        raise QuerySyntaxError(f"unexpected character {c!r} at offset {start}")
+        if self.text[start] == '"':
+            raise QuerySyntaxError(f"unterminated string at offset {start}")
+        raise QuerySyntaxError(
+            f"unexpected character {self.text[start]!r} at offset {start}"
+        )
 
     def peek(self) -> tuple[str, str, int]:
         if self._tok is None:

@@ -16,10 +16,11 @@ no-op by construction, and a statement that fails raises while planning,
 so it changes nothing.
 
 A ``Deleted`` record holds the removed subtree itself, not a copy: once it
-leaves the store nothing edits it.  Execution filters each parent's child
-list once for all of a statement's deletions under it, so deleting k of n
-siblings costs n steps, not k·n; replaying a log removes one child at a
-time, in place.
+leaves the store nothing edits it.  An ``Inserted`` record holds the
+statement's payload, of which each execution or replay places a fresh-id
+copy.  Execution filters each parent's child list once for all of a
+statement's deletions under it, so deleting k of n siblings costs n steps,
+not k·n; replaying a log removes one child at a time, in place.
 """
 
 from __future__ import annotations
@@ -103,7 +104,7 @@ def abstract_form(stmt: UpdateStatement) -> AbstractUpdate:
 @dataclass(frozen=True)
 class Inserted:
     parent_id: int
-    tree: XmlTree  # value copy of the inserted payload
+    tree: XmlTree  # the statement's payload; a fresh-id copy of it is placed
 
 
 @dataclass(frozen=True)
@@ -261,15 +262,16 @@ def _resolve(target: XmlTree, parent: XmlTree, action) -> list[Edit]:
     depth, and no application can change another application's children.
     For the same reason a ``Deleted`` record holds the removed child itself:
     no edit of the statement reaches into it, and once removed it is in no
-    store a later statement edits.  An ``Inserted`` record holds a copy of
-    the payload, since the statement's own payload tree is never placed.
+    store a later statement edits.  An ``Inserted`` record holds the
+    statement's payload itself: it is never placed or edited, since every
+    execution or replay places a fresh-id copy of it.
     """
     if target is not parent:
         return [Deleted(parent.node_id, target.node_id, target)]
     if isinstance(action, InsertTree):
         if target.is_text:
             raise TargetNotElement(f"cannot insert under text leaf {target.label!r}")
-        return [Inserted(target.node_id, copy_tree(action.tree))]
+        return [Inserted(target.node_id, action.tree)]
     children = target.children or []
     if isinstance(action, DeleteTree):
         gone = [c for c in children if value_equal(c, action.tree)]

@@ -13,7 +13,10 @@ puts back the logged subtree itself, which still carries route A's ids, at
 a place read off its parent's child list before route A's plan ran.  Both
 oracles are independent of the translation path they judge: they only
 evaluate, apply and compare.  The two update routes are computed once per
-verification, and every oracle reads them from that one record.
+verification, and every oracle reads them from that one record.  A
+verification copies the store once, for route A, and no view: route B
+updates the instance evaluated on the sources, and the lemma suite reads
+tuples' rows off the unmodified sources.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from .evaluator import (
     condition_test,
     enumerate_bindings,
     evaluate_view,
+    row_trees,
 )
 from .lang import DeleteBinding, PathEqString, UpdateStatement, ViewDef
 from .translator import Case
@@ -52,7 +56,6 @@ from .updater import (
 from .xml_model import (
     DocumentStore,
     XmlTree,
-    copy_tree,
     iter_nodes,
     locate,
     serialize,
@@ -94,8 +97,9 @@ class _Routes:
     (``updated``), whose planned target ids (``touched``), edit log and
     deleted children's restore points (``restore``, see ``_restore_points``)
     are kept, and the view is evaluated on that copy.  Route B
-    (``via_view``) is update(view(sources)), applied to a fresh-id copy of
-    ``before``, the unmodified evaluation of the view on ``store``; ``store``
+    (``via_view``) is update(view(sources)): the view update is applied to
+    the evaluation of the view on ``store`` itself, which edits its tree but
+    not its tuples, so those stay the view's tuples on ``store``; ``store``
     itself is never mutated.  The minimality check probes on ``updated`` and
     leaves it holding the same nodes as before.
     """
@@ -104,7 +108,6 @@ class _Routes:
     view_update: UpdateStatement
     source_update: UpdateStatement
     store: DocumentStore
-    before: ViewInstance
     updated: DocumentStore
     touched: frozenset[int]
     log: list[Edit]
@@ -126,15 +129,13 @@ def _compute_routes(
     log = execute_plan(plan)
     via_source = evaluate_view(view, updated)
 
-    before = evaluate_view(view, store)
-    via_view = ViewInstance(copy_tree(before.tree), before.tuples)
+    via_view = evaluate_view(view, store)
     apply_update(view_update, via_view)
     return _Routes(
         view,
         view_update,
         source_update,
         store,
-        before,
         updated,
         touched,
         log,
@@ -372,7 +373,7 @@ class _ProbeIndex:
         ``holds`` is the view's condition test on the store as it is now."""
         if not holds(tup):
             return None
-        return [n for ret in self.view.returns for n in locate(tup[ret.var], ret.gamma)]
+        return row_trees(self.view.returns, tup)
 
     def _through(self, chain: list[XmlTree], restored: XmlTree) -> list[ForTuple]:
         """The tuples a restored child adds: per binding level, the partials
@@ -455,9 +456,9 @@ def run_lemma_suite(routes: _Routes, case: Case) -> list[tuple[str, bool]]:
     L2: applying the source update does not change how many tuples satisfy
         the view condition (root deletions excepted: there the satisfying
         tuples left are exactly those whose deleted binding survived).
-    L3: per satisfying tuple and its wrapper tree, the source update's
-        where clause, as emitted, holds exactly when the view update's
-        condition holds on the wrapper tree.
+    L3: per satisfying tuple, the source update's where clause, as
+        emitted, holds exactly when the view update's condition holds on
+        the tuple's wrapper tree, read as its row on the unmodified sources.
 
     The suite runs only on translations already found correct.  Agreement of
     the two routes at the target view path is therefore not checked here: it
@@ -493,7 +494,10 @@ def _lemma1(routes: _Routes) -> bool:
 
 
 def _lemma2(routes: _Routes, case: Case) -> bool:
-    before, after = routes.before.tuples, routes.via_source.tuples
+    """L2: route A's satisfying tuples against those of the view evaluated
+    on the sources, which are route B's: the direct update edits only its
+    tree."""
+    before, after = routes.via_view.tuples, routes.via_source.tuples
     if case is Case.T4:
         var = routes.source_update.action.var
         gone = {e.node_id for e in routes.log if isinstance(e, Deleted)}
@@ -502,6 +506,9 @@ def _lemma2(routes: _Routes, case: Case) -> bool:
 
 
 def _lemma3(routes: _Routes) -> bool:
+    """L3 on each of route B's tuples, those of the view on the sources:
+    the view atom is tested on a wrapper shell over the tuple's uncopied
+    row on ``routes.store``, value-equal to the wrapper evaluation built."""
     abstract = abstract_form(routes.view_update)
     # relative to the wrapper node, bound to the variable "w"
     view_atom = PathEqString(("w", abstract.cond_path.steps[2:]), abstract.cond_value)
@@ -510,8 +517,9 @@ def _lemma3(routes: _Routes) -> bool:
     source = routes.source_update
     source_holds = condition_test(source.conditions, source.bindings)
     view_holds = condition_test((view_atom,), ())
-    instance = routes.before  # never updated: wrapper i belongs to tuple i
-    for tup, etree in zip(instance.tuples, instance.tree.children):
-        if source_holds(tup) != view_holds({"w": etree}):
+    view = routes.view
+    for tup in routes.via_view.tuples:
+        shell = XmlTree(view.wrapper, children=row_trees(view.returns, tup))
+        if source_holds(tup) != view_holds({"w": shell}):
             return False
     return True

@@ -152,15 +152,6 @@ def locate(ctx: XmlTree, names: Sequence[str]) -> list[XmlTree]:
     return nodes
 
 
-def parent_index(root: XmlTree) -> dict[int, XmlTree]:
-    """Map node id -> parent node for every non-root node under ``root``."""
-    idx: dict[int, XmlTree] = {}
-    for node in iter_nodes(root):
-        for c in node.children or []:
-            idx[c.node_id] = node
-    return idx
-
-
 # ----------------------------------------------------------------------
 # Paths
 

@@ -1,5 +1,6 @@
-"""The edit log: deleted subtrees shared with the log, grouped execution,
-and the linear cost of applying and verifying deletions."""
+"""The edit log: deleted subtrees and insertion payloads shared with the
+log, grouped execution, the copies a verification makes, and the linear cost
+of applying and verifying deletions."""
 
 from __future__ import annotations
 
@@ -9,13 +10,14 @@ import time
 
 import pytest
 
-from xview import verifier
+from xview import verifier, xml_model
 from xview.evaluator import ViewInstance, evaluate_view
 from xview.fuzzgen import random_case
 from xview.lang import parse_update, parse_view_def
 from xview.translator import Case, Translated, translate
 from xview.updater import (
     Deleted,
+    Inserted,
     PlannedOp,
     _mutate,
     apply_update,
@@ -30,6 +32,7 @@ from xview.xml_model import (
     copy_tree,
     element,
     iter_nodes,
+    locate,
     parse_document,
     serialize,
     text_leaf,
@@ -39,6 +42,7 @@ ITEM_VIEW = '<v>{for x1 in doc("d")/R/A return <e>{x1/C}{x1/T}</e>}</v>'
 ROOT_DELETION = 'for u in v where u/e/C="1" update u ( delete e )'
 LABEL_DELETION = 'for r in v/e where r/C="1" update r/T ( delete W )'
 TREE_DELETION = 'for r in v/e where r/C="1" update r/T { delete <W>w1</W> }'
+INSERTION = 'for r in v/e where r/C="1" update r/T { insert <N><X>n</X></N> }'
 
 
 def _items(marks: str, ws: int = 2) -> str:
@@ -125,6 +129,103 @@ def test_deleted_records_share_the_removed_subtree_safely(update, case, monkeypa
     replay_edits(routes.log, snapshot)
     assert _store_state(snapshot) == applied
     assert _fingerprint(routes.log) == before
+
+
+def _recorded_routes(monkeypatch) -> list:
+    """Wrap ``verifier._compute_routes`` so that each verification's routes
+    are appended to the returned list."""
+    seen = []
+    compute = verifier._compute_routes
+
+    def recording(*args):
+        seen.append(compute(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(verifier, "_compute_routes", recording)
+    return seen
+
+
+def test_inserted_records_hold_the_statement_payload(monkeypatch):
+    view, dv = parse_view_def(ITEM_VIEW), parse_update(INSERTION)
+    out = translate(view, dv)
+    assert isinstance(out, Translated) and out.case is Case.T1
+    payload = out.statement.action.tree
+    printed = serialize(payload)
+    store = _store(_items("1212"))
+
+    # applying the statement logs its payload itself and places copies
+    updated = store.copy()
+    log = apply_update(out.statement, updated)
+    assert len(log) == 2 and all(isinstance(e, Inserted) for e in log)
+    assert all(edit.tree is payload for edit in log)
+    placed = [t.children[-1] for t in locate(updated.get("d"), ("A", "T"))]
+    assert all(payload not in iter_nodes(t) for t in updated.docs.values())
+
+    # later edits of the placed copies leave the payload as it was
+    for later in (
+        'for x in doc("d")/R/A where x/C="1" update x/T/N { insert <Y>y</Y> }',
+        'for x in doc("d")/R/A where x/C="1" update x/T/N ( delete X )',
+    ):
+        assert apply_update(parse_update(later), updated)
+    assert sum(serialize(t) == "<N><Y>y</Y></N>" for t in placed) == 2
+    assert serialize(payload) == printed
+
+    # so does a verification, every undo and redo included
+    seen = _recorded_routes(monkeypatch)
+    report = verify_translation(view, dv, out.statement, store, out.case)
+    assert report.precise and all(ok for _name, ok in report.lemma_checks)
+    (routes,) = seen
+    assert len(routes.log) == 2 and all(e.tree is payload for e in routes.log)
+    for held in (routes.store, routes.updated):
+        assert all(payload not in iter_nodes(t) for t in held.docs.values())
+    assert serialize(payload) == printed
+
+
+def test_route_b_updates_the_view_evaluated_on_the_sources(monkeypatch):
+    view, dv = parse_view_def(ITEM_VIEW), parse_update(ROOT_DELETION)
+    out = translate(view, dv)
+    store = _store(_items("1212"))
+    evaluated = []
+    evaluate = verifier.evaluate_view
+
+    def recording(view, on):
+        evaluated.append((on, evaluate(view, on)))
+        return evaluated[-1][1]
+
+    monkeypatch.setattr(verifier, "evaluate_view", recording)
+    seen = _recorded_routes(monkeypatch)
+    report = verify_translation(view, dv, out.statement, store, out.case)
+    assert report.precise and all(ok for _name, ok in report.lemma_checks)
+    (routes,) = seen
+    (on_sources,) = [inst for on, inst in evaluated if on is store]
+    assert routes.via_view is on_sources
+    assert len(routes.via_view.tree.children) == 2  # the two wrappers left
+    assert len(routes.via_view.tuples) == 4  # as evaluated on the sources
+
+
+def test_t4_verify_creates_only_the_evaluated_nodes_and_lemma_shells(monkeypatch):
+    # a copy of the view or of an inserted payload would take fresh ids
+    view, dv = parse_view_def(ITEM_VIEW), parse_update(ROOT_DELETION)
+    out = translate(view, dv)
+    store = _store(_items("12" * 80, ws=1))
+    seen = _recorded_routes(monkeypatch)
+    first = xml_model.fresh_id()
+    report = verify_translation(view, dv, out.statement, store, out.case)
+    created = xml_model.fresh_id() - first - 1
+    assert report.precise and [name for name, _ok in report.lemma_checks] == [
+        "L1",
+        "L2",
+        "L3",
+    ]
+    (routes,) = seen
+    on_sources = evaluate_view(view, store)
+
+    def size(tree):
+        return sum(1 for _ in iter_nodes(tree))
+
+    shells = len(on_sources.tuples)
+    assert shells == 160
+    assert created == size(routes.via_source.tree) + size(on_sources.tree) + shells
 
 
 def test_replayed_log_matches_the_applied_one():

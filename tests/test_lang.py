@@ -16,6 +16,7 @@ from xview.errors import (
 )
 from xview.fuzzgen import GENERATORS
 from xview.lang import (
+    KEYWORDS,
     DeleteBinding,
     DeleteLabel,
     DeleteTree,
@@ -26,6 +27,7 @@ from xview.lang import (
     parse_view_def,
     normalize_path,
     render_update,
+    _Lexer,
 )
 from xview.xml_model import DocRoot, QualifiedPath, VIEW_ROOT, VarRoot, value_equal
 from .conftest import EX1_VIEW, QBK_DS_PRINTED, QBK_DV, QBK_VIEW
@@ -310,3 +312,72 @@ def test_prop_normalized_paths_concatenate_binding_segments():
                 # the expansion ends with the expression's own names
                 assert qp.steps[len(qp.steps) - len(ret.gamma):] == ret.gamma
                 assert isinstance(qp.root, DocRoot)
+
+
+# ----------------------------------------------------------------------
+# The lexer against the character-by-character scanner it replaced
+
+
+def _reference_tokens(text: str) -> list[tuple]:
+    """Tokens of ``text`` up to eof, ending in ("error", message) on a
+    lexical error, as the former per-character scanner produced them."""
+    tokens: list[tuple] = []
+    pos = 0
+    while True:
+        while pos < len(text) and text[pos].isspace():
+            pos += 1
+        start = pos
+        if pos >= len(text):
+            return tokens + [("eof", "", start)]
+        c = text[pos]
+        if c == '"':
+            end = text.find('"', pos + 1)
+            if end < 0:
+                return tokens + [("error", f"unterminated string at offset {start}")]
+            tokens.append(("str", text[pos + 1 : end], start))
+            pos = end + 1
+        elif text.startswith("..", pos):
+            tokens.append(("punct", "..", start))
+            pos += 2
+        elif c in "<>{}()/,=$":
+            tokens.append(("punct", c, start))
+            pos += 1
+        elif c.isalpha() or c == "_":
+            end = pos
+            while end < len(text) and (text[end].isalnum() or text[end] == "_"):
+                end += 1
+            word = text[pos:end]
+            tokens.append(("kw" if word in KEYWORDS else "name", word, start))
+            pos = end
+        else:
+            return tokens + [
+                ("error", f"unexpected character {c!r} at offset {start}")
+            ]
+
+
+def _lexed_tokens(text: str) -> list[tuple]:
+    lx = _Lexer(text)
+    tokens: list[tuple] = []
+    while True:
+        try:
+            tok = lx.next()
+        except QuerySyntaxError as exc:
+            return tokens + [("error", str(exc))]
+        tokens.append(tok)
+        if tok[0] == "eof":
+            return tokens
+
+
+# quotes, dots, every punctuation mark, blanks (\x1c is one to isspace),
+# digits, "_", a letter, and characters that are alphanumeric but no letter
+_LEX_ALPHABET = list('"..<>{}()/,=$') + [
+    " ", "\t", "\n", "\x1c", "\u00a0", "0", "7", "_", "a", "Z",
+    "for", "in", "é", "²", "Ⅻ", "中", "-", "!",
+]
+
+
+def test_lexer_matches_the_per_character_scanner():
+    rng = random.Random(12)
+    for _ in range(4000):
+        text = "".join(rng.choice(_LEX_ALPHABET) for _ in range(rng.randint(0, 14)))
+        assert _lexed_tokens(text) == _reference_tokens(text), repr(text)

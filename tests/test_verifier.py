@@ -450,7 +450,6 @@ def _own_routes(view: ViewDef, stmt: UpdateStatement, store: DocumentStore):
         stmt,
         stmt,
         store,
-        via_source,
         updated,
         frozenset(),
         log,

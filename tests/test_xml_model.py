@@ -21,7 +21,6 @@ from xview.xml_model import (
     is_prefix,
     iter_nodes,
     locate,
-    parent_index,
     parse_document,
     serialize,
     string_value,
@@ -241,9 +240,6 @@ def test_iter_nodes_walks_a_deep_chain_in_preorder():
         chain[-1].children.append(child)
         chain.append(child)
     assert [n.node_id for n in iter_nodes(root)] == [n.node_id for n in chain]
-    parents = parent_index(root)
-    assert len(parents) == 5000
-    assert all(parents[c.node_id] is p for p, c in zip(chain, chain[1:]))
 
     branching = parse_document("<a><b><c>1</c><d/></b><e>2</e></a>")
     assert [n.label for n in iter_nodes(branching)] == ["a", "b", "c", "d", "e"]
