@@ -345,7 +345,8 @@ def execute_plan(plan: list[PlannedOp]) -> list[Edit]:
     Insertions are appended one by one.  Deletions are grouped by parent,
     and each parent's child list is filtered once for all of them; a child
     is removed by its id alone, so the result is that of removing them one
-    at a time.
+    at a time.  Each edited parent is given a new child list and no list is
+    edited in place, so a caller that kept the old lists can put them back.
     """
     edits: list[Edit] = []
     for op in plan:

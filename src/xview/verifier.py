@@ -4,28 +4,35 @@ Correctness compares, as ordered value trees, the view evaluated after the
 source update against the view instance updated directly.  Minimality is
 checked by leave-one-edit-out: if dropping any single recorded edit still
 yields a correct result, the translation over-updated the source.  It probes
-on one working store, route A's updated one: each edit is undone in place,
-the view is checked against the directly updated instance, and the edit is
-redone.  A probe re-checks only the tuples the undone edit reaches, read off
-an index of route A's store and view built once per verification, so a
-verification costs a few evaluations, not one per edit.  An undone deletion
-puts back the logged subtree itself, which still carries route A's ids, at
-a place read off its parent's child list before route A's plan ran.  Both
-oracles are independent of the translation path they judge: they only
-evaluate, apply and compare.  The two update routes are computed once per
-verification, and every oracle reads them from that one record.  A
-verification copies the store once, for route A, and no view: route B
-updates the instance evaluated on the sources, and the lemma suite reads
-tuples' rows off the unmodified sources.
+on the sources in route A's state: each edit is undone in place, the view is
+checked against the directly updated instance, and the edit is redone.  A
+probe re-checks only the tuples the undone edit reaches, read off an index
+of that store and view built once per verification, so a verification
+costs a few evaluations, not one per edit.  An undone deletion puts back
+the logged subtree itself at a place read off its parent's child list
+before route A's plan ran.  Both oracles are independent of the translation
+path they judge: they only evaluate, apply and compare.  The two update
+routes are computed once per verification, and every oracle reads them
+from that one record.
+
+A verification copies neither the store nor a view.  Route B updates the
+instance evaluated on the sources.  Route A applies the source update to
+the sources themselves and reads its view as wrapper shells over the
+uncopied rows; once correctness and minimality are judged, every edited
+parent gets back the very child list it held, and the lemma suite reads
+the restored sources.  The put-back is exact because execution and
+insertion always give a parent a new list, and the probes' in-place undo
+and redo touch only those new lists.
 """
 
 from __future__ import annotations
 
 import bisect
+import contextlib
 import itertools
 import json
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterator, Optional
 
 from .evaluator import (
     ConditionTest,
@@ -68,7 +75,7 @@ class VerificationReport:
     correct: bool
     view_diff: Optional[dict] = None
     minimal: bool = False
-    witness: Optional[Edit] = None
+    witness: Optional[Edit] = None  # a Deleted one holds the source's own subtree
     lemma_checks: list[tuple[str, bool]] = field(default_factory=list)
 
     @property
@@ -93,22 +100,23 @@ class _Routes:
     """One verification's inputs and both update routes, computed once.
 
     Route A (``via_source``) is view(update(sources)): the source update is
-    planned and applied on one identifier-preserving copy of ``store``
-    (``updated``), whose planned target ids (``touched``), edit log and
-    deleted children's restore points (``restore``, see ``_restore_points``)
-    are kept, and the view is evaluated on that copy.  Route B
-    (``via_view``) is update(view(sources)): the view update is applied to
-    the evaluation of the view on ``store`` itself, which edits its tree but
-    not its tuples, so those stay the view's tuples on ``store``; ``store``
-    itself is never mutated.  The minimality check probes on ``updated`` and
-    leaves it holding the same nodes as before.
+    planned and applied on ``store`` itself, whose planned target ids
+    (``touched``), edit log and deleted children's restore points
+    (``restore``, see ``_restore_points``) are kept, and the view on the
+    updated store is read as wrapper shells over the uncopied rows.  Route
+    B (``via_view``) is update(view(sources)): the view update is applied
+    to the evaluation of the view on the sources, which edits its tree but
+    not its tuples, so those stay the view's tuples on the sources.  The
+    routes are valid while ``_compute_routes`` holds ``store`` in route A's
+    state; the minimality check probes there and leaves it holding the same
+    nodes as before.  Afterwards ``store`` holds the sources again, and
+    ``via_source``'s tuples and ``via_view`` still read as computed.
     """
 
     view: ViewDef
     view_update: UpdateStatement
     source_update: UpdateStatement
     store: DocumentStore
-    updated: DocumentStore
     touched: frozenset[int]
     log: list[Edit]
     restore: dict[int, int]
@@ -116,33 +124,65 @@ class _Routes:
     via_view: ViewInstance
 
 
+@contextlib.contextmanager
 def _compute_routes(
     view: ViewDef,
     view_update: UpdateStatement,
     source_update: UpdateStatement,
     store: DocumentStore,
-) -> _Routes:
-    updated = store.copy()
-    plan = plan_update(source_update, updated)
-    touched = frozenset(op.target.node_id for op in plan)
-    restore = _restore_points(plan)
-    log = execute_plan(plan)
-    via_source = evaluate_view(view, updated)
+) -> Iterator[_Routes]:
+    """Compute both routes and hold ``store`` in route A's state while the
+    body runs; on exit, even by an exception, it holds the sources again,
+    node for node and child list for child list.
 
+    Every step that can fail runs before the first edit lands: the source
+    update's plan, then the view's evaluation, then the view update.
+    """
+    plan = plan_update(source_update, store)
     via_view = evaluate_view(view, store)
     apply_update(view_update, via_view)
-    return _Routes(
-        view,
-        view_update,
-        source_update,
-        store,
-        updated,
-        touched,
-        log,
-        restore,
-        via_source,
-        via_view,
-    )
+    touched = frozenset(op.target.node_id for op in plan)
+    restore = _restore_points(plan)
+    with _executed(plan) as log:
+        yield _Routes(
+            view,
+            view_update,
+            source_update,
+            store,
+            touched,
+            log,
+            restore,
+            _shell_view(view, store),
+            via_view,
+        )
+
+
+@contextlib.contextmanager
+def _executed(plan: list[PlannedOp]) -> Iterator[list[Edit]]:
+    """Execute a plan and yield its edit log; on exit, put back every
+    planned parent's child list, the very list object it held before.
+
+    Execution never edits a parent's list in place but gives it a new one,
+    so the lists put back still hold exactly the children they held.
+    """
+    lists = {op.parent.node_id: (op.parent, op.parent.children) for op in plan}
+    try:
+        yield execute_plan(plan)
+    finally:
+        for parent, children in lists.values():
+            parent.children = children
+
+
+def _shell_view(view: ViewDef, store: DocumentStore) -> ViewInstance:
+    """The view on ``store``, each wrapper a fresh shell over its tuple's
+    uncopied row (``row_trees``): value-equal to ``evaluate_view``'s
+    instance, and read only."""
+    holds = condition_test(view.conditions, view.bindings)
+    tuples = [t for t in enumerate_bindings(view.bindings, store) if holds(t)]
+    shells = [
+        XmlTree(view.wrapper, children=row_trees(view.returns, t)) for t in tuples
+    ]
+    return ViewInstance(XmlTree(view.view_root, children=shells), tuples)
 
 
 def verify_translation(
@@ -153,15 +193,18 @@ def verify_translation(
     case: Optional[Case] = None,
 ) -> VerificationReport:
     """Run both oracles and, on a correct translation of a known case, the
-    lemma suite.  ``store`` is left unchanged."""
-    routes = _compute_routes(view, view_update, source_update, store)
-    correct, diff = check_correctness(routes)
-    minimal, witness = False, None
+    lemma suite.
+
+    The verification edits ``store`` while it runs, so it needs exclusive
+    access to it; afterwards ``store`` holds the very same node and child
+    list objects as before, even when a check raises.  A ``Deleted``
+    witness's tree is the source's own subtree, back in ``store``."""
+    with _compute_routes(view, view_update, source_update, store) as routes:
+        correct, diff = check_correctness(routes)
+        minimal, witness = check_minimality(routes) if correct else (False, None)
     lemmas: list[tuple[str, bool]] = []
-    if correct:
-        minimal, witness = check_minimality(routes)
-        if case is not None:
-            lemmas = run_lemma_suite(routes, case)
+    if correct and case is not None:
+        lemmas = run_lemma_suite(routes, case)
     return VerificationReport(correct, diff, minimal, witness, lemmas)
 
 
@@ -193,25 +236,27 @@ def check_correctness(routes: _Routes) -> tuple[bool, Optional[dict]]:
 def check_minimality(routes: _Routes) -> tuple[bool, Optional[Edit]]:
     """Leave-one-edit-out search for a smaller correct translation.
 
-    Probes on route A's updated store: for every edit in the source update's
-    log, in log order, undo it in place, check whether the view on that store
-    still equals the directly updated instance, and redo it.  If it does,
-    that edit was unnecessary and is returned as the witness.  Each probe
-    sees exactly the store a replay of the log without that edit would
-    give, and the store holds the same nodes afterwards, whatever the
-    outcome.
+    Probes on ``routes.store`` in route A's state, so it runs inside
+    ``_compute_routes``: for every edit in the source update's log, in log
+    order, undo it in place, check whether the view on that store still
+    equals the directly updated instance, and redo it.  If it does, that
+    edit was unnecessary and is returned as the witness.  Each probe sees
+    exactly the store a replay of the log without that edit would give, and
+    the store holds the same nodes afterwards, whatever the outcome.  The
+    undo and the redo edit only child lists that route A's execution gave
+    its parents, never a list the sources held.
 
     The check runs only on correct translations, so route A's view equals
     the directly updated instance, and a probe matches exactly when undoing
     its edit leaves route A's view unchanged.  An undo changes one parent's
     child list, so a probe re-checks only the tuples that reach that parent
-    (see ``_ProbeIndex``), not the whole view.  An empty log is trivially
-    minimal.
+    (see ``_ProbeIndex``), not the whole view.  The redo replays the edit
+    onto a store holding just that parent, so finding the parent reads one
+    node.  An empty log is trivially minimal.
     """
     if not routes.log:
         return True, None
-    work = routes.updated
-    index = _ProbeIndex(routes.view, work)
+    index = _ProbeIndex(routes.view, routes.store)
     wrappers = routes.via_view.tree.children or []
     for edit in routes.log:
         parent = index.nodes[edit.parent_id]
@@ -219,7 +264,9 @@ def check_minimality(routes: _Routes) -> tuple[bool, Optional[Edit]]:
         try:
             same = index.unchanged_without(edit, parent, moved, wrappers)
         finally:
-            replay_edits([edit], work)
+            redo = DocumentStore()
+            redo.add("parent", parent)
+            replay_edits([edit], redo)
         if isinstance(edit, Inserted):
             # the redo appended a fresh-id copy: keep the indexed node
             parent.children[-1] = moved
@@ -249,7 +296,7 @@ def _restore_points(plan: list[PlannedOp]) -> dict[int, int]:
 
 
 def _undo(edit: Edit, parent: XmlTree, restore: dict[int, int]) -> XmlTree:
-    """Revert one logged edit on its parent in route A's store, and return
+    """Revert one logged edit on its parent in route A's state, and return
     the child it removed or put back.
 
     An insertion appended last, and a log holds at most one per parent (the

@@ -142,13 +142,7 @@ def locate(ctx: XmlTree, names: Sequence[str]) -> list[XmlTree]:
     """
     nodes = [ctx]
     for name in names:
-        nodes = [
-            c
-            for n in nodes
-            if not n.is_text
-            for c in n.children or []
-            if c.label == name
-        ]
+        nodes = [c for n in nodes if n.children for c in n.children if c.label == name]
     return nodes
 
 
@@ -303,7 +297,9 @@ class DocumentStore:
 
     Node identifiers are unique across the store and across any view
     instance evaluated from it.  All read operations are safe under shared
-    concurrent reads; edit application requires exclusive access.
+    concurrent reads; edit application requires exclusive access, and so
+    does a verification, which applies route A to the store itself and then
+    puts back every child list it edited, leaving the very same objects.
     """
 
     def __init__(self) -> None:

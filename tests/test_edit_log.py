@@ -4,6 +4,7 @@ of applying and verifying deletions."""
 
 from __future__ import annotations
 
+import contextlib
 import json
 import random
 import time
@@ -96,50 +97,50 @@ def test_deleted_records_share_the_removed_subtree_safely(update, case, monkeypa
         assert edit.tree is nodes[edit.node_id]
         assert edit.node_id not in left
 
-    # a full verification, every undo and redo included, reads the log it
-    # computes and leaves it as it found it
-    seen = []
-    compute = verifier._compute_routes
-
-    def recording(*args):
-        routes = compute(*args)
-        seen.append((routes, _fingerprint(routes.log)))
-        return routes
-
-    monkeypatch.setattr(verifier, "_compute_routes", recording)
-    report = verify_translation(view, dv, out.statement, store, case)
-    assert report.precise and all(ok for _name, ok in report.lemma_checks)
-    ((routes, before),) = seen
-    assert len(routes.log) == len(log)
-    assert _fingerprint(routes.log) == before
-
-    # and so does every later reader of the log
-    applied = _store_state(routes.updated)
-    for edit in routes.log:
-        assert json.loads(edit_to_json(edit))["tree"] == serialize(edit.tree)
-    assert _lemma2(routes, case)
-    assert _fingerprint(routes.log) == before
+    # later edits of the updated store leave the log as it was
+    applied = _fingerprint(log)
     for later in (
         'for x in doc("d")/R/A where x/C="2" update x/T { insert <W>w9</W> }',
         'for x in doc("d")/R/A where x/C="2" update x/T ( delete W )',
     ):
-        assert apply_update(parse_update(later), routes.updated)
-        assert _fingerprint(routes.log) == before
+        assert apply_update(parse_update(later), updated)
+        assert _fingerprint(log) == applied
+
+    # a full verification, every undo and redo included, reads the log it
+    # computes and leaves it as it found it
+    seen = _recorded_routes(monkeypatch, lambda routes: _store_state(routes.store))
+    report = verify_translation(view, dv, out.statement, store, case)
+    assert report.precise and all(ok for _name, ok in report.lemma_checks)
+    ((routes, route_a, before),) = seen
+    assert len(routes.log) == len(log)
+    assert _fingerprint(routes.log) == before
+
+    # and so does every later reader of the log; its deleted subtrees are
+    # back in the sources, so a replay onto a copy of them rebuilds route A
+    for edit in routes.log:
+        assert json.loads(edit_to_json(edit))["tree"] == serialize(edit.tree)
+    assert _lemma2(routes, case)
+    assert _fingerprint(routes.log) == before
     snapshot = routes.store.copy()
     replay_edits(routes.log, snapshot)
-    assert _store_state(snapshot) == applied
+    assert _store_state(snapshot) == route_a
     assert _fingerprint(routes.log) == before
 
 
-def _recorded_routes(monkeypatch) -> list:
-    """Wrap ``verifier._compute_routes`` so that each verification's routes
-    are appended to the returned list."""
+def _recorded_routes(monkeypatch, inside=None) -> list:
+    """Wrap ``verifier._compute_routes`` so that each verification appends
+    to the returned list its routes, what ``inside`` reads off them while
+    the store is in route A's state, as the checks leave it, and the log's
+    fingerprint as computed."""
     seen = []
     compute = verifier._compute_routes
 
+    @contextlib.contextmanager
     def recording(*args):
-        seen.append(compute(*args))
-        return seen[-1]
+        with compute(*args) as routes:
+            fingerprint = _fingerprint(routes.log)
+            yield routes
+            seen.append((routes, inside and inside(routes), fingerprint))
 
     monkeypatch.setattr(verifier, "_compute_routes", recording)
     return seen
@@ -171,13 +172,17 @@ def test_inserted_records_hold_the_statement_payload(monkeypatch):
     assert serialize(payload) == printed
 
     # so does a verification, every undo and redo included
-    seen = _recorded_routes(monkeypatch)
+    def held(routes):
+        return [n for t in routes.store.docs.values() for n in iter_nodes(t)]
+
+    seen = _recorded_routes(monkeypatch, held)
     report = verify_translation(view, dv, out.statement, store, out.case)
     assert report.precise and all(ok for _name, ok in report.lemma_checks)
-    (routes,) = seen
+    ((routes, route_a, _log),) = seen
     assert len(routes.log) == 2 and all(e.tree is payload for e in routes.log)
-    for held in (routes.store, routes.updated):
-        assert all(payload not in iter_nodes(t) for t in held.docs.values())
+    for nodes in (held(routes), route_a):
+        assert payload not in nodes
+    assert len(route_a) > len(held(routes))  # route A held the placed copies
     assert serialize(payload) == printed
 
 
@@ -196,15 +201,17 @@ def test_route_b_updates_the_view_evaluated_on_the_sources(monkeypatch):
     seen = _recorded_routes(monkeypatch)
     report = verify_translation(view, dv, out.statement, store, out.case)
     assert report.precise and all(ok for _name, ok in report.lemma_checks)
-    (routes,) = seen
-    (on_sources,) = [inst for on, inst in evaluated if on is store]
-    assert routes.via_view is on_sources
+    ((routes, _inside, _log),) = seen
+    # the one evaluation a verification makes, on the unedited sources
+    ((on, on_sources),) = evaluated
+    assert on is store and routes.via_view is on_sources
     assert len(routes.via_view.tree.children) == 2  # the two wrappers left
     assert len(routes.via_view.tuples) == 4  # as evaluated on the sources
 
 
 def test_t4_verify_creates_only_the_evaluated_nodes_and_lemma_shells(monkeypatch):
-    # a copy of the view or of an inserted payload would take fresh ids
+    # a copy of the store, of a view or of an inserted payload would take
+    # fresh ids
     view, dv = parse_view_def(ITEM_VIEW), parse_update(ROOT_DELETION)
     out = translate(view, dv)
     store = _store(_items("12" * 80, ws=1))
@@ -217,15 +224,15 @@ def test_t4_verify_creates_only_the_evaluated_nodes_and_lemma_shells(monkeypatch
         "L2",
         "L3",
     ]
-    (routes,) = seen
+    ((routes, _inside, _log),) = seen
     on_sources = evaluate_view(view, store)
-
-    def size(tree):
-        return sum(1 for _ in iter_nodes(tree))
-
-    shells = len(on_sources.tuples)
+    evaluated = sum(1 for _ in iter_nodes(on_sources.tree))
+    # route A's view: a root and one wrapper shell per row left
+    route_a = 1 + len(routes.via_source.tuples)
+    assert route_a == 1 + 80 and len(routes.via_source.tree.children) == 80
+    shells = len(on_sources.tuples)  # one L3 shell per tuple on the sources
     assert shells == 160
-    assert created == size(routes.via_source.tree) + size(on_sources.tree) + shells
+    assert created == evaluated + route_a + shells
 
 
 def test_replayed_log_matches_the_applied_one():
@@ -345,7 +352,7 @@ def test_grouped_execution_matches_one_edit_at_a_time_on_built_plans(keep):
 # The benchmark's counters and the cost of wide deletions
 
 
-def test_t4_verify_replays_each_edit_once_and_copies_the_store_once(monkeypatch):
+def test_t4_verify_replays_each_edit_once_and_never_copies_the_store(monkeypatch):
     view, dv = parse_view_def(ITEM_VIEW), parse_update(ROOT_DELETION)
     out = translate(view, dv)
     store = _store(_items("12" * 80, ws=1))
@@ -366,7 +373,28 @@ def test_t4_verify_replays_each_edit_once_and_copies_the_store_once(monkeypatch)
     report = verify_translation(view, dv, out.statement, store, out.case)
     assert report.precise
     assert replays == [1] * 80
-    assert copies == [1]
+    assert copies == []
+
+
+def test_label_deletion_redo_finds_each_parent_at_its_first_node(monkeypatch):
+    # each probe's redo replays onto a store holding just the edit's parent;
+    # a scan from the document root would read thousands of nodes per probe
+    view, dv = parse_view_def(ITEM_VIEW), parse_update(LABEL_DELETION)
+    out = translate(view, dv)
+    assert isinstance(out, Translated) and out.case is Case.T1
+    store = _store(_items("12" * 1280, ws=1))
+    visited = [0]
+    walk = xml_model.iter_nodes
+
+    def counted(tree):  # the walk DocumentStore.find_node reads
+        for node in walk(tree):
+            visited[0] += 1
+            yield node
+
+    monkeypatch.setattr(xml_model, "iter_nodes", counted)
+    report = verify_translation(view, dv, out.statement, store, out.case)
+    assert report.precise and all(ok for _name, ok in report.lemma_checks)
+    assert visited == [1280]  # one probe per deleted W, one node each
 
 
 def test_wide_root_deletion_is_linear():

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import random
 from typing import Optional
 
+import pytest
+
 from xview.errors import XviewError
-from xview import verifier
+from xview import cli, verifier
 from xview.evaluator import ViewInstance, enumerate_bindings, evaluate_view
 from xview.fuzzgen import gen_t1, gen_t2, random_case
 from xview.lang import UpdateStatement, ViewDef, parse_update, parse_view_def
@@ -16,11 +19,13 @@ from xview.updater import (
     Deleted,
     Edit,
     Inserted,
+    apply_update,
     execute_plan,
     plan_update,
     replay_edits,
 )
 from xview.verifier import (
+    VerificationReport,
     _Routes,
     _compute_routes,
     check_correctness,
@@ -38,7 +43,15 @@ from xview.xml_model import (
     serialize,
     value_equal,
 )
-from .conftest import QBK_DS_NO_COND, QBK_DS_PADDED, QBK_DS_PRINTED
+from .conftest import (
+    BKINF_XML,
+    QBK_DS_NO_COND,
+    QBK_DS_PADDED,
+    QBK_DS_PRINTED,
+    QBK_DV,
+    QBK_VIEW,
+    SUBJINF_XML,
+)
 
 
 def test_correctness_books_end_to_end(qbk_view, qbk_dv, qbk_store):
@@ -62,10 +75,17 @@ def test_correctness_fails_without_appended_condition(qbk_view, qbk_dv, qbk_stor
     assert report.lemma_checks == []
 
 
+def _settled_routes(view, view_update, source_update, store) -> _Routes:
+    """The routes, read as the lemma suite reads them: with the store back
+    to the sources."""
+    with _compute_routes(view, view_update, source_update, store) as routes:
+        return routes
+
+
 def test_lemma3_judges_the_emitted_where_clause(qbk_view, qbk_dv, qbk_store):
     # the statement lacks the appended title="IS" atom, so on the DB and AI
     # tuples its where clause holds while the view condition does not
-    routes = _compute_routes(
+    routes = _settled_routes(
         qbk_view, qbk_dv, parse_update(QBK_DS_NO_COND), qbk_store
     )
     assert ("L3", False) in run_lemma_suite(routes, Case.T1)
@@ -157,7 +177,7 @@ def test_lemma1_catches_a_partial_plan_under_a_parent_step():
     assert report.lemma_checks[0] == ("L1", True)
 
     # L1 reads route A's planned target ids; drop one of the two M parents
-    routes = _compute_routes(view, dv, out.statement, store)
+    routes = _settled_routes(view, dv, out.statement, store)
     assert len(routes.touched) == 2
     partial = dataclasses.replace(
         routes, touched=routes.touched - {min(routes.touched)}
@@ -224,12 +244,15 @@ def test_generated_cases_pass_both_oracles():
 # Minimality against a copy-and-replay reference
 
 
-def _leave_one_out_reference(routes) -> tuple[bool, Optional[Edit]]:
+def _leave_one_out_reference(
+    routes, sources: DocumentStore
+) -> tuple[bool, Optional[Edit]]:
     """The plain leave-one-edit-out oracle: for each edit, replay the rest
-    of the log on a fresh copy of the store and build the view."""
+    of the log on a fresh copy of ``sources``, an id-preserving copy of the
+    store taken before route A, and build the view."""
     log = routes.log
     for dropped in range(len(log)):
-        variant = routes.store.copy()
+        variant = sources.copy()
         replay_edits(log[:dropped] + log[dropped + 1 :], variant)
         if value_equal(evaluate_view(routes.view, variant).tree, routes.via_view.tree):
             return False, log[dropped]
@@ -257,11 +280,12 @@ def test_minimality_matches_the_reference_oracle():
         stmt = out.statement
         for conditions in (stmt.conditions, stmt.conditions[:-1], ()):
             variant = dataclasses.replace(stmt, conditions=conditions)
-            routes = _compute_routes(case.view, case.update, variant, case.store)
-            if not check_correctness(routes)[0]:
-                continue
-            expected = _leave_one_out_reference(routes)
-            minimal, witness = check_minimality(routes)
+            sources = case.store.copy()
+            with _compute_routes(case.view, case.update, variant, case.store) as routes:
+                if not check_correctness(routes)[0]:
+                    continue
+                minimal, witness = check_minimality(routes)
+            expected = _leave_one_out_reference(routes, sources)
             assert minimal == expected[0]
             assert witness is expected[1]
             checked += 1
@@ -292,17 +316,18 @@ ORDER_PADDED = 'for x in doc("s")/R/A where x/T=x/T update x/T { delete Z }'
 def test_deletion_witness_mid_log_is_put_back_in_place():
     view, dv = parse_view_def(ORDER_VIEW), parse_update(ORDER_DV)
     store = _single_doc_store(ORDER_XML)
-    routes = _compute_routes(view, dv, parse_update(ORDER_PADDED), store)
-    assert check_correctness(routes) == (True, None)
-    # the log: the hidden A's two Zs, then the shown A's Z
-    assert [serialize(e.tree) for e in routes.log] == [
-        "<Z>y</Z>",
-        "<Z>b</Z>",
-        "<Z>x</Z>",
-    ]
-    state = _store_state(routes.updated)
-    minimal, witness = check_minimality(routes)
-    assert _store_state(routes.updated) == state
+    sources = store.copy()
+    with _compute_routes(view, dv, parse_update(ORDER_PADDED), store) as routes:
+        assert check_correctness(routes) == (True, None)
+        # the log: the hidden A's two Zs, then the shown A's Z
+        assert [serialize(e.tree) for e in routes.log] == [
+            "<Z>y</Z>",
+            "<Z>b</Z>",
+            "<Z>x</Z>",
+        ]
+        state = _store_state(routes.store)
+        minimal, witness = check_minimality(routes)
+        assert _store_state(routes.store) == state
 
     # back between V and W, the second Z leaves the hidden A hidden
     hidden_t = locate(store.get("s"), ("A", "T"))[0]
@@ -310,7 +335,8 @@ def test_deletion_witness_mid_log_is_put_back_in_place():
     assert isinstance(witness, Deleted)
     assert witness.parent_id == hidden_t.node_id
     assert witness.node_id == hidden_t.children[3].node_id
-    assert _leave_one_out_reference(routes) == (False, witness)
+    assert witness.tree is hidden_t.children[3]  # the source's own subtree
+    assert _leave_one_out_reference(routes, sources) == (False, witness)
 
 
 def test_minimal_root_deletion_leaves_route_a_store_unchanged():
@@ -322,11 +348,11 @@ def test_minimal_root_deletion_leaves_route_a_store_unchanged():
     dv = parse_update('for u in v where u/e/C="1" update u ( delete e )')
     out = translate(view, dv)
     assert isinstance(out, Translated) and out.case is Case.T4
-    routes = _compute_routes(view, dv, out.statement, store)
-    assert len(routes.log) == 2
-    state = _store_state(routes.updated)
-    assert check_minimality(routes) == (True, None)
-    assert _store_state(routes.updated) == state
+    with _compute_routes(view, dv, out.statement, store) as routes:
+        assert len(routes.log) == 2
+        state = _store_state(routes.store)
+        assert check_minimality(routes) == (True, None)
+        assert _store_state(routes.store) == state
 
 
 def test_probe_with_a_row_missing_does_not_match():
@@ -338,10 +364,11 @@ def test_probe_with_a_row_missing_does_not_match():
     store = _single_doc_store("<R><A><C>1</C><T><W>w</W></T></A></R>")
     dv = parse_update('for u in v where u/e/C="1" update u { insert <e><C>1</C></e> }')
     ds = parse_update('for x in doc("s")/R/A where x/C="1" update x/T { insert <W>n</W> }')
-    routes = _compute_routes(view, dv, ds, store)
-    assert check_correctness(routes) == (True, None)
-    assert check_minimality(routes) == (True, None)
-    assert _leave_one_out_reference(routes) == (True, None)
+    sources = store.copy()
+    with _compute_routes(view, dv, ds, store) as routes:
+        assert check_correctness(routes) == (True, None)
+        assert check_minimality(routes) == (True, None)
+    assert _leave_one_out_reference(routes, sources) == (True, None)
 
 
 # ----------------------------------------------------------------------
@@ -436,45 +463,37 @@ def _free_case(rng: random.Random) -> tuple[str, str, str]:
     return view, update, _free_doc(rng, paths)
 
 
+@contextlib.contextmanager
 def _own_routes(view: ViewDef, stmt: UpdateStatement, store: DocumentStore):
     """Routes whose directly updated instance is route A's own view, so every
-    translation is correct and every probe is reached."""
-    updated = store.copy()
-    plan = plan_update(stmt, updated)
+    translation is correct and every probe is reached.  While the body runs,
+    ``store`` is in route A's state, as inside ``_compute_routes``."""
+    plan = plan_update(stmt, store)
     restore = verifier._restore_points(plan)
-    log = execute_plan(plan)
-    via_source = evaluate_view(view, updated)
-    own = ViewInstance(copy_tree(via_source.tree), via_source.tuples)
-    return _Routes(
-        view,
-        stmt,
-        stmt,
-        store,
-        updated,
-        frozenset(),
-        log,
-        restore,
-        via_source,
-        own,
-    )
+    with verifier._executed(plan) as log:
+        via_source = evaluate_view(view, store)
+        own = ViewInstance(copy_tree(via_source.tree), via_source.tuples)
+        yield _Routes(
+            view, stmt, stmt, store, frozenset(), log, restore, via_source, own
+        )
 
 
-def _probes_against_rebuilt_views(routes) -> list[bool]:
+def _probes_against_rebuilt_views(routes, sources: DocumentStore) -> list[bool]:
     """Run each edit's probe alone and check its answer against the view
-    built on a copy of the store that lacks that edit; return, per edit,
-    whether leaving it out changes the view."""
-    log, updated = routes.log, routes.updated
-    state = _store_state(updated)
+    built on a copy of ``sources`` (the store before route A) that lacks
+    that edit; return, per edit, whether leaving it out changes the view."""
+    log = routes.log
+    state = _store_state(routes.store)
     changes = []
     for at, edit in enumerate(log):
-        variant = routes.store.copy()
+        variant = sources.copy()
         replay_edits(log[:at] + log[at + 1 :], variant)
         same = value_equal(
             evaluate_view(routes.view, variant).tree, routes.via_view.tree
         )
         probe = dataclasses.replace(routes, log=[edit])
         assert check_minimality(probe) == (not same, edit if same else None), at
-        assert _store_state(updated) == state
+        assert _store_state(routes.store) == state
         changes.append(not same)
     return changes
 
@@ -486,12 +505,15 @@ def test_every_probe_matches_a_rebuilt_view():
     probes = changed = 0
     for _ in range(1200):
         view_text, update_text, doc = _free_case(rng)
-        try:
-            view, stmt = parse_view_def(view_text), parse_update(update_text)
-            routes = _own_routes(view, stmt, _single_doc_store(doc))
-        except XviewError:
-            continue
-        changes = _probes_against_rebuilt_views(routes)
+        with contextlib.ExitStack() as held:
+            try:
+                view, stmt = parse_view_def(view_text), parse_update(update_text)
+                store = _single_doc_store(doc)
+                sources = store.copy()
+                routes = held.enter_context(_own_routes(view, stmt, store))
+            except XviewError:
+                continue
+            changes = _probes_against_rebuilt_views(routes, sources)
         probes += len(changes)
         changed += sum(changes)
     assert probes > 600 and changed >= 100
@@ -500,8 +522,10 @@ def test_every_probe_matches_a_rebuilt_view():
 # Shapes a probe must re-check through the index, each against the reference
 
 
-def _check_against_reference(routes) -> tuple[bool, Optional[Edit]]:
-    expected = _leave_one_out_reference(routes)
+def _check_against_reference(
+    routes, sources: DocumentStore
+) -> tuple[bool, Optional[Edit]]:
+    expected = _leave_one_out_reference(routes, sources)
     got = check_minimality(routes)
     assert got[0] == expected[0] and got[1] is expected[1]
     return got
@@ -520,15 +544,17 @@ def test_probe_finds_a_restored_row_when_route_a_has_no_row():
     dv = parse_update('for u in v where u/e/C="1" update u ( delete e )')
     out = translate(view, dv)
     assert isinstance(out, Translated) and out.case is Case.T4
-    routes = _compute_routes(view, dv, out.statement, store)
-    assert check_correctness(routes)[0] and not routes.via_source.tuples
-    assert _check_against_reference(routes) == (True, None)
+    sources = store.copy()
+    with _compute_routes(view, dv, out.statement, store) as routes:
+        assert check_correctness(routes)[0] and not routes.via_source.tuples
+        assert _check_against_reference(routes, sources) == (True, None)
 
     padded = dataclasses.replace(out.statement, conditions=())
-    routes = _compute_routes(view, dv, padded, store)
-    assert check_correctness(routes)[0]
-    assert enumerate_bindings(view.bindings, routes.updated) == []
-    assert _check_against_reference(routes) == (False, routes.log[1])  # the hidden A
+    with _compute_routes(view, dv, padded, store) as routes:
+        assert check_correctness(routes)[0]
+        assert enumerate_bindings(view.bindings, routes.store) == []
+        # the hidden A
+        assert _check_against_reference(routes, sources) == (False, routes.log[1])
 
 
 def test_probe_restores_a_node_into_both_sides_of_a_self_join():
@@ -552,10 +578,11 @@ def test_probe_restores_a_node_into_both_sides_of_a_self_join():
         'for x in doc("s")/R/A, y in doc("s")/R/A where x/F="1" '
         "update x/.. { delete A }"
     )
-    routes = _own_routes(view, stmt, store)
-    assert len(routes.log) == 3 and routes.via_source.tuples == []
-    assert _probes_against_rebuilt_views(routes) == [True, True, False]
-    assert _check_against_reference(routes) == (False, routes.log[2])
+    sources = store.copy()
+    with _own_routes(view, stmt, store) as routes:
+        assert len(routes.log) == 3 and routes.via_source.tuples == []
+        assert _probes_against_rebuilt_views(routes, sources) == [True, True, False]
+        assert _check_against_reference(routes, sources) == (False, routes.log[2])
 
 
 def test_probe_extends_every_book_through_a_restored_subject(qbk_view, qbk_store):
@@ -565,11 +592,12 @@ def test_probe_extends_every_book_through_a_restored_subject(qbk_view, qbk_store
         'for x in doc("bkInf.xml")/bkInf/book, y in doc("subjInf.xml")/subjInf/uni, '
         'z in y/subjs/subj where z/sName="DataBasics" update z/.. { delete subj }'
     )
-    routes = _own_routes(qbk_view, stmt, qbk_store)
-    assert len(routes.log) == 1 and isinstance(routes.log[0], Deleted)
-    assert len(routes.via_source.tuples) == 3
-    assert _probes_against_rebuilt_views(routes) == [True]
-    assert _check_against_reference(routes) == (True, None)
+    sources = qbk_store.copy()
+    with _own_routes(qbk_view, stmt, qbk_store) as routes:
+        assert len(routes.log) == 1 and isinstance(routes.log[0], Deleted)
+        assert len(routes.via_source.tuples) == 3
+        assert _probes_against_rebuilt_views(routes, sources) == [True]
+        assert _check_against_reference(routes, sources) == (True, None)
 
 
 def test_probe_rechecks_a_row_an_insertion_hid():
@@ -584,11 +612,12 @@ def test_probe_rechecks_a_row_an_insertion_hid():
     stmt = parse_update(
         'for x in doc("s")/R/A where x=x update x/T { insert <U>3</U> }'
     )
-    routes = _own_routes(view, stmt, store)
-    assert [isinstance(e, Inserted) for e in routes.log] == [True, True]
-    assert routes.via_source.tuples == []
-    assert _probes_against_rebuilt_views(routes) == [True, False]
-    assert _check_against_reference(routes) == (False, routes.log[1])
+    sources = store.copy()
+    with _own_routes(view, stmt, store) as routes:
+        assert [isinstance(e, Inserted) for e in routes.log] == [True, True]
+        assert routes.via_source.tuples == []
+        assert _probes_against_rebuilt_views(routes, sources) == [True, False]
+        assert _check_against_reference(routes, sources) == (False, routes.log[1])
 
 
 def test_probe_compares_rows_that_move_past_unchanged_rows():
@@ -609,10 +638,11 @@ def test_probe_compares_rows_that_move_past_unchanged_rows():
             f"<A><B>{middle}</B><T><U>1</U></T></A>"
             "<A><B>a</B><T><U>1</U></T></A></R>"
         )
-        routes = _own_routes(view, stmt, store)
-        assert len(routes.via_source.tuples) == 3
-        assert _probes_against_rebuilt_views(routes) == [moved_rows_differ]
-        assert _check_against_reference(routes)[0] == moved_rows_differ
+        sources = store.copy()
+        with _own_routes(view, stmt, store) as routes:
+            assert len(routes.via_source.tuples) == 3
+            assert _probes_against_rebuilt_views(routes, sources) == [moved_rows_differ]
+            assert _check_against_reference(routes, sources)[0] == moved_rows_differ
 
 
 def test_probe_places_a_restored_tuple_in_nested_loop_order():
@@ -633,12 +663,13 @@ def test_probe_places_a_restored_tuple_in_nested_loop_order():
             "<A><B>q</B><P><Z>12</Z></P></A>"
             "<V>1</V><V>1</V><V>12</V></R>"
         )
-        routes = _own_routes(view, stmt, store)
-        assert len(routes.via_source.tuples) == 4
-        # only where the restored row lands decides: the rows stay
-        # first, a, a, q either way
-        assert _probes_against_rebuilt_views(routes) == [False]
-        assert _check_against_reference(routes) == (False, routes.log[0])
+        sources = store.copy()
+        with _own_routes(view, stmt, store) as routes:
+            assert len(routes.via_source.tuples) == 4
+            # only where the restored row lands decides: the rows stay
+            # first, a, a, q either way
+            assert _probes_against_rebuilt_views(routes, sources) == [False]
+            assert _check_against_reference(routes, sources) == (False, routes.log[0])
 
 
 def test_minimality_checks_grow_linearly_with_the_document(monkeypatch):
@@ -661,14 +692,228 @@ def test_minimality_checks_grow_linearly_with_the_document(monkeypatch):
 
         return counted
 
-    monkeypatch.setattr(verifier, "condition_test", counting_test)
     for items in (40, 160):
         doc = "".join(
             f"<A><C>{1 + i % 2}</C><T><W>w{i}</W></T></A>" for i in range(items)
         )
         store = _single_doc_store(f"<R>{doc}</R>")
-        routes = _compute_routes(view, dv, out.statement, store)
-        assert len(routes.log) == items // 2
-        calls.append(0)
-        assert check_minimality(routes) == (True, None)
+        with _compute_routes(view, dv, out.statement, store) as routes:
+            assert len(routes.log) == items // 2
+            # count the minimality check's tests only, not route A's own
+            monkeypatch.setattr(verifier, "condition_test", counting_test)
+            calls.append(0)
+            assert check_minimality(routes) == (True, None)
+            monkeypatch.setattr(verifier, "condition_test", prepare)
     assert 0 < calls[1] <= 5 * calls[0]
+
+
+# ----------------------------------------------------------------------
+# Route A on the sources: the put-back, and the copying route A as reference
+
+
+def _copying_verify(
+    view: ViewDef,
+    view_update: UpdateStatement,
+    source_update: UpdateStatement,
+    store: DocumentStore,
+    case: Optional[Case] = None,
+) -> VerificationReport:
+    """The reference verification: route A planned, applied and evaluated
+    on an id-preserving copy of the store, which minimality probes; the
+    sources are never edited, and the lemma suite reads them."""
+    updated = store.copy()
+    plan = plan_update(source_update, updated)
+    touched = frozenset(op.target.node_id for op in plan)
+    restore = verifier._restore_points(plan)
+    log = execute_plan(plan)
+    via_source = evaluate_view(view, updated)
+    via_view = evaluate_view(view, store)
+    apply_update(view_update, via_view)
+    on_copy = _Routes(
+        view,
+        view_update,
+        source_update,
+        updated,
+        touched,
+        log,
+        restore,
+        via_source,
+        via_view,
+    )
+    correct, diff = check_correctness(on_copy)
+    minimal, witness = False, None
+    lemmas: list[tuple[str, bool]] = []
+    if correct:
+        minimal, witness = check_minimality(on_copy)
+        if case is not None:
+            lemmas = run_lemma_suite(dataclasses.replace(on_copy, store=store), case)
+    return VerificationReport(correct, diff, minimal, witness, lemmas)
+
+
+def _outcome(verify, *args):
+    """A verification's report as JSON, or the error it raised."""
+    try:
+        return verify(*args).to_json()
+    except XviewError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _objects(store: DocumentStore) -> list:
+    """Per node of the store, in preorder: the node, its child-list object
+    and that list's members."""
+    return [
+        obj
+        for tree in store.docs.values()
+        for node in iter_nodes(tree)
+        for obj in (node, node.children, *(node.children or ()))
+    ]
+
+
+def _assert_same_objects(before: list, store: DocumentStore) -> None:
+    after = _objects(store)
+    assert len(after) == len(before)
+    assert all(a is b for a, b in zip(after, before))
+
+
+def _matching_reference(view, view_update, source_update, store, case) -> dict:
+    before = _objects(store)
+    expected = _outcome(_copying_verify, view, view_update, source_update, store, case)
+    got = _outcome(verify_translation, view, view_update, source_update, store, case)
+    assert got == expected
+    _assert_same_objects(before, store)
+    return got
+
+
+def test_reports_match_the_copying_route_a_on_fuzz_cases():
+    verified = witnesses = 0
+    for seed in range(20):
+        rng = random.Random(seed)
+        for _ in range(25):
+            case = random_case(rng)
+            out = translate(case.view, case.update)
+            if not isinstance(out, Translated):
+                continue
+            got = _matching_reference(
+                case.view, case.update, out.statement, case.store, out.case
+            )
+            verified += 1
+            witnesses += got["witness"] is not None
+    assert verified > 200 and witnesses == 0
+
+
+def test_reports_match_the_copying_route_a_on_free_statements():
+    # each free source statement is judged against a root deletion of the
+    # wrappers whose L reads "1" or "2", with the lemma suite of T1, so
+    # either route's view may change and some statements are correct
+    rng = random.Random(23)
+    reports = []
+    for _ in range(600):
+        view_text, update_text, doc = _free_case(rng)
+        try:
+            view, stmt = parse_view_def(view_text), parse_update(update_text)
+        except XviewError:
+            continue
+        label, value = rng.choice(LABELS), rng.choice("12")
+        dv = parse_update(f'for u in v where u/e/{label}="{value}" update u ( delete e )')
+        got = _matching_reference(view, dv, stmt, _single_doc_store(doc), Case.T1)
+        reports.append(got)
+    judged = [r for r in reports if isinstance(r, dict)]
+    assert len(judged) > 500
+    assert sum(r["witness"] is not None for r in judged) > 100
+    assert sum(r["diff"] is not None for r in judged) > 50
+    assert sum(not all(r["lemmas"].values()) for r in judged if r["lemmas"]) > 20
+
+
+def _order_case():
+    return (
+        parse_view_def(ORDER_VIEW),
+        parse_update(ORDER_DV),
+        parse_update(ORDER_PADDED),
+        _single_doc_store(ORDER_XML),
+    )
+
+
+def _books_case(source_update: str):
+    store = DocumentStore()
+    store.add("bkInf.xml", parse_document(BKINF_XML))
+    store.add("subjInf.xml", parse_document(SUBJINF_XML))
+    return parse_view_def(QBK_VIEW), parse_update(QBK_DV), parse_update(source_update), store
+
+
+def _root_deletion_case():
+    view = parse_view_def('<v>{for x in doc("s")/R/A return <e>{x/C}{x/T}</e>}</v>')
+    dv = parse_update('for u in v where u/e/C="1" update u ( delete e )')
+    out = translate(view, dv)
+    items = "".join(f"<A><C>{1 + i % 2}</C><T><W>w{i}</W></T></A>" for i in range(8))
+    return view, dv, out.statement, _single_doc_store(f"<R>{items}</R>")
+
+
+@pytest.mark.parametrize(
+    "build, correct, minimal",
+    [
+        (_root_deletion_case, True, True),
+        (lambda: _books_case(QBK_DS_PRINTED), True, True),
+        (lambda: _books_case(QBK_DS_NO_COND), False, False),
+        (_order_case, True, False),
+    ],
+    ids=["T4-precise", "T1-insertion", "not-correct", "deletion-witness"],
+)
+def test_verification_puts_back_every_node_and_child_list(
+    build, correct, minimal, monkeypatch
+):
+    view, dv, ds, store = build()
+    before = _objects(store)
+    suite = verifier.run_lemma_suite
+    lemmas_read = []
+
+    def on_the_sources(routes, case):  # the lemma suite reads the sources
+        _assert_same_objects(before, routes.store)
+        lemmas_read.append(case)
+        return suite(routes, case)
+
+    monkeypatch.setattr(verifier, "run_lemma_suite", on_the_sources)
+    report = verify_translation(view, dv, ds, store, Case.T1)
+    assert (report.correct, report.minimal) == (correct, minimal)
+    assert lemmas_read == ([Case.T1] if correct else [])
+    _assert_same_objects(before, store)
+
+
+def test_verify_delta_s_puts_back_every_node_and_child_list(tmp_path, monkeypatch):
+    paths = {}
+    for name, text in {
+        "view.xq": ORDER_VIEW,
+        "dv.xq": ORDER_DV,
+        "ds.xq": ORDER_PADDED,
+        "s.xml": ORDER_XML,
+    }.items():
+        paths[name] = tmp_path / name
+        paths[name].write_text(text, encoding="utf-8")
+    checked = []
+    verify = cli.verify_translation
+
+    def checking(view, dv, ds, store, case):
+        before = _objects(store)
+        report = verify(view, dv, ds, store, case)
+        _assert_same_objects(before, store)
+        checked.append(report)
+        return report
+
+    monkeypatch.setattr(cli, "verify_translation", checking)
+    argv = ["verify", "--view", str(paths["view.xq"]), "--update", str(paths["dv.xq"])]
+    argv += ["--doc", f"s={paths['s.xml']}", "--delta-s", str(paths["ds.xq"])]
+    assert cli.main(argv) == 5
+    (report,) = checked
+    assert report.correct and isinstance(report.witness, Deleted)
+
+
+def test_verification_puts_back_the_sources_when_minimality_raises(monkeypatch):
+    view, dv, ds, store = _root_deletion_case()
+    before = _objects(store)
+
+    def failing(*_args):
+        raise RuntimeError("undo failed")
+
+    monkeypatch.setattr(verifier, "_undo", failing)
+    with pytest.raises(RuntimeError, match="undo failed"):
+        verify_translation(view, dv, ds, store, Case.T4)
+    _assert_same_objects(before, store)
