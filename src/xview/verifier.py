@@ -8,21 +8,21 @@ on the sources in route A's state: each edit is undone in place, the view is
 checked against the directly updated instance, and the edit is redone.  A
 probe re-checks only the tuples the undone edit reaches, read off an index
 of that store and view built once per verification, so a verification
-costs a few evaluations, not one per edit.  An undone deletion puts back
-the logged subtree itself at a place read off its parent's child list
-before route A's plan ran.  Both oracles are independent of the translation
-path they judge: they only evaluate, apply and compare.  The two update
-routes are computed once per verification, and every oracle reads them
-from that one record.
+costs a few evaluations, not one per edit; route A's view is read off the
+same index.  An undone deletion puts back the logged subtree itself at a
+place read off its parent's child list before route A's plan ran.  Both
+oracles are independent of the translation path they judge: they only
+evaluate, apply and compare.  The two update routes are computed once per
+verification, and every oracle reads them from that one record.
 
 A verification copies neither the store nor a view.  Route B updates the
 instance evaluated on the sources.  Route A applies the source update to
-the sources themselves and reads its view as wrapper shells over the
-uncopied rows; once correctness and minimality are judged, every edited
-parent gets back the very child list it held, and the lemma suite reads
-the restored sources.  The put-back is exact because execution and
-insertion always give a parent a new list, and the probes' in-place undo
-and redo touch only those new lists.
+the sources themselves and reads its view off the probe index, as wrapper
+shells over the shown tuples' uncopied rows; once correctness and
+minimality are judged, every edited parent gets back the very child list
+it held, and the lemma suite reads the restored sources.  The put-back is
+exact because execution and insertion always give a parent a new list,
+and the probes' in-place undo and redo touch only those new lists.
 """
 
 from __future__ import annotations
@@ -103,7 +103,7 @@ class _Routes:
     planned and applied on ``store`` itself, whose planned target ids
     (``touched``), edit log and deleted children's restore points
     (``restore``, see ``_restore_points``) are kept, and the view on the
-    updated store is read as wrapper shells over the uncopied rows.  Route
+    updated store is read off ``index`` as wrapper shells (``_shell``).  Route
     B (``via_view``) is update(view(sources)): the view update is applied
     to the evaluation of the view on the sources, which edits its tree but
     not its tuples, so those stay the view's tuples on the sources.  The
@@ -122,6 +122,7 @@ class _Routes:
     restore: dict[int, int]
     via_source: ViewInstance
     via_view: ViewInstance
+    index: _ProbeIndex
 
 
 @contextlib.contextmanager
@@ -144,6 +145,9 @@ def _compute_routes(
     touched = frozenset(op.target.node_id for op in plan)
     restore = _restore_points(plan)
     with _executed(plan) as log:
+        index = _ProbeIndex(view, store)
+        tuples = list(itertools.compress(index.tuples, index.shown))
+        root = XmlTree(view.view_root, children=[_shell(view, t) for t in tuples])
         yield _Routes(
             view,
             view_update,
@@ -152,8 +156,9 @@ def _compute_routes(
             touched,
             log,
             restore,
-            _shell_view(view, store),
+            ViewInstance(root, tuples),
             via_view,
+            index,
         )
 
 
@@ -173,16 +178,9 @@ def _executed(plan: list[PlannedOp]) -> Iterator[list[Edit]]:
             parent.children = children
 
 
-def _shell_view(view: ViewDef, store: DocumentStore) -> ViewInstance:
-    """The view on ``store``, each wrapper a fresh shell over its tuple's
-    uncopied row (``row_trees``): value-equal to ``evaluate_view``'s
-    instance, and read only."""
-    holds = condition_test(view.conditions, view.bindings)
-    tuples = [t for t in enumerate_bindings(view.bindings, store) if holds(t)]
-    shells = [
-        XmlTree(view.wrapper, children=row_trees(view.returns, t)) for t in tuples
-    ]
-    return ViewInstance(XmlTree(view.view_root, children=shells), tuples)
+def _shell(view: ViewDef, tup: ForTuple) -> XmlTree:
+    """A read-only wrapper over a tuple's uncopied row, as ``build_etree``'s."""
+    return XmlTree(view.wrapper, children=row_trees(view.returns, tup))
 
 
 def verify_translation(
@@ -250,19 +248,16 @@ def check_minimality(routes: _Routes) -> tuple[bool, Optional[Edit]]:
     the directly updated instance, and a probe matches exactly when undoing
     its edit leaves route A's view unchanged.  An undo changes one parent's
     child list, so a probe re-checks only the tuples that reach that parent
-    (see ``_ProbeIndex``), not the whole view.  The redo replays the edit
-    onto a store holding just that parent, so finding the parent reads one
-    node.  An empty log is trivially minimal.
+    (read off ``routes.index``, as route A's view was), not the whole view.
+    The redo replays the edit onto a store holding just that parent, so
+    finding the parent reads one node.  An empty log is trivially minimal.
     """
-    if not routes.log:
-        return True, None
-    index = _ProbeIndex(routes.view, routes.store)
     wrappers = routes.via_view.tree.children or []
     for edit in routes.log:
-        parent = index.nodes[edit.parent_id]
+        parent = routes.index.nodes[edit.parent_id]
         moved = _undo(edit, parent, routes.restore)
         try:
-            same = index.unchanged_without(edit, parent, moved, wrappers)
+            same = routes.index.unchanged_without(edit, parent, moved, wrappers)
         finally:
             redo = DocumentStore()
             redo.add("parent", parent)
@@ -326,7 +321,7 @@ class _ProbeIndex:
     """Route A's store and view, indexed so that a probe re-checks only the
     tuples its undone edit reaches.
 
-    Built once per verification, on the store with every edit applied: the
+    Built with route A's view, on the store with every edit applied: the
     node-id and parent maps; each binding level's partial tuples, keyed by
     the node that level's path is evaluated from; and every enumerated
     tuple with its condition flag, its row number and the ids of the nodes
@@ -554,8 +549,8 @@ def _lemma2(routes: _Routes, case: Case) -> bool:
 
 def _lemma3(routes: _Routes) -> bool:
     """L3 on each of route B's tuples, those of the view on the sources:
-    the view atom is tested on a wrapper shell over the tuple's uncopied
-    row on ``routes.store``, value-equal to the wrapper evaluation built."""
+    the view atom is tested on the tuple's ``_shell`` over its uncopied row
+    on ``routes.store``, value-equal to the wrapper evaluation built."""
     abstract = abstract_form(routes.view_update)
     # relative to the wrapper node, bound to the variable "w"
     view_atom = PathEqString(("w", abstract.cond_path.steps[2:]), abstract.cond_value)
@@ -564,9 +559,7 @@ def _lemma3(routes: _Routes) -> bool:
     source = routes.source_update
     source_holds = condition_test(source.conditions, source.bindings)
     view_holds = condition_test((view_atom,), ())
-    view = routes.view
     for tup in routes.via_view.tuples:
-        shell = XmlTree(view.wrapper, children=row_trees(view.returns, tup))
-        if source_holds(tup) != view_holds({"w": shell}):
+        if source_holds(tup) != view_holds({"w": _shell(routes.view, tup)}):
             return False
     return True

@@ -111,8 +111,13 @@ def test_malformed_payload_exits_with_parse_error(tmp_path, capsys, action):
 
 @pytest.mark.parametrize(
     "argv",
-    [["eval"], ["fuzz", "--seed", "x", "--count", "1"], ["bogus"]],
-    ids=["missing-option", "bad-option-value", "unknown-command"],
+    [
+        ["eval"],
+        ["fuzz", "--seed", "x", "--count", "1"],
+        ["fuzz", "--seed", "1", "--count", "-3"],
+        ["bogus"],
+    ],
+    ids=["missing-option", "bad-option-value", "negative-count", "unknown-command"],
 )
 def test_usage_error_exits_with_parse_error(argv, capsys):
     with pytest.raises(SystemExit) as exc:

@@ -473,8 +473,9 @@ def _own_routes(view: ViewDef, stmt: UpdateStatement, store: DocumentStore):
     with verifier._executed(plan) as log:
         via_source = evaluate_view(view, store)
         own = ViewInstance(copy_tree(via_source.tree), via_source.tuples)
+        index = verifier._ProbeIndex(view, store)
         yield _Routes(
-            view, stmt, stmt, store, frozenset(), log, restore, via_source, own
+            view, stmt, stmt, store, frozenset(), log, restore, via_source, own, index
         )
 
 
@@ -673,9 +674,10 @@ def test_probe_places_a_restored_tuple_in_nested_loop_order():
 
 
 def test_minimality_checks_grow_linearly_with_the_document(monkeypatch):
-    # a T4 root deletion of half the items: one check per tuple to build the
-    # index and one per restored item, where re-checking every tuple per
-    # probe would grow with the square of the document
+    # a T4 root deletion of half the items: one check per restored item
+    # (the index is built with route A's view, before the check), where
+    # re-checking every tuple per probe would grow with the square of the
+    # document
     view = parse_view_def('<v>{for x in doc("s")/R/A return <e>{x/C}{x/T}</e>}</v>')
     dv = parse_update('for u in v where u/e/C="1" update u ( delete e )')
     out = translate(view, dv)
@@ -699,12 +701,48 @@ def test_minimality_checks_grow_linearly_with_the_document(monkeypatch):
         store = _single_doc_store(f"<R>{doc}</R>")
         with _compute_routes(view, dv, out.statement, store) as routes:
             assert len(routes.log) == items // 2
-            # count the minimality check's tests only, not route A's own
+            # count the minimality check's tests only, not the index's
             monkeypatch.setattr(verifier, "condition_test", counting_test)
             calls.append(0)
             assert check_minimality(routes) == (True, None)
             monkeypatch.setattr(verifier, "condition_test", prepare)
     assert 0 < calls[1] <= 5 * calls[0]
+
+
+def test_route_a_view_and_probe_index_share_one_enumeration(monkeypatch):
+    # from route A's execution to the end of the minimality check, the
+    # view's first binding is enumerated once, for the probe index that
+    # route A's view is read off; the check builds no index of its own
+    view = parse_view_def('<v>{for x in doc("s")/R/A return <e>{x/C}{x/T}</e>}</v>')
+    dv = parse_update('for u in v where u/e/C="1" update u ( delete e )')
+    out = translate(view, dv)
+    assert isinstance(out, Translated) and out.case is Case.T4
+    doc = "".join(f"<A><C>{1 + i % 2}</C><T><W>w{i}</W></T></A>" for i in range(160))
+    first = view.bindings[0]
+    events: list[str] = []
+
+    def record(name, counted=lambda *args: True):
+        # "name" on entry if counted, "/name" on every exit
+        func = getattr(verifier, name)
+
+        def recorded(*args):
+            if counted(*args):
+                events.append(name)
+            result = func(*args)
+            events.append("/" + name)
+            return result
+
+        monkeypatch.setattr(verifier, name, recorded)
+
+    record("enumerate_bindings", lambda bindings, _store: bindings[0] == first)
+    record("bind_level", lambda binding, *_: binding == first)
+    for name in ("execute_plan", "_ProbeIndex", "check_minimality"):
+        record(name)
+    store = _single_doc_store(f"<R>{doc}</R>")
+    assert verify_translation(view, dv, out.statement, store).precise
+    window = events[events.index("/execute_plan") : events.index("/check_minimality")]
+    assert sum(e in ("enumerate_bindings", "bind_level") for e in window) == 1
+    assert "_ProbeIndex" not in window[window.index("check_minimality") :]
 
 
 # ----------------------------------------------------------------------
@@ -739,6 +777,7 @@ def _copying_verify(
         restore,
         via_source,
         via_view,
+        verifier._ProbeIndex(view, updated),
     )
     correct, diff = check_correctness(on_copy)
     minimal, witness = False, None
