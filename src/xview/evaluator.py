@@ -2,9 +2,10 @@
 
 Evaluation follows nested-loop semantics: each for-clause binding
 enumerates, in document order, the subtrees its path locates within the
-context fixed by the earlier bindings.  Every condition-satisfying tuple
-yields exactly one wrapper tree under the view root, built from fresh-id
-copies of the trees its return expressions locate.
+context node ``binding_scope`` names, located once per distinct such node
+(not once per partial tuple).  Every condition-satisfying tuple yields
+exactly one wrapper tree under the view root, built from fresh-id copies of
+the trees its return expressions locate.
 
 The where clause is tested per pass: ``condition_test`` prepares it once
 for the tuples of one for-clause, and for a clause of several bindings,
@@ -31,7 +32,6 @@ from .lang import (
 from .xml_model import (
     DocRoot,
     DocumentStore,
-    QualifiedPath,
     VarRoot,
     XmlTree,
     copy_tree,
@@ -59,28 +59,23 @@ class ViewInstance:
     tuples: list[ForTuple]  # the condition-satisfying tuples, in order
 
 
-def _doc_root(source: QualifiedPath, store: DocumentStore) -> XmlTree:
-    if not isinstance(source.root, DocRoot):
-        raise LevelMismatch("this statement must be document-rooted")
-    tree = store.get(source.root.doc)
-    if tree.label != source.steps[0]:
-        raise RootLabelMismatch(
-            f"document {source.root.doc!r} has root {tree.label!r}, "
-            f"path starts with {source.steps[0]!r}"
-        )
-    return tree
-
-
 def binding_scope(
     binding: Binding, store: DocumentStore
 ) -> tuple[Callable[[ForTuple], XmlTree], tuple[str, ...]]:
-    """Where a binding's path is evaluated from, as ``bind_level`` reads it:
-    a function from the partial tuple of the earlier bindings to the context
+    """Where a binding's path is evaluated from, as every reader takes it: a
+    function from the partial tuple of the earlier bindings to the context
     node, and the path's steps below that node."""
     source = binding.source
     if isinstance(source.root, VarRoot):
         return operator.itemgetter(source.root.var), source.steps
-    root = _doc_root(source, store)
+    if not isinstance(source.root, DocRoot):
+        raise LevelMismatch("this statement must be document-rooted")
+    root = store.get(source.root.doc)
+    if root.label != source.steps[0]:
+        raise RootLabelMismatch(
+            f"document {source.root.doc!r} has root {root.label!r}, "
+            f"path starts with {source.steps[0]!r}"
+        )
     return (lambda _partial: root), source.steps[1:]
 
 
@@ -88,20 +83,21 @@ def bind_level(
     binding: Binding, partials: list[ForTuple], store: DocumentStore
 ) -> list[ForTuple]:
     """One level of the nested loop: extend each partial tuple, in order, by
-    every node the binding's path locates from its context."""
+    every node the binding's path locates from its ``binding_scope`` context,
+    located once per distinct context node."""
     if not partials:
         return []
-    source, var = binding.source, binding.var
-    relative = isinstance(source.root, VarRoot)
-    if relative:
-        context, steps = source.root.var, source.steps
-    else:  # a document-rooted path locates the same nodes for every partial
-        nodes = locate(_doc_root(source, store), source.steps[1:])
+    context, steps = binding_scope(binding, store)
+    located: dict[XmlTree, list[XmlTree]] = {}
     expanded: list[ForTuple] = []
     for partial in partials:
-        for node in locate(partial[context], steps) if relative else nodes:
+        ctx = context(partial)
+        nodes = located.get(ctx)
+        if nodes is None:
+            nodes = located[ctx] = locate(ctx, steps)
+        for node in nodes:
             assignment = dict(partial)
-            assignment[var] = node
+            assignment[binding.var] = node
             expanded.append(assignment)
     return expanded
 

@@ -183,6 +183,7 @@ _PUNCT = "<>{}()/,=$"
 # and \w match what str.isspace and str.isalnum accept (and "_"); a word
 # whose first character is not a letter or "_" is rejected by the lexer.
 _TOKEN = re.compile(r'\s*(?:("[^"]*")|(\.\.|[' + re.escape(_PUNCT) + r"])|(\w+))?")
+_CALL = re.compile(r"\s*\(")
 
 
 class _Lexer:
@@ -269,7 +270,9 @@ def _parse_step_names(lx: _Lexer) -> tuple[str, ...]:
 
 def _parse_binding_source(lx: _Lexer, bound: set[str], level: str) -> QualifiedPath:
     kind, value, pos = lx.peek()
-    if kind == "name" and value == "doc":
+    # doc( and view( call the root functions; a bare doc or view is a name
+    call = kind == "name" and _CALL.match(lx.text, lx.pos) is not None
+    if call and value == "doc":
         lx.next()
         lx.expect("punct", "(")
         doc = lx.expect("str")
@@ -278,7 +281,7 @@ def _parse_binding_source(lx: _Lexer, bound: set[str], level: str) -> QualifiedP
         if not steps:
             raise QuerySyntaxError(f"doc({doc!r}) must be followed by a path")
         return QualifiedPath(DocRoot(doc), _check_path(steps, "binding path"))
-    if kind == "name" and value == "view" and level == "update":
+    if call and value == "view" and level == "update":
         lx.next()
         lx.expect("punct", "(")
         name = lx.expect("name")

@@ -214,17 +214,15 @@ def _source_applications(
 ) -> Iterator[tuple[XmlTree, XmlTree]]:
     """Per condition-satisfying for-clause tuple, act on every target tree.
 
-    Yields (target, parent) pairs, as ``_resolve`` takes them.  A parent
-    step is read off the paths: ``x/M/T/..`` reaches the ``M`` nodes with a
-    ``T`` child, and ``x/..`` (or a binding deletion) the parent of the node
-    bound to ``x``.
+    Yields (target, parent) pairs, as ``_resolve`` takes them, for the trees
+    ``target_trees`` reaches; but ``x/..`` (or a binding deletion) reaches
+    the parent of the node bound to ``x``, read off its binding path.
     """
-    tuples = enumerate_bindings(stmt.bindings, store)
     holds = condition_test(stmt.conditions, stmt.bindings)
     action, target = stmt.action, stmt.target
     deletes_binding = isinstance(action, DeleteBinding)
     parent_of = None  # built at the first tuple that needs it
-    for tup in tuples:
+    for tup in enumerate_bindings(stmt.bindings, store):
         if not holds(tup):
             continue
         if deletes_binding or (target.parent_step and not target.path):
@@ -240,13 +238,18 @@ def _source_applications(
                 )
             yield (tup[var] if deletes_binding else parent), parent
             continue
-        context, path = tup[target.var], target.path
-        if target.parent_step:
-            nodes = [n for n in locate(context, path[:-1]) if locate(n, path[-1:])]
-        else:
-            nodes = locate(context, path)
-        for node in nodes:
+        for node in target_trees(target, tup):
             yield node, node
+
+
+def target_trees(target: UpdateTarget, tup: ForTuple) -> list[XmlTree]:
+    """The trees ``target`` reaches in one tuple: those its path locates from
+    its variable's node; for ``x/M/T/..`` the ``M`` nodes with a ``T`` child,
+    and for ``x/..`` just ``[x]`` (the tuple does not hold x's parent)."""
+    context, path = tup[target.var], target.path
+    if target.parent_step and path:
+        return [n for n in locate(context, path[:-1]) if locate(n, path[-1:])]
+    return locate(context, path)
 
 
 def _resolve(target: XmlTree, parent: XmlTree, action) -> list[Edit]:

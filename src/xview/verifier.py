@@ -59,6 +59,7 @@ from .updater import (
     execute_plan,
     plan_update,
     replay_edits,
+    target_trees,
 )
 from .xml_model import (
     DocumentStore,
@@ -206,23 +207,26 @@ def verify_translation(
     return VerificationReport(correct, diff, minimal, witness, lemmas)
 
 
-def tree_diff(a: XmlTree, b: XmlTree, path: str = "") -> Optional[dict]:
-    """First divergence between two trees, or None when value-equal."""
-    here = path + a.label
-    if a.label != b.label or a.is_text != b.is_text:
-        return {"path": here, "left": serialize(a), "right": serialize(b)}
-    if a.is_text:
-        if a.text != b.text:
-            return {"path": here, "left": serialize(a), "right": serialize(b)}
+def tree_diff(a: XmlTree, b: XmlTree) -> Optional[dict]:
+    """First divergence between two trees, or None when ``value_equal``:
+    while two nodes agree above their children (``_bare``), walk into their
+    first child pair that is not value-equal; report the first pair that
+    disagrees itself, with the left tree's path to it (``v[0]/e[1]/B``)."""
+    if value_equal(a, b):
         return None
-    ac, bc = a.children or [], b.children or []
-    if len(ac) != len(bc):
-        return {"path": here, "left": serialize(a), "right": serialize(b)}
-    for i, (x, y) in enumerate(zip(ac, bc)):
-        d = tree_diff(x, y, f"{here}[{i}]/")
-        if d is not None:
-            return d
-    return None
+    path = a.label
+    while value_equal(_bare(a), _bare(b)):
+        pairs = enumerate(zip(a.children, b.children))
+        i, (a, b) = next(p for p in pairs if not value_equal(*p[1]))
+        path = f"{path}[{i}]/{a.label}"
+    return {"path": path, "left": serialize(a), "right": serialize(b)}
+
+
+def _bare(t: XmlTree) -> XmlTree:
+    """``t`` with each child replaced by one shared empty element."""
+    empty = XmlTree("", children=[], node_id=0)
+    kids = None if t.children is None else [empty] * len(t.children)
+    return XmlTree(t.label, t.text, kids, node_id=t.node_id)
 
 
 def check_correctness(routes: _Routes) -> tuple[bool, Optional[dict]]:
@@ -514,22 +518,15 @@ def run_lemma_suite(routes: _Routes, case: Case) -> list[tuple[str, bool]]:
 
 
 def _lemma1(routes: _Routes) -> bool:
-    source_update, touched = routes.source_update, routes.touched
-    target = source_update.target
-    tuples = enumerate_bindings(source_update.bindings, routes.store)
-    for tup in tuples:
-        if isinstance(source_update.action, DeleteBinding):
-            ids = {tup[source_update.action.var].node_id}
-        elif target.parent_step and target.path:
-            # x/M/T/.. reaches the M nodes that have a T child
-            ids = {
-                n.node_id
-                for n in locate(tup[target.var], target.path[:-1])
-                if locate(n, target.path[-1:])
-            }
+    """L1: per tuple on the sources, the plan touches all or none of the
+    trees ``target_trees`` reaches, or, for a binding deletion, the binding."""
+    update = routes.source_update
+    for tup in enumerate_bindings(update.bindings, routes.store):
+        if isinstance(update.action, DeleteBinding):
+            ids = {tup[update.action.var].node_id}
         else:
-            ids = {n.node_id for n in locate(tup[target.var], target.path)}
-        hit = ids & touched
+            ids = {n.node_id for n in target_trees(update.target, tup)}
+        hit = ids & routes.touched
         if hit and hit != ids:
             return False
     return True

@@ -7,13 +7,15 @@ import random
 import pytest
 
 from xview.errors import RootLabelMismatch, UnknownDocument
+from xview import evaluator
 from xview.evaluator import (
+    bind_level,
     build_etree,
     enumerate_bindings,
     eval_condition,
     evaluate_view,
 )
-from xview.fuzzgen import gen_t1, gen_t2
+from xview.fuzzgen import gen_t1, gen_t2, random_case
 from xview.lang import parse_update, parse_view_def
 from xview.updater import apply_update, plan_update
 from xview.xml_model import (
@@ -22,10 +24,11 @@ from xview.xml_model import (
     locate,
     parse_document,
     serialize,
+    VarRoot,
     string_value,
     value_equal,
 )
-from .conftest import D1_NO_B_XML, EX1_VIEW
+from .conftest import BKINF_XML, D1_NO_B_XML, EX1_VIEW, QBK_VIEW, SUBJINF_XML
 
 
 def _brute_force_tuples(view, store):
@@ -363,3 +366,90 @@ def test_plan_update_on_a_join_matches_per_tuple_conditions():
         assert [op.target.node_id for op in plan] == expected
         planned_any += bool(plan)
     assert planned_any
+
+
+# ----------------------------------------------------------------------
+# One locate per distinct context node
+
+
+def _per_partial_bind_level(binding, partials, store):
+    """The reference: ``bind_level`` as it was before it located a path once
+    per distinct context node.  A document-rooted path is located once, a
+    relative one afresh for every partial tuple."""
+    if not partials:
+        return []
+    source, var = binding.source, binding.var
+    relative = isinstance(source.root, VarRoot)
+    if relative:
+        context, steps = source.root.var, source.steps
+    else:
+        root = store.get(source.root.doc)
+        assert root.label == source.steps[0]
+        nodes = locate(root, source.steps[1:])
+    expanded = []
+    for partial in partials:
+        for node in locate(partial[context], steps) if relative else nodes:
+            assignment = dict(partial)
+            assignment[var] = node
+            expanded.append(assignment)
+    return expanded
+
+
+def _bind_level_views():
+    """The books join and the views of fuzzgen's cases for seeds 0-19."""
+    store = DocumentStore()
+    store.add("bkInf.xml", parse_document(BKINF_XML))
+    store.add("subjInf.xml", parse_document(SUBJINF_XML))
+    yield parse_view_def(QBK_VIEW), store
+    for seed in range(20):
+        case = random_case(random.Random(seed))
+        yield case.view, case.store
+
+
+def _same_tuples(got, want) -> bool:
+    """Equal tuple lists: the same variables in the same order, bound to
+    the very same nodes, tuple for tuple."""
+    return len(got) == len(want) and all(
+        list(g) == list(w) and all(g[k] is w[k] for k in w) for g, w in zip(got, want)
+    )
+
+
+def test_bind_level_matches_the_per_partial_reference():
+    levels = 0
+    for view, store in _bind_level_views():
+        partials = [{}]
+        for binding in view.bindings:
+            got = bind_level(binding, partials, store)
+            want = _per_partial_bind_level(binding, partials, store)
+            assert _same_tuples(got, want), binding
+            partials, levels = got, levels + 1
+    assert levels > 21  # some views have several levels
+
+
+def test_bind_level_locates_once_per_distinct_context(monkeypatch):
+    calls = []
+    real_locate = evaluator.locate
+
+    def counting_locate(ctx, names):
+        calls.append(ctx)
+        return real_locate(ctx, names)
+
+    monkeypatch.setattr(evaluator, "locate", counting_locate)
+    shared = 0  # levels where some context node serves several partials
+    for view, store in _bind_level_views():
+        partials = [{}]
+        for binding in view.bindings:
+            root = binding.source.root
+            if not partials:
+                contexts = []
+            elif isinstance(root, VarRoot):
+                contexts = [p[root.var] for p in partials]
+            else:
+                contexts = [store.get(root.doc)]
+            distinct = {id(node) for node in contexts}
+            calls.clear()
+            partials = bind_level(binding, partials, store)
+            assert len(calls) == len(distinct), binding
+            assert {id(node) for node in calls} == distinct
+            shared += len(contexts) > len(distinct)
+    assert shared  # the books join's z binding: two unis, eight partials

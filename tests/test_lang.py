@@ -262,6 +262,27 @@ def test_render_binding_deletion_surface():
     assert parse_update(rendered) == u
 
 
+@pytest.mark.parametrize("var", ["view", "doc"])
+def test_doc_and_view_are_plain_names_unless_a_paren_follows(var):
+    from xview.translator import Case, translate
+
+    view = parse_view_def(
+        f'<v>{{for {var} in doc("s")/R/A, y in {var}/C '
+        f"return <e>{{{var}/B}}{{y/E}}{{y/D}}</e>}}</v>"
+    )
+    assert view.bindings[0].source == QualifiedPath(DocRoot("s"), ("R", "A"))
+    assert view.bindings[1].source == QualifiedPath(VarRoot(var), ("C",))
+    update = parse_update('for r in v/e where r/D="1" update r/E { insert <F>f</F> }')
+    out = translate(view, update)
+    assert out.case is Case.T1
+    rendered = render_update(out.statement)
+    assert rendered.startswith(f'for {var} in doc("s")/R/A, y in {var}/C\n')
+    assert parse_update(rendered) == out.statement
+    # a view called doc or view roots an update's binding by its bare name
+    bare = parse_update(f'for r in {var}/e where r/D="1" update r/E {{ delete F }}')
+    assert bare.bindings[0].source == QualifiedPath(VIEW_ROOT, (var, "e"))
+
+
 def test_normalize_path_chain(ex1_view):
     assert normalize_path(ex1_view, "y", ("D",)) == QualifiedPath(
         DocRoot("r"), ("r", "A", "C", "D")

@@ -36,6 +36,7 @@ from xview.verifier import (
 )
 from xview.xml_model import (
     DocumentStore,
+    XmlTree,
     copy_tree,
     iter_nodes,
     locate,
@@ -224,6 +225,76 @@ def test_tree_diff_reports_first_divergence():
     diff = tree_diff(a, b)
     assert diff is not None and diff["path"].endswith("y")
     assert tree_diff(a, a) is None
+
+
+def _recursive_tree_diff(a, b, path: str = "") -> Optional[dict]:
+    """The reference: ``tree_diff`` as it was when it compared labels,
+    texts and child counts itself and recursed into each child pair."""
+    here = path + a.label
+    if a.label != b.label or a.is_text != b.is_text:
+        return {"path": here, "left": serialize(a), "right": serialize(b)}
+    if a.is_text:
+        if a.text != b.text:
+            return {"path": here, "left": serialize(a), "right": serialize(b)}
+        return None
+    ac, bc = a.children or [], b.children or []
+    if len(ac) != len(bc):
+        return {"path": here, "left": serialize(a), "right": serialize(b)}
+    for i, (x, y) in enumerate(zip(ac, bc)):
+        d = _recursive_tree_diff(x, y, f"{here}[{i}]/")
+        if d is not None:
+            return d
+    return None
+
+
+def _random_tree(rng: random.Random, depth: int = 0) -> XmlTree:
+    """A small tree over few labels and texts, so that sibling swaps and
+    relabelings often leave it value-equal."""
+    label = rng.choice("ABC")
+    if depth == 3 or rng.random() < 0.35:
+        return XmlTree(label, text=rng.choice(["", "1", "2"]))
+    kids = [_random_tree(rng, depth + 1) for _ in range(rng.randint(0, 3))]
+    return XmlTree(label, children=kids)
+
+
+def _mutated(rng: random.Random, tree: XmlTree) -> XmlTree:
+    """A copy of ``tree``, identical or with one mutation at a random node:
+    relabel, change a text, insert or delete a child, swap two siblings, or
+    turn a text leaf into an element."""
+    out = copy_tree(tree)
+    node = rng.choice(list(iter_nodes(out)))
+    kind = rng.choice(
+        ["same", "relabel", "text", "insert", "delete", "swap", "element"]
+    )
+    if kind == "relabel":
+        node.label = rng.choice("ABCD")
+    elif kind == "text" and node.is_text:
+        node.text = rng.choice(["", "1", "2", "3"])
+    elif kind == "element" and node.is_text:
+        node.text, node.children = None, rng.choice([[], [_random_tree(rng, 3)]])
+    elif kind == "insert" and not node.is_text:
+        node.children.insert(
+            rng.randint(0, len(node.children)), _random_tree(rng, 2)
+        )
+    elif kind == "delete" and node.children:
+        del node.children[rng.randrange(len(node.children))]
+    elif kind == "swap" and node.children and len(node.children) > 1:
+        i, j = rng.sample(range(len(node.children)), 2)
+        node.children[i], node.children[j] = node.children[j], node.children[i]
+    return out
+
+
+def test_tree_diff_matches_the_recursive_reference():
+    rng = random.Random(2024)
+    found = 0
+    for _ in range(3000):
+        a = _random_tree(rng)
+        b = _mutated(rng, a)
+        for left, right in ((a, b), (b, a)):
+            want = _recursive_tree_diff(left, right)
+            assert tree_diff(left, right) == want
+            found += want is not None
+    assert found > 2000  # most mutations show
 
 
 def test_generated_cases_pass_both_oracles():
