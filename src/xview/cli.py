@@ -269,6 +269,9 @@ def main(argv=None) -> int:
     except RecursionError:
         print("error: input nested too deeply to process", file=sys.stderr)
         return EXIT_EVAL
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return EXIT_EVAL
 
 
 if __name__ == "__main__":

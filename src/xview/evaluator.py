@@ -157,18 +157,23 @@ def condition_test(
     bound node and kept for the test's lifetime, so the store must not be
     edited while the test is in use: build one per pass.  With one binding
     every tuple binds a distinct node, so nothing is kept and the values
-    are read afresh per tuple.
+    are read afresh per tuple: a path=string atom compares each located
+    subtree's string value with the literal and stops at the first match,
+    building no set; a path=path atom intersects the two sides' value sets.
     """
     if len(bindings) <= 1:
 
         def test(tup: ForTuple) -> bool:
             for atom in atoms:
                 var, names = atom.lhs
-                lhs = _located_values(tup[var], names)
                 if isinstance(atom, PathEqString):
-                    if atom.value not in lhs:
+                    for node in locate(tup[var], names):
+                        if string_value(node) == atom.value:
+                            break
+                    else:  # no located subtree holds the literal
                         return False
                 else:
+                    lhs = _located_values(tup[var], names)
                     var, names = atom.rhs
                     if lhs.isdisjoint(_located_values(tup[var], names)):
                         return False

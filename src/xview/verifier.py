@@ -9,8 +9,9 @@ checked against the directly updated instance, and the edit is redone.  A
 probe re-checks only the tuples the undone edit reaches, read off an index
 of that store and view built once per verification, so a verification
 costs a few evaluations, not one per edit; route A's view is read off the
-same index.  An undone deletion puts back the logged subtree itself at a
-place read off its parent's child list before route A's plan ran.  Both
+same index, whose probe-only parts are built only when there is an edit.
+An undone deletion puts back the logged subtree itself at a place read off
+its parent's child list before route A's plan ran.  Both
 oracles are independent of the translation path they judge: they only
 evaluate, apply and compare.  The two update routes are computed once per
 verification, and every oracle reads them from that one record.
@@ -22,7 +23,10 @@ shells over the shown tuples' uncopied rows; once correctness and
 minimality are judged, every edited parent gets back the very child list
 it held, and the lemma suite reads the restored sources.  The put-back is
 exact because execution and insertion always give a parent a new list,
-and the probes' in-place undo and redo touch only those new lists.
+and the probes' in-place undo and redo touch only those new lists.  L3
+builds no wrapper either: route B tests the view update's condition on
+each wrapper it evaluated before the view update edits them, and L3 reads
+those flags.
 """
 
 from __future__ import annotations
@@ -54,7 +58,6 @@ from .updater import (
     PlannedOp,
     _deletions,
     abstract_form,
-    apply_update,
     edit_to_json,
     execute_plan,
     plan_update,
@@ -107,11 +110,14 @@ class _Routes:
     updated store is read off ``index`` as wrapper shells (``_shell``).  Route
     B (``via_view``) is update(view(sources)): the view update is applied
     to the evaluation of the view on the sources, which edits its tree but
-    not its tuples, so those stay the view's tuples on the sources.  The
-    routes are valid while ``_compute_routes`` holds ``store`` in route A's
-    state; the minimality check probes there and leaves it holding the same
-    nodes as before.  Afterwards ``store`` holds the sources again, and
-    ``via_source``'s tuples and ``via_view`` still read as computed.
+    not its tuples, so those stay the view's tuples on the sources;
+    ``view_holds[i]`` says whether the view update's condition atom holds on
+    the i-th wrapper of that evaluation, tested before the update edits it
+    (``_condition_flags``).  The routes are valid while ``_compute_routes``
+    holds ``store`` in route A's state; the minimality check probes there
+    and leaves it holding the same nodes as before.  Afterwards ``store``
+    holds the sources again, and ``via_source``'s tuples, ``via_view`` and
+    ``view_holds`` still read as computed.
     """
 
     view: ViewDef
@@ -123,6 +129,7 @@ class _Routes:
     restore: dict[int, int]
     via_source: ViewInstance
     via_view: ViewInstance
+    view_holds: list[bool]
     index: _ProbeIndex
 
 
@@ -138,11 +145,13 @@ def _compute_routes(
     node for node and child list for child list.
 
     Every step that can fail runs before the first edit lands: the source
-    update's plan, then the view's evaluation, then the view update.
+    update's plan, then the view's evaluation, then the view update's plan.
     """
     plan = plan_update(source_update, store)
     via_view = evaluate_view(view, store)
-    apply_update(view_update, via_view)
+    view_plan = plan_update(view_update, via_view)
+    view_holds = _condition_flags(view_update, via_view)
+    execute_plan(view_plan)
     touched = frozenset(op.target.node_id for op in plan)
     restore = _restore_points(plan)
     with _executed(plan) as log:
@@ -159,6 +168,7 @@ def _compute_routes(
             restore,
             ViewInstance(root, tuples),
             via_view,
+            view_holds,
             index,
         )
 
@@ -182,6 +192,19 @@ def _executed(plan: list[PlannedOp]) -> Iterator[list[Edit]]:
 def _shell(view: ViewDef, tup: ForTuple) -> XmlTree:
     """A read-only wrapper over a tuple's uncopied row, as ``build_etree``'s."""
     return XmlTree(view.wrapper, children=row_trees(view.returns, tup))
+
+
+def _condition_flags(
+    view_update: UpdateStatement, instance: ViewInstance
+) -> list[bool]:
+    """Per wrapper of an instance the update has not edited yet, whether the
+    view update's condition atom holds on it, read relative to the wrapper:
+    ``w/<the condition path below the wrapper step>``."""
+    abstract = abstract_form(view_update)
+    # relative to the wrapper node, bound to the variable "w"
+    atom = PathEqString(("w", abstract.cond_path.steps[2:]), abstract.cond_value)
+    holds = condition_test((atom,), ())
+    return [holds({"w": wrapper}) for wrapper in instance.tree.children or ()]
 
 
 def verify_translation(
@@ -254,9 +277,12 @@ def check_minimality(routes: _Routes) -> tuple[bool, Optional[Edit]]:
     child list, so a probe re-checks only the tuples that reach that parent
     (read off ``routes.index``, as route A's view was), not the whole view.
     The redo replays the edit onto a store holding just that parent, so
-    finding the parent reads one node.  An empty log is trivially minimal.
+    finding the parent reads one node.  An empty log is trivially minimal,
+    and the index's probe-only parts are built only when there is an edit.
     """
     wrappers = routes.via_view.tree.children or []
+    if routes.log:
+        routes.index.prepare_probes()
     for edit in routes.log:
         parent = routes.index.nodes[edit.parent_id]
         moved = _undo(edit, parent, routes.restore)
@@ -325,12 +351,14 @@ class _ProbeIndex:
     """Route A's store and view, indexed so that a probe re-checks only the
     tuples its undone edit reaches.
 
-    Built with route A's view, on the store with every edit applied: the
-    node-id and parent maps; each binding level's partial tuples, keyed by
-    the node that level's path is evaluated from; and every enumerated
-    tuple with its condition flag, its row number and the ids of the nodes
-    it binds.  Undoing an edit changes one parent P's child list.  Only
-    three sets of tuples can then differ, and a probe re-evaluates those:
+    Built with route A's view, on the store with every edit applied: each
+    binding level's partial tuples, and every enumerated tuple with its
+    condition flag.  ``prepare_probes`` adds what only probes read, so a
+    verification with nothing to probe builds none of it: the node-id and
+    parent maps; the partials keyed by the node their level's path is
+    evaluated from; and each tuple's row number and the ids of the nodes it
+    binds.  Undoing an edit changes one parent P's child list.  Only three
+    sets of tuples can then differ, and a probe re-evaluates those:
 
     - tuples that appear because a binding path runs through P to a
       restored child (the indexed partials, extended through that child and
@@ -344,9 +372,20 @@ class _ProbeIndex:
 
     def __init__(self, view: ViewDef, store: DocumentStore) -> None:
         self.view, self.store = view, store
+        # levels[i]: the partial tuples binding i extends
+        self.levels: list[list[ForTuple]] = [[{}]]
+        for binding in view.bindings:
+            self.levels.append(bind_level(binding, self.levels[-1], store))
+        self.tuples = self.levels[-1]
+        holds = condition_test(view.conditions, view.bindings)
+        self.shown = [holds(t) for t in self.tuples]
+
+    def prepare_probes(self) -> None:
+        """Build the parts only probes read, on the store in route A's state,
+        as the index was built on it."""
         self.nodes: dict[int, XmlTree] = {}
         self.parents: dict[int, XmlTree] = {}
-        for root in store.docs.values():
+        for root in self.store.docs.values():
             for node in iter_nodes(root):
                 self.nodes[node.node_id] = node
                 for child in node.children or ():
@@ -354,21 +393,16 @@ class _ProbeIndex:
         # (level, context id) -> partial tuples; level -> path steps
         self.partials: dict[tuple[int, int], list[ForTuple]] = {}
         self.steps: dict[int, tuple[str, ...]] = {}
-        level: list[ForTuple] = [{}]
-        for i, binding in enumerate(view.bindings):
+        for i, (binding, level) in enumerate(zip(self.view.bindings, self.levels)):
             if level:
-                context, self.steps[i] = binding_scope(binding, store)
+                context, self.steps[i] = binding_scope(binding, self.store)
                 for partial in level:
                     key = (i, context(partial).node_id)
                     self.partials.setdefault(key, []).append(partial)
-            level = bind_level(binding, level, store)
-        self.tuples = level
-        holds = condition_test(view.conditions, view.bindings)
-        self.shown = [holds(t) for t in level]
         # rows_before[t]: rows shown by the tuples before t (t's row number)
         self.rows_before = list(itertools.accumulate(self.shown, initial=0))
         self.binders: dict[int, list[int]] = {}
-        for t, tup in enumerate(level):
+        for t, tup in enumerate(self.tuples):
             for node in tup.values():
                 self.binders.setdefault(node.node_id, []).append(t)
 
@@ -545,18 +579,14 @@ def _lemma2(routes: _Routes, case: Case) -> bool:
 
 
 def _lemma3(routes: _Routes) -> bool:
-    """L3 on each of route B's tuples, those of the view on the sources:
-    the view atom is tested on the tuple's ``_shell`` over its uncopied row
-    on ``routes.store``, value-equal to the wrapper evaluation built."""
-    abstract = abstract_form(routes.view_update)
-    # relative to the wrapper node, bound to the variable "w"
-    view_atom = PathEqString(("w", abstract.cond_path.steps[2:]), abstract.cond_value)
+    """L3 on each of route B's tuples, those of the view on the sources: the
+    emitted where clause, tested on the restored sources, against the view
+    atom's flag on the tuple's wrapper (``_Routes.view_holds``), which route
+    B evaluated as a value-equal copy of the tuple's row and tested before
+    the view update edited it; no wrapper is built here."""
     # a translated statement keeps the view's for-clause, so each view tuple
     # binds every variable its where clause reads
     source = routes.source_update
     source_holds = condition_test(source.conditions, source.bindings)
-    view_holds = condition_test((view_atom,), ())
-    for tup in routes.via_view.tuples:
-        if source_holds(tup) != view_holds({"w": _shell(routes.view, tup)}):
-            return False
-    return True
+    pairs = zip(routes.via_view.tuples, routes.view_holds, strict=True)
+    return all(source_holds(tup) == held for tup, held in pairs)

@@ -73,17 +73,23 @@ def text_leaf(label: str, text: str) -> XmlTree:
 def value_equal(a: XmlTree, b: XmlTree) -> bool:
     """True iff the identifier-free value trees of ``a`` and ``b`` are identical.
 
-    Comparison is ordered and recursive: label, content kind, text, child
-    count and child order must all agree.
+    Comparison is ordered: label, content kind, text, child count and child
+    order must all agree.  The walk keeps its own stack of node pairs, so
+    trees of any depth are compared without recursion.
     """
-    if a.label != b.label or a.is_text != b.is_text:
-        return False
-    if a.is_text:
-        return a.text == b.text
-    ac, bc = a.children or [], b.children or []
-    if len(ac) != len(bc):
-        return False
-    return all(value_equal(x, y) for x, y in zip(ac, bc))
+    stack = [(a, b)]
+    while stack:
+        a, b = stack.pop()
+        # a text leaf's text is a string and an element's is None, so equal
+        # texts also mean the same content kind
+        if a.label != b.label or a.text != b.text:
+            return False
+        ac, bc = a.children, b.children
+        if ac is not None:
+            if len(ac) != len(bc):
+                return False
+            stack.extend(zip(ac, bc))
+    return True
 
 
 def copy_tree(t: XmlTree, preserve_ids: bool = False) -> XmlTree:
@@ -91,13 +97,32 @@ def copy_tree(t: XmlTree, preserve_ids: bool = False) -> XmlTree:
 
     With ``preserve_ids`` the copy reuses the original identifiers (used
     for snapshotting a store before edits).  Otherwise fresh identifiers
-    are assigned.
+    are assigned in document (preorder) order.  The walk keeps a stack of
+    child iterators, one per open element, so a tree of any depth is copied
+    without recursion.
     """
-    node_id = t.node_id if preserve_ids else fresh_id()
-    if t.is_text:
-        return XmlTree(t.label, text=t.text, node_id=node_id)
-    kids = [copy_tree(c, preserve_ids) for c in t.children or []]
-    return XmlTree(t.label, children=kids, node_id=node_id)
+    counter = _COUNTER
+    node_id = t.node_id if preserve_ids else next(counter)
+    if t.children is None:
+        return XmlTree(t.label, t.text, None, node_id)
+    top = XmlTree(t.label, None, [], node_id)
+    stack = [(iter(t.children), top.children)]
+    while stack:
+        todo, into = stack[-1]
+        for node in todo:
+            node_id = node.node_id if preserve_ids else next(counter)
+            kids = node.children
+            if kids is None:
+                into.append(XmlTree(node.label, node.text, None, node_id))
+                continue
+            mine: list[XmlTree] = []
+            into.append(XmlTree(node.label, None, mine, node_id))
+            if kids:  # copy its children before its next sibling
+                stack.append((iter(kids), mine))
+                break
+        else:
+            stack.pop()
+    return top
 
 
 def iter_nodes(t: XmlTree) -> Iterator[XmlTree]:
@@ -201,14 +226,25 @@ def serialize(t: XmlTree) -> str:
 
     An element with no children serializes as ``<name/>``.  A text leaf
     always gets an explicit end tag, so a leaf holding "" serializes as
-    ``<name></name>`` (which, note, re-parses as an empty element).
+    ``<name></name>`` (which, note, re-parses as an empty element).  The
+    walk keeps its own stack of nodes and pending end tags, so a tree of any
+    depth is written without recursion.
     """
-    if t.is_text:
-        return f"<{t.label}>{_escape(t.text or '')}</{t.label}>"
-    if not t.children:
-        return f"<{t.label}/>"
-    inner = "".join(serialize(c) for c in t.children)
-    return f"<{t.label}>{inner}</{t.label}>"
+    out: list[str] = []
+    stack: list = [t]  # nodes still to write, and end tags (str)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, str):
+            out.append(node)
+        elif node.text is not None:
+            out.append(f"<{node.label}>{_escape(node.text)}</{node.label}>")
+        elif not node.children:
+            out.append(f"<{node.label}/>")
+        else:
+            out.append(f"<{node.label}>")
+            stack.append(f"</{node.label}>")
+            stack.extend(reversed(node.children))
+    return "".join(out)
 
 
 class _Frame:

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from xview import xml_model
+from xview import cli, xml_model
 from xview.cli import main
 from xview.lang import parse_update
 from xview.xml_model import parse_document, serialize, value_equal
@@ -426,13 +426,30 @@ def test_readme_demo_commands(capsys):
     assert json.loads(capsys.readouterr().out)["reason"] == "OverlappingExposure"
 
 
-def test_deeply_nested_document_exits_with_eval_error(tmp_path, capsys):
+def test_deeply_nested_document_evaluates(tmp_path, capsys):
+    # far past the interpreter's recursion limit: evaluation copies the
+    # chain and serializes it without recursing
     depth = 3000
     doc = tmp_path / "deep.xml"
     doc.write_text("<R><A>" + "<B>" * depth + "</B>" * depth + "</A></R>", encoding="utf-8")
     view = tmp_path / "deep.xq"
     view.write_text('<v>{for x in doc("d")/R/A return <e>{x}</e>}</v>', encoding="utf-8")
     code = main(["eval", "--view", str(view), "--doc", f"d={doc}"])
+    captured = capsys.readouterr()
+    assert code == 0 and captured.err == ""
+    chain = "<B>" * (depth - 1) + "<B/>" + "</B>" * (depth - 1)
+    assert captured.out == f"<v><e><A>{chain}</A></e></v>\n"
+
+
+@pytest.mark.parametrize("error", [RecursionError, MemoryError])
+def test_exhausted_interpreter_exits_with_eval_error(
+    error, files, capsys, monkeypatch
+):
+    def exhausted(_args):
+        raise error()
+
+    monkeypatch.setattr(cli, "cmd_eval", exhausted)
+    code = main(["eval", "--view", files["ex1.xq"], "--doc", f"d1={files['d1.xml']}"])
     captured = capsys.readouterr()
     assert code == 4
     assert captured.out == ""

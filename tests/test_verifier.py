@@ -11,15 +11,21 @@ import pytest
 
 from xview.errors import XviewError
 from xview import cli, verifier
-from xview.evaluator import ViewInstance, enumerate_bindings, evaluate_view
+from xview.evaluator import ViewInstance, enumerate_bindings, evaluate_view, row_trees
 from xview.fuzzgen import gen_t1, gen_t2, random_case
-from xview.lang import UpdateStatement, ViewDef, parse_update, parse_view_def
+from xview.lang import (
+    PathEqString,
+    UpdateStatement,
+    ViewDef,
+    parse_update,
+    parse_view_def,
+)
 from xview.translator import Case, Rejected, Translated, translate
 from xview.updater import (
     Deleted,
     Edit,
     Inserted,
-    apply_update,
+    abstract_form,
     execute_plan,
     plan_update,
     replay_edits,
@@ -42,6 +48,7 @@ from xview.xml_model import (
     locate,
     parse_document,
     serialize,
+    string_value,
     value_equal,
 )
 from .conftest import (
@@ -545,8 +552,19 @@ def _own_routes(view: ViewDef, stmt: UpdateStatement, store: DocumentStore):
         via_source = evaluate_view(view, store)
         own = ViewInstance(copy_tree(via_source.tree), via_source.tuples)
         index = verifier._ProbeIndex(view, store)
+        # no flags: the lemma suite never reads these routes
         yield _Routes(
-            view, stmt, stmt, store, frozenset(), log, restore, via_source, own, index
+            view,
+            stmt,
+            stmt,
+            store,
+            frozenset(),
+            log,
+            restore,
+            via_source,
+            own,
+            [],
+            index,
         )
 
 
@@ -816,6 +834,33 @@ def test_route_a_view_and_probe_index_share_one_enumeration(monkeypatch):
     assert "_ProbeIndex" not in window[window.index("check_minimality") :]
 
 
+def test_an_empty_log_builds_no_probe_only_index_parts(monkeypatch):
+    # where no item reads C="1", the translated root deletion deletes
+    # nothing: the verification has no edit to probe, so it builds none of
+    # the index's probe-only parts and walks no store for its maps
+    view = parse_view_def('<v>{for x in doc("s")/R/A return <e>{x/C}{x/T}</e>}</v>')
+    dv = parse_update('for u in v where u/e/C="1" update u ( delete e )')
+    out = translate(view, dv)
+    assert isinstance(out, Translated) and out.case is Case.T4
+    walks, prepared = [], []
+    walk, prepare = verifier.iter_nodes, verifier._ProbeIndex.prepare_probes
+    monkeypatch.setattr(verifier, "iter_nodes", lambda t: walks.append(t) or walk(t))
+    monkeypatch.setattr(
+        verifier._ProbeIndex,
+        "prepare_probes",
+        lambda index: prepared.append(index) or prepare(index),
+    )
+    for marks, builds in (("22", 0), ("12", 1)):
+        items = "".join(f"<A><C>{m}</C><T><W>w</W></T></A>" for m in marks * 4)
+        store = _single_doc_store(f"<R>{items}</R>")
+        walks.clear()
+        prepared.clear()
+        report = verify_translation(view, dv, out.statement, store, out.case)
+        assert report.precise and all(ok for _n, ok in report.lemma_checks)
+        # with edits to probe: one build, whose maps walk the one document
+        assert (len(walks), len(prepared)) == (builds, builds)
+
+
 # ----------------------------------------------------------------------
 # Route A on the sources: the put-back, and the copying route A as reference
 
@@ -837,7 +882,9 @@ def _copying_verify(
     log = execute_plan(plan)
     via_source = evaluate_view(view, updated)
     via_view = evaluate_view(view, store)
-    apply_update(view_update, via_view)
+    view_plan = plan_update(view_update, via_view)
+    view_holds = verifier._condition_flags(view_update, via_view)
+    execute_plan(view_plan)
     on_copy = _Routes(
         view,
         view_update,
@@ -848,6 +895,7 @@ def _copying_verify(
         restore,
         via_source,
         via_view,
+        view_holds,
         verifier._ProbeIndex(view, updated),
     )
     correct, diff = check_correctness(on_copy)
@@ -932,6 +980,76 @@ def test_reports_match_the_copying_route_a_on_free_statements():
     assert sum(r["witness"] is not None for r in judged) > 100
     assert sum(r["diff"] is not None for r in judged) > 50
     assert sum(not all(r["lemmas"].values()) for r in judged if r["lemmas"]) > 20
+
+
+def _holds_by_sets(atoms, tup) -> bool:
+    """The where clause as the set-based test read it: per atom, the string
+    values each side locates, searched for the literal or intersected."""
+
+    def values(side) -> set[str]:
+        var, names = side
+        return {string_value(n) for n in locate(tup[var], names)}
+
+    for atom in atoms:
+        lhs = values(atom.lhs)
+        if isinstance(atom, PathEqString):
+            if atom.value not in lhs:
+                return False
+        elif lhs.isdisjoint(values(atom.rhs)):
+            return False
+    return True
+
+
+def _shell_lemma3(routes: _Routes) -> bool:
+    """The reference: L3 as it was when it built a wrapper shell over each
+    of route B's tuples' uncopied rows on the sources and tested the view
+    atom on that shell."""
+    abstract = abstract_form(routes.view_update)
+    view_atom = PathEqString(("w", abstract.cond_path.steps[2:]), abstract.cond_value)
+    source = routes.source_update
+    for tup in routes.via_view.tuples:
+        rows = row_trees(routes.view.returns, tup)
+        shell = XmlTree(routes.view.wrapper, children=rows)
+        source_holds = _holds_by_sets(source.conditions, tup)
+        if source_holds != _holds_by_sets((view_atom,), {"w": shell}):
+            return False
+    return True
+
+
+def test_lemma3_matches_the_shell_reference():
+    # the translated fuzz cases of seeds 0-19, and free statements judged
+    # against a root deletion as above, L3 read on the restored sources
+    cases = []
+    for seed in range(20):
+        rng = random.Random(seed)
+        for _ in range(25):
+            case = random_case(rng)
+            out = translate(case.view, case.update)
+            if isinstance(out, Translated):
+                cases.append((case.view, case.update, out.statement, case.store))
+    rng = random.Random(23)
+    for _ in range(600):
+        view_text, update_text, doc = _free_case(rng)
+        try:
+            view, stmt = parse_view_def(view_text), parse_update(update_text)
+        except XviewError:
+            continue
+        label, value = rng.choice(LABELS), rng.choice("12")
+        dv = parse_update(
+            f'for u in v where u/e/{label}="{value}" update u ( delete e )'
+        )
+        cases.append((view, dv, stmt, _single_doc_store(doc)))
+    judged = failed = 0
+    for view, dv, stmt, store in cases:
+        try:
+            routes = _settled_routes(view, dv, stmt, store)
+        except XviewError:
+            continue
+        want = _shell_lemma3(routes)
+        assert verifier._lemma3(routes) == want
+        judged += 1
+        failed += not want
+    assert judged > 700 and failed > 50
 
 
 def _order_case():

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import random
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from xview import xml_model
 from xview.errors import (
     MalformedXml,
     UnknownDocument,
@@ -28,6 +32,7 @@ from xview.xml_model import (
     value_equal,
 )
 from .conftest import D1_XML
+from .test_verifier import _mutated, _random_tree
 
 
 def test_parse_nested_document():
@@ -258,3 +263,111 @@ def test_string_value_reads_a_deep_chain_in_document_order():
     assert string_value(root) == "abc"
     assert string_value(tip) == "b"
     assert string_value(text_leaf("t", "")) == ""
+
+
+# ----------------------------------------------------------------------
+# The iterative kernels against their recursive references
+
+
+def _recursive_value_equal(a: XmlTree, b: XmlTree) -> bool:
+    """The reference: ``value_equal`` as it was when it recursed."""
+    if a.label != b.label or a.is_text != b.is_text:
+        return False
+    if a.is_text:
+        return a.text == b.text
+    ac, bc = a.children or [], b.children or []
+    if len(ac) != len(bc):
+        return False
+    for x, y in zip(ac, bc):
+        if not _recursive_value_equal(x, y):
+            return False
+    return True
+
+
+def _recursive_copy_tree(t: XmlTree, preserve_ids: bool = False) -> XmlTree:
+    """The reference: ``copy_tree`` as it was when it recursed."""
+    node_id = t.node_id if preserve_ids else xml_model.fresh_id()
+    if t.is_text:
+        return XmlTree(t.label, text=t.text, node_id=node_id)
+    kids = []
+    for c in t.children or []:
+        kids.append(_recursive_copy_tree(c, preserve_ids))
+    return XmlTree(t.label, children=kids, node_id=node_id)
+
+
+def _recursive_serialize(t: XmlTree) -> str:
+    """The reference: ``serialize`` as it was when it recursed."""
+    if t.is_text:
+        return f"<{t.label}>{xml_model._escape(t.text or '')}</{t.label}>"
+    if not t.children:
+        return f"<{t.label}/>"
+    inner = []
+    for c in t.children:
+        inner.append(_recursive_serialize(c))
+    return f"<{t.label}>{''.join(inner)}</{t.label}>"
+
+
+def _fresh_ids(copy, t: XmlTree) -> list[int]:
+    """The ids a copy of ``t`` takes, relative to the next fresh id."""
+    start = xml_model.fresh_id() + 1
+    return [n.node_id - start for n in iter_nodes(copy(t))]
+
+
+def _assert_kernels_match(t: XmlTree, other: XmlTree) -> None:
+    for left, right in ((t, t), (t, other), (other, t)):
+        assert value_equal(left, right) == _recursive_value_equal(left, right)
+    assert serialize(t) == _recursive_serialize(t)
+    size = sum(1 for _ in iter_nodes(t))
+    # fresh ids in preorder, as the reference assigns them
+    preorder = list(range(size))
+    assert _fresh_ids(copy_tree, t) == _fresh_ids(_recursive_copy_tree, t) == preorder
+    copied = copy_tree(t)
+    assert serialize(copied) == _recursive_serialize(t)
+    originals = {id(n) for n in iter_nodes(t)}
+    assert not originals & {id(n) for n in iter_nodes(copied)}
+    # preserved ids: the very ids, in the same places
+    kept = copy_tree(t, preserve_ids=True)
+    ids = [(n.node_id, n.label, n.text) for n in iter_nodes(kept)]
+    assert ids == [(n.node_id, n.label, n.text) for n in iter_nodes(t)]
+    assert ids == [
+        (n.node_id, n.label, n.text)
+        for n in iter_nodes(_recursive_copy_tree(t, preserve_ids=True))
+    ]
+    assert not originals & {id(n) for n in iter_nodes(kept)}
+
+
+def test_kernels_match_their_recursive_references_on_random_trees():
+    rng = random.Random(16)
+    equal = 0
+    for _ in range(2000):
+        t = _random_tree(rng)
+        other = _mutated(rng, t)
+        _assert_kernels_match(t, other)
+        equal += value_equal(t, other)
+    assert 200 < equal < 1800  # both answers are drawn often
+
+
+def test_kernels_match_their_recursive_references_on_a_deep_chain():
+    # far deeper than the default recursion limit; built in code, not
+    # parsed.  The references need a raised limit, the kernels do not.
+    depth = 5000
+    root = element("n", [text_leaf("t", "a&b")])
+    tip = root
+    for _ in range(depth):
+        child = element("n")
+        tip.children.append(child)
+        tip = child
+    tip.children.extend([text_leaf("t", "<"), element("e")])
+    root.children.append(text_leaf("t", "c"))
+    other = copy_tree(root)
+    bottom = list(iter_nodes(other))[-3]
+    assert bottom.text == "<"
+    bottom.text = ">"
+    assert value_equal(root, copy_tree(root)) and not value_equal(root, other)
+    assert serialize(root).startswith("<n><t>a&amp;b</t>" + "<n>" * depth)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit + 2 * depth)
+    try:
+        _assert_kernels_match(root, other)
+    finally:
+        sys.setrecursionlimit(limit)
