@@ -4,8 +4,9 @@ Evaluation follows nested-loop semantics: each for-clause binding
 enumerates, in document order, the subtrees its path locates within the
 context node ``binding_scope`` names, located once per distinct such node
 (not once per partial tuple).  Every condition-satisfying tuple yields
-exactly one wrapper tree under the view root, built from fresh-id copies of
-the trees its return expressions locate.
+exactly one wrapper tree under the view root, built over the trees its
+return expressions locate: fresh-id copies of them, or, for a reader that
+copies a row only before it edits one, the sources' own trees.
 
 The where clause is tested per pass: ``condition_test`` prepares it once
 for the tuples of one for-clause, and for a clause of several bindings,
@@ -218,19 +219,44 @@ def row_trees(returns: Iterable[ReturnExpr], tup: ForTuple) -> list[XmlTree]:
     return [found for ret in returns for found in locate(tup[ret.var], ret.gamma)]
 
 
-def build_etree(returns: Iterable[ReturnExpr], tup: ForTuple, wrapper: str) -> XmlTree:
-    """Build one wrapper tree for a tuple over fresh-id copies of its row
-    trees (``row_trees``)."""
-    return XmlTree(wrapper, children=[copy_tree(t) for t in row_trees(returns, tup)])
+def build_etree(
+    returns: Iterable[ReturnExpr],
+    tup: ForTuple,
+    wrapper: str,
+    *,
+    copy_rows: bool = True,
+) -> XmlTree:
+    """Build one wrapper tree for a tuple over its row trees (``row_trees``):
+    fresh-id copies of them, or with ``copy_rows=False`` the trees
+    themselves, shared with the store they were located in.  Only the
+    wrapper's child list is then its own."""
+    rows = row_trees(returns, tup)
+    if copy_rows:
+        rows = [copy_tree(t) for t in rows]
+    return XmlTree(wrapper, children=rows)
 
 
-def evaluate_view(view: ViewDef, store: DocumentStore) -> ViewInstance:
+def view_tree(
+    view: ViewDef, tuples: Iterable[ForTuple], *, copy_rows: bool = True
+) -> XmlTree:
+    """The view root over one wrapper tree per tuple, in order
+    (``build_etree``)."""
+    returns, wrapper = view.returns, view.wrapper
+    children = [build_etree(returns, t, wrapper, copy_rows=copy_rows) for t in tuples]
+    return XmlTree(view.view_root, children=children)
+
+
+def evaluate_view(
+    view: ViewDef, store: DocumentStore, *, copy_rows: bool = True
+) -> ViewInstance:
     """Materialize the view against a store.
 
     Pure up to fresh identifier assignment: evaluating twice yields
-    value-equal instances.
+    value-equal instances, and the instance shares no node with the store.
+    With ``copy_rows=False`` each wrapper holds the store's own row trees
+    instead of copies: the instance is then for a reader that leaves those
+    trees alone, or copies a wrapper's rows before it edits inside them.
     """
     holds = condition_test(view.conditions, view.bindings)
     satisfying = [t for t in enumerate_bindings(view.bindings, store) if holds(t)]
-    children = [build_etree(view.returns, t, view.wrapper) for t in satisfying]
-    return ViewInstance(XmlTree(view.view_root, children=children), satisfying)
+    return ViewInstance(view_tree(view, satisfying, copy_rows=copy_rows), satisfying)

@@ -285,14 +285,32 @@ def _resolve(target: XmlTree, parent: XmlTree, action) -> list[Edit]:
     return [Deleted(target.node_id, c.node_id, c) for c in gone]
 
 
-def plan_update(stmt: UpdateStatement, target) -> list[PlannedOp]:
-    """Plan all applications against the pre-edit state, first one per node."""
+def edit_parent_path(stmt: UpdateStatement) -> QualifiedPath:
+    """The full path of every node a source statement's edits land under
+    (``PlannedOp.parent``): its target path, or, under a parent step or for
+    a binding deletion, that path less its last step."""
+    if isinstance(stmt.action, DeleteBinding):
+        var, path, up = stmt.action.var, (), True
+    else:
+        var, path, up = stmt.target.var, stmt.target.path, stmt.target.parent_step
+    full = normalize_path(stmt, var, path)
+    return QualifiedPath(full.root, full.steps[:-1]) if up else full
+
+
+def check_level(stmt: UpdateStatement, target) -> None:
+    """Raise ``LevelMismatch`` unless a source-level statement is applied to
+    a DocumentStore and a view-level one to a ViewInstance."""
     if stmt.level == "source":
         if not isinstance(target, DocumentStore):
             raise LevelMismatch("a source-level update applies to a DocumentStore")
-    else:
-        if not isinstance(target, ViewInstance):
-            raise LevelMismatch("a view-level update applies to a ViewInstance")
+    elif not isinstance(target, ViewInstance):
+        raise LevelMismatch("a view-level update applies to a ViewInstance")
+
+
+def plan_update(stmt: UpdateStatement, target) -> list[PlannedOp]:
+    """Plan all applications against the pre-edit state, first one per node."""
+    check_level(stmt, target)
+    if stmt.level == "view":
         stmt, target = _as_source_statement(stmt, target)
     plan: dict[int, PlannedOp] = {}
     for node, parent in _source_applications(stmt, target):

@@ -16,17 +16,21 @@ oracles are independent of the translation path they judge: they only
 evaluate, apply and compare.  The two update routes are computed once per
 verification, and every oracle reads them from that one record.
 
-A verification copies neither the store nor a view.  Route B updates the
-instance evaluated on the sources.  Route A applies the source update to
-the sources themselves and reads its view off the probe index, as wrapper
-shells over the shown tuples' uncopied rows; once correctness and
-minimality are judged, every edited parent gets back the very child list
-it held, and the lemma suite reads the restored sources.  The put-back is
-exact because execution and insertion always give a parent a new list,
-and the probes' in-place undo and redo touch only those new lists.  L3
-builds no wrapper either: route B tests the view update's condition on
-each wrapper it evaluated before the view update edits them, and L3 reads
-those flags.
+A verification copies neither the store nor a view, and copies a row only
+before an edit could reach inside it.  Route B updates the instance
+evaluated on the sources over their own, uncopied rows, after copying the
+rows of the wrappers that an edit of either route can reach into (copy on
+write, as in path copying for persistent trees).  Route A applies the
+source update to the sources themselves and reads its view off the probe
+index, as wrappers over the shown tuples' uncopied rows; once correctness
+and minimality are judged, every edited parent gets back the very child
+list it held, and the lemma suite reads the restored sources.  The
+put-back is exact because execution and insertion always give a parent a
+new list, and the probes' in-place undo and redo touch only those new
+lists.  Rows the two routes share are the same objects, so comparing them
+costs nothing (``value_equal``).  L3 builds no wrapper either: route B
+tests the view update's condition on each wrapper it evaluated before the
+view update edits them, and L3 reads those flags.
 """
 
 from __future__ import annotations
@@ -48,8 +52,15 @@ from .evaluator import (
     enumerate_bindings,
     evaluate_view,
     row_trees,
+    view_tree,
 )
-from .lang import DeleteBinding, PathEqString, UpdateStatement, ViewDef
+from .lang import (
+    DeleteBinding,
+    PathEqString,
+    UpdateStatement,
+    ViewDef,
+    normalize_path,
+)
 from .translator import Case
 from .updater import (
     Deleted,
@@ -58,6 +69,8 @@ from .updater import (
     PlannedOp,
     _deletions,
     abstract_form,
+    check_level,
+    edit_parent_path,
     edit_to_json,
     execute_plan,
     plan_update,
@@ -67,6 +80,8 @@ from .updater import (
 from .xml_model import (
     DocumentStore,
     XmlTree,
+    copy_tree,
+    is_prefix,
     iter_nodes,
     locate,
     serialize,
@@ -107,17 +122,20 @@ class _Routes:
     planned and applied on ``store`` itself, whose planned target ids
     (``touched``), edit log and deleted children's restore points
     (``restore``, see ``_restore_points``) are kept, and the view on the
-    updated store is read off ``index`` as wrapper shells (``_shell``).  Route
-    B (``via_view``) is update(view(sources)): the view update is applied
-    to the evaluation of the view on the sources, which edits its tree but
-    not its tuples, so those stay the view's tuples on the sources;
-    ``view_holds[i]`` says whether the view update's condition atom holds on
-    the i-th wrapper of that evaluation, tested before the update edits it
-    (``_condition_flags``).  The routes are valid while ``_compute_routes``
-    holds ``store`` in route A's state; the minimality check probes there
-    and leaves it holding the same nodes as before.  Afterwards ``store``
-    holds the sources again, and ``via_source``'s tuples, ``via_view`` and
-    ``view_holds`` still read as computed.
+    updated store is read off ``index`` as wrappers over uncopied rows.
+    Route B (``via_view``) is update(view(sources)): the view update is
+    applied to the evaluation of the view on the sources, which edits its
+    tree but not its tuples, so those stay the view's tuples on the
+    sources.  Its wrappers hold the sources' own row trees, except those
+    that ``_compute_routes`` copied because an edit of either route can
+    reach inside them; so a row tree both routes show unedited is one
+    object.  ``view_holds[i]`` says whether the view update's condition
+    atom holds on the i-th wrapper of that evaluation, tested before the
+    update edits it (``_condition_flags``).  The routes are valid while
+    ``_compute_routes`` holds ``store`` in route A's state; the minimality
+    check probes there and leaves it holding the same nodes as before.
+    Afterwards ``store`` holds the sources again, and ``via_source``'s
+    tuples, ``via_view`` and ``view_holds`` still read as computed.
     """
 
     view: ViewDef
@@ -144,20 +162,35 @@ def _compute_routes(
     body runs; on exit, even by an exception, it holds the sources again,
     node for node and child list for child list.
 
+    Route B's instance is evaluated over the sources' own rows, and the
+    rows of a wrapper are copied (copy on write) before either plan runs
+    when an edit can reach inside them: when they hold the parent of a
+    source edit (``_holding_edit_parents``), whose child list route A and
+    the probes replace, or when the view update can edit inside them
+    (``_open_to_view_update``).  Every other row stays shared, and no edit
+    reaches it.  Copying before the view update is planned also keeps one
+    source subtree shown in two edited wrappers two planned operations:
+    planning collapses applications by node id.
+
     Every step that can fail runs before the first edit lands: the source
-    update's plan, then the view's evaluation, then the view update's plan.
+    update's plan, then the view's evaluation, then the view update's plan,
+    whose level is checked before anything else reads the view update.
     """
     plan = plan_update(source_update, store)
-    via_view = evaluate_view(view, store)
-    view_plan = plan_update(view_update, via_view)
+    via_view = evaluate_view(view, store, copy_rows=False)
+    check_level(view_update, via_view)
     view_holds = _condition_flags(view_update, via_view)
-    execute_plan(view_plan)
+    wrappers = via_view.tree.children or []
+    edited = _holding_edit_parents(view, via_view.tuples, source_update, plan)
+    edited |= _open_to_view_update(view_update, view_holds)
+    for i in sorted(edited):
+        wrappers[i].children = [copy_tree(t) for t in wrappers[i].children]
+    execute_plan(plan_update(view_update, via_view))
     touched = frozenset(op.target.node_id for op in plan)
     restore = _restore_points(plan)
     with _executed(plan) as log:
         index = _ProbeIndex(view, store)
         tuples = list(itertools.compress(index.tuples, index.shown))
-        root = XmlTree(view.view_root, children=[_shell(view, t) for t in tuples])
         yield _Routes(
             view,
             view_update,
@@ -166,11 +199,57 @@ def _compute_routes(
             touched,
             log,
             restore,
-            ViewInstance(root, tuples),
+            ViewInstance(view_tree(view, tuples, copy_rows=False), tuples),
             via_view,
             view_holds,
             index,
         )
+
+
+def _holding_edit_parents(
+    view: ViewDef,
+    tuples: list[ForTuple],
+    source_update: UpdateStatement,
+    plan: list[PlannedOp],
+) -> set[int]:
+    """The places of the wrappers, one per tuple, whose row holds the parent
+    of an edit the plan makes.
+
+    A row tree holds such a parent only if the tree's full path is a prefix
+    of the parents' (``edit_parent_path``), so only those return
+    expressions are read, each from its variable down to the parents."""
+    parents = {op.parent.node_id for op in plan if op.edits}
+    if not parents or not tuples:
+        return set()
+    where = edit_parent_path(source_update)
+    held: set[int] = set()
+    for ret in view.returns:
+        path = normalize_path(view, ret.var, ret.gamma)
+        if not is_prefix(path, where):
+            continue
+        down = ret.gamma + where.steps[len(path.steps) :]
+        for i, tup in enumerate(tuples):
+            if any(n.node_id in parents for n in locate(tup[ret.var], down)):
+                held.add(i)
+    return held
+
+
+def _open_to_view_update(
+    view_update: UpdateStatement, view_holds: list[bool]
+) -> set[int]:
+    """The places of the wrappers inside whose rows the view update can edit.
+
+    A target at the view root or at a wrapper edits only child lists the
+    instance owns, so none.  Below the wrapper step, with the condition
+    paired with the target in the wrapper or below it, existential
+    semantics edit only wrappers whose condition flag is set; paired above
+    it, at the view root, the condition opens every wrapper."""
+    abstract = abstract_form(view_update)
+    if len(abstract.target_path.steps) <= 2:
+        return set()
+    if len(abstract.common_prefix.steps) < 2:
+        return set(range(len(view_holds)))
+    return {i for i, held in enumerate(view_holds) if held}
 
 
 @contextlib.contextmanager
@@ -187,11 +266,6 @@ def _executed(plan: list[PlannedOp]) -> Iterator[list[Edit]]:
     finally:
         for parent, children in lists.values():
             parent.children = children
-
-
-def _shell(view: ViewDef, tup: ForTuple) -> XmlTree:
-    """A read-only wrapper over a tuple's uncopied row, as ``build_etree``'s."""
-    return XmlTree(view.wrapper, children=row_trees(view.returns, tup))
 
 
 def _condition_flags(
@@ -231,25 +305,39 @@ def verify_translation(
 
 
 def tree_diff(a: XmlTree, b: XmlTree) -> Optional[dict]:
-    """First divergence between two trees, or None when ``value_equal``:
-    while two nodes agree above their children (``_bare``), walk into their
-    first child pair that is not value-equal; report the first pair that
-    disagrees itself, with the left tree's path to it (``v[0]/e[1]/B``)."""
-    if value_equal(a, b):
-        return None
-    path = a.label
-    while value_equal(_bare(a), _bare(b)):
-        pairs = enumerate(zip(a.children, b.children))
-        i, (a, b) = next(p for p in pairs if not value_equal(*p[1]))
-        path = f"{path}[{i}]/{a.label}"
-    return {"path": path, "left": serialize(a), "right": serialize(b)}
+    """First divergence between two trees, or None when ``value_equal``.
 
-
-def _bare(t: XmlTree) -> XmlTree:
-    """``t`` with each child replaced by one shared empty element."""
-    empty = XmlTree("", children=[], node_id=0)
-    kids = None if t.children is None else [empty] * len(t.children)
-    return XmlTree(t.label, t.text, kids, node_id=t.node_id)
+    One lockstep preorder walk over node pairs, skipping a pair whose two
+    sides are the same object: the first pair whose labels, texts or child
+    counts differ is reported, with the left tree's path to it
+    (``v[0]/e[1]/B``).  The walk keeps a stack of child-pair iterators, one
+    per open pair, and the path is read off the pairs they last gave.
+    """
+    stack: list[Iterator[tuple[int, tuple[XmlTree, XmlTree]]]] = []
+    trail: list = []  # per open pair, the child pair its iterator gave last
+    x, y = a, b
+    while True:
+        if x is not y:
+            xc, yc = x.children, y.children
+            # equal texts also mean the same content kind (see value_equal)
+            if x.label != y.label or x.text != y.text or (
+                xc is not None and len(xc) != len(yc)
+            ):
+                path = a.label + "".join(f"[{i}]/{p[0].label}" for i, p in trail)
+                return {"path": path, "left": serialize(x), "right": serialize(y)}
+            if xc:
+                stack.append(enumerate(zip(xc, yc)))
+                trail.append(None)  # set to its first child pair below
+        while stack:
+            step = next(stack[-1], None)
+            if step is not None:
+                break
+            stack.pop()
+            trail.pop()
+        else:
+            return None
+        trail[-1] = step
+        x, y = step[1]
 
 
 def check_correctness(routes: _Routes) -> tuple[bool, Optional[dict]]:
@@ -582,8 +670,8 @@ def _lemma3(routes: _Routes) -> bool:
     """L3 on each of route B's tuples, those of the view on the sources: the
     emitted where clause, tested on the restored sources, against the view
     atom's flag on the tuple's wrapper (``_Routes.view_holds``), which route
-    B evaluated as a value-equal copy of the tuple's row and tested before
-    the view update edited it; no wrapper is built here."""
+    B evaluated over the tuple's row and tested before the view update
+    edited it; no wrapper is built here."""
     # a translated statement keeps the view's for-clause, so each view tuple
     # binds every variable its where clause reads
     source = routes.source_update

@@ -75,11 +75,15 @@ def value_equal(a: XmlTree, b: XmlTree) -> bool:
 
     Comparison is ordered: label, content kind, text, child count and child
     order must all agree.  The walk keeps its own stack of node pairs, so
-    trees of any depth are compared without recursion.
+    trees of any depth are compared without recursion.  A pair whose two
+    sides are the same object is equal without a walk, so two trees that
+    share subtrees cost only their unshared nodes.
     """
     stack = [(a, b)]
     while stack:
         a, b = stack.pop()
+        if a is b:
+            continue
         # a text leaf's text is a string and an element's is None, so equal
         # texts also mean the same content kind
         if a.label != b.label or a.text != b.text:

@@ -293,6 +293,25 @@ def test_verify_with_padded_override(files, capsys, monkeypatch):
     }
 
 
+def test_verify_delta_s_rejects_a_source_level_update_first(files, capsys):
+    # the view update's level is checked before anything else reads it
+    code = main(
+        [
+            "verify",
+            "--view",
+            files["books_view.xq"],
+            "--update",
+            files["padded.xq"],
+            *_books_doc_args(files),
+            "--delta-s",
+            files["delta_s.xq"],
+        ]
+    )
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err == "error: a source-level update applies to a DocumentStore\n"
+
+
 def test_verify_rejected_update(files, tmp_path, capsys):
     upd = tmp_path / "w.xq"
     upd.write_text(

@@ -11,7 +11,7 @@ import time
 
 import pytest
 
-from xview import verifier, xml_model
+from xview import evaluator, updater, verifier, xml_model
 from xview.evaluator import ViewInstance, evaluate_view
 from xview.fuzzgen import random_case
 from xview.lang import parse_update, parse_view_def
@@ -37,6 +37,7 @@ from xview.xml_model import (
     parse_document,
     serialize,
     text_leaf,
+    value_equal,
 )
 
 ITEM_VIEW = '<v>{for x1 in doc("d")/R/A return <e>{x1/C}{x1/T}</e>}</v>'
@@ -193,24 +194,31 @@ def test_route_b_updates_the_view_evaluated_on_the_sources(monkeypatch):
     evaluated = []
     evaluate = verifier.evaluate_view
 
-    def recording(view, on):
-        evaluated.append((on, evaluate(view, on)))
-        return evaluated[-1][1]
+    def recording(view, on, **options):
+        evaluated.append((on, options, evaluate(view, on, **options)))
+        return evaluated[-1][2]
 
     monkeypatch.setattr(verifier, "evaluate_view", recording)
     seen = _recorded_routes(monkeypatch)
     report = verify_translation(view, dv, out.statement, store, out.case)
     assert report.precise and all(ok for _name, ok in report.lemma_checks)
     ((routes, _inside, _log),) = seen
-    # the one evaluation a verification makes, on the unedited sources
-    ((on, on_sources),) = evaluated
-    assert on is store and routes.via_view is on_sources
+    # the one evaluation a verification makes, on the unedited sources, over
+    # their own rows
+    ((on, options, on_sources),) = evaluated
+    assert on is store and options == {"copy_rows": False}
+    assert routes.via_view is on_sources
     assert len(routes.via_view.tree.children) == 2  # the two wrappers left
     assert len(routes.via_view.tuples) == 4  # as evaluated on the sources
+    # a root deletion edits no row: each row left is the source's own tree
+    items = locate(store.get("d"), ("A",))
+    shown = [t for a in items[1::2] for t in locate(a, ("C",)) + locate(a, ("T",))]
+    rows = [t for w in routes.via_view.tree.children for t in w.children]
+    assert len(rows) == len(shown) and all(r is t for r, t in zip(rows, shown))
 
 
 def test_t4_verify_creates_only_the_evaluated_nodes_and_route_a_shells(monkeypatch):
-    # a copy of the store, of a view or of an inserted payload would take
+    # a copy of the store, of a row or of an inserted payload would take
     # fresh ids
     view, dv = parse_view_def(ITEM_VIEW), parse_update(ROOT_DELETION)
     out = translate(view, dv)
@@ -225,13 +233,60 @@ def test_t4_verify_creates_only_the_evaluated_nodes_and_route_a_shells(monkeypat
         "L3",
     ]
     ((routes, _inside, _log),) = seen
-    on_sources = evaluate_view(view, store)
-    evaluated = sum(1 for _ in iter_nodes(on_sources.tree))
+    # route B's evaluation: a root and one wrapper per item, over the
+    # sources' own rows, which a root deletion never copies
+    route_b = 1 + 160
     # route A's view: a root and one wrapper shell per row left
     route_a = 1 + len(routes.via_source.tuples)
     assert route_a == 1 + 80 and len(routes.via_source.tree.children) == 80
     # L3 reads route B's flags and builds no wrapper of its own
-    assert created == evaluated + route_a
+    assert created == route_b + route_a == 242
+
+
+def _recorded_copies(monkeypatch) -> dict[str, list]:
+    """Record, per module, the trees each ``copy_tree`` call copies."""
+    copied: dict[str, list] = {}
+    for module in (evaluator, updater, verifier):
+        calls = copied[module.__name__.rsplit(".", 1)[1]] = []
+
+        def recording(tree, *args, _copy=module.copy_tree, _calls=calls, **kwargs):
+            _calls.append(tree)
+            return _copy(tree, *args, **kwargs)
+
+        monkeypatch.setattr(module, "copy_tree", recording)
+    return copied
+
+
+@pytest.mark.parametrize("items", [16, 160])
+def test_a_verify_copies_only_the_rows_its_plans_edit(items, monkeypatch):
+    view = parse_view_def(ITEM_VIEW)
+    marks = "12" * (items // 2)
+    copied = _recorded_copies(monkeypatch)
+
+    # a root deletion edits no row: no tree is copied at all
+    dv = parse_update(ROOT_DELETION)
+    out = translate(view, dv)
+    report = verify_translation(view, dv, out.statement, _store(_items(marks)), out.case)
+    assert report.precise
+    assert copied == {"evaluator": [], "updater": [], "verifier": []}
+
+    # an insertion under T copies the rows of the wrappers whose C reads 1,
+    # the wrappers both plans edit, and the payload once per edit placed
+    dv = parse_update(INSERTION)
+    out = translate(view, dv)
+    store = _store(_items(marks))
+    shown = locate(store.get("d"), ("A",))
+    edited = [a for a in shown if locate(a, ("C",))[0].text == "1"]
+    report = verify_translation(view, dv, out.statement, store, out.case)
+    assert report.precise
+    rows = [t for a in edited for t in locate(a, ("C",)) + locate(a, ("T",))]
+    assert len(rows) == items and len(copied["verifier"]) == len(rows)
+    assert all(c is r for c, r in zip(copied["verifier"], rows))
+    assert copied["evaluator"] == []
+    # route A's execution, route B's and every probe's redo place one each
+    payload = out.statement.action.tree
+    assert len(copied["updater"]) == 3 * len(edited)
+    assert all(value_equal(tree, payload) for tree in copied["updater"])
 
 
 def test_replayed_log_matches_the_applied_one():

@@ -19,6 +19,7 @@ from xview.lang import (
     ViewDef,
     parse_update,
     parse_view_def,
+    return_last_name,
 )
 from xview.translator import Case, Rejected, Translated, translate
 from xview.updater import (
@@ -302,6 +303,49 @@ def test_tree_diff_matches_the_recursive_reference():
             assert tree_diff(left, right) == want
             found += want is not None
     assert found > 2000  # most mutations show
+
+
+class _CountedTree(XmlTree):
+    """A node that counts reads of its child list."""
+
+    __slots__ = ()
+    reads = 0
+
+    @property
+    def children(self):
+        _CountedTree.reads += 1
+        return XmlTree.children.__get__(self)
+
+    @children.setter
+    def children(self, kids):
+        XmlTree.children.__set__(self, kids)
+
+
+def _chain(depth: int, bottom: str) -> XmlTree:
+    node = _CountedTree("L", text=bottom)
+    for _ in range(depth):
+        node = _CountedTree("c", children=[node])
+    return node
+
+
+def test_tree_diff_walks_two_deep_chains_once():
+    # a divergence at the bottom of two 3,000-deep chains: one lockstep
+    # walk reads each node's child list a bounded number of times, where a
+    # walk-down that re-compares the subtree below each level reads it once
+    # per level above it
+    depth = 3000
+    a, b = _chain(depth, "1"), _chain(depth, "2")
+    _CountedTree.reads = 0
+    diff = tree_diff(a, b)
+    assert diff == {
+        "path": "c" + "[0]/c" * (depth - 1) + "[0]/L",
+        "left": "<L>1</L>",
+        "right": "<L>2</L>",
+    }
+    assert _CountedTree.reads <= 2 * 2 * (depth + 1)
+    _CountedTree.reads = 0
+    assert tree_diff(a, _chain(depth, "1")) is None
+    assert _CountedTree.reads <= 2 * 2 * (depth + 1)
 
 
 def test_generated_cases_pass_both_oracles():
@@ -980,6 +1024,145 @@ def test_reports_match_the_copying_route_a_on_free_statements():
     assert sum(r["witness"] is not None for r in judged) > 100
     assert sum(r["diff"] is not None for r in judged) > 50
     assert sum(not all(r["lemmas"].values()) for r in judged if r["lemmas"]) > 20
+
+
+# Route B shares the sources' rows until a plan can edit inside them; the
+# copying reference copies every row, so each shape below is judged against
+# it, with the sources' objects checked afterwards.
+
+
+def _row_internal_update(rng: random.Random, view: ViewDef) -> UpdateStatement:
+    """A view update whose target lies inside a row: under a tree one of
+    the view's return expressions shows, or one level further down."""
+    shown = [return_last_name(view, ret) for ret in view.returns]
+    row = rng.choice(shown)
+    below = rng.sample([k for k in LABELS if k != row], rng.randint(0, 1))
+    target = "/".join(["r", row, *below])
+    label, value = rng.choice(LABELS), rng.choice("12")
+    action = rng.choice(
+        (
+            "{ insert <F>f</F> }",
+            f"{{ delete {label} }}",
+            f"{{ delete <{label}>{value}</{label}> }}",
+        )
+    )
+    cond = f'r/{rng.choice(shown)}="{rng.choice("12")}"'
+    if rng.random() < 0.2:  # paired above the wrapper, at the view root
+        where = f'u="{value}"'
+        return parse_update(f"for u in v where {where} update u/e/{target[2:]} {action}")
+    return parse_update(f"for r in v/e where {cond} update {target} {action}")
+
+
+def _parents_in_rows(view: ViewDef, stmt: UpdateStatement, store: DocumentStore) -> bool:
+    """Whether some parent the statement's edits land under lies inside a
+    tree the view shows on ``store``."""
+    parents = {op.parent.node_id for op in plan_update(stmt, store) if op.edits}
+    rows = evaluate_view(view, store).tuples
+    return any(
+        n.node_id in parents
+        for tup in rows
+        for tree in row_trees(view.returns, tup)
+        for n in iter_nodes(tree)
+    )
+
+
+def test_reports_match_the_copying_route_b_on_row_internal_view_updates():
+    # free source statements judged against view updates that insert or
+    # delete inside the rows, so route B must copy the rows it edits
+    rng = random.Random(29)
+    judged = []
+    for _ in range(500):
+        view_text, update_text, doc = _free_case(rng)
+        try:
+            view, stmt = parse_view_def(view_text), parse_update(update_text)
+        except XviewError:
+            continue
+        dv = _row_internal_update(rng, view)
+        got = _matching_reference(view, dv, stmt, _single_doc_store(doc), Case.T1)
+        if isinstance(got, dict):
+            judged.append(got)
+    assert len(judged) > 400
+    assert sum(r["diff"] is not None for r in judged) > 25
+    assert sum(r["witness"] is not None for r in judged) > 50
+
+
+def test_reports_match_the_copying_route_b_when_edit_parents_lie_in_rows():
+    # the free cases with each row showing its whole first binding, so the
+    # free statements' edits often land under a node inside a row
+    rng = random.Random(31)
+    judged = inside = 0
+    for _ in range(500):
+        view_text, update_text, doc = _free_case(rng)
+        view_text = view_text.split(" return ")[0] + " return <e>{x}</e>}</v>"
+        try:
+            view, stmt = parse_view_def(view_text), parse_update(update_text)
+            inside += _parents_in_rows(view, stmt, _single_doc_store(doc))
+        except XviewError:
+            continue
+        if rng.random() < 0.5:
+            dv = _row_internal_update(rng, view)
+        else:
+            label, value = rng.choice(LABELS), rng.choice("12")
+            where = f'u/e/{label}="{value}"'
+            dv = parse_update(f"for u in v where {where} update u ( delete e )")
+        got = _matching_reference(view, dv, stmt, _single_doc_store(doc), Case.T1)
+        judged += isinstance(got, dict)
+    assert judged > 400 and inside > 30
+
+
+def _shared_case(rng: random.Random) -> tuple:
+    """A view that shows each item's T in one wrapper per B under the item,
+    an update inside T, its translation when there is one, and a document
+    whose items hold 0-2 Bs."""
+    view = parse_view_def(
+        '<v>{for x in doc("s")/R/A, y in x/B return <e>{x/C}{x/T}</e>}</v>'
+    )
+    action = rng.choice(("{ insert <F>f</F> }", "{ delete W }", "{ delete <W>1</W> }"))
+    cond = rng.choice(('r/C="1"', 'r/T/W="1"'))
+    dv = parse_update(f"for r in v/e where {cond} update r/T {action}")
+
+    def item() -> str:
+        ws = "".join(f"<W>{rng.choice('12')}</W>" for _ in range(rng.randint(0, 2)))
+        bs = "<B/>" * rng.randint(0, 2)
+        return f"<A><C>{rng.choice('12')}</C>{bs}<T>{ws}</T></A>"
+
+    items = "".join(item() for _ in range(rng.randint(1, 4)))
+    out = translate(view, dv)
+    statements = [out.statement] if isinstance(out, Translated) else []
+    statements.append(
+        parse_update(
+            f'for x in doc("s")/R/A, y in x/B where x/{cond[2:]} update x/T {action}'
+        )
+    )
+    return view, dv, statements, f"<R>{items}</R>"
+
+
+def test_reports_match_the_copying_route_b_when_two_wrappers_show_one_subtree():
+    # an item with two Bs shows its T in two wrappers; an update inside T
+    # edits each wrapper's own copy, two planned operations, not one
+    rng = random.Random(37)
+    shared = correct = 0
+    for _ in range(300):
+        view, dv, statements, doc = _shared_case(rng)
+        shared += "<B/><B/>" in doc
+        for stmt in statements:
+            got = _matching_reference(view, dv, stmt, _single_doc_store(doc), Case.T1)
+            correct += got["correct"]
+    assert shared > 60 and correct > 100
+
+
+def test_a_condition_paired_at_the_view_root_opens_every_wrapper():
+    # the whole view reads "1", so the update edits the T of both wrappers,
+    # although only the first wrapper's own string value is "1"
+    view = parse_view_def('<v>{for x in doc("s")/R/A return <e>{x/C}{x/T}</e>}</v>')
+    dv = parse_update('for u in v where u="1" update u/e/T { insert <F>f</F> }')
+    store = _single_doc_store("<R><A><C>1</C><T/></A><A><T/></A></R>")
+    for where in ("x=x", 'x/C="1"'):
+        stmt = parse_update(
+            f'for x in doc("s")/R/A where {where} update x/T {{ insert <F>f</F> }}'
+        )
+        got = _matching_reference(view, dv, stmt, store, None)
+        assert got["correct"] is (where == "x=x")
 
 
 def _holds_by_sets(atoms, tup) -> bool:
