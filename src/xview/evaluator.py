@@ -11,16 +11,21 @@ copies a row only before it edits one, the sources' own trees.
 The where clause is tested per pass: ``condition_test`` prepares it once
 for the tuples of one for-clause, and for a clause of several bindings,
 while the store stays unedited, it reads each atom side's string values
-once per bound node.  A join still
-enumerates the full cross product, but each tuple then costs a few dict
-reads, not a walk of every subtree its atoms locate.
+once per bound node, so a tuple costs a few dict reads, not a walk of every
+subtree its atoms locate.  ``enumerate_bindings`` can take the where clause
+too: it then tests each atom at the first binding level that binds all its
+variables, so a partial tuple that fails a selection such as
+``x/title="t03"`` is dropped before the later bindings extend it
+(predicate pushdown).  An atom decided only at the last level, such as a
+join's ``x/title=z/title``, is left to the caller: a join still enumerates
+its full cross product, and each of its tuples is then tested once.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import LevelMismatch, RootLabelMismatch
 from .lang import (
@@ -29,6 +34,7 @@ from .lang import (
     PathEqString,
     ReturnExpr,
     ViewDef,
+    atom_sides,
 )
 from .xml_model import (
     DocRoot,
@@ -60,9 +66,14 @@ class ViewInstance:
     tuples: list[ForTuple]  # the condition-satisfying tuples, in order
 
 
-def binding_scope(
-    binding: Binding, store: DocumentStore
-) -> tuple[Callable[[ForTuple], XmlTree], tuple[str, ...]]:
+# A prepared where clause: tuple -> whether it satisfies every atom.
+ConditionTest = Callable[[ForTuple], bool]
+
+# A binding's context function and path steps, as ``binding_scope`` gives them.
+Scope = tuple[Callable[[ForTuple], XmlTree], tuple[str, ...]]
+
+
+def binding_scope(binding: Binding, store: DocumentStore) -> Scope:
     """Where a binding's path is evaluated from, as every reader takes it: a
     function from the partial tuple of the earlier bindings to the context
     node, and the path's steps below that node."""
@@ -81,14 +92,21 @@ def binding_scope(
 
 
 def bind_level(
-    binding: Binding, partials: list[ForTuple], store: DocumentStore
+    binding: Binding,
+    partials: list[ForTuple],
+    store: DocumentStore,
+    *,
+    scope: Optional[Scope] = None,
+    keep: Optional[ConditionTest] = None,
 ) -> list[ForTuple]:
     """One level of the nested loop: extend each partial tuple, in order, by
     every node the binding's path locates from its ``binding_scope`` context,
-    located once per distinct context node."""
+    located once per distinct context node.  ``scope`` is that context, if
+    the caller resolved it already; with ``keep``, only the extended tuples
+    it accepts are returned."""
     if not partials:
         return []
-    context, steps = binding_scope(binding, store)
+    context, steps = scope or binding_scope(binding, store)
     located: dict[XmlTree, list[XmlTree]] = {}
     expanded: list[ForTuple] = []
     for partial in partials:
@@ -100,22 +118,69 @@ def bind_level(
             assignment = dict(partial)
             assignment[binding.var] = node
             expanded.append(assignment)
+    if keep is not None:
+        expanded = [t for t in expanded if keep(t)]
     return expanded
 
 
+def _decided_at(
+    atoms: Sequence[ConditionAtom], bindings: Sequence[Binding]
+) -> list[int]:
+    """Per atom, the first binding level that binds all its variables; an
+    atom over a variable no binding binds is given the last level, so the
+    caller's test reports it."""
+    last = len(bindings) - 1
+    level = {binding.var: i for i, binding in enumerate(bindings)}
+    return [max(level.get(var, last) for var, _ in atom_sides(a)) for a in atoms]
+
+
+def untested_atoms(
+    atoms: Sequence[ConditionAtom], bindings: Sequence[Binding]
+) -> Sequence[ConditionAtom]:
+    """The atoms ``enumerate_bindings(bindings, store, atoms)`` leaves for
+    its caller to test: those decided only at the last binding level."""
+    if len(bindings) <= 1 or not atoms:
+        return atoms
+    last = len(bindings) - 1
+    return [a for a, at in zip(atoms, _decided_at(atoms, bindings)) if at == last]
+
+
 def enumerate_bindings(
-    bindings: Iterable[Binding], store: DocumentStore
+    bindings: Sequence[Binding],
+    store: DocumentStore,
+    atoms: Sequence[ConditionAtom] = (),
 ) -> list[ForTuple]:
-    """Produce all for-clause tuples in nested-loop order, before condition
-    filtering; doc(...)-rooted paths are resolved against ``store``."""
-    tuples: list[ForTuple] = [{}]
-    for binding in bindings:
-        tuples = bind_level(binding, tuples, store)
+    """Produce the for-clause tuples in nested-loop order; doc(...)-rooted
+    paths are resolved against ``store``.
+
+    Without ``atoms`` every tuple is produced.  With them, each atom whose
+    variables are all bound before the last level is tested at the first
+    level that binds them, and the partial tuples failing it are dropped
+    before the later bindings extend them, so the tuples returned are the
+    full enumeration less those failing such an atom, in the same order.
+    The atoms decided only at the last level (``untested_atoms``) are left
+    to the caller: testing them here would save no extension, and a join
+    view keeps returning its whole cross product.  Every binding's context
+    is resolved before the first level is bound, so an unknown document or
+    a root label mismatch is raised whatever the data.
+    """
+    if len(bindings) <= 1:
+        tuples: list[ForTuple] = [{}]
+        for binding in bindings:
+            tuples = bind_level(binding, tuples, store)
+        return tuples
+    scopes = [binding_scope(binding, store) for binding in bindings]
+    tests: list[Optional[ConditionTest]] = [None] * len(bindings)
+    if atoms:
+        decided = _decided_at(atoms, bindings)
+        for i in range(len(bindings) - 1):
+            early = [a for a, at in zip(atoms, decided) if at == i]
+            if early:
+                tests[i] = condition_test(early, bindings[: i + 1])
+    tuples = [{}]
+    for binding, scope, keep in zip(bindings, scopes, tests):
+        tuples = bind_level(binding, tuples, store, scope=scope, keep=keep)
     return tuples
-
-
-# A prepared where clause: tuple -> whether it satisfies every atom.
-ConditionTest = Callable[[ForTuple], bool]
 
 
 def _located_values(node: XmlTree, names: tuple[str, ...]) -> set[str]:
@@ -193,6 +258,9 @@ def condition_test(
                 lambda tup, lhs=lhs, rhs=rhs: not lhs(tup).isdisjoint(rhs(tup))
             )
 
+    if len(checks) == 1:
+        return checks[0]
+
     def test(tup: ForTuple) -> bool:
         for check in checks:
             if not check(tup):
@@ -257,6 +325,8 @@ def evaluate_view(
     instead of copies: the instance is then for a reader that leaves those
     trees alone, or copies a wrapper's rows before it edits inside them.
     """
-    holds = condition_test(view.conditions, view.bindings)
-    satisfying = [t for t in enumerate_bindings(view.bindings, store) if holds(t)]
+    conditions, bindings = view.conditions, view.bindings
+    holds = condition_test(untested_atoms(conditions, bindings), bindings)
+    tuples = enumerate_bindings(bindings, store, conditions)
+    satisfying = [t for t in tuples if holds(t)]
     return ViewInstance(view_tree(view, satisfying, copy_rows=copy_rows), satisfying)

@@ -36,6 +36,7 @@ from .evaluator import (
     binding_scope,
     condition_test,
     enumerate_bindings,
+    untested_atoms,
 )
 from .lang import (
     Binding,
@@ -218,11 +219,12 @@ def _source_applications(
     ``target_trees`` reaches; but ``x/..`` (or a binding deletion) reaches
     the parent of the node bound to ``x``, read off its binding path.
     """
-    holds = condition_test(stmt.conditions, stmt.bindings)
+    conditions, bindings = stmt.conditions, stmt.bindings
+    holds = condition_test(untested_atoms(conditions, bindings), bindings)
     action, target = stmt.action, stmt.target
     deletes_binding = isinstance(action, DeleteBinding)
     parent_of = None  # built at the first tuple that needs it
-    for tup in enumerate_bindings(stmt.bindings, store):
+    for tup in enumerate_bindings(bindings, store, conditions):
         if not holds(tup):
             continue
         if deletes_binding or (target.parent_step and not target.path):

@@ -460,6 +460,26 @@ def test_deeply_nested_document_evaluates(tmp_path, capsys):
     assert captured.out == f"<v><e><A>{chain}</A></e></v>\n"
 
 
+def test_unbound_document_is_reported_although_an_earlier_atom_fails(
+    tmp_path, capsys
+):
+    # x/C="9" fails on the only A, so no tuple reaches y; the unbound
+    # document behind y is an error all the same
+    doc = tmp_path / "d.xml"
+    doc.write_text("<R><A><C>1</C></A></R>", encoding="utf-8")
+    view = tmp_path / "v.xq"
+    view.write_text(
+        '<v>{for x in doc("d")/R/A, y in doc("q")/Q/B where x/C="9" '
+        "return <e>{x/C}</e>}</v>",
+        encoding="utf-8",
+    )
+    code = main(["eval", "--view", str(view), "--doc", f"d={doc}"])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.out == ""
+    assert captured.err == "error: no document bound to 'q'\n"
+
+
 @pytest.mark.parametrize("error", [RecursionError, MemoryError])
 def test_exhausted_interpreter_exits_with_eval_error(
     error, files, capsys, monkeypatch

@@ -6,17 +6,19 @@ import random
 
 import pytest
 
-from xview.errors import RootLabelMismatch, UnknownDocument
-from xview import evaluator
+from xview.errors import RootLabelMismatch, UnknownDocument, XviewError
+from xview import evaluator, updater
 from xview.evaluator import (
     bind_level,
     build_etree,
     enumerate_bindings,
     eval_condition,
     evaluate_view,
+    untested_atoms,
 )
 from xview.fuzzgen import gen_t1, gen_t2, random_case
 from xview.lang import parse_update, parse_view_def
+from xview.translator import Case, Translated, translate
 from xview.updater import apply_update, plan_update
 from xview.xml_model import (
     DocumentStore,
@@ -453,3 +455,229 @@ def test_bind_level_locates_once_per_distinct_context(monkeypatch):
             assert {id(node) for node in calls} == distinct
             shared += len(contexts) > len(distinct)
     assert shared  # the books join's z binding: two unis, eight partials
+
+
+# ----------------------------------------------------------------------
+# Predicate pushdown: each atom tested at the first level binding its
+# variables gives the same tuples, in the same order, as testing the whole
+# where clause on every enumerated tuple
+
+
+def _unpruned_satisfying(view, store):
+    """The reference: every tuple of the literal nested loops, then the
+    whole where clause tested on each."""
+    return [
+        t for t in _brute_force_tuples(view, store) if eval_condition(view.conditions, t)
+    ]
+
+
+def _ops(plan) -> list[tuple]:
+    """A plan as the nodes its ops and edits name, by identity."""
+    return [
+        (
+            id(op.target),
+            id(op.parent),
+            [(type(e).__name__, e.parent_id, id(e.tree)) for e in op.edits],
+        )
+        for op in plan
+    ]
+
+
+def _unpruned_plan(stmt, store, monkeypatch):
+    """The reference: ``plan_update`` with every tuple enumerated and the
+    whole where clause left to its per-tuple test."""
+    with monkeypatch.context() as m:
+        m.setattr(
+            updater,
+            "enumerate_bindings",
+            lambda bindings, store, atoms=(): enumerate_bindings(bindings, store),
+        )
+        m.setattr(updater, "untested_atoms", lambda atoms, bindings: atoms)
+        return plan_update(stmt, store)
+
+
+def _outcome(run, *args):
+    """What a call gives, or the error it raises."""
+    try:
+        return run(*args)
+    except XviewError as err:
+        return type(err), str(err)
+
+
+def _assert_view_matches(view, store) -> bool:
+    """Check ``evaluate_view``'s tuples against the reference; return whether
+    the enumeration tested some atom before the last level."""
+    got = _outcome(lambda: evaluate_view(view, store).tuples)
+    want = _outcome(_unpruned_satisfying, view, store)
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert _same_tuples(got, want), view
+    return len(untested_atoms(view.conditions, view.bindings)) < len(view.conditions)
+
+
+def _assert_plan_matches(stmt, store, monkeypatch) -> bool:
+    """Check ``plan_update``'s ops against the reference; return whether the
+    enumeration tested some atom before the last level."""
+    got = _outcome(lambda: _ops(plan_update(stmt, store)))
+    want = _outcome(lambda: _ops(_unpruned_plan(stmt, store, monkeypatch)))
+    assert got == want, stmt
+    return len(untested_atoms(stmt.conditions, stmt.bindings)) < len(stmt.conditions)
+
+
+def test_pushdown_matches_the_unpruned_reference_on_free_statements(monkeypatch):
+    from .test_verifier import _free_case
+
+    rng = random.Random(31)
+    pushed = 0
+    for _ in range(400):
+        view_text, update_text, doc = _free_case(rng)
+        try:
+            view, stmt = parse_view_def(view_text), parse_update(update_text)
+        except XviewError:
+            continue
+        store = _single_doc_store(doc)
+        pushed += _assert_view_matches(view, store)
+        pushed += _assert_plan_matches(stmt, store, monkeypatch)
+    assert pushed > 100
+
+
+def test_pushdown_matches_the_unpruned_reference_on_fuzz_cases(monkeypatch):
+    rng = random.Random(9)
+    pushed = 0
+    for _ in range(300):
+        case = random_case(rng)
+        pushed += _assert_view_matches(case.view, case.store)
+        out = translate(case.view, case.update)
+        if isinstance(out, Translated):
+            pushed += _assert_plan_matches(out.statement, case.store, monkeypatch)
+    assert pushed > 10
+
+
+# three bindings: x on level 0, y below it on level 1, z on level 2
+_THREE = 'x in doc("s")/R/A, y in x/P, z in doc("s")/R/B'
+_THREE_WHERE = (
+    'x/K="1"',  # decided at level 0
+    'y/K="2"',  # level 1
+    'z/K="12"',  # level 2, left to the caller
+    "x/K=y/K",  # a join of levels 0 and 1, decided at level 1
+    'x/K="1" and y/K="2" and z/K="1"',
+    'x/K=y/K and x/K=z/K and y/K="1"',
+)
+_THREE_UPDATES = (
+    "x { insert <M>m</M> }",
+    "y { delete K }",
+    "z/.. { delete B }",
+)
+
+
+def test_pushdown_matches_the_unpruned_reference_on_three_bindings(monkeypatch):
+    rng = random.Random(4)
+    levels = set()
+    for _ in range(40):
+        store = _single_doc_store(_join_document(rng))
+        for where in _THREE_WHERE:
+            view = parse_view_def(
+                f"<v>{{for {_THREE} where {where} return <e>{{x/K}}{{y}}{{z/N}}</e>}}</v>"
+            )
+            _assert_view_matches(view, store)
+            levels.update(evaluator._decided_at(view.conditions, view.bindings))
+            for update in _THREE_UPDATES:
+                stmt = parse_update(f"for {_THREE} where {where} update {update}")
+                _assert_plan_matches(stmt, store, monkeypatch)
+    assert levels == {0, 1, 2}
+
+
+def test_pushdown_tests_a_join_of_two_early_levels_at_the_later_one():
+    view = parse_view_def(
+        f'<v>{{for {_THREE} where x/K=y/K and z/K="1" return <e>{{x}}</e>}}</v>'
+    )
+    assert evaluator._decided_at(view.conditions, view.bindings) == [1, 2]
+    assert untested_atoms(view.conditions, view.bindings) == [view.conditions[1]]
+
+
+# The join-session shape: 50 books, 10 unis of 20 subjects, each title on 4
+
+
+def _join_session_store() -> DocumentStore:
+    titles = [f"t{i:02d}" for i in range(50)]
+    books = "".join(
+        f"<book><auths><aName>a{t}</aName></auths><title>{t}</title></book>"
+        for t in titles
+    )
+    subjects = [titles[(7 * k) % 50] for k in range(200)]
+    unis = "".join(
+        f"<uni><uName>u{u}</uName><subjs>"
+        + "".join(
+            f"<subj><title>{t}</title><profs><pName>p</pName></profs></subj>"
+            for t in subjects[20 * u : 20 * (u + 1)]
+        )
+        + "</subjs></uni>"
+        for u in range(10)
+    )
+    store = DocumentStore()
+    store.add("bkInf.xml", parse_document(f"<bkInf>{books}</bkInf>"))
+    store.add("subjInf.xml", parse_document(f"<subjInf>{unis}</subjInf>"))
+    return store
+
+
+def _counting_bind_level(monkeypatch) -> list[int]:
+    built: list[int] = []
+    real = evaluator.bind_level
+
+    def counting(*args, **kwargs):
+        tuples = real(*args, **kwargs)
+        built.append(len(tuples))
+        return tuples
+
+    monkeypatch.setattr(evaluator, "bind_level", counting)
+    return built
+
+
+def test_a_join_t1_plan_builds_only_the_selected_books_tuples(monkeypatch):
+    store = _join_session_store()
+    view = parse_view_def(QBK_VIEW)
+    update = parse_update(
+        'for r in view(Qbk)/Qbk/use where r/title="t03" '
+        "update r/auths { insert <aName>n1</aName> }"
+    )
+    out = translate(view, update)
+    assert isinstance(out, Translated) and out.case is Case.T1
+    built = _counting_bind_level(monkeypatch)
+    plan = plan_update(out.statement, store)
+    assert len(plan) == 1
+    assert built == [1, 10, 200]  # one book, its 10 unis, their 200 subjects
+
+
+def test_a_join_view_still_enumerates_its_cross_product(monkeypatch):
+    store = _join_session_store()
+    enumerated: list[int] = []
+    real = evaluator.enumerate_bindings
+
+    def counting(*args):
+        tuples = real(*args)
+        enumerated.append(len(tuples))
+        return tuples
+
+    monkeypatch.setattr(evaluator, "enumerate_bindings", counting)
+    built = _counting_bind_level(monkeypatch)
+    instance = evaluate_view(parse_view_def(QBK_VIEW), store)
+    assert enumerated == [50 * 200]
+    assert built == [50, 500, 10_000]
+    assert len(instance.tuples) == 200
+
+
+def test_a_later_bindings_root_mismatch_is_raised_whatever_the_data(d1_store):
+    # the first binding finds nothing, or its atom fails: the second
+    # binding's document is still checked
+    for first in ('doc("r")/r/Q', 'doc("r")/r/A where x/B="none"'):
+        bindings, _, where = first.partition(" where ")
+        where = f" where {where}" if where else ""
+        view = parse_view_def(
+            f'<v>{{for x in {bindings}, y in doc("r")/other/A{where} '
+            "return <e>{x}</e>}</v>"
+        )
+        with pytest.raises(RootLabelMismatch):
+            evaluate_view(view, d1_store)
+        with pytest.raises(RootLabelMismatch):
+            enumerate_bindings(view.bindings, d1_store, view.conditions)

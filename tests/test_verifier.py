@@ -415,6 +415,41 @@ def test_minimality_matches_the_reference_oracle():
     assert checked > 150 and over_updates > 20
 
 
+def test_probes_see_the_tuples_a_level_0_atom_hides_in_route_a():
+    # route A deletes the first A's C children, so x/C="1" fails on it and
+    # on the last A: an index that dropped those partial tuples would miss
+    # the row a probe's undo brings back.  With a C reading 3 beside the 1,
+    # dropping that deletion leaves the view as it is.
+    view = parse_view_def(
+        '<v>{for x in doc("s")/R/A, y in x/B where x/C="1" return <e>{y}</e>}</v>'
+    )
+    dv = parse_update('for u in v where u/e/B="b1" update u ( delete e )')
+    ds = parse_update(
+        'for x in doc("s")/R/A, y in x/B where y="b1" update x { delete C }'
+    )
+    answers = []
+    for first in ("<C>1</C><C>1</C>", "<C>1</C><C>3</C>"):
+        store = _single_doc_store(
+            f"<R><A>{first}<B>b1</B></A><A><C>1</C><B>b2</B></A>"
+            "<A><C>2</C><B>b3</B></A></R>"
+        )
+        sources = store.copy()
+        with _compute_routes(view, dv, ds, store) as routes:
+            assert check_correctness(routes)[0]
+            minimal, witness = check_minimality(routes)
+        expected = _leave_one_out_reference(routes, sources)
+        assert minimal == expected[0]
+        assert witness is expected[1]
+        assert verify_translation(view, dv, ds, store).minimal == minimal
+        answers.append(minimal)
+        # the translation's where clause has the same level-0 atom
+        out = translate(view, dv)
+        report = verify_translation(view, dv, out.statement, store, out.case)
+        assert report.precise
+        assert report.lemma_checks == [("L1", True), ("L2", True), ("L3", True)]
+    assert answers == [True, False]
+
+
 # A view whose condition reads the string value of T, so the order of T's
 # children decides which rows show.  The second A is hidden: its T reads
 # "aycbd" before the update and "acd" after, and no K matches either.  Its
