@@ -17,15 +17,16 @@ too: it then tests each atom at the first binding level that binds all its
 variables, so a partial tuple that fails a selection such as
 ``x/title="t03"`` is dropped before the later bindings extend it
 (predicate pushdown).  An atom decided only at the last level, such as a
-join's ``x/title=z/title``, is left to the caller: a join still enumerates
-its full cross product, and each of its tuples is then tested once.
+join's ``x/title=z/title``, is left to its caller, ``satisfying_tuples``:
+a join still enumerates its full cross product, and each of its tuples is
+then tested once.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import LevelMismatch, RootLabelMismatch
 from .lang import (
@@ -66,14 +67,9 @@ class ViewInstance:
     tuples: list[ForTuple]  # the condition-satisfying tuples, in order
 
 
-# A prepared where clause: tuple -> whether it satisfies every atom.
-ConditionTest = Callable[[ForTuple], bool]
-
-# A binding's context function and path steps, as ``binding_scope`` gives them.
-Scope = tuple[Callable[[ForTuple], XmlTree], tuple[str, ...]]
-
-
-def binding_scope(binding: Binding, store: DocumentStore) -> Scope:
+def binding_scope(
+    binding: Binding, store: DocumentStore
+) -> tuple[Callable[[ForTuple], XmlTree], tuple[str, ...]]:
     """Where a binding's path is evaluated from, as every reader takes it: a
     function from the partial tuple of the earlier bindings to the context
     node, and the path's steps below that node."""
@@ -92,21 +88,14 @@ def binding_scope(binding: Binding, store: DocumentStore) -> Scope:
 
 
 def bind_level(
-    binding: Binding,
-    partials: list[ForTuple],
-    store: DocumentStore,
-    *,
-    scope: Optional[Scope] = None,
-    keep: Optional[ConditionTest] = None,
+    binding: Binding, partials: list[ForTuple], store: DocumentStore
 ) -> list[ForTuple]:
     """One level of the nested loop: extend each partial tuple, in order, by
     every node the binding's path locates from its ``binding_scope`` context,
-    located once per distinct context node.  ``scope`` is that context, if
-    the caller resolved it already; with ``keep``, only the extended tuples
-    it accepts are returned."""
+    located once per distinct context node."""
     if not partials:
         return []
-    context, steps = scope or binding_scope(binding, store)
+    context, steps = binding_scope(binding, store)
     located: dict[XmlTree, list[XmlTree]] = {}
     expanded: list[ForTuple] = []
     for partial in partials:
@@ -118,8 +107,6 @@ def bind_level(
             assignment = dict(partial)
             assignment[binding.var] = node
             expanded.append(assignment)
-    if keep is not None:
-        expanded = [t for t in expanded if keep(t)]
     return expanded
 
 
@@ -132,17 +119,6 @@ def _decided_at(
     last = len(bindings) - 1
     level = {binding.var: i for i, binding in enumerate(bindings)}
     return [max(level.get(var, last) for var, _ in atom_sides(a)) for a in atoms]
-
-
-def untested_atoms(
-    atoms: Sequence[ConditionAtom], bindings: Sequence[Binding]
-) -> Sequence[ConditionAtom]:
-    """The atoms ``enumerate_bindings(bindings, store, atoms)`` leaves for
-    its caller to test: those decided only at the last binding level."""
-    if len(bindings) <= 1 or not atoms:
-        return atoms
-    last = len(bindings) - 1
-    return [a for a, at in zip(atoms, _decided_at(atoms, bindings)) if at == last]
 
 
 def enumerate_bindings(
@@ -158,29 +134,54 @@ def enumerate_bindings(
     level that binds them, and the partial tuples failing it are dropped
     before the later bindings extend them, so the tuples returned are the
     full enumeration less those failing such an atom, in the same order.
-    The atoms decided only at the last level (``untested_atoms``) are left
-    to the caller: testing them here would save no extension, and a join
-    view keeps returning its whole cross product.  Every binding's context
-    is resolved before the first level is bound, so an unknown document or
-    a root label mismatch is raised whatever the data.
+    The atoms decided only at the last level are left to the caller
+    (``satisfying_tuples``): testing them here would save no extension, and
+    a join view keeps returning its whole cross product.  A binding left
+    with no partial tuple to extend is still resolved, so an unknown
+    document or a root label mismatch is raised whatever the data.
     """
-    if len(bindings) <= 1:
-        tuples: list[ForTuple] = [{}]
-        for binding in bindings:
-            tuples = bind_level(binding, tuples, store)
-        return tuples
-    scopes = [binding_scope(binding, store) for binding in bindings]
-    tests: list[Optional[ConditionTest]] = [None] * len(bindings)
+    last = len(bindings) - 1
+    tests: dict[int, ConditionTest] = {}
     if atoms:
         decided = _decided_at(atoms, bindings)
-        for i in range(len(bindings) - 1):
+        for i in range(last):
             early = [a for a, at in zip(atoms, decided) if at == i]
             if early:
                 tests[i] = condition_test(early, bindings[: i + 1])
-    tuples = [{}]
-    for binding, scope, keep in zip(bindings, scopes, tests):
-        tuples = bind_level(binding, tuples, store, scope=scope, keep=keep)
+    tuples: list[ForTuple] = [{}]
+    for i, binding in enumerate(bindings):
+        if not tuples:  # nothing to extend, but its errors are raised all the same
+            binding_scope(binding, store)
+            continue
+        tuples = bind_level(binding, tuples, store)
+        holds = tests.get(i)
+        if holds is not None:
+            tuples = [t for t in tuples if holds(t)]
     return tuples
+
+
+def satisfying_tuples(
+    bindings: Sequence[Binding],
+    store: DocumentStore,
+    atoms: Sequence[ConditionAtom],
+) -> list[ForTuple]:
+    """The for-clause tuples that satisfy every atom, in nested-loop order:
+    ``enumerate_bindings`` drops those failing an atom decided before the
+    last binding level, and the atoms decided only there are tested here,
+    once per tuple it returns."""
+    early: list[ConditionAtom] = []
+    late = atoms
+    last = len(bindings) - 1
+    if atoms and last > 0:
+        late = []
+        for atom, at in zip(atoms, _decided_at(atoms, bindings)):
+            (late if at == last else early).append(atom)
+    holds = condition_test(late, bindings)
+    return [t for t in enumerate_bindings(bindings, store, early) if holds(t)]
+
+
+# A prepared where clause: tuple -> whether it satisfies every atom.
+ConditionTest = Callable[[ForTuple], bool]
 
 
 def _located_values(node: XmlTree, names: tuple[str, ...]) -> set[str]:
@@ -325,8 +326,5 @@ def evaluate_view(
     instead of copies: the instance is then for a reader that leaves those
     trees alone, or copies a wrapper's rows before it edits inside them.
     """
-    conditions, bindings = view.conditions, view.bindings
-    holds = condition_test(untested_atoms(conditions, bindings), bindings)
-    tuples = enumerate_bindings(bindings, store, conditions)
-    satisfying = [t for t in tuples if holds(t)]
+    satisfying = satisfying_tuples(view.bindings, store, view.conditions)
     return ViewInstance(view_tree(view, satisfying, copy_rows=copy_rows), satisfying)

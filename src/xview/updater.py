@@ -34,9 +34,9 @@ from .evaluator import (
     ForTuple,
     ViewInstance,
     binding_scope,
-    condition_test,
+    # not called here, but the bench tracer's tests read it at this name
     enumerate_bindings,
-    untested_atoms,
+    satisfying_tuples,
 )
 from .lang import (
     Binding,
@@ -219,14 +219,10 @@ def _source_applications(
     ``target_trees`` reaches; but ``x/..`` (or a binding deletion) reaches
     the parent of the node bound to ``x``, read off its binding path.
     """
-    conditions, bindings = stmt.conditions, stmt.bindings
-    holds = condition_test(untested_atoms(conditions, bindings), bindings)
     action, target = stmt.action, stmt.target
     deletes_binding = isinstance(action, DeleteBinding)
     parent_of = None  # built at the first tuple that needs it
-    for tup in enumerate_bindings(bindings, store, conditions):
-        if not holds(tup):
-            continue
+    for tup in satisfying_tuples(stmt.bindings, store, stmt.conditions):
         if deletes_binding or (target.parent_step and not target.path):
             var = action.var if deletes_binding else target.var
             if parent_of is None:

@@ -14,7 +14,6 @@ from xview.evaluator import (
     enumerate_bindings,
     eval_condition,
     evaluate_view,
-    untested_atoms,
 )
 from xview.fuzzgen import gen_t1, gen_t2, random_case
 from xview.lang import parse_update, parse_view_def
@@ -485,15 +484,20 @@ def _ops(plan) -> list[tuple]:
 
 def _unpruned_plan(stmt, store, monkeypatch):
     """The reference: ``plan_update`` with every tuple enumerated and the
-    whole where clause left to its per-tuple test."""
+    whole where clause tested on each."""
+
+    def unpruned(bindings, store, atoms):
+        every = enumerate_bindings(bindings, store)
+        return [t for t in every if eval_condition(atoms, t)]
+
     with monkeypatch.context() as m:
-        m.setattr(
-            updater,
-            "enumerate_bindings",
-            lambda bindings, store, atoms=(): enumerate_bindings(bindings, store),
-        )
-        m.setattr(updater, "untested_atoms", lambda atoms, bindings: atoms)
+        m.setattr(updater, "satisfying_tuples", unpruned)
         return plan_update(stmt, store)
+
+
+def _pushes(atoms, bindings) -> bool:
+    """Whether the enumeration tests some atom before the last level."""
+    return any(at < len(bindings) - 1 for at in evaluator._decided_at(atoms, bindings))
 
 
 def _outcome(run, *args):
@@ -513,7 +517,7 @@ def _assert_view_matches(view, store) -> bool:
         assert got == want
     else:
         assert _same_tuples(got, want), view
-    return len(untested_atoms(view.conditions, view.bindings)) < len(view.conditions)
+    return _pushes(view.conditions, view.bindings)
 
 
 def _assert_plan_matches(stmt, store, monkeypatch) -> bool:
@@ -522,7 +526,7 @@ def _assert_plan_matches(stmt, store, monkeypatch) -> bool:
     got = _outcome(lambda: _ops(plan_update(stmt, store)))
     want = _outcome(lambda: _ops(_unpruned_plan(stmt, store, monkeypatch)))
     assert got == want, stmt
-    return len(untested_atoms(stmt.conditions, stmt.bindings)) < len(stmt.conditions)
+    return _pushes(stmt.conditions, stmt.bindings)
 
 
 def test_pushdown_matches_the_unpruned_reference_on_free_statements(monkeypatch):
@@ -593,7 +597,19 @@ def test_pushdown_tests_a_join_of_two_early_levels_at_the_later_one():
         f'<v>{{for {_THREE} where x/K=y/K and z/K="1" return <e>{{x}}</e>}}</v>'
     )
     assert evaluator._decided_at(view.conditions, view.bindings) == [1, 2]
-    assert untested_atoms(view.conditions, view.bindings) == [view.conditions[1]]
+    rng = random.Random(5)
+    dropped = kept_late = 0
+    for _ in range(30):
+        store = _single_doc_store(_join_document(rng))
+        every = enumerate_bindings(view.bindings, store)
+        # x/K=y/K is tested at level 1; z/K="1", decided at the last level,
+        # is left to the caller
+        joined = [t for t in every if eval_condition(view.conditions[:1], t)]
+        got = enumerate_bindings(view.bindings, store, view.conditions)
+        assert _same_tuples(got, joined)
+        dropped += len(every) - len(joined)
+        kept_late += any(not eval_condition(view.conditions[1:], t) for t in got)
+    assert dropped and kept_late
 
 
 # The join-session shape: 50 books, 10 unis of 20 subjects, each title on 4
@@ -621,17 +637,19 @@ def _join_session_store() -> DocumentStore:
     return store
 
 
-def _counting_bind_level(monkeypatch) -> list[int]:
-    built: list[int] = []
+def _counting_bind_level(monkeypatch) -> list[tuple[int, int]]:
+    """Per ``bind_level`` call, the partial tuples it extends and the
+    tuples it builds."""
+    levels: list[tuple[int, int]] = []
     real = evaluator.bind_level
 
-    def counting(*args, **kwargs):
-        tuples = real(*args, **kwargs)
-        built.append(len(tuples))
+    def counting(binding, partials, store):
+        tuples = real(binding, partials, store)
+        levels.append((len(partials), len(tuples)))
         return tuples
 
     monkeypatch.setattr(evaluator, "bind_level", counting)
-    return built
+    return levels
 
 
 def test_a_join_t1_plan_builds_only_the_selected_books_tuples(monkeypatch):
@@ -643,10 +661,11 @@ def test_a_join_t1_plan_builds_only_the_selected_books_tuples(monkeypatch):
     )
     out = translate(view, update)
     assert isinstance(out, Translated) and out.case is Case.T1
-    built = _counting_bind_level(monkeypatch)
+    levels = _counting_bind_level(monkeypatch)
     plan = plan_update(out.statement, store)
     assert len(plan) == 1
-    assert built == [1, 10, 200]  # one book, its 10 unis, their 200 subjects
+    # 50 books built, 1 kept; its 10 unis; their 200 subjects
+    assert levels == [(1, 50), (1, 10), (10, 200)]
 
 
 def test_a_join_view_still_enumerates_its_cross_product(monkeypatch):
@@ -660,10 +679,10 @@ def test_a_join_view_still_enumerates_its_cross_product(monkeypatch):
         return tuples
 
     monkeypatch.setattr(evaluator, "enumerate_bindings", counting)
-    built = _counting_bind_level(monkeypatch)
+    levels = _counting_bind_level(monkeypatch)
     instance = evaluate_view(parse_view_def(QBK_VIEW), store)
     assert enumerated == [50 * 200]
-    assert built == [50, 500, 10_000]
+    assert levels == [(1, 50), (50, 500), (500, 10_000)]
     assert len(instance.tuples) == 200
 
 
