@@ -319,9 +319,6 @@ def _parse_bindings(lx: _Lexer, level: str) -> tuple[Binding, ...]:
         bound.add(var)
         if not lx.accept("punct", ","):
             break
-        # tolerate a trailing comma before the next clause keyword
-        if lx.peek()[0] == "kw":
-            break
     return tuple(bindings)
 
 

@@ -19,8 +19,8 @@ verification, and every oracle reads them from that one record.
 A verification copies neither the store nor a view, and copies a row only
 before an edit could reach inside it.  Route B updates the instance
 evaluated on the sources over their own, uncopied rows, after copying the
-rows of the wrappers that an edit of either route can reach into (copy on
-write, as in path copying for persistent trees).  Route A applies the
+rows of the wrappers that hold an edit parent of either plan or one of its
+ancestors (copy on write, as in path copying).  Route A applies the
 source update to the sources themselves and reads its view off the probe
 index, as wrappers over the shown tuples' uncopied rows; once correctness
 and minimality are judged, every edited parent gets back the very child
@@ -40,7 +40,7 @@ import contextlib
 import itertools
 import json
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 from .evaluator import (
     ConditionTest,
@@ -59,7 +59,6 @@ from .lang import (
     PathEqString,
     UpdateStatement,
     ViewDef,
-    normalize_path,
 )
 from .translator import Case
 from .updater import (
@@ -70,7 +69,6 @@ from .updater import (
     _deletions,
     abstract_form,
     check_level,
-    edit_parent_path,
     edit_to_json,
     execute_plan,
     plan_update,
@@ -81,7 +79,6 @@ from .xml_model import (
     DocumentStore,
     XmlTree,
     copy_tree,
-    is_prefix,
     iter_nodes,
     locate,
     serialize,
@@ -100,6 +97,11 @@ class VerificationReport:
     @property
     def precise(self) -> bool:
         return self.correct and self.minimal
+
+    @property
+    def passed(self) -> bool:
+        """The verdict: precise, and every lemma that ran held."""
+        return self.precise and all(ok for _name, ok in self.lemma_checks)
 
     def to_json(self) -> dict:
         witness = None
@@ -127,15 +129,16 @@ class _Routes:
     applied to the evaluation of the view on the sources, which edits its
     tree but not its tuples, so those stay the view's tuples on the
     sources.  Its wrappers hold the sources' own row trees, except those
-    that ``_compute_routes`` copied because an edit of either route can
-    reach inside them; so a row tree both routes show unedited is one
-    object.  ``view_holds[i]`` says whether the view update's condition
-    atom holds on the i-th wrapper of that evaluation, tested before the
-    update edits it (``_condition_flags``).  The routes are valid while
-    ``_compute_routes`` holds ``store`` in route A's state; the minimality
-    check probes there and leaves it holding the same nodes as before.
-    Afterwards ``store`` holds the sources again, and ``via_source``'s
-    tuples, ``via_view`` and ``view_holds`` still read as computed.
+    that ``_compute_routes`` copied because they hold an edit parent of
+    either plan or one of its ancestors; so a row tree both routes show
+    unedited is one object.  ``view_holds[i]`` says whether the view
+    update's condition atom holds on the i-th wrapper of that evaluation,
+    tested before the update edits it (``_condition_flags``).  The routes
+    are valid while ``_compute_routes`` holds ``store`` in route A's state;
+    the minimality check probes there and leaves it holding the same nodes
+    as before.  Afterwards ``store`` holds the sources again, and
+    ``via_source``'s tuples, ``via_view`` and ``view_holds`` still read as
+    computed.
     """
 
     view: ViewDef
@@ -162,15 +165,15 @@ def _compute_routes(
     body runs; on exit, even by an exception, it holds the sources again,
     node for node and child list for child list.
 
-    Route B's instance is evaluated over the sources' own rows, and the
-    rows of a wrapper are copied (copy on write) before either plan runs
-    when an edit can reach inside them: when they hold the parent of a
-    source edit (``_holding_edit_parents``), whose child list route A and
-    the probes replace, or when the view update can edit inside them
-    (``_open_to_view_update``).  Every other row stays shared, and no edit
-    reaches it.  Copying before the view update is planned also keeps one
-    source subtree shown in two edited wrappers two planned operations:
-    planning collapses applications by node id.
+    Route B's instance is evaluated over the sources' own rows, which are
+    copied (copy on write, ``_copy_rows``) for the source plan, then for the
+    view update's plan.  If that plan reaches a wrapper still shared, the
+    view update is planned once more over the copies, which reaches the
+    same wrappers, since copies change no value: planning collapses
+    applications by node id, so one source subtree shown in two edited
+    wrappers is two operations only once each wrapper has its own copy.
+    Every other row stays shared, and no edit reaches it.  The copies and
+    the probes read one ancestor lookup (``_ancestry``) of the sources.
 
     Every step that can fail runs before the first edit lands: the source
     update's plan, then the view's evaluation, then the view update's plan,
@@ -180,16 +183,16 @@ def _compute_routes(
     via_view = evaluate_view(view, store, copy_rows=False)
     check_level(view_update, via_view)
     view_holds = _condition_flags(view_update, via_view)
-    wrappers = via_view.tree.children or []
-    edited = _holding_edit_parents(view, via_view.tuples, source_update, plan)
-    edited |= _open_to_view_update(view_update, view_holds)
-    for i in sorted(edited):
-        wrappers[i].children = [copy_tree(t) for t in wrappers[i].children]
-    execute_plan(plan_update(view_update, via_view))
+    chain, copied = _ancestry(store), set()
+    _copy_rows(plan, via_view, chain, copied)
+    view_plan = plan_update(view_update, via_view)
+    if _copy_rows(view_plan, via_view, chain, copied):
+        view_plan = plan_update(view_update, via_view)
+    execute_plan(view_plan)
     touched = frozenset(op.target.node_id for op in plan)
     restore = _restore_points(plan)
     with _executed(plan) as log:
-        index = _ProbeIndex(view, store)
+        index = _ProbeIndex(view, store, plan, chain)
         tuples = list(itertools.compress(index.tuples, index.shown))
         yield _Routes(
             view,
@@ -206,50 +209,63 @@ def _compute_routes(
         )
 
 
-def _holding_edit_parents(
-    view: ViewDef,
-    tuples: list[ForTuple],
-    source_update: UpdateStatement,
-    plan: list[PlannedOp],
-) -> set[int]:
-    """The places of the wrappers, one per tuple, whose row holds the parent
-    of an edit the plan makes.
-
-    A row tree holds such a parent only if the tree's full path is a prefix
-    of the parents' (``edit_parent_path``), so only those return
-    expressions are read, each from its variable down to the parents."""
-    parents = {op.parent.node_id for op in plan if op.edits}
-    if not parents or not tuples:
-        return set()
-    where = edit_parent_path(source_update)
-    held: set[int] = set()
-    for ret in view.returns:
-        path = normalize_path(view, ret.var, ret.gamma)
-        if not is_prefix(path, where):
-            continue
-        down = ret.gamma + where.steps[len(path.steps) :]
-        for i, tup in enumerate(tuples):
-            if any(n.node_id in parents for n in locate(tup[ret.var], down)):
-                held.add(i)
-    return held
+# chain(node): the node, then its ancestors, nearest first
+Chain = Callable[[XmlTree], list[XmlTree]]
 
 
-def _open_to_view_update(
-    view_update: UpdateStatement, view_holds: list[bool]
-) -> set[int]:
-    """The places of the wrappers inside whose rows the view update can edit.
+def _ancestry(store: DocumentStore) -> Chain:
+    """``chain`` over ``store``; a node the store does not hold is its own
+    chain.  The child-to-parent map is built by one walk of the store, at
+    the first node asked about that is not a document root, so a verify
+    whose edits all land under roots walks nothing.  A statement's edits
+    never change its edit parents' ancestors, so the map stays valid for
+    them while the edits run and are undone."""
+    roots = {id(root) for root in store.docs.values()}
+    parents: dict[int, XmlTree] = {}
+    walked = False
 
-    A target at the view root or at a wrapper edits only child lists the
-    instance owns, so none.  Below the wrapper step, with the condition
-    paired with the target in the wrapper or below it, existential
-    semantics edit only wrappers whose condition flag is set; paired above
-    it, at the view root, the condition opens every wrapper."""
-    abstract = abstract_form(view_update)
-    if len(abstract.target_path.steps) <= 2:
-        return set()
-    if len(abstract.common_prefix.steps) < 2:
-        return set(range(len(view_holds)))
-    return {i for i, held in enumerate(view_holds) if held}
+    def chain(node: XmlTree) -> list[XmlTree]:
+        nonlocal walked
+        if not walked and id(node) not in roots:
+            walked = True
+            for root in store.docs.values():
+                for above in iter_nodes(root):
+                    for child in above.children or ():
+                        parents[child.node_id] = above
+        out = [node]
+        while out[-1].node_id in parents:
+            out.append(parents[out[-1].node_id])
+        return out
+
+    return chain
+
+
+def _copy_rows(
+    plan: list[PlannedOp], instance: ViewInstance, chain: Chain, copied: set[int]
+) -> bool:
+    """Copy the rows of each wrapper not in ``copied`` that has a row tree
+    on the chain of a plan's edit parent, add it to ``copied``, and return
+    whether any was copied.  A parent that is the instance's root or a
+    wrapper is skipped: the instance owns those lists.  A copy has fresh
+    ids, so ``chain`` gives a parent inside it no ancestor."""
+    wrappers = instance.tree.children or []
+    owned = {id(instance.tree), *map(id, wrappers)}
+    reached = {
+        node.node_id
+        for op in plan
+        if op.edits and id(op.parent) not in owned
+        for node in chain(op.parent)
+    }
+    fresh = [
+        i
+        for i, wrapper in enumerate(wrappers)
+        if reached and i not in copied
+        and any(t.node_id in reached for t in wrapper.children)
+    ]
+    for i in fresh:
+        wrappers[i].children = [copy_tree(t) for t in wrappers[i].children]
+    copied.update(fresh)
+    return bool(fresh)
 
 
 @contextlib.contextmanager
@@ -364,15 +380,16 @@ def check_minimality(routes: _Routes) -> tuple[bool, Optional[Edit]]:
     its edit leaves route A's view unchanged.  An undo changes one parent's
     child list, so a probe re-checks only the tuples that reach that parent
     (read off ``routes.index``, as route A's view was), not the whole view.
-    The redo replays the edit onto a store holding just that parent, so
-    finding the parent reads one node.  An empty log is trivially minimal,
-    and the index's probe-only parts are built only when there is an edit.
+    The parent is read off the plan, and the redo replays the edit onto a
+    store holding just that parent, so finding the parent reads one node.
+    An empty log is trivially minimal, and the index's probe-only parts are
+    built only when there is an edit.
     """
     wrappers = routes.via_view.tree.children or []
     if routes.log:
         routes.index.prepare_probes()
     for edit in routes.log:
-        parent = routes.index.nodes[edit.parent_id]
+        parent = routes.index.edit_parents[edit.parent_id]
         moved = _undo(edit, parent, routes.restore)
         try:
             same = routes.index.unchanged_without(edit, parent, moved, wrappers)
@@ -442,11 +459,12 @@ class _ProbeIndex:
     Built with route A's view, on the store with every edit applied: each
     binding level's partial tuples, and every enumerated tuple with its
     condition flag.  ``prepare_probes`` adds what only probes read, so a
-    verification with nothing to probe builds none of it: the node-id and
-    parent maps; the partials keyed by the node their level's path is
+    verification with nothing to probe builds none of it: the plan's edit
+    parents by id; the partials keyed by the node their level's path is
     evaluated from; and each tuple's row number and the ids of the nodes it
-    binds.  Undoing an edit changes one parent P's child list.  Only three
-    sets of tuples can then differ, and a probe re-evaluates those:
+    binds.  Ancestors are read off ``chain``, so the index walks no store.
+    Undoing an edit changes one parent P's child list.  Only three sets of
+    tuples can then differ, and a probe re-evaluates those:
 
     - tuples that appear because a binding path runs through P to a
       restored child (the indexed partials, extended through that child and
@@ -458,8 +476,10 @@ class _ProbeIndex:
     Every other tuple keeps its condition result and its row.
     """
 
-    def __init__(self, view: ViewDef, store: DocumentStore) -> None:
-        self.view, self.store = view, store
+    def __init__(
+        self, view: ViewDef, store: DocumentStore, plan: list[PlannedOp], chain: Chain
+    ) -> None:
+        self.view, self.store, self.plan, self.chain = view, store, plan, chain
         # levels[i]: the partial tuples binding i extends
         self.levels: list[list[ForTuple]] = [[{}]]
         for binding in view.bindings:
@@ -470,14 +490,8 @@ class _ProbeIndex:
 
     def prepare_probes(self) -> None:
         """Build the parts only probes read, on the store in route A's state,
-        as the index was built on it."""
-        self.nodes: dict[int, XmlTree] = {}
-        self.parents: dict[int, XmlTree] = {}
-        for root in self.store.docs.values():
-            for node in iter_nodes(root):
-                self.nodes[node.node_id] = node
-                for child in node.children or ():
-                    self.parents[child.node_id] = node
+        as the index was built on it; this walks no store."""
+        self.edit_parents = {op.parent.node_id: op.parent for op in self.plan}
         # (level, context id) -> partial tuples; level -> path steps
         self.partials: dict[tuple[int, int], list[ForTuple]] = {}
         self.steps: dict[int, tuple[str, ...]] = {}
@@ -503,9 +517,7 @@ class _ProbeIndex:
 
         The answer is exact: if the row count holds while rows appear or
         go, every row that moves is compared with the row in its new place."""
-        chain = [parent]
-        while chain[-1].node_id in self.parents:
-            chain.append(self.parents[chain[-1].node_id])
+        chain = self.chain(parent)
         hit = {t for node in chain for t in self.binders.get(node.node_id, ())}
         gone: set[int] = set()
         fresh: list[ForTuple] = []
@@ -641,13 +653,14 @@ def run_lemma_suite(routes: _Routes, case: Case) -> list[tuple[str, bool]]:
 
 def _lemma1(routes: _Routes) -> bool:
     """L1: per tuple on the sources, the plan touches all or none of the
-    trees ``target_trees`` reaches, or, for a binding deletion, the binding."""
+    trees ``target_trees`` reaches."""
     update = routes.source_update
+    if isinstance(update.action, DeleteBinding):
+        # a binding deletion's set per tuple is its one bound node, touched
+        # or not, so L1 holds without enumerating the tuples
+        return True
     for tup in enumerate_bindings(update.bindings, routes.store):
-        if isinstance(update.action, DeleteBinding):
-            ids = {tup[update.action.var].node_id}
-        else:
-            ids = {n.node_id for n in target_trees(update.target, tup)}
+        ids = {n.node_id for n in target_trees(update.target, tup)}
         hit = ids & routes.touched
         if hit and hit != ids:
             return False

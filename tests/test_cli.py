@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import json
+import re
 from pathlib import Path
 
 import pytest
 
-from xview import cli, xml_model
+from xview import cli, verifier, xml_model
 from xview.cli import main
 from xview.lang import parse_update
 from xview.xml_model import parse_document, serialize, value_equal
@@ -16,6 +18,7 @@ from .conftest import (
     BKINF_XML,
     D1_XML,
     EX1_VIEW,
+    QBK_DS_NO_COND,
     QBK_DS_PADDED,
     QBK_DS_PRINTED,
     QBK_DV,
@@ -332,6 +335,112 @@ def test_verify_rejected_update(files, tmp_path, capsys):
     assert code == 2 and payload["translatable"] is False
 
 
+def test_verify_text_format(files, capsys, monkeypatch):
+    code = main(
+        ["verify", "--view", files["books_view.xq"], "--update", files["add_author.xq"]]
+        + _books_doc_args(files)
+    )
+    assert code == 0
+    assert capsys.readouterr().out == (
+        "correct: true\n"
+        "minimal: true\n"
+        "case: T1\n"
+        "lemmas: L1=pass L2=pass L3=pass\n"
+    )
+    # a hand-written statement: no case and no lemmas, but the witness
+    monkeypatch.setattr(xml_model, "_COUNTER", itertools.count(1))
+    code = main(
+        ["verify", "--view", files["books_view.xq"], "--update", files["add_author.xq"]]
+        + _books_doc_args(files)
+        + ["--delta-s", files["padded.xq"]]
+    )
+    assert code == 5
+    assert capsys.readouterr().out == (
+        "correct: true\n"
+        "minimal: false\n"
+        'witness: {"op": "insert", "parent": 17, "tree": "<aName>Susan</aName>"}\n'
+    )
+
+
+def test_verify_text_format_reports_the_diff(files, tmp_path, capsys):
+    no_cond = tmp_path / "no_cond.xq"
+    no_cond.write_text(QBK_DS_NO_COND, encoding="utf-8")
+    code = main(
+        ["verify", "--view", files["books_view.xq"], "--update", files["add_author.xq"]]
+        + _books_doc_args(files)
+        + ["--delta-s", str(no_cond)]
+    )
+    assert code == 5
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:2] == ["correct: false", "minimal: false"]
+    assert len(lines) == 3 and lines[2].startswith("diff: ")
+    assert set(json.loads(lines[2][len("diff: ") :])) == {"path", "left", "right"}
+
+
+def test_verify_exits_5_when_a_lemma_fails(capsys, monkeypatch):
+    # precise, but L3 fails: the verdict is a verification failure
+    monkeypatch.setattr(verifier, "_lemma3", lambda routes: False)
+    code = main(
+        [
+            "verify",
+            "--view",
+            str(DEMO / "books_view.xq"),
+            "--update",
+            str(DEMO / "add_author.xq"),
+            "--doc",
+            f"bkInf.xml={DEMO / 'bkInf.xml'}",
+            "--doc",
+            f"subjInf.xml={DEMO / 'subjInf.xml'}",
+        ]
+    )
+    out = capsys.readouterr().out
+    assert code == 5
+    assert out.splitlines()[:2] == ["correct: true", "minimal: true"]
+    assert out.endswith("lemmas: L1=pass L2=pass L3=FAIL\n")
+
+
+def test_verify_delta_s_must_be_source_level(files, capsys):
+    code = main(
+        ["verify", "--view", files["books_view.xq"], "--update", files["add_author.xq"]]
+        + _books_doc_args(files)
+        + ["--delta-s", files["add_author.xq"]]
+    )
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err == "error: --delta-s expects a source-level update\n"
+
+
+def test_translate_json_format(files, capsys):
+    code = main(
+        [
+            "translate",
+            "--view",
+            files["books_view.xq"],
+            "--update",
+            files["add_author.xq"],
+            "--format",
+            "json",
+        ]
+    )
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert list(payload) == ["translatable", "case", "delta_s"]
+    assert payload["translatable"] is True and payload["case"] == "T1"
+    assert parse_update(payload["delta_s"]) == parse_update(QBK_DS_PRINTED)
+
+
+def test_fuzz_counts_a_case_whose_expectation_differs(capsys, monkeypatch):
+    make = cli.random_case
+
+    def mislabelled(rng):
+        case = make(rng)
+        return dataclasses.replace(case, expect="reject:" + case.expect)
+
+    monkeypatch.setattr(cli, "random_case", mislabelled)
+    assert main(["fuzz", "--seed", "7", "--count", "1"]) == 5
+    assert capsys.readouterr().out.splitlines()[-1] == "failures: 1"
+
+
 def test_fuzz_deterministic(capsys):
     assert main(["fuzz", "--seed", "7", "--count", "200"]) == 0
     first = capsys.readouterr().out
@@ -494,3 +603,16 @@ def test_exhausted_interpreter_exits_with_eval_error(
     assert captured.out == ""
     err = captured.err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
+
+
+def test_readme_library_block_runs(capsys, monkeypatch):
+    readme = (DEMO.parent / "README.md").read_text(encoding="utf-8")
+    library = readme[readme.index("## Library") :]
+    library = library[: library.index("\n## ", 1)]
+    (block,) = re.findall(r"```python\n(.*?)```", library, re.S)
+    monkeypatch.chdir(DEMO.parent)
+    scope: dict = {}
+    exec(block, scope)
+    report = scope["report"]
+    assert report.passed and scope["edits"]
+    assert capsys.readouterr().out == f"{report.to_json()}\n"

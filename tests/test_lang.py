@@ -208,6 +208,8 @@ _STMT = 'for x in doc("d")/r/A where x/B="1" update x/C '
         (parse_update, _STMT + "{ where D }"),
         (parse_update, 'for r in v/e, s in w/f where r/B="1" update r/C { delete D }'),
         (parse_update, _STMT + "{ insert D }"),
+        (parse_update, 'for x in doc("d")/r/A, where x/B="1" update x/C { delete D }'),
+        (parse_view_def, '<v>{for x in doc("s")/R/A, return <e>{x/B}</e>}</v>'),
     ],
     ids=[
         "unterminated-string",
@@ -220,6 +222,8 @@ _STMT = 'for x in doc("d")/r/A where x/B="1" update x/C '
         "unknown-action",
         "two-views",
         "insert-without-payload",
+        "trailing-comma-before-where",
+        "trailing-comma-before-return",
     ],
 )
 def test_statement_syntax_errors(parse, text):

@@ -630,7 +630,7 @@ def _own_routes(view: ViewDef, stmt: UpdateStatement, store: DocumentStore):
     with verifier._executed(plan) as log:
         via_source = evaluate_view(view, store)
         own = ViewInstance(copy_tree(via_source.tree), via_source.tuples)
-        index = verifier._ProbeIndex(view, store)
+        index = verifier._ProbeIndex(view, store, plan, verifier._ancestry(store))
         # no flags: the lemma suite never reads these routes
         yield _Routes(
             view,
@@ -916,28 +916,35 @@ def test_route_a_view_and_probe_index_share_one_enumeration(monkeypatch):
 def test_an_empty_log_builds_no_probe_only_index_parts(monkeypatch):
     # where no item reads C="1", the translated root deletion deletes
     # nothing: the verification has no edit to probe, so it builds none of
-    # the index's probe-only parts and walks no store for its maps
+    # the index's probe-only parts.  The ancestor map walks the store only
+    # for an edit parent that is not a document root: the root deletion's
+    # edits all land under R, the label deletion's under the Ts
     view = parse_view_def('<v>{for x in doc("s")/R/A return <e>{x/C}{x/T}</e>}</v>')
-    dv = parse_update('for u in v where u/e/C="1" update u ( delete e )')
-    out = translate(view, dv)
-    assert isinstance(out, Translated) and out.case is Case.T4
-    walks, prepared = [], []
+    root_deletion = 'for u in v where u/e/C="1" update u ( delete e )'
+    label_deletion = 'for r in v/e where r/C="1" update r/T ( delete W )'
+    walked, prepared = [], []
     walk, prepare = verifier.iter_nodes, verifier._ProbeIndex.prepare_probes
-    monkeypatch.setattr(verifier, "iter_nodes", lambda t: walks.append(t) or walk(t))
+    monkeypatch.setattr(verifier, "iter_nodes", lambda t: walked.append(t) or walk(t))
     monkeypatch.setattr(
         verifier._ProbeIndex,
         "prepare_probes",
         lambda index: prepared.append(index) or prepare(index),
     )
-    for marks, builds in (("22", 0), ("12", 1)):
+    for update, marks, walks, builds in (
+        (root_deletion, "22", 0, 0),
+        (root_deletion, "12", 0, 1),
+        (label_deletion, "12", 1, 1),
+    ):
+        dv = parse_update(update)
+        out = translate(view, dv)
+        assert isinstance(out, Translated)
         items = "".join(f"<A><C>{m}</C><T><W>w</W></T></A>" for m in marks * 4)
         store = _single_doc_store(f"<R>{items}</R>")
-        walks.clear()
+        walked.clear()
         prepared.clear()
         report = verify_translation(view, dv, out.statement, store, out.case)
         assert report.precise and all(ok for _n, ok in report.lemma_checks)
-        # with edits to probe: one build, whose maps walk the one document
-        assert (len(walks), len(prepared)) == (builds, builds)
+        assert (len(walked), len(prepared)) == (walks, builds), update
 
 
 # ----------------------------------------------------------------------
@@ -975,7 +982,7 @@ def _copying_verify(
         via_source,
         via_view,
         view_holds,
-        verifier._ProbeIndex(view, updated),
+        verifier._ProbeIndex(view, updated, plan, verifier._ancestry(updated)),
     )
     correct, diff = check_correctness(on_copy)
     minimal, witness = False, None
@@ -1198,6 +1205,29 @@ def test_a_condition_paired_at_the_view_root_opens_every_wrapper():
         )
         got = _matching_reference(view, dv, stmt, store, None)
         assert got["correct"] is (where == "x=x")
+
+
+def test_a_view_update_reaching_a_shared_wrapper_is_planned_again(monkeypatch):
+    # the A's T is shown in both its wrappers, and only the first wrapper's
+    # B reads "1"; the source update edits nothing, so no row is copied for
+    # it.  The view update's plan reaches the shared T: both wrappers' rows
+    # are copied, and the view update is planned again over the copies
+    view = parse_view_def(
+        '<v>{for x in doc("s")/R/A, y in x/B return <e>{y}{x/T}</e>}</v>'
+    )
+    dv = parse_update('for r in v/e where r/B="1" update r/T { insert <F>f</F> }')
+    stmt = parse_update(
+        'for x in doc("s")/R/A where x/C="9" update x/T { insert <F>f</F> }'
+    )
+    store = _single_doc_store("<R><A><C>1</C><B>1</B><B>2</B><T/></A></R>")
+    plans = []
+    plan = verifier.plan_update
+    monkeypatch.setattr(
+        verifier, "plan_update", lambda *args: plans.append(args[0]) or plan(*args)
+    )
+    got = _matching_reference(view, dv, stmt, store, None)
+    assert not got["correct"] and got["diff"]["path"] == "v[0]/e[1]/T"
+    assert plans == [stmt, dv, dv]
 
 
 def _holds_by_sets(atoms, tup) -> bool:
