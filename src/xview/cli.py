@@ -216,9 +216,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def output(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--out", help="write output to this file instead of stdout")
+
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--out", help="write output to this file instead of stdout")
+        output(p)
 
     p = sub.add_parser("eval", help="materialize a view against source documents")
     p.add_argument("--view", required=True)
@@ -250,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fuzz", help="run seeded random translation round trips")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--count", type=_count, required=True)
-    common(p)
+    output(p)  # the histogram has one format
     p.set_defaults(func=cmd_fuzz)
 
     return parser

@@ -322,25 +322,22 @@ def _parse_bindings(lx: _Lexer, level: str) -> tuple[Binding, ...]:
     return tuple(bindings)
 
 
-def _parse_var_path(lx: _Lexer, bound: set[str]) -> VarPath:
+def _parse_var_path(lx: _Lexer, bound: set[str], where: str) -> VarPath:
     var = lx.expect_name()
     if var not in bound:
         raise UnboundVariable(f"variable {var!r} is not bound")
-    names = _parse_step_names(lx)
-    if names:
-        _check_path(names, "condition path")
-    return (var, names)
+    return (var, _check_path(_parse_step_names(lx), where))
 
 
 def _parse_atoms(lx: _Lexer, bound: set[str]) -> tuple[ConditionAtom, ...]:
     atoms: list[ConditionAtom] = []
     while True:
-        lhs = _parse_var_path(lx, bound)
+        lhs = _parse_var_path(lx, bound, "condition path")
         lx.expect("punct", "=")
         if lx.peek()[0] == "str":
             atoms.append(PathEqString(lhs, lx.next()[1]))
         else:
-            atoms.append(PathEqPath(lhs, _parse_var_path(lx, bound)))
+            atoms.append(PathEqPath(lhs, _parse_var_path(lx, bound, "condition path")))
         if not lx.accept("kw", "and"):
             break
     return tuple(atoms)
@@ -368,14 +365,8 @@ def parse_view_def(text: str) -> ViewDef:
     lx.expect("punct", ">")
     returns: list[ReturnExpr] = []
     while lx.accept("punct", "{"):
-        var = lx.expect_name()
-        if var not in bound:
-            raise UnboundVariable(f"variable {var!r} is not bound")
-        gamma = _parse_step_names(lx)
-        if gamma:
-            _check_path(gamma, "return path")
+        returns.append(ReturnExpr(*_parse_var_path(lx, bound, "return path")))
         lx.expect("punct", "}")
-        returns.append(ReturnExpr(var, gamma))
     if not returns:
         raise QuerySyntaxError("a view needs at least one return expression")
     _expect_close_tag(lx, wrapper)
@@ -499,9 +490,7 @@ def parse_update(text: str) -> UpdateStatement:
             parent_step = True
             break
         tpath.append(lx.expect("name"))
-    if tpath:
-        _check_path(tuple(tpath), "target path")
-    target = UpdateTarget(tvar, tuple(tpath), parent_step)
+    target = UpdateTarget(tvar, _check_path(tuple(tpath), "target path"), parent_step)
 
     opener = lx.next()
     if opener[:2] not in (("punct", "{"), ("punct", "(")):

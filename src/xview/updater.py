@@ -283,21 +283,18 @@ def _resolve(target: XmlTree, parent: XmlTree, action) -> list[Edit]:
     return [Deleted(target.node_id, c.node_id, c) for c in gone]
 
 
-def check_level(stmt: UpdateStatement, target) -> None:
-    """Raise ``LevelMismatch`` unless a source-level statement is applied to
-    a DocumentStore and a view-level one to a ViewInstance."""
-    if stmt.level == "source":
-        if not isinstance(target, DocumentStore):
-            raise LevelMismatch("a source-level update applies to a DocumentStore")
-    elif not isinstance(target, ViewInstance):
-        raise LevelMismatch("a view-level update applies to a ViewInstance")
-
-
 def plan_update(stmt: UpdateStatement, target) -> list[PlannedOp]:
-    """Plan all applications against the pre-edit state, first one per node."""
-    check_level(stmt, target)
+    """Plan all applications against the pre-edit state, first one per node.
+
+    A source-level statement is planned on a DocumentStore and a view-level
+    one on a ViewInstance; otherwise ``LevelMismatch`` is raised before
+    anything else reads the statement."""
     if stmt.level == "view":
+        if not isinstance(target, ViewInstance):
+            raise LevelMismatch("a view-level update applies to a ViewInstance")
         stmt, target = _as_source_statement(stmt, target)
+    elif not isinstance(target, DocumentStore):
+        raise LevelMismatch("a source-level update applies to a DocumentStore")
     plan: dict[int, PlannedOp] = {}
     for node, parent in _source_applications(stmt, target):
         if node.node_id not in plan:

@@ -27,10 +27,11 @@ and minimality are judged, every edited parent gets back the very child
 list it held, and the lemma suite reads the restored sources.  The
 put-back is exact because execution and insertion always give a parent a
 new list, and the probes' in-place undo and redo touch only those new
-lists.  Rows the two routes share are the same objects, so comparing them
-costs nothing (``value_equal``).  L3 builds no wrapper either: route B
-tests the view update's condition on each wrapper it evaluated before the
-view update edits them, and L3 reads those flags.
+lists.  Route B is put back the same way, so afterwards its instance is
+the view on the sources again.  Rows the two routes share are the same
+objects, so comparing them costs nothing (``value_equal``).  L3 builds no
+wrapper either: it tests the view update's condition on route B's
+restored wrappers.
 """
 
 from __future__ import annotations
@@ -68,7 +69,6 @@ from .updater import (
     PlannedOp,
     _deletions,
     abstract_form,
-    check_level,
     edit_to_json,
     execute_plan,
     plan_update,
@@ -131,14 +131,13 @@ class _Routes:
     sources.  Its wrappers hold the sources' own row trees, except those
     that ``_compute_routes`` copied because they hold an edit parent of
     either plan or one of its ancestors; so a row tree both routes show
-    unedited is one object.  ``view_holds[i]`` says whether the view
-    update's condition atom holds on the i-th wrapper of that evaluation,
-    tested before the update edits it (``_condition_flags``).  The routes
-    are valid while ``_compute_routes`` holds ``store`` in route A's state;
-    the minimality check probes there and leaves it holding the same nodes
-    as before.  Afterwards ``store`` holds the sources again, and
-    ``via_source``'s tuples, ``via_view`` and ``view_holds`` still read as
-    computed.
+    unedited is one object.  Both routes are valid only while
+    ``_compute_routes`` holds ``store`` in route A's state and ``via_view``
+    updated; the minimality check probes there and leaves it holding the
+    same nodes as before.  Afterwards ``store`` holds the sources again,
+    ``via_source``'s tuples still read as computed, and ``via_view`` is the
+    view on the sources: the same tuples, and a tree whose wrappers hold
+    the same rows (or value-equal copies of them).
     """
 
     view: ViewDef
@@ -150,7 +149,6 @@ class _Routes:
     restore: dict[int, int]
     via_source: ViewInstance
     via_view: ViewInstance
-    view_holds: list[bool]
     index: _ProbeIndex
 
 
@@ -161,9 +159,11 @@ def _compute_routes(
     source_update: UpdateStatement,
     store: DocumentStore,
 ) -> Iterator[_Routes]:
-    """Compute both routes and hold ``store`` in route A's state while the
-    body runs; on exit, even by an exception, it holds the sources again,
-    node for node and child list for child list.
+    """Compute both routes and hold them updated while the body runs: route
+    A's ``store`` and route B's instance.  On exit, even by an exception,
+    both plans' edited parents get back their child lists: ``store`` holds
+    the sources again, node for node and child list for child list, and
+    route B's instance is the view on the sources again.
 
     Route B's instance is evaluated over the sources' own rows, which are
     copied (copy on write, ``_copy_rows``) for the source plan, then for the
@@ -177,21 +177,19 @@ def _compute_routes(
 
     Every step that can fail runs before the first edit lands: the source
     update's plan, then the view's evaluation, then the view update's plan,
-    whose level is checked before anything else reads the view update.
+    whose level ``plan_update`` checks before anything else reads the view
+    update.
     """
     plan = plan_update(source_update, store)
     via_view = evaluate_view(view, store, copy_rows=False)
-    check_level(view_update, via_view)
-    view_holds = _condition_flags(view_update, via_view)
     chain, copied = _ancestry(store), set()
     _copy_rows(plan, via_view, chain, copied)
     view_plan = plan_update(view_update, via_view)
     if _copy_rows(view_plan, via_view, chain, copied):
         view_plan = plan_update(view_update, via_view)
-    execute_plan(view_plan)
     touched = frozenset(op.target.node_id for op in plan)
     restore = _restore_points(plan)
-    with _executed(plan) as log:
+    with _executed(view_plan), _executed(plan) as log:
         index = _ProbeIndex(view, store, plan, chain)
         tuples = list(itertools.compress(index.tuples, index.shown))
         yield _Routes(
@@ -204,7 +202,6 @@ def _compute_routes(
             restore,
             ViewInstance(view_tree(view, tuples, copy_rows=False), tuples),
             via_view,
-            view_holds,
             index,
         )
 
@@ -282,19 +279,6 @@ def _executed(plan: list[PlannedOp]) -> Iterator[list[Edit]]:
     finally:
         for parent, children in lists.values():
             parent.children = children
-
-
-def _condition_flags(
-    view_update: UpdateStatement, instance: ViewInstance
-) -> list[bool]:
-    """Per wrapper of an instance the update has not edited yet, whether the
-    view update's condition atom holds on it, read relative to the wrapper:
-    ``w/<the condition path below the wrapper step>``."""
-    abstract = abstract_form(view_update)
-    # relative to the wrapper node, bound to the variable "w"
-    atom = PathEqString(("w", abstract.cond_path.steps[2:]), abstract.cond_value)
-    holds = condition_test((atom,), ())
-    return [holds({"w": wrapper}) for wrapper in instance.tree.children or ()]
 
 
 def verify_translation(
@@ -682,12 +666,17 @@ def _lemma2(routes: _Routes, case: Case) -> bool:
 def _lemma3(routes: _Routes) -> bool:
     """L3 on each of route B's tuples, those of the view on the sources: the
     emitted where clause, tested on the restored sources, against the view
-    atom's flag on the tuple's wrapper (``_Routes.view_holds``), which route
-    B evaluated over the tuple's row and tested before the view update
-    edited it; no wrapper is built here."""
+    update's condition atom on the tuple's wrapper, read relative to it
+    (``w/<the condition path below the wrapper step>``).  Route B's
+    instance is the view on the sources again, so no wrapper is built."""
+    abstract = abstract_form(routes.view_update)
+    # relative to the wrapper node, bound to the variable "w"
+    atom = PathEqString(("w", abstract.cond_path.steps[2:]), abstract.cond_value)
+    view_holds = condition_test((atom,), ())
     # a translated statement keeps the view's for-clause, so each view tuple
     # binds every variable its where clause reads
     source = routes.source_update
     source_holds = condition_test(source.conditions, source.bindings)
-    pairs = zip(routes.via_view.tuples, routes.view_holds, strict=True)
-    return all(source_holds(tup) == held for tup, held in pairs)
+    wrappers = routes.via_view.tree.children or ()
+    pairs = zip(routes.via_view.tuples, wrappers, strict=True)
+    return all(source_holds(tup) == view_holds({"w": w}) for tup, w in pairs)

@@ -99,8 +99,8 @@ def value_equal(a: XmlTree, b: XmlTree) -> bool:
 def copy_tree(t: XmlTree, preserve_ids: bool = False) -> XmlTree:
     """Deep-copy a tree.
 
-    With ``preserve_ids`` the copy reuses the original identifiers (used
-    for snapshotting a store before edits).  Otherwise fresh identifiers
+    With ``preserve_ids`` the copy reuses the original identifiers, as
+    ``DocumentStore.copy`` needs.  Otherwise fresh identifiers
     are assigned in document (preorder) order.  The walk keeps a stack of
     child iterators, one per open element, so a tree of any depth is copied
     without recursion.
@@ -298,10 +298,8 @@ def parse_document(text: str) -> XmlTree:
             root.append(node)
 
     def chars(data: str) -> None:
-        if stack:
-            stack[-1].chunks.append(data)
-        elif data.strip():
-            raise MalformedXml("character data outside the root element")
+        # expat passes no character data outside the root element
+        stack[-1].chunks.append(data)
 
     def reject(kind: str):
         def handler(*_args) -> None:
@@ -324,9 +322,7 @@ def parse_document(text: str) -> XmlTree:
         parser.Parse(text, True)
     except expat.ExpatError as exc:
         raise MalformedXml(str(exc)) from None
-    if not root:
-        raise MalformedXml("no root element")
-    return root[0]
+    return root[0]  # expat raises "no element found" without a root
 
 
 # ----------------------------------------------------------------------
@@ -357,7 +353,8 @@ class DocumentStore:
             raise UnknownDocument(f"no document bound to {name!r}") from None
 
     def copy(self) -> "DocumentStore":
-        """Identifier-preserving deep copy, for pre-edit snapshots."""
+        """Identifier-preserving deep copy, onto which an edit log recorded
+        on this store can be replayed (``replay_edits``)."""
         out = DocumentStore()
         for name, tree in self.docs.items():
             out.docs[name] = copy_tree(tree, preserve_ids=True)

@@ -118,9 +118,16 @@ def test_malformed_payload_exits_with_parse_error(tmp_path, capsys, action):
         ["eval"],
         ["fuzz", "--seed", "x", "--count", "1"],
         ["fuzz", "--seed", "1", "--count", "-3"],
+        ["fuzz", "--seed", "1", "--count", "1", "--format", "json"],
         ["bogus"],
     ],
-    ids=["missing-option", "bad-option-value", "negative-count", "unknown-command"],
+    ids=[
+        "missing-option",
+        "bad-option-value",
+        "negative-count",
+        "fuzz-has-no-format",
+        "unknown-command",
+    ],
 )
 def test_usage_error_exits_with_parse_error(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -439,6 +446,44 @@ def test_fuzz_counts_a_case_whose_expectation_differs(capsys, monkeypatch):
     monkeypatch.setattr(cli, "random_case", mislabelled)
     assert main(["fuzz", "--seed", "7", "--count", "1"]) == 5
     assert capsys.readouterr().out.splitlines()[-1] == "failures: 1"
+
+
+def _first_case(make, rejected: bool):
+    """A random_case stand-in giving the first case that expects a
+    rejection, or the first that does not."""
+
+    def first(rng):
+        while True:
+            case = make(rng)
+            if case.expect.startswith("reject:") == rejected:
+                return case
+
+    return first
+
+
+def test_fuzz_counts_a_rejection_for_another_reason(capsys, monkeypatch):
+    first = _first_case(cli.random_case, rejected=True)
+    monkeypatch.setattr(
+        cli,
+        "random_case",
+        lambda rng: dataclasses.replace(first(rng), expect="reject:NoSuchReason"),
+    )
+    assert main(["fuzz", "--seed", "7", "--count", "1"]) == 5
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].startswith("Rejected(") and out[-1] == "failures: 1"
+
+
+def test_fuzz_counts_a_translation_that_fails_verification(capsys, monkeypatch):
+    verify = cli.verify_translation
+    monkeypatch.setattr(cli, "random_case", _first_case(cli.random_case, False))
+    monkeypatch.setattr(
+        cli,
+        "verify_translation",
+        lambda *args: dataclasses.replace(verify(*args), correct=False),
+    )
+    assert main(["fuzz", "--seed", "7", "--count", "1"]) == 5
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].startswith("T") and out[-1] == "failures: 1"
 
 
 def test_fuzz_deterministic(capsys):

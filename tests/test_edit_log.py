@@ -198,23 +198,56 @@ def test_route_b_updates_the_view_evaluated_on_the_sources(monkeypatch):
         evaluated.append((on, options, evaluate(view, on, **options)))
         return evaluated[-1][2]
 
+    def rows(routes):
+        """Per wrapper of route B's instance, its row trees' identities."""
+        return [[id(t) for t in w.children] for w in routes.via_view.tree.children]
+
     monkeypatch.setattr(verifier, "evaluate_view", recording)
-    seen = _recorded_routes(monkeypatch)
+    seen = _recorded_routes(monkeypatch, rows)
     report = verify_translation(view, dv, out.statement, store, out.case)
     assert report.precise and all(ok for _name, ok in report.lemma_checks)
-    ((routes, _inside, _log),) = seen
+    ((routes, updated, _log),) = seen
     # the one evaluation a verification makes, on the unedited sources, over
     # their own rows
     ((on, options, on_sources),) = evaluated
     assert on is store and options == {"copy_rows": False}
     assert routes.via_view is on_sources
-    assert len(routes.via_view.tree.children) == 2  # the two wrappers left
+    assert len(updated) == 2  # the two wrappers left
     assert len(routes.via_view.tuples) == 4  # as evaluated on the sources
     # a root deletion edits no row: each row left is the source's own tree
     items = locate(store.get("d"), ("A",))
-    shown = [t for a in items[1::2] for t in locate(a, ("C",)) + locate(a, ("T",))]
-    rows = [t for w in routes.via_view.tree.children for t in w.children]
-    assert len(rows) == len(shown) and all(r is t for r, t in zip(rows, shown))
+    shown = [[id(t) for t in locate(a, ("C",)) + locate(a, ("T",))] for a in items]
+    assert updated == shown[1::2]
+    # afterwards all four wrappers are back, each over the source's own rows
+    assert rows(routes) == shown
+
+
+@pytest.mark.parametrize(
+    "update",
+    [ROOT_DELETION, LABEL_DELETION, TREE_DELETION, INSERTION],
+    ids=["root-deletion", "label-deletion", "tree-deletion", "insertion"],
+)
+def test_route_b_is_put_back_and_only_l3_reads_the_view_atom(update, monkeypatch):
+    view, dv = parse_view_def(ITEM_VIEW), parse_update(update)
+    out = translate(view, dv)
+    assert isinstance(out, Translated)
+    store = _store(_items("1212"))
+    read = []
+    abstract = verifier.abstract_form
+    monkeypatch.setattr(
+        verifier, "abstract_form", lambda stmt: read.append(stmt) or abstract(stmt)
+    )
+    seen = _recorded_routes(monkeypatch)
+    for case, reads in ((None, 0), (out.case, 1)):
+        read.clear()
+        report = verify_translation(view, dv, out.statement, store, case)
+        assert report.precise and len(read) == reads
+        # route B's instance is the view on the sources again, every wrapper
+        # back
+        via_view = seen[-1][0].via_view
+        assert len(via_view.tree.children) == 4
+        assert value_equal(via_view.tree, evaluate_view(view, store).tree)
+    assert report.lemma_checks == [("L1", True), ("L2", True), ("L3", True)]
 
 
 def test_t4_verify_creates_only_the_evaluated_nodes_and_route_a_shells(monkeypatch):

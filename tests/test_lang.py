@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 
@@ -196,20 +197,49 @@ _STMT = 'for x in doc("d")/r/A where x/B="1" update x/C '
 
 
 @pytest.mark.parametrize(
-    "parse,text",
+    "parse,text,message",
     [
-        (parse_update, 'for x in doc("d")/r/A where x/B="1 update x/C { delete D }'),
-        (parse_update, _STMT + "{ delete D };"),
-        (parse_update, 'for x in doc("s") where x/B="1" update x/C { delete D }'),
-        (parse_update, 'for x in doc("s")/R/A, y in x where y/B="1" update y/C { delete D }'),
-        (parse_update, _STMT + "{ delete D } x"),
-        (parse_view_def, '<v>{for x in doc("s")/R/A return <e>{x/B}</e>}</v> x'),
-        (parse_update, _STMT + "delete D"),
-        (parse_update, _STMT + "{ where D }"),
-        (parse_update, 'for r in v/e, s in w/f where r/B="1" update r/C { delete D }'),
-        (parse_update, _STMT + "{ insert D }"),
-        (parse_update, 'for x in doc("d")/r/A, where x/B="1" update x/C { delete D }'),
-        (parse_view_def, '<v>{for x in doc("s")/R/A, return <e>{x/B}</e>}</v>'),
+        (
+            parse_update,
+            'for x in doc("d")/r/A where x/B="1 update x/C { delete D }',
+            "unterminated string",
+        ),
+        (parse_update, _STMT + "{ delete D };", "to end with '}'"),
+        (
+            parse_update,
+            'for x in doc("s") where x/B="1" update x/C { delete D }',
+            "must be followed by a path",
+        ),
+        (
+            parse_update,
+            'for x in doc("s")/R/A, y in x where y/B="1" update y/C { delete D }',
+            "needs a non-empty path",
+        ),
+        (parse_update, _STMT + "{ delete D } x", "to end with '}'"),
+        (parse_update, _STMT + "{ delete D } }", "trailing input after the update"),
+        (
+            parse_view_def,
+            '<v>{for x in doc("s")/R/A return <e>{x/B}</e>}</v> x',
+            "trailing input after the view",
+        ),
+        (parse_update, _STMT + "delete D", "expected '{' or '('"),
+        (parse_update, _STMT + "{ where D }", "unknown action"),
+        (
+            parse_update,
+            'for r in v/e, s in w/f where r/B="1" update r/C { delete D }',
+            "the same view",
+        ),
+        (parse_update, _STMT + "{ insert D }", "expected an XML payload"),
+        (
+            parse_update,
+            'for x in doc("d")/r/A, where x/B="1" update x/C { delete D }',
+            "found 'where'",
+        ),
+        (
+            parse_view_def,
+            '<v>{for x in doc("s")/R/A, return <e>{x/B}</e>}</v>',
+            "found 'return'",
+        ),
     ],
     ids=[
         "unterminated-string",
@@ -217,6 +247,7 @@ _STMT = 'for x in doc("d")/r/A where x/B="1" update x/C '
         "doc-without-path",
         "variable-without-path",
         "trailing-after-update",
+        "trailing-after-closer",
         "trailing-after-view",
         "no-action-opener",
         "unknown-action",
@@ -226,8 +257,8 @@ _STMT = 'for x in doc("d")/r/A where x/B="1" update x/C '
         "trailing-comma-before-return",
     ],
 )
-def test_statement_syntax_errors(parse, text):
-    with pytest.raises(QuerySyntaxError):
+def test_statement_syntax_errors(parse, text, message):
+    with pytest.raises(QuerySyntaxError, match=re.escape(message)):
         parse(text)
 
 

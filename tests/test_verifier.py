@@ -407,7 +407,7 @@ def test_minimality_matches_the_reference_oracle():
                 if not check_correctness(routes)[0]:
                     continue
                 minimal, witness = check_minimality(routes)
-            expected = _leave_one_out_reference(routes, sources)
+                expected = _leave_one_out_reference(routes, sources)
             assert minimal == expected[0]
             assert witness is expected[1]
             checked += 1
@@ -437,7 +437,7 @@ def test_probes_see_the_tuples_a_level_0_atom_hides_in_route_a():
         with _compute_routes(view, dv, ds, store) as routes:
             assert check_correctness(routes)[0]
             minimal, witness = check_minimality(routes)
-        expected = _leave_one_out_reference(routes, sources)
+            expected = _leave_one_out_reference(routes, sources)
         assert minimal == expected[0]
         assert witness is expected[1]
         assert verify_translation(view, dv, ds, store).minimal == minimal
@@ -485,6 +485,7 @@ def test_deletion_witness_mid_log_is_put_back_in_place():
         state = _store_state(routes.store)
         minimal, witness = check_minimality(routes)
         assert _store_state(routes.store) == state
+        expected = _leave_one_out_reference(routes, sources)
 
     # back between V and W, the second Z leaves the hidden A hidden
     hidden_t = locate(store.get("s"), ("A", "T"))[0]
@@ -493,7 +494,7 @@ def test_deletion_witness_mid_log_is_put_back_in_place():
     assert witness.parent_id == hidden_t.node_id
     assert witness.node_id == hidden_t.children[3].node_id
     assert witness.tree is hidden_t.children[3]  # the source's own subtree
-    assert _leave_one_out_reference(routes, sources) == (False, witness)
+    assert expected == (False, witness)
 
 
 def test_minimal_root_deletion_leaves_route_a_store_unchanged():
@@ -525,7 +526,7 @@ def test_probe_with_a_row_missing_does_not_match():
     with _compute_routes(view, dv, ds, store) as routes:
         assert check_correctness(routes) == (True, None)
         assert check_minimality(routes) == (True, None)
-    assert _leave_one_out_reference(routes, sources) == (True, None)
+        assert _leave_one_out_reference(routes, sources) == (True, None)
 
 
 # ----------------------------------------------------------------------
@@ -631,7 +632,6 @@ def _own_routes(view: ViewDef, stmt: UpdateStatement, store: DocumentStore):
         via_source = evaluate_view(view, store)
         own = ViewInstance(copy_tree(via_source.tree), via_source.tuples)
         index = verifier._ProbeIndex(view, store, plan, verifier._ancestry(store))
-        # no flags: the lemma suite never reads these routes
         yield _Routes(
             view,
             stmt,
@@ -642,7 +642,6 @@ def _own_routes(view: ViewDef, stmt: UpdateStatement, store: DocumentStore):
             restore,
             via_source,
             own,
-            [],
             index,
         )
 
@@ -960,7 +959,9 @@ def _copying_verify(
 ) -> VerificationReport:
     """The reference verification: route A planned, applied and evaluated
     on an id-preserving copy of the store, which minimality probes; the
-    sources are never edited, and the lemma suite reads them."""
+    sources are never edited, and the lemma suite reads them with the view
+    evaluated on them afresh, as the directly updated instance stays
+    edited."""
     updated = store.copy()
     plan = plan_update(source_update, updated)
     touched = frozenset(op.target.node_id for op in plan)
@@ -968,9 +969,7 @@ def _copying_verify(
     log = execute_plan(plan)
     via_source = evaluate_view(view, updated)
     via_view = evaluate_view(view, store)
-    view_plan = plan_update(view_update, via_view)
-    view_holds = verifier._condition_flags(view_update, via_view)
-    execute_plan(view_plan)
+    execute_plan(plan_update(view_update, via_view))
     on_copy = _Routes(
         view,
         view_update,
@@ -981,7 +980,6 @@ def _copying_verify(
         restore,
         via_source,
         via_view,
-        view_holds,
         verifier._ProbeIndex(view, updated, plan, verifier._ancestry(updated)),
     )
     correct, diff = check_correctness(on_copy)
@@ -990,7 +988,10 @@ def _copying_verify(
     if correct:
         minimal, witness = check_minimality(on_copy)
         if case is not None:
-            lemmas = run_lemma_suite(dataclasses.replace(on_copy, store=store), case)
+            on_sources = evaluate_view(view, store)
+            lemmas = run_lemma_suite(
+                dataclasses.replace(on_copy, store=store, via_view=on_sources), case
+            )
     return VerificationReport(correct, diff, minimal, witness, lemmas)
 
 

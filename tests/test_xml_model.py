@@ -72,7 +72,9 @@ def test_parse_rejects_unsupported_constructs(text):
         parse_document(text)
 
 
-@pytest.mark.parametrize("text", ["<a><b></a>", "<a>", "no markup", "<a/><b/>"])
+@pytest.mark.parametrize(
+    "text", ["<a><b></a>", "<a>", "no markup", "<a/><b/>", "", "   ", "<a/>x"]
+)
 def test_parse_rejects_malformed(text):
     with pytest.raises(MalformedXml):
         parse_document(text)
