@@ -26,10 +26,9 @@ from .translator import (
     ReasonCode,
     Rejected,
     Translated,
-    map_paths,
     translate,
 )
-from .updater import abstract_form, apply_update, edit_to_json
+from .updater import apply_update, edit_to_json
 from .verifier import VerificationReport, verify_translation
 from .xml_model import (
     DocumentStore,
@@ -59,12 +58,10 @@ __all__ = [
     "ViewInstance",
     "XmlTree",
     "XviewError",
-    "abstract_form",
     "apply_update",
     "edit_to_json",
     "evaluate_view",
     "locate",
-    "map_paths",
     "normalize_path",
     "parse_document",
     "parse_update",

@@ -429,26 +429,29 @@ def binding_of(bindings: tuple[Binding, ...], var: str) -> Binding:
     raise UnresolvableVariable(f"variable {var!r} is not bound")
 
 
-def normalize_path(stmt, var: str, rel: tuple[str, ...] = ()) -> QualifiedPath:
+def expand_path(
+    stmt, var: str, rel: tuple[str, ...] = ()
+) -> tuple[object, tuple[str, ...]]:
     """Expand a variable-relative path through the for-clause binding chain.
 
     Variables are replaced by their binding paths until the path is rooted
-    at a document or at the view; the resulting name sequence concatenates
-    the binding segments in chain order.
+    at a document or at the view; the result is that root and the name
+    sequence, which concatenates the binding segments in chain order.
     """
-    names = tuple(rel)
-    cur = var
-    seen = set()
+    names, cur, hops = tuple(rel), var, 0
     while True:
-        if cur in seen:
-            raise CyclicBinding(f"binding chain through {var!r} loops")
-        seen.add(cur)
         source = binding_of(stmt.bindings, cur).source
         names = source.steps + names
-        if isinstance(source.root, VarRoot):
-            cur = source.root.var
-            continue
-        return QualifiedPath(source.root, names)
+        if not isinstance(source.root, VarRoot):
+            return source.root, names
+        cur, hops = source.root.var, hops + 1
+        if hops > len(stmt.bindings):  # the chain has visited some variable twice
+            raise CyclicBinding(f"binding chain through {var!r} loops")
+
+
+def normalize_path(stmt, var: str, rel: tuple[str, ...] = ()) -> QualifiedPath:
+    """``expand_path`` as a QualifiedPath."""
+    return QualifiedPath(*expand_path(stmt, var, rel))
 
 
 def return_last_name(view: ViewDef, ret: ReturnExpr) -> str:
@@ -459,7 +462,7 @@ def return_last_name(view: ViewDef, ret: ReturnExpr) -> str:
     """
     if ret.gamma:
         return ret.gamma[-1]
-    return normalize_path(view, ret.var).steps[-1]
+    return expand_path(view, ret.var)[1][-1]
 
 
 # ----------------------------------------------------------------------

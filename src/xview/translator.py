@@ -1,8 +1,10 @@
 """Translate view-level updates into source-level updates.
 
-The pipeline is: reduce the view update to its abstract form, map its full
-view paths back to for-clause expressions through the return clause, then
-match the shape against the four translatable cases:
+The pipeline is: reduce the view update to its context form (the updater's
+``context_form``, the one rule for where its condition pairs with its
+target), map the form's full view paths back to for-clause expressions
+through the return clause, then match the shape against the four
+translatable cases:
 
   T1  the update stays inside one selected subtree: condition and target
       map to the same variable;
@@ -14,7 +16,11 @@ match the shape against the four translatable cases:
   T4  a whole wrapper tree is deleted at the view root: the source binding
       itself is removed.
 
-Everything else is rejected with a reason code.  A translation must also
+Everything else is rejected with a reason code.  A T1 update whose
+condition and target share a step inside the returned subtree pairs them
+under each node at that step, not under the whole subtree: the translation
+binds those nodes to a variable of their own and puts the condition and
+the target on it.  A translation must also
 pass one path guard.  The rewritten path is the target path (T1, T2) or the
 deleted path (T3, T4); it is checked against three lists of source paths,
 in this order:
@@ -45,10 +51,11 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .errors import LevelMismatch, UnmappableName
 from .lang import (
+    Binding,
     DeleteBinding,
     DeleteLabel,
     InsertTree,
@@ -62,7 +69,7 @@ from .lang import (
     normalize_path,
     return_last_name,
 )
-from .updater import AbstractUpdate, abstract_form
+from .updater import context_form
 from .xml_model import QualifiedPath, VarRoot, is_prefix
 
 
@@ -86,27 +93,21 @@ class ReasonCode(str, enum.Enum):
     BindingPathAffected = "BindingPathAffected"
 
 
-@dataclass(frozen=True)
-class MappedPath:
+class MappedPath(NamedTuple):
     """A full view path split as root / wrapper / pivot-name / remainder
     and resolved to a for-clause expression.
 
     ``slot`` is "gamma" when the path reaches into a returned subtree (the
     pivot name selects the return expression), "wrapper" for the wrapper
     level and "root" for the view root; var/gamma/theta are only set for
-    the "gamma" slot.
+    the "gamma" slot.  A named tuple: each translation builds two, and a
+    tuple is cheaper to build than a frozen dataclass.
     """
 
     slot: str
     var: str = ""
     gamma: tuple[str, ...] = ()
     theta: tuple[str, ...] = ()
-
-
-@dataclass(frozen=True)
-class Mapping:
-    cond: MappedPath
-    target: MappedPath
 
 
 @dataclass(frozen=True)
@@ -134,8 +135,14 @@ def _find_return(view: ViewDef, name: str) -> Optional[ReturnExpr]:
     return None
 
 
-def _map_one(view: ViewDef, qp: QualifiedPath, role: str) -> MappedPath:
-    steps = qp.steps
+def _map_one(view: ViewDef, steps: tuple[str, ...], role: str) -> MappedPath:
+    """Resolve a full view path.
+
+    The pivot name right under the wrapper is looked up among the last
+    names of the view's return expressions; distinctness of those names
+    makes the match unique.  Raises UnmappableName when no expression
+    matches.
+    """
     if not steps or steps[0] != view.view_root:
         raise UnmappableName(
             f"{role} path does not start at the view root {view.view_root!r}"
@@ -158,20 +165,6 @@ def _map_one(view: ViewDef, qp: QualifiedPath, role: str) -> MappedPath:
     return MappedPath("gamma", ret.var, ret.gamma, theta)
 
 
-def map_paths(view: ViewDef, abstract: AbstractUpdate) -> Mapping:
-    """Resolve the abstract update's condition and target paths.
-
-    The pivot name right under the wrapper is looked up among the last
-    names of the view's return expressions; distinctness of those names
-    makes the match unique.  Raises UnmappableName when no expression
-    matches.
-    """
-    return Mapping(
-        cond=_map_one(view, abstract.cond_path, "condition"),
-        target=_map_one(view, abstract.target_path, "target"),
-    )
-
-
 # ----------------------------------------------------------------------
 # Translation
 
@@ -180,6 +173,17 @@ def _single_return_var(view: ViewDef) -> Optional[str]:
     if len(vars_used) == 1:
         return next(iter(vars_used))
     return None
+
+
+def _fresh_var(view: ViewDef, base: str) -> str:
+    """The first of ``base``, ``base1``, ``base2``, ... that no binding of
+    ``view`` uses."""
+    used = {b.var for b in view.bindings}
+    name, n = base, 0
+    while name in used:
+        n += 1
+        name = f"{base}{n}"
+    return name
 
 
 def _join_partner_vars(view: ViewDef, cond: MappedPath) -> set[str]:
@@ -249,22 +253,32 @@ def translate(
 ) -> TranslationOutcome:
     """Rewrite a view-level update into a source-level one, or reject it.
 
-    One pass maps the paths, decides the case and builds the statement.
-    The four cases form a whitelist; anything outside them is rejected
-    without claiming impossibility beyond the argued shapes.  A translated
-    statement copies the view's for-clause verbatim, appends the mapped
-    condition to the end of the view's where clause, and updates the mapped
-    target path with the original action (T1/T2), deletes the returned
-    trees from their parents (T3), or deletes the bindings themselves (T4).
+    One pass maps the context form's paths, decides the case, runs the
+    guards and then builds the statement.  The four cases form a whitelist;
+    anything outside them is rejected without claiming impossibility beyond
+    the argued shapes.  A translated statement starts from the view's
+    for-clause and where clause.  When the context form's prefix reaches
+    into a returned subtree (``v/e/<pivot>/...``) and the source path to it
+    below the return's variable is not empty, one binding over that path
+    is added, under a name the view does not use, and the condition and the
+    target are put on it.  Otherwise the condition, mapped to the return's
+    variable, is appended to the view's where clause, and the update acts
+    on the mapped target path with the original action (T1/T2), deletes the
+    returned trees from their parents (T3), or deletes the bindings
+    themselves (T4).
     """
     if view_update.level != "view":
         raise LevelMismatch("translate expects a view-level update")
-    abstract = abstract_form(view_update)
+    form = context_form(view_update)
+    (context,), (atom,), at = form.bindings, form.conditions, form.target
+    prefix, action = context.source.steps, form.action
+    # a parent step (the root deletion) leaves the prefix's last step
+    target_steps = prefix[:-1] if at.parent_step else prefix + at.path
     try:
-        mapping = map_paths(view, abstract)
+        cond = _map_one(view, prefix + atom.lhs[1], "condition")
+        tgt = _map_one(view, target_steps, "target")
     except UnmappableName as exc:
         return Rejected(ReasonCode.UnmappableName, str(exc))
-    cond, tgt, action = mapping.cond, mapping.target, abstract.action
 
     if isinstance(action, InsertTree) and tgt.slot != "gamma":
         return _misplaced_insert(view, action.tree.label, tgt.slot)
@@ -273,8 +287,9 @@ def translate(
             ReasonCode.UnmappableName,
             "the condition path must reach into a returned subtree",
         )
-    appended = PathEqString((cond.var, cond.gamma + cond.theta), abstract.cond_value)
-    conditions = view.conditions + (appended,)
+    # the condition as the where clause reads it on the return's variable
+    appended = (cond.var, cond.gamma + cond.theta)
+    where = [*(side for a in view.conditions for side in atom_sides(a)), appended]
 
     single = _single_return_var(view)
     chain: set[str] = set()  # variables whose paths the guards leave out
@@ -325,8 +340,9 @@ def translate(
         changed = rewritten
         case = Case.T3
         target = UpdateTarget(single, through.gamma, parent_step=True)
-    else:  # root level: only deleting the wrapper label itself translates
-        if not (isinstance(action, DeleteLabel) and action.label == view.wrapper):
+    else:  # root level: only deleting the wrapper label itself translates,
+        # which the context form has made a binding deletion
+        if not isinstance(action, DeleteBinding):
             return Rejected(
                 ReasonCode.NoUniqueSourcePlacement,
                 "a root-level deletion must delete the wrapper label",
@@ -356,7 +372,7 @@ def translate(
     rejected = (
         _guard(
             rewritten,
-            outside(side for atom in conditions for side in atom_sides(atom)),
+            outside(where),
             ReasonCode.TargetPrefixOfWherePath,
             noun + " {} is a prefix or an extension of a translated "
             "where-clause path",
@@ -382,7 +398,15 @@ def translate(
     )
     if rejected:
         return rejected
-    statement = UpdateStatement("source", view.bindings, conditions, target, action)
+    bindings, cond_side = view.bindings, appended
+    past = tgt.gamma + prefix[3:]  # below the return's variable, to the prefix
+    if len(prefix) > 2 and past:
+        # condition and target pair under each node the prefix reaches
+        var = _fresh_var(view, context.var)
+        bindings += (Binding(var, QualifiedPath(VarRoot(tgt.var), past)),)
+        cond_side, target = (var, atom.lhs[1]), UpdateTarget(var, at.path)
+    conditions = view.conditions + (PathEqString(cond_side, atom.value),)
+    statement = UpdateStatement("source", bindings, conditions, target, action)
     return Translated(statement, case)
 
 

@@ -1,9 +1,11 @@
 """Apply update statements to document stores and view instances.
 
 There is one update engine.  A view-level statement is first rewritten into
-the one-binding source-level statement its abstract form describes, over
-the view instance held as a one-document store; from there both levels are
-planned and executed alike.
+its context form (``context_form``), a one-binding statement over the view
+instance held as a one-document store; from there both levels are planned
+and executed alike.  The context form is the one place that decides where a
+view update's condition pairs with its target: the translator and the
+lemma suite read it too.
 
 Application is two-phase: a planning pass enumerates the statement's
 for-clause against the pre-edit state, evaluates conditions, resolves
@@ -48,7 +50,7 @@ from .lang import (
     UpdateStatement,
     UpdateTarget,
     binding_of,
-    normalize_path,
+    expand_path,
 )
 from .xml_model import (
     DocRoot,
@@ -60,43 +62,6 @@ from .xml_model import (
     serialize,
     value_equal,
 )
-
-
-# ----------------------------------------------------------------------
-# Abstract form
-
-@dataclass(frozen=True)
-class AbstractUpdate:
-    """An update reduced to full paths: context, condition, target, action.
-
-    ``common_prefix`` is the maximal common front part of the full
-    condition and target paths; it identifies the context under which
-    condition and target trees pair up.
-    """
-
-    common_prefix: QualifiedPath
-    cond_path: QualifiedPath
-    cond_value: str
-    target_path: QualifiedPath
-    action: object
-
-
-def abstract_form(stmt: UpdateStatement) -> AbstractUpdate:
-    """Expand a view-level statement's condition and target paths through
-    its bindings; the condition slot takes its one string-equality atom."""
-    if stmt.level != "view":
-        raise LevelMismatch("the abstract form is defined for view-level updates")
-    (atom,) = stmt.conditions
-    cond_path = normalize_path(stmt, atom.lhs[0], atom.lhs[1])
-    target_path = normalize_path(stmt, stmt.target.var, stmt.target.path)
-    common = 0
-    if cond_path.root == target_path.root:
-        for a, b in zip(cond_path.steps, target_path.steps):
-            if a != b:
-                break
-            common += 1
-    prefix = QualifiedPath(target_path.root, target_path.steps[:common])
-    return AbstractUpdate(prefix, cond_path, atom.value, target_path, stmt.action)
 
 
 # ----------------------------------------------------------------------
@@ -174,40 +139,49 @@ def _parent_finder(
     return parent_of
 
 
-def _as_source_statement(
-    stmt: UpdateStatement, instance: ViewInstance
-) -> tuple[UpdateStatement, DocumentStore]:
-    """The one-binding statement a view-level statement's abstract form
-    describes, over the instance held as a one-document store.
+def context_form(stmt: UpdateStatement) -> UpdateStatement:
+    """The one-binding statement a view-level statement stands for:
+    ``for c in doc(<view>)/<prefix> where c/<cond rest>="lit" update
+    c/<target rest>``, rooted at the view's root name so that it plans over
+    the instance held as a one-document store of that name.
 
-    The variable ranges over the common front part of the condition and
-    target paths; the condition and the target are their remainders under
-    it.  One exception, forced by the source translation of root-level
-    wrapper deletion: when the deleted label is the very step the condition
-    path descends through, the variable ranges over the deleted children and
-    each one whose own subtree satisfies the condition is deleted as a
-    binding (deleting every wrapper tree as soon as one matched would not
-    survive re-evaluation of the translated update).
+    The condition and target paths are expanded through the statement's
+    bindings; ``prefix`` is their common front part, so ``c`` ranges over
+    the view nodes under which condition and target trees pair up, and the
+    condition and the target are the remainders under it.  One exception,
+    forced by the source translation of root-level wrapper deletion: when
+    the deleted label is the very step the condition path descends
+    through, ``c`` ranges over the deleted children and each one whose own
+    subtree satisfies the condition is deleted as a binding (deleting every
+    wrapper tree as soon as one matched would not survive re-evaluation of
+    the translated update).
     """
-    ab = abstract_form(stmt)
-    cond_steps = ab.cond_path.steps
-    prefix = ab.common_prefix.steps
-    target = UpdateTarget("c", ab.target_path.steps[len(prefix):])
+    if stmt.level != "view":
+        raise LevelMismatch("the context form is defined for view-level updates")
+    (atom,) = stmt.conditions
+    _, cond = expand_path(stmt, *atom.lhs)
+    _, target = expand_path(stmt, stmt.target.var, stmt.target.path)
     action = stmt.action
     if (
         isinstance(action, DeleteLabel)
-        and len(ab.target_path.steps) == 1
-        and cond_steps[1:2] == (action.label,)
+        and len(target) == 1
+        and cond[1:2] == (action.label,)
     ):
-        prefix = cond_steps[:2]
-        target = UpdateTarget("c", (), parent_step=True)
+        prefix = cond[:2]
+        rest = UpdateTarget("c", (), parent_step=True)
         action = DeleteBinding("c")
-    view = prefix[0]
-    store = DocumentStore()
-    store.add(view, instance.tree)
-    binding = Binding("c", QualifiedPath(DocRoot(view), prefix))
-    cond = PathEqString(("c", cond_steps[len(prefix):]), ab.cond_value)
-    return UpdateStatement("source", (binding,), (cond,), target, action), store
+    else:
+        # both paths start at the view's root name
+        common = 0
+        for a, b in zip(cond, target):
+            if a != b:
+                break
+            common += 1
+        prefix = target[:common]
+        rest = UpdateTarget("c", target[common:])
+    binding = Binding("c", QualifiedPath(DocRoot(prefix[0]), prefix))
+    cond_rest = PathEqString(("c", cond[len(prefix) :]), atom.value)
+    return UpdateStatement("source", (binding,), (cond_rest,), rest, action)
 
 
 def _source_applications(
@@ -292,7 +266,9 @@ def plan_update(stmt: UpdateStatement, target) -> list[PlannedOp]:
     if stmt.level == "view":
         if not isinstance(target, ViewInstance):
             raise LevelMismatch("a view-level update applies to a ViewInstance")
-        stmt, target = _as_source_statement(stmt, target)
+        stmt, instance = context_form(stmt), target
+        target = DocumentStore()
+        target.add(stmt.bindings[0].source.root.doc, instance.tree)
     elif not isinstance(target, DocumentStore):
         raise LevelMismatch("a source-level update applies to a DocumentStore")
     plan: dict[int, PlannedOp] = {}

@@ -1,6 +1,11 @@
-"""Shared fixtures: the small running document and the books/universities set."""
+"""Shared fixtures: the small running document, the books/universities set,
+and the free space of single-variable views and updates."""
 
 from __future__ import annotations
+
+import itertools
+import random
+from typing import Iterator
 
 import pytest
 
@@ -99,6 +104,62 @@ QBK_DS_PADDED = (
     'where x/mark="1" '
     "update x/auths { insert <aName>Susan</aName> }"
 )
+
+
+# The free space: one variable x over R/A; a view returning {x} or one
+# 1-2 step path over B/C/D; and updates whose condition and target paths
+# start at the returned name and go on over the other names, with an
+# insertion, a tree deletion or a label deletion of one of B/C/D.
+FREE_NAMES = "BCD"
+
+
+def _name_paths(names: str, shortest: int, longest: int) -> list[tuple[str, ...]]:
+    lengths = range(shortest, longest + 1)
+    return [p for n in lengths for p in itertools.permutations(names, n)]
+
+
+def free_space() -> Iterator[tuple[str, str, list[tuple[str, ...]]]]:
+    """Every (view, update) pair of the free space, with the label paths
+    below A that the view and the update read."""
+    for gamma in [()] + _name_paths(FREE_NAMES, 1, 2):
+        pivot = gamma[-1] if gamma else "A"
+        ret = "/".join(("x",) + gamma)
+        view = f'<v>{{for x in doc("s")/R/A return <e>{{{ret}}}</e>}}</v>'
+        rest = "".join(n for n in FREE_NAMES if n != pivot)
+        paths = [(pivot,) + tail for tail in _name_paths(rest, 0, 2)]
+        for cond, target in itertools.product(paths, paths):
+            for label in FREE_NAMES:
+                for action in (
+                    f"insert <{label}>1</{label}>",
+                    f"delete <{label}>1</{label}>",
+                    f"delete {label}",
+                ):
+                    update = (
+                        f'for r in v/e where r/{"/".join(cond)}="1" '
+                        f'update r/{"/".join(target)} {{ {action} }}'
+                    )
+                    below = [gamma, gamma + cond[1:], gamma + target[1:] + (label,)]
+                    yield view, update, below
+
+
+def free_space_doc(rng: random.Random, below: list[tuple[str, ...]]) -> str:
+    """A document of one or two A trees along the label paths ``below``:
+    zero to two copies of each step, and leaves "1" or "2".  A target path
+    continues to the action's label, so a target is never a text leaf."""
+
+    def grow(here: tuple[str, ...]) -> str:
+        depth = len(here)
+        steps = sorted({p[depth] for p in below if p[:depth] == here and p[depth:]})
+        if not steps:
+            return rng.choice("112")
+        return "".join(
+            f"<{n}>{grow(here + (n,))}</{n}>"
+            for n in steps
+            for _ in range(rng.choice((0, 1, 2, 2)))
+        )
+
+    tops = "".join(f"<A>{grow(())}</A>" for _ in range(rng.randint(1, 2)))
+    return f"<R>{tops}</R>"
 
 
 @pytest.fixture

@@ -599,6 +599,28 @@ def test_readme_demo_commands(capsys):
     assert json.loads(capsys.readouterr().out)["reason"] == "OverlappingExposure"
 
 
+def test_nested_demo_translates_to_a_bound_statement_that_verifies(capsys):
+    # the condition and the target share the step B inside {x/B}: the
+    # translation binds each B, and the verify passes with every lemma
+    nested = [
+        "--view",
+        str(DEMO / "nested_view.xq"),
+        "--update",
+        str(DEMO / "nested_update.xq"),
+    ]
+    assert main(["translate", *nested]) == 0
+    assert capsys.readouterr().out == (
+        'for x in doc("s")/R/A, c in x/B\n'
+        'where c/C="1"\n'
+        "update c/D { insert <F>f</F> }\n"
+    )
+    assert main(["verify", *nested, "--doc", f"s={DEMO / 'nested.xml'}"]) == 0
+    assert capsys.readouterr().out == (
+        "correct: true\nminimal: true\ncase: T1\n"
+        "lemmas: L1=pass L2=pass L3=pass\n"
+    )
+
+
 def test_deeply_nested_document_evaluates(tmp_path, capsys):
     # far past the interpreter's recursion limit: evaluation copies the
     # chain and serializes it without recursing

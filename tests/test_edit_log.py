@@ -233,9 +233,9 @@ def test_route_b_is_put_back_and_only_l3_reads_the_view_atom(update, monkeypatch
     assert isinstance(out, Translated)
     store = _store(_items("1212"))
     read = []
-    abstract = verifier.abstract_form
+    form = verifier.context_form
     monkeypatch.setattr(
-        verifier, "abstract_form", lambda stmt: read.append(stmt) or abstract(stmt)
+        verifier, "context_form", lambda stmt: read.append(stmt) or form(stmt)
     )
     seen = _recorded_routes(monkeypatch)
     for case, reads in ((None, 0), (out.case, 1)):

@@ -2,73 +2,85 @@
 
 from __future__ import annotations
 
+import collections
 import random
 
 import pytest
 
-from xview.errors import LevelMismatch, UnmappableName
+from xview.errors import LevelMismatch
 from xview.fuzzgen import GENERATORS, random_case
 from xview.lang import (
     PathEqString,
+    UpdateTarget,
     parse_update,
     parse_view_def,
     render_update,
 )
 from xview.translator import (
     Case,
-    Mapping,
     ReasonCode,
     Rejected,
     Translated,
-    map_paths,
     translate,
 )
-from xview.updater import abstract_form
 from xview.verifier import verify_translation
-from xview.xml_model import DocumentStore, parse_document
+from xview.xml_model import DocumentStore, parse_document, serialize
 from .conftest import (
     EX1_DISJOINT_VIEW,
     EX1_VIEW,
     QBK_DS_PRINTED,
     QBK_DV,
     QBK_VIEW,
+    free_space,
+    free_space_doc,
 )
-
-
-def _mapping_for(view_text: str, update_text: str) -> Mapping:
-    view = parse_view_def(view_text)
-    return map_paths(view, abstract_form(parse_update(update_text)))
-
-
-def test_map_paths_books():
-    m = _mapping_for(QBK_VIEW, QBK_DV)
-    assert (m.cond.var, m.cond.gamma, m.cond.theta) == ("x", ("title",), ())
-    assert (m.target.var, m.target.gamma, m.target.theta) == ("x", ("auths",), ())
-
-
-def test_map_paths_example_view_with_remainder():
-    m = _mapping_for(
-        EX1_VIEW, 'for r in v/e where r/G="g1" update r/G { delete <X>1</X> }'
-    )
-    assert (m.cond.var, m.cond.gamma, m.cond.theta) == ("y", ("F", "G"), ())
-    m2 = _mapping_for(
-        EX1_VIEW, 'for r in v/e where r/C/D="1" update r/C/F { delete <X>1</X> }'
-    )
-    assert (m2.cond.var, m2.cond.gamma, m2.cond.theta) == ("x", ("C",), ("D",))
-    assert (m2.target.var, m2.target.gamma, m2.target.theta) == ("x", ("C",), ("F",))
-
-
-def test_map_paths_unknown_name():
-    view = parse_view_def(QBK_VIEW)
-    ab = abstract_form(
-        parse_update('for r in Qbk/use where r/nope="1" update r/auths { delete x }')
-    )
-    with pytest.raises(UnmappableName):
-        map_paths(view, ab)
 
 
 def _outcome(view_text: str, update_text: str):
     return translate(parse_view_def(view_text), parse_update(update_text))
+
+
+def test_translate_maps_the_books_paths_to_x():
+    # title and auths both map to the return expressions over x, with no
+    # remainder, so the condition is appended on x itself
+    out = _outcome(QBK_VIEW, QBK_DV)
+    assert isinstance(out, Translated)
+    assert out.statement.conditions[-1] == PathEqString(("x", ("title",)), "IS")
+    assert out.statement.target == UpdateTarget("x", ("auths",))
+
+
+def test_translate_maps_paths_with_a_remainder():
+    # r/G/P and r/G/K split as the pivot G of {y/F/G} and remainders P and K;
+    # their common prefix v/e/G reaches into the returned subtree, so the
+    # nodes at y/F/G are bound and condition and target pair under each
+    out = _outcome(
+        EX1_DISJOINT_VIEW,
+        'for r in v/e where r/G/P="1" update r/G/K { insert <Z>z</Z> }',
+    )
+    assert isinstance(out, Translated) and out.case is Case.T1
+    assert out.statement == parse_update(
+        'for x in doc("r")/r/A, y in x/C, z in x/H, c in y/F/G '
+        'where y/D=z and z="1" and c/P="1" update c/K { insert <Z>z</Z> }'
+    )
+    # a bare {x} returns the binding itself: the prefix v/e/A is x, and the
+    # remainders B and C stay on x
+    out = _outcome(
+        '<v>{for x in doc("s")/R/A return <e>{x}</e>}</v>',
+        'for r in v/e where r/A/B="1" update r/A/C { insert <D>d</D> }',
+    )
+    assert isinstance(out, Translated) and out.case is Case.T1
+    assert out.statement == parse_update(
+        'for x in doc("s")/R/A where x/B="1" update x/C { insert <D>d</D> }'
+    )
+
+
+def test_translate_rejects_an_unknown_name_as_unmappable():
+    out = _outcome(
+        QBK_VIEW, 'for r in Qbk/use where r/nope="1" update r/auths { delete x }'
+    )
+    assert out == Rejected(
+        ReasonCode.UnmappableName, "condition name 'nope' matches no return expression"
+    )
 
 
 def test_classify_books_update_is_t1():
@@ -541,3 +553,90 @@ def test_rarely_generated_rejections(view_text, update_text, reason, detail):
 def test_reason_code_precedence(view_text, update_text, reason):
     out = _outcome(view_text, update_text)
     assert isinstance(out, Rejected) and out.reason is reason
+
+
+# ----------------------------------------------------------------------
+# Condition and target pair under their common prefix
+
+NESTED_VIEW = '<v>{for x in doc("s")/R/A return <e>{x/B}</e>}</v>'
+NESTED_DV = 'for r in v/e where r/B/C="1" update r/B/D { insert <F>f</F> }'
+
+
+def test_a_prefix_inside_the_returned_subtree_binds_its_nodes():
+    # the prefix v/e/B pairs C and D under each B on its own; appending
+    # x/B/C="1" instead inserted into every B/D of an A with any matching B
+    view, dv = parse_view_def(NESTED_VIEW), parse_update(NESTED_DV)
+    out = translate(view, dv)
+    assert isinstance(out, Translated) and out.case is Case.T1
+    assert render_update(out.statement) == (
+        'for x in doc("s")/R/A, c in x/B\n'
+        'where c/C="1"\n'
+        "update c/D { insert <F>f</F> }"
+    )
+    store = DocumentStore()
+    store.add("s", parse_document("<R><A><B><D/></B><B><C>1</C></B></A></R>"))
+    report = verify_translation(view, dv, out.statement, store, out.case)
+    assert report.passed
+    assert report.lemma_checks == [("L1", True), ("L2", True), ("L3", True)]
+
+
+def test_the_added_binding_takes_a_name_the_view_does_not_use():
+    view = parse_view_def(
+        '<v>{for c in doc("s")/R/A, c1 in c/E return <e>{c/B}</e>}</v>'
+    )
+    dv = parse_update(NESTED_DV)
+    out = translate(view, dv)
+    assert isinstance(out, Translated)
+    assert out.statement == parse_update(
+        'for c in doc("s")/R/A, c1 in c/E, c2 in c/B '
+        'where c2/C="1" update c2/D { insert <F>f</F> }'
+    )
+    store = DocumentStore()
+    store.add(
+        "s",
+        parse_document(
+            "<R><A><E/><E/><B><D/></B><B><C>1</C><D/></B></A><A><B><C>1</C></B></A></R>"
+        ),
+    )
+    assert verify_translation(view, dv, out.statement, store, out.case).passed
+
+
+@pytest.fixture(scope="module")
+def free_space_outcomes():
+    """Each free-space pair, parsed, with its label paths and its outcome."""
+    outcomes = []
+    for view_text, update_text, below in free_space():
+        view, dv = parse_view_def(view_text), parse_update(update_text)
+        outcomes.append((view, dv, below, translate(view, dv)))
+    return outcomes
+
+
+def test_free_space_rejections_and_bound_translations(free_space_outcomes):
+    outcomes = free_space_outcomes
+    reasons = collections.Counter(
+        out.reason for *_, out in outcomes if isinstance(out, Rejected)
+    )
+    assert reasons == {ReasonCode.TargetPrefixOfWherePath: 1737}
+    translated = [out for *_, out in outcomes if isinstance(out, Translated)]
+    bound = [out for out in translated if len(out.statement.bindings) == 2]
+    assert len(translated) == 1188 and len(bound) == 702
+    for out in bound:
+        assert out.case is Case.T1
+        assert parse_update(render_update(out.statement)) == out.statement
+
+
+def test_free_space_translations_are_precise(free_space_outcomes):
+    # a fixed sample of the translated pairs, each verified on small
+    # documents along its own paths
+    translated = [c for c in free_space_outcomes if isinstance(c[3], Translated)]
+    rng = random.Random(5)
+    failing = []
+    for view, dv, below, out in rng.sample(translated, 150):
+        for _ in range(20):
+            store = DocumentStore()
+            store.add("s", parse_document(free_space_doc(rng, below)))
+            report = verify_translation(view, dv, out.statement, store, out.case)
+            if not report.passed:
+                failing.append((render_update(dv), serialize(store.get("s"))))
+                break
+    assert failing == []

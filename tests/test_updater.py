@@ -1,4 +1,4 @@
-"""Update application: abstract form, action semantics, edit logs."""
+"""Update application: context form, action semantics, edit logs."""
 
 from __future__ import annotations
 
@@ -13,19 +13,27 @@ from xview.errors import (
     TargetNotElement,
 )
 from xview.evaluator import evaluate_view
-from xview.lang import parse_update, parse_view_def
+from xview.lang import (
+    Binding,
+    DeleteBinding,
+    PathEqString,
+    UpdateTarget,
+    parse_update,
+    parse_view_def,
+    render_update,
+)
 from xview.updater import (
     Deleted,
     Inserted,
-    abstract_form,
     apply_update,
+    context_form,
     edit_to_json,
     replay_edits,
 )
 from xview.xml_model import (
+    DocRoot,
     DocumentStore,
     QualifiedPath,
-    VIEW_ROOT,
     locate,
     parse_document,
     serialize,
@@ -34,30 +42,53 @@ from xview.xml_model import (
 from .conftest import QBK_DS_PRINTED, QBK_DV
 
 
-def test_abstract_form_books_update():
-    ab = abstract_form(parse_update(QBK_DV))
-    assert ab.cond_path == QualifiedPath(VIEW_ROOT, ("Qbk", "use", "title"))
-    assert ab.target_path == QualifiedPath(VIEW_ROOT, ("Qbk", "use", "auths"))
-    assert ab.common_prefix == QualifiedPath(VIEW_ROOT, ("Qbk", "use"))
-    assert ab.cond_value == "IS"
+def test_context_form_books_update():
+    # condition and target pair under their common prefix Qbk/use
+    form = context_form(parse_update(QBK_DV))
+    assert form.bindings == (
+        Binding("c", QualifiedPath(DocRoot("Qbk"), ("Qbk", "use"))),
+    )
+    assert form.conditions == (PathEqString(("c", ("title",)), "IS"),)
+    assert form.target == UpdateTarget("c", ("auths",))
+    assert render_update(form) == (
+        'for c in doc("Qbk")/Qbk/use\n'
+        'where c/title="IS"\n'
+        "update c/auths { insert <aName>Susan</aName> }"
+    )
 
 
-def test_abstract_form_root_update():
-    ab = abstract_form(parse_update('for u in v where u/e/C="1" update u ( delete e )'))
-    assert ab.target_path == QualifiedPath(VIEW_ROOT, ("v",))
-    assert ab.common_prefix == QualifiedPath(VIEW_ROOT, ("v",))
+def test_context_form_root_update():
+    # the root-deletion exception: the common prefix is the view root, but
+    # c ranges over the deleted wrapper trees and each is deleted as a
+    # binding
+    form = context_form(
+        parse_update('for u in v where u/e/C="1" update u ( delete e )')
+    )
+    assert form.bindings == (Binding("c", QualifiedPath(DocRoot("v"), ("v", "e"))),)
+    assert form.conditions == (PathEqString(("c", ("C",)), "1"),)
+    assert form.target == UpdateTarget("c", (), parent_step=True)
+    assert form.action == DeleteBinding("c")
+    # another label at the root keeps the common prefix, the view root
+    other = context_form(
+        parse_update('for u in v where u/e/C="1" update u ( delete f )')
+    )
+    assert other.bindings[0].source.steps == ("v",)
+    assert other.conditions == (PathEqString(("c", ("e", "C")), "1"),)
+    assert other.target == UpdateTarget("c", ())
 
 
-def test_abstract_form_condition_equals_target():
-    ab = abstract_form(
+def test_context_form_condition_equals_target():
+    form = context_form(
         parse_update('for r in v/e where r/C="1" update r/C { delete <D>1</D> }')
     )
-    assert ab.common_prefix == ab.cond_path == ab.target_path
+    assert form.bindings[0].source.steps == ("v", "e", "C")
+    assert form.conditions == (PathEqString(("c", ()), "1"),)
+    assert form.target == UpdateTarget("c", ())
 
 
-def test_abstract_form_rejects_source_level_statement():
+def test_context_form_rejects_source_level_statement():
     with pytest.raises(LevelMismatch):
-        abstract_form(parse_update(QBK_DS_PRINTED))
+        context_form(parse_update(QBK_DS_PRINTED))
 
 
 def _one_doc(xml: str) -> DocumentStore:

@@ -14,6 +14,7 @@ from xview import cli, verifier
 from xview.evaluator import ViewInstance, enumerate_bindings, evaluate_view, row_trees
 from xview.fuzzgen import gen_t1, gen_t2, random_case
 from xview.lang import (
+    DeleteLabel,
     PathEqString,
     UpdateStatement,
     ViewDef,
@@ -26,7 +27,6 @@ from xview.updater import (
     Deleted,
     Edit,
     Inserted,
-    abstract_form,
     execute_plan,
     plan_update,
     replay_edits,
@@ -43,6 +43,7 @@ from xview.verifier import (
 )
 from xview.xml_model import (
     DocumentStore,
+    VarRoot,
     XmlTree,
     copy_tree,
     iter_nodes,
@@ -60,6 +61,8 @@ from .conftest import (
     QBK_DV,
     QBK_VIEW,
     SUBJINF_XML,
+    free_space,
+    free_space_doc,
 )
 
 
@@ -1249,25 +1252,66 @@ def _holds_by_sets(atoms, tup) -> bool:
     return True
 
 
+def _full_steps(stmt: UpdateStatement, var: str, names: tuple) -> tuple:
+    """A variable path of ``stmt`` as names from its root, expanded here
+    through the statement's own bindings."""
+    sources = {b.var: b.source for b in stmt.bindings}
+    while True:
+        source = sources[var]
+        names = source.steps + names
+        if not isinstance(source.root, VarRoot):
+            return names
+        var = source.root.var
+
+
 def _shell_lemma3(routes: _Routes) -> bool:
-    """The reference: L3 as it was when it built a wrapper shell over each
-    of route B's tuples' uncopied rows on the sources and tested the view
-    atom on that shell."""
-    abstract = abstract_form(routes.view_update)
-    view_atom = PathEqString(("w", abstract.cond_path.steps[2:]), abstract.cond_value)
+    """The reference: L3 with a wrapper shell built over each of route B's
+    tuples' uncopied rows on the sources.  The view update's condition and
+    target pair under their common prefix, with the root-deletion
+    exception, as README "Data model" states them; the paths are expanded
+    and the prefix taken here.  The context nodes at the prefix below the
+    wrapper step are located in each shell, and pair in document order
+    with the tuple's extensions through the bindings the source update adds
+    to the view's."""
+    dv = routes.view_update
+    (atom,) = dv.conditions
+    cond = _full_steps(dv, *atom.lhs)
+    target = _full_steps(dv, dv.target.var, dv.target.path)
+    common = 0
+    while common < min(len(cond), len(target)) and cond[common] == target[common]:
+        common += 1
+    action = dv.action
+    if isinstance(action, DeleteLabel) and target == cond[:1]:
+        if cond[1:2] == (action.label,):
+            common = 2
+    context_atom = PathEqString(("c", cond[common:]), atom.value)
     source = routes.source_update
+    added = source.bindings[len(routes.view.bindings) :]
     for tup in routes.via_view.tuples:
         rows = row_trees(routes.view.returns, tup)
         shell = XmlTree(routes.view.wrapper, children=rows)
-        source_holds = _holds_by_sets(source.conditions, tup)
-        if source_holds != _holds_by_sets((view_atom,), {"w": shell}):
+        contexts = locate(shell, cond[2:common])
+        extended = [tup]
+        for b in added:
+            extended = [
+                {**t, b.var: n}
+                for t in extended
+                for n in locate(t[b.source.root.var], b.source.steps)
+            ]
+        if len(extended) != len(contexts):
             return False
+        for t, context in zip(extended, contexts):
+            source_holds = _holds_by_sets(source.conditions, t)
+            if source_holds != _holds_by_sets((context_atom,), {"c": context}):
+                return False
     return True
 
 
 def test_lemma3_matches_the_shell_reference():
-    # the translated fuzz cases of seeds 0-19, and free statements judged
-    # against a root deletion as above, L3 read on the restored sources
+    # the translated fuzz cases of seeds 0-19, free statements judged
+    # against a root deletion as above, and the bound translations of a
+    # sample of the free space, each also judged against its view update
+    # with the other literal; L3 read on the restored sources
     cases = []
     for seed in range(20):
         rng = random.Random(seed)
@@ -1288,7 +1332,16 @@ def test_lemma3_matches_the_shell_reference():
             f'for u in v where u/e/{label}="{value}" update u ( delete e )'
         )
         cases.append((view, dv, stmt, _single_doc_store(doc)))
-    judged = failed = 0
+    rng = random.Random(29)
+    for view_text, update_text, below in rng.sample(list(free_space()), 400):
+        view, dv = parse_view_def(view_text), parse_update(update_text)
+        out = translate(view, dv)
+        if isinstance(out, Translated) and len(out.statement.bindings) == 2:
+            other = parse_update(update_text.replace('="1"', '="2"'))
+            for judged_dv in (dv, other):
+                store = _single_doc_store(free_space_doc(rng, below))
+                cases.append((view, judged_dv, out.statement, store))
+    judged = failed = bound = bound_failed = 0
     for view, dv, stmt, store in cases:
         try:
             routes = _settled_routes(view, dv, stmt, store)
@@ -1298,7 +1351,11 @@ def test_lemma3_matches_the_shell_reference():
         assert verifier._lemma3(routes) == want
         judged += 1
         failed += not want
-    assert judged > 700 and failed > 50
+        if len(stmt.bindings) > len(view.bindings):
+            bound += 1
+            bound_failed += not want
+    assert judged > 900 and failed > 120
+    assert bound > 150 and 40 < bound_failed < bound - 40
 
 
 def _order_case():
