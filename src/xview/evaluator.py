@@ -168,7 +168,7 @@ def satisfying_tuples(
     """The for-clause tuples that satisfy every atom, in nested-loop order:
     ``enumerate_bindings`` drops those failing an atom decided before the
     last binding level, and the atoms decided only there are tested here,
-    once per tuple it returns."""
+    once per tuple it returns (none, when no atom is left to test)."""
     early: list[ConditionAtom] = []
     late = atoms
     last = len(bindings) - 1
@@ -176,8 +176,11 @@ def satisfying_tuples(
         late = []
         for atom, at in zip(atoms, _decided_at(atoms, bindings)):
             (late if at == last else early).append(atom)
+    tuples = enumerate_bindings(bindings, store, early)
+    if not late:
+        return tuples
     holds = condition_test(late, bindings)
-    return [t for t in enumerate_bindings(bindings, store, early) if holds(t)]
+    return [t for t in tuples if holds(t)]
 
 
 # A prepared where clause: tuple -> whether it satisfies every atom.

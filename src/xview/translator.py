@@ -44,14 +44,18 @@ For T4, paths rooted at the deleted variable or at a variable chained
 below it are left out of every list: all their rows go with the deleted
 binding.  A T2 candidate whose variables no join links is rejected
 (CondTargetDifferentVarsNoJoin) after the where check and before the other
-two.
+two.  Last, every path the translation adds to the view's for-clause and
+where clause, and its target path, must name each step once, as the
+statement grammar requires.  The return's path and the update's path can
+share a name (``{x/D/C}`` with ``r/C/D``), and then no statement can write
+the translation: it is rejected (SourcePathRepeatsName).
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 from .errors import LevelMismatch, UnmappableName
 from .lang import (
@@ -91,6 +95,7 @@ class ReasonCode(str, enum.Enum):
     MultiVariableReturnRootDeletion = "MultiVariableReturnRootDeletion"
     OverlappingExposure = "OverlappingExposure"
     BindingPathAffected = "BindingPathAffected"
+    SourcePathRepeatsName = "SourcePathRepeatsName"
 
 
 class MappedPath(NamedTuple):
@@ -186,16 +191,35 @@ def _fresh_var(view: ViewDef, base: str) -> str:
     return name
 
 
-def _join_partner_vars(view: ViewDef, cond: MappedPath) -> set[str]:
+# normalize_path(view, var, names) for one view (see ``_expansions``)
+Expand = Callable[..., QualifiedPath]
+
+
+def _expansions(view: ViewDef) -> Expand:
+    """``normalize_path`` over ``view``, for one translation: each variable's
+    binding chain is expanded once, at its first use, and a path is that
+    expansion plus its own names."""
+    bases: dict[str, QualifiedPath] = {}
+
+    def full(var: str, names: tuple[str, ...] = ()) -> QualifiedPath:
+        base = bases.get(var)
+        if base is None:
+            base = bases[var] = normalize_path(view, var)
+        return QualifiedPath(base.root, base.steps + names)
+
+    return full
+
+
+def _join_partner_vars(view: ViewDef, cond: MappedPath, full: Expand) -> set[str]:
     """Variables of every join atom one of whose sides equals the mapped
     condition path (compared on fully expanded, variable-free paths)."""
-    cond_qp = normalize_path(view, cond.var, cond.gamma + cond.theta)
+    cond_qp = full(cond.var, cond.gamma + cond.theta)
     partners: set[str] = set()
     for atom in view.conditions:
         if not isinstance(atom, PathEqPath):
             continue
         for side in (atom.lhs, atom.rhs):
-            if normalize_path(view, side[0], side[1]) == cond_qp:
+            if full(*side) == cond_qp:
                 partners.add(atom.lhs[0])
                 partners.add(atom.rhs[0])
     return partners
@@ -292,17 +316,18 @@ def translate(
     where = [*(side for a in view.conditions for side in atom_sides(a)), appended]
 
     single = _single_return_var(view)
+    full = _expansions(view)
     chain: set[str] = set()  # variables whose paths the guards leave out
     no_join: Optional[Rejected] = None
     if tgt.slot == "gamma":
         noun = "target path"
-        rewritten = normalize_path(view, tgt.var, tgt.gamma + tgt.theta)
+        rewritten = full(tgt.var, tgt.gamma + tgt.theta)
         # the action adds or removes children bearing its label
         label = action.label if isinstance(action, DeleteLabel) else action.tree.label
         changed = QualifiedPath(rewritten.root, rewritten.steps + (label,))
         if cond.var == tgt.var:
             case = Case.T1
-        elif tgt.var in _join_partner_vars(view, cond):
+        elif tgt.var in _join_partner_vars(view, cond, full):
             case = Case.T2
         else:
             no_join = Rejected(
@@ -336,7 +361,7 @@ def translate(
                 f"trees that tuple production can never yield",
             )
         noun = "deleted path"
-        rewritten = normalize_path(view, single, through.gamma)
+        rewritten = full(single, through.gamma)
         changed = rewritten
         case = Case.T3
         target = UpdateTarget(single, through.gamma, parent_step=True)
@@ -359,14 +384,14 @@ def translate(
             if isinstance(b.source.root, VarRoot) and b.source.root.var in chain:
                 chain.add(b.var)
         noun = "deleted path"
-        rewritten = normalize_path(view, single)
+        rewritten = full(single)
         changed = rewritten
         case, through = Case.T4, None
         target = UpdateTarget(single, (), parent_step=True)
         action = DeleteBinding(single)
 
     def outside(var_paths) -> list[QualifiedPath]:
-        return [normalize_path(view, v, ns) for v, ns in var_paths if v not in chain]
+        return [full(v, ns) for v, ns in var_paths if v not in chain]
 
     # the guard over where, return and binding paths; see the module docstring
     rejected = (
@@ -405,6 +430,16 @@ def translate(
         var = _fresh_var(view, context.var)
         bindings += (Binding(var, QualifiedPath(VarRoot(tgt.var), past)),)
         cond_side, target = (var, atom.lhs[1]), UpdateTarget(var, at.path)
+    # every path the statement adds must be writable: each name once
+    added = bindings[len(view.bindings) :]
+    written = [(b.source.root.var, b.source.steps) for b in added]
+    for var, names in [*written, cond_side, (target.var, target.path)]:
+        if len(set(names)) != len(names):
+            return Rejected(
+                ReasonCode.SourcePathRepeatsName,
+                f"the source path {'/'.join((var, *names))} repeats a name, "
+                "so no update statement can write it",
+            )
     conditions = view.conditions + (PathEqString(cond_side, atom.value),)
     statement = UpdateStatement("source", bindings, conditions, target, action)
     return Translated(statement, case)

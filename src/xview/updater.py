@@ -185,9 +185,10 @@ def context_form(stmt: UpdateStatement) -> UpdateStatement:
 
 
 def _source_applications(
-    stmt: UpdateStatement, store: DocumentStore
+    stmt: UpdateStatement, store: DocumentStore, satisfied: list[ForTuple]
 ) -> Iterator[tuple[XmlTree, XmlTree]]:
-    """Per condition-satisfying for-clause tuple, act on every target tree.
+    """Per condition-satisfying for-clause tuple (``satisfied``), act on
+    every target tree.
 
     Yields (target, parent) pairs, as ``_resolve`` takes them, for the trees
     ``target_trees`` reaches; but ``x/..`` (or a binding deletion) reaches
@@ -196,7 +197,7 @@ def _source_applications(
     action, target = stmt.action, stmt.target
     deletes_binding = isinstance(action, DeleteBinding)
     parent_of = None  # built at the first tuple that needs it
-    for tup in satisfying_tuples(stmt.bindings, store, stmt.conditions):
+    for tup in satisfied:
         if deletes_binding or (target.parent_step and not target.path):
             var = action.var if deletes_binding else target.var
             if parent_of is None:
@@ -257,12 +258,23 @@ def _resolve(target: XmlTree, parent: XmlTree, action) -> list[Edit]:
     return [Deleted(target.node_id, c.node_id, c) for c in gone]
 
 
+class _Plan(list):
+    """A plan: its ``PlannedOp`` operations, in order, and as ``satisfied``
+    the for-clause tuples whose where clause held on the pre-edit state, in
+    nested-loop order.  For a view-level statement those are its context
+    form's tuples, over the instance.  The lemma suite reads them, so that
+    it need not test either where clause again."""
+
+    satisfied: list[ForTuple]
+
+
 def plan_update(stmt: UpdateStatement, target) -> list[PlannedOp]:
     """Plan all applications against the pre-edit state, first one per node.
 
     A source-level statement is planned on a DocumentStore and a view-level
     one on a ViewInstance; otherwise ``LevelMismatch`` is raised before
-    anything else reads the statement."""
+    anything else reads the statement.  The list returned also records the
+    tuples that satisfied the where clause (``_Plan.satisfied``)."""
     if stmt.level == "view":
         if not isinstance(target, ViewInstance):
             raise LevelMismatch("a view-level update applies to a ViewInstance")
@@ -271,13 +283,16 @@ def plan_update(stmt: UpdateStatement, target) -> list[PlannedOp]:
         target.add(stmt.bindings[0].source.root.doc, instance.tree)
     elif not isinstance(target, DocumentStore):
         raise LevelMismatch("a source-level update applies to a DocumentStore")
-    plan: dict[int, PlannedOp] = {}
-    for node, parent in _source_applications(stmt, target):
-        if node.node_id not in plan:
-            plan[node.node_id] = PlannedOp(
+    satisfied = satisfying_tuples(stmt.bindings, target, stmt.conditions)
+    ops: dict[int, PlannedOp] = {}
+    for node, parent in _source_applications(stmt, target, satisfied):
+        if node.node_id not in ops:
+            ops[node.node_id] = PlannedOp(
                 node, parent, _resolve(node, parent, stmt.action)
             )
-    return list(plan.values())
+    plan = _Plan(ops.values())
+    plan.satisfied = satisfied
+    return plan
 
 
 # ----------------------------------------------------------------------

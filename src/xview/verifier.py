@@ -30,8 +30,10 @@ new list, and the probes' in-place undo and redo touch only those new
 lists.  Route B is put back the same way, so afterwards its instance is
 the view on the sources again.  Rows the two routes share are the same
 objects, so comparing them costs nothing (``value_equal``).  L3 builds no
-wrapper either: it tests the condition of the view update's context form
-on the context nodes of route B's restored wrappers.
+wrapper either, and tests no where clause again where the two plans
+already did: it reads which tuples satisfied the source update's clause
+and which context nodes of route B's restored wrappers satisfied the view
+update's context form.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ import contextlib
 import itertools
 import json
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .evaluator import (
     ConditionTest,
@@ -120,13 +122,16 @@ class _Routes:
     (``touched``), edit log and deleted children's restore points
     (``restore``, see ``_restore_points``) are kept, and the view on the
     updated store is read off ``index`` as wrappers over uncopied rows.
-    Route B (``via_view``) is update(view(sources)): the view update is
-    applied to the evaluation of the view on the sources, which edits its
-    tree but not its tuples, so those stay the view's tuples on the
-    sources.  Its wrappers hold the sources' own row trees, except those
-    that ``_compute_routes`` copied because they hold an edit parent of
-    either plan or one of its ancestors; so a row tree both routes show
-    unedited is one object.  Both routes are valid only while
+    The source plan's satisfying tuples and those of the view update's last
+    plan (``satisfied``, see ``updater._Plan``) are kept for the lemma
+    suite; routes built without them leave it None, and L3 then tests both
+    where clauses itself.  Route B (``via_view``) is update(view(sources)):
+    the view update is applied to the evaluation of the view on the
+    sources, which edits its tree but not its tuples, so those stay the
+    view's tuples on the sources.  Its wrappers hold the sources' own row
+    trees, except those that ``_compute_routes`` copied because they hold an
+    edit parent of either plan or one of its ancestors; so a row tree both
+    routes show unedited is one object.  Both routes are valid only while
     ``_compute_routes`` holds ``store`` in route A's state and ``via_view``
     updated; the minimality check probes there and leaves it holding the
     same nodes as before.  Afterwards ``store`` holds the sources again,
@@ -145,6 +150,7 @@ class _Routes:
     via_source: ViewInstance
     via_view: ViewInstance
     index: _ProbeIndex
+    satisfied: Optional[tuple[list[ForTuple], list[ForTuple]]] = None
 
 
 @contextlib.contextmanager
@@ -198,6 +204,7 @@ def _compute_routes(
             ViewInstance(view_tree(view, tuples, copy_rows=False), tuples),
             via_view,
             index,
+            (plan.satisfied, view_plan.satisfied),
         )
 
 
@@ -242,17 +249,19 @@ def _copy_rows(
     ids, so ``chain`` gives a parent inside it no ancestor."""
     wrappers = instance.tree.children or []
     owned = {id(instance.tree), *map(id, wrappers)}
+    parents = {id(op.parent): op.parent for op in plan if op.edits}
     reached = {
-        node.node_id
-        for op in plan
-        if op.edits and id(op.parent) not in owned
-        for node in chain(op.parent)
+        node
+        for key, parent in parents.items()
+        if key not in owned
+        for node in chain(parent)
     }
+    if not reached:
+        return False
     fresh = [
         i
         for i, wrapper in enumerate(wrappers)
-        if reached and i not in copied
-        and any(t.node_id in reached for t in wrapper.children)
+        if i not in copied and not reached.isdisjoint(wrapper.children)
     ]
     for i in fresh:
         wrappers[i].children = [copy_tree(t) for t in wrappers[i].children]
@@ -464,8 +473,11 @@ class _ProbeIndex:
         for binding in view.bindings:
             self.levels.append(bind_level(binding, self.levels[-1], store))
         self.tuples = self.levels[-1]
-        holds = condition_test(view.conditions, view.bindings)
-        self.shown = [holds(t) for t in self.tuples]
+        if view.conditions:
+            holds = condition_test(view.conditions, view.bindings)
+            self.shown = [holds(t) for t in self.tuples]
+        else:
+            self.shown = [True] * len(self.tuples)
 
     def prepare_probes(self) -> None:
         """Build the parts only probes read, on the store in route A's state,
@@ -495,11 +507,17 @@ class _ProbeIndex:
         ``moved`` is the child of ``parent`` the undo put back or removed.
 
         The answer is exact: if the row count holds while rows appear or
-        go, every row that moves is compared with the row in its new place."""
+        go, every row that moves is compared with the row in its new place.
+        An undo that reaches no indexed tuple (none binds ``parent`` or an
+        ancestor of it, and no removed insertion held a bound node) can
+        only add rows, through the restored child: the view is then
+        unchanged exactly when no such tuple shows a row, which is decided
+        at the first one that does, with no change list, sort or placement.
+        """
         chain = self.chain(parent)
         hit = {t for node in chain for t in self.binders.get(node.node_id, ())}
         gone: set[int] = set()
-        fresh: list[ForTuple] = []
+        fresh: Iterable[ForTuple] = ()
         if isinstance(edit, Inserted):
             gone = {
                 t
@@ -510,6 +528,8 @@ class _ProbeIndex:
             fresh = self._through(chain, moved)
         # a fresh test per probe: values read before the undo may be stale
         holds = condition_test(self.view.conditions, self.view.bindings)
+        if not hit and not gone:  # the undo can only add rows
+            return not any(map(holds, fresh))
         changes: list[_Change] = []
         for t in sorted(hit | gone):
             row = None if t in gone else self._row(self.tuples[t], holds)
@@ -534,13 +554,13 @@ class _ProbeIndex:
             return None
         return row_trees(self.view.returns, tup)
 
-    def _through(self, chain: list[XmlTree], restored: XmlTree) -> list[ForTuple]:
+    def _through(self, chain: list[XmlTree], restored: XmlTree) -> Iterator[ForTuple]:
         """The tuples a restored child adds: per binding level, the partials
         indexed under a context in ``chain`` (the child's parent and its
         ancestors) whose path runs through ``restored``, extended by the
-        nodes that path reaches under it and through the later bindings."""
+        nodes that path reaches under it and through the later bindings.
+        They are made one level's batch at a time, as the reader asks."""
         bindings = self.view.bindings
-        found: list[ForTuple] = []
         below = (restored.label,)  # the labels from the context down to it
         for context in chain:
             for i, binding in enumerate(bindings):
@@ -551,9 +571,8 @@ class _ProbeIndex:
                 level = [{**p, binding.var: n} for p in partials for n in nodes]
                 for later in bindings[i + 1 :]:
                     level = bind_level(later, level, self.store)
-                found.extend(level)
+                yield from level
             below = (context.label,) + below
-        return found
 
     def _placed(
         self, appeared: list[tuple[ForTuple, list[XmlTree]]]
@@ -624,7 +643,10 @@ def run_lemma_suite(routes: _Routes, case: Case) -> list[tuple[str, bool]]:
 
     The suite runs only on translations already found correct.  Agreement of
     the two routes at the target view path is therefore not checked here: it
-    follows from the value equality of the whole instances.
+    follows from the value equality of the whole instances.  It reads the
+    restored sources and route B's restored instance, the very states the
+    two plans were made on, so L3 reads both where clauses' verdicts off the
+    plans (``routes.satisfied``) wherever they cover its pairs.
     """
     return [
         ("L1", _lemma1(routes)),
@@ -663,35 +685,52 @@ def _lemma2(routes: _Routes, case: Case) -> bool:
 
 def _lemma3(routes: _Routes) -> bool:
     """L3 on each of route B's tuples, those of the view on the sources: the
-    emitted where clause, tested on the restored sources, against the
-    condition of the view update's context form (``context_form``), tested
-    on the context nodes in the tuple's wrapper: those at the form's prefix
-    below the wrapper step.  The tuple is extended through the bindings the
-    translation added to the view's for-clause, and the extensions pair
-    with the context nodes in document order, one to one.  Route B's
-    instance is the view on the sources again, so no wrapper is built."""
+    emitted where clause, on the restored sources, against the condition of
+    the view update's context form (``context_form``) on the context nodes
+    in the tuple's wrapper: those at the form's prefix below the wrapper
+    step.  The tuple is extended through the bindings the translation added
+    to the view's for-clause, and the extensions pair with the context
+    nodes in document order, one to one.  Route B's instance is the view on
+    the sources again, so no wrapper is built.
+
+    Neither clause is tested again where the two plans already decided it
+    on these very states (``routes.satisfied``): the source plan enumerated
+    every extension on the sources, and the view update's last plan every
+    context node of the restored wrappers, so a verdict is a membership
+    test.  The clauses are tested here only where those are not the pairs
+    L3 reads: a one-step prefix, whose context is the view root, and a
+    source statement whose bindings do not extend the view's (a hand-written
+    one)."""
     form = context_form(routes.view_update)
     (context,) = form.bindings
-    below = context.source.steps[2:]  # the path from a wrapper to its contexts
-    view_holds = condition_test(form.conditions, form.bindings)
+    prefix = context.source.steps
+    below = prefix[2:]  # the path from a wrapper to its contexts
     source = routes.source_update
-    source_holds = condition_test(source.conditions, source.bindings)
+    extends = source.bindings[: len(routes.view.bindings)] == routes.view.bindings
     added = source.bindings[len(routes.view.bindings) :]
+    if routes.satisfied is not None and len(prefix) > 1 and extends:
+        by_source, by_view = routes.satisfied
+        held = {tuple(t.values()) for t in by_source}
+        source_holds: ConditionTest = lambda t: tuple(t.values()) in held
+        view_holds = {t[context.var] for t in by_view}.__contains__
+    else:
+        source_holds = condition_test(source.conditions, source.bindings)
+        form_holds = condition_test(form.conditions, form.bindings)
+        view_holds = lambda c: form_holds({context.var: c})
     wrappers = routes.via_view.tree.children or ()
     pairs = zip(routes.via_view.tuples, wrappers, strict=True)
     # each tuple pairs with its wrapper: the loop below gives the same
     # verdict, but its per-tuple list, locate and zip cost about 4% of a T4
     # verify of 160 tuples (measured on a 2-core x86-64 host, Python 3.11)
     if not added and not below:
-        return all(source_holds(t) == view_holds({context.var: w}) for t, w in pairs)
+        return all(source_holds(t) == view_holds(w) for t, w in pairs)
     for tup, wrapper in pairs:
         extended = [tup]
         for binding in added:
             extended = bind_level(binding, extended, routes.store)
         contexts = locate(wrapper, below)
         if len(extended) != len(contexts) or any(
-            source_holds(t) != view_holds({context.var: c})
-            for t, c in zip(extended, contexts)
+            source_holds(t) != view_holds(c) for t, c in zip(extended, contexts)
         ):
             return False
     return True

@@ -621,6 +621,43 @@ def test_nested_demo_translates_to_a_bound_statement_that_verifies(capsys):
     )
 
 
+def test_repeat_demo_is_rejected_as_unwritable(capsys):
+    # the pair C, D under {x/D/C} would bind x/D/C/D, which no statement
+    # can write: the translation is refused with a reason naming that
+    repeat = [
+        "--view",
+        str(DEMO / "repeat_view.xq"),
+        "--update",
+        str(DEMO / "repeat_update.xq"),
+    ]
+    for extra in ([], ["--format", "json"]):
+        assert main(["translate", *repeat, *extra]) == 2
+        out = json.loads(capsys.readouterr().out)
+        assert out["reason"] == "SourcePathRepeatsName"
+        assert "x/D/C/D" in out["detail"]
+
+
+def test_main_builds_the_parser_once(capsys, monkeypatch):
+    # repeated in-process calls reuse one parser, and print the same usage
+    # error and exit with the same code every time
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    cli._parser.cache_clear()
+    try:
+        outputs = []
+        for _ in range(3):
+            assert main(["fuzz", "--seed", "1", "--count", "1"]) == 0
+            with pytest.raises(SystemExit) as exited:
+                main(["fuzz", "--seed", "1"])
+            outputs.append((exited.value.code, capsys.readouterr()))
+    finally:
+        cli._parser.cache_clear()
+    assert built == [1]
+    assert outputs[0][0] == 3 and "required: --count" in outputs[0][1].err
+    assert outputs[1:] == outputs[:1] * 2
+
+
 def test_deeply_nested_document_evaluates(tmp_path, capsys):
     # far past the interpreter's recursion limit: evaluation copies the
     # chain and serializes it without recursing

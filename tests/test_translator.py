@@ -640,3 +640,46 @@ def test_free_space_translations_are_precise(free_space_outcomes):
                 failing.append((render_update(dv), serialize(store.get("s"))))
                 break
     assert failing == []
+
+
+def test_a_source_path_that_would_repeat_a_name_is_rejected():
+    # the prefix v/e/C/D would bind x/D/C/D, a path no statement can write
+    view = parse_view_def(
+        '<v>{for x in doc("s")/R/A return <e>{x/D/C}{x/T}</e>}</v>'
+    )
+    out = translate(
+        view,
+        parse_update(
+            'for r in v/e where r/C/D/B="1" update r/C/D/E { insert <F>f</F> }'
+        ),
+    )
+    assert isinstance(out, Rejected)
+    assert out.reason is ReasonCode.SourcePathRepeatsName
+    assert out.detail == (
+        "the source path x/D/C/D repeats a name, so no update statement can "
+        "write it"
+    )
+    # paired at the wrapper, the condition would be appended as x/D/C/D="1"
+    appended = 'for r in v/e where r/C/D="1" update r/T { insert <F>f</F> }'
+    out = translate(view, parse_update(appended))
+    assert isinstance(out, Rejected)
+    assert out.reason is ReasonCode.SourcePathRepeatsName
+    assert "x/D/C/D" in out.detail
+
+
+def test_every_translation_parses_back(free_space_outcomes):
+    # what translate emits, xview apply must read: every translated fuzz
+    # case of seeds 0-19 and every translated pair of the free space
+    translated = [out for *_, out in free_space_outcomes if isinstance(out, Translated)]
+    fuzzed = 0
+    for seed in range(20):
+        rng = random.Random(seed)
+        for _ in range(200):
+            case = random_case(rng)
+            out = translate(case.view, case.update)
+            if isinstance(out, Translated):
+                translated.append(out)
+                fuzzed += 1
+    assert fuzzed == 1813 and len(translated) == 1813 + 1188
+    for out in translated:
+        assert parse_update(render_update(out.statement)) == out.statement

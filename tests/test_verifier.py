@@ -10,7 +10,7 @@ from typing import Optional
 import pytest
 
 from xview.errors import XviewError
-from xview import cli, verifier
+from xview import cli, evaluator, verifier
 from xview.evaluator import ViewInstance, enumerate_bindings, evaluate_view, row_trees
 from xview.fuzzgen import gen_t1, gen_t2, random_case
 from xview.lang import (
@@ -20,6 +20,7 @@ from xview.lang import (
     ViewDef,
     parse_update,
     parse_view_def,
+    render_update,
     return_last_name,
 )
 from xview.translator import Case, Rejected, Translated, translate
@@ -690,6 +691,75 @@ def test_every_probe_matches_a_rebuilt_view():
     assert probes > 600 and changed >= 100
 
 
+@pytest.mark.parametrize(
+    "view_text, update_text, doc, changes",
+    [
+        # each restored A shows no row, unless it also holds C="1"
+        (
+            '<v>{for x in doc("s")/R/A where x/C="1" return <e>{x/B}</e>}</v>',
+            'for x in doc("s")/R/A where x/C="2" update x/.. { delete A }',
+            "<R><A><B>a</B><C>2</C></A><A><B>b</B><C>1</C></A>"
+            "<A><B>c</B><C>1</C><C>2</C></A><A><B>d</B><C>2</C></A></R>",
+            [False, True, False],
+        ),
+        # the where clause reads x, bound a level above the restored A over
+        # other nodes: an A shows rows only when some K shares its C
+        (
+            '<v>{for x in doc("s")/R/K, y in doc("s")/R/A where x/C=y/C '
+            "return <e>{x/B}{y/G}</e>}</v>",
+            'for y in doc("s")/R/A where y/D="1" update y/.. { delete A }',
+            "<R><K><B>k</B><C>1</C></K><A><G>a</G><C>1</C><D>1</D></A>"
+            "<K><B>l</B><C>3</C></K><A><G>b</G><C>2</C><D>1</D></A>"
+            "<A><G>c</G><C>3</C><D>1</D></A></R>",
+            [True, False, True],
+        ),
+        # the restored B lies two steps below the binding's context, R
+        (
+            '<v>{for y in doc("s")/R/A/B/E where y="1" return <e>{y}</e>}</v>',
+            'for x in doc("s")/R/A, b in x/B where b/F="1" update b/.. { delete B }',
+            "<R><A><B><E>1</E><F>1</F></B><B><E>2</E><F>1</F></B>"
+            "<B><E>1</E></B></A></R>",
+            [True, False],
+        ),
+    ],
+    ids=["restored-rows-hidden", "where-reads-an-outer-binding", "deep-binding-path"],
+)
+def test_a_probe_reaching_no_indexed_tuple_stops_at_the_first_row(
+    view_text, update_text, doc, changes, monkeypatch
+):
+    # no tuple binds the parent of the restored child or one of its
+    # ancestors, so each probe can only add rows: it is decided by whether a
+    # tuple through that child shows one, with no rows compared
+    view, stmt = parse_view_def(view_text), parse_update(update_text)
+    store = _single_doc_store(doc)
+    sources = store.copy()
+
+    def compared(*_args):
+        raise AssertionError("a probe that can only add rows compares none")
+
+    monkeypatch.setattr(verifier, "_rows_agree", compared)
+    with _own_routes(view, stmt, store) as routes:
+        assert _probes_against_rebuilt_views(routes, sources) == changes
+
+
+@pytest.mark.parametrize(
+    "payload, changes", [("1", [True, True]), ("2", [False, False])]
+)
+def test_a_probe_removing_an_insertion_hides_the_rows_it_showed(payload, changes):
+    # no tuple binds an A or R, but the view binds the inserted Bs
+    # themselves: undoing an insertion takes away the row it showed, if any
+    view = parse_view_def(
+        '<v>{for y in doc("s")/R/A/B where y="1" return <e>{y}</e>}</v>'
+    )
+    stmt = parse_update(
+        f'for x in doc("s")/R/A where x/C="1" update x {{ insert <B>{payload}</B> }}'
+    )
+    store = _single_doc_store("<R><A><C>1</C></A><A><C>1</C><B>1</B></A></R>")
+    sources = store.copy()
+    with _own_routes(view, stmt, store) as routes:
+        assert _probes_against_rebuilt_views(routes, sources) == changes
+
+
 # Shapes a probe must re-check through the index, each against the reference
 
 
@@ -877,6 +947,50 @@ def test_minimality_checks_grow_linearly_with_the_document(monkeypatch):
             assert check_minimality(routes) == (True, None)
             monkeypatch.setattr(verifier, "condition_test", prepare)
     assert 0 < calls[1] <= 5 * calls[0]
+
+
+def test_a_t4_verify_tests_each_where_clause_once_per_tuple(monkeypatch):
+    # the bench's deletion: a view with no where clause, and a T4 root
+    # deletion of half of N items.  Only the two plans test a clause, once
+    # per tuple each: the source plan x1/C="1" on the items, the view
+    # update's plan u/e/C="1" on the wrappers.  The evaluation and the
+    # probe index test nothing, each probe tests its restored item, and L3
+    # reads the plans' verdicts.  Before L3 read them, a verify made 6N
+    # tests: N for the evaluation, N per plan, N/2 for the index, N/2 for
+    # the probes, and 2N in L3.
+    view = parse_view_def('<v>{for x1 in doc("d")/R/A return <e>{x1/C}{x1/T}</e>}</v>')
+    dv = parse_update('for u in v where u/e/C="1" update u ( delete e )')
+    out = translate(view, dv)
+    assert isinstance(out, Translated) and out.case is Case.T4
+    calls = [0]
+
+    def counting(prepare):
+        def prepared(*args):
+            holds = prepare(*args)
+
+            def counted(tup):
+                calls[0] += 1
+                return holds(tup)
+
+            return counted
+
+        return prepared
+
+    for module in (evaluator, verifier):
+        monkeypatch.setattr(module, "condition_test", counting(module.condition_test))
+    rng = random.Random(3)
+    for items in (8, 160):
+        marks = ["1", "2"] * (items // 2)
+        rng.shuffle(marks)
+        doc = "".join(
+            f"<A><C>{mark}</C><T><W>w{i}</W></T></A>" for i, mark in enumerate(marks)
+        )
+        store = DocumentStore()
+        store.add("d", parse_document(f"<R>{doc}</R>"))
+        calls[0] = 0
+        report = verify_translation(view, dv, out.statement, store, out.case)
+        assert report.passed
+        assert calls[0] == 2 * items + items // 2
 
 
 def test_route_a_view_and_probe_index_share_one_enumeration(monkeypatch):
@@ -1356,6 +1470,127 @@ def test_lemma3_matches_the_shell_reference():
             bound_failed += not want
     assert judged > 900 and failed > 120
     assert bound > 150 and 40 < bound_failed < bound - 40
+
+
+def _join_store(rng: random.Random) -> DocumentStore:
+    """Books and universities in the shape of the README's join documents,
+    with a room, holding k trees, beside the professors of a subject."""
+
+    def some(label: str, values: str, most: int = 2) -> str:
+        return "".join(
+            f"<{label}>{rng.choice(values.split())}</{label}>"
+            for _ in range(rng.randint(0, most))
+        )
+
+    books = "".join(
+        f"<book><auths>{some('aName', 'John Mary')}</auths>"
+        f"<title>{rng.choice(('IS', 'DB', 'AI'))}</title></book>"
+        for _ in range(rng.randint(1, 3))
+    )
+    unis = "".join(
+        f"<uni><uName>{rng.choice(('UniSA', 'Swin'))}</uName><subjs>"
+        + "".join(
+            f"<subj><title>{rng.choice(('IS', 'DB', 'AI'))}</title><profs>"
+            f"{some('pName', 'Paul Rose')}"
+            + "".join(
+                f"<room>{some('k', '1 2', 1)}</room>" for _ in range(rng.randint(0, 2))
+            )
+            + "</profs></subj>"
+            for _ in range(rng.randint(0, 3))
+        )
+        + "</subjs></uni>"
+        for _ in range(rng.randint(1, 2))
+    )
+    store = DocumentStore()
+    store.add("bkInf.xml", parse_document(f"<bkInf>{books}</bkInf>"))
+    store.add("subjInf.xml", parse_document(f"<subjInf>{unis}</subjInf>"))
+    return store
+
+
+def test_lemma3_reads_the_plans_verdicts_on_joins_and_bound_statements(monkeypatch):
+    # the join view's translations: T1 and T2, whose where clause the
+    # source plan splits (x/title="IS" is tested on the books before the
+    # subjects extend them), and bound T1, whose added c in z/profs extends
+    # each tuple by zero to two nodes (the join is then tested before c
+    # extends it); each judged against its view update and against the
+    # same update with the other literal.  L3 reads the plans' verdicts and
+    # tests no clause itself.  Hand-written statements whose bindings do
+    # not extend the view's, and a condition paired at the view root, are
+    # the cases where L3 tests both clauses.
+    view = parse_view_def(QBK_VIEW)
+    judged: list[tuple[UpdateStatement, UpdateStatement, bool]] = []
+    for cond, target in (
+        ('title="IS"', "auths { insert <aName>S</aName> }"),
+        ('title="IS"', "auths { delete aName }"),
+        ('title="IS"', "profs { delete room }"),
+        ('profs/pName="Paul"', "profs/room { insert <k>1</k> }"),
+        ('profs/pName="Paul"', "profs/room { delete k }"),
+    ):
+        dv = parse_update(
+            f"for r in view(Qbk)/Qbk/use where r/{cond} update r/{target}"
+        )
+        out = translate(view, dv)
+        assert isinstance(out, Translated)
+        other = cond.replace('"IS"', '"DB"').replace('"Paul"', '"Rose"')
+        for judged_dv in (dv, parse_update(render_update(dv).replace(cond, other))):
+            judged.append((judged_dv, out.statement, True))
+    at_root = parse_update(
+        'for u in view(Qbk)/Qbk where u="IS" update u/use/auths { delete aName }'
+    )
+    judged += [
+        (parse_update(QBK_DV), parse_update(QBK_DS_PADDED), False),
+        (parse_update(QBK_DV), parse_update(QBK_DS_NO_COND), True),
+        (at_root, parse_update(QBK_DS_PRINTED), False),
+    ]
+    rng = random.Random(41)
+    tests: list[int] = []
+    prepare = verifier.condition_test
+
+    def counting(*args):
+        tests.append(1)
+        return prepare(*args)
+
+    outcomes = {True: [0, 0], False: [0, 0]}  # verdicts read -> [judged, failed]
+    bound_held = 0
+    for _ in range(40):
+        for dv, stmt, reads_verdicts in judged:
+            routes = _settled_routes(view, dv, stmt, _join_store(rng))
+            want = _shell_lemma3(routes)
+            tests.clear()
+            with monkeypatch.context() as m:
+                m.setattr(verifier, "condition_test", counting)
+                assert verifier._lemma3(routes) == want
+            assert (tests == []) == reads_verdicts
+            outcomes[reads_verdicts][0] += 1
+            outcomes[reads_verdicts][1] += not want
+            bound_held += reads_verdicts and len(stmt.bindings) > 3 and want
+    (read, read_failed), (tested, tested_failed) = outcomes[True], outcomes[False]
+    assert read == 440 and 60 < read_failed < 300 and bound_held > 20
+    assert tested == 80 and 0 < tested_failed < tested
+
+
+def test_lemma3_reads_the_verdicts_of_the_view_update_planned_again(monkeypatch):
+    # the A's T is shown in both its wrappers, and the source update edits
+    # nothing, so the view update's plan reaches a shared T: both wrappers'
+    # rows are copied and the view update is planned again.  L3's context
+    # nodes are the copies, and it reads the second plan's verdicts on them
+    view = parse_view_def(
+        '<v>{for x in doc("s")/R/A, y in x/B return <e>{y}{x/T}</e>}</v>'
+    )
+    dv = parse_update('for r in v/e where r/T/C="1" update r/T/D { insert <F>f</F> }')
+    stmt = parse_update(
+        'for x in doc("s")/R/A, y in x/B, c in x/T where c/C="1" '
+        "update c/E { insert <F>f</F> }"
+    )
+    store = _single_doc_store("<R><A><B>1</B><B>2</B><T><C>1</C><D/></T></A></R>")
+    plans = []
+    plan = verifier.plan_update
+    monkeypatch.setattr(
+        verifier, "plan_update", lambda *args: plans.append(args[0]) or plan(*args)
+    )
+    routes = _settled_routes(view, dv, stmt, store)
+    assert plans == [stmt, dv, dv]
+    assert _shell_lemma3(routes) and verifier._lemma3(routes)
 
 
 def _order_case():
