@@ -321,19 +321,6 @@ def _mutate(parent: XmlTree, edit: Edit) -> None:
     del children[at]
 
 
-def _deletions(plan: list[PlannedOp]) -> tuple[list[XmlTree], set[int]]:
-    """The parents a plan deletes children of, each once, and the ids of
-    the children it deletes."""
-    parents: dict[int, XmlTree] = {}
-    gone: set[int] = set()
-    for op in plan:
-        for edit in op.edits:
-            if isinstance(edit, Deleted):
-                parents[edit.parent_id] = op.parent
-                gone.add(edit.node_id)
-    return list(parents.values()), gone
-
-
 def execute_plan(plan: list[PlannedOp]) -> list[Edit]:
     """Perform a plan's edits and return them as the edit log, in plan order.
 
@@ -344,13 +331,17 @@ def execute_plan(plan: list[PlannedOp]) -> list[Edit]:
     edited in place, so a caller that kept the old lists can put them back.
     """
     edits: list[Edit] = []
+    parents: dict[int, XmlTree] = {}  # the parents of deletions, each once
+    gone: set[int] = set()  # the ids of the deleted children
     for op in plan:
         for edit in op.edits:
             if isinstance(edit, Inserted):
                 _mutate(op.parent, edit)
+            else:
+                parents[edit.parent_id] = op.parent
+                gone.add(edit.node_id)
         edits.extend(op.edits)
-    parents, gone = _deletions(plan)
-    for parent in parents:
+    for parent in parents.values():
         parent.children = [c for c in parent.children or [] if c.node_id not in gone]
     return edits
 

@@ -10,11 +10,13 @@ probe re-checks only the tuples the undone edit reaches, read off an index
 of that store and view built once per verification, so a verification
 costs a few evaluations, not one per edit; route A's view is read off the
 same index, whose probe-only parts are built only when there is an edit.
-An undone deletion puts back the logged subtree itself at a place read off
-its parent's child list before route A's plan ran.  Both
-oracles are independent of the translation path they judge: they only
-evaluate, apply and compare.  The two update routes are computed once per
-verification, and every oracle reads them from that one record.
+An undone deletion puts back the logged subtree itself, at the place it
+held in its parent's child list before route A's plan ran, among the
+siblings that stay.  Both oracles are independent of the translation path
+they judge: they only evaluate, apply and compare.  The two update routes
+are computed once per verification, and every oracle reads them from that
+one record; each check reads what the two plans already recorded, rather
+than working it out again.
 
 A verification copies neither the store nor a view, and copies a row only
 before an edit could reach inside it.  Route B updates the instance
@@ -23,17 +25,22 @@ rows of the wrappers that hold an edit parent of either plan or one of its
 ancestors (copy on write, as in path copying).  Route A applies the
 source update to the sources themselves and reads its view off the probe
 index, as wrappers over the shown tuples' uncopied rows; once correctness
-and minimality are judged, every edited parent gets back the very child
+and minimality are judged, every planned parent gets back the very child
 list it held, and the lemma suite reads the restored sources.  The
 put-back is exact because execution and insertion always give a parent a
 new list, and the probes' in-place undo and redo touch only those new
-lists.  Route B is put back the same way, so afterwards its instance is
-the view on the sources again.  Rows the two routes share are the same
-objects, so comparing them costs nothing (``value_equal``).  L3 builds no
-wrapper either, and tests no where clause again where the two plans
-already did: it reads which tuples satisfied the source update's clause
-and which context nodes of route B's restored wrappers satisfied the view
-update's context form.
+lists.  Route A's put-back record, each planned parent with the list it
+held, is also where the probes find their edits' parents and restore
+points, and where L1 finds the trees the plan touched.  Route B is put
+back the same way, so afterwards its instance is the view on the sources
+again.  Rows the two routes share are the same objects, so comparing them
+costs nothing (``value_equal``).
+
+The lemma suite checks once that the statements are of the shape the
+lemmas are stated for, as every translation is, and reports no lemmas
+otherwise.  L3 builds no wrapper, and tests no where clause: it reads
+which tuples satisfied the source update's clause and which context nodes
+of route B's restored wrappers satisfied the view update's context form.
 """
 
 from __future__ import annotations
@@ -64,7 +71,6 @@ from .updater import (
     Edit,
     Inserted,
     PlannedOp,
-    _deletions,
     context_form,
     edit_to_json,
     execute_plan,
@@ -118,14 +124,12 @@ class _Routes:
     """One verification's inputs and both update routes, computed once.
 
     Route A (``via_source``) is view(update(sources)): the source update is
-    planned and applied on ``store`` itself, whose planned target ids
-    (``touched``), edit log and deleted children's restore points
-    (``restore``, see ``_restore_points``) are kept, and the view on the
+    planned and applied on ``store`` itself, whose edit log and put-back
+    record (``put_back``, see ``_executed``) are kept, and the view on the
     updated store is read off ``index`` as wrappers over uncopied rows.
     The source plan's satisfying tuples and those of the view update's last
     plan (``satisfied``, see ``updater._Plan``) are kept for the lemma
-    suite; routes built without them leave it None, and L3 then tests both
-    where clauses itself.  Route B (``via_view``) is update(view(sources)):
+    suite.  Route B (``via_view``) is update(view(sources)):
     the view update is applied to the evaluation of the view on the
     sources, which edits its tree but not its tuples, so those stay the
     view's tuples on the sources.  Its wrappers hold the sources' own row
@@ -144,13 +148,12 @@ class _Routes:
     view_update: UpdateStatement
     source_update: UpdateStatement
     store: DocumentStore
-    touched: frozenset[int]
     log: list[Edit]
-    restore: dict[int, int]
+    put_back: _PutBack
     via_source: ViewInstance
     via_view: ViewInstance
     index: _ProbeIndex
-    satisfied: Optional[tuple[list[ForTuple], list[ForTuple]]] = None
+    satisfied: tuple[list[ForTuple], list[ForTuple]]
 
 
 @contextlib.contextmanager
@@ -188,19 +191,16 @@ def _compute_routes(
     view_plan = plan_update(view_update, via_view)
     if _copy_rows(view_plan, via_view, chain, copied):
         view_plan = plan_update(view_update, via_view)
-    touched = frozenset(op.target.node_id for op in plan)
-    restore = _restore_points(plan)
-    with _executed(view_plan), _executed(plan) as log:
-        index = _ProbeIndex(view, store, plan, chain)
+    with _executed(view_plan), _executed(plan) as (log, put_back):
+        index = _ProbeIndex(view, store, chain)
         tuples = list(itertools.compress(index.tuples, index.shown))
         yield _Routes(
             view,
             view_update,
             source_update,
             store,
-            touched,
             log,
-            restore,
+            put_back,
             ViewInstance(view_tree(view, tuples, copy_rows=False), tuples),
             via_view,
             index,
@@ -269,19 +269,28 @@ def _copy_rows(
     return bool(fresh)
 
 
+# a plan's put-back record: per planned parent's id, the parent and the
+# child list it held before the plan ran
+_PutBack = dict[int, tuple[XmlTree, Optional[list[XmlTree]]]]
+
+
 @contextlib.contextmanager
-def _executed(plan: list[PlannedOp]) -> Iterator[list[Edit]]:
-    """Execute a plan and yield its edit log; on exit, put back every
-    planned parent's child list, the very list object it held before.
+def _executed(plan: list[PlannedOp]) -> Iterator[tuple[list[Edit], _PutBack]]:
+    """Execute a plan and yield its edit log with its put-back record; on
+    exit, give every planned parent back the very list object the record
+    holds for it.
 
     Execution never edits a parent's list in place but gives it a new one,
-    so the lists put back still hold exactly the children they held.
+    so the lists put back still hold exactly the children they held.  The
+    record holds the parent of every planned operation, edits or none; that
+    parent is the operation's own target, except for a binding deletion,
+    whose target is the child it removes.
     """
-    lists = {op.parent.node_id: (op.parent, op.parent.children) for op in plan}
+    put_back = {op.parent.node_id: (op.parent, op.parent.children) for op in plan}
     try:
-        yield execute_plan(plan)
+        yield execute_plan(plan), put_back
     finally:
-        for parent, children in lists.values():
+        for parent, children in put_back.values():
             parent.children = children
 
 
@@ -314,34 +323,31 @@ def tree_diff(a: XmlTree, b: XmlTree) -> Optional[dict]:
     One lockstep preorder walk over node pairs, skipping a pair whose two
     sides are the same object: the first pair whose labels, texts or child
     counts differ is reported, with the left tree's path to it
-    (``v[0]/e[1]/B``).  The walk keeps a stack of child-pair iterators, one
-    per open pair, and the path is read off the pairs they last gave.
+    (``v[0]/e[1]/B``).  The walk keeps one stack of pairs still to visit,
+    each with its place among its parent's children and a link to the
+    entry of its parent pair; the path is read off those links only at a
+    divergence.
     """
-    stack: list[Iterator[tuple[int, tuple[XmlTree, XmlTree]]]] = []
-    trail: list = []  # per open pair, the child pair its iterator gave last
-    x, y = a, b
-    while True:
-        if x is not y:
-            xc, yc = x.children, y.children
-            # equal texts also mean the same content kind (see value_equal)
-            if x.label != y.label or x.text != y.text or (
-                xc is not None and len(xc) != len(yc)
-            ):
-                path = a.label + "".join(f"[{i}]/{p[0].label}" for i, p in trail)
-                return {"path": path, "left": serialize(x), "right": serialize(y)}
-            if xc:
-                stack.append(enumerate(zip(xc, yc)))
-                trail.append(None)  # set to its first child pair below
-        while stack:
-            step = next(stack[-1], None)
-            if step is not None:
-                break
-            stack.pop()
-            trail.pop()
-        else:
-            return None
-        trail[-1] = step
-        x, y = step[1]
+    stack: list[tuple] = [(a, b, 0, None)]  # (left, right, place, parent entry)
+    while stack:
+        entry = stack.pop()
+        x, y = entry[0], entry[1]
+        if x is y:
+            continue
+        xc, yc = x.children, y.children
+        # equal texts also mean the same content kind (see value_equal)
+        if x.label != y.label or x.text != y.text or (
+            xc is not None and len(xc) != len(yc)
+        ):
+            steps = []
+            while entry[3] is not None:
+                steps.append(f"[{entry[2]}]/{entry[0].label}")
+                entry = entry[3]
+            path = a.label + "".join(reversed(steps))
+            return {"path": path, "left": serialize(x), "right": serialize(y)}
+        if xc:
+            stack.extend((xc[i], yc[i], i, entry) for i in reversed(range(len(xc))))
+    return None
 
 
 def check_correctness(routes: _Routes) -> tuple[bool, Optional[dict]]:
@@ -368,17 +374,19 @@ def check_minimality(routes: _Routes) -> tuple[bool, Optional[Edit]]:
     its edit leaves route A's view unchanged.  An undo changes one parent's
     child list, so a probe re-checks only the tuples that reach that parent
     (read off ``routes.index``, as route A's view was), not the whole view.
-    The parent is read off the plan, and the redo replays the edit onto a
-    store holding just that parent, so finding the parent reads one node.
-    An empty log is trivially minimal, and the index's probe-only parts are
-    built only when there is an edit.
+    The parent and, for a deletion, its restore point are read off route
+    A's put-back record (``routes.put_back``), and the redo replays the edit
+    onto a store holding just that parent, so finding the parent reads one
+    node.  An empty log is trivially minimal, and the index's probe-only
+    parts are built only when there is an edit.
     """
     wrappers = routes.via_view.tree.children or []
     if routes.log:
         routes.index.prepare_probes()
+    points = _restore_points(routes)
     for edit in routes.log:
-        parent = routes.index.edit_parents[edit.parent_id]
-        moved = _undo(edit, parent, routes.restore)
+        parent = routes.put_back[edit.parent_id][0]
+        moved = _undo(edit, parent, points)
         try:
             same = routes.index.unchanged_without(edit, parent, moved, wrappers)
         finally:
@@ -393,27 +401,29 @@ def check_minimality(routes: _Routes) -> tuple[bool, Optional[Edit]]:
     return True, None
 
 
-def _restore_points(plan: list[PlannedOp]) -> dict[int, int]:
-    """Per child the plan deletes, its place among its parent's children
-    with every other deletion of the plan applied: the number of siblings
-    before it that stay.
+def _restore_points(routes: _Routes) -> dict[int, int]:
+    """Per child route A deleted, its place among its parent's children
+    with every other deletion applied: the number of siblings before it
+    that stay.
 
-    Read off the parents' child lists before the plan runs, visiting only
-    the parents of deletions; a plan without deletions reads nothing.
+    Read in route A's state, off the parent's list in the put-back record
+    and the list it holds now, visiting only the parents of the log's
+    deletions; a log without deletions reads nothing.
     """
-    parents, gone = _deletions(plan)
     points: dict[int, int] = {}
-    for parent in parents:
+    for parent_id in {e.parent_id for e in routes.log if isinstance(e, Deleted)}:
+        parent, before = routes.put_back[parent_id]
+        stays = {child.node_id for child in parent.children or ()}
         kept = 0
-        for child in parent.children or ():
-            if child.node_id in gone:
-                points[child.node_id] = kept
-            else:
+        for child in before or ():
+            if child.node_id in stays:
                 kept += 1
+            else:
+                points[child.node_id] = kept
     return points
 
 
-def _undo(edit: Edit, parent: XmlTree, restore: dict[int, int]) -> XmlTree:
+def _undo(edit: Edit, parent: XmlTree, points: dict[int, int]) -> XmlTree:
     """Revert one logged edit on its parent in route A's state, and return
     the child it removed or put back.
 
@@ -430,7 +440,7 @@ def _undo(edit: Edit, parent: XmlTree, restore: dict[int, int]) -> XmlTree:
             )
         parent.children = children[:-1]
         return children[-1]
-    parent.children.insert(restore[edit.node_id], edit.tree)
+    parent.children.insert(points[edit.node_id], edit.tree)
     return edit.tree
 
 
@@ -447,10 +457,11 @@ class _ProbeIndex:
     Built with route A's view, on the store with every edit applied: each
     binding level's partial tuples, and every enumerated tuple with its
     condition flag.  ``prepare_probes`` adds what only probes read, so a
-    verification with nothing to probe builds none of it: the plan's edit
-    parents by id; the partials keyed by the node their level's path is
-    evaluated from; and each tuple's row number and the ids of the nodes it
-    binds.  Ancestors are read off ``chain``, so the index walks no store.
+    verification with nothing to probe builds none of it: the partials
+    keyed by the node their level's path is evaluated from, and each
+    tuple's row number and the ids of the nodes it binds.  Ancestors are
+    read off ``chain``, so the index walks no store; the edits' parents are
+    read off route A's put-back record, not off the index.
     Undoing an edit changes one parent P's child list.  Only three sets of
     tuples can then differ, and a probe re-evaluates those:
 
@@ -464,10 +475,8 @@ class _ProbeIndex:
     Every other tuple keeps its condition result and its row.
     """
 
-    def __init__(
-        self, view: ViewDef, store: DocumentStore, plan: list[PlannedOp], chain: Chain
-    ) -> None:
-        self.view, self.store, self.plan, self.chain = view, store, plan, chain
+    def __init__(self, view: ViewDef, store: DocumentStore, chain: Chain) -> None:
+        self.view, self.store, self.chain = view, store, chain
         # levels[i]: the partial tuples binding i extends
         self.levels: list[list[ForTuple]] = [[{}]]
         for binding in view.bindings:
@@ -482,7 +491,6 @@ class _ProbeIndex:
     def prepare_probes(self) -> None:
         """Build the parts only probes read, on the store in route A's state,
         as the index was built on it; this walks no store."""
-        self.edit_parents = {op.parent.node_id: op.parent for op in self.plan}
         # (level, context id) -> partial tuples; level -> path steps
         self.partials: dict[tuple[int, int], list[ForTuple]] = {}
         self.steps: dict[int, tuple[str, ...]] = {}
@@ -641,23 +649,42 @@ def run_lemma_suite(routes: _Routes, case: Case) -> list[tuple[str, bool]]:
         on the unmodified sources; extensions and context nodes pair one to
         one, in document order.
 
+    The lemmas are stated for the statements ``translate`` emits, and the
+    suite checks that premise once: the source update's bindings extend the
+    view's for-clause, a binding deletion deletes a view variable, and the
+    view update's context form (``context_form``) pairs its condition and
+    target inside a wrapper, below the view root.  Every translation meets
+    it; for any other statement (a hand-written one, say) the suite reports
+    no lemmas.
+
     The suite runs only on translations already found correct.  Agreement of
     the two routes at the target view path is therefore not checked here: it
     follows from the value equality of the whole instances.  It reads the
     restored sources and route B's restored instance, the very states the
-    two plans were made on, so L3 reads both where clauses' verdicts off the
-    plans (``routes.satisfied``) wherever they cover its pairs.
+    two plans were made on, so every lemma reads what the plans recorded:
+    L1 route A's planned parents, and L3 both where clauses' verdicts.
     """
+    form = context_form(routes.view_update)
+    view, source = routes.view, routes.source_update
+    deleted = source.action.var if isinstance(source.action, DeleteBinding) else None
+    if (
+        source.bindings[: len(view.bindings)] != view.bindings
+        or deleted not in {None, *(binding.var for binding in view.bindings)}
+        or len(form.bindings[0].source.steps) < 2  # paired at the view root
+    ):
+        return []
     return [
         ("L1", _lemma1(routes)),
         ("L2", _lemma2(routes, case)),
-        ("L3", _lemma3(routes)),
+        ("L3", _lemma3(routes, form)),
     ]
 
 
 def _lemma1(routes: _Routes) -> bool:
     """L1: per tuple on the sources, the plan touches all or none of the
-    trees ``target_trees`` reaches."""
+    trees ``target_trees`` reaches.  The touched trees are route A's planned
+    parents, read off its put-back record: every operation but a binding
+    deletion's targets its own parent."""
     update = routes.source_update
     if isinstance(update.action, DeleteBinding):
         # a binding deletion's set per tuple is its one bound node, touched
@@ -665,7 +692,7 @@ def _lemma1(routes: _Routes) -> bool:
         return True
     for tup in enumerate_bindings(update.bindings, routes.store):
         ids = {n.node_id for n in target_trees(update.target, tup)}
-        hit = ids & routes.touched
+        hit = ids & routes.put_back.keys()
         if hit and hit != ids:
             return False
     return True
@@ -683,40 +710,28 @@ def _lemma2(routes: _Routes, case: Case) -> bool:
     return len(after) == len(before)
 
 
-def _lemma3(routes: _Routes) -> bool:
+def _lemma3(routes: _Routes, form: UpdateStatement) -> bool:
     """L3 on each of route B's tuples, those of the view on the sources: the
     emitted where clause, on the restored sources, against the condition of
-    the view update's context form (``context_form``) on the context nodes
-    in the tuple's wrapper: those at the form's prefix below the wrapper
-    step.  The tuple is extended through the bindings the translation added
-    to the view's for-clause, and the extensions pair with the context
-    nodes in document order, one to one.  Route B's instance is the view on
-    the sources again, so no wrapper is built.
+    the view update's context form ``form`` on the context nodes in the
+    tuple's wrapper: those at the form's prefix below the wrapper step.  The
+    tuple is extended through the bindings the translation added to the
+    view's for-clause, and the extensions pair with the context nodes in
+    document order, one to one.  Route B's instance is the view on the
+    sources again, so no wrapper is built.
 
-    Neither clause is tested again where the two plans already decided it
-    on these very states (``routes.satisfied``): the source plan enumerated
+    Neither clause is tested again: the two plans already decided both on
+    these very states (``routes.satisfied``).  The source plan enumerated
     every extension on the sources, and the view update's last plan every
     context node of the restored wrappers, so a verdict is a membership
-    test.  The clauses are tested here only where those are not the pairs
-    L3 reads: a one-step prefix, whose context is the view root, and a
-    source statement whose bindings do not extend the view's (a hand-written
-    one)."""
-    form = context_form(routes.view_update)
+    test.  The suite's premise makes those the pairs L3 reads."""
     (context,) = form.bindings
-    prefix = context.source.steps
-    below = prefix[2:]  # the path from a wrapper to its contexts
-    source = routes.source_update
-    extends = source.bindings[: len(routes.view.bindings)] == routes.view.bindings
-    added = source.bindings[len(routes.view.bindings) :]
-    if routes.satisfied is not None and len(prefix) > 1 and extends:
-        by_source, by_view = routes.satisfied
-        held = {tuple(t.values()) for t in by_source}
-        source_holds: ConditionTest = lambda t: tuple(t.values()) in held
-        view_holds = {t[context.var] for t in by_view}.__contains__
-    else:
-        source_holds = condition_test(source.conditions, source.bindings)
-        form_holds = condition_test(form.conditions, form.bindings)
-        view_holds = lambda c: form_holds({context.var: c})
+    below = context.source.steps[2:]  # the path from a wrapper to its contexts
+    added = routes.source_update.bindings[len(routes.view.bindings) :]
+    by_source, by_view = routes.satisfied
+    held = {tuple(t.values()) for t in by_source}
+    source_holds: ConditionTest = lambda t: tuple(t.values()) in held
+    view_holds = {t[context.var] for t in by_view}.__contains__
     wrappers = routes.via_view.tree.children or ()
     pairs = zip(routes.via_view.tuples, wrappers, strict=True)
     # each tuple pairs with its wrapper: the loop below gives the same

@@ -386,7 +386,7 @@ def test_verify_text_format_reports_the_diff(files, tmp_path, capsys):
 
 def test_verify_exits_5_when_a_lemma_fails(capsys, monkeypatch):
     # precise, but L3 fails: the verdict is a verification failure
-    monkeypatch.setattr(verifier, "_lemma3", lambda routes: False)
+    monkeypatch.setattr(verifier, "_lemma3", lambda routes, form: False)
     code = main(
         [
             "verify",
@@ -635,6 +635,31 @@ def test_repeat_demo_is_rejected_as_unwritable(capsys):
         out = json.loads(capsys.readouterr().out)
         assert out["reason"] == "SourcePathRepeatsName"
         assert "x/D/C/D" in out["detail"]
+
+
+def test_unguarded_demo_fails_correctness_with_no_lemmas(capsys):
+    # the README translation without its appended x/title="IS": Susan lands
+    # in every book whose title some subject's matches, so a wrapper whose
+    # title is not "IS" shows her too; --delta-s runs no lemma
+    argv = [
+        "verify",
+        "--view",
+        str(DEMO / "books_view.xq"),
+        "--update",
+        str(DEMO / "add_author.xq"),
+        "--doc",
+        f"bkInf.xml={DEMO / 'bkInf.xml'}",
+        "--doc",
+        f"subjInf.xml={DEMO / 'subjInf.xml'}",
+        "--delta-s",
+        str(DEMO / "add_author_unguarded.xq"),
+        "--format",
+        "json",
+    ]
+    assert main(argv) == 5
+    report = json.loads(capsys.readouterr().out)
+    assert not report["correct"] and report["diff"]["path"] == "Qbk[2]/use[0]/auths"
+    assert report["lemmas"] == {}
 
 
 def test_main_builds_the_parser_once(capsys, monkeypatch):

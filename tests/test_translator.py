@@ -683,3 +683,33 @@ def test_every_translation_parses_back(free_space_outcomes):
     assert fuzzed == 1813 and len(translated) == 1813 + 1188
     for out in translated:
         assert parse_update(render_update(out.statement)) == out.statement
+
+
+def test_every_translation_meets_the_lemma_premise(free_space_outcomes):
+    # the lemma suite runs only on statements that extend the view's
+    # for-clause, delete no binding but a view variable, and pair inside a
+    # wrapper; every translated fuzz case of seeds 0-19 and every translated
+    # pair of the free space meets that, so each is judged on L1-L3
+    rng = random.Random(13)
+    verified = []
+    for view, dv, below, out in free_space_outcomes:
+        if isinstance(out, Translated):
+            store = DocumentStore()
+            store.add("s", parse_document(free_space_doc(rng, below)))
+            report = verify_translation(view, dv, out.statement, store, out.case)
+            verified.append(report)
+    for seed in range(20):
+        rng = random.Random(seed)
+        for _ in range(200):
+            case = random_case(rng)
+            out = translate(case.view, case.update)
+            if isinstance(out, Translated):
+                verified.append(
+                    verify_translation(
+                        case.view, case.update, out.statement, case.store, out.case
+                    )
+                )
+    assert len(verified) == 1188 + 1813
+    for report in verified:
+        assert report.correct
+        assert [name for name, _ok in report.lemma_checks] == ["L1", "L2", "L3"]
