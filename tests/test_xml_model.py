@@ -90,6 +90,24 @@ def test_parse_preserves_leaf_text_verbatim():
     assert t.text == "  spaced  "
 
 
+def _postorder(t: XmlTree) -> list[XmlTree]:
+    out: list[XmlTree] = []
+    for child in t.children or ():
+        out += _postorder(child)
+    return out + [t]
+
+
+def test_parse_numbers_elements_in_post_order():
+    # an element's id is fresh when its end tag is read, after all of its
+    # descendants' ids; `xview apply` prints these ids as an edit's parent
+    t = parse_document(
+        "<r><A><B>1</B><C><D/><E>2</E></C></A>\n <A/><F><G><H>3</H></G></F></r>"
+    )
+    ids = [n.node_id for n in _postorder(t)]
+    assert len(ids) == 10 and ids == list(range(ids[0], ids[0] + 10))
+    assert parse_document("<x/>").node_id == ids[-1] + 1
+
+
 def test_serialize_simple():
     t = element("r", [element("A", [text_leaf("B", "1")])])
     assert serialize(t) == "<r><A><B>1</B></A></r>"
