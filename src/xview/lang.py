@@ -5,6 +5,12 @@ The concrete grammar is small: identifiers are alphanumeric (a leading
 string literals are double-quoted with no escapes, and the update action is
 written in braces or parentheses (braces are canonical on render).
 
+A query is scanned once, with one regular expression, into a list of
+token strings; the parsers below compare those strings.  A malformed
+token raises the first time the parser looks at it, and a syntax error
+names the character offset of the token it is about, which is worked out
+only then.
+
 The action ends the statement, so an ``insert`` or ``delete`` payload is
 all the text from its ``<`` up to the statement's closing delimiter, and
 the document parser alone reads it: it is one element, which may be
@@ -33,7 +39,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Optional, Union
+from string import ascii_letters
+from typing import Union
 
 from .errors import (
     CyclicBinding,
@@ -179,75 +186,139 @@ class UpdateStatement:
 # Lexer
 
 _PUNCT = "<>{}()/,=$"
-# After blanks: a string literal, "..", a punctuation mark or a word.  \s
-# and \w match what str.isspace and str.isalnum accept (and "_"); a word
-# whose first character is not a letter or "_" is rejected by the lexer.
-_TOKEN = re.compile(r'\s*(?:("[^"]*")|(\.\.|[' + re.escape(_PUNCT) + r"])|(\w+))?")
-_CALL = re.compile(r"\s*\(")
+# A string literal, "..", a punctuation mark, a word, or any other
+# non-blank character, which is malformed, as is a word whose first
+# character is not a letter or "_".  \S and \w match what str.isspace
+# rejects and str.isalnum accepts (and "_"), so findall skips exactly the
+# blanks.  The parser checks only the tokens it looks at.
+_TOKEN = re.compile(r'"[^"]*"|\.\.|[' + re.escape(_PUNCT) + r"]|\w+|\S")
+# first characters of tokens that are always well-formed; "" is the end
+_SOUND = frozenset([*ascii_letters, "_", *_PUNCT, ""])
 
 
 class _Lexer:
+    """The tokens of a query, scanned at once, and the parser's place in them.
+
+    Tokens are their source strings: a string literal keeps its quotes, and
+    the list ends in an empty string at the end of the input.  A token's
+    character offset is worked out only when an error message or a payload
+    needs it.
+    """
+
+    __slots__ = ("text", "tokens", "i")
+
     def __init__(self, text: str) -> None:
         self.text = text
-        self.pos = 0
-        self._tok: Optional[tuple[str, str, int]] = None
+        self.tokens = _TOKEN.findall(text)
+        self.tokens.append("")
+        self.i = 0
 
-    def _lex(self) -> tuple[str, str, int]:
-        m = _TOKEN.match(self.text, self.pos)
-        string, punct, word = m.groups()
-        start = m.start(m.lastindex) if m.lastindex else m.end()
-        self.pos = m.end()
-        if string is not None:
-            return ("str", string[1:-1], start)
-        if punct is not None:
-            return ("punct", punct, start)
-        if word is not None and (word[0].isalpha() or word[0] == "_"):
-            return ("kw" if word in KEYWORDS else "name", word, start)
-        if start >= len(self.text):
-            return ("eof", "", start)
-        if self.text[start] == '"':
-            raise QuerySyntaxError(f"unterminated string at offset {start}")
+    def offset(self, i: int) -> int:
+        """The character offset at which token ``i`` starts."""
+        # only blanks lie between tokens, and a token starts with a
+        # non-blank, so its first occurrence after the previous token's end
+        # is its own
+        text, pos = self.text, 0
+        for tok in self.tokens[:i]:
+            pos = text.index(tok, pos) + len(tok)
+        return text.index(self.tokens[i], pos) if self.tokens[i] else len(text)
+
+    def _check(self, tok: str) -> None:
+        """Raise the lexical error of a malformed next token ``tok``."""
+        if tok[0] == '"':
+            if len(tok) == 1:
+                raise QuerySyntaxError(
+                    f"unterminated string at offset {self.offset(self.i)}"
+                )
+        elif tok != ".." and not tok[0].isalpha():
+            raise QuerySyntaxError(
+                f"unexpected character {tok[0]!r} at offset {self.offset(self.i)}"
+            )
+
+    def _fail(self, want: str) -> None:
+        tok = self.peek()
+        found = tok[1:-1] if tok[:1] == '"' else tok
         raise QuerySyntaxError(
-            f"unexpected character {self.text[start]!r} at offset {start}"
+            f"expected {want!r} at offset {self.offset(self.i)}, found {found!r}"
         )
 
-    def peek(self) -> tuple[str, str, int]:
-        if self._tok is None:
-            self._tok = self._lex()
-        return self._tok
-
-    def next(self) -> tuple[str, str, int]:
-        tok = self.peek()
-        self._tok = None
+    def peek(self) -> str:
+        """The next token, without consuming it; "" at the end."""
+        tok = self.tokens[self.i]
+        if tok[:1] not in _SOUND:
+            self._check(tok)
         return tok
 
-    def accept(self, kind: str, value: Optional[str] = None) -> bool:
-        k, v, _ = self.peek()
-        if k == kind and (value is None or v == value):
-            self.next()
+    def next(self) -> str:
+        tok = self.peek()
+        if tok:
+            self.i += 1
+        return tok
+
+    # The methods below read the next token directly: a malformed one never
+    # matches what they want, and it is checked before they raise or, in
+    # accept, decline.  accept_call declines unchecked, since the same
+    # token is then read as a name.
+
+    def accept(self, want: str) -> bool:
+        tok = self.tokens[self.i]
+        if tok == want:
+            self.i += 1
+            return True
+        if tok[:1] not in _SOUND:
+            self._check(tok)
+        return False
+
+    def expect(self, want: str) -> None:
+        if self.tokens[self.i] != want:
+            self._fail(want)
+        self.i += 1
+
+    def accept_call(self, name: str) -> bool:
+        """Consume ``name(`` if those are the next two tokens: doc( and
+        view( call the root functions, and a bare doc or view is a name."""
+        i = self.i
+        if self.tokens[i] == name and self.tokens[i + 1] == "(":
+            self.i += 2
             return True
         return False
 
-    def expect(self, kind: str, value: Optional[str] = None) -> str:
-        k, v, pos = self.peek()
-        if k != kind or (value is not None and v != value):
-            want = value if value is not None else kind
-            raise QuerySyntaxError(f"expected {want!r} at offset {pos}, found {v!r}")
-        self.next()
-        return v
+    def name(self) -> str:
+        tok = self.tokens[self.i]
+        if tok in KEYWORDS or not (tok[:1] == "_" or tok[:1].isalpha()):
+            self._fail("name")
+        self.i += 1
+        return tok
 
     def expect_name(self) -> str:
         # variables and element names share the lexical class; $ marks
         # variables and is optional
-        self.accept("punct", "$")
-        return self.expect("name")
+        if self.tokens[self.i] == "$":
+            self.i += 1
+        return self.name()
 
-    def take_to_last(self) -> str:
+    def string(self) -> str:
+        """The value of the next token, a string literal."""
+        tok = self.tokens[self.i]
+        if len(tok) < 2 or tok[0] != '"':
+            self._fail("str")
+        self.i += 1
+        return tok[1:-1]
+
+    def keyword(self) -> str:
+        tok = self.tokens[self.i]
+        if tok not in KEYWORDS:
+            self._fail("kw")
+        self.i += 1
+        return tok
+
+    def take_to_last(self) -> tuple[str, int]:
         """Consume the raw text from the next token up to the input's last
-        non-blank character, which is left to be lexed next."""
-        start = self.peek()[2]
-        self.pos, self._tok = len(self.text.rstrip()) - 1, None
-        return self.text[start : self.pos]
+        non-blank character, whose token is left to be read next; return
+        that text and its offset."""
+        start = self.offset(self.i)
+        self.i = len(self.tokens) - 2
+        return self.text[start : len(self.text.rstrip()) - 1], start
 
 
 # ----------------------------------------------------------------------
@@ -263,29 +334,23 @@ def _check_path(names: tuple[str, ...], where: str) -> tuple[str, ...]:
 
 def _parse_step_names(lx: _Lexer) -> tuple[str, ...]:
     names = []
-    while lx.accept("punct", "/"):
-        names.append(lx.expect("name"))
+    while lx.accept("/"):
+        names.append(lx.name())
     return tuple(names)
 
 
 def _parse_binding_source(lx: _Lexer, bound: set[str], level: str) -> QualifiedPath:
-    kind, value, pos = lx.peek()
-    # doc( and view( call the root functions; a bare doc or view is a name
-    call = kind == "name" and _CALL.match(lx.text, lx.pos) is not None
-    if call and value == "doc":
-        lx.next()
-        lx.expect("punct", "(")
-        doc = lx.expect("str")
-        lx.expect("punct", ")")
+    start = lx.i
+    if lx.accept_call("doc"):
+        doc = lx.string()
+        lx.expect(")")
         steps = _parse_step_names(lx)
         if not steps:
             raise QuerySyntaxError(f"doc({doc!r}) must be followed by a path")
         return QualifiedPath(DocRoot(doc), _check_path(steps, "binding path"))
-    if call and value == "view" and level == "update":
-        lx.next()
-        lx.expect("punct", "(")
-        name = lx.expect("name")
-        lx.expect("punct", ")")
+    if level == "update" and lx.accept_call("view"):
+        name = lx.name()
+        lx.expect(")")
         steps = _parse_step_names(lx)
         if not steps or steps[0] != name:
             raise QuerySyntaxError(
@@ -303,7 +368,9 @@ def _parse_binding_source(lx: _Lexer, bound: set[str], level: str) -> QualifiedP
         return QualifiedPath(
             VIEW_ROOT, _check_path((first,) + steps, "binding path")
         )
-    raise UnboundVariable(f"variable {first!r} is not bound (offset {pos})")
+    raise UnboundVariable(
+        f"variable {first!r} is not bound (offset {lx.offset(start)})"
+    )
 
 
 def _parse_bindings(lx: _Lexer, level: str) -> tuple[Binding, ...]:
@@ -313,11 +380,11 @@ def _parse_bindings(lx: _Lexer, level: str) -> tuple[Binding, ...]:
         var = lx.expect_name()
         if var in bound:
             raise DuplicateVariable(f"variable {var!r} bound twice")
-        lx.expect("kw", "in")
+        lx.expect("in")
         source = _parse_binding_source(lx, bound, level)
         bindings.append(Binding(var, source))
         bound.add(var)
-        if not lx.accept("punct", ","):
+        if not lx.accept(","):
             break
     return tuple(bindings)
 
@@ -333,12 +400,12 @@ def _parse_atoms(lx: _Lexer, bound: set[str]) -> tuple[ConditionAtom, ...]:
     atoms: list[ConditionAtom] = []
     while True:
         lhs = _parse_var_path(lx, bound, "condition path")
-        lx.expect("punct", "=")
-        if lx.peek()[0] == "str":
-            atoms.append(PathEqString(lhs, lx.next()[1]))
+        lx.expect("=")
+        if lx.peek()[:1] == '"':
+            atoms.append(PathEqString(lhs, lx.string()))
         else:
             atoms.append(PathEqPath(lhs, _parse_var_path(lx, bound, "condition path")))
-        if not lx.accept("kw", "and"):
+        if not lx.accept("and"):
             break
     return tuple(atoms)
 
@@ -349,30 +416,30 @@ def _parse_atoms(lx: _Lexer, bound: set[str]) -> tuple[ConditionAtom, ...]:
 def parse_view_def(text: str) -> ViewDef:
     """Parse a view definition, checking all structural invariants."""
     lx = _Lexer(text)
-    lx.expect("punct", "<")
-    view_root = lx.expect("name")
-    lx.expect("punct", ">")
-    lx.expect("punct", "{")
-    lx.expect("kw", "for")
+    lx.expect("<")
+    view_root = lx.name()
+    lx.expect(">")
+    lx.expect("{")
+    lx.expect("for")
     bindings = _parse_bindings(lx, level="view")
     bound = {b.var for b in bindings}
     conditions: tuple[ConditionAtom, ...] = ()
-    if lx.accept("kw", "where"):
+    if lx.accept("where"):
         conditions = _parse_atoms(lx, bound)
-    lx.expect("kw", "return")
-    lx.expect("punct", "<")
-    wrapper = lx.expect("name")
-    lx.expect("punct", ">")
+    lx.expect("return")
+    lx.expect("<")
+    wrapper = lx.name()
+    lx.expect(">")
     returns: list[ReturnExpr] = []
-    while lx.accept("punct", "{"):
+    while lx.accept("{"):
         returns.append(ReturnExpr(*_parse_var_path(lx, bound, "return path")))
-        lx.expect("punct", "}")
+        lx.expect("}")
     if not returns:
         raise QuerySyntaxError("a view needs at least one return expression")
     _expect_close_tag(lx, wrapper)
-    lx.expect("punct", "}")
+    lx.expect("}")
     _expect_close_tag(lx, view_root)
-    if lx.peek()[0] != "eof":
+    if lx.peek():
         raise QuerySyntaxError("trailing input after the view definition")
 
     view = ViewDef(view_root, wrapper, bindings, conditions, tuple(returns))
@@ -381,12 +448,12 @@ def parse_view_def(text: str) -> ViewDef:
 
 
 def _expect_close_tag(lx: _Lexer, name: str) -> None:
-    lx.expect("punct", "<")
-    lx.expect("punct", "/")
-    got = lx.expect("name")
+    lx.expect("<")
+    lx.expect("/")
+    got = lx.name()
     if got != name:
         raise QuerySyntaxError(f"mismatched close tag: expected </{name}>, got </{got}>")
-    lx.expect("punct", ">")
+    lx.expect(">")
 
 
 def _check_view(view: ViewDef) -> None:
@@ -476,34 +543,34 @@ def parse_update(text: str) -> UpdateStatement:
     ``view(Name)/Name/...``) a view-level one.
     """
     lx = _Lexer(text)
-    lx.expect("kw", "for")
+    lx.expect("for")
     bindings = _parse_bindings(lx, level="update")
     bound = {b.var for b in bindings}
-    lx.expect("kw", "where")
+    lx.expect("where")
     conditions = _parse_atoms(lx, bound)
 
-    lx.expect("kw", "update")
+    lx.expect("update")
     tvar = lx.expect_name()
     if tvar not in bound:
         raise UnboundVariable(f"variable {tvar!r} is not bound")
     tpath: list[str] = []
     parent_step = False
-    while lx.accept("punct", "/"):
-        if lx.accept("punct", ".."):
+    while lx.accept("/"):
+        if lx.accept(".."):
             parent_step = True
             break
-        tpath.append(lx.expect("name"))
+        tpath.append(lx.name())
     target = UpdateTarget(tvar, _check_path(tuple(tpath), "target path"), parent_step)
 
     opener = lx.next()
-    if opener[:2] not in (("punct", "{"), ("punct", "(")):
+    if opener not in ("{", "("):
         raise QuerySyntaxError("expected '{' or '(' before the update action")
-    closer = "}" if opener[1] == "{" else ")"
+    closer = "}" if opener == "{" else ")"
     if not text.rstrip().endswith(closer):
         raise QuerySyntaxError(f"expected the statement to end with {closer!r}")
     action = _parse_action(lx, bindings, target)
-    lx.expect("punct", closer)
-    if lx.peek()[0] != "eof":
+    lx.expect(closer)
+    if lx.peek():
         raise QuerySyntaxError("trailing input after the update statement")
 
     level = _statement_level(bindings)
@@ -515,14 +582,14 @@ def parse_update(text: str) -> UpdateStatement:
 def _parse_action(
     lx: _Lexer, bindings: tuple[Binding, ...], target: UpdateTarget
 ) -> Action:
-    kw = lx.expect("kw")
+    kw = lx.keyword()
     if kw == "insert":
         return InsertTree(_parse_payload(lx))
     if kw != "delete":
         raise QuerySyntaxError(f"unknown action {kw!r}")
-    if lx.peek()[:2] == ("punct", "<"):
+    if lx.peek() == "<":
         return DeleteTree(_parse_payload(lx))
-    label = lx.expect("name")
+    label = lx.name()
     # "update x/.. ( delete L )" with L the last name of x's binding path
     # deletes the binding itself rather than all same-labeled siblings
     if target.parent_step and not target.path:
@@ -536,11 +603,11 @@ def _parse_payload(lx: _Lexer) -> XmlTree:
     # the action's closing delimiter ends the input (parse_update checks
     # it), so the payload is everything up to that delimiter; rstrip drops
     # the blanks the lexer skips there, a wider class than XML whitespace
-    kind, value, pos = lx.peek()
-    if (kind, value) != ("punct", "<"):
-        raise QuerySyntaxError(f"expected an XML payload at offset {pos}")
+    if lx.peek() != "<":
+        raise QuerySyntaxError(f"expected an XML payload at offset {lx.offset(lx.i)}")
+    payload, pos = lx.take_to_last()
     try:
-        return parse_document(lx.take_to_last().rstrip())
+        return parse_document(payload.rstrip())
     except MalformedXml as exc:
         raise QuerySyntaxError(f"malformed XML payload at offset {pos}: {exc}") from None
 

@@ -704,9 +704,11 @@ def _lemma2(routes: _Routes, case: Case) -> bool:
     tree."""
     before, after = routes.via_view.tuples, routes.via_source.tuples
     if case is Case.T4:
-        var = routes.source_update.action.var
+        action = routes.source_update.action
+        if not isinstance(action, DeleteBinding):
+            return False  # the case is a root deletion the statement does not make
         gone = {e.node_id for e in routes.log if isinstance(e, Deleted)}
-        return len(after) == sum(1 for t in before if t[var].node_id not in gone)
+        return len(after) == sum(1 for t in before if t[action.var].node_id not in gone)
     return len(after) == len(before)
 
 

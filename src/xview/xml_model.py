@@ -251,15 +251,6 @@ def serialize(t: XmlTree) -> str:
     return "".join(out)
 
 
-class _Frame:
-    __slots__ = ("label", "children", "chunks")
-
-    def __init__(self, label: str) -> None:
-        self.label = label
-        self.children: list[XmlTree] = []
-        self.chunks: list[str] = []
-
-
 def parse_document(text: str) -> XmlTree:
     """Parse one document of the supported subset into a tree with fresh ids.
 
@@ -268,38 +259,34 @@ def parse_document(text: str) -> XmlTree:
     and mixed content (text sibling to elements) raise UnsupportedFeature.
     Whitespace-only text inside an element that has child elements is
     discarded, so pretty-printed input compares equal to compact input;
-    text inside a leaf element is preserved verbatim.
+    text inside a leaf element is preserved verbatim.  Each node is made at
+    its element's end, so ids follow post-order.
     """
-    stack: list[_Frame] = []
-    root: list[XmlTree] = []
+    # one (label, children, text chunks) entry per open element, below an
+    # entry whose children receive the root
+    top: list[XmlTree] = []
+    stack: list[tuple[str, list[XmlTree], list[str]]] = [("", top, [])]
 
     def start(name: str, attrs: dict) -> None:
         if attrs:
             raise UnsupportedFeature(f"attributes are not supported (element {name!r})")
         if ":" in name:
             raise UnsupportedFeature(f"namespaces are not supported (element {name!r})")
-        stack.append(_Frame(name))
+        stack.append((name, [], []))
 
-    def end(name: str) -> None:
-        frame = stack.pop()
-        if frame.children:
-            if any(chunk.strip() for chunk in frame.chunks):
-                raise UnsupportedFeature(
-                    f"mixed content under element {frame.label!r}"
-                )
-            node = XmlTree(frame.label, children=frame.children)
-        elif frame.chunks:
-            node = XmlTree(frame.label, text="".join(frame.chunks))
+    def end(_name: str) -> None:
+        label, children, chunks = stack.pop()
+        if chunks and not children:
+            node = XmlTree(label, "".join(chunks))
+        elif any(chunk.strip() for chunk in chunks):
+            raise UnsupportedFeature(f"mixed content under element {label!r}")
         else:
-            node = XmlTree(frame.label, children=[])
-        if stack:
-            stack[-1].children.append(node)
-        else:
-            root.append(node)
+            node = XmlTree(label, None, children)
+        stack[-1][1].append(node)
 
     def chars(data: str) -> None:
         # expat passes no character data outside the root element
-        stack[-1].chunks.append(data)
+        stack[-1][2].append(data)
 
     def reject(kind: str):
         def handler(*_args) -> None:
@@ -322,7 +309,7 @@ def parse_document(text: str) -> XmlTree:
         parser.Parse(text, True)
     except expat.ExpatError as exc:
         raise MalformedXml(str(exc)) from None
-    return root[0]  # expat raises "no element found" without a root
+    return top[0]  # expat raises "no element found" without a root
 
 
 # ----------------------------------------------------------------------

@@ -371,7 +371,7 @@ def test_prop_normalized_paths_concatenate_binding_segments():
 
 
 # ----------------------------------------------------------------------
-# The lexer against the character-by-character scanner it replaced
+# The lexer against a character-by-character scanner
 
 
 def _reference_tokens(text: str) -> list[tuple]:
@@ -411,7 +411,11 @@ def _reference_tokens(text: str) -> list[tuple]:
             ]
 
 
+_PUNCTS = {*"<>{}()/,=$", ".."}
+
+
 def _lexed_tokens(text: str) -> list[tuple]:
+    """The lexer's tokens, each classified and placed at its offset."""
     lx = _Lexer(text)
     tokens: list[tuple] = []
     while True:
@@ -419,9 +423,15 @@ def _lexed_tokens(text: str) -> list[tuple]:
             tok = lx.next()
         except QuerySyntaxError as exc:
             return tokens + [("error", str(exc))]
-        tokens.append(tok)
-        if tok[0] == "eof":
-            return tokens
+        if not tok:
+            return tokens + [("eof", "", lx.offset(lx.i))]
+        start = lx.offset(lx.i - 1)
+        if tok[0] == '"':
+            tokens.append(("str", tok[1:-1], start))
+        elif tok in _PUNCTS:
+            tokens.append(("punct", tok, start))
+        else:
+            tokens.append(("kw" if tok in KEYWORDS else "name", tok, start))
 
 
 # quotes, dots, every punctuation mark, blanks (\x1c is one to isspace),

@@ -177,6 +177,19 @@ def test_lemma2_counts_every_tuple_of_a_deleted_binding():
     assert report.lemma_checks == [("L1", True), ("L2", True), ("L3", True)]
 
 
+def test_lemma2_of_a_root_deletion_case_needs_a_binding_deletion():
+    # a correct insertion, judged as the root deletion case: L2 fails
+    # instead of reading a deleted binding the statement does not have
+    view = parse_view_def('<v>{for x in doc("s")/R/A return <e>{x/B}{x/C}</e>}</v>')
+    store = _single_doc_store("<R><A><B><D>1</D></B><C>1</C></A></R>")
+    dv = parse_update('for r in v/e where r/C="1" update r/B { insert <Z>z</Z> }')
+    out = translate(view, dv)
+    assert isinstance(out, Translated) and out.case is not Case.T4
+    report = verify_translation(view, dv, out.statement, store, Case.T4)
+    assert report.correct and report.minimal
+    assert ("L2", False) in report.lemma_checks
+
+
 def test_lemma1_catches_a_partial_plan_under_a_parent_step():
     # a T3 statement plans on the M parents of the deleted T trees; a plan
     # that reaches only one of a tuple's two M parents breaks L1
