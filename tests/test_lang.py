@@ -371,7 +371,7 @@ def test_prop_normalized_paths_concatenate_binding_segments():
 
 
 # ----------------------------------------------------------------------
-# The lexer against a character-by-character scanner
+# The lexer against the character-by-character scanner it replaced
 
 
 def _reference_tokens(text: str) -> list[tuple]:
