@@ -18,8 +18,11 @@ variables, so a partial tuple that fails a selection such as
 ``x/title="t03"`` is dropped before the later bindings extend it
 (predicate pushdown).  An atom decided only at the last level, such as a
 join's ``x/title=z/title``, is left to its caller, ``satisfying_tuples``:
-a join still enumerates its full cross product, and each of its tuples is
-then tested once.
+a join still enumerates its full cross product, but its join atom is
+tested through an index built once per pass, from each string value to
+the last-level nodes whose side holds it.  The index gives each earlier
+node the set of last-level nodes it matches, so a tuple costs a set
+lookup, and each distinct bound node's side values are read once.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from .lang import (
     ConditionAtom,
     PathEqString,
     ReturnExpr,
+    VarPath,
     ViewDef,
     atom_sides,
 )
@@ -165,10 +169,19 @@ def satisfying_tuples(
     store: DocumentStore,
     atoms: Sequence[ConditionAtom],
 ) -> list[ForTuple]:
-    """The for-clause tuples that satisfy every atom, in nested-loop order:
+    """The for-clause tuples that satisfy every atom, in nested-loop order.
+
     ``enumerate_bindings`` drops those failing an atom decided before the
-    last binding level, and the atoms decided only there are tested here,
-    once per tuple it returns (none, when no atom is left to test)."""
+    last binding level; the atoms decided only there are tested here, on
+    the tuples it returns.  A join atom, a path=path atom with one side on
+    the last binding's variable and the other on an earlier one, is tested
+    through a value index built for this pass (``_join_matches``), so a
+    tuple costs two dict reads and a set lookup.  Every other such atom (a
+    literal, both sides on one variable, or an atom over an unbound
+    variable) is then tested by ``condition_test`` on the tuples the join
+    atoms keep.  No test has side effects, so testing the join atoms first
+    decides nothing but which tuples reach the rest.
+    """
     early: list[ConditionAtom] = []
     late = atoms
     last = len(bindings) - 1
@@ -177,10 +190,75 @@ def satisfying_tuples(
         for atom, at in zip(atoms, _decided_at(atoms, bindings)):
             (late if at == last else early).append(atom)
     tuples = enumerate_bindings(bindings, store, early)
-    if not late:
+    if not late or not tuples:
         return tuples
-    holds = condition_test(late, bindings)
-    return [t for t in tuples if holds(t)]
+    last_var = bindings[-1].var
+    earlier = {binding.var for binding in bindings[:-1]}
+    memos: dict[VarPath, _Memo] = {}
+    rest: list[ConditionAtom] = []
+    for atom in late:
+        sides = atom_sides(atom)
+        if len(sides) == 2 and sides[1][0] == last_var:
+            sides = sides[::-1]  # the last binding's side first
+        if len(sides) == 2 and sides[0][0] == last_var and sides[1][0] in earlier:
+            mine, partner = sides
+            matches = _join_matches(tuples, mine, partner, memos)
+            var = partner[0]
+            tuples = [t for t in tuples if t[last_var] in matches[t[var]]]
+        else:
+            rest.append(atom)
+    if rest:
+        holds = condition_test(rest, bindings)
+        tuples = [t for t in tuples if holds(t)]
+    return tuples
+
+
+class _Memo(dict):
+    """A dict that makes a missing key's entry with ``make`` at its first
+    lookup, and keeps it."""
+
+    __slots__ = ("make",)
+
+    def __init__(self, make: Callable) -> None:
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
+
+
+def _side_memo(side: VarPath, memos: dict[VarPath, _Memo]) -> _Memo:
+    """Bound node -> the string values one atom side locates below it, read
+    at the node's first lookup; every atom reading the side shares it."""
+    memo = memos.get(side)
+    if memo is None:
+        names = side[1]
+        memo = memos[side] = _Memo(lambda node: _located_values(node, names))
+    return memo
+
+
+def _join_matches(
+    tuples: list[ForTuple],
+    mine: VarPath,
+    partner: VarPath,
+    memos: dict[VarPath, _Memo],
+) -> _Memo:
+    """For the join atom ``mine=partner``, ``mine`` on the last binding's
+    variable: each node the tuples bind to the partner's variable, mapped
+    to the last-level nodes it matches.  One index, from each string value
+    to the last-level nodes whose side holds it, is built over the distinct
+    last-level nodes of the tuples; a partner's entry is read off it at the
+    partner's first lookup."""
+    values = _side_memo(mine, memos)
+    index: dict[str, set[XmlTree]] = {}
+    for node in set(map(operator.itemgetter(mine[0]), tuples)):
+        for value in values[node]:
+            index.setdefault(value, set()).add(node)
+    partner_values = _side_memo(partner, memos)
+    return _Memo(
+        lambda node: set().union(*[index.get(v, ()) for v in partner_values[node]])
+    )
 
 
 # A prepared where clause: tuple -> whether it satisfies every atom.
@@ -190,26 +268,6 @@ ConditionTest = Callable[[ForTuple], bool]
 def _located_values(node: XmlTree, names: tuple[str, ...]) -> set[str]:
     """The string values of the subtrees ``names`` locates below ``node``."""
     return {string_value(n) for n in locate(node, names)}
-
-
-def _memo_values(
-    side: tuple[str, tuple[str, ...]],
-    memos: dict[tuple[str, tuple[str, ...]], dict[XmlTree, set[str]]],
-) -> Callable[[ForTuple], set[str]]:
-    """A function from a tuple to the string values one atom side locates,
-    read once per bound node into the memo that every atom reading the same
-    side shares."""
-    var, names = side
-    memo = memos.setdefault(side, {})
-
-    def values(tup: ForTuple) -> set[str]:
-        node = tup[var]
-        found = memo.get(node)
-        if found is None:
-            found = memo[node] = _located_values(node, names)
-        return found
-
-    return values
 
 
 def condition_test(
@@ -225,11 +283,13 @@ def condition_test(
 
     With several bindings, each atom side's string values are read once per
     bound node and kept for the test's lifetime, so the store must not be
-    edited while the test is in use: build one per pass.  With one binding
-    every tuple binds a distinct node, so nothing is kept and the values
-    are read afresh per tuple: a path=string atom compares each located
-    subtree's string value with the literal and stops at the first match,
-    building no set; a path=path atom intersects the two sides' value sets.
+    edited while the test is in use: build one per pass.  Each atom is one
+    predicate that reads its sides' memos, shared by the atoms reading the
+    same side.  With one binding every tuple binds a distinct node, so
+    nothing is kept and the values are read afresh per tuple: a path=string
+    atom compares each located subtree's string value with the literal and
+    stops at the first match, building no set; a path=path atom intersects
+    the two sides' value sets.
     """
     if len(bindings) <= 1:
 
@@ -250,17 +310,22 @@ def condition_test(
             return True
 
         return test
-    memos: dict[tuple[str, tuple[str, ...]], dict[XmlTree, set[str]]] = {}
+    memos: dict[VarPath, _Memo] = {}
     checks: list[ConditionTest] = []
     for atom in atoms:
-        lhs = _memo_values(atom.lhs, memos)
+        lvar, lhs = atom.lhs[0], _side_memo(atom.lhs, memos)
         if isinstance(atom, PathEqString):
-            checks.append(lambda tup, lhs=lhs, value=atom.value: value in lhs(tup))
+
+            def check(tup, lvar=lvar, lhs=lhs, value=atom.value):
+                return value in lhs[tup[lvar]]
+
         else:
-            rhs = _memo_values(atom.rhs, memos)
-            checks.append(
-                lambda tup, lhs=lhs, rhs=rhs: not lhs(tup).isdisjoint(rhs(tup))
-            )
+            rvar, rhs = atom.rhs[0], _side_memo(atom.rhs, memos)
+
+            def check(tup, lvar=lvar, lhs=lhs, rvar=rvar, rhs=rhs):
+                return not lhs[tup[lvar]].isdisjoint(rhs[tup[rvar]])
+
+        checks.append(check)
 
     if len(checks) == 1:
         return checks[0]

@@ -167,8 +167,12 @@ def locate(ctx: XmlTree, names: Sequence[str]) -> list[XmlTree]:
 
     The first name matches children of ``ctx`` (relative semantics).  The
     result is in document order and may be empty.  An empty name sequence
-    locates ``ctx`` itself.
+    locates ``ctx`` itself.  A one-name path, the commonest, reads the child
+    list of ``ctx`` once.
     """
+    if len(names) == 1:
+        name = names[0]
+        return [c for c in ctx.children or () if c.label == name]
     nodes = [ctx]
     for name in names:
         nodes = [c for n in nodes if n.children for c in n.children if c.label == name]
@@ -251,6 +255,24 @@ def serialize(t: XmlTree) -> str:
     return "".join(out)
 
 
+def _rejecter(kind: str):
+    def handler(*_args) -> None:
+        raise UnsupportedFeature(f"{kind} are not supported")
+
+    return handler
+
+
+# the expat handlers that refuse what the subset leaves out; they keep no
+# state, so every parser shares them
+_REJECTED = (
+    ("CommentHandler", _rejecter("comments")),
+    ("ProcessingInstructionHandler", _rejecter("processing instructions")),
+    ("StartCdataSectionHandler", _rejecter("CDATA sections")),
+    ("StartDoctypeDeclHandler", _rejecter("doctype declarations")),
+    ("EntityDeclHandler", _rejecter("entity declarations")),
+)
+
+
 def parse_document(text: str) -> XmlTree:
     """Parse one document of the supported subset into a tree with fresh ids.
 
@@ -288,22 +310,13 @@ def parse_document(text: str) -> XmlTree:
         # expat passes no character data outside the root element
         stack[-1][2].append(data)
 
-    def reject(kind: str):
-        def handler(*_args) -> None:
-            raise UnsupportedFeature(f"{kind} are not supported")
-
-        return handler
-
     parser = expat.ParserCreate()
     parser.buffer_text = True
     parser.StartElementHandler = start
     parser.EndElementHandler = end
     parser.CharacterDataHandler = chars
-    parser.CommentHandler = reject("comments")
-    parser.ProcessingInstructionHandler = reject("processing instructions")
-    parser.StartCdataSectionHandler = reject("CDATA sections")
-    parser.StartDoctypeDeclHandler = reject("doctype declarations")
-    parser.EntityDeclHandler = reject("entity declarations")
+    for handler_name, handler in _REJECTED:
+        setattr(parser, handler_name, handler)
 
     try:
         parser.Parse(text, True)

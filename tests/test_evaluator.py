@@ -700,3 +700,136 @@ def test_a_later_bindings_root_mismatch_is_raised_whatever_the_data(d1_store):
             evaluate_view(view, d1_store)
         with pytest.raises(RootLabelMismatch):
             enumerate_bindings(view.bindings, d1_store, view.conditions)
+
+
+# ----------------------------------------------------------------------
+# The join atom tested through a per-pass value index, against a naive
+# nested loop
+
+
+def _naive_satisfying(clause, store):
+    """The reference, from the README's data model: every tuple of the
+    literal nested loops, in order, kept when each atom holds on it.  A
+    path=path atom holds when some subtree located on the left and some on
+    the right have equal string values, a path=string atom when some
+    located subtree's string value is the literal."""
+
+    def values(tup, side):
+        var, names = side
+        return [string_value(n) for n in locate(tup[var], names)]
+
+    def holds(atom, tup):
+        left = values(tup, atom.lhs)
+        if hasattr(atom, "value"):
+            return atom.value in left
+        return any(a == b for a in left for b in values(tup, atom.rhs))
+
+    return [
+        t
+        for t in _brute_force_tuples(clause, store)
+        if all(holds(atom, t) for atom in clause.conditions)
+    ]
+
+
+_INDEXED_JOINS = (
+    # multi-valued sides, sides that locate nothing, duplicate values
+    '<v>{for x in doc("s")/R/A, y in doc("s")/R/B where x/K=y/K return <e>{y/N}</e>}</v>',
+    # the last binding's side on the left
+    '<v>{for x in doc("s")/R/A, y in doc("s")/R/B where y/K=x/P/K return <e>{y/N}</e>}</v>',
+    # a side no node has: nothing is kept
+    '<v>{for x in doc("s")/R/A, y in doc("s")/R/B where x/Z=y/K return <e>{y/N}</e>}</v>',
+    # two join atoms, one side shared
+    '<v>{for x in doc("s")/R/A, y in doc("s")/R/B where x/K=y/K and x/P/K=y/K '
+    "return <e>{y/N}</e>}</v>",
+    # a join atom and a literal at the last level
+    '<v>{for x in doc("s")/R/A, y in doc("s")/R/B where x/K=y/K and y/K="1" '
+    "return <e>{y/N}</e>}</v>",
+    # both sides on the last binding's variable, beside a join atom
+    '<v>{for x in doc("s")/R/A, z in doc("s")/R/A where z/K=z/P/K and x/K=z/K '
+    "return <e>{z/P}</e>}</v>",
+    # a three-binding chain, the join to the first level
+    '<v>{for x in doc("s")/R/A, y in x/P, z in y/K where x/K=z return <e>{z}</e>}</v>',
+    # three bindings, the join to the middle level and a pushed-down atom
+    '<v>{for x in doc("s")/R/A, y in doc("s")/R/B, z in doc("s")/R/A '
+    'where x/K="1" and z/P/K=y/K return <e>{y/N}</e>}</v>',
+)
+
+
+def _indexed_join_cases():
+    """(clause, store) pairs: the joins above on random documents, the
+    bench-sized books join, and the views and translations of T2 cases."""
+    rng = random.Random(25)
+    views = [parse_view_def(text) for text in _INDEXED_JOINS]
+    for _ in range(40):
+        store = _single_doc_store(_join_document(rng))
+        for view in views:
+            yield view, store
+    yield parse_view_def(QBK_VIEW), _join_session_store()
+    for _ in range(30):
+        case = gen_t2(rng)
+        yield case.view, case.store
+        out = translate(case.view, case.update)
+        if isinstance(out, Translated):
+            yield out.statement, case.store
+
+
+def test_satisfying_tuples_matches_the_naive_nested_loop():
+    mismatches = kept = dropped = 0
+    for clause, store in _indexed_join_cases():
+        got = evaluator.satisfying_tuples(clause.bindings, store, clause.conditions)
+        want = _naive_satisfying(clause, store)
+        mismatches += not _same_tuples(got, want)
+        kept += len(want)
+        dropped += len(_brute_force_tuples(clause, store)) - len(want)
+    assert mismatches == 0
+    assert kept and dropped
+
+
+def test_a_join_pass_reads_each_bound_nodes_side_once(monkeypatch):
+    reads = []
+    real_string_value = evaluator.string_value
+
+    def counting(node):
+        reads.append(node)
+        return real_string_value(node)
+
+    monkeypatch.setattr(evaluator, "string_value", counting)
+    rng = random.Random(26)
+    cases = [(parse_view_def(QBK_VIEW), _join_session_store())]
+    view = parse_view_def(_INDEXED_JOINS[0])
+    cases += [(view, _single_doc_store(_join_document(rng))) for _ in range(20)]
+    counts = []
+    for view, store in cases:
+        (atom,) = view.conditions
+        every = enumerate_bindings(view.bindings, store)
+        expected = 0
+        for var, names in (atom.lhs, atom.rhs):
+            for node in {id(t[var]): t[var] for t in every}.values():
+                expected += len(locate(node, names))
+        reads.clear()
+        evaluator.satisfying_tuples(view.bindings, store, view.conditions)
+        assert len(reads) == expected
+        counts.append(expected)
+    # the books join: 200 subject titles and 50 book titles, not one per tuple
+    assert counts[0] == 250
+
+
+def test_join_atoms_sharing_a_side_read_it_once_per_node(monkeypatch):
+    sides = []
+    real_located_values = evaluator._located_values
+
+    def recording(node, names):
+        sides.append((id(node), names))
+        return real_located_values(node, names)
+
+    monkeypatch.setattr(evaluator, "_located_values", recording)
+    view = parse_view_def(_INDEXED_JOINS[3])  # x/K=y/K and x/P/K=y/K
+    rng = random.Random(27)
+    shared = 0
+    for _ in range(20):
+        store = _single_doc_store(_join_document(rng))
+        sides.clear()
+        evaluator.satisfying_tuples(view.bindings, store, view.conditions)
+        assert len(sides) == len(set(sides))
+        shared += sum(names == ("K",) for _, names in sides)
+    assert shared

@@ -72,6 +72,23 @@ def test_parse_rejects_unsupported_constructs(text):
         parse_document(text)
 
 
+def test_parse_names_each_unsupported_construct():
+    for text, message in [
+        ("<a><!-- hidden --></a>", "comments are not supported"),
+        ("<a><?pi data?></a>", "processing instructions are not supported"),
+        ("<a><![CDATA[x]]></a>", "CDATA sections are not supported"),
+        ('<!DOCTYPE a SYSTEM "a.dtd"><a/>', "doctype declarations are not supported"),
+    ]:
+        with pytest.raises(UnsupportedFeature) as caught:
+            parse_document(text)
+        assert str(caught.value) == message
+    # a doctype is refused before its declarations are read, so no parse
+    # reaches the entity handler
+    with pytest.raises(UnsupportedFeature) as caught:
+        dict(xml_model._REJECTED)["EntityDeclHandler"]("e", 0, "x", None, None, None, None)
+    assert str(caught.value) == "entity declarations are not supported"
+
+
 @pytest.mark.parametrize(
     "text", ["<a><b></a>", "<a>", "no markup", "<a/><b/>", "", "   ", "<a/>x"]
 )
@@ -157,6 +174,40 @@ def test_locate_multi_match_in_document_order(d1_store):
     ds = locate(a, ("C", "D"))
     assert [d.text for d in ds] == ["1", "2"]
     assert locate(a, ("nothing",)) == []
+
+
+def _per_level_locate(ctx, names):
+    """The reference: ``locate`` as the generic per-level loop, for a path
+    of any length."""
+    nodes = [ctx]
+    for name in names:
+        nodes = [c for n in nodes if n.children for c in n.children if c.label == name]
+    return nodes
+
+
+def test_locate_one_step_matches_the_per_level_reference():
+    doc = parse_document(
+        "<r><A><B>1</B></A><E/><A>2</A><C><A>3</A></C><A><A/></A><B></B></r>"
+    )
+    contexts = list(iter_nodes(doc))
+    assert any(n.is_text for n in contexts)  # text leaves: nothing below
+    assert any(n.children == [] for n in contexts)  # empty elements
+    for ctx in contexts:
+        for name in ("A", "B", "C", "E", "Z"):
+            got = locate(ctx, (name,))
+            assert [id(n) for n in got] == [id(n) for n in _per_level_locate(ctx, (name,))]
+    # repeated labels, in document order
+    found = locate(doc, ("A",))
+    assert [string_value(n) for n in found] == ["1", "2", ""]
+    assert found == [c for c in doc.children if c.label == "A"]
+    assert locate(text_leaf("A", "x"), ("A",)) == []
+    assert locate(element("A"), ("A",)) == []
+    rng = random.Random(25)
+    for _ in range(300):
+        t = _random_tree(rng)
+        for node in iter_nodes(t):
+            for name in "ABCD":
+                assert locate(node, (name,)) == _per_level_locate(node, (name,))
 
 
 def test_locate_results_have_distinct_ids(d1_store):
