@@ -8,21 +8,23 @@ exactly one wrapper tree under the view root, built over the trees its
 return expressions locate: fresh-id copies of them, or, for a reader that
 copies a row only before it edits one, the sources' own trees.
 
-The where clause is tested per pass: ``condition_test`` prepares it once
-for the tuples of one for-clause, and for a clause of several bindings,
-while the store stays unedited, it reads each atom side's string values
-once per bound node, so a tuple costs a few dict reads, not a walk of every
-subtree its atoms locate.  ``enumerate_bindings`` can take the where clause
-too: it then tests each atom at the first binding level that binds all its
-variables, so a partial tuple that fails a selection such as
-``x/title="t03"`` is dropped before the later bindings extend it
-(predicate pushdown).  An atom decided only at the last level, such as a
-join's ``x/title=z/title``, is left to its caller, ``satisfying_tuples``:
-a join still enumerates its full cross product, but its join atom is
-tested through an index built once per pass, from each string value to
-the last-level nodes whose side holds it.  The index gives each earlier
-node the set of last-level nodes it matches, so a tuple costs a set
-lookup, and each distinct bound node's side values are read once.
+The where clause has one statement of its semantics, ``eval_condition``,
+and one way of applying it to many tuples: a pass per binding level that
+decides some atom, the first level that binds all its variables.  A pass
+tests a join atom, one side on its level's variable and the other on an
+earlier one, through an index built for that pass, from each string value
+to the level's nodes whose side holds it, so each distinct bound node's
+side is read once and a tuple costs a set lookup.  It decides every other
+atom, which reads only its level's node, with ``eval_condition`` once per
+distinct such node (per tuple where a tuple binds one variable).  The
+passes run in three places.  ``enumerate_bindings`` can take the where
+clause: it drops a partial tuple that fails an atom such as
+``x/title="t03"`` before the later bindings extend it (predicate
+pushdown).  An atom decided only at the last level, such as a join's
+``x/title=z/title``, is left to its caller, ``satisfying_tuples``, which
+runs that level's pass on the full cross product a join still enumerates.
+``where_holds`` runs every level's pass on tuples of the whole for-clause,
+for a reader that enumerated them itself.
 """
 
 from __future__ import annotations
@@ -125,6 +127,19 @@ def _decided_at(
     return [max(level.get(var, last) for var, _ in atom_sides(a)) for a in atoms]
 
 
+def _by_level(
+    atoms: Sequence[ConditionAtom], bindings: Sequence[Binding]
+) -> dict[int, list[ConditionAtom]]:
+    """Per level deciding some atom (``_decided_at``), in level order, its
+    atoms in clause order."""
+    if len(bindings) == 1:
+        return {0: list(atoms)}
+    levels: dict[int, list[ConditionAtom]] = {}
+    for atom, at in zip(atoms, _decided_at(atoms, bindings)):
+        levels.setdefault(at, []).append(atom)
+    return dict(sorted(levels.items()))
+
+
 def enumerate_bindings(
     bindings: Sequence[Binding],
     store: DocumentStore,
@@ -144,23 +159,16 @@ def enumerate_bindings(
     with no partial tuple to extend is still resolved, so an unknown
     document or a root label mismatch is raised whatever the data.
     """
-    last = len(bindings) - 1
-    tests: dict[int, ConditionTest] = {}
-    if atoms:
-        decided = _decided_at(atoms, bindings)
-        for i in range(last):
-            early = [a for a, at in zip(atoms, decided) if at == i]
-            if early:
-                tests[i] = condition_test(early, bindings[: i + 1])
+    levels = _by_level(atoms, bindings) if atoms else {}
+    levels.pop(len(bindings) - 1, None)  # the caller's
     tuples: list[ForTuple] = [{}]
     for i, binding in enumerate(bindings):
         if not tuples:  # nothing to extend, but its errors are raised all the same
             binding_scope(binding, store)
             continue
         tuples = bind_level(binding, tuples, store)
-        holds = tests.get(i)
-        if holds is not None:
-            tuples = [t for t in tuples if holds(t)]
+        if i in levels:
+            tuples = _level_pass(tuples, levels[i], binding.var)
     return tuples
 
 
@@ -173,43 +181,69 @@ def satisfying_tuples(
 
     ``enumerate_bindings`` drops those failing an atom decided before the
     last binding level; the atoms decided only there are tested here, on
-    the tuples it returns.  A join atom, a path=path atom with one side on
-    the last binding's variable and the other on an earlier one, is tested
-    through a value index built for this pass (``_join_matches``), so a
-    tuple costs two dict reads and a set lookup.  Every other such atom (a
-    literal, both sides on one variable, or an atom over an unbound
-    variable) is then tested by ``condition_test`` on the tuples the join
-    atoms keep.  No test has side effects, so testing the join atoms first
-    decides nothing but which tuples reach the rest.
+    the tuples it returns, by the same per-level pass (``_level_pass``).
     """
-    early: list[ConditionAtom] = []
-    late = atoms
-    last = len(bindings) - 1
-    if atoms and last > 0:
-        late = []
-        for atom, at in zip(atoms, _decided_at(atoms, bindings)):
-            (late if at == last else early).append(atom)
+    levels = _by_level(atoms, bindings) if atoms else {}
+    late = levels.pop(len(bindings) - 1, None)
+    early = [atom for level in levels.values() for atom in level]
     tuples = enumerate_bindings(bindings, store, early)
-    if not late or not tuples:
-        return tuples
-    last_var = bindings[-1].var
-    earlier = {binding.var for binding in bindings[:-1]}
+    if late and tuples:
+        tuples = _level_pass(tuples, late, bindings[-1].var)
+    return tuples
+
+
+def where_holds(
+    bindings: Sequence[Binding], atoms: Sequence[ConditionAtom]
+) -> Callable[[list[ForTuple]], list[bool]]:
+    """Split a where clause by level once, for tuples of the whole
+    for-clause ``bindings``: the function returned gives, per tuple of a
+    list, whether it satisfies every atom, running ``_level_pass`` once per
+    deciding level, so it decides as ``satisfying_tuples`` does.  Each call
+    is a pass of its own: the store may be edited between calls."""
+    if not atoms:
+        return lambda tuples: [True] * len(tuples)
+    levels = _by_level(atoms, bindings)
+    passes = [(bindings[i].var, level) for i, level in levels.items()]
+
+    def holds(tuples: list[ForTuple]) -> list[bool]:
+        kept = tuples
+        for var, level in passes:
+            kept = _level_pass(kept, level, var)
+        kept_ids = set(map(id, kept))
+        return [id(t) in kept_ids for t in tuples]
+
+    return holds
+
+
+def _level_pass(
+    tuples: list[ForTuple], atoms: Sequence[ConditionAtom], var: str
+) -> list[ForTuple]:
+    """The tuples, in order, that satisfy ``atoms``, which the level of
+    ``var`` decides.  A join atom, one side on ``var`` and the other on an
+    earlier variable, is tested through a value index (``_join_matches``);
+    every other atom reads ``var``'s node alone, so ``eval_condition``
+    decides the rest once per distinct such node the joins keep, or on each
+    tuple where a tuple binds one variable, and so its own node."""
+    if not tuples or len(tuples[0]) == 1:
+        return [t for t in tuples if eval_condition(atoms, t)]
+    bound = tuples[0]  # no atom here reads a later variable
     memos: dict[VarPath, _Memo] = {}
     rest: list[ConditionAtom] = []
-    for atom in late:
+    for atom in atoms:
         sides = atom_sides(atom)
-        if len(sides) == 2 and sides[1][0] == last_var:
-            sides = sides[::-1]  # the last binding's side first
-        if len(sides) == 2 and sides[0][0] == last_var and sides[1][0] in earlier:
+        if len(sides) == 2 and sides[1][0] == var:
+            sides = sides[::-1]  # this level's side first
+        # a join atom: the other side on an earlier variable
+        if len(sides) == 2 and sides[0][0] == var != sides[1][0] in bound:
             mine, partner = sides
             matches = _join_matches(tuples, mine, partner, memos)
-            var = partner[0]
-            tuples = [t for t in tuples if t[last_var] in matches[t[var]]]
+            other = partner[0]
+            tuples = [t for t in tuples if t[var] in matches[t[other]]]
         else:
             rest.append(atom)
     if rest:
-        holds = condition_test(rest, bindings)
-        tuples = [t for t in tuples if holds(t)]
+        holds = _Memo(lambda node: eval_condition(rest, {var: node}))
+        tuples = [t for t in tuples if holds[t[var]]]
     return tuples
 
 
@@ -244,12 +278,12 @@ def _join_matches(
     partner: VarPath,
     memos: dict[VarPath, _Memo],
 ) -> _Memo:
-    """For the join atom ``mine=partner``, ``mine`` on the last binding's
-    variable: each node the tuples bind to the partner's variable, mapped
-    to the last-level nodes it matches.  One index, from each string value
-    to the last-level nodes whose side holds it, is built over the distinct
-    last-level nodes of the tuples; a partner's entry is read off it at the
-    partner's first lookup."""
+    """For the join atom ``mine=partner``, ``mine`` on the variable of the
+    level that decides it: each node the tuples bind to the partner's
+    variable, mapped to the nodes of ``mine``'s variable it matches.  One
+    index, from each string value to the nodes whose side holds it, is
+    built over the distinct nodes the tuples bind to ``mine``'s variable; a
+    partner's entry is read off it at the partner's first lookup."""
     values = _side_memo(mine, memos)
     index: dict[str, set[XmlTree]] = {}
     for node in set(map(operator.itemgetter(mine[0]), tuples)):
@@ -261,91 +295,36 @@ def _join_matches(
     )
 
 
-# A prepared where clause: tuple -> whether it satisfies every atom.
-ConditionTest = Callable[[ForTuple], bool]
-
-
 def _located_values(node: XmlTree, names: tuple[str, ...]) -> set[str]:
     """The string values of the subtrees ``names`` locates below ``node``."""
     return {string_value(n) for n in locate(node, names)}
 
 
-def condition_test(
-    atoms: Sequence[ConditionAtom], bindings: Sequence[Binding]
-) -> ConditionTest:
-    """Prepare a where clause for one pass over tuples of ``bindings``.
+def eval_condition(atoms: Sequence[ConditionAtom], tup: ForTuple) -> bool:
+    """Whether one tuple satisfies the where clause ``atoms``: the one
+    statement of its semantics, which every pass applies.
 
-    The test is a conjunction over atoms with existential equality
+    The clause is a conjunction over atoms with existential equality
     semantics: a path=path atom holds iff some located subtree on the left
     and some on the right have equal string values; a path=string atom holds
-    iff some located subtree's string value equals the literal.  An empty
+    iff some located subtree's string value equals the literal, found by
+    comparing each in turn and stopping at the first match.  An empty
     relative path denotes the binding itself; an empty conjunction is true.
-
-    With several bindings, each atom side's string values are read once per
-    bound node and kept for the test's lifetime, so the store must not be
-    edited while the test is in use: build one per pass.  Each atom is one
-    predicate that reads its sides' memos, shared by the atoms reading the
-    same side.  With one binding every tuple binds a distinct node, so
-    nothing is kept and the values are read afresh per tuple: a path=string
-    atom compares each located subtree's string value with the literal and
-    stops at the first match, building no set; a path=path atom intersects
-    the two sides' value sets.
     """
-    if len(bindings) <= 1:
-
-        def test(tup: ForTuple) -> bool:
-            for atom in atoms:
-                var, names = atom.lhs
-                if isinstance(atom, PathEqString):
-                    for node in locate(tup[var], names):
-                        if string_value(node) == atom.value:
-                            break
-                    else:  # no located subtree holds the literal
-                        return False
-                else:
-                    lhs = _located_values(tup[var], names)
-                    var, names = atom.rhs
-                    if lhs.isdisjoint(_located_values(tup[var], names)):
-                        return False
-            return True
-
-        return test
-    memos: dict[VarPath, _Memo] = {}
-    checks: list[ConditionTest] = []
     for atom in atoms:
-        lvar, lhs = atom.lhs[0], _side_memo(atom.lhs, memos)
+        var, names = atom.lhs
         if isinstance(atom, PathEqString):
-
-            def check(tup, lvar=lvar, lhs=lhs, value=atom.value):
-                return value in lhs[tup[lvar]]
-
-        else:
-            rvar, rhs = atom.rhs[0], _side_memo(atom.rhs, memos)
-
-            def check(tup, lvar=lvar, lhs=lhs, rvar=rvar, rhs=rhs):
-                return not lhs[tup[lvar]].isdisjoint(rhs[tup[rvar]])
-
-        checks.append(check)
-
-    if len(checks) == 1:
-        return checks[0]
-
-    def test(tup: ForTuple) -> bool:
-        for check in checks:
-            if not check(tup):
+            for node in locate(tup[var], names):
+                if string_value(node) == atom.value:
+                    break
+            else:  # no located subtree holds the literal
                 return False
-        return True
-
-    return test
-
-
-def eval_condition(atoms: Sequence[ConditionAtom], tup: ForTuple) -> bool:
-    """Whether one tuple satisfies the atoms, as ``condition_test`` decides.
-
-    For many tuples of one pass, build the test once instead: in a join it
-    reads each bound node's values once.
-    """
-    return condition_test(atoms, ())(tup)
+        else:
+            lhs = _located_values(tup[var], names)
+            var, names = atom.rhs
+            if lhs.isdisjoint(_located_values(tup[var], names)):
+                return False
+    return True
 
 
 def row_trees(returns: Iterable[ReturnExpr], tup: ForTuple) -> list[XmlTree]:

@@ -16,7 +16,9 @@ siblings that stay.  Both oracles are independent of the translation path
 they judge: they only evaluate, apply and compare.  The two update routes
 are computed once per verification, and every oracle reads them from that
 one record; each check reads what the two plans already recorded, rather
-than working it out again.
+than working it out again.  The verifier tests no where clause of its own:
+the probe index and each probe decide the view's clause with the
+evaluator's ``where_holds``, the same per-level passes an evaluation runs.
 
 A verification copies neither the store nor a view, and copies a row only
 before an edit could reach inside it.  Route B updates the instance
@@ -38,9 +40,11 @@ costs nothing (``value_equal``).
 
 The lemma suite checks once that the statements are of the shape the
 lemmas are stated for, as every translation is, and reports no lemmas
-otherwise.  L3 builds no wrapper, and tests no where clause: it reads
-which tuples satisfied the source update's clause and which context nodes
-of route B's restored wrappers satisfied the view update's context form.
+otherwise.  L1 checks each distinct node of the target variable once,
+since the trees a tuple's target reaches depend on that node alone.  L3
+builds no wrapper, and tests no where clause: it reads which tuples
+satisfied the source update's clause and which context nodes of route B's
+restored wrappers satisfied the view update's context form.
 """
 
 from __future__ import annotations
@@ -53,16 +57,15 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Optional
 
 from .evaluator import (
-    ConditionTest,
     ForTuple,
     ViewInstance,
     bind_level,
     binding_scope,
-    condition_test,
     enumerate_bindings,
     evaluate_view,
     row_trees,
     view_tree,
+    where_holds,
 )
 from .lang import DeleteBinding, UpdateStatement, ViewDef
 from .translator import Case
@@ -456,7 +459,8 @@ class _ProbeIndex:
 
     Built with route A's view, on the store with every edit applied: each
     binding level's partial tuples, and every enumerated tuple with its
-    condition flag.  ``prepare_probes`` adds what only probes read, so a
+    condition flag, set by ``holds``: the view's clause prepared once with
+    ``where_holds``.  ``prepare_probes`` adds what only probes read, so a
     verification with nothing to probe builds none of it: the partials
     keyed by the node their level's path is evaluated from, and each
     tuple's row number and the ids of the nodes it binds.  Ancestors are
@@ -472,7 +476,8 @@ class _ProbeIndex:
     - surviving tuples that bind P or one of its ancestors, the only nodes
       whose subtrees changed.
 
-    Every other tuple keeps its condition result and its row.
+    Every other tuple keeps its condition result and its row.  A probe
+    tests them with ``holds`` too, one call, so one pass, per batch.
     """
 
     def __init__(self, view: ViewDef, store: DocumentStore, chain: Chain) -> None:
@@ -482,11 +487,8 @@ class _ProbeIndex:
         for binding in view.bindings:
             self.levels.append(bind_level(binding, self.levels[-1], store))
         self.tuples = self.levels[-1]
-        if view.conditions:
-            holds = condition_test(view.conditions, view.bindings)
-            self.shown = [holds(t) for t in self.tuples]
-        else:
-            self.shown = [True] * len(self.tuples)
+        self.holds = where_holds(view.bindings, view.conditions)
+        self.shown = self.holds(self.tuples)
 
     def prepare_probes(self) -> None:
         """Build the parts only probes read, on the store in route A's state,
@@ -520,12 +522,13 @@ class _ProbeIndex:
         ancestor of it, and no removed insertion held a bound node) can
         only add rows, through the restored child: the view is then
         unchanged exactly when no such tuple shows a row, which is decided
-        at the first one that does, with no change list, sort or placement.
+        at the first batch (one per binding level and context) holding one
+        that does, with no change list, sort or placement.
         """
         chain = self.chain(parent)
         hit = {t for node in chain for t in self.binders.get(node.node_id, ())}
         gone: set[int] = set()
-        fresh: Iterable[ForTuple] = ()
+        fresh: Iterable[list[ForTuple]] = ()
         if isinstance(edit, Inserted):
             gone = {
                 t
@@ -534,17 +537,21 @@ class _ProbeIndex:
             }
         else:
             fresh = self._through(chain, moved)
-        # a fresh test per probe: values read before the undo may be stale
-        holds = condition_test(self.view.conditions, self.view.bindings)
         if not hit and not gone:  # the undo can only add rows
-            return not any(map(holds, fresh))
+            return not any(any(self.holds(batch)) for batch in fresh)
+        present = sorted(hit - gone)
+        shows = dict(zip(present, self.holds([self.tuples[t] for t in present])))
+        returns = self.view.returns
         changes: list[_Change] = []
         for t in sorted(hit | gone):
-            row = None if t in gone else self._row(self.tuples[t], holds)
+            row = row_trees(returns, self.tuples[t]) if shows.get(t) else None
             if self.shown[t] or row is not None:
                 changes.append(((t, 1), self.rows_before[t], self.shown[t], row))
         appeared = [
-            (tup, row) for tup in fresh if (row := self._row(tup, holds)) is not None
+            (tup, row_trees(returns, tup))
+            for batch in fresh
+            for tup, holds in zip(batch, self.holds(batch))
+            if holds
         ]
         shown_before = sum(change[2] for change in changes)
         shown_after = len(appeared) + sum(change[3] is not None for change in changes)
@@ -555,19 +562,15 @@ class _ProbeIndex:
             changes.sort(key=lambda change: change[0])
         return _rows_agree(changes, wrappers)
 
-    def _row(self, tup: ForTuple, holds: ConditionTest) -> Optional[list[XmlTree]]:
-        """The trees of the row ``tup`` shows, or None if it shows none;
-        ``holds`` is the view's condition test on the store as it is now."""
-        if not holds(tup):
-            return None
-        return row_trees(self.view.returns, tup)
-
-    def _through(self, chain: list[XmlTree], restored: XmlTree) -> Iterator[ForTuple]:
-        """The tuples a restored child adds: per binding level, the partials
-        indexed under a context in ``chain`` (the child's parent and its
-        ancestors) whose path runs through ``restored``, extended by the
-        nodes that path reaches under it and through the later bindings.
-        They are made one level's batch at a time, as the reader asks."""
+    def _through(
+        self, chain: list[XmlTree], restored: XmlTree
+    ) -> Iterator[list[ForTuple]]:
+        """The tuples a restored child adds, one batch per binding level and
+        context: the partials indexed under a context in ``chain`` (the
+        child's parent and its ancestors) whose path runs through
+        ``restored``, extended by the nodes that path reaches under it and
+        through the later bindings.  A batch is made only when the reader
+        asks for it."""
         bindings = self.view.bindings
         below = (restored.label,)  # the labels from the context down to it
         for context in chain:
@@ -579,7 +582,7 @@ class _ProbeIndex:
                 level = [{**p, binding.var: n} for p in partials for n in nodes]
                 for later in bindings[i + 1 :]:
                     level = bind_level(later, level, self.store)
-                yield from level
+                yield level
             below = (context.label,) + below
 
     def _placed(
@@ -682,7 +685,8 @@ def run_lemma_suite(routes: _Routes, case: Case) -> list[tuple[str, bool]]:
 
 def _lemma1(routes: _Routes) -> bool:
     """L1: per tuple on the sources, the plan touches all or none of the
-    trees ``target_trees`` reaches.  The touched trees are route A's planned
+    trees ``target_trees`` reaches from the target variable's node, checked
+    once per distinct node.  The touched trees are route A's planned
     parents, read off its put-back record: every operation but a binding
     deletion's targets its own parent."""
     update = routes.source_update
@@ -690,8 +694,10 @@ def _lemma1(routes: _Routes) -> bool:
         # a binding deletion's set per tuple is its one bound node, touched
         # or not, so L1 holds without enumerating the tuples
         return True
-    for tup in enumerate_bindings(update.bindings, routes.store):
-        ids = {n.node_id for n in target_trees(update.target, tup)}
+    var = update.target.var
+    tuples = enumerate_bindings(update.bindings, routes.store)
+    for node in {t[var] for t in tuples}:
+        ids = {n.node_id for n in target_trees(update.target, {var: node})}
         hit = ids & routes.put_back.keys()
         if hit and hit != ids:
             return False
@@ -732,7 +738,7 @@ def _lemma3(routes: _Routes, form: UpdateStatement) -> bool:
     added = routes.source_update.bindings[len(routes.view.bindings) :]
     by_source, by_view = routes.satisfied
     held = {tuple(t.values()) for t in by_source}
-    source_holds: ConditionTest = lambda t: tuple(t.values()) in held
+    source_holds = lambda t: tuple(t.values()) in held
     view_holds = {t[context.var] for t in by_view}.__contains__
     wrappers = routes.via_view.tree.children or ()
     pairs = zip(routes.via_view.tuples, wrappers, strict=True)

@@ -106,6 +106,30 @@ QBK_DS_PADDED = (
 )
 
 
+def join_session_store() -> DocumentStore:
+    """The join-session shape: 50 books, and 10 unis of 20 subjects; each
+    book's title is the title of 4 subjects."""
+    titles = [f"t{i:02d}" for i in range(50)]
+    books = "".join(
+        f"<book><auths><aName>a{t}</aName></auths><title>{t}</title></book>"
+        for t in titles
+    )
+    subjects = [titles[(7 * k) % 50] for k in range(200)]
+    unis = "".join(
+        f"<uni><uName>u{u}</uName><subjs>"
+        + "".join(
+            f"<subj><title>{t}</title><profs><pName>p</pName></profs></subj>"
+            for t in subjects[20 * u : 20 * (u + 1)]
+        )
+        + "</subjs></uni>"
+        for u in range(10)
+    )
+    store = DocumentStore()
+    store.add("bkInf.xml", parse_document(f"<bkInf>{books}</bkInf>"))
+    store.add("subjInf.xml", parse_document(f"<subjInf>{unis}</subjInf>"))
+    return store
+
+
 # The free space: one variable x over R/A; a view returning {x} or one
 # 1-2 step path over B/C/D; and updates whose condition and target paths
 # start at the returned name and go on over the other names, with an

@@ -16,7 +16,7 @@ from xview.evaluator import (
     evaluate_view,
 )
 from xview.fuzzgen import gen_t1, gen_t2, random_case
-from xview.lang import parse_update, parse_view_def
+from xview.lang import PathEqString, atom_sides, parse_update, parse_view_def
 from xview.translator import Case, Translated, translate
 from xview.updater import apply_update, plan_update
 from xview.xml_model import (
@@ -29,7 +29,14 @@ from xview.xml_model import (
     string_value,
     value_equal,
 )
-from .conftest import BKINF_XML, D1_NO_B_XML, EX1_VIEW, QBK_VIEW, SUBJINF_XML
+from .conftest import (
+    BKINF_XML,
+    D1_NO_B_XML,
+    EX1_VIEW,
+    QBK_VIEW,
+    SUBJINF_XML,
+    join_session_store,
+)
 
 
 def _brute_force_tuples(view, store):
@@ -612,31 +619,6 @@ def test_pushdown_tests_a_join_of_two_early_levels_at_the_later_one():
     assert dropped and kept_late
 
 
-# The join-session shape: 50 books, 10 unis of 20 subjects, each title on 4
-
-
-def _join_session_store() -> DocumentStore:
-    titles = [f"t{i:02d}" for i in range(50)]
-    books = "".join(
-        f"<book><auths><aName>a{t}</aName></auths><title>{t}</title></book>"
-        for t in titles
-    )
-    subjects = [titles[(7 * k) % 50] for k in range(200)]
-    unis = "".join(
-        f"<uni><uName>u{u}</uName><subjs>"
-        + "".join(
-            f"<subj><title>{t}</title><profs><pName>p</pName></profs></subj>"
-            for t in subjects[20 * u : 20 * (u + 1)]
-        )
-        + "</subjs></uni>"
-        for u in range(10)
-    )
-    store = DocumentStore()
-    store.add("bkInf.xml", parse_document(f"<bkInf>{books}</bkInf>"))
-    store.add("subjInf.xml", parse_document(f"<subjInf>{unis}</subjInf>"))
-    return store
-
-
 def _counting_bind_level(monkeypatch) -> list[tuple[int, int]]:
     """Per ``bind_level`` call, the partial tuples it extends and the
     tuples it builds."""
@@ -653,7 +635,7 @@ def _counting_bind_level(monkeypatch) -> list[tuple[int, int]]:
 
 
 def test_a_join_t1_plan_builds_only_the_selected_books_tuples(monkeypatch):
-    store = _join_session_store()
+    store = join_session_store()
     view = parse_view_def(QBK_VIEW)
     update = parse_update(
         'for r in view(Qbk)/Qbk/use where r/title="t03" '
@@ -669,7 +651,7 @@ def test_a_join_t1_plan_builds_only_the_selected_books_tuples(monkeypatch):
 
 
 def test_a_join_view_still_enumerates_its_cross_product(monkeypatch):
-    store = _join_session_store()
+    store = join_session_store()
     enumerated: list[int] = []
     real = evaluator.enumerate_bindings
 
@@ -752,6 +734,10 @@ _INDEXED_JOINS = (
     # three bindings, the join to the middle level and a pushed-down atom
     '<v>{for x in doc("s")/R/A, y in doc("s")/R/B, z in doc("s")/R/A '
     'where x/K="1" and z/P/K=y/K return <e>{y/N}</e>}</v>',
+    # three bindings, a join decided at the middle level and a literal at
+    # the last
+    '<v>{for x in doc("s")/R/A, y in doc("s")/R/B, z in doc("s")/R/A '
+    'where x/K=y/K and z/P/K="1" return <e>{y/N}</e>}</v>',
 )
 
 
@@ -764,7 +750,7 @@ def _indexed_join_cases():
         store = _single_doc_store(_join_document(rng))
         for view in views:
             yield view, store
-    yield parse_view_def(QBK_VIEW), _join_session_store()
+    yield parse_view_def(QBK_VIEW), join_session_store()
     for _ in range(30):
         case = gen_t2(rng)
         yield case.view, case.store
@@ -774,13 +760,19 @@ def _indexed_join_cases():
 
 
 def test_satisfying_tuples_matches_the_naive_nested_loop():
+    # satisfying_tuples on the pushed-down enumeration, and where_holds on
+    # the full product, against the same reference
     mismatches = kept = dropped = 0
     for clause, store in _indexed_join_cases():
         got = evaluator.satisfying_tuples(clause.bindings, store, clause.conditions)
         want = _naive_satisfying(clause, store)
+        every = _brute_force_tuples(clause, store)
+        flags = evaluator.where_holds(clause.bindings, clause.conditions)(every)
+        held = [t for t, holds in zip(every, flags) if holds]
         mismatches += not _same_tuples(got, want)
+        mismatches += not _same_tuples(held, want)
         kept += len(want)
-        dropped += len(_brute_force_tuples(clause, store)) - len(want)
+        dropped += len(every) - len(want)
     assert mismatches == 0
     assert kept and dropped
 
@@ -795,7 +787,7 @@ def test_a_join_pass_reads_each_bound_nodes_side_once(monkeypatch):
 
     monkeypatch.setattr(evaluator, "string_value", counting)
     rng = random.Random(26)
-    cases = [(parse_view_def(QBK_VIEW), _join_session_store())]
+    cases = [(parse_view_def(QBK_VIEW), join_session_store())]
     view = parse_view_def(_INDEXED_JOINS[0])
     cases += [(view, _single_doc_store(_join_document(rng))) for _ in range(20)]
     counts = []
@@ -833,3 +825,67 @@ def test_join_atoms_sharing_a_side_read_it_once_per_node(monkeypatch):
         assert len(sides) == len(set(sides))
         shared += sum(names == ("K",) for _, names in sides)
     assert shared
+
+
+def test_joins_before_and_at_the_last_level_read_each_side_once(monkeypatch):
+    # the join to the middle level, decided at the last level after a
+    # pushed-down literal, and a join decided at the middle level before a
+    # literal at the last: each pass reads a join side once per node that
+    # its tuples bind, whether satisfying_tuples runs it on the enumeration
+    # or where_holds on the full product
+    sides = []
+    real_located_values = evaluator._located_values
+
+    def recording(node, names):
+        sides.append((id(node), names))
+        return real_located_values(node, names)
+
+    monkeypatch.setattr(evaluator, "_located_values", recording)
+    rng = random.Random(28)
+    read = 0
+    for text in _INDEXED_JOINS[7:9]:
+        view = parse_view_def(text)
+        literals = [a for a in view.conditions if isinstance(a, PathEqString)]
+        (join,) = [a for a in view.conditions if a not in literals]
+        for _ in range(20):
+            store = _single_doc_store(_join_document(rng))
+            reaching = enumerate_bindings(view.bindings, store, literals)
+            expected = {
+                (id(t[var]), names) for t in reaching for var, names in atom_sides(join)
+            }
+            sides.clear()
+            evaluator.satisfying_tuples(view.bindings, store, view.conditions)
+            assert len(sides) == len(set(sides)) and set(sides) == expected
+            sides.clear()
+            every = enumerate_bindings(view.bindings, store)
+            evaluator.where_holds(view.bindings, view.conditions)(every)
+            assert len(sides) == len(set(sides)) and set(sides) == expected
+            read += len(expected)
+    assert read
+
+
+def test_a_pass_decides_other_atoms_once_per_node(monkeypatch):
+    # a literal on the books join's subjects, beside the join atom or alone:
+    # eval_condition decides it once per subject (200), not once per tuple
+    # that reaches it (200 beside the join, which goes through the index,
+    # and 10,000 alone), both in an evaluation and in where_holds over the
+    # whole product
+    store = join_session_store()
+    calls = []
+    real = evaluator.eval_condition
+
+    def counting(atoms, tup):
+        calls[-1] += 1
+        return real(atoms, tup)
+
+    monkeypatch.setattr(evaluator, "eval_condition", counting)
+    clauses = (('x/title=z/title and z/title="t03"', 4), ('z/title="t03"', 200))
+    for where, rows in clauses:
+        view = parse_view_def(QBK_VIEW.replace("x/title=z/title", where))
+        every = enumerate_bindings(view.bindings, store)
+        calls.append(0)
+        assert len(evaluate_view(view, store).tuples) == rows
+        calls.append(0)
+        holds = evaluator.where_holds(view.bindings, view.conditions)
+        assert sum(holds(every)) == rows
+    assert calls == [200] * 4

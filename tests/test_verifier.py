@@ -14,6 +14,7 @@ from xview import cli, evaluator, verifier
 from xview.evaluator import ViewInstance, enumerate_bindings, evaluate_view, row_trees
 from xview.fuzzgen import gen_t1, gen_t2, random_case
 from xview.lang import (
+    DeleteBinding,
     DeleteLabel,
     PathEqString,
     UpdateStatement,
@@ -32,6 +33,7 @@ from xview.updater import (
     execute_plan,
     plan_update,
     replay_edits,
+    target_trees,
 )
 from xview.verifier import (
     VerificationReport,
@@ -65,6 +67,7 @@ from .conftest import (
     SUBJINF_XML,
     free_space,
     free_space_doc,
+    join_session_store,
 )
 
 
@@ -212,6 +215,72 @@ def test_lemma1_catches_a_partial_plan_under_a_parent_step():
         routes, put_back={k: v for k, v in routes.put_back.items() if k != dropped}
     )
     assert run_lemma_suite(partial, out.case)[0] == ("L1", False)
+
+
+def _per_tuple_lemma1(routes: _Routes) -> bool:
+    """The reference: L1 with ``target_trees`` called on every tuple."""
+    update = routes.source_update
+    if isinstance(update.action, DeleteBinding):
+        return True
+    for tup in enumerate_bindings(update.bindings, routes.store):
+        ids = {n.node_id for n in target_trees(update.target, tup)}
+        hit = ids & routes.put_back.keys()
+        if hit and hit != ids:
+            return False
+    return True
+
+
+def test_lemma1_per_target_node_matches_the_per_tuple_reference():
+    # generated translations, with their whole plan and with each planned
+    # parent dropped in turn from route A's put-back record
+    rng = random.Random(14)
+    judged = failed = joins = 0
+    for _ in range(300):
+        case = random_case(rng)
+        out = translate(case.view, case.update)
+        if not isinstance(out, Translated):
+            continue
+        routes = _settled_routes(case.view, case.update, out.statement, case.store)
+        joins += len(out.statement.bindings) > 1
+        for dropped in (None, *routes.put_back):
+            partial = dataclasses.replace(
+                routes,
+                put_back={k: v for k, v in routes.put_back.items() if k != dropped},
+            )
+            want = _per_tuple_lemma1(partial)
+            assert verifier._lemma1(partial) == want
+            judged += 1
+            failed += not want
+    assert judged > 250 and failed > 50 and joins > 20
+
+
+def test_a_join_verify_reads_each_target_node_once(monkeypatch):
+    # the translated T1 update on the join-session documents: L1 calls
+    # target_trees once per book (50), not once per tuple of the 10,000
+    # product.  The where clauses are tested 250 times: the source plan
+    # tests x/title="t03" on the 50 books before the subjects extend them,
+    # and the view update's plan r/title="t03" on the 200 wrappers; the
+    # join atom goes through the index in every pass
+    view = parse_view_def(QBK_VIEW)
+    dv = parse_update(
+        'for r in view(Qbk)/Qbk/use where r/title="t03" '
+        "update r/auths { insert <aName>n1</aName> }"
+    )
+    out = translate(view, dv)
+    assert isinstance(out, Translated) and out.case is Case.T1
+    trees = [0]
+    real = verifier.target_trees
+
+    def counting(target, tup):
+        trees[0] += 1
+        return real(target, tup)
+
+    monkeypatch.setattr(verifier, "target_trees", counting)
+    tests = _counting_eval_condition(monkeypatch)
+    report = verify_translation(view, dv, out.statement, join_session_store(), out.case)
+    assert report.passed and report.lemma_checks[0] == ("L1", True)
+    assert trees == [50]
+    assert tests == [250]
 
 
 RENAMED_VIEW = '<v>{for x in doc("s")/R/A return <e>{x/B}{x/C}</e>}</v>'
@@ -791,8 +860,23 @@ def test_every_probe_matches_a_rebuilt_view():
             "<B><E>1</E></B></A></R>",
             [True, False],
         ),
+        # the restored A is reached at both levels: as x it shows no row, so
+        # its rows come only from the later batch, each old x with a y below
+        # the restored A
+        (
+            '<v>{for x in doc("s")/R/A, y in doc("s")/R/A/B where x/K="1" '
+            'and y/K="1" return <e>{x/K}{y}</e>}</v>',
+            'for x in doc("s")/R/A where x/K="2" update x/.. { delete A }',
+            "<R><A><K>1</K></A><A><K>2</K><B><K>1</K></B></A></R>",
+            [True],
+        ),
     ],
-    ids=["restored-rows-hidden", "where-reads-an-outer-binding", "deep-binding-path"],
+    ids=[
+        "restored-rows-hidden",
+        "where-reads-an-outer-binding",
+        "deep-binding-path",
+        "rows-in-a-later-level",
+    ],
 )
 def test_a_probe_reaching_no_indexed_tuple_stops_at_the_first_row(
     view_text, update_text, doc, changes, monkeypatch
@@ -983,71 +1067,63 @@ def test_probe_places_a_restored_tuple_in_nested_loop_order():
             assert _check_against_reference(routes, sources) == (False, routes.log[0])
 
 
+def _counting_eval_condition(monkeypatch) -> list[int]:
+    """Count the ``eval_condition`` calls every where-clause pass makes, in
+    the one-element list returned."""
+    calls = [0]
+    real = evaluator.eval_condition
+
+    def counting(atoms, tup):
+        calls[0] += 1
+        return real(atoms, tup)
+
+    monkeypatch.setattr(evaluator, "eval_condition", counting)
+    return calls
+
+
 def test_minimality_checks_grow_linearly_with_the_document(monkeypatch):
-    # a T4 root deletion of half the items: one check per restored item
-    # (the index is built with route A's view, before the check), where
-    # re-checking every tuple per probe would grow with the square of the
-    # document
-    view = parse_view_def('<v>{for x in doc("s")/R/A return <e>{x/C}{x/T}</e>}</v>')
+    # a T4 root deletion of half the items, under a view whose where clause
+    # every item meets: each probe tests the clause on its restored item
+    # alone (the index is built with route A's view, before the check),
+    # where re-checking every tuple per probe would grow with the square of
+    # the document
+    view = parse_view_def(
+        '<v>{for x in doc("s")/R/A where x/K="k" return <e>{x/C}{x/T}</e>}</v>'
+    )
     dv = parse_update('for u in v where u/e/C="1" update u ( delete e )')
     out = translate(view, dv)
     assert isinstance(out, Translated) and out.case is Case.T4
-    calls = []
-    prepare = verifier.condition_test
-
-    def counting_test(*args):
-        holds = prepare(*args)
-
-        def counted(tup):
-            calls[-1] += 1
-            return holds(tup)
-
-        return counted
-
+    checks = []
     for items in (40, 160):
         doc = "".join(
-            f"<A><C>{1 + i % 2}</C><T><W>w{i}</W></T></A>" for i in range(items)
+            f"<A><K>k</K><C>{1 + i % 2}</C><T><W>w{i}</W></T></A>"
+            for i in range(items)
         )
         store = _single_doc_store(f"<R>{doc}</R>")
         with _compute_routes(view, dv, out.statement, store) as routes:
             assert len(routes.log) == items // 2
             # count the minimality check's tests only, not the index's
-            monkeypatch.setattr(verifier, "condition_test", counting_test)
-            calls.append(0)
-            assert check_minimality(routes) == (True, None)
-            monkeypatch.setattr(verifier, "condition_test", prepare)
-    assert 0 < calls[1] <= 5 * calls[0]
+            with monkeypatch.context() as m:
+                calls = _counting_eval_condition(m)
+                assert check_minimality(routes) == (True, None)
+            checks.append(calls[0])
+    assert checks == [20, 80]
 
 
 def test_a_t4_verify_tests_each_where_clause_once_per_tuple(monkeypatch):
     # the bench's deletion: a view with no where clause, and a T4 root
     # deletion of half of N items.  Only the two plans test a clause, once
     # per tuple each: the source plan x1/C="1" on the items, the view
-    # update's plan u/e/C="1" on the wrappers.  The evaluation and the
-    # probe index test nothing, each probe tests its restored item, and L3
-    # reads the plans' verdicts.  Before L3 read them, a verify made 6N
-    # tests: N for the evaluation, N per plan, N/2 for the index, N/2 for
-    # the probes, and 2N in L3.
+    # update's plan u/e/C="1" on the wrappers.  The evaluation, the probe
+    # index and the probes test nothing, and L3 reads the plans' verdicts.
+    # Before L3 read them, a verify made 6N tests: N for the evaluation, N
+    # per plan, N/2 for the index, N/2 for the probes, and 2N in L3; the
+    # probes' N/2 went when they tested the clause only where there is one.
     view = parse_view_def('<v>{for x1 in doc("d")/R/A return <e>{x1/C}{x1/T}</e>}</v>')
     dv = parse_update('for u in v where u/e/C="1" update u ( delete e )')
     out = translate(view, dv)
     assert isinstance(out, Translated) and out.case is Case.T4
-    calls = [0]
-
-    def counting(prepare):
-        def prepared(*args):
-            holds = prepare(*args)
-
-            def counted(tup):
-                calls[0] += 1
-                return holds(tup)
-
-            return counted
-
-        return prepared
-
-    for module in (evaluator, verifier):
-        monkeypatch.setattr(module, "condition_test", counting(module.condition_test))
+    calls = _counting_eval_condition(monkeypatch)
     rng = random.Random(3)
     for items in (8, 160):
         marks = ["1", "2"] * (items // 2)
@@ -1060,7 +1136,7 @@ def test_a_t4_verify_tests_each_where_clause_once_per_tuple(monkeypatch):
         calls[0] = 0
         report = verify_translation(view, dv, out.statement, store, out.case)
         assert report.passed
-        assert calls[0] == 2 * items + items // 2
+        assert calls[0] == 2 * items
 
 
 def test_route_a_view_and_probe_index_share_one_enumeration(monkeypatch):
@@ -1621,13 +1697,6 @@ def test_lemma3_reads_the_plans_verdicts_on_joins_and_bound_statements(monkeypat
         (at_root, parse_update(QBK_DS_PRINTED), False),
     ]
     rng = random.Random(41)
-    tests: list[int] = []
-    prepare = verifier.condition_test
-
-    def counting(*args):
-        tests.append(1)
-        return prepare(*args)
-
     read = read_failed = bound_held = unjudged = 0
     for _ in range(40):
         for dv, stmt, premise in judged:
@@ -1637,11 +1706,10 @@ def test_lemma3_reads_the_plans_verdicts_on_joins_and_bound_statements(monkeypat
                 unjudged += 1
                 continue
             want = _shell_lemma3(routes)
-            tests.clear()
             with monkeypatch.context() as m:
-                m.setattr(verifier, "condition_test", counting)
+                tests = _counting_eval_condition(m)
                 assert verifier._lemma3(routes, context_form(dv)) == want
-            assert tests == []
+            assert tests == [0]
             read += 1
             read_failed += not want
             bound_held += len(stmt.bindings) > 3 and want
