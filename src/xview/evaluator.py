@@ -48,6 +48,7 @@ from .xml_model import (
     DocumentStore,
     VarRoot,
     XmlTree,
+    _collector_deferred,
     copy_tree,
     locate,
     string_value,
@@ -362,6 +363,7 @@ def view_tree(
     return XmlTree(view.view_root, children=children)
 
 
+@_collector_deferred
 def evaluate_view(
     view: ViewDef, store: DocumentStore, *, copy_rows: bool = True
 ) -> ViewInstance:
@@ -372,6 +374,8 @@ def evaluate_view(
     With ``copy_rows=False`` each wrapper holds the store's own row trees
     instead of copies: the instance is then for a reader that leaves those
     trees alone, or copies a wrapper's rows before it edits inside them.
+    The cyclic garbage collector is held off while the call runs and then
+    left as it was found (``xml_model._collector_deferred``).
     """
     satisfying = satisfying_tuples(view.bindings, store, view.conditions)
     return ViewInstance(view_tree(view, satisfying, copy_rows=copy_rows), satisfying)

@@ -57,6 +57,7 @@ from .xml_model import (
     DocumentStore,
     QualifiedPath,
     XmlTree,
+    _collector_deferred,
     copy_tree,
     locate,
     serialize,
@@ -346,6 +347,7 @@ def execute_plan(plan: list[PlannedOp]) -> list[Edit]:
     return edits
 
 
+@_collector_deferred
 def apply_update(stmt: UpdateStatement, target) -> list[Edit]:
     """Apply a statement to a DocumentStore or ViewInstance, mutating it.
 
@@ -354,7 +356,9 @@ def apply_update(stmt: UpdateStatement, target) -> list[Edit]:
     context.  Duplicate (node, action) applications collapse to the first.
     An unsatisfiable condition leaves the target unchanged and the log
     empty, and so does a statement that fails: every error is raised while
-    planning, before any edit lands.
+    planning, before any edit lands.  The cyclic garbage collector is held
+    off while the call runs and then left as it was found
+    (``xml_model._collector_deferred``).
     """
     return execute_plan(plan_update(stmt, target))
 

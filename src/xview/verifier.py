@@ -84,6 +84,7 @@ from .updater import (
 from .xml_model import (
     DocumentStore,
     XmlTree,
+    _collector_deferred,
     copy_tree,
     iter_nodes,
     locate,
@@ -297,6 +298,7 @@ def _executed(plan: list[PlannedOp]) -> Iterator[tuple[list[Edit], _PutBack]]:
             parent.children = children
 
 
+@_collector_deferred
 def verify_translation(
     view: ViewDef,
     view_update: UpdateStatement,
@@ -310,7 +312,10 @@ def verify_translation(
     The verification edits ``store`` while it runs, so it needs exclusive
     access to it; afterwards ``store`` holds the very same node and child
     list objects as before, even when a check raises.  A ``Deleted``
-    witness's tree is the source's own subtree, back in ``store``."""
+    witness's tree is the source's own subtree, back in ``store``.  The
+    cyclic garbage collector is held off while the call runs, its own
+    evaluations and plans included, and then left as it was found
+    (``xml_model._collector_deferred``)."""
     with _compute_routes(view, view_update, source_update, store) as routes:
         correct, diff = check_correctness(routes)
         minimal, witness = check_minimality(routes) if correct else (False, None)

@@ -8,6 +8,8 @@ always decided on the identifier-free value tree.
 
 from __future__ import annotations
 
+import functools
+import gc
 import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
@@ -33,7 +35,9 @@ class XmlTree:
     Exactly one of ``text`` and ``children`` is set.  An element with an
     empty child list is distinct from a text leaf holding the empty string.
     Instances compare by identity; use :func:`value_equal` for comparison on
-    value trees.
+    value trees.  A node holds its children but no link to its parent, so a
+    tree holds no reference cycle and is freed by reference counting alone
+    (see ``_collector_deferred``).
     """
 
     __slots__ = ("node_id", "label", "text", "children")
@@ -60,6 +64,32 @@ class XmlTree:
         if self.is_text:
             return f"XmlTree({self.label}:{self.text!r} #{self.node_id})"
         return f"XmlTree({self.label}[{len(self.children or [])}] #{self.node_id})"
+
+
+def _collector_deferred(fn):
+    """Run ``fn`` with the cyclic garbage collector off, then switch it back
+    on if it was on.
+
+    For the calls that enumerate for-clause tuples: a join holds thousands
+    of tuple dicts at once, and the collections they would set off walk the
+    whole heap yet find nothing, since trees, tuples, plans and edit logs
+    hold no reference cycle (``tests/test_collector.py`` checks this).  A
+    call made with the collector already off, such as a nested one, just
+    calls through.  The collector is process-wide, so another thread can
+    find it off while such a call runs.
+    """
+
+    @functools.wraps(fn)
+    def deferred(*args, **kwargs):
+        if not gc.isenabled():
+            return fn(*args, **kwargs)
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            gc.enable()
+
+    return deferred
 
 
 def element(label: str, children: Iterable[XmlTree] = ()) -> XmlTree:
