@@ -7,9 +7,10 @@ yields a correct result, the translation over-updated the source.  It probes
 on the sources in route A's state: each edit is undone in place, the view is
 checked against the directly updated instance, and the edit is redone.  A
 probe re-checks only the tuples the undone edit reaches, read off an index
-of that store and view built once per verification, so a verification
-costs a few evaluations, not one per edit; route A's view is read off the
-same index, whose probe-only parts are built only when there is an edit.
+of that store and view built once per verification, and re-evaluates the
+view only where rows could shift, so a verification costs a few
+evaluations, not one per edit; route A's view is read off the same index,
+whose probe-only parts are built only when there is an edit.
 An undone deletion puts back the logged subtree itself, at the place it
 held in its parent's child list before route A's plan ran, among the
 siblings that stay.  Both oracles are independent of the translation path
@@ -49,12 +50,11 @@ restored wrappers satisfied the view update's context form.
 
 from __future__ import annotations
 
-import bisect
 import contextlib
 import itertools
 import json
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 from .evaluator import (
     ForTuple,
@@ -64,6 +64,7 @@ from .evaluator import (
     enumerate_bindings,
     evaluate_view,
     row_trees,
+    satisfying_tuples,
     view_tree,
     where_holds,
 )
@@ -380,8 +381,8 @@ def check_minimality(routes: _Routes) -> tuple[bool, Optional[Edit]]:
     The check runs only on correct translations, so route A's view equals
     the directly updated instance, and a probe matches exactly when undoing
     its edit leaves route A's view unchanged.  An undo changes one parent's
-    child list, so a probe re-checks only the tuples that reach that parent
-    (read off ``routes.index``, as route A's view was), not the whole view.
+    child list, so a probe re-checks only the tuples that reach that parent,
+    off ``routes.index``, and the whole view only where rows could move.
     The parent and, for a deletion, its restore point are read off route
     A's put-back record (``routes.put_back``), and the redo replays the edit
     onto a store holding just that parent, so finding the parent reads one
@@ -452,12 +453,6 @@ def _undo(edit: Edit, parent: XmlTree, points: dict[int, int]) -> XmlTree:
     return edit.tree
 
 
-# A tuple's re-checked outcome: its place in tuple order, the number of rows
-# shown before that place, whether it showed a row, and the trees of the row
-# it shows with the edit undone (None if it shows none).
-_Change = tuple[tuple, int, bool, Optional[list[XmlTree]]]
-
-
 class _ProbeIndex:
     """Route A's store and view, indexed so that a probe re-checks only the
     tuples its undone edit reaches.
@@ -472,17 +467,13 @@ class _ProbeIndex:
     read off ``chain``, so the index walks no store; the edits' parents are
     read off route A's put-back record, not off the index.
     Undoing an edit changes one parent P's child list.  Only three sets of
-    tuples can then differ, and a probe re-evaluates those:
-
-    - tuples that appear because a binding path runs through P to a
-      restored child (the indexed partials, extended through that child and
-      through the later bindings);
-    - indexed tuples that bind a node of an insertion that was removed;
-    - surviving tuples that bind P or one of its ancestors, the only nodes
-      whose subtrees changed.
-
-    Every other tuple keeps its condition result and its row.  A probe
-    tests them with ``holds`` too, one call, so one pass, per batch.
+    tuples can then differ: restored tuples, whose binding path runs
+    through P to a restored child (the indexed partials, extended through
+    that child and through the later bindings); gone tuples, indexed ones
+    that bind a node of a removed insertion; and hit tuples, surviving ones
+    that bind P or one of its ancestors, the only nodes whose subtrees
+    changed.  Every other tuple keeps its condition result and its row.  A
+    probe tests tuples with ``holds`` too, one call, so one pass, per batch.
     """
 
     def __init__(self, view: ViewDef, store: DocumentStore, chain: Chain) -> None:
@@ -521,51 +512,30 @@ class _ProbeIndex:
         exactly the rows ``wrappers``: those of the view with it applied.
         ``moved`` is the child of ``parent`` the undo put back or removed.
 
-        The answer is exact: if the row count holds while rows appear or
-        go, every row that moves is compared with the row in its new place.
-        An undo that reaches no indexed tuple (none binds ``parent`` or an
-        ancestor of it, and no removed insertion held a bound node) can
-        only add rows, through the restored child: the view is then
-        unchanged exactly when no such tuple shows a row, which is decided
-        at the first batch (one per binding level and context) holding one
-        that does, with no change list, sort or placement.
+        The answer is exact.  With no tuple hit or gone, the undo can only
+        add rows: it is decided at the first batch that shows one.  With
+        none gone, no restored tuple showing a row and each hit tuple
+        keeping its flag, every row keeps its place, and each showing hit
+        tuple's row is compared with the row of its number.  Otherwise the
+        view is evaluated on the store and compared whole.
         """
         chain = self.chain(parent)
         hit = {t for node in chain for t in self.binders.get(node.node_id, ())}
-        gone: set[int] = set()
-        fresh: Iterable[list[ForTuple]] = ()
-        if isinstance(edit, Inserted):
-            gone = {
-                t
-                for node in iter_nodes(moved)
-                for t in self.binders.get(node.node_id, ())
-            }
-        else:
-            fresh = self._through(chain, moved)
-        if not hit and not gone:  # the undo can only add rows
-            return not any(any(self.holds(batch)) for batch in fresh)
-        present = sorted(hit - gone)
-        shows = dict(zip(present, self.holds([self.tuples[t] for t in present])))
-        returns = self.view.returns
-        changes: list[_Change] = []
-        for t in sorted(hit | gone):
-            row = row_trees(returns, self.tuples[t]) if shows.get(t) else None
-            if self.shown[t] or row is not None:
-                changes.append(((t, 1), self.rows_before[t], self.shown[t], row))
-        appeared = [
-            (tup, row_trees(returns, tup))
-            for batch in fresh
-            for tup, holds in zip(batch, self.holds(batch))
-            if holds
-        ]
-        shown_before = sum(change[2] for change in changes)
-        shown_after = len(appeared) + sum(change[3] is not None for change in changes)
-        if shown_after != shown_before:
-            return False  # the row count changes
-        if appeared:
-            changes.extend(self._placed(appeared))
-            changes.sort(key=lambda change: change[0])
-        return _rows_agree(changes, wrappers)
+        inserted = isinstance(edit, Inserted)
+        gone = inserted and any(n.node_id in self.binders for n in iter_nodes(moved))
+        fresh = () if inserted else self._through(chain, moved)
+        appear = (any(self.holds(batch)) for batch in fresh)
+        if not hit and not gone:
+            return not any(appear)
+        if not gone:
+            shows = self.holds([self.tuples[t] for t in hit])
+            if shows == [self.shown[t] for t in hit] and not any(appear):
+                returns, before = self.view.returns, self.rows_before
+                return all(
+                    _same_row(row_trees(returns, self.tuples[t]), wrappers[before[t]])
+                    for t in itertools.compress(hit, shows)
+                )
+        return self._view_matches(wrappers)
 
     def _through(
         self, chain: list[XmlTree], restored: XmlTree
@@ -590,52 +560,18 @@ class _ProbeIndex:
                 yield level
             below = (context.label,) + below
 
-    def _placed(
-        self, appeared: list[tuple[ForTuple, list[XmlTree]]]
-    ) -> list[_Change]:
-        """Give each new showing tuple its place in nested-loop order, which
-        is the order of its nodes' positions in the documents."""
-        order = {
-            n.node_id: k
-            for k, n in enumerate(
-                n for root in self.store.docs.values() for n in iter_nodes(root)
-            )
-        }
-
-        def key(tup: ForTuple) -> tuple[int, ...]:
-            return tuple(order[n.node_id] for n in tup.values())
-
-        keys = [key(tup) for tup in self.tuples]
-        out: list[_Change] = []
-        for tup, row in appeared:
-            at = bisect.bisect_left(keys, key(tup))
-            out.append(((at, 0, key(tup)), self.rows_before[at], False, row))
-        return out
+    def _view_matches(self, wrappers: list[XmlTree]) -> bool:
+        """Whether the view evaluated on the store shows the rows ``wrappers``."""
+        view = self.view
+        tuples = satisfying_tuples(view.bindings, self.store, view.conditions)
+        rows = [row_trees(view.returns, tup) for tup in tuples]
+        return len(rows) == len(wrappers) and all(map(_same_row, rows, wrappers))
 
 
-def _rows_agree(changes: list[_Change], wrappers: list[XmlTree]) -> bool:
-    """Whether the re-checked tuples, in tuple order, leave the rows
-    ``wrappers`` as they are, given that the row count does not change.
-
-    Rows of tuples that were not re-checked keep their trees but may move
-    by as many places as rows appeared before them, less those that went.
-    """
-    offset = start = 0  # rows gained so far; first row not yet accounted for
-    for _place, cursor, shown, row in changes:
-        if offset and not all(
-            value_equal(wrappers[r], wrappers[r + offset]) for r in range(start, cursor)
-        ):
-            return False
-        if row is not None:
-            kids = wrappers[cursor + offset].children or []
-            if len(row) != len(kids) or not all(map(value_equal, row, kids)):
-                return False
-            offset += 1
-        if shown:
-            offset -= 1
-            cursor += 1
-        start = cursor
-    return True
+def _same_row(row: list[XmlTree], wrapper: XmlTree) -> bool:
+    """Whether ``wrapper`` holds the trees ``row``, by value."""
+    kids = wrapper.children or []
+    return len(row) == len(kids) and all(map(value_equal, row, kids))
 
 
 # ----------------------------------------------------------------------

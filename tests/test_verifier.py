@@ -254,13 +254,9 @@ def test_lemma1_per_target_node_matches_the_per_tuple_reference():
     assert judged > 250 and failed > 50 and joins > 20
 
 
-def test_a_join_verify_reads_each_target_node_once(monkeypatch):
-    # the translated T1 update on the join-session documents: L1 calls
-    # target_trees once per book (50), not once per tuple of the 10,000
-    # product.  The where clauses are tested 250 times: the source plan
-    # tests x/title="t03" on the 50 books before the subjects extend them,
-    # and the view update's plan r/title="t03" on the 200 wrappers; the
-    # join atom goes through the index in every pass
+def _join_t1_case() -> tuple:
+    """The translated T1 insertion on the join-session documents, as the
+    arguments of ``verify_translation``."""
     view = parse_view_def(QBK_VIEW)
     dv = parse_update(
         'for r in view(Qbk)/Qbk/use where r/title="t03" '
@@ -268,6 +264,16 @@ def test_a_join_verify_reads_each_target_node_once(monkeypatch):
     )
     out = translate(view, dv)
     assert isinstance(out, Translated) and out.case is Case.T1
+    return view, dv, out.statement, join_session_store(), out.case
+
+
+def test_a_join_verify_reads_each_target_node_once(monkeypatch):
+    # the translated T1 update on the join-session documents: L1 calls
+    # target_trees once per book (50), not once per tuple of the 10,000
+    # product.  The where clauses are tested 250 times: the source plan
+    # tests x/title="t03" on the 50 books before the subjects extend them,
+    # and the view update's plan r/title="t03" on the 200 wrappers; the
+    # join atom goes through the index in every pass
     trees = [0]
     real = verifier.target_trees
 
@@ -277,7 +283,7 @@ def test_a_join_verify_reads_each_target_node_once(monkeypatch):
 
     monkeypatch.setattr(verifier, "target_trees", counting)
     tests = _counting_eval_condition(monkeypatch)
-    report = verify_translation(view, dv, out.statement, join_session_store(), out.case)
+    report = verify_translation(*_join_t1_case())
     assert report.passed and report.lemma_checks[0] == ("L1", True)
     assert trees == [50]
     assert tests == [250]
@@ -883,7 +889,8 @@ def test_a_probe_reaching_no_indexed_tuple_stops_at_the_first_row(
 ):
     # no tuple binds the parent of the restored child or one of its
     # ancestors, so each probe can only add rows: it is decided by whether a
-    # tuple through that child shows one, with no rows compared
+    # tuple through that child shows one, with no row compared and no view
+    # evaluated
     view, stmt = parse_view_def(view_text), parse_update(update_text)
     store = _single_doc_store(doc)
     sources = store.copy()
@@ -891,7 +898,8 @@ def test_a_probe_reaching_no_indexed_tuple_stops_at_the_first_row(
     def compared(*_args):
         raise AssertionError("a probe that can only add rows compares none")
 
-    monkeypatch.setattr(verifier, "_rows_agree", compared)
+    monkeypatch.setattr(verifier, "_same_row", compared)
+    monkeypatch.setattr(verifier._ProbeIndex, "_view_matches", compared)
     with _own_routes(view, stmt, store) as routes:
         assert _probes_against_rebuilt_views(routes, sources) == changes
 
@@ -1065,6 +1073,56 @@ def test_probe_places_a_restored_tuple_in_nested_loop_order():
             # first, a, a, q either way
             assert _probes_against_rebuilt_views(routes, sources) == [False]
             assert _check_against_reference(routes, sources) == (False, routes.log[0])
+
+
+@pytest.mark.parametrize(
+    "run, reevaluates",
+    [
+        (lambda: cli.main(["fuzz", "--seed", "7", "--count", "300"]), False),
+        (lambda: verify_translation(*_root_deletion_case(160)), False),
+        (lambda: verify_translation(*_join_t1_case()), False),
+        (test_probe_compares_rows_that_move_past_unchanged_rows, True),
+        (
+            lambda: test_a_probe_removing_an_insertion_hides_the_rows_it_showed(
+                "1", [True, True]
+            ),
+            True,
+        ),
+        (test_probe_places_a_restored_tuple_in_nested_loop_order, True),
+    ],
+    ids=[
+        "fuzz-seed-7",
+        "t4-root-deletion",
+        "join-t1-insertion",
+        "flag-flips",
+        "bound-node-gone",
+        "tuple-appears-beside-a-hit",
+    ],
+)
+def test_probes_evaluate_the_view_only_where_rows_can_shift(
+    run, reevaluates, monkeypatch
+):
+    # the fuzz batch and the benchmark's verifies decide every probe off the
+    # index; a hit tuple whose flag flips, a removed bound node, or a
+    # restored tuple showing a row beside a hit one sends a probe to an
+    # evaluation of the whole view
+    probes, views = [0], [0]
+    index = verifier._ProbeIndex
+    probe, view_matches = index.unchanged_without, index._view_matches
+
+    def counting_probe(*args):
+        probes[0] += 1
+        return probe(*args)
+
+    def counting_view(*args):
+        views[0] += 1
+        return view_matches(*args)
+
+    monkeypatch.setattr(index, "unchanged_without", counting_probe)
+    monkeypatch.setattr(index, "_view_matches", counting_view)
+    run()
+    assert probes[0] > 0
+    assert (views[0] > 0) == reevaluates, views
 
 
 def _counting_eval_condition(monkeypatch) -> list[int]:
@@ -1757,11 +1815,13 @@ def _books_case(source_update: str):
     return parse_view_def(QBK_VIEW), parse_update(QBK_DV), parse_update(source_update), store
 
 
-def _root_deletion_case():
+def _root_deletion_case(count: int = 8):
     view = parse_view_def('<v>{for x in doc("s")/R/A return <e>{x/C}{x/T}</e>}</v>')
     dv = parse_update('for u in v where u/e/C="1" update u ( delete e )')
     out = translate(view, dv)
-    items = "".join(f"<A><C>{1 + i % 2}</C><T><W>w{i}</W></T></A>" for i in range(8))
+    items = "".join(
+        f"<A><C>{1 + i % 2}</C><T><W>w{i}</W></T></A>" for i in range(count)
+    )
     return view, dv, out.statement, _single_doc_store(f"<R>{items}</R>")
 
 
