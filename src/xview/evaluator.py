@@ -12,17 +12,18 @@ The where clause has one statement of its semantics, ``eval_condition``,
 and one way of applying it to many tuples: a pass per binding level that
 decides some atom, the first level that binds all its variables.  A pass
 tests a join atom, one side on its level's variable and the other on an
-earlier one, through an index built for that pass, from each string value
-to the level's nodes whose side holds it, so each distinct bound node's
-side is read once and a tuple costs a set lookup.  It decides every other
-atom, which reads only its level's node, with ``eval_condition`` once per
-distinct such node (per tuple where a tuple binds one variable).  The
-passes run in three places.  ``enumerate_bindings`` can take the where
-clause: it drops a partial tuple that fails an atom such as
-``x/title="t03"`` before the later bindings extend it (predicate
-pushdown).  An atom decided only at the last level, such as a join's
-``x/title=z/title``, is left to its caller, ``satisfying_tuples``, which
-runs that level's pass on the full cross product a join still enumerates.
+earlier one, through an index built for that atom, from each string value
+to the level's nodes whose side holds it, so each join atom reads a
+distinct bound node's side once and a tuple costs a set lookup.  It
+decides every other atom, which reads only its level's node, with
+``eval_condition`` once per distinct such node (per tuple where a tuple
+binds one variable).  The passes run in three places.
+``enumerate_bindings`` can take the where clause: it drops a partial tuple
+that fails an atom such as ``x/title="t03"`` before the later bindings
+extend it (predicate pushdown).  An atom decided only at the last level,
+such as a join's ``x/title=z/title``, is left to its caller,
+``satisfying_tuples``, which runs that level's pass on the full cross
+product a join still enumerates.
 ``where_holds`` runs every level's pass on tuples of the whole for-clause,
 for a reader that enumerated them itself.
 """
@@ -39,7 +40,6 @@ from .lang import (
     ConditionAtom,
     PathEqString,
     ReturnExpr,
-    VarPath,
     ViewDef,
     atom_sides,
 )
@@ -99,9 +99,9 @@ def bind_level(
 ) -> list[ForTuple]:
     """One level of the nested loop: extend each partial tuple, in order, by
     every node the binding's path locates from its ``binding_scope`` context,
-    located once per distinct context node."""
-    if not partials:
-        return []
+    located once per distinct context node.  The scope is resolved first, so
+    a level with no partial tuple still raises an unknown document or a root
+    label mismatch, whatever the data."""
     context, steps = binding_scope(binding, store)
     located: dict[XmlTree, list[XmlTree]] = {}
     expanded: list[ForTuple] = []
@@ -117,26 +117,20 @@ def bind_level(
     return expanded
 
 
-def _decided_at(
-    atoms: Sequence[ConditionAtom], bindings: Sequence[Binding]
-) -> list[int]:
-    """Per atom, the first binding level that binds all its variables; an
-    atom over a variable no binding binds is given the last level, so the
-    caller's test reports it."""
-    last = len(bindings) - 1
-    level = {binding.var: i for i, binding in enumerate(bindings)}
-    return [max(level.get(var, last) for var, _ in atom_sides(a)) for a in atoms]
-
-
 def _by_level(
     atoms: Sequence[ConditionAtom], bindings: Sequence[Binding]
 ) -> dict[int, list[ConditionAtom]]:
-    """Per level deciding some atom (``_decided_at``), in level order, its
-    atoms in clause order."""
+    """Per level deciding some atom, in level order, its atoms in clause
+    order.  An atom is decided at the first binding level that binds all its
+    variables; one over a variable no binding binds, at the last level, so
+    the caller's test reports it."""
     if len(bindings) == 1:
         return {0: list(atoms)}
+    last = len(bindings) - 1
+    level = {binding.var: i for i, binding in enumerate(bindings)}
     levels: dict[int, list[ConditionAtom]] = {}
-    for atom, at in zip(atoms, _decided_at(atoms, bindings)):
+    for atom in atoms:
+        at = max(level.get(var, last) for var, _ in atom_sides(atom))
         levels.setdefault(at, []).append(atom)
     return dict(sorted(levels.items()))
 
@@ -156,17 +150,13 @@ def enumerate_bindings(
     full enumeration less those failing such an atom, in the same order.
     The atoms decided only at the last level are left to the caller
     (``satisfying_tuples``): testing them here would save no extension, and
-    a join view keeps returning its whole cross product.  A binding left
-    with no partial tuple to extend is still resolved, so an unknown
-    document or a root label mismatch is raised whatever the data.
+    a join view keeps returning its whole cross product.  Every binding is
+    resolved (``bind_level``), so its errors do not depend on the data.
     """
     levels = _by_level(atoms, bindings) if atoms else {}
     levels.pop(len(bindings) - 1, None)  # the caller's
     tuples: list[ForTuple] = [{}]
     for i, binding in enumerate(bindings):
-        if not tuples:  # nothing to extend, but its errors are raised all the same
-            binding_scope(binding, store)
-            continue
         tuples = bind_level(binding, tuples, store)
         if i in levels:
             tuples = _level_pass(tuples, levels[i], binding.var)
@@ -221,14 +211,15 @@ def _level_pass(
 ) -> list[ForTuple]:
     """The tuples, in order, that satisfy ``atoms``, which the level of
     ``var`` decides.  A join atom, one side on ``var`` and the other on an
-    earlier variable, is tested through a value index (``_join_matches``);
-    every other atom reads ``var``'s node alone, so ``eval_condition``
-    decides the rest once per distinct such node the joins keep, or on each
-    tuple where a tuple binds one variable, and so its own node."""
+    earlier variable, is tested through an index of its own, from each
+    string value to the nodes of ``var`` whose side holds it; a partner
+    node's matches are read off it at the node's first lookup, so the atom
+    reads each side once per node.  Every other atom reads ``var``'s node
+    alone, so ``eval_condition`` decides the rest once per distinct such
+    node the joins keep, or on each tuple where a tuple binds one variable."""
     if not tuples or len(tuples[0]) == 1:
         return [t for t in tuples if eval_condition(atoms, t)]
     bound = tuples[0]  # no atom here reads a later variable
-    memos: dict[VarPath, _Memo] = {}
     rest: list[ConditionAtom] = []
     for atom in atoms:
         sides = atom_sides(atom)
@@ -236,9 +227,16 @@ def _level_pass(
             sides = sides[::-1]  # this level's side first
         # a join atom: the other side on an earlier variable
         if len(sides) == 2 and sides[0][0] == var != sides[1][0] in bound:
-            mine, partner = sides
-            matches = _join_matches(tuples, mine, partner, memos)
-            other = partner[0]
+            (_, mine), (other, theirs) = sides
+            index: dict[str, set[XmlTree]] = {}
+            for node in set(map(operator.itemgetter(var), tuples)):
+                for value in _located_values(node, mine):
+                    index.setdefault(value, set()).add(node)
+            matches = _Memo(
+                lambda node: set().union(
+                    *[index.get(v, ()) for v in _located_values(node, theirs)]
+                )
+            )
             tuples = [t for t in tuples if t[var] in matches[t[other]]]
         else:
             rest.append(atom)
@@ -261,39 +259,6 @@ class _Memo(dict):
     def __missing__(self, key):
         value = self[key] = self.make(key)
         return value
-
-
-def _side_memo(side: VarPath, memos: dict[VarPath, _Memo]) -> _Memo:
-    """Bound node -> the string values one atom side locates below it, read
-    at the node's first lookup; every atom reading the side shares it."""
-    memo = memos.get(side)
-    if memo is None:
-        names = side[1]
-        memo = memos[side] = _Memo(lambda node: _located_values(node, names))
-    return memo
-
-
-def _join_matches(
-    tuples: list[ForTuple],
-    mine: VarPath,
-    partner: VarPath,
-    memos: dict[VarPath, _Memo],
-) -> _Memo:
-    """For the join atom ``mine=partner``, ``mine`` on the variable of the
-    level that decides it: each node the tuples bind to the partner's
-    variable, mapped to the nodes of ``mine``'s variable it matches.  One
-    index, from each string value to the nodes whose side holds it, is
-    built over the distinct nodes the tuples bind to ``mine``'s variable; a
-    partner's entry is read off it at the partner's first lookup."""
-    values = _side_memo(mine, memos)
-    index: dict[str, set[XmlTree]] = {}
-    for node in set(map(operator.itemgetter(mine[0]), tuples)):
-        for value in values[node]:
-            index.setdefault(value, set()).add(node)
-    partner_values = _side_memo(partner, memos)
-    return _Memo(
-        lambda node: set().union(*[index.get(v, ()) for v in partner_values[node]])
-    )
 
 
 def _located_values(node: XmlTree, names: tuple[str, ...]) -> set[str]:
@@ -336,30 +301,18 @@ def row_trees(returns: Iterable[ReturnExpr], tup: ForTuple) -> list[XmlTree]:
     return [found for ret in returns for found in locate(tup[ret.var], ret.gamma)]
 
 
-def build_etree(
-    returns: Iterable[ReturnExpr],
-    tup: ForTuple,
-    wrapper: str,
-    *,
-    copy_rows: bool = True,
-) -> XmlTree:
-    """Build one wrapper tree for a tuple over its row trees (``row_trees``):
-    fresh-id copies of them, or with ``copy_rows=False`` the trees
-    themselves, shared with the store they were located in.  Only the
-    wrapper's child list is then its own."""
-    rows = row_trees(returns, tup)
-    if copy_rows:
-        rows = [copy_tree(t) for t in rows]
-    return XmlTree(wrapper, children=rows)
+def build_etree(returns: Iterable[ReturnExpr], tup: ForTuple, wrapper: str) -> XmlTree:
+    """One wrapper tree for a tuple over its row trees (``row_trees``), the
+    trees themselves, shared with the store they were located in: only the
+    wrapper's child list is its own."""
+    return XmlTree(wrapper, children=row_trees(returns, tup))
 
 
-def view_tree(
-    view: ViewDef, tuples: Iterable[ForTuple], *, copy_rows: bool = True
-) -> XmlTree:
+def view_tree(view: ViewDef, tuples: Iterable[ForTuple]) -> XmlTree:
     """The view root over one wrapper tree per tuple, in order
-    (``build_etree``)."""
+    (``build_etree``), each over its uncopied row trees."""
     returns, wrapper = view.returns, view.wrapper
-    children = [build_etree(returns, t, wrapper, copy_rows=copy_rows) for t in tuples]
+    children = [build_etree(returns, t, wrapper) for t in tuples]
     return XmlTree(view.view_root, children=children)
 
 
@@ -370,12 +323,17 @@ def evaluate_view(
     """Materialize the view against a store.
 
     Pure up to fresh identifier assignment: evaluating twice yields
-    value-equal instances, and the instance shares no node with the store.
-    With ``copy_rows=False`` each wrapper holds the store's own row trees
-    instead of copies: the instance is then for a reader that leaves those
-    trees alone, or copies a wrapper's rows before it edits inside them.
+    value-equal instances, and the instance shares no node with the store,
+    since each wrapper's row trees are copied once ``view_tree`` returns.
+    With ``copy_rows=False`` they are not: each wrapper holds the store's
+    own row trees, for a reader that leaves them alone, or copies a
+    wrapper's rows before it edits inside them.
     The cyclic garbage collector is held off while the call runs and then
     left as it was found (``xml_model._collector_deferred``).
     """
     satisfying = satisfying_tuples(view.bindings, store, view.conditions)
-    return ViewInstance(view_tree(view, satisfying, copy_rows=copy_rows), satisfying)
+    tree = view_tree(view, satisfying)
+    if copy_rows:
+        for wrapper in tree.children:
+            wrapper.children = [copy_tree(t) for t in wrapper.children]
+    return ViewInstance(tree, satisfying)

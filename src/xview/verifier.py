@@ -41,8 +41,9 @@ costs nothing (``value_equal``).
 
 The lemma suite checks once that the statements are of the shape the
 lemmas are stated for, as every translation is, and reports no lemmas
-otherwise.  L1 checks each distinct node of the target variable once,
-since the trees a tuple's target reaches depend on that node alone.  L3
+otherwise.  L1 enumerates no tuple: the trees a tuple's target reaches
+depend on the target variable's node alone, so it checks only the target
+nodes above the trees the plan touched.  L3
 builds no wrapper, and tests no where clause: it reads which tuples
 satisfied the source update's clause and which context nodes of route B's
 restored wrappers satisfied the view update's context form.
@@ -61,7 +62,6 @@ from .evaluator import (
     ViewInstance,
     bind_level,
     binding_scope,
-    enumerate_bindings,
     evaluate_view,
     row_trees,
     satisfying_tuples,
@@ -206,7 +206,7 @@ def _compute_routes(
             store,
             log,
             put_back,
-            ViewInstance(view_tree(view, tuples, copy_rows=False), tuples),
+            ViewInstance(view_tree(view, tuples), tuples),
             via_view,
             index,
             (plan.satisfied, view_plan.satisfied),
@@ -626,23 +626,33 @@ def run_lemma_suite(routes: _Routes, case: Case) -> list[tuple[str, bool]]:
 
 def _lemma1(routes: _Routes) -> bool:
     """L1: per tuple on the sources, the plan touches all or none of the
-    trees ``target_trees`` reaches from the target variable's node, checked
-    once per distinct node.  The touched trees are route A's planned
-    parents, read off its put-back record: every operation but a binding
-    deletion's targets its own parent."""
+    trees ``target_trees`` reaches from the target variable's node.  The
+    touched trees are route A's planned parents, read off its put-back
+    record: every operation but a binding deletion's targets its own parent.
+
+    No tuple is enumerated.  A target tree lies ``len(path) - parent_step``
+    steps below the node that reaches it, and distinct nodes reach disjoint
+    trees, so climbing that many steps from each touched tree
+    (``routes.index.chain``) finds every node whose trees the plan touches;
+    each must have them all touched.  On a plan ``plan_update`` makes, each
+    such node is some tuple's, so the verdict is that of checking every
+    tuple; on any other plan, nodes no tuple binds are checked too, so it is
+    at least as strict.
+    """
     update = routes.source_update
-    if isinstance(update.action, DeleteBinding):
-        # a binding deletion's set per tuple is its one bound node, touched
-        # or not, so L1 holds without enumerating the tuples
+    target = update.target
+    up = len(target.path) - target.parent_step
+    if isinstance(update.action, DeleteBinding) or up < 0:
+        # one tree per tuple, its bound node for a binding deletion and for
+        # x/.. the node itself: touched or not, L1 holds
         return True
-    var = update.target.var
-    tuples = enumerate_bindings(update.bindings, routes.store)
-    for node in {t[var] for t in tuples}:
-        ids = {n.node_id for n in target_trees(update.target, {var: node})}
-        hit = ids & routes.put_back.keys()
-        if hit and hit != ids:
-            return False
-    return True
+    touched = routes.put_back.keys()
+    chains = [routes.index.chain(parent) for parent, _ in routes.put_back.values()]
+    above = {chain[up] for chain in chains if len(chain) > up}
+    return all(
+        {n.node_id for n in target_trees(target, {target.var: node})} <= touched
+        for node in above
+    )
 
 
 def _lemma2(routes: _Routes, case: Case) -> bool:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections
 import random
 
 import pytest
@@ -504,7 +505,7 @@ def _unpruned_plan(stmt, store, monkeypatch):
 
 def _pushes(atoms, bindings) -> bool:
     """Whether the enumeration tests some atom before the last level."""
-    return any(at < len(bindings) - 1 for at in evaluator._decided_at(atoms, bindings))
+    return any(at < len(bindings) - 1 for at in evaluator._by_level(atoms, bindings))
 
 
 def _outcome(run, *args):
@@ -592,7 +593,7 @@ def test_pushdown_matches_the_unpruned_reference_on_three_bindings(monkeypatch):
                 f"<v>{{for {_THREE} where {where} return <e>{{x/K}}{{y}}{{z/N}}</e>}}</v>"
             )
             _assert_view_matches(view, store)
-            levels.update(evaluator._decided_at(view.conditions, view.bindings))
+            levels.update(evaluator._by_level(view.conditions, view.bindings))
             for update in _THREE_UPDATES:
                 stmt = parse_update(f"for {_THREE} where {where} update {update}")
                 _assert_plan_matches(stmt, store, monkeypatch)
@@ -603,7 +604,11 @@ def test_pushdown_tests_a_join_of_two_early_levels_at_the_later_one():
     view = parse_view_def(
         f'<v>{{for {_THREE} where x/K=y/K and z/K="1" return <e>{{x}}</e>}}</v>'
     )
-    assert evaluator._decided_at(view.conditions, view.bindings) == [1, 2]
+    join, literal = view.conditions
+    assert evaluator._by_level(view.conditions, view.bindings) == {
+        1: [join],
+        2: [literal],
+    }
     rng = random.Random(5)
     dropped = kept_late = 0
     for _ in range(30):
@@ -806,25 +811,34 @@ def test_a_join_pass_reads_each_bound_nodes_side_once(monkeypatch):
     assert counts[0] == 250
 
 
-def test_join_atoms_sharing_a_side_read_it_once_per_node(monkeypatch):
+def test_join_atoms_sharing_a_side_read_it_once_per_atom(monkeypatch):
+    # each join atom indexes its own sides: a (node, side) pair is read at
+    # most once per join atom that reads the side, so y/K, which both atoms
+    # read, at most twice per node, and every other side once
     sides = []
     real_located_values = evaluator._located_values
 
     def recording(node, names):
-        sides.append((id(node), names))
+        sides.append((node, names))
         return real_located_values(node, names)
 
     monkeypatch.setattr(evaluator, "_located_values", recording)
     view = parse_view_def(_INDEXED_JOINS[3])  # x/K=y/K and x/P/K=y/K
+    readers = collections.Counter(
+        side for atom in view.conditions for side in atom_sides(atom)
+    )
+    assert readers == {("y", ("K",)): 2, ("x", ("K",)): 1, ("x", ("P", "K")): 1}
+    var_of = {"A": "x", "B": "y"}  # the labels the two bindings reach
     rng = random.Random(27)
-    shared = 0
+    twice = 0
     for _ in range(20):
         store = _single_doc_store(_join_document(rng))
         sides.clear()
         evaluator.satisfying_tuples(view.bindings, store, view.conditions)
-        assert len(sides) == len(set(sides))
-        shared += sum(names == ("K",) for _, names in sides)
-    assert shared
+        for (node, names), reads in collections.Counter(sides).items():
+            assert reads <= readers[var_of[node.label], names]
+            twice += reads == 2
+    assert twice
 
 
 def test_joins_before_and_at_the_last_level_read_each_side_once(monkeypatch):

@@ -269,11 +269,12 @@ def _join_t1_case() -> tuple:
 
 def test_a_join_verify_reads_each_target_node_once(monkeypatch):
     # the translated T1 update on the join-session documents: L1 calls
-    # target_trees once per book (50), not once per tuple of the 10,000
-    # product.  The where clauses are tested 250 times: the source plan
-    # tests x/title="t03" on the 50 books before the subjects extend them,
-    # and the view update's plan r/title="t03" on the 200 wrappers; the
-    # join atom goes through the index in every pass
+    # target_trees once, for the one book above the touched auths, not once
+    # per book (50) or per tuple of the 10,000 product, and the lemma suite
+    # enumerates no binding.  The where clauses are tested 250 times: the
+    # source plan tests x/title="t03" on the 50 books before the subjects
+    # extend them, and the view update's plan r/title="t03" on the 200
+    # wrappers; the join atom goes through the index in every pass
     trees = [0]
     real = verifier.target_trees
 
@@ -281,11 +282,30 @@ def test_a_join_verify_reads_each_target_node_once(monkeypatch):
         trees[0] += 1
         return real(target, tup)
 
+    in_suite, suite_levels = [False], [0]
+    real_suite, real_bind_level = verifier.run_lemma_suite, evaluator.bind_level
+
+    def suite(*args):
+        in_suite[0] = True
+        try:
+            return real_suite(*args)
+        finally:
+            in_suite[0] = False
+
+    def bind_level(*args):
+        suite_levels[0] += in_suite[0]
+        return real_bind_level(*args)
+
     monkeypatch.setattr(verifier, "target_trees", counting)
+    monkeypatch.setattr(verifier, "run_lemma_suite", suite)
+    # the verifier's own calls and those of an enumeration
+    monkeypatch.setattr(verifier, "bind_level", bind_level)
+    monkeypatch.setattr(evaluator, "bind_level", bind_level)
     tests = _counting_eval_condition(monkeypatch)
     report = verify_translation(*_join_t1_case())
     assert report.passed and report.lemma_checks[0] == ("L1", True)
-    assert trees == [50]
+    assert trees == [1]
+    assert suite_levels == [0]
     assert tests == [250]
 
 
@@ -1222,14 +1242,13 @@ def test_route_a_view_and_probe_index_share_one_enumeration(monkeypatch):
 
         monkeypatch.setattr(verifier, name, recorded)
 
-    record("enumerate_bindings", lambda bindings, _store: bindings[0] == first)
     record("bind_level", lambda binding, *_: binding == first)
     for name in ("execute_plan", "_ProbeIndex", "check_minimality"):
         record(name)
     store = _single_doc_store(f"<R>{doc}</R>")
     assert verify_translation(view, dv, out.statement, store).precise
     window = events[events.index("/execute_plan") : events.index("/check_minimality")]
-    assert sum(e in ("enumerate_bindings", "bind_level") for e in window) == 1
+    assert window.count("bind_level") == 1
     assert "_ProbeIndex" not in window[window.index("check_minimality") :]
 
 
