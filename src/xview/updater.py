@@ -29,13 +29,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Union
+from typing import Iterator, Union
 
 from .errors import LevelMismatch, TargetIsRoot, TargetNotElement
 from .evaluator import (
     ForTuple,
     ViewInstance,
-    binding_scope,
     # not called here, but the bench tracer's tests read it at this name
     enumerate_bindings,
     satisfying_tuples,
@@ -49,10 +48,10 @@ from .lang import (
     PathEqString,
     UpdateStatement,
     UpdateTarget,
-    binding_of,
     expand_path,
 )
 from .xml_model import (
+    Ancestry,
     DocRoot,
     DocumentStore,
     QualifiedPath,
@@ -112,34 +111,6 @@ class PlannedOp:
     edits: list[Edit]
 
 
-def _parent_finder(
-    binding: Binding, store: DocumentStore
-) -> Callable[[ForTuple], Optional[XmlTree]]:
-    """A function from a for-clause tuple to the parent of the node
-    ``binding`` binds in it, or None when that node is a document root.
-
-    The parent lies one step above the bound node on the binding's path, so
-    only the nodes at that step are read, once per context node, never the
-    whole store.  (A relative binding path is never empty.)
-    """
-    context, steps = binding_scope(binding, store)
-    if not steps:
-        return lambda _tup: None
-    parents: dict[int, XmlTree] = {}  # child id -> parent, per context read
-    read: set[int] = set()
-
-    def parent_of(tup: ForTuple) -> Optional[XmlTree]:
-        ctx = context(tup)
-        if ctx.node_id not in read:
-            read.add(ctx.node_id)
-            for parent in locate(ctx, steps[:-1]):
-                for child in parent.children or ():
-                    parents[child.node_id] = parent
-        return parents.get(tup[binding.var].node_id)
-
-    return parent_of
-
-
 def context_form(stmt: UpdateStatement) -> UpdateStatement:
     """The one-binding statement a view-level statement stands for:
     ``for c in doc(<view>)/<prefix> where c/<cond rest>="lit" update
@@ -193,17 +164,18 @@ def _source_applications(
 
     Yields (target, parent) pairs, as ``_resolve`` takes them, for the trees
     ``target_trees`` reaches; but ``x/..`` (or a binding deletion) reaches
-    the parent of the node bound to ``x``, read off its binding path.
+    the parent of the node bound to ``x``, read off the store's ``Ancestry``
+    only as deep as that node.
     """
     action, target = stmt.action, stmt.target
     deletes_binding = isinstance(action, DeleteBinding)
-    parent_of = None  # built at the first tuple that needs it
+    parent_of = None  # made at the first tuple that needs it
     for tup in satisfied:
         if deletes_binding or (target.parent_step and not target.path):
             var = action.var if deletes_binding else target.var
             if parent_of is None:
-                parent_of = _parent_finder(binding_of(stmt.bindings, var), store)
-            parent = parent_of(tup)
+                parent_of = Ancestry(store).parent
+            parent = parent_of(tup[var])
             if parent is None:
                 raise TargetIsRoot(
                     f"binding {var!r} is a root and cannot be deleted"
@@ -370,5 +342,5 @@ def replay_edits(edits: list[Edit], store: DocumentStore) -> None:
     for edit in edits:
         parent = store.find_node(edit.parent_id)
         if parent is None:
-            raise TargetIsRoot(f"edit parent {edit.parent_id} not found in store")
+            raise ValueError(f"edit parent {edit.parent_id} not found in store")
         _mutate(parent, edit)

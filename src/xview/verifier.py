@@ -25,7 +25,8 @@ A verification copies neither the store nor a view, and copies a row only
 before an edit could reach inside it.  Route B updates the instance
 evaluated on the sources over their own, uncopied rows, after copying the
 rows of the wrappers that hold an edit parent of either plan or one of its
-ancestors (copy on write, as in path copying).  Route A applies the
+ancestors (copy on write, as in path copying), read off the sources'
+``xml_model.Ancestry``, as the planner reads a parent.  Route A applies the
 source update to the sources themselves and reads its view off the probe
 index, as wrappers over the shown tuples' uncopied rows; once correctness
 and minimality are judged, every planned parent gets back the very child
@@ -55,7 +56,7 @@ import contextlib
 import itertools
 import json
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional
+from typing import Iterator, Optional
 
 from .evaluator import (
     ForTuple,
@@ -83,6 +84,7 @@ from .updater import (
     target_trees,
 )
 from .xml_model import (
+    Ancestry,
     DocumentStore,
     XmlTree,
     _collector_deferred,
@@ -181,8 +183,13 @@ def _compute_routes(
     same wrappers, since copies change no value: planning collapses
     applications by node id, so one source subtree shown in two edited
     wrappers is two operations only once each wrapper has its own copy.
-    Every other row stays shared, and no edit reaches it.  The copies and
-    the probes read one ancestor lookup (``_ancestry``) of the sources.
+    Every other row stays shared, and no edit reaches it.
+
+    The copies, the probes and L1 read one ``Ancestry`` of the sources.
+    ``_copy_rows`` asks it about every edit parent of both plans before
+    route A executes, the probes only about route A's edit parents, and L1
+    after the put-back, so no level of the sources is first read in route
+    A's state.
 
     Every step that can fail runs before the first edit lands: the source
     update's plan, then the view's evaluation, then the view update's plan,
@@ -191,13 +198,13 @@ def _compute_routes(
     """
     plan = plan_update(source_update, store)
     via_view = evaluate_view(view, store, copy_rows=False)
-    chain, copied = _ancestry(store), set()
-    _copy_rows(plan, via_view, chain, copied)
+    ancestry, copied = Ancestry(store), set()
+    _copy_rows(plan, via_view, ancestry, copied)
     view_plan = plan_update(view_update, via_view)
-    if _copy_rows(view_plan, via_view, chain, copied):
+    if _copy_rows(view_plan, via_view, ancestry, copied):
         view_plan = plan_update(view_update, via_view)
     with _executed(view_plan), _executed(plan) as (log, put_back):
-        index = _ProbeIndex(view, store, chain)
+        index = _ProbeIndex(view, store, ancestry)
         tuples = list(itertools.compress(index.tuples, index.shown))
         yield _Routes(
             view,
@@ -213,45 +220,14 @@ def _compute_routes(
         )
 
 
-# chain(node): the node, then its ancestors, nearest first
-Chain = Callable[[XmlTree], list[XmlTree]]
-
-
-def _ancestry(store: DocumentStore) -> Chain:
-    """``chain`` over ``store``; a node the store does not hold is its own
-    chain.  The child-to-parent map is built by one walk of the store, at
-    the first node asked about that is not a document root, so a verify
-    whose edits all land under roots walks nothing.  A statement's edits
-    never change its edit parents' ancestors, so the map stays valid for
-    them while the edits run and are undone."""
-    roots = {id(root) for root in store.docs.values()}
-    parents: dict[int, XmlTree] = {}
-    walked = False
-
-    def chain(node: XmlTree) -> list[XmlTree]:
-        nonlocal walked
-        if not walked and id(node) not in roots:
-            walked = True
-            for root in store.docs.values():
-                for above in iter_nodes(root):
-                    for child in above.children or ():
-                        parents[child.node_id] = above
-        out = [node]
-        while out[-1].node_id in parents:
-            out.append(parents[out[-1].node_id])
-        return out
-
-    return chain
-
-
 def _copy_rows(
-    plan: list[PlannedOp], instance: ViewInstance, chain: Chain, copied: set[int]
+    plan: list[PlannedOp], instance: ViewInstance, ancestry: Ancestry, copied: set[int]
 ) -> bool:
     """Copy the rows of each wrapper not in ``copied`` that has a row tree
     on the chain of a plan's edit parent, add it to ``copied``, and return
     whether any was copied.  A parent that is the instance's root or a
     wrapper is skipped: the instance owns those lists.  A copy has fresh
-    ids, so ``chain`` gives a parent inside it no ancestor."""
+    ids, so ``ancestry`` gives a parent inside it no ancestor."""
     wrappers = instance.tree.children or []
     owned = {id(instance.tree), *map(id, wrappers)}
     parents = {id(op.parent): op.parent for op in plan if op.edits}
@@ -259,7 +235,7 @@ def _copy_rows(
         node
         for key, parent in parents.items()
         if key not in owned
-        for node in chain(parent)
+        for node in ancestry.chain(parent)
     }
     if not reached:
         return False
@@ -464,8 +440,9 @@ class _ProbeIndex:
     verification with nothing to probe builds none of it: the partials
     keyed by the node their level's path is evaluated from, and each
     tuple's row number and the ids of the nodes it binds.  Ancestors are
-    read off ``chain``, so the index walks no store; the edits' parents are
-    read off route A's put-back record, not off the index.
+    read off ``chain``, the sources' ``Ancestry``, whose levels were read
+    before route A ran, so the index reads no level of the store; the edits'
+    parents are read off route A's put-back record, not off the index.
     Undoing an edit changes one parent P's child list.  Only three sets of
     tuples can then differ: restored tuples, whose binding path runs
     through P to a restored child (the indexed partials, extended through
@@ -476,8 +453,8 @@ class _ProbeIndex:
     probe tests tuples with ``holds`` too, one call, so one pass, per batch.
     """
 
-    def __init__(self, view: ViewDef, store: DocumentStore, chain: Chain) -> None:
-        self.view, self.store, self.chain = view, store, chain
+    def __init__(self, view: ViewDef, store: DocumentStore, ancestry: Ancestry) -> None:
+        self.view, self.store, self.chain = view, store, ancestry.chain
         # levels[i]: the partial tuples binding i extends
         self.levels: list[list[ForTuple]] = [[{}]]
         for binding in view.bindings:
@@ -632,12 +609,13 @@ def _lemma1(routes: _Routes) -> bool:
 
     No tuple is enumerated.  A target tree lies ``len(path) - parent_step``
     steps below the node that reaches it, and distinct nodes reach disjoint
-    trees, so climbing that many steps from each touched tree
-    (``routes.index.chain``) finds every node whose trees the plan touches;
-    each must have them all touched.  On a plan ``plan_update`` makes, each
-    such node is some tuple's, so the verdict is that of checking every
-    tuple; on any other plan, nodes no tuple binds are checked too, so it is
-    at least as strict.
+    trees, so climbing that many steps from each touched tree through the
+    sources' ``Ancestry`` (``routes.index.chain``), on the restored sources,
+    finds every node whose trees the plan touches; each must have them all
+    touched.  On a plan ``plan_update`` makes, each such node is some
+    tuple's, so the verdict is that of checking every tuple; on any other
+    plan, nodes no tuple binds are checked too, so it is at least as
+    strict.
     """
     update = routes.source_update
     target = update.target

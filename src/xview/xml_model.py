@@ -252,7 +252,9 @@ def is_prefix(a: QualifiedPath, b: QualifiedPath) -> bool:
 # ----------------------------------------------------------------------
 # Parsing and serialization of the XML subset
 
-_ESCAPES = {"&": "&amp;", "<": "&lt;", ">": "&gt;"}
+# a carriage return is written as a reference, since a parser turns a raw
+# one into a line feed
+_ESCAPES = {"&": "&amp;", "<": "&lt;", ">": "&gt;", "\r": "&#13;"}
 
 
 def _escape(s: str) -> str:
@@ -396,3 +398,47 @@ class DocumentStore:
                 if node.node_id == node_id:
                     return node
         return None
+
+
+class Ancestry:
+    """The one reader of parents in a store: ``parent(node)``, and
+    ``chain(node)``, the node, then its ancestors, nearest first.  A
+    document root, and a node whose ``node_id`` the store does not hold,
+    has no parent.
+
+    ``levels`` holds the nodes of each depth read so far: the store is read
+    one depth at a time from the roots down, and only as deep as the nodes
+    asked about, so a question about a root reads nothing.
+
+    Each level is read once, at the first question that reaches it, in the
+    state the store is in then.  A statement's edits never change the
+    ancestors of the parents they land under, so answers about those stay
+    right while the edits are applied; but a caller that asks about other
+    nodes once the edits are undone must read their levels before the edits
+    (``verifier._compute_routes`` does).
+    """
+
+    def __init__(self, store: DocumentStore) -> None:
+        self.levels = [list(store.docs.values())]
+        # child id -> parent, None for a root
+        self.parents: dict[int, Optional[XmlTree]] = dict.fromkeys(
+            root.node_id for root in self.levels[0]
+        )
+
+    def parent(self, node: XmlTree) -> Optional[XmlTree]:
+        key, parents, levels = node.node_id, self.parents, self.levels
+        while key not in parents and levels[-1]:
+            below: list[XmlTree] = []
+            for above in levels[-1]:
+                kids = above.children or ()
+                below += kids
+                for child in kids:
+                    parents[child.node_id] = above
+            levels.append(below)
+        return parents.get(key)
+
+    def chain(self, node: XmlTree) -> list[XmlTree]:
+        out = [node]
+        while (above := self.parent(out[-1])) is not None:
+            out.append(above)
+        return out

@@ -4,12 +4,15 @@ from __future__ import annotations
 
 import collections
 import random
+import re
+import string
 
 import pytest
 
 from xview.errors import LevelMismatch
-from xview.fuzzgen import GENERATORS, random_case
+from xview.fuzzgen import _POOL, DOC, GENERATORS, random_case
 from xview.lang import (
+    KEYWORDS,
     PathEqString,
     UpdateTarget,
     parse_update,
@@ -23,8 +26,16 @@ from xview.translator import (
     Translated,
     translate,
 )
+from xview.updater import apply_update
 from xview.verifier import verify_translation
-from xview.xml_model import DocumentStore, parse_document, serialize
+from xview.xml_model import (
+    DocumentStore,
+    XmlTree,
+    copy_tree,
+    iter_nodes,
+    parse_document,
+    serialize,
+)
 from .conftest import (
     EX1_DISJOINT_VIEW,
     EX1_VIEW,
@@ -713,3 +724,113 @@ def test_every_translation_meets_the_lemma_premise(free_space_outcomes):
     for report in verified:
         assert report.correct
         assert [name for name, _ok in report.lemma_checks] == ["L1", "L2", "L3"]
+
+
+# ----------------------------------------------------------------------
+# Renaming: variables and labels are names only, so renaming them changes
+# no outcome.  This guards every place that looks a name up: the planner,
+# the translator's fresh variables, the context form's own "c", and the
+# lexer's doc( and view( calls beside a bare doc or view.
+
+# a string literal, kept whole; or a name that is no call of doc( or view(
+# and no text of a payload element (a name right after ">")
+_NAME = re.compile(r'"[^"]*"|(?<![>\w])[A-Za-z_]\w*(?!\w)(?!\()')
+
+
+def _rename(text: str, names: dict[str, str]) -> str:
+    return _NAME.sub(lambda m: names.get(m.group(), m.group()), text)
+
+
+def _relabel(tree: XmlTree, labels: dict[str, str]) -> XmlTree:
+    out = copy_tree(tree)
+    for node in iter_nodes(out):
+        node.label = labels.get(node.label, node.label)
+    return out
+
+
+def _judged(view_text: str, update_text: str, store: DocumentStore, back=None):
+    """What a renaming must keep: the case or reason code, and for a
+    translation its report's verdict and lemmas and the edit log of its
+    statement applied to a copy of ``store``, each tree with its labels
+    mapped by ``back``."""
+    view, dv = parse_view_def(view_text), parse_update(update_text)
+    out = translate(view, dv)
+    if isinstance(out, Rejected):
+        return out.reason
+    store = store.copy()
+    report = verify_translation(view, dv, out.statement, store, out.case).to_json()
+    log = apply_update(out.statement, store)
+    trees = [serialize(_relabel(edit.tree, back or {})) for edit in log]
+    return out.case, report["correct"], report["minimal"], report["lemmas"], trees
+
+
+def _renaming_cases():
+    """The cases of fuzz seeds 0 and 1 x 200, then 300 pairs of the free
+    space, each on one document: texts, store, variables and labels."""
+    cases = []
+    for seed in (0, 1):
+        rng = random.Random(seed)
+        for _ in range(200):
+            case = random_case(rng)
+            cases.append((case.view_text, case.update_text, case.store))
+    rng = random.Random(23)
+    for view_text, update_text, below in rng.sample(list(free_space()), 300):
+        store = DocumentStore()
+        store.add("s", parse_document(free_space_doc(rng, below)))
+        cases.append((view_text, update_text, store))
+    for view_text, update_text, store in cases:
+        view, dv = parse_view_def(view_text), parse_update(update_text)
+        variables = {b.var for stmt in (view, dv) for b in stmt.bindings}
+        names = {
+            m.group()
+            for text in (view_text, update_text)
+            for m in _NAME.finditer(text)
+            if m.group()[0] != '"'
+        }
+        labels = (names - variables - KEYWORDS).union(
+            *({n.label for n in iter_nodes(doc)} for doc in store.docs.values())
+        )
+        # the two kinds of name are apart, so each can be renamed alone
+        assert not labels & variables
+        yield (view_text, update_text, store), view, dv, labels
+
+
+def test_renaming_variables_changes_no_outcome():
+    rng = random.Random(21)
+    for (view_text, update_text, store), view, dv, _labels in _renaming_cases():
+        long = ("".join(rng.choices(string.ascii_lowercase, k=12)) for _ in "1234")
+        targets = rng.sample(["doc", "view", "c", *long], 7)
+        view_vars = [b.var for b in view.bindings]
+        in_view = dict(zip(view_vars, targets))
+        # the update's first variable reuses a view variable's new name
+        reused = rng.choice(targets[: len(view_vars)])
+        in_update = dict(
+            zip([b.var for b in dv.bindings], [reused, *targets[len(view_vars) :]])
+        )
+        # an update's action names no variable, only labels and payloads
+        head, opener, action = re.split(
+            r"([{(])\s*(?=insert|delete)", update_text, maxsplit=1
+        )
+        renamed = (
+            _rename(view_text, in_view),
+            _rename(head, in_update) + opener + action,
+        )
+        before = _judged(view_text, update_text, store)
+        assert _judged(*renamed, store) == before, renamed
+
+
+def test_renaming_labels_changes_no_outcome():
+    rng = random.Random(22)
+    translated = 0
+    for (view_text, update_text, store), _view, _dv, labels in _renaming_cases():
+        olds = sorted(labels)
+        news = rng.sample(["x", "r", "doc", "view", "v", "e", "c", *_POOL], len(olds))
+        to, back = dict(zip(olds, news)), dict(zip(news, olds))
+        relabelled = DocumentStore()
+        for name, doc in store.docs.items():
+            relabelled.add(name, _relabel(doc, to))
+        renamed = (_rename(view_text, to), _rename(update_text, to), relabelled)
+        before = _judged(view_text, update_text, store)
+        assert _judged(*renamed, back) == before, renamed[:2]
+        translated += isinstance(before, tuple)
+    assert translated > 250

@@ -351,6 +351,17 @@ def test_replay_edits_reproduces_application(qbk_store):
     _assert_replay_reproduces(log, snapshot, qbk_store)
 
 
+def test_replay_edits_rejects_a_log_whose_parent_the_store_lacks(qbk_store):
+    # a replay onto a store without the logged parent is caller misuse, not
+    # an update deleting a root: a ValueError naming the id, and no edit
+    log = apply_update(parse_update(QBK_DS_PRINTED), qbk_store.copy())
+    other = DocumentStore()
+    other.add("d", parse_document("<r><A/></r>"))
+    with pytest.raises(ValueError, match=f"edit parent {log[0].parent_id} "):
+        replay_edits(log, other)
+    assert serialize(other.get("d")) == "<r><A/></r>"
+
+
 def test_enumeration_and_conditions_see_pre_state():
     # the statement inserts a subtree that would itself qualify as a new
     # binding; planning against the pre-state applies the action exactly once

@@ -4,13 +4,14 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import itertools
 import random
 from typing import Optional
 
 import pytest
 
 from xview.errors import XviewError
-from xview import cli, evaluator, verifier
+from xview import cli, evaluator, updater, verifier
 from xview.evaluator import ViewInstance, enumerate_bindings, evaluate_view, row_trees
 from xview.fuzzgen import gen_t1, gen_t2, random_case
 from xview.lang import (
@@ -29,6 +30,7 @@ from xview.updater import (
     Deleted,
     Edit,
     Inserted,
+    apply_update,
     context_form,
     execute_plan,
     plan_update,
@@ -46,6 +48,7 @@ from xview.verifier import (
     verify_translation,
 )
 from xview.xml_model import (
+    Ancestry,
     DocumentStore,
     VarRoot,
     XmlTree,
@@ -557,6 +560,36 @@ def _store_state(store: DocumentStore) -> list[tuple[str, str, list[int]]]:
     ]
 
 
+def test_no_smaller_subset_of_a_log_is_correct():
+    # leave-one-out checks 1-minimality (Zeller & Hildebrandt, TSE 2002):
+    # no single edit of a precise translation's log can go.  On the
+    # translated cases of fuzz seed 0 whose logs hold 2-8 edits, no subset
+    # leaving out two or more edits gives the directly updated view either
+    rng = random.Random(0)
+    logs = subsets = 0
+    for _ in range(200):
+        case = random_case(rng)
+        out = translate(case.view, case.update)
+        if not isinstance(out, Translated):
+            continue
+        sources = case.store.copy()
+        direct = evaluate_view(case.view, sources)
+        apply_update(case.update, direct)
+        log = apply_update(out.statement, case.store)
+        if not 2 <= len(log) <= 8:
+            continue
+        assert value_equal(evaluate_view(case.view, case.store).tree, direct.tree)
+        logs += 1
+        for kept in range(len(log) - 1):
+            for subset in itertools.combinations(log, kept):
+                variant = sources.copy()
+                replay_edits(list(subset), variant)
+                view = evaluate_view(case.view, variant).tree
+                assert not value_equal(view, direct.tree), (case.update_text, subset)
+                subsets += 1
+    assert logs > 20 and subsets > 300
+
+
 def test_minimality_matches_the_reference_oracle():
     # each generated translation is verified as translated, without its
     # appended condition and without its whole where clause; the last
@@ -799,7 +832,7 @@ def _own_routes(view: ViewDef, stmt: UpdateStatement, store: DocumentStore):
     with verifier._executed(plan) as (log, put_back):
         via_source = evaluate_view(view, store)
         own = ViewInstance(copy_tree(via_source.tree), via_source.tuples)
-        index = verifier._ProbeIndex(view, store, verifier._ancestry(store))
+        index = verifier._ProbeIndex(view, store, Ancestry(store))
         # no view update is planned: the probes read no verdict
         yield _Routes(
             view,
@@ -1255,35 +1288,110 @@ def test_route_a_view_and_probe_index_share_one_enumeration(monkeypatch):
 def test_an_empty_log_builds_no_probe_only_index_parts(monkeypatch):
     # where no item reads C="1", the translated root deletion deletes
     # nothing: the verification has no edit to probe, so it builds none of
-    # the index's probe-only parts.  The ancestor map walks the store only
-    # for an edit parent that is not a document root: the root deletion's
-    # edits all land under R, the label deletion's under the Ts
+    # the index's probe-only parts.  The verifier's ancestor reader reads
+    # child lists only for an edit parent that is not a document root: the
+    # root deletion's edits all land under R, the label deletion's under
+    # the Ts, and its view plan's under copied Ts, whose fresh ids the store
+    # does not hold, so that question reads the whole store once
     view = parse_view_def('<v>{for x in doc("s")/R/A return <e>{x/C}{x/T}</e>}</v>')
     root_deletion = 'for u in v where u/e/C="1" update u ( delete e )'
     label_deletion = 'for r in v/e where r/C="1" update r/T ( delete W )'
-    walked, prepared = [], []
-    walk, prepare = verifier.iter_nodes, verifier._ProbeIndex.prepare_probes
-    monkeypatch.setattr(verifier, "iter_nodes", lambda t: walked.append(t) or walk(t))
+    readers, prepared = [], []
+    prepare = verifier._ProbeIndex.prepare_probes
+    monkeypatch.setattr(verifier, "Ancestry", _recorded_ancestry(readers))
     monkeypatch.setattr(
         verifier._ProbeIndex,
         "prepare_probes",
         lambda index: prepared.append(index) or prepare(index),
     )
-    for update, marks, walks, builds in (
-        (root_deletion, "22", 0, 0),
-        (root_deletion, "12", 0, 1),
-        (label_deletion, "12", 1, 1),
+    for update, marks, whole, builds in (
+        (root_deletion, "22", False, 0),
+        (root_deletion, "12", False, 1),
+        (label_deletion, "12", True, 1),
     ):
         dv = parse_update(update)
         out = translate(view, dv)
         assert isinstance(out, Translated)
         items = "".join(f"<A><C>{m}</C><T><W>w</W></T></A>" for m in marks * 4)
         store = _single_doc_store(f"<R>{items}</R>")
-        walked.clear()
+        readers.clear()
         prepared.clear()
         report = verify_translation(view, dv, out.statement, store, out.case)
         assert report.precise and all(ok for _n, ok in report.lemma_checks)
-        assert (len(walked), len(prepared)) == (walks, builds), update
+        (reader,) = readers
+        read = _child_lists_read(reader)
+        nodes = len(list(iter_nodes(store.get("s"))))
+        assert (read, len(prepared)) == (nodes if whole else 0, builds), update
+
+
+def _recorded_ancestry(readers: list) -> type:
+    """An ``Ancestry`` that appends each instance made to ``readers``."""
+
+    class Recorded(Ancestry):
+        def __init__(self, store: DocumentStore) -> None:
+            super().__init__(store)
+            readers.append(self)
+
+    return Recorded
+
+
+def _child_lists_read(reader: Ancestry) -> int:
+    """How many nodes' child lists ``reader`` has read: those of every level
+    but the last, the one not yet read."""
+    return sum(map(len, reader.levels[:-1]))
+
+
+def test_a_root_deletion_verify_reads_only_the_roots_child_lists(monkeypatch):
+    # a T4 verify on 160 items: each plan's binding deletions read one
+    # child list, the root's (the source root in the source plan, the
+    # instance root in route B's), and the verifier's reader reads none,
+    # since every edit parent is a document root
+    view, dv, ds, store = _root_deletion_case(160)
+    planned, checked = [], []
+    monkeypatch.setattr(updater, "Ancestry", _recorded_ancestry(planned))
+    monkeypatch.setattr(verifier, "Ancestry", _recorded_ancestry(checked))
+    assert verify_translation(view, dv, ds, store, Case.T4).passed
+    assert [reader.levels[0][0].label for reader in planned] == ["R", "v"]
+    assert [_child_lists_read(reader) for reader in planned] == [1, 1]
+    assert [len(reader.levels[1]) for reader in planned] == [160, 160]
+    assert [_child_lists_read(reader) for reader in checked] == [0]
+
+
+def test_no_level_is_first_read_in_route_a_state(monkeypatch):
+    # the verifier's reader reads each level at the first question that
+    # reaches it, so every such question must come before route A executes
+    # (the copy rule's) or after the put-back (L1's): between the two, the
+    # probes ask only about levels already read on the sources
+    readers, windows = [], []
+    monkeypatch.setattr(verifier, "Ancestry", _recorded_ancestry(readers))
+    executed = verifier._executed
+
+    @contextlib.contextmanager
+    def watched(plan):
+        with executed(plan) as out:
+            before = len(readers[-1].levels)
+            try:
+                yield out
+            finally:
+                windows.append((before, len(readers[-1].levels), len(out[0])))
+
+    monkeypatch.setattr(verifier, "_executed", watched)
+    rng = random.Random(8)
+    cases = []
+    for _ in range(1000):
+        case = random_case(rng)
+        cases.append((case.view, case.update, case.store))
+    for view_text, update_text, below in rng.sample(list(free_space()), 300):
+        store = DocumentStore()
+        store.add("s", parse_document(free_space_doc(rng, below)))
+        cases.append((parse_view_def(view_text), parse_update(update_text), store))
+    for view, dv, store in cases:
+        out = translate(view, dv)
+        if isinstance(out, Translated):
+            assert verify_translation(view, dv, out.statement, store, out.case).passed
+    assert all(before == after for before, after, _ in windows)
+    # deep reads before route A, with edits to probe
+    assert sum(before > 2 and edits > 0 for before, _, edits in windows) > 100
 
 
 # ----------------------------------------------------------------------
@@ -1320,7 +1428,7 @@ def _copying_verify(
         put_back,
         via_source,
         via_view,
-        verifier._ProbeIndex(view, updated, verifier._ancestry(updated)),
+        verifier._ProbeIndex(view, updated, Ancestry(updated)),
         (plan.satisfied, []),  # verdicts on the copy: the lemmas read others
     )
     correct, diff = check_correctness(on_copy)

@@ -6,7 +6,7 @@ import random
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from xview import xml_model
@@ -15,7 +15,9 @@ from xview.errors import (
     UnknownDocument,
     UnsupportedFeature,
 )
+from xview.fuzzgen import random_case
 from xview.xml_model import (
+    Ancestry,
     DocRoot,
     DocumentStore,
     QualifiedPath,
@@ -31,7 +33,7 @@ from xview.xml_model import (
     text_leaf,
     value_equal,
 )
-from .conftest import D1_XML
+from .conftest import D1_XML, free_space, free_space_doc, join_session_store
 from .test_verifier import _mutated, _random_tree
 
 
@@ -251,8 +253,10 @@ def test_store_unknown_document():
 # Property tests
 
 _labels = st.sampled_from(["a", "b", "c"])
+# line breaks and tabs too: a parser turns a raw carriage return into a line
+# feed, so the serializer must write it as a reference
 _texts = st.text(
-    alphabet="xy01 <>&\"'", min_size=1, max_size=6
+    alphabet="xy01 <>&\"'\r\n\t", min_size=1, max_size=6
 )
 
 _trees = st.recursive(
@@ -276,6 +280,7 @@ _small_trees = st.recursive(
 
 
 @given(_trees)
+@example(text_leaf("a", "x\ry"))
 def test_prop_round_trip(t):
     assert value_equal(parse_document(serialize(t)), t)
 
@@ -442,3 +447,55 @@ def test_kernels_match_their_recursive_references_on_a_deep_chain():
         _assert_kernels_match(root, other)
     finally:
         sys.setrecursionlimit(limit)
+
+
+# ----------------------------------------------------------------------
+# The ancestor reader
+
+
+def _reader_stores():
+    """The stores of ``fuzz`` seeds 0-19 x 200, one free-space document per
+    pair, and the two-document join-session store."""
+    for seed in range(20):
+        rng = random.Random(seed)
+        for _ in range(200):
+            yield random_case(rng).store
+    rng = random.Random(0)
+    for _view, _update, below in free_space():
+        store = DocumentStore()
+        store.add("s", parse_document(free_space_doc(rng, below)))
+        yield store
+    yield join_session_store()
+
+
+def test_ancestry_matches_a_full_walk_map():
+    rng = random.Random(30)
+    stores = 0
+    for store in _reader_stores():
+        stores += 1
+        walked: dict[int, XmlTree] = {}  # id(child) -> parent, by one walk
+        depth: dict[int, int] = {}
+        for root in store.docs.values():
+            depth[id(root)] = 0
+            for node in iter_nodes(root):
+                for child in node.children or ():
+                    walked[id(child)] = node
+                    depth[id(child)] = depth[id(node)] + 1
+        nodes = [n for root in store.docs.values() for n in iter_nodes(root)]
+        # a first question reads only as deep as the node asked about
+        first = rng.choice(nodes)
+        reader = Ancestry(store)
+        reader.chain(first)
+        assert len(reader.levels) == depth[id(first)] + 1
+        rng.shuffle(nodes)  # deep and shallow questions interleave
+        for node in nodes:
+            assert reader.parent(node) is walked.get(id(node))
+            chain = reader.chain(node)
+            assert chain[0] is node and len(chain) == depth[id(node)] + 1
+            for below, above in zip(chain, chain[1:]):
+                assert walked[id(below)] is above
+        for root in store.docs.values():
+            assert reader.chain(root) == [root]
+            copied = copy_tree(root)
+            assert all(reader.chain(n) == [n] for n in iter_nodes(copied))
+    assert stores == 20 * 200 + len(list(free_space())) + 1
