@@ -276,14 +276,25 @@ def eval_condition(atoms: Sequence[ConditionAtom], tup: ForTuple) -> bool:
     iff some located subtree's string value equals the literal, found by
     comparing each in turn and stopping at the first match.  An empty
     relative path denotes the binding itself; an empty conjunction is true.
+    A path=string atom over a one-name path, the commonest, reads the
+    binding's children in place, as ``locate`` would locate them.
     """
     for atom in atoms:
         var, names = atom.lhs
         if isinstance(atom, PathEqString):
+            value = atom.value
+            if len(names) == 1:  # locate's one-name case, without the call
+                name = names[0]
+                for node in tup[var].children or ():
+                    if node.label == name and string_value(node) == value:
+                        break
+                else:  # no located subtree holds the literal
+                    return False
+                continue
             for node in locate(tup[var], names):
-                if string_value(node) == atom.value:
+                if string_value(node) == value:
                     break
-            else:  # no located subtree holds the literal
+            else:
                 return False
         else:
             lhs = _located_values(tup[var], names)
@@ -297,8 +308,20 @@ def row_trees(returns: Iterable[ReturnExpr], tup: ForTuple) -> list[XmlTree]:
     """The trees of a tuple's row, uncopied: every tree located by each
     return expression, expression order outer, document order inner.  A bare
     ``{x}`` expression contributes the binding itself, root label included.
+    A one-name expression, the commonest, reads the binding's children in
+    place, as ``locate`` would locate them.
     """
-    return [found for ret in returns for found in locate(tup[ret.var], ret.gamma)]
+    row: list[XmlTree] = []
+    for ret in returns:
+        names = ret.gamma
+        if len(names) != 1:
+            row += locate(tup[ret.var], names)
+            continue
+        name = names[0]  # locate's one-name case, without the call
+        for child in tup[ret.var].children or ():
+            if child.label == name:
+                row.append(child)
+    return row
 
 
 def build_etree(returns: Iterable[ReturnExpr], tup: ForTuple, wrapper: str) -> XmlTree:

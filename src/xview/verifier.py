@@ -186,10 +186,10 @@ def _compute_routes(
     Every other row stays shared, and no edit reaches it.
 
     The copies, the probes and L1 read one ``Ancestry`` of the sources.
-    ``_copy_rows`` asks it about every edit parent of both plans before
-    route A executes, the probes only about route A's edit parents, and L1
-    after the put-back, so no level of the sources is first read in route
-    A's state.
+    ``_copy_rows`` asks it about every edit parent of both plans that lies
+    in the sources before route A executes, the probes only about route A's
+    edit parents, and L1 after the put-back, so no level of the sources is
+    first read in route A's state, and none is read for a node of a copy.
 
     Every step that can fail runs before the first edit lands: the source
     update's plan, then the view's evaluation, then the view update's plan,
@@ -225,11 +225,15 @@ def _copy_rows(
 ) -> bool:
     """Copy the rows of each wrapper not in ``copied`` that has a row tree
     on the chain of a plan's edit parent, add it to ``copied``, and return
-    whether any was copied.  A parent that is the instance's root or a
-    wrapper is skipped: the instance owns those lists.  A copy has fresh
-    ids, so ``ancestry`` gives a parent inside it no ancestor."""
+    whether any was copied.  A parent the instance owns is skipped: its
+    root, a wrapper, or a node of a row copied already.  Such a row's
+    wrapper is in ``copied``, so its chain would copy nothing, and asking
+    ``ancestry`` about a copy's fresh ids would read every level of the
+    sources still unread, only to find no parent."""
     wrappers = instance.tree.children or []
     owned = {id(instance.tree), *map(id, wrappers)}
+    for i in copied:
+        owned.update(id(n) for row in wrappers[i].children for n in iter_nodes(row))
     parents = {id(op.parent): op.parent for op in plan if op.edits}
     reached = {
         node
@@ -450,7 +454,10 @@ class _ProbeIndex:
     that bind a node of a removed insertion; and hit tuples, surviving ones
     that bind P or one of its ancestors, the only nodes whose subtrees
     changed.  Every other tuple keeps its condition result and its row.  A
-    probe tests tuples with ``holds`` too, one call, so one pass, per batch.
+    probe tests tuples with ``holds`` too, one call, so one pass, per batch:
+    the hit tuples in one batch, and the restored tuples one level and
+    context at a time (``_restored_shows``), made and tested in turn up to
+    the first batch that shows a row.
     """
 
     def __init__(self, view: ViewDef, store: DocumentStore, ancestry: Ancestry) -> None:
@@ -490,23 +497,24 @@ class _ProbeIndex:
         ``moved`` is the child of ``parent`` the undo put back or removed.
 
         The answer is exact.  With no tuple hit or gone, the undo can only
-        add rows: it is decided at the first batch that shows one.  With
-        none gone, no restored tuple showing a row and each hit tuple
-        keeping its flag, every row keeps its place, and each showing hit
-        tuple's row is compared with the row of its number.  Otherwise the
-        view is evaluated on the store and compared whole.
+        add rows: it is decided at the first batch of restored tuples that
+        shows one (``_restored_shows``).  With none gone, no restored tuple
+        showing a row and each hit tuple keeping its flag, every row keeps
+        its place, and each showing hit tuple's row is compared with the row
+        of its number.  Otherwise the view is evaluated on the store and
+        compared whole.  An undone insertion restores no child.
         """
         chain = self.chain(parent)
         hit = {t for node in chain for t in self.binders.get(node.node_id, ())}
         inserted = isinstance(edit, Inserted)
         gone = inserted and any(n.node_id in self.binders for n in iter_nodes(moved))
-        fresh = () if inserted else self._through(chain, moved)
-        appear = (any(self.holds(batch)) for batch in fresh)
         if not hit and not gone:
-            return not any(appear)
+            return inserted or not self._restored_shows(chain, moved)
         if not gone:
             shows = self.holds([self.tuples[t] for t in hit])
-            if shows == [self.shown[t] for t in hit] and not any(appear):
+            if shows == [self.shown[t] for t in hit] and (
+                inserted or not self._restored_shows(chain, moved)
+            ):
                 returns, before = self.view.returns, self.rows_before
                 return all(
                     _same_row(row_trees(returns, self.tuples[t]), wrappers[before[t]])
@@ -514,16 +522,17 @@ class _ProbeIndex:
                 )
         return self._view_matches(wrappers)
 
-    def _through(
-        self, chain: list[XmlTree], restored: XmlTree
-    ) -> Iterator[list[ForTuple]]:
-        """The tuples a restored child adds, one batch per binding level and
-        context: the partials indexed under a context in ``chain`` (the
-        child's parent and its ancestors) whose path runs through
+    def _restored_shows(self, chain: list[XmlTree], restored: XmlTree) -> bool:
+        """Whether a tuple that a restored child adds shows a row.
+
+        The tuples come in one batch per binding level and context: the
+        partials indexed under a context in ``chain`` (the child's parent
+        and its ancestors, nearest first) whose path runs through
         ``restored``, extended by the nodes that path reaches under it and
-        through the later bindings.  A batch is made only when the reader
-        asks for it."""
-        bindings = self.view.bindings
+        through the later bindings.  The batches are made in that order, one
+        at a time, each tested with ``holds``, and the answer is given at
+        the first batch that shows a row, so no later batch is made."""
+        bindings, holds = self.view.bindings, self.holds
         below = (restored.label,)  # the labels from the context down to it
         for context in chain:
             for i, binding in enumerate(bindings):
@@ -534,8 +543,10 @@ class _ProbeIndex:
                 level = [{**p, binding.var: n} for p in partials for n in nodes]
                 for later in bindings[i + 1 :]:
                     level = bind_level(later, level, self.store)
-                yield level
+                if any(holds(level)):
+                    return True
             below = (context.label,) + below
+        return False
 
     def _view_matches(self, wrappers: list[XmlTree]) -> bool:
         """Whether the view evaluated on the store shows the rows ``wrappers``."""

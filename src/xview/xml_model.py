@@ -37,7 +37,9 @@ class XmlTree:
     Instances compare by identity; use :func:`value_equal` for comparison on
     value trees.  A node holds its children but no link to its parent, so a
     tree holds no reference cycle and is freed by reference counting alone
-    (see ``_collector_deferred``).
+    (see ``_collector_deferred``).  A node made without an identifier takes
+    the next one of the process-wide counter that ``fresh_id`` reads,
+    without that call: every parsed and built node is made here.
     """
 
     __slots__ = ("node_id", "label", "text", "children")
@@ -51,7 +53,7 @@ class XmlTree:
     ) -> None:
         if (text is None) == (children is None):
             raise ValueError("a node holds either text or children, never both")
-        self.node_id = fresh_id() if node_id is None else node_id
+        self.node_id = next(_COUNTER) if node_id is None else node_id
         self.label = label
         self.text = text
         self.children = children
@@ -315,32 +317,49 @@ def parse_document(text: str) -> XmlTree:
     discarded, so pretty-printed input compares equal to compact input;
     text inside a leaf element is preserved verbatim.  Each node is made at
     its element's end, so ids follow post-order.
+
+    The innermost open element's label, children and text chunks are held
+    in the handlers' shared variables, and each enclosing element's are
+    pushed on a stack; the chunk list is made only when text arrives, so
+    the mixed-content check runs only for an element that has both text and
+    children.
     """
-    # one (label, children, text chunks) entry per open element, below an
-    # entry whose children receive the root
-    top: list[XmlTree] = []
-    stack: list[tuple[str, list[XmlTree], list[str]]] = [("", top, [])]
+    # the innermost open element's (label, children, text chunks); before
+    # the root opens, a nameless entry whose children receive the root
+    label, children, chunks = "", [], None
+    top = children
+    # the enclosing elements' entries, outermost first
+    stack: list[tuple[str, list[XmlTree], Optional[list[str]]]] = []
 
     def start(name: str, attrs: dict) -> None:
+        nonlocal label, children, chunks
         if attrs:
             raise UnsupportedFeature(f"attributes are not supported (element {name!r})")
         if ":" in name:
             raise UnsupportedFeature(f"namespaces are not supported (element {name!r})")
-        stack.append((name, [], []))
+        stack.append((label, children, chunks))
+        label, children, chunks = name, [], None
 
     def end(_name: str) -> None:
-        label, children, chunks = stack.pop()
-        if chunks and not children:
+        nonlocal label, children, chunks
+        if chunks is None:
+            node = XmlTree(label, None, children)
+        elif not children:
             node = XmlTree(label, "".join(chunks))
         elif any(chunk.strip() for chunk in chunks):
             raise UnsupportedFeature(f"mixed content under element {label!r}")
         else:
             node = XmlTree(label, None, children)
-        stack[-1][1].append(node)
+        label, children, chunks = stack.pop()
+        children.append(node)
 
     def chars(data: str) -> None:
         # expat passes no character data outside the root element
-        stack[-1][2].append(data)
+        nonlocal chunks
+        if chunks is None:
+            chunks = [data]
+        else:
+            chunks.append(data)
 
     parser = expat.ParserCreate()
     parser.buffer_text = True

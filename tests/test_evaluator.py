@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import collections
+import itertools
+import operator
 import random
 
 import pytest
@@ -15,9 +17,16 @@ from xview.evaluator import (
     enumerate_bindings,
     eval_condition,
     evaluate_view,
+    row_trees,
 )
 from xview.fuzzgen import gen_t1, gen_t2, random_case
-from xview.lang import PathEqString, atom_sides, parse_update, parse_view_def
+from xview.lang import (
+    PathEqString,
+    ReturnExpr,
+    atom_sides,
+    parse_update,
+    parse_view_def,
+)
 from xview.translator import Case, Translated, translate
 from xview.updater import apply_update, plan_update
 from xview.xml_model import (
@@ -903,3 +912,48 @@ def test_a_pass_decides_other_atoms_once_per_node(monkeypatch):
         holds = evaluator.where_holds(view.bindings, view.conditions)
         assert sum(holds(every)) == rows
     assert calls == [200] * 4
+
+
+def _one_and_two_name_paths(store: DocumentStore) -> list[tuple[str, ...]]:
+    """Every one-name path over the labels of ``store``, every two-name path
+    that locates a node somewhere in it, and one two-name path that locates
+    none anywhere, standing for the others: those go through ``locate`` in
+    every reader, whatever the node."""
+    nodes = [n for t in store.docs.values() for n in iter_nodes(t)]
+    labels = sorted({n.label for n in nodes})
+    pairs = {(n.label, c.label) for n in nodes for c in n.children or ()}
+    nowhere = ("absent", "absent")
+    return [(a,) for a in labels] + sorted(pairs) + [nowhere]
+
+
+def test_one_name_reads_match_locate_on_fuzz_stores():
+    # row_trees and eval_condition read a one-name path off the binding's
+    # children in place.  On every node of the stores of fuzz seeds 0-4 x
+    # 200, with the store's paths: row_trees locates what locate does,
+    # expression order outer, and a path=string atom holds exactly for the
+    # string values of the subtrees locate reaches, tried against those,
+    # the node's children's and one that no node holds
+    checked = 0
+    for seed in range(5):
+        rng = random.Random(seed)
+        for _ in range(200):
+            store = random_case(rng).store
+            paths = _one_and_two_name_paths(store)
+            returns = [ReturnExpr("x", ()), *(ReturnExpr("x", p) for p in paths)]
+            for root in store.docs.values():
+                for node in iter_nodes(root):
+                    tup = {"x": node}
+                    located = [locate(node, p) for p in paths]
+                    expected = [node, *itertools.chain.from_iterable(located)]
+                    got = row_trees(returns, tup)
+                    assert len(got) == len(expected)
+                    assert all(map(operator.is_, got, expected))
+                    near = {"absent", *map(string_value, node.children or ())}
+                    for path, found in zip(paths, located):
+                        values = set(map(string_value, found))
+                        for value in values | near:
+                            atom = PathEqString(("x", path), value)
+                            held = eval_condition([atom], tup)
+                            assert held == (value in values)
+                            checked += 1
+    assert checked > 500_000

@@ -731,6 +731,39 @@ def test_probe_with_a_row_missing_does_not_match():
         assert _leave_one_out_reference(routes, sources) == (True, None)
 
 
+def test_a_probe_restoring_a_child_two_levels_below_its_context(monkeypatch):
+    # route A deletes both Cs of the first A, two levels below x, the
+    # context of y's binding, which z's later binding extends.  Restoring
+    # the first C brings back a tuple whose E reads 1, so a row; restoring
+    # the second brings back one whose E reads 2, which the view hides, so
+    # that deletion is the witness
+    view = parse_view_def(
+        '<v>{for x in doc("s")/R/A, y in x/B/C/D, z in y/E where z="1" '
+        "return <e>{x/K}{z}</e>}</v>"
+    )
+    dv = parse_update('for u in v where u/e/K="k1" update u ( delete e )')
+    ds = parse_update('for x in doc("s")/R/A where x/K="k1" update x/B { delete C }')
+    store = _single_doc_store(
+        "<R><A><K>k1</K><B><C><D><E>1</E></D></C><C><D><E>2</E></D></C></B></A>"
+        "<A><K>k2</K><B><C><D><E>1</E></D></C></B></A></R>"
+    )
+    verdicts = []
+    shows = verifier._ProbeIndex._restored_shows
+
+    def recorded(index, chain, restored):
+        verdicts.append((chain[0].label, restored.label, shows(index, chain, restored)))
+        return verdicts[-1][2]
+
+    monkeypatch.setattr(verifier._ProbeIndex, "_restored_shows", recorded)
+    sources = store.copy()
+    with _compute_routes(view, dv, ds, store) as routes:
+        assert check_correctness(routes) == (True, None)
+        minimal, witness = check_minimality(routes)
+        expected = _leave_one_out_reference(routes, sources)
+    assert (minimal, witness) == expected == (False, routes.log[1])
+    assert verdicts == [("B", "C", True), ("B", "C", False)]
+
+
 # ----------------------------------------------------------------------
 # Minimality probes against a rebuilt view, one probe at a time
 
@@ -1290,9 +1323,11 @@ def test_an_empty_log_builds_no_probe_only_index_parts(monkeypatch):
     # nothing: the verification has no edit to probe, so it builds none of
     # the index's probe-only parts.  The verifier's ancestor reader reads
     # child lists only for an edit parent that is not a document root: the
-    # root deletion's edits all land under R, the label deletion's under
-    # the Ts, and its view plan's under copied Ts, whose fresh ids the store
-    # does not hold, so that question reads the whole store once
+    # root deletion's edits all land under R, so it reads none; the label
+    # deletion's land under the Ts, so it reads R's and the As' child lists,
+    # the levels above them.  Its view plan's land under copied Ts, and the
+    # copy rule asks nothing about a node of a copied row, whose fresh ids
+    # the store does not hold, so no level below the Ts is read
     view = parse_view_def('<v>{for x in doc("s")/R/A return <e>{x/C}{x/T}</e>}</v>')
     root_deletion = 'for u in v where u/e/C="1" update u ( delete e )'
     label_deletion = 'for r in v/e where r/C="1" update r/T ( delete W )'
@@ -1304,7 +1339,7 @@ def test_an_empty_log_builds_no_probe_only_index_parts(monkeypatch):
         "prepare_probes",
         lambda index: prepared.append(index) or prepare(index),
     )
-    for update, marks, whole, builds in (
+    for update, marks, above_ts, builds in (
         (root_deletion, "22", False, 0),
         (root_deletion, "12", False, 1),
         (label_deletion, "12", True, 1),
@@ -1320,8 +1355,8 @@ def test_an_empty_log_builds_no_probe_only_index_parts(monkeypatch):
         assert report.precise and all(ok for _n, ok in report.lemma_checks)
         (reader,) = readers
         read = _child_lists_read(reader)
-        nodes = len(list(iter_nodes(store.get("s"))))
-        assert (read, len(prepared)) == (nodes if whole else 0, builds), update
+        lists = 1 + len(store.get("s").children)  # R's and the As'
+        assert (read, len(prepared)) == (lists if above_ts else 0, builds), update
 
 
 def _recorded_ancestry(readers: list) -> type:
@@ -1355,6 +1390,55 @@ def test_a_root_deletion_verify_reads_only_the_roots_child_lists(monkeypatch):
     assert [_child_lists_read(reader) for reader in planned] == [1, 1]
     assert [len(reader.levels[1]) for reader in planned] == [160, 160]
     assert [_child_lists_read(reader) for reader in checked] == [0]
+
+
+def test_the_reader_is_asked_only_about_nodes_of_the_sources(monkeypatch):
+    # the copy rule skips an edit parent inside a row it copied: a copy's
+    # fresh ids are not the store's, so the reader would read every level
+    # still unread only to answer "no parent".  Every question, the copy
+    # rule's, the probes' and L1's, is about a node the sources hold
+    foreign: list[int] = []
+
+    class Watched(Ancestry):
+        def __init__(self, store: DocumentStore) -> None:
+            super().__init__(store)
+            self.held = {n.node_id for t in store.docs.values() for n in iter_nodes(t)}
+
+        def parent(self, node: XmlTree) -> Optional[XmlTree]:
+            if node.node_id not in self.held:
+                foreign.append(node.node_id)
+            return super().parent(node)
+
+    monkeypatch.setattr(verifier, "Ancestry", Watched)
+    verified = skipping = 0
+    copy_rows = verifier._copy_rows
+
+    def counted(plan, instance, ancestry, copied) -> bool:
+        # whether the plan has an edit parent inside a row copied already
+        nonlocal skipping
+        wrappers = instance.tree.children or []
+        inside = {
+            id(node)
+            for i in copied
+            for row in wrappers[i].children
+            for node in iter_nodes(row)
+        }
+        skipping += any(id(op.parent) in inside for op in plan if op.edits)
+        return copy_rows(plan, instance, ancestry, copied)
+
+    monkeypatch.setattr(verifier, "_copy_rows", counted)
+    for seed in range(5):
+        rng = random.Random(seed)
+        for _ in range(200):
+            case = random_case(rng)
+            out = translate(case.view, case.update)
+            if isinstance(out, Translated):
+                report = verify_translation(
+                    case.view, case.update, out.statement, case.store, out.case
+                )
+                assert report.passed
+                verified += 1
+    assert (verified, skipping, foreign) == (442, 110, [])
 
 
 def test_no_level_is_first_read_in_route_a_state(monkeypatch):

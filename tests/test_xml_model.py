@@ -33,7 +33,13 @@ from xview.xml_model import (
     text_leaf,
     value_equal,
 )
-from .conftest import D1_XML, free_space, free_space_doc, join_session_store
+from .conftest import (
+    BKINF_XML,
+    D1_XML,
+    free_space,
+    free_space_doc,
+    join_session_store,
+)
 from .test_verifier import _mutated, _random_tree
 
 
@@ -102,11 +108,70 @@ def test_parse_rejects_malformed(text):
 def test_parse_discards_whitespace_between_elements():
     pretty = "<r>\n  <A>\n    <B>b1</B>\n  </A>\n</r>"
     assert value_equal(parse_document(pretty), parse_document("<r><A><B>b1</B></A></r>"))
+    # the same at every depth of a pretty-printed document, while a leaf's
+    # text, spaces and line breaks included, is kept
+    compact = parse_document(BKINF_XML)
+    out: list[str] = []
+    stack: list = [(compact, 0)]  # nodes to write, and end tags (str)
+    while stack:
+        node, depth = stack.pop()
+        pad = "\n" + "\t" * depth
+        if isinstance(node, str):
+            out.append(f"{pad}{node}  ")
+        elif node.text is not None:
+            out.append(f"{pad}{serialize(node)}")
+        else:
+            out.append(f"{pad}<{node.label}>")
+            stack.append((f"</{node.label}>", depth))
+            stack.extend((c, depth + 1) for c in reversed(node.children))
+    pretty = parse_document("".join(out) + "\n")
+    assert value_equal(pretty, compact) and serialize(pretty) == serialize(compact)
+    kept = parse_document("<r>\n  <A> a \n b </A>\n  <B/>\n</r>")
+    assert kept.children[0].text == " a \n b " and len(kept.children) == 2
 
 
 def test_parse_preserves_leaf_text_verbatim():
     t = parse_document("<a>  spaced  </a>")
     assert t.text == "  spaced  "
+
+
+def test_parse_joins_long_leaf_text_exactly():
+    # expat hands a leaf's text over in several chunks once it passes its
+    # 8 KiB buffer and holds line breaks or entity references, even with
+    # buffer_text; a run of plain characters arrives in one chunk
+    lines = "".join(f"line {i} & more <x>\n" for i in range(600))
+    assert len(lines.encode("utf-8")) > 8 * 1024
+    for text in (lines, "\n" * 9000, "y" * 20_000):
+        src = text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+        t = parse_document(f"<r><A>{src}</A><B/></r>")
+        assert t.children[0].text == text and t.children[1].children == []
+
+
+def test_parse_raises_the_first_fault_of_a_document():
+    # each rejection is raised, with its message, at the fault expat meets
+    # first: a start tag's attributes before its namespace, a construct
+    # inside an element before the mixed content its end tag finds, and
+    # mixed content, text before or after a child, before what follows it
+    U, M = UnsupportedFeature, MalformedXml
+    for text, error, message in [
+        ('<a x="1"><ns:b/></a>', U, "attributes are not supported (element 'a')"),
+        ('<a><ns:b x="1"/></a>', U, "attributes are not supported (element 'ns:b')"),
+        ("<a><ns:b/></a>", U, "namespaces are not supported (element 'ns:b')"),
+        ("<a>t<b/><!-- c --></a>", U, "comments are not supported"),
+        ("<a>\n<b/>\n<?pi x?></a>", U, "processing instructions are not supported"),
+        ("<a>text<b>1</b></a>", U, "mixed content under element 'a'"),
+        ("<a><b>1</b>text</a>", U, "mixed content under element 'a'"),
+        ("<a><b/>text<c/></a>", U, "mixed content under element 'a'"),
+        ("<r><a> <b/> </a><c>t<d/>u</c></r>", U, "mixed content under element 'c'"),
+        ("<a>t<b/></a><c/>", U, "mixed content under element 'a'"),
+        ("<a>t<b/></a>x", U, "mixed content under element 'a'"),
+        ("<a><b>t<c/></b>", U, "mixed content under element 'b'"),
+        ("<a><b></a>", M, "mismatched tag: line 1, column 8"),
+        ("<a>&bogus;<b/></a>", M, "undefined entity: line 1, column 3"),
+    ]:
+        with pytest.raises(error) as caught:
+            parse_document(text)
+        assert type(caught.value) is error and str(caught.value) == message, text
 
 
 def _postorder(t: XmlTree) -> list[XmlTree]:
