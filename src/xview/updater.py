@@ -232,12 +232,14 @@ def _resolve(target: XmlTree, parent: XmlTree, action) -> list[Edit]:
 
 
 class _Plan(list):
-    """A plan: its ``PlannedOp`` operations, in order, and as ``satisfied``
-    the for-clause tuples whose where clause held on the pre-edit state, in
-    nested-loop order.  For a view-level statement those are its context
-    form's tuples, over the instance.  The lemma suite reads them, so that
-    it need not test either where clause again."""
+    """A plan: its ``PlannedOp`` operations, in order; as ``form`` the
+    source-level statement planned, which for a view-level statement is its
+    context form; and as ``satisfied`` the tuples of ``form``'s for-clause
+    whose where clause held on the pre-edit state, in nested-loop order.
+    The lemma suite reads both, so that it need neither work the context
+    form out again nor test either where clause again."""
 
+    form: UpdateStatement
     satisfied: list[ForTuple]
 
 
@@ -247,7 +249,8 @@ def plan_update(stmt: UpdateStatement, target) -> list[PlannedOp]:
     A source-level statement is planned on a DocumentStore and a view-level
     one on a ViewInstance; otherwise ``LevelMismatch`` is raised before
     anything else reads the statement.  The list returned also records the
-    tuples that satisfied the where clause (``_Plan.satisfied``)."""
+    statement planned and the tuples that satisfied its where clause
+    (``_Plan.form``, ``_Plan.satisfied``)."""
     if stmt.level == "view":
         if not isinstance(target, ViewInstance):
             raise LevelMismatch("a view-level update applies to a ViewInstance")
@@ -264,7 +267,7 @@ def plan_update(stmt: UpdateStatement, target) -> list[PlannedOp]:
                 node, parent, _resolve(node, parent, stmt.action)
             )
     plan = _Plan(ops.values())
-    plan.satisfied = satisfied
+    plan.form, plan.satisfied = stmt, satisfied
     return plan
 
 

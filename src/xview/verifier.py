@@ -10,7 +10,9 @@ probe re-checks only the tuples the undone edit reaches, read off an index
 of that store and view built once per verification, and re-evaluates the
 view only where rows could shift, so a verification costs a few
 evaluations, not one per edit; route A's view is read off the same index,
-whose probe-only parts are built only when there is an edit.
+whose probe-only parts are built only when there is an edit.  What a probe
+reads of its edit's parent alone is made once per parent and check, and
+shared by that parent's probes.
 An undone deletion puts back the logged subtree itself, at the place it
 held in its parent's child list before route A's plan ran, among the
 siblings that stay.  Both oracles are independent of the translation path
@@ -76,7 +78,6 @@ from .updater import (
     Edit,
     Inserted,
     PlannedOp,
-    context_form,
     edit_to_json,
     execute_plan,
     plan_update,
@@ -135,8 +136,9 @@ class _Routes:
     record (``put_back``, see ``_executed``) are kept, and the view on the
     updated store is read off ``index`` as wrappers over uncopied rows.
     The source plan's satisfying tuples and those of the view update's last
-    plan (``satisfied``, see ``updater._Plan``) are kept for the lemma
-    suite.  Route B (``via_view``) is update(view(sources)):
+    plan (``satisfied``), and the context form that plan was made from
+    (``form``), are kept for the lemma suite, as ``updater._Plan`` records
+    them.  Route B (``via_view``) is update(view(sources)):
     the view update is applied to the evaluation of the view on the
     sources, which edits its tree but not its tuples, so those stay the
     view's tuples on the sources.  Its wrappers hold the sources' own row
@@ -161,6 +163,7 @@ class _Routes:
     via_view: ViewInstance
     index: _ProbeIndex
     satisfied: tuple[list[ForTuple], list[ForTuple]]
+    form: UpdateStatement
 
 
 @contextlib.contextmanager
@@ -217,6 +220,7 @@ def _compute_routes(
             via_view,
             index,
             (plan.satisfied, view_plan.satisfied),
+            view_plan.form,
         )
 
 
@@ -309,20 +313,21 @@ def verify_translation(
 def tree_diff(a: XmlTree, b: XmlTree) -> Optional[dict]:
     """First divergence between two trees, or None when ``value_equal``.
 
-    One lockstep preorder walk over node pairs, skipping a pair whose two
-    sides are the same object: the first pair whose labels, texts or child
-    counts differ is reported, with the left tree's path to it
-    (``v[0]/e[1]/B``).  The walk keeps one stack of pairs still to visit,
+    One lockstep preorder walk over node pairs: the first pair whose labels,
+    texts or child counts differ is reported, with the left tree's path to
+    it (``v[0]/e[1]/B``).  The walk keeps one stack of pairs still to visit,
     each with its place among its parent's children and a link to the
     entry of its parent pair; the path is read off those links only at a
-    divergence.
+    divergence.  A child pair whose two sides are the same object is never
+    stacked, so wrappers over shared rows cost one visit each; a pair keeps
+    the place it has among all its siblings, so the path is the same as
+    when every pair is visited.
     """
     stack: list[tuple] = [(a, b, 0, None)]  # (left, right, place, parent entry)
+    push = stack.append
     while stack:
         entry = stack.pop()
         x, y = entry[0], entry[1]
-        if x is y:
-            continue
         xc, yc = x.children, y.children
         # equal texts also mean the same content kind (see value_equal)
         if x.label != y.label or x.text != y.text or (
@@ -335,7 +340,9 @@ def tree_diff(a: XmlTree, b: XmlTree) -> Optional[dict]:
             path = a.label + "".join(reversed(steps))
             return {"path": path, "left": serialize(x), "right": serialize(y)}
         if xc:
-            stack.extend((xc[i], yc[i], i, entry) for i in reversed(range(len(xc))))
+            for i in range(len(xc) - 1, -1, -1):  # pushed last, visited first
+                if xc[i] is not yc[i]:
+                    push((xc[i], yc[i], i, entry))
     return None
 
 
@@ -364,27 +371,33 @@ def check_minimality(routes: _Routes) -> tuple[bool, Optional[Edit]]:
     child list, so a probe re-checks only the tuples that reach that parent,
     off ``routes.index``, and the whole view only where rows could move.
     The parent and, for a deletion, its restore point are read off route
-    A's put-back record (``routes.put_back``), and the redo replays the edit
-    onto a store holding just that parent, so finding the parent reads one
-    node.  An empty log is trivially minimal, and the index's probe-only
-    parts are built only when there is an edit.
+    A's put-back record (``routes.put_back``).  What a probe reads of its
+    parent alone (``_ParentProbe``: its ancestors, the tuples that bind
+    them, the batches a restored child can add, and a store holding just
+    the parent, onto which the redo replays the edit, so finding the parent
+    reads one node) is made at that parent's first probe and read by every
+    later probe of it in this check; a root deletion's probes share one.  An
+    empty log is trivially minimal, and the index's probe-only parts are
+    built only when there is an edit.
     """
     wrappers = routes.via_view.tree.children or []
     if routes.log:
         routes.index.prepare_probes()
     points = _restore_points(routes)
+    probes: dict[int, _ParentProbe] = {}  # per edit parent's id
     for edit in routes.log:
-        parent = routes.put_back[edit.parent_id][0]
-        moved = _undo(edit, parent, points)
+        probe = probes.get(edit.parent_id)
+        if probe is None:
+            parent = routes.put_back[edit.parent_id][0]
+            probe = probes[edit.parent_id] = routes.index.parent_probe(parent)
+        moved = _undo(edit, probe.parent, points)
         try:
-            same = routes.index.unchanged_without(edit, parent, moved, wrappers)
+            same = routes.index.unchanged_without(edit, probe, moved, wrappers)
         finally:
-            redo = DocumentStore()
-            redo.add("parent", parent)
-            replay_edits([edit], redo)
+            replay_edits([edit], probe.redo)
         if isinstance(edit, Inserted):
             # the redo appended a fresh-id copy: keep the indexed node
-            parent.children[-1] = moved
+            probe.parent.children[-1] = moved
         if same:
             return False, edit
     return True, None
@@ -453,11 +466,14 @@ class _ProbeIndex:
     that child and through the later bindings); gone tuples, indexed ones
     that bind a node of a removed insertion; and hit tuples, surviving ones
     that bind P or one of its ancestors, the only nodes whose subtrees
-    changed.  Every other tuple keeps its condition result and its row.  A
-    probe tests tuples with ``holds`` too, one call, so one pass, per batch:
-    the hit tuples in one batch, and the restored tuples one level and
-    context at a time (``_restored_shows``), made and tested in turn up to
-    the first batch that shows a row.
+    changed.  Every other tuple keeps its condition result and its row.
+    Which tuples are hit, and which partials a restored child of a given
+    label extends, depend on P alone, so they are read once per parent
+    (``parent_probe``) and shared by all of its probes.  A probe tests
+    tuples with ``holds`` too, one call, so one pass, per batch: the hit
+    tuples in one batch, and the restored tuples one level and context at a
+    time (``_restored_shows``), made and tested in turn up to the first
+    batch that shows a row.
     """
 
     def __init__(self, view: ViewDef, store: DocumentStore, ancestry: Ancestry) -> None:
@@ -489,12 +505,25 @@ class _ProbeIndex:
             for node in tup.values():
                 self.binders.setdefault(node.node_id, []).append(t)
 
+    def parent_probe(self, parent: XmlTree) -> _ParentProbe:
+        """The context every probe of an edit under ``parent`` reads, made
+        after ``prepare_probes``."""
+        chain = self.chain(parent)
+        hit = list({t for node in chain for t in self.binders.get(node.node_id, ())})
+        tuples, shown = self.tuples, self.shown
+        redo = DocumentStore()
+        redo.add("parent", parent)
+        return _ParentProbe(
+            parent, chain, hit, [tuples[t] for t in hit], [shown[t] for t in hit], redo
+        )
+
     def unchanged_without(
-        self, edit: Edit, parent: XmlTree, moved: XmlTree, wrappers: list[XmlTree]
+        self, edit: Edit, probe: _ParentProbe, moved: XmlTree, wrappers: list[XmlTree]
     ) -> bool:
         """Whether the view on the store, with ``edit`` undone, still has
         exactly the rows ``wrappers``: those of the view with it applied.
-        ``moved`` is the child of ``parent`` the undo put back or removed.
+        ``moved`` is the child of the edit's parent that the undo put back
+        or removed, and ``probe`` that parent's context.
 
         The answer is exact.  With no tuple hit or gone, the undo can only
         add rows: it is decided at the first batch of restored tuples that
@@ -504,49 +533,66 @@ class _ProbeIndex:
         of its number.  Otherwise the view is evaluated on the store and
         compared whole.  An undone insertion restores no child.
         """
-        chain = self.chain(parent)
-        hit = {t for node in chain for t in self.binders.get(node.node_id, ())}
         inserted = isinstance(edit, Inserted)
         gone = inserted and any(n.node_id in self.binders for n in iter_nodes(moved))
-        if not hit and not gone:
-            return inserted or not self._restored_shows(chain, moved)
+        if not probe.hit and not gone:
+            return inserted or not self._restored_shows(probe, moved)
         if not gone:
-            shows = self.holds([self.tuples[t] for t in hit])
-            if shows == [self.shown[t] for t in hit] and (
-                inserted or not self._restored_shows(chain, moved)
+            shows = self.holds(probe.hit_tuples)
+            if shows == probe.flags and (
+                inserted or not self._restored_shows(probe, moved)
             ):
                 returns, before = self.view.returns, self.rows_before
                 return all(
                     _same_row(row_trees(returns, self.tuples[t]), wrappers[before[t]])
-                    for t in itertools.compress(hit, shows)
+                    for t in itertools.compress(probe.hit, shows)
                 )
         return self._view_matches(wrappers)
 
-    def _restored_shows(self, chain: list[XmlTree], restored: XmlTree) -> bool:
-        """Whether a tuple that a restored child adds shows a row.
+    def _restored_shows(self, probe: _ParentProbe, restored: XmlTree) -> bool:
+        """Whether a tuple that a restored child of ``probe``'s parent adds
+        shows a row.
 
         The tuples come in one batch per binding level and context: the
-        partials indexed under a context in ``chain`` (the child's parent
+        partials indexed under a context in the parent's chain (the parent
         and its ancestors, nearest first) whose path runs through
         ``restored``, extended by the nodes that path reaches under it and
-        through the later bindings.  The batches are made in that order, one
-        at a time, each tested with ``holds``, and the answer is given at
-        the first batch that shows a row, so no later batch is made."""
-        bindings, holds = self.view.bindings, self.holds
-        below = (restored.label,)  # the labels from the context down to it
+        through the later bindings.  Which partials those are, and the path
+        left below the child, depend on the chain and the child's label
+        alone, so they are read at the first probe restoring a child of
+        that label and kept on ``probe``.  The batches are made in that
+        order, one at a time, each tested with ``holds``, and the answer is
+        given at the first batch that shows a row, so no later batch is
+        made."""
+        recipes = probe.recipes.get(restored.label)
+        if recipes is None:
+            recipes = probe.recipes[restored.label] = self._recipes(
+                probe.chain, restored.label
+            )
+        for var, partials, rest, later in recipes:
+            nodes = locate(restored, rest)
+            level = [{**p, var: n} for p in partials for n in nodes]
+            for binding in later:
+                level = bind_level(binding, level, self.store)
+            if any(self.holds(level)):
+                return True
+        return False
+
+    def _recipes(self, chain: list[XmlTree], label: str) -> list[tuple]:
+        """Per batch a restored child labelled ``label`` under ``chain[0]``
+        adds, in ``_restored_shows``'s order: the batch's variable, the
+        partials it extends, the path from the child to its nodes, and the
+        later bindings."""
+        bindings, recipes = self.view.bindings, []
+        below = (label,)  # the labels from the context down to the child
         for context in chain:
             for i, binding in enumerate(bindings):
                 partials = self.partials.get((i, context.node_id))
-                if not partials or self.steps[i][: len(below)] != below:
-                    continue
-                nodes = locate(restored, self.steps[i][len(below) :])
-                level = [{**p, binding.var: n} for p in partials for n in nodes]
-                for later in bindings[i + 1 :]:
-                    level = bind_level(later, level, self.store)
-                if any(holds(level)):
-                    return True
+                if partials and self.steps[i][: len(below)] == below:
+                    rest = self.steps[i][len(below) :]
+                    recipes.append((binding.var, partials, rest, bindings[i + 1 :]))
             below = (context.label,) + below
-        return False
+        return recipes
 
     def _view_matches(self, wrappers: list[XmlTree]) -> bool:
         """Whether the view evaluated on the store shows the rows ``wrappers``."""
@@ -560,6 +606,25 @@ def _same_row(row: list[XmlTree], wrapper: XmlTree) -> bool:
     """Whether ``wrapper`` holds the trees ``row``, by value."""
     kids = wrapper.children or []
     return len(row) == len(kids) and all(map(value_equal, row, kids))
+
+
+@dataclass
+class _ParentProbe:
+    """What every probe of one edit parent reads alike, made at the parent's
+    first probe (``_ProbeIndex.parent_probe``) and kept for that one check:
+    the ``parent``, its ``chain`` (the parent, then its ancestors, nearest
+    first), the ``hit`` tuples' numbers, those tuples and their flags in
+    route A's view, per label of a restored child the batches it can add
+    (``recipes``, filled in by ``_restored_shows``), and ``redo``, a store
+    holding just the parent, onto which each probe's redo is replayed."""
+
+    parent: XmlTree
+    chain: list[XmlTree]
+    hit: list[int]
+    hit_tuples: list[ForTuple]
+    flags: list[bool]
+    redo: DocumentStore
+    recipes: dict[str, list[tuple]] = field(default_factory=dict)
 
 
 # ----------------------------------------------------------------------
@@ -584,19 +649,21 @@ def run_lemma_suite(routes: _Routes, case: Case) -> list[tuple[str, bool]]:
     The lemmas are stated for the statements ``translate`` emits, and the
     suite checks that premise once: the source update's bindings extend the
     view's for-clause, a binding deletion deletes a view variable, and the
-    view update's context form (``context_form``) pairs its condition and
-    target inside a wrapper, below the view root.  Every translation meets
-    it; for any other statement (a hand-written one, say) the suite reports
-    no lemmas.
+    view update's context form (``updater.context_form``) pairs its
+    condition and target inside a wrapper, below the view root.  Every
+    translation meets it; for any other statement (a hand-written one, say)
+    the suite reports no lemmas.
 
     The suite runs only on translations already found correct.  Agreement of
     the two routes at the target view path is therefore not checked here: it
     follows from the value equality of the whole instances.  It reads the
     restored sources and route B's restored instance, the very states the
-    two plans were made on, so every lemma reads what the plans recorded:
-    L1 route A's planned parents, and L3 both where clauses' verdicts.
+    two plans were made on, so the suite reads what the plans recorded: the
+    premise reads the context form the view update's plan was made from
+    (``routes.form``), L1 route A's planned parents, and L3 both where
+    clauses' verdicts.
     """
-    form = context_form(routes.view_update)
+    form = routes.form
     view, source = routes.view, routes.source_update
     deleted = source.action.var if isinstance(source.action, DeleteBinding) else None
     if (

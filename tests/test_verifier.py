@@ -6,6 +6,7 @@ import contextlib
 import dataclasses
 import itertools
 import random
+import re
 from typing import Optional
 
 import pytest
@@ -437,12 +438,37 @@ def _random_tree(rng: random.Random, depth: int = 0) -> XmlTree:
     return XmlTree(label, children=kids)
 
 
-def _mutated(rng: random.Random, tree: XmlTree) -> XmlTree:
-    """A copy of ``tree``, identical or with one mutation at a random node:
-    relabel, change a text, insert or delete a child, swap two siblings, or
-    turn a text leaf into an element."""
-    out = copy_tree(tree)
-    node = rng.choice(list(iter_nodes(out)))
+def _sharing(rng: random.Random, tree: XmlTree) -> XmlTree:
+    """A value-equal copy of ``tree`` that keeps about half of each copied
+    node's children as the very same objects, as wrappers over shared rows
+    do; the root is always a copy."""
+    if tree.is_text:
+        return XmlTree(tree.label, text=tree.text)
+    kids = [kid if rng.random() < 0.5 else _sharing(rng, kid) for kid in tree.children]
+    return XmlTree(tree.label, children=kids)
+
+
+def _own_nodes(tree: XmlTree, other: XmlTree) -> list[XmlTree]:
+    """The nodes of ``tree``, in document order, that are not inside a
+    subtree it shares with ``other``, so that editing one leaves ``other``
+    as it is."""
+    shared = {id(n) for n in iter_nodes(other)}
+    own, stack = [], [tree]
+    while stack:
+        node = stack.pop()
+        if id(node) not in shared:
+            own.append(node)
+            stack.extend(reversed(node.children or ()))
+    return own
+
+
+def _mutated(rng: random.Random, tree: XmlTree, share: bool = False) -> XmlTree:
+    """A copy of ``tree``, identical or with one mutation at a random node
+    of its own: relabel, change a text, insert or delete a child, swap two
+    siblings, or turn a text leaf into an element.  With ``share`` the copy
+    is ``_sharing``'s, so a swap may move a shared child to another place."""
+    out = _sharing(rng, tree) if share else copy_tree(tree)
+    node = rng.choice(_own_nodes(out, tree))
     kind = rng.choice(
         ["same", "relabel", "text", "insert", "delete", "swap", "element"]
     )
@@ -465,16 +491,55 @@ def _mutated(rng: random.Random, tree: XmlTree) -> XmlTree:
 
 
 def test_tree_diff_matches_the_recursive_reference():
+    # on independent copies, and on copies that share subtrees with the
+    # tree they came from, so that a divergence often follows shared
+    # siblings: the skipped pairs must neither shift a reported place nor
+    # hide a later pair
     rng = random.Random(2024)
-    found = 0
-    for _ in range(3000):
+    found = after_shared = 0
+    for at in range(6000):
         a = _random_tree(rng)
-        b = _mutated(rng, a)
+        b = _mutated(rng, a, share=at % 2 == 0)
         for left, right in ((a, b), (b, a)):
             want = _recursive_tree_diff(left, right)
             assert tree_diff(left, right) == want
             found += want is not None
-    assert found > 2000  # most mutations show
+        after_shared += want is not None and _past_shared(b, a, want["path"])
+    assert found > 4000  # most mutations show
+    assert after_shared > 80
+
+
+def _past_shared(a: XmlTree, b: XmlTree, path: str) -> bool:
+    """Whether the walk to the divergence at ``path`` passes, at some level,
+    a sibling pair whose two sides are the same object."""
+    for place in re.findall(r"\[(\d+)\]", path):
+        at = int(place)
+        if any(x is y for x, y in zip(a.children[:at], b.children[:at])):
+            return True
+        a, b = a.children[at], b.children[at]
+    return False
+
+
+def test_tree_diff_reports_a_place_past_shared_rows():
+    # two wrapper lists over the same row objects, which differ only in
+    # the third tree of the second wrapper and in the last wrapper's count:
+    # the shared trees before the divergence are skipped, but each keeps
+    # its place
+    rows = [[XmlTree("C", text=str(i)), XmlTree("T", text="t")] for i in range(3)]
+
+    def view(extra: str, last: int) -> XmlTree:
+        wrappers = [XmlTree("e", children=list(row)) for row in rows]
+        wrappers[1].children.append(XmlTree("B", text=extra))
+        wrappers[2].children = wrappers[2].children[:last]
+        return XmlTree("v", children=wrappers)
+
+    assert tree_diff(view("1", 2), view("2", 2)) == {
+        "path": "v[1]/e[2]/B",
+        "left": "<B>1</B>",
+        "right": "<B>2</B>",
+    }
+    assert tree_diff(view("1", 2), view("1", 1))["path"] == "v[2]/e"
+    assert tree_diff(view("1", 2), view("1", 2)) is None
 
 
 class _CountedTree(XmlTree):
@@ -750,8 +815,9 @@ def test_a_probe_restoring_a_child_two_levels_below_its_context(monkeypatch):
     verdicts = []
     shows = verifier._ProbeIndex._restored_shows
 
-    def recorded(index, chain, restored):
-        verdicts.append((chain[0].label, restored.label, shows(index, chain, restored)))
+    def recorded(index, probe, restored):
+        shown = shows(index, probe, restored)
+        verdicts.append((probe.chain[0].label, restored.label, shown))
         return verdicts[-1][2]
 
     monkeypatch.setattr(verifier._ProbeIndex, "_restored_shows", recorded)
@@ -857,12 +923,23 @@ def _free_case(rng: random.Random) -> tuple[str, str, str]:
 
 
 @contextlib.contextmanager
-def _own_routes(view: ViewDef, stmt: UpdateStatement, store: DocumentStore):
+def _own_routes(
+    view: ViewDef, stmt: UpdateStatement, store: DocumentStore, *later: UpdateStatement
+):
     """Routes whose directly updated instance is route A's own view, so every
     translation is correct and every probe is reached.  While the body runs,
-    ``store`` is in route A's state, as inside ``_compute_routes``."""
+    ``store`` is in route A's state, as inside ``_compute_routes``.  Route
+    A applies ``stmt``, then each ``later`` statement, planned on the store
+    the earlier ones left: its log is theirs, in that order, and its
+    put-back record holds each parent's list from before the first."""
     plan = plan_update(stmt, store)
-    with verifier._executed(plan) as (log, put_back):
+    with contextlib.ExitStack() as applied:
+        log, put_back = applied.enter_context(verifier._executed(plan))
+        for more in later:
+            more_log, more_back = applied.enter_context(
+                verifier._executed(plan_update(more, store))
+            )
+            log, put_back = log + more_log, {**more_back, **put_back}
         via_source = evaluate_view(view, store)
         own = ViewInstance(copy_tree(via_source.tree), via_source.tuples)
         index = verifier._ProbeIndex(view, store, Ancestry(store))
@@ -878,6 +955,7 @@ def _own_routes(view: ViewDef, stmt: UpdateStatement, store: DocumentStore):
             own,
             index,
             (plan.satisfied, []),
+            None,  # nor is a context form read
         )
 
 
@@ -903,9 +981,12 @@ def _probes_against_rebuilt_views(routes, sources: DocumentStore) -> list[bool]:
 
 def test_every_probe_matches_a_rebuilt_view():
     # each probe is judged against route A's own view, so it is reached
-    # whether or not the update is a correct translation of anything
+    # whether or not the update is a correct translation of anything.  Then
+    # the whole log is checked at once, so that the probes of one parent
+    # share its context: the verdict and the witness are the reference's,
+    # the first edit whose leaving out changes nothing
     rng = random.Random(11)
-    probes = changed = 0
+    probes = changed = shared = 0
     for _ in range(1200):
         view_text, update_text, doc = _free_case(rng)
         with contextlib.ExitStack() as held:
@@ -917,9 +998,155 @@ def test_every_probe_matches_a_rebuilt_view():
             except XviewError:
                 continue
             changes = _probes_against_rebuilt_views(routes, sources)
+            log = routes.log
+            first = next((e for e, c in zip(log, changes) if not c), None)
+            minimal, witness = check_minimality(routes)
+            assert minimal == (first is None) and witness is first
+            reached = log[: log.index(first) + 1] if first else log
+            shared += len(reached) - len({e.parent_id for e in reached})
         probes += len(changes)
         changed += sum(changes)
-    assert probes > 600 and changed >= 100
+    assert probes > 600 and changed >= 100 and shared >= 60
+
+
+def _items_doc(*items: str) -> str:
+    return "<R>" + "".join(f"<A>{item}</A>" for item in items) + "</R>"
+
+
+@pytest.mark.parametrize(
+    "view_text, updates, doc, witness",
+    [
+        # two Us under each T; the third A is hidden, so its first U goes
+        (
+            '<v>{for x in doc("s")/R/A where x/K="k" return <e>{x/T}</e>}</v>',
+            ['for x in doc("s")/R/A where x/C="1" update x/T { delete U }'],
+            _items_doc(
+                "<K>k</K><C>1</C><T><U>a</U><W>w</W><U>b</U></T>",
+                "<K>k</K><C>1</C><T><U>c</U><U>d</U></T>",
+                "<K>j</K><C>1</C><T><U>e</U><U>f</U></T>",
+                "<K>k</K><C>1</C><T><U>g</U><U>h</U></T>",
+            ),
+            4,
+        ),
+        # as above, every A shown: each probe changes its row
+        (
+            '<v>{for x in doc("s")/R/A return <e>{x/T}</e>}</v>',
+            ['for x in doc("s")/R/A where x/C="1" update x/T { delete U }'],
+            _items_doc(
+                "<C>1</C><T><U>a</U><U>b</U></T>",
+                "<C>2</C><T><U>c</U></T>",
+                "<C>1</C><T><W>w</W><U>e</U><U>f</U></T>",
+            ),
+            None,
+        ),
+        # a root deletion: every edit lies under R, and the fourth A is hidden
+        (
+            '<v>{for x in doc("s")/R/A where x/K="k" return <e>{x/B}</e>}</v>',
+            ['for x in doc("s")/R/A where x/C="1" update x/.. { delete A }'],
+            _items_doc(
+                "<K>k</K><C>1</C><B>1</B>",
+                "<K>k</K><C>2</C><B>2</B>",
+                "<K>k</K><C>1</C><B>3</B>",
+                "<K>j</K><C>1</C><B>4</B>",
+                "<K>k</K><C>1</C><B>5</B>",
+            ),
+            2,
+        ),
+        # a deletion and an insertion under each edited T: the view shows
+        # the Us, not the inserted N, so the first insertion goes
+        (
+            '<v>{for x in doc("s")/R/A return <e>{x/T/U}</e>}</v>',
+            [
+                'for x in doc("s")/R/A where x/C="1" update x/T { delete U }',
+                'for x in doc("s")/R/A where x/C="1" update x/T { insert <N>n</N> }',
+            ],
+            _items_doc(
+                "<C>1</C><T><U>a</U><U>b</U></T>",
+                "<C>2</C><T><U>c</U></T>",
+                "<C>1</C><T><U>d</U></T>",
+            ),
+            3,
+        ),
+        # as above, with the Ts shown whole: no edit can go
+        (
+            '<v>{for x in doc("s")/R/A return <e>{x/T}</e>}</v>',
+            [
+                'for x in doc("s")/R/A where x/C="1" update x/T { delete U }',
+                'for x in doc("s")/R/A where x/C="1" update x/T { insert <N>n</N> }',
+            ],
+            _items_doc(
+                "<C>1</C><T><U>a</U><U>b</U></T>",
+                "<C>1</C><T><U>d</U></T>",
+            ),
+            None,
+        ),
+        # two labels restored under one T: a G restores a tuple, so a row;
+        # a U, of another label, restores none, so the first U goes
+        (
+            '<v>{for x in doc("s")/R/A, y in x/T/G return <e>{y}</e>}</v>',
+            [
+                'for x in doc("s")/R/A where x/C="1" update x/T { delete G }',
+                'for x in doc("s")/R/A where x/C="1" update x/T { delete U }',
+            ],
+            _items_doc(
+                "<C>1</C><T><G>g1</G><U>u1</U></T>",
+                "<C>1</C><T><U>u2</U><G>g2</G></T>",
+            ),
+            2,
+        ),
+        # the hit tuple's flag is tested per probe: restoring u2 shows the
+        # first A's row, restoring u1 next does not
+        (
+            '<v>{for x in doc("s")/R/A where x/T/U="u2" return <e>{x/K}</e>}</v>',
+            ['for x in doc("s")/R/A where x/C="1" update x/T { delete U }'],
+            _items_doc(
+                "<K>k1</K><C>1</C><T><U>u2</U><U>u1</U></T>",
+                "<K>k2</K><C>1</C><T><U>u2</U></T>",
+            ),
+            1,
+        ),
+        # the kept U=2 shows the A while its N is there: restoring U=1
+        # keeps the A's flag but changes its row; undoing the insertion
+        # next hides the A, with its row as route A has it
+        (
+            '<v>{for x in doc("s")/R/A where x/T/N="n" return <e>{x/T/U}</e>}</v>',
+            [
+                'for x in doc("s")/R/A where x/C="1" update x/T { delete <U>1</U> }',
+                'for x in doc("s")/R/A where x/C="1" update x/T { insert <N>n</N> }',
+            ],
+            _items_doc("<C>1</C><T><U>1</U><U>2</U></T>"),
+            None,
+        ),
+    ],
+    ids=[
+        "two-us-under-each-t",
+        "two-us-under-each-t-all-shown",
+        "root-deletion",
+        "deletion-and-insertion",
+        "deletion-and-insertion-all-shown",
+        "two-labels-under-one-t",
+        "flag-per-probe",
+        "flag-after-a-kept-flag",
+    ],
+)
+def test_probes_sharing_a_parent_match_the_reference(view_text, updates, doc, witness):
+    # logs that put several edits under one parent, so that the probes
+    # after that parent's first read the context its first probe made: the
+    # whole log's verdict and witness are the copy-and-replay reference's,
+    # and each probe alone matches a rebuilt view
+    view = parse_view_def(view_text)
+    first, *later = map(parse_update, updates)
+    store = _single_doc_store(doc)
+    sources = store.copy()
+    with _own_routes(view, first, store, *later) as routes:
+        log = routes.log
+        reached = len(log) if witness is None else witness + 1
+        parents = [e.parent_id for e in log[:reached]]
+        assert len(set(parents)) < len(parents)
+        expected = (True, None) if witness is None else (False, log[witness])
+        assert _check_against_reference(routes, sources) == expected
+        changes = _probes_against_rebuilt_views(routes, sources)
+    assert changes[:reached] == [True] * (reached - 1) + [witness is None]
 
 
 @pytest.mark.parametrize(
@@ -1359,6 +1586,11 @@ def test_an_empty_log_builds_no_probe_only_index_parts(monkeypatch):
         assert (read, len(prepared)) == (lists if above_ts else 0, builds), update
 
 
+ITEMS_VIEW = '<v>{for x in doc("s")/R/A return <e>{x/C}{x/T}</e>}</v>'
+ROOT_DELETION = 'for u in v where u/e/C="1" update u ( delete e )'
+LABEL_DELETION = 'for r in v/e where r/C="1" update r/T ( delete W )'
+
+
 def _recorded_ancestry(readers: list) -> type:
     """An ``Ancestry`` that appends each instance made to ``readers``."""
 
@@ -1390,6 +1622,66 @@ def test_a_root_deletion_verify_reads_only_the_roots_child_lists(monkeypatch):
     assert [_child_lists_read(reader) for reader in planned] == [1, 1]
     assert [len(reader.levels[1]) for reader in planned] == [160, 160]
     assert [_child_lists_read(reader) for reader in checked] == [0]
+
+
+@pytest.mark.parametrize("update", [ROOT_DELETION, LABEL_DELETION], ids=["T4", "label"])
+def test_probes_of_one_parent_read_its_chain_and_redo_store_once(update, monkeypatch):
+    # a verify on 160 items: each edit parent's chain is asked for once,
+    # and one store holding it is built, at its first probe; every probe
+    # still replays its own redo.  The T4 deletion's 80 edits all lie under
+    # R: one chain and one store for 80 probes.  The label deletion's 160
+    # lie two under each T of the 80 matching items
+    view = parse_view_def(ITEMS_VIEW)
+    dv = parse_update(update)
+    out = translate(view, dv)
+    assert isinstance(out, Translated)
+    items = "".join(
+        f"<A><C>{1 + i % 2}</C><T><W>w{i}</W><W>v{i}</W></T></A>" for i in range(160)
+    )
+    store = _single_doc_store(f"<R>{items}</R>")
+    probing, counts = [False], {"chain": 0, "store": 0, "replay": 0}
+    check, replay = verifier.check_minimality, verifier.replay_edits
+
+    class Counted(Ancestry):
+        def chain(self, node):
+            counts["chain"] += probing[0]
+            return super().chain(node)
+
+    class CountedStore(DocumentStore):
+        def __init__(self):
+            counts["store"] += probing[0]
+            super().__init__()
+
+    def checking(routes):
+        probing[0] = True
+        try:
+            return check(routes)
+        finally:
+            probing[0] = False
+
+    def replaying(edits, redo):
+        counts["replay"] += probing[0]
+        return replay(edits, redo)
+
+    monkeypatch.setattr(verifier, "Ancestry", Counted)
+    monkeypatch.setattr(verifier, "DocumentStore", CountedStore)
+    monkeypatch.setattr(verifier, "check_minimality", checking)
+    monkeypatch.setattr(verifier, "replay_edits", replaying)
+    seen = []
+    compute = verifier._compute_routes
+
+    @contextlib.contextmanager
+    def recording(*args):
+        with compute(*args) as routes:
+            seen.append(routes.log)
+            yield routes
+
+    monkeypatch.setattr(verifier, "_compute_routes", recording)
+    assert verify_translation(view, dv, out.statement, store, out.case).passed
+    ((log,),) = [seen]
+    parents = len({edit.parent_id for edit in log})
+    assert (parents, len(log)) == ((1, 80) if update == ROOT_DELETION else (80, 160))
+    assert counts == {"chain": parents, "store": parents, "replay": len(log)}
 
 
 def test_the_reader_is_asked_only_about_nodes_of_the_sources(monkeypatch):
@@ -1502,7 +1794,8 @@ def _copying_verify(
     log = execute_plan(plan)
     via_source = evaluate_view(view, updated)
     via_view = evaluate_view(view, store)
-    execute_plan(plan_update(view_update, via_view))
+    view_plan = plan_update(view_update, via_view)
+    execute_plan(view_plan)
     on_copy = _Routes(
         view,
         view_update,
@@ -1514,6 +1807,7 @@ def _copying_verify(
         via_view,
         verifier._ProbeIndex(view, updated, Ancestry(updated)),
         (plan.satisfied, []),  # verdicts on the copy: the lemmas read others
+        view_plan.form,
     )
     correct, diff = check_correctness(on_copy)
     minimal, witness = False, None
