@@ -23,7 +23,7 @@ from .errors import (
 from .evaluator import evaluate_view
 from .fuzzgen import random_case
 from .lang import parse_update, parse_view_def, render_update
-from .translator import Rejected, rejection_to_json, translate
+from .translator import Rejected, Translated, rejection_to_json, translate
 from .updater import apply_update, edit_to_json
 from .verifier import verify_translation
 from .xml_model import DocumentStore, parse_document, serialize
@@ -123,22 +123,27 @@ def cmd_verify(args) -> int:
     view_update = parse_update(Path(args.update).read_text(encoding="utf-8"))
     store = _load_store(args.doc)
 
-    case = None
     if args.delta_s:
         source_update = parse_update(Path(args.delta_s).read_text(encoding="utf-8"))
         if source_update.level != "source":
             raise LevelMismatch("--delta-s expects a source-level update")
+        # the lemma suite judges the hand-written statement under the
+        # translation's case, if there is one; a source-level view update
+        # is left for the planner to refuse
+        outcome = translate(view, view_update) if view_update.level == "view" else None
+        case = outcome.case if isinstance(outcome, Translated) else None
     else:
         outcome = translate(view, view_update)
         if isinstance(outcome, Rejected):
             _emit(args, json.dumps(rejection_to_json(outcome)))
             return EXIT_UNTRANSLATABLE
         source_update, case = outcome.statement, outcome.case
+    shown = None if args.delta_s else case  # the case of the statement judged
 
     report = verify_translation(view, view_update, source_update, store, case)
     payload = report.to_json()
-    if case is not None:
-        payload["case"] = case.value
+    if shown is not None:
+        payload["case"] = shown.value
     if args.format == "json":
         _emit(args, json.dumps(payload))
     else:
@@ -146,8 +151,8 @@ def cmd_verify(args) -> int:
             f"correct: {str(report.correct).lower()}",
             f"minimal: {str(report.minimal).lower()}",
         ]
-        if case is not None:
-            lines.append(f"case: {case.value}")
+        if shown is not None:
+            lines.append(f"case: {shown.value}")
         if report.view_diff:
             lines.append(f"diff: {json.dumps(report.view_diff)}")
         if report.witness:

@@ -50,6 +50,11 @@ class UnknownDocument(XviewError):
     """A doc(...) reference names a document the store does not hold."""
 
 
+class TupleBudgetExceeded(XviewError):
+    """A for-clause would enumerate more tuples at one binding level than
+    the tuple budget allows (``evaluator.TUPLE_BUDGET``)."""
+
+
 class RootLabelMismatch(XviewError):
     """The first name of a rooted path differs from the stored root label."""
 

@@ -34,7 +34,7 @@ import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from .errors import LevelMismatch, RootLabelMismatch
+from .errors import LevelMismatch, RootLabelMismatch, TupleBudgetExceeded
 from .lang import (
     Binding,
     ConditionAtom,
@@ -54,6 +54,12 @@ from .xml_model import (
     string_value,
 )
 
+
+# The most tuples one binding level may hold.  An unlinked cross product is
+# built in full, at several hundred bytes per tuple, so past this a level
+# raises TupleBudgetExceeded instead of exhausting the host's memory; the
+# benchmark's join session builds 10,000 tuples.
+TUPLE_BUDGET = 1_000_000
 
 # One variable assignment produced by the for-clause.  Copies of the same
 # source binding in different tuples share the source node (and hence its
@@ -101,15 +107,26 @@ def bind_level(
     every node the binding's path locates from its ``binding_scope`` context,
     located once per distinct context node.  The scope is resolved first, so
     a level with no partial tuple still raises an unknown document or a root
-    label mismatch, whatever the data."""
+    label mismatch, whatever the data.  Every enumeration of tuples goes
+    through here, so before a partial would extend the level past
+    ``TUPLE_BUDGET`` tuples, ``TupleBudgetExceeded`` is raised, naming the
+    bindings and the count reached."""
     context, steps = binding_scope(binding, store)
     located: dict[XmlTree, list[XmlTree]] = {}
     expanded: list[ForTuple] = []
+    budget = TUPLE_BUDGET
     for partial in partials:
         ctx = context(partial)
         nodes = located.get(ctx)
         if nodes is None:
             nodes = located[ctx] = locate(ctx, steps)
+        if len(expanded) + len(nodes) > budget:
+            names = ", ".join([*partial, binding.var])
+            raise TupleBudgetExceeded(
+                f"the bindings {names} would enumerate more than {budget:,} "
+                f"tuples ({len(expanded):,} reached, the next partial tuple "
+                f"adds {len(nodes):,})"
+            )
         for node in nodes:
             assignment = dict(partial)
             assignment[binding.var] = node

@@ -67,14 +67,21 @@ from .xml_model import (
 # ----------------------------------------------------------------------
 # Edits
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Inserted:
+    """An insertion under the node ``parent_id``.  A plain record: nothing
+    modifies or hashes one once made, and callers must not modify it."""
+
     parent_id: int
     tree: XmlTree  # the statement's payload; a fresh-id copy of it is placed
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Deleted:
+    """The deletion of child ``node_id`` of the node ``parent_id``.  A plain
+    record: nothing modifies or hashes one once made, and callers must not
+    modify it."""
+
     parent_id: int
     node_id: int
     tree: XmlTree  # the removed subtree
@@ -95,7 +102,7 @@ def edit_to_json(edit: Edit) -> str:
 # ----------------------------------------------------------------------
 # Planning
 
-@dataclass
+@dataclass(slots=True)
 class PlannedOp:
     """One collapsed application of the statement's action, resolved to edits.
 
@@ -103,7 +110,8 @@ class PlannedOp:
     statement carries exactly one action, so its node id is the whole key.
     For a binding deletion the target is the removed tree itself.
     ``parent`` is the node the ``edits`` land under.  An application that
-    matches nothing keeps its place in the plan, with no edits.
+    matches nothing keeps its place in the plan, with no edits.  A plain
+    record, like the edits: nothing modifies or hashes one once planned.
     """
 
     target: XmlTree

@@ -28,7 +28,9 @@ before an edit could reach inside it.  Route B updates the instance
 evaluated on the sources over their own, uncopied rows, after copying the
 rows of the wrappers that hold an edit parent of either plan or one of its
 ancestors (copy on write, as in path copying), read off the sources'
-``xml_model.Ancestry``, as the planner reads a parent.  Route A applies the
+``xml_model.Ancestry``, as the planner reads a parent.  Only an ancestor at
+a depth where the view's rows lie can be a row, so a plan whose edit
+parents all lie above the rows reads no wrapper.  Route A applies the
 source update to the sources themselves and reads its view off the probe
 index, as wrappers over the shown tuples' uncopied rows; once correctness
 and minimality are judged, every planned parent gets back the very child
@@ -71,7 +73,7 @@ from .evaluator import (
     view_tree,
     where_holds,
 )
-from .lang import DeleteBinding, UpdateStatement, ViewDef
+from .lang import DeleteBinding, UpdateStatement, ViewDef, expand_path
 from .translator import Case
 from .updater import (
     Deleted,
@@ -202,9 +204,10 @@ def _compute_routes(
     plan = plan_update(source_update, store)
     via_view = evaluate_view(view, store, copy_rows=False)
     ancestry, copied = Ancestry(store), set()
-    _copy_rows(plan, via_view, ancestry, copied)
+    depths = _row_depths(view)
+    _copy_rows(plan, via_view, ancestry, copied, depths)
     view_plan = plan_update(view_update, via_view)
-    if _copy_rows(view_plan, via_view, ancestry, copied):
+    if _copy_rows(view_plan, via_view, ancestry, copied, depths):
         view_plan = plan_update(view_update, via_view)
     with _executed(view_plan), _executed(plan) as (log, put_back):
         index = _ProbeIndex(view, store, ancestry)
@@ -224,8 +227,19 @@ def _compute_routes(
         )
 
 
+def _row_depths(view: ViewDef) -> set[int]:
+    """The depths at which the view's row trees lie in their documents: a
+    return ``{v/γ}`` locates trees |γ| steps below ``v``'s node, which lies
+    as deep as ``v``'s binding path, expanded to its document, reaches."""
+    return {len(expand_path(view, ret.var, ret.gamma)[1]) - 1 for ret in view.returns}
+
+
 def _copy_rows(
-    plan: list[PlannedOp], instance: ViewInstance, ancestry: Ancestry, copied: set[int]
+    plan: list[PlannedOp],
+    instance: ViewInstance,
+    ancestry: Ancestry,
+    copied: set[int],
+    depths: set[int],
 ) -> bool:
     """Copy the rows of each wrapper not in ``copied`` that has a row tree
     on the chain of a plan's edit parent, add it to ``copied``, and return
@@ -233,18 +247,24 @@ def _copy_rows(
     root, a wrapper, or a node of a row copied already.  Such a row's
     wrapper is in ``copied``, so its chain would copy nothing, and asking
     ``ancestry`` about a copy's fresh ids would read every level of the
-    sources still unread, only to find no parent."""
+    sources still unread, only to find no parent.
+
+    Only the chain nodes at a row depth (``_row_depths``) can be row trees,
+    and a node's depth is its distance from the chain's end, a document
+    root.  The wrappers are scanned only when such a node is left, so a
+    plan whose edit parents lie above every row, such as a root deletion's,
+    reads no wrapper's rows."""
     wrappers = instance.tree.children or []
     owned = {id(instance.tree), *map(id, wrappers)}
     for i in copied:
         owned.update(id(n) for row in wrappers[i].children for n in iter_nodes(row))
     parents = {id(op.parent): op.parent for op in plan if op.edits}
-    reached = {
-        node
-        for key, parent in parents.items()
-        if key not in owned
-        for node in ancestry.chain(parent)
-    }
+    reached = set()
+    for key, parent in parents.items():
+        if key not in owned:
+            chain = ancestry.chain(parent)
+            top = len(chain) - 1  # chain[k] lies top - k below its root
+            reached.update(chain[top - d] for d in depths if d <= top)
     if not reached:
         return False
     fresh = [
@@ -651,8 +671,10 @@ def run_lemma_suite(routes: _Routes, case: Case) -> list[tuple[str, bool]]:
     view's for-clause, a binding deletion deletes a view variable, and the
     view update's context form (``updater.context_form``) pairs its
     condition and target inside a wrapper, below the view root.  Every
-    translation meets it; for any other statement (a hand-written one, say)
-    the suite reports no lemmas.
+    translation meets it, and so may a hand-written statement, which
+    ``xview verify --delta-s`` judges under the translation's case; for any
+    other statement (one that renames the view's variables, say) the suite
+    reports no lemmas.
 
     The suite runs only on translations already found correct.  Agreement of
     the two routes at the target view path is therefore not checked here: it

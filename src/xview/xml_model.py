@@ -412,6 +412,13 @@ class DocumentStore:
         return out
 
     def find_node(self, node_id: int) -> Optional[XmlTree]:
+        """The node of this store with id ``node_id``, or None.  A document
+        root is matched before any tree is walked, so finding one reads no
+        other node: a minimality probe's redo replays onto a store holding
+        just its edit's parent."""
+        for tree in self.docs.values():
+            if tree.node_id == node_id:
+                return tree
         for tree in self.docs.values():
             for node in iter_nodes(tree):
                 if node.node_id == node_id:

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from xview import cli, verifier, xml_model
+from xview import cli, evaluator, verifier, xml_model
 from xview.cli import main
 from xview.lang import parse_update
 from xview.xml_model import parse_document, serialize, value_equal
@@ -640,7 +640,8 @@ def test_repeat_demo_is_rejected_as_unwritable(capsys):
 def test_unguarded_demo_fails_correctness_with_no_lemmas(capsys):
     # the README translation without its appended x/title="IS": Susan lands
     # in every book whose title some subject's matches, so a wrapper whose
-    # title is not "IS" shows her too; --delta-s runs no lemma
+    # title is not "IS" shows her too; the lemmas judge only a correct
+    # statement, so none runs
     argv = [
         "verify",
         "--view",
@@ -732,6 +733,87 @@ def test_exhausted_interpreter_exits_with_eval_error(
     assert captured.out == ""
     err = captured.err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
+
+
+# the Baseline's three-way product of 60 A's: 216,000 tuples unless a
+# budget stops the enumeration
+PRODUCT_BINDINGS = 'for x in doc("s")/R/A, y in doc("s")/R/A, z in doc("s")/R/A'
+PRODUCT_ERROR = (
+    "error: the bindings x, y, z would enumerate more than 10,000 tuples "
+    "(9,960 reached, the next partial tuple adds 60)\n"
+)
+
+
+@pytest.fixture
+def product(tmp_path, monkeypatch):
+    monkeypatch.setattr(evaluator, "TUPLE_BUDGET", 10_000)
+    paths = {}
+    for name, content in {
+        "s.xml": "<R>" + "<A><C>1</C><T/></A>" * 60 + "</R>",
+        "eval.xq": f"<v>{{{PRODUCT_BINDINGS} return <e>{{x/C}}</e>}}</v>",
+        "view.xq": f"<v>{{{PRODUCT_BINDINGS} return <e>{{x/C}}{{x/T}}</e>}}</v>",
+        "update.xq": 'for r in v/e where r/C="1" update r/T { insert <U>1</U> }',
+        "apply.xq": f'{PRODUCT_BINDINGS} where x/C="1" update x/T {{ insert <U>1</U> }}',
+    }.items():
+        (tmp_path / name).write_text(content, encoding="utf-8")
+        paths[name] = str(tmp_path / name)
+    return paths
+
+
+def test_a_product_past_the_tuple_budget_exits_4(product, capsys):
+    # each command stops at the level that would pass the budget, before
+    # it is built, and names the bindings and the count reached
+    doc = ["--doc", f"s={product['s.xml']}"]
+    for argv in (
+        ["eval", "--view", product["eval.xq"], *doc],
+        ["apply", "--update", product["apply.xq"], *doc],
+        ["verify", "--view", product["view.xq"], "--update", product["update.xq"], *doc],
+    ):
+        assert main(argv) == 4, argv
+        assert capsys.readouterr() == ("", PRODUCT_ERROR)
+
+
+def test_a_product_past_the_tuple_budget_allocates_little(product, capsys):
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        code = main(["eval", "--view", product["eval.xq"], "--doc", f"s={product['s.xml']}"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 4 and capsys.readouterr().err == PRODUCT_ERROR
+    # the whole product takes about 170 MB; the 10,000 tuples built take 10
+    assert peak < 40_000_000
+
+
+def test_lemma_demo_flags_a_hand_written_statement(capsys):
+    # precise on its one-A document, but it deletes under the A's whose C
+    # is 2 where the view update deletes under those whose C is 1: under
+    # the translation's case, L3 flags it.  No case is reported
+    argv = [
+        "verify",
+        "--view",
+        str(DEMO / "lemma_view.xq"),
+        "--update",
+        str(DEMO / "lemma_update.xq"),
+        "--doc",
+        f"s={DEMO / 'lemma.xml'}",
+        "--delta-s",
+        str(DEMO / "lemma_swapped.xq"),
+    ]
+    assert main([*argv, "--format", "json"]) == 5
+    assert json.loads(capsys.readouterr().out) == {
+        "correct": True,
+        "minimal": True,
+        "diff": None,
+        "witness": None,
+        "lemmas": {"L1": True, "L2": True, "L3": False},
+    }
+    assert main(argv) == 5
+    assert capsys.readouterr().out == (
+        "correct: true\nminimal: true\nlemmas: L1=pass L2=pass L3=FAIL\n"
+    )
 
 
 def test_readme_library_block_runs(capsys, monkeypatch):

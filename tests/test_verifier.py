@@ -1705,7 +1705,7 @@ def test_the_reader_is_asked_only_about_nodes_of_the_sources(monkeypatch):
     verified = skipping = 0
     copy_rows = verifier._copy_rows
 
-    def counted(plan, instance, ancestry, copied) -> bool:
+    def counted(plan, instance, ancestry, copied, *rest) -> bool:
         # whether the plan has an edit parent inside a row copied already
         nonlocal skipping
         wrappers = instance.tree.children or []
@@ -1716,7 +1716,7 @@ def test_the_reader_is_asked_only_about_nodes_of_the_sources(monkeypatch):
             for node in iter_nodes(row)
         }
         skipping += any(id(op.parent) in inside for op in plan if op.edits)
-        return copy_rows(plan, instance, ancestry, copied)
+        return copy_rows(plan, instance, ancestry, copied, *rest)
 
     monkeypatch.setattr(verifier, "_copy_rows", counted)
     for seed in range(5):
@@ -1731,6 +1731,169 @@ def test_the_reader_is_asked_only_about_nodes_of_the_sources(monkeypatch):
                 assert report.passed
                 verified += 1
     assert (verified, skipping, foreign) == (442, 110, [])
+
+
+def _full_scan_copies(plan, instance, ancestry, copied) -> set[int]:
+    """The wrappers the copy rule copies when it scans with every node of
+    each chain, as it did before its row-depth bound: each wrapper not yet
+    copied with a row tree on the chain of an edit parent the instance
+    does not own."""
+    wrappers = instance.tree.children or []
+    owned = {id(instance.tree), *map(id, wrappers)}
+    for i in copied:
+        owned.update(id(n) for row in wrappers[i].children for n in iter_nodes(row))
+    reached = {
+        node
+        for op in plan
+        if op.edits and id(op.parent) not in owned
+        for node in ancestry.chain(op.parent)
+    }
+    return {
+        i
+        for i, wrapper in enumerate(wrappers)
+        if i not in copied and not reached.isdisjoint(wrapper.children)
+    }
+
+
+def _against_the_full_scan(monkeypatch) -> list[int]:
+    """Make every copy-rule call check that it copies exactly the wrappers
+    the full scan names; the list returned counts the calls and those that
+    copied."""
+    counts, copy_rows = [0, 0], verifier._copy_rows
+
+    def checked(plan, instance, ancestry, copied, depths) -> bool:
+        want, before = _full_scan_copies(plan, instance, ancestry, copied), set(copied)
+        assert copy_rows(plan, instance, ancestry, copied, depths) == bool(want)
+        assert copied - before == want and before <= copied
+        counts[0] += 1
+        counts[1] += bool(want)
+        return bool(want)
+
+    monkeypatch.setattr(verifier, "_copy_rows", checked)
+    return counts
+
+
+def _two_depth_doc(rng: random.Random) -> DocumentStore:
+    """Documents for TWO_DEPTH_VIEW: its x/K and x/P rows lie two below the
+    root of s, its y/Q rows three below the root of t."""
+    def items(tag: str, kid: str) -> str:
+        return "".join(
+            f"<{tag}><K>k{rng.randrange(3)}</K><{kid}><M><L>{rng.randrange(2)}</L></M>"
+            f"</{kid}></{tag}>"
+            for _ in range(rng.randint(1, 4))
+        )
+
+    store = DocumentStore()
+    store.add("s", parse_document(f"<R>{items('A', 'P')}</R>"))
+    bs = "".join(f"<B>{items('D', 'Q')}</B>" for _ in range(rng.randint(1, 3)))
+    store.add("t", parse_document(f"<S>{bs}</S>"))
+    return store
+
+
+TWO_DEPTH_VIEW = (
+    '<v>{for x in doc("s")/R/A, y in doc("t")/S/B/D where x/K=y/K '
+    "return <e>{x/K}{x/P}{y/Q}</e>}</v>"
+)
+
+
+def test_the_bounded_copy_rule_copies_what_the_full_scan_copies(monkeypatch):
+    # the copy rule keeps only the chain nodes at a row depth; it must copy
+    # the very wrappers a scan with the whole chain copies, on fuzz cases,
+    # the join-session verifies and a two-document view whose rows lie at
+    # two depths, with edit parents at a row (P, T1) and inside one (Q/M,
+    # T2)
+    counts = _against_the_full_scan(monkeypatch)
+    verified = 0
+    for seed in range(5):
+        rng = random.Random(seed)
+        for _ in range(200):
+            case = random_case(rng)
+            out = translate(case.view, case.update)
+            if isinstance(out, Translated):
+                report = verify_translation(
+                    case.view, case.update, out.statement, case.store, out.case
+                )
+                assert report.passed
+                verified += 1
+    assert verified == 442
+    view = parse_view_def(QBK_VIEW)
+    for text, case in (
+        ('r/title="t03" update r/auths { insert <aName>n1</aName> }', Case.T1),
+        ('r/title="t03" update r/profs { insert <k>1</k> }', Case.T2),
+    ):
+        dv = parse_update(f"for r in view(Qbk)/Qbk/use where {text}")
+        out = translate(view, dv)
+        assert isinstance(out, Translated) and out.case is case
+        report = verify_translation(view, dv, out.statement, join_session_store(), case)
+        assert report.passed
+    assert counts[1] > 100
+    view = parse_view_def(TWO_DEPTH_VIEW)
+    rng, copying = random.Random(5), {}
+    for _ in range(40):
+        for text in (
+            'where r/K="k1" update r/P { insert <Z>1</Z> }',
+            'where r/K="k1" update r/Q/M { insert <Z>1</Z> }',
+        ):
+            dv = parse_update(f"for r in v/e {text}")
+            out = translate(view, dv)
+            assert isinstance(out, Translated)
+            before = counts[1]
+            report = verify_translation(
+                view, dv, out.statement, _two_depth_doc(rng), out.case
+            )
+            assert report.passed
+            copying[text] = copying.get(text, 0) + (counts[1] > before)
+    # the verifies that copied a row, per depth of the edited rows
+    assert list(copying.values()) == [20, 17]
+
+
+class _ReadRows(list):
+    """A wrapper's row list that counts the times it is read while
+    ``_ReadRows.on[0]`` is set."""
+
+    on, reads = [False], [0]
+
+    def __iter__(self):
+        self.reads[0] += self.on[0]
+        return super().__iter__()
+
+
+@pytest.mark.parametrize(
+    "update, reads", [(ROOT_DELETION, 0), (LABEL_DELETION, 240)], ids=["T4", "label"]
+)
+def test_a_root_deletion_copy_rule_reads_no_wrapper(update, reads, monkeypatch):
+    # a T4 verify's only reached node is the document root, above every
+    # row (the rows lie two below it), so the copy rule reads no wrapper's
+    # rows; the label deletion's edit parents are rows (T), so its source
+    # plan tests all 160 wrappers and copies the 80 it reaches, and its view
+    # plan's parents lie in those copies
+    view, dv = parse_view_def(ITEMS_VIEW), parse_update(update)
+    out = translate(view, dv)
+    assert isinstance(out, Translated)
+    evaluate, copy_rows = verifier.evaluate_view, verifier._copy_rows
+    _ReadRows.reads[0] = 0
+
+    def evaluating(*args, **kwargs):
+        instance = evaluate(*args, **kwargs)
+        for wrapper in instance.tree.children:
+            wrapper.children = _ReadRows(wrapper.children)
+        return instance
+
+    def copying(*args) -> bool:
+        _ReadRows.on[0] = True
+        try:
+            return copy_rows(*args)
+        finally:
+            _ReadRows.on[0] = False
+
+    monkeypatch.setattr(verifier, "evaluate_view", evaluating)
+    monkeypatch.setattr(verifier, "_copy_rows", copying)
+    items = "".join(
+        f"<A><C>{1 + i % 2}</C><T><W>w{i}</W><W>v{i}</W></T></A>" for i in range(160)
+    )
+    store = _single_doc_store(f"<R>{items}</R>")
+    assert verify_translation(view, dv, out.statement, store, out.case).passed
+    assert _ReadRows.reads == [reads]
 
 
 def test_no_level_is_first_read_in_route_a_state(monkeypatch):

@@ -314,6 +314,34 @@ def test_store_unknown_document():
         store.add("d", parse_document("<d/>"))
 
 
+def test_find_node_matches_each_root_before_walking(monkeypatch):
+    # a root is found without a walk, even the second document's; any other
+    # node by walking the trees in turn; a missing id gives None
+    store = DocumentStore()
+    store.add("s", parse_document("<R><A><B><C>1</C></B></A></R>"))
+    store.add("t", parse_document("<S><D>2</D></S>"))
+    walked: list[str] = []
+    walk = xml_model.iter_nodes
+
+    def counted(tree):
+        walked.append(tree.label)
+        return walk(tree)
+
+    monkeypatch.setattr(xml_model, "iter_nodes", counted)
+    for root in store.docs.values():
+        assert store.find_node(root.node_id) is root
+    assert walked == []
+    deep = store.docs["s"].children[0].children[0].children[0]
+    assert deep.label == "C" and store.find_node(deep.node_id) is deep
+    assert walked == ["R"]
+    leaf = store.docs["t"].children[0]
+    assert store.find_node(leaf.node_id) is leaf
+    assert walked == ["R", "R", "S"]
+    ids = {n.node_id for t in store.docs.values() for n in walk(t)}
+    assert store.find_node(max(ids) + 1) is None
+    assert walked == ["R", "R", "S", "R", "S"]
+
+
 # ----------------------------------------------------------------------
 # Property tests
 
