@@ -12,6 +12,7 @@ import json
 import random
 import sys
 from pathlib import Path
+from typing import Optional
 
 from .errors import (
     LevelMismatch,
@@ -22,8 +23,15 @@ from .errors import (
 )
 from .evaluator import evaluate_view
 from .fuzzgen import random_case
-from .lang import parse_update, parse_view_def, render_update
-from .translator import Rejected, Translated, rejection_to_json, translate
+from .lang import UpdateStatement, ViewDef, parse_update, parse_view_def, render_update
+from .translator import (
+    Case,
+    Rejected,
+    Translated,
+    TranslationOutcome,
+    rejection_to_json,
+    translate,
+)
 from .updater import apply_update, edit_to_json
 from .verifier import verify_translation
 from .xml_model import DocumentStore, parse_document, serialize
@@ -118,32 +126,51 @@ def cmd_apply(args) -> int:
     return EXIT_OK
 
 
+def _lemma_case(
+    view: ViewDef, outcome: Optional[TranslationOutcome], statement: UpdateStatement
+) -> Optional[Case]:
+    """The case under which ``verify --delta-s`` runs the lemma suite on the
+    hand-written ``statement``: the translation's, when the statement adds
+    to the view's for-clause bindings over the very paths the translated
+    statement's added bindings take, under any names.  The lemmas pair the
+    added bindings' extensions with the view update's context nodes, which
+    holds for those paths alone; for any other statement no lemma runs."""
+    if not isinstance(outcome, Translated):
+        return None
+    n = len(view.bindings)
+    added = [b.source for b in statement.bindings[n:]]
+    if added != [b.source for b in outcome.statement.bindings[n:]]:
+        return None
+    return outcome.case
+
+
 def cmd_verify(args) -> int:
     view = parse_view_def(Path(args.view).read_text(encoding="utf-8"))
     view_update = parse_update(Path(args.update).read_text(encoding="utf-8"))
     store = _load_store(args.doc)
 
+    source_update = None
     if args.delta_s:
         source_update = parse_update(Path(args.delta_s).read_text(encoding="utf-8"))
         if source_update.level != "source":
             raise LevelMismatch("--delta-s expects a source-level update")
-        # the lemma suite judges the hand-written statement under the
-        # translation's case, if there is one; a source-level view update
-        # is left for the planner to refuse
-        outcome = translate(view, view_update) if view_update.level == "view" else None
-        case = outcome.case if isinstance(outcome, Translated) else None
-    else:
+    # under --delta-s a source-level view update is left for the planner to
+    # refuse
+    outcome = None
+    if view_update.level == "view" or not args.delta_s:
         outcome = translate(view, view_update)
+    if args.delta_s:
+        case = _lemma_case(view, outcome, source_update)
+    else:
         if isinstance(outcome, Rejected):
             _emit(args, json.dumps(rejection_to_json(outcome)))
             return EXIT_UNTRANSLATABLE
         source_update, case = outcome.statement, outcome.case
-    shown = None if args.delta_s else case  # the case of the statement judged
 
     report = verify_translation(view, view_update, source_update, store, case)
     payload = report.to_json()
-    if shown is not None:
-        payload["case"] = shown.value
+    if not args.delta_s:
+        payload["case"] = case.value
     if args.format == "json":
         _emit(args, json.dumps(payload))
     else:
@@ -151,8 +178,8 @@ def cmd_verify(args) -> int:
             f"correct: {str(report.correct).lower()}",
             f"minimal: {str(report.minimal).lower()}",
         ]
-        if shown is not None:
-            lines.append(f"case: {shown.value}")
+        if not args.delta_s:
+            lines.append(f"case: {case.value}")
         if report.view_diff:
             lines.append(f"diff: {json.dumps(report.view_diff)}")
         if report.witness:

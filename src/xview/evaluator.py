@@ -108,9 +108,10 @@ def bind_level(
     located once per distinct context node.  The scope is resolved first, so
     a level with no partial tuple still raises an unknown document or a root
     label mismatch, whatever the data.  Every enumeration of tuples goes
-    through here, so before a partial would extend the level past
-    ``TUPLE_BUDGET`` tuples, ``TupleBudgetExceeded`` is raised, naming the
-    bindings and the count reached."""
+    through here or, for a level whose nodes are the same for every
+    partial, through ``product_level``, so before a partial would extend the
+    level past ``TUPLE_BUDGET`` tuples, ``TupleBudgetExceeded`` is raised,
+    naming the bindings and the count reached."""
     context, steps = binding_scope(binding, store)
     located: dict[XmlTree, list[XmlTree]] = {}
     expanded: list[ForTuple] = []
@@ -121,17 +122,37 @@ def bind_level(
         if nodes is None:
             nodes = located[ctx] = locate(ctx, steps)
         if len(expanded) + len(nodes) > budget:
-            names = ", ".join([*partial, binding.var])
-            raise TupleBudgetExceeded(
-                f"the bindings {names} would enumerate more than {budget:,} "
-                f"tuples ({len(expanded):,} reached, the next partial tuple "
-                f"adds {len(nodes):,})"
-            )
+            raise _over_budget(partial, binding.var, len(expanded), len(nodes))
         for node in nodes:
             assignment = dict(partial)
             assignment[binding.var] = node
             expanded.append(assignment)
     return expanded
+
+
+def product_level(
+    partials: list[ForTuple], var: str, nodes: list[XmlTree]
+) -> list[ForTuple]:
+    """Each partial tuple, in order, extended by every one of ``nodes`` under
+    ``var``: a level whose nodes do not depend on the partial, under the
+    same budget as ``bind_level``, which raises at the same partial with
+    the same message."""
+    if nodes and len(partials) * len(nodes) > TUPLE_BUDGET:
+        fit = TUPLE_BUDGET // len(nodes)  # the partials that fit in full
+        raise _over_budget(partials[fit], var, fit * len(nodes), len(nodes))
+    return [{**p, var: n} for p in partials for n in nodes]
+
+
+def _over_budget(
+    partial: ForTuple, var: str, reached: int, adding: int
+) -> TupleBudgetExceeded:
+    """The error for a level of ``reached`` tuples that ``partial``, bound
+    on by ``var``, would extend by ``adding`` past ``TUPLE_BUDGET``."""
+    names = ", ".join([*partial, var])
+    return TupleBudgetExceeded(
+        f"the bindings {names} would enumerate more than {TUPLE_BUDGET:,} "
+        f"tuples ({reached:,} reached, the next partial tuple adds {adding:,})"
+    )
 
 
 def _by_level(

@@ -68,6 +68,7 @@ from .evaluator import (
     bind_level,
     binding_scope,
     evaluate_view,
+    product_level,
     row_trees,
     satisfying_tuples,
     view_tree,
@@ -591,7 +592,7 @@ class _ProbeIndex:
             )
         for var, partials, rest, later in recipes:
             nodes = locate(restored, rest)
-            level = [{**p, var: n} for p in partials for n in nodes]
+            level = product_level(partials, var, nodes)
             for binding in later:
                 level = bind_level(binding, level, self.store)
             if any(self.holds(level)):
@@ -672,9 +673,11 @@ def run_lemma_suite(routes: _Routes, case: Case) -> list[tuple[str, bool]]:
     view update's context form (``updater.context_form``) pairs its
     condition and target inside a wrapper, below the view root.  Every
     translation meets it, and so may a hand-written statement, which
-    ``xview verify --delta-s`` judges under the translation's case; for any
-    other statement (one that renames the view's variables, say) the suite
-    reports no lemmas.
+    ``xview verify --delta-s`` judges under the translation's case when its
+    added bindings take the translated statement's paths (``cli._lemma_case``
+    checks that, since the pairing L3 reads holds for those paths alone);
+    for any other statement (one that renames the view's variables, say) the
+    suite reports no lemmas.
 
     The suite runs only on translations already found correct.  Agreement of
     the two routes at the target view path is therefore not checked here: it

@@ -816,6 +816,54 @@ def test_lemma_demo_flags_a_hand_written_statement(capsys):
     )
 
 
+def _verify_hand_statement(tmp_path, demo: str, doc: str, statement: str) -> int:
+    path = tmp_path / "hand.xq"
+    path.write_text(statement, encoding="utf-8")
+    return main(
+        [
+            "verify",
+            "--view",
+            str(DEMO / f"{demo}_view.xq"),
+            "--update",
+            str(DEMO / f"{demo}_update.xq"),
+            "--doc",
+            f"s={DEMO / doc}",
+            "--delta-s",
+            str(path),
+            "--format",
+            "json",
+        ]
+    )
+
+
+def test_a_hand_statement_binding_what_the_translation_does_not_runs_no_lemma(
+    tmp_path, capsys
+):
+    # the same edits as the translation on every document, through a
+    # binding the translation does not add: the lemmas, stated for the
+    # translation's bindings, would pair each A's B's with its one context
+    statement = 'for x in doc("s")/R/A, y in x/B where x/C="1" update y { delete D }'
+    assert _verify_hand_statement(tmp_path, "lemma", "lemma.xml", statement) == 0
+    assert json.loads(capsys.readouterr().out)["lemmas"] == {}
+
+
+def test_a_hand_statement_renaming_the_added_binding_runs_the_lemmas(
+    tmp_path, capsys
+):
+    # the translation adds c in x/B; the same path under another name keeps
+    # the lemmas' pairing
+    statement = (
+        'for x in doc("s")/R/A, b in x/B where b/C="1" '
+        "update b/D { insert <F>f</F> }"
+    )
+    assert _verify_hand_statement(tmp_path, "nested", "nested.xml", statement) == 0
+    assert json.loads(capsys.readouterr().out)["lemmas"] == {
+        "L1": True,
+        "L2": True,
+        "L3": True,
+    }
+
+
 def test_readme_library_block_runs(capsys, monkeypatch):
     readme = (DEMO.parent / "README.md").read_text(encoding="utf-8")
     library = readme[readme.index("## Library") :]

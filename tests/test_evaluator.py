@@ -9,7 +9,12 @@ import random
 
 import pytest
 
-from xview.errors import RootLabelMismatch, UnknownDocument, XviewError
+from xview.errors import (
+    RootLabelMismatch,
+    TupleBudgetExceeded,
+    UnknownDocument,
+    XviewError,
+)
 from xview import evaluator, updater
 from xview.evaluator import (
     bind_level,
@@ -442,6 +447,35 @@ def test_bind_level_matches_the_per_partial_reference():
             assert _same_tuples(got, want), binding
             partials, levels = got, levels + 1
     assert levels > 21  # some views have several levels
+
+
+def test_product_level_builds_and_stops_as_bind_level_does(monkeypatch):
+    # y's nodes are the same for every partial: product_level over them
+    # gives bind_level's level, or its error at the same partial
+    view = parse_view_def(
+        '<v>{for x in doc("s")/R/A, y in doc("s")/R/A return <e>{x}</e>}</v>'
+    )
+    store = DocumentStore()
+    store.add("s", parse_document("<R><A/><A/><A/></R>"))
+    first, second = view.bindings
+    partials = bind_level(first, [{}], store)
+    nodes = locate(store.get("s"), ("A",))
+
+    def outcome(build):
+        try:
+            return build()
+        except TupleBudgetExceeded as err:
+            return str(err)
+
+    for budget in range(11):
+        monkeypatch.setattr(evaluator, "TUPLE_BUDGET", budget)
+        got = outcome(lambda: evaluator.product_level(partials, "y", nodes))
+        want = outcome(lambda: bind_level(second, partials, store))
+        if isinstance(want, str):
+            assert got == want, budget
+        else:
+            assert _same_tuples(got, want), budget
+    assert evaluator.product_level(partials, "y", []) == []
 
 
 def test_bind_level_locates_once_per_distinct_context(monkeypatch):
