@@ -136,11 +136,18 @@ def product_level(
     """Each partial tuple, in order, extended by every one of ``nodes`` under
     ``var``: a level whose nodes do not depend on the partial, under the
     same budget as ``bind_level``, which raises at the same partial with
-    the same message."""
-    if nodes and len(partials) * len(nodes) > TUPLE_BUDGET:
-        fit = TUPLE_BUDGET // len(nodes)  # the partials that fit in full
-        raise _over_budget(partials[fit], var, fit * len(nodes), len(nodes))
+    the same message (``check_product``)."""
+    check_product(partials, var, len(nodes))
     return [{**p, var: n} for p in partials for n in nodes]
+
+
+def check_product(partials: list[ForTuple], var: str, width: int) -> None:
+    """Raise ``TupleBudgetExceeded`` as ``product_level`` would on extending
+    ``partials`` by ``width`` nodes each under ``var``, for a reader that
+    needs to know only whether such a level is empty."""
+    if width and len(partials) * width > TUPLE_BUDGET:
+        fit = TUPLE_BUDGET // width  # the partials that fit in full
+        raise _over_budget(partials[fit], var, fit * width, width)
 
 
 def _over_budget(
@@ -315,7 +322,8 @@ def eval_condition(atoms: Sequence[ConditionAtom], tup: ForTuple) -> bool:
     comparing each in turn and stopping at the first match.  An empty
     relative path denotes the binding itself; an empty conjunction is true.
     A path=string atom over a one-name path, the commonest, reads the
-    binding's children in place, as ``locate`` would locate them.
+    binding's children in place, as ``locate`` would locate them, and a text
+    leaf's text without a ``string_value`` call, which only an element needs.
     """
     for atom in atoms:
         var, names = atom.lhs
@@ -324,7 +332,9 @@ def eval_condition(atoms: Sequence[ConditionAtom], tup: ForTuple) -> bool:
             if len(names) == 1:  # locate's one-name case, without the call
                 name = names[0]
                 for node in tup[var].children or ():
-                    if node.label == name and string_value(node) == value:
+                    if node.label == name and (
+                        node.text if node.text is not None else string_value(node)
+                    ) == value:
                         break
                 else:  # no located subtree holds the literal
                     return False

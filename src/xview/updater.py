@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterator, Union
+from typing import Iterator, Optional, Union
 
 from .errors import LevelMismatch, TargetIsRoot, TargetNotElement
 from .evaluator import (
@@ -282,19 +282,25 @@ def plan_update(stmt: UpdateStatement, target) -> list[PlannedOp]:
 # ----------------------------------------------------------------------
 # Execution
 
-def _mutate(parent: XmlTree, edit: Edit) -> None:
+def _mutate(parent: XmlTree, edit: Edit, at: Optional[int] = None) -> None:
     """Replay one edit: append a fresh-id copy of an insertion's tree, or
     remove a deleted child in place.
 
-    The child is found by identity when the logged subtree itself is back
-    under its parent (a minimality probe's redo), else by id (a replay onto
-    an id-preserving copy of the store); a child that is not there is left
+    A deleted child is taken from index ``at`` of the child list when it
+    holds the logged subtree itself: a minimality probe's redo passes the
+    restore point its undo put that subtree back at, so the redo costs one
+    lookup.  Otherwise the child is found by identity when the logged
+    subtree itself is back under its parent, else by id (a replay onto an
+    id-preserving copy of the store); a child that is not there is left
     alone.
     """
     if isinstance(edit, Inserted):
         parent.children = (parent.children or []) + [copy_tree(edit.tree)]
         return
     children = parent.children or []
+    if at is not None and at < len(children) and children[at] is edit.tree:
+        del children[at]
+        return
     try:
         at = children.index(edit.tree)
     except ValueError:
@@ -346,12 +352,20 @@ def apply_update(stmt: UpdateStatement, target) -> list[Edit]:
     return execute_plan(plan_update(stmt, target))
 
 
-def replay_edits(edits: list[Edit], store: DocumentStore) -> None:
+def replay_edits(
+    edits: list[Edit], store: DocumentStore, places: Optional[dict[int, int]] = None
+) -> None:
     """Re-apply a recorded edit log, one edit at a time, to a store holding
     the logged parents' ids: an id-preserving copy of the pre-edit store, or
-    the updated store itself with edits undone in place."""
+    the updated store itself with edits undone in place.
+
+    ``places`` maps a deleted child's id to the index its parent's list is
+    expected to hold it at, such as a probe's restore point; ``_mutate``
+    checks that index first and finds a child not there as it finds any
+    other."""
     for edit in edits:
         parent = store.find_node(edit.parent_id)
         if parent is None:
             raise ValueError(f"edit parent {edit.parent_id} not found in store")
-        _mutate(parent, edit)
+        at = places.get(edit.node_id) if places and isinstance(edit, Deleted) else None
+        _mutate(parent, edit, at)

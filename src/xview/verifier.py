@@ -59,6 +59,7 @@ from __future__ import annotations
 import contextlib
 import itertools
 import json
+import operator
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
@@ -67,6 +68,7 @@ from .evaluator import (
     ViewInstance,
     bind_level,
     binding_scope,
+    check_product,
     evaluate_view,
     product_level,
     row_trees,
@@ -250,22 +252,34 @@ def _copy_rows(
     ``ancestry`` about a copy's fresh ids would read every level of the
     sources still unread, only to find no parent.
 
+    The root is set aside by identity.  The ids of the instance's other
+    nodes are gathered only when some parent could be one: a parent that
+    bears the wrappers' label, or any parent once a row is copied.
+
     Only the chain nodes at a row depth (``_row_depths``) can be row trees,
     and a node's depth is its distance from the chain's end, a document
     root.  The wrappers are scanned only when such a node is left, so a
     plan whose edit parents lie above every row, such as a root deletion's,
-    reads no wrapper's rows."""
+    reads no wrapper's rows; a root deletion's verify builds no id set
+    either, for the source plan or the view update's."""
     wrappers = instance.tree.children or []
-    owned = {id(instance.tree), *map(id, wrappers)}
-    for i in copied:
-        owned.update(id(n) for row in wrappers[i].children for n in iter_nodes(row))
     parents = {id(op.parent): op.parent for op in plan if op.edits}
+    parents.pop(id(instance.tree), None)
+    label = wrappers[0].label if wrappers else None
+    owned: Optional[set[int]] = None  # made at the first parent it could hold
     reached = set()
     for key, parent in parents.items():
-        if key not in owned:
-            chain = ancestry.chain(parent)
-            top = len(chain) - 1  # chain[k] lies top - k below its root
-            reached.update(chain[top - d] for d in depths if d <= top)
+        if copied or parent.label == label:
+            if owned is None:
+                owned = set(map(id, wrappers))
+                for i in copied:
+                    rows = wrappers[i].children
+                    owned.update(id(n) for row in rows for n in iter_nodes(row))
+            if key in owned:
+                continue
+        chain = ancestry.chain(parent)
+        top = len(chain) - 1  # chain[k] lies top - k below its root
+        reached.update(chain[top - d] for d in depths if d <= top)
     if not reached:
         return False
     fresh = [
@@ -392,7 +406,9 @@ def check_minimality(routes: _Routes) -> tuple[bool, Optional[Edit]]:
     child list, so a probe re-checks only the tuples that reach that parent,
     off ``routes.index``, and the whole view only where rows could move.
     The parent and, for a deletion, its restore point are read off route
-    A's put-back record (``routes.put_back``).  What a probe reads of its
+    A's put-back record (``routes.put_back``); the redo is handed the
+    restore points, so it takes a restored child out at its own index, not
+    by scanning the parent's child list.  What a probe reads of its
     parent alone (``_ParentProbe``: its ancestors, the tuples that bind
     them, the batches a restored child can add, and a store holding just
     the parent, onto which the redo replays the edit, so finding the parent
@@ -415,7 +431,7 @@ def check_minimality(routes: _Routes) -> tuple[bool, Optional[Edit]]:
         try:
             same = routes.index.unchanged_without(edit, probe, moved, wrappers)
         finally:
-            replay_edits([edit], probe.redo)
+            replay_edits([edit], probe.redo, points)
         if isinstance(edit, Inserted):
             # the redo appended a fresh-id copy: keep the indexed node
             probe.parent.children[-1] = moved
@@ -584,14 +600,23 @@ class _ProbeIndex:
         that label and kept on ``probe``.  The batches are made in that
         order, one at a time, each tested with ``holds``, and the answer is
         given at the first batch that shows a row, so no later batch is
-        made."""
+        made.  Where the view has no where clause and a batch no later
+        binding, every tuple of it shows a row, so it shows one exactly when
+        its path reaches some node: the batch is not built, only checked
+        against the tuple budget as ``product_level`` checks it."""
         recipes = probe.recipes.get(restored.label)
         if recipes is None:
             recipes = probe.recipes[restored.label] = self._recipes(
                 probe.chain, restored.label
             )
+        clause_free = not self.view.conditions
         for var, partials, rest, later in recipes:
             nodes = locate(restored, rest)
+            if clause_free and not later:
+                check_product(partials, var, len(nodes))
+                if nodes:  # the recipe's partials are never empty
+                    return True
+                continue
             level = product_level(partials, var, nodes)
             for binding in later:
                 level = bind_level(binding, level, self.store)
@@ -764,13 +789,16 @@ def _lemma3(routes: _Routes, form: UpdateStatement) -> bool:
     these very states (``routes.satisfied``).  The source plan enumerated
     every extension on the sources, and the view update's last plan every
     context node of the restored wrappers, so a verdict is a membership
-    test.  The suite's premise makes those the pairs L3 reads."""
+    test, a source tuple keyed by its nodes in the order the source
+    statement binds them.  The suite's premise makes those the pairs L3
+    reads."""
     (context,) = form.bindings
     below = context.source.steps[2:]  # the path from a wrapper to its contexts
     added = routes.source_update.bindings[len(routes.view.bindings) :]
     by_source, by_view = routes.satisfied
-    held = {tuple(t.values()) for t in by_source}
-    source_holds = lambda t: tuple(t.values()) in held
+    key = operator.itemgetter(*[b.var for b in routes.source_update.bindings])
+    held = set(map(key, by_source))
+    source_holds = lambda t: key(t) in held
     view_holds = {t[context.var] for t in by_view}.__contains__
     wrappers = routes.via_view.tree.children or ()
     pairs = zip(routes.via_view.tuples, wrappers, strict=True)

@@ -450,9 +450,9 @@ def test_t4_verify_replays_each_edit_once_and_never_copies_the_store(monkeypatch
     copies: list[int] = []
     replay, copy = verifier.replay_edits, DocumentStore.copy
 
-    def counted_replay(edits, target):
+    def counted_replay(edits, target, places=None):
         replays.append(len(edits))
-        return replay(edits, target)
+        return replay(edits, target, places)
 
     def counted_copy(self):
         copies.append(1)

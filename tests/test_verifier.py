@@ -11,7 +11,7 @@ from typing import Optional
 
 import pytest
 
-from xview.errors import XviewError
+from xview.errors import TupleBudgetExceeded, XviewError
 from xview import cli, evaluator, updater, verifier
 from xview.evaluator import ViewInstance, enumerate_bindings, evaluate_view, row_trees
 from xview.fuzzgen import gen_t1, gen_t2, random_case
@@ -1624,6 +1624,14 @@ def test_a_root_deletion_verify_reads_only_the_roots_child_lists(monkeypatch):
     assert [_child_lists_read(reader) for reader in checked] == [0]
 
 
+def _items_store(count: int) -> DocumentStore:
+    """``count`` items, alternately C=1 and C=2, each with one T of two Ws."""
+    items = "".join(
+        f"<A><C>{1 + i % 2}</C><T><W>w{i}</W><W>v{i}</W></T></A>" for i in range(count)
+    )
+    return _single_doc_store(f"<R>{items}</R>")
+
+
 @pytest.mark.parametrize("update", [ROOT_DELETION, LABEL_DELETION], ids=["T4", "label"])
 def test_probes_of_one_parent_read_its_chain_and_redo_store_once(update, monkeypatch):
     # a verify on 160 items: each edit parent's chain is asked for once,
@@ -1635,10 +1643,7 @@ def test_probes_of_one_parent_read_its_chain_and_redo_store_once(update, monkeyp
     dv = parse_update(update)
     out = translate(view, dv)
     assert isinstance(out, Translated)
-    items = "".join(
-        f"<A><C>{1 + i % 2}</C><T><W>w{i}</W><W>v{i}</W></T></A>" for i in range(160)
-    )
-    store = _single_doc_store(f"<R>{items}</R>")
+    store = _items_store(160)
     probing, counts = [False], {"chain": 0, "store": 0, "replay": 0}
     check, replay = verifier.check_minimality, verifier.replay_edits
 
@@ -1659,9 +1664,9 @@ def test_probes_of_one_parent_read_its_chain_and_redo_store_once(update, monkeyp
         finally:
             probing[0] = False
 
-    def replaying(edits, redo):
+    def replaying(edits, redo, places=None):
         counts["replay"] += probing[0]
-        return replay(edits, redo)
+        return replay(edits, redo, places)
 
     monkeypatch.setattr(verifier, "Ancestry", Counted)
     monkeypatch.setattr(verifier, "DocumentStore", CountedStore)
@@ -1682,6 +1687,200 @@ def test_probes_of_one_parent_read_its_chain_and_redo_store_once(update, monkeyp
     parents = len({edit.parent_id for edit in log})
     assert (parents, len(log)) == ((1, 80) if update == ROOT_DELETION else (80, 160))
     assert counts == {"chain": parents, "store": parents, "replay": len(log)}
+
+
+@pytest.mark.parametrize("update", [ROOT_DELETION, LABEL_DELETION], ids=["T4", "label"])
+def test_each_redo_removes_its_child_at_the_restore_point(update, monkeypatch):
+    # a probe's undo puts a deleted child back at its restore point, and the
+    # redo is handed that point: on 160 items no redo falls back to scanning
+    # the parent's child list, for the T4 deletion's 80 children of R or the
+    # label deletion's 160 Ws, two under each matching T
+    view, dv = parse_view_def(ITEMS_VIEW), parse_update(update)
+    out = translate(view, dv)
+    at_point: list[bool] = []
+    mutate = updater._mutate
+
+    def watched(parent, edit, at=None):
+        kids = parent.children or []
+        at_point.append(at is not None and at < len(kids) and kids[at] is edit.tree)
+        return mutate(parent, edit, at)
+
+    monkeypatch.setattr(updater, "_mutate", watched)
+    report = verify_translation(view, dv, out.statement, _items_store(160), out.case)
+    assert report.passed
+    assert at_point == [True] * (80 if update == ROOT_DELETION else 160)
+
+
+def test_a_redo_off_its_restore_point_finds_the_child_by_identity_then_by_id():
+    # a place that does not hold the logged subtree, or none, falls back to
+    # the identity scan; on an id-preserving copy the subtree itself is not
+    # there, and its id finds the copy of it
+    store = _single_doc_store("<R><A>1</A><A>2</A><A>3</A></R>")
+    root = store.get("s")
+    kids = root.children
+    second = kids[1]
+    edit = Deleted(root.node_id, second.node_id, second)
+    for places in ({second.node_id: 0}, {second.node_id: 3}, {}, None):
+        root.children = list(kids)
+        replay_edits([edit], store, places)
+        assert [c.text for c in root.children] == ["1", "3"], places
+    root.children = list(kids)
+    copy = store.copy()
+    replay_edits([edit], copy, {second.node_id: 1})
+    assert serialize(copy.get("s")) == "<R><A>1</A><A>3</A></R>"
+    assert len(root.children) == 3  # the original is untouched
+
+
+# ----------------------------------------------------------------------
+# Restored batches of a view with no where clause, decided unbuilt
+
+
+def _built_batches(index, probe, restored: XmlTree) -> list[tuple]:
+    """Every batch a restored child of ``probe``'s parent adds, built as a
+    view with a where clause needs it: per batch, in the order probes take
+    them, the depth of its context in the parent's chain, whether later
+    bindings extend it, how many nodes its path reaches below the child, and
+    whether it shows a row."""
+    bindings, batches = index.view.bindings, []
+    below = (restored.label,)
+    for depth, context in enumerate(probe.chain):
+        for i, binding in enumerate(bindings):
+            partials = index.partials.get((i, context.node_id))
+            if partials and index.steps[i][: len(below)] == below:
+                nodes = locate(restored, index.steps[i][len(below) :])
+                level = evaluator.product_level(partials, binding.var, nodes)
+                for later in bindings[i + 1 :]:
+                    level = evaluator.bind_level(later, level, index.store)
+                later = i + 1 < len(bindings)
+                batches.append((depth, later, len(nodes), any(index.holds(level))))
+        below = (context.label,) + below
+    return batches
+
+
+def _batches_checked(monkeypatch) -> dict[str, int]:
+    """Check every restored-batch verdict against ``_built_batches`` and
+    count, over the probes, those whose batches up to the first showing one
+    include: a built batch, an unbuilt one, an unbuilt one whose path reaches
+    nothing below the restored child, an unbuilt one above the parent, and
+    batches at more than one context of the chain."""
+    seen = {"later": 0, "unbuilt": 0, "empty": 0, "up the chain": 0, "contexts": 0}
+    shows = verifier._ProbeIndex._restored_shows
+
+    def compared(index, probe, restored):
+        got = shows(index, probe, restored)
+        batches = _built_batches(index, probe, restored)
+        first = next((k for k, b in enumerate(batches) if b[3]), len(batches))
+        reached = batches[: first + 1]
+        assert got == (first < len(batches))
+        seen["later"] += any(later for _, later, _, _ in reached)
+        seen["unbuilt"] += any(not later for _, later, _, _ in reached)
+        seen["empty"] += any(not later and not n for _, later, n, _ in reached)
+        seen["up the chain"] += any(d and not later for d, later, _, _ in reached)
+        seen["contexts"] += len({d for d, *_ in reached}) > 1
+        return got
+
+    monkeypatch.setattr(verifier._ProbeIndex, "_restored_shows", compared)
+    return seen
+
+
+def test_clause_free_batches_decide_as_the_built_batches(monkeypatch):
+    # on free views with no where clause, every restored-batch verdict is
+    # that of building each batch in turn, every probe that of a rebuilt
+    # view, and each log's verdict and witness the copy-and-replay
+    # reference's
+    seen = _batches_checked(monkeypatch)
+    rng = random.Random(23)
+    logs = 0
+    for _ in range(3000):
+        view_text, update_text, doc = _free_case(rng)
+        with contextlib.ExitStack() as held:
+            try:
+                view, stmt = parse_view_def(view_text), parse_update(update_text)
+                if view.conditions:
+                    continue
+                store = _single_doc_store(doc)
+                sources = store.copy()
+                routes = held.enter_context(_own_routes(view, stmt, store))
+            except XviewError:
+                continue
+            if not routes.log:
+                continue
+            _probes_against_rebuilt_views(routes, sources)
+            _check_against_reference(routes, sources)
+            logs += 1
+    assert logs > 200
+    assert seen["later"] > 100 and seen["unbuilt"] > 300, seen
+    assert seen["up the chain"] > 100, seen
+
+
+@pytest.mark.parametrize(
+    "view_text, update_text, doc, changes, witness",
+    [
+        # the first restored A holds no B: its batch reaches nothing, so
+        # leaving that deletion out changes no row
+        (
+            '<v>{for x in doc("s")/R/A/B return <e>{x}</e>}</v>',
+            'for a in doc("s")/R/A where a/K="1" update a/.. { delete A }',
+            "<R><A><K>1</K></A><A><K>1</K><B>b</B></A><A><B>c</B></A></R>",
+            [False, True],
+            0,
+        ),
+        # the restored B holds no C, so z's batch under its A reaches
+        # nothing; the batch of y up at R, extended by x and z, shows a row
+        (
+            '<v>{for y in doc("s")/R/A/B, x in doc("s")/R/A, z in x/B/C '
+            "return <e>{y}{z}</e>}</v>",
+            'for a in doc("s")/R/A where a/K="1" update a { delete B }',
+            "<R><A><K>1</K><B>b</B></A><A><B><C>c</C></B></A></R>",
+            [True],
+            None,
+        ),
+    ],
+    ids=["nothing-located", "two-contexts"],
+)
+def test_clause_free_batches_that_reach_nothing_or_lie_up_the_chain(
+    view_text, update_text, doc, changes, witness, monkeypatch
+):
+    seen = _batches_checked(monkeypatch)
+    view, stmt = parse_view_def(view_text), parse_update(update_text)
+    store = _single_doc_store(doc)
+    sources = store.copy()
+    with _own_routes(view, stmt, store) as routes:
+        assert _probes_against_rebuilt_views(routes, sources) == changes
+        minimal, found = _check_against_reference(routes, sources)
+        assert found is (None if witness is None else routes.log[witness])
+    assert seen["empty"] > 0
+    assert (seen["contexts"] > 0) == (witness is None)
+
+
+@pytest.mark.parametrize("where", ["", ' where y="4"'], ids=["clause-free", "where"])
+def test_a_restored_batch_past_the_budget_raises_as_the_product_would(
+    where, monkeypatch
+):
+    # route A deletes the B of three Cs.  With a budget of 5 tuples, the
+    # view on route A's store, 2 As by 1 C, fits, but the restored B's
+    # batch, 2 partials by 3 Cs, does not: decided unbuilt or built, the
+    # probe raises at the partial, and with the message, of product_level
+    monkeypatch.setattr(evaluator, "TUPLE_BUDGET", 5)
+    view = parse_view_def(
+        f'<v>{{for x in doc("s")/R/A, y in doc("s")/R/B/C{where} '
+        "return <e>{y}</e>}</v>"
+    )
+    stmt = parse_update('for b in doc("s")/R/B where b/K="1" update b/.. { delete B }')
+    store = _single_doc_store(
+        "<R><A/><A/><B><C>1</C></B><B><K>1</K><C>2</C><C>3</C><C>4</C></B></R>"
+    )
+    with _own_routes(view, stmt, store) as routes:
+        with pytest.raises(TupleBudgetExceeded) as raised:
+            check_minimality(routes)
+        (edit,) = routes.log
+        partials = routes.index.partials[(1, store.get("s").node_id)]
+        with pytest.raises(TupleBudgetExceeded) as product:
+            evaluator.product_level(partials, "y", locate(edit.tree, ("C",)))
+    assert str(raised.value) == str(product.value) == (
+        "the bindings x, y would enumerate more than 5 tuples "
+        "(3 reached, the next partial tuple adds 3)"
+    )
 
 
 def test_the_reader_is_asked_only_about_nodes_of_the_sources(monkeypatch):
