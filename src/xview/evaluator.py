@@ -322,8 +322,7 @@ def eval_condition(atoms: Sequence[ConditionAtom], tup: ForTuple) -> bool:
     comparing each in turn and stopping at the first match.  An empty
     relative path denotes the binding itself; an empty conjunction is true.
     A path=string atom over a one-name path, the commonest, reads the
-    binding's children in place, as ``locate`` would locate them, and a text
-    leaf's text without a ``string_value`` call, which only an element needs.
+    binding's children in place, as ``locate`` would locate them.
     """
     for atom in atoms:
         var, names = atom.lhs
@@ -332,9 +331,7 @@ def eval_condition(atoms: Sequence[ConditionAtom], tup: ForTuple) -> bool:
             if len(names) == 1:  # locate's one-name case, without the call
                 name = names[0]
                 for node in tup[var].children or ():
-                    if node.label == name and (
-                        node.text if node.text is not None else string_value(node)
-                    ) == value:
+                    if node.label == name and string_value(node) == value:
                         break
                 else:  # no located subtree holds the literal
                     return False

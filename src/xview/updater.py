@@ -288,22 +288,16 @@ def _mutate(parent: XmlTree, edit: Edit, at: Optional[int] = None) -> None:
 
     A deleted child is taken from index ``at`` of the child list when it
     holds the logged subtree itself: a minimality probe's redo passes the
-    restore point its undo put that subtree back at, so the redo costs one
-    lookup.  Otherwise the child is found by identity when the logged
-    subtree itself is back under its parent, else by id (a replay onto an
-    id-preserving copy of the store); a child that is not there is left
-    alone.
+    restore point its undo put that subtree back at, so the redo does not
+    compare children, and its cost is the list shift of the deletion.
+    Otherwise the child is found by id (a replay onto an id-preserving copy
+    of the store); a child that is not there is left alone.
     """
     if isinstance(edit, Inserted):
         parent.children = (parent.children or []) + [copy_tree(edit.tree)]
         return
     children = parent.children or []
-    if at is not None and at < len(children) and children[at] is edit.tree:
-        del children[at]
-        return
-    try:
-        at = children.index(edit.tree)
-    except ValueError:
+    if at is None or at >= len(children) or children[at] is not edit.tree:
         found = (i for i, c in enumerate(children) if c.node_id == edit.node_id)
         at = next(found, None)
         if at is None:
@@ -361,8 +355,7 @@ def replay_edits(
 
     ``places`` maps a deleted child's id to the index its parent's list is
     expected to hold it at, such as a probe's restore point; ``_mutate``
-    checks that index first and finds a child not there as it finds any
-    other."""
+    checks that index first and finds a child not there by its id."""
     for edit in edits:
         parent = store.find_node(edit.parent_id)
         if parent is None:

@@ -59,7 +59,6 @@ from __future__ import annotations
 import contextlib
 import itertools
 import json
-import operator
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
@@ -252,34 +251,22 @@ def _copy_rows(
     ``ancestry`` about a copy's fresh ids would read every level of the
     sources still unread, only to find no parent.
 
-    The root is set aside by identity.  The ids of the instance's other
-    nodes are gathered only when some parent could be one: a parent that
-    bears the wrappers' label, or any parent once a row is copied.
-
     Only the chain nodes at a row depth (``_row_depths``) can be row trees,
     and a node's depth is its distance from the chain's end, a document
     root.  The wrappers are scanned only when such a node is left, so a
     plan whose edit parents lie above every row, such as a root deletion's,
-    reads no wrapper's rows; a root deletion's verify builds no id set
-    either, for the source plan or the view update's."""
+    reads no wrapper's rows."""
     wrappers = instance.tree.children or []
+    owned = {id(instance.tree), *map(id, wrappers)}
+    for i in copied:
+        owned.update(id(n) for row in wrappers[i].children for n in iter_nodes(row))
     parents = {id(op.parent): op.parent for op in plan if op.edits}
-    parents.pop(id(instance.tree), None)
-    label = wrappers[0].label if wrappers else None
-    owned: Optional[set[int]] = None  # made at the first parent it could hold
     reached = set()
     for key, parent in parents.items():
-        if copied or parent.label == label:
-            if owned is None:
-                owned = set(map(id, wrappers))
-                for i in copied:
-                    rows = wrappers[i].children
-                    owned.update(id(n) for row in rows for n in iter_nodes(row))
-            if key in owned:
-                continue
-        chain = ancestry.chain(parent)
-        top = len(chain) - 1  # chain[k] lies top - k below its root
-        reached.update(chain[top - d] for d in depths if d <= top)
+        if key not in owned:
+            chain = ancestry.chain(parent)
+            top = len(chain) - 1  # chain[k] lies top - k below its root
+            reached.update(chain[top - d] for d in depths if d <= top)
     if not reached:
         return False
     fresh = [
@@ -789,16 +776,13 @@ def _lemma3(routes: _Routes, form: UpdateStatement) -> bool:
     these very states (``routes.satisfied``).  The source plan enumerated
     every extension on the sources, and the view update's last plan every
     context node of the restored wrappers, so a verdict is a membership
-    test, a source tuple keyed by its nodes in the order the source
-    statement binds them.  The suite's premise makes those the pairs L3
-    reads."""
+    test.  The suite's premise makes those the pairs L3 reads."""
     (context,) = form.bindings
     below = context.source.steps[2:]  # the path from a wrapper to its contexts
     added = routes.source_update.bindings[len(routes.view.bindings) :]
     by_source, by_view = routes.satisfied
-    key = operator.itemgetter(*[b.var for b in routes.source_update.bindings])
-    held = set(map(key, by_source))
-    source_holds = lambda t: key(t) in held
+    held = {tuple(t.values()) for t in by_source}
+    source_holds = lambda t: tuple(t.values()) in held
     view_holds = {t[context.var] for t in by_view}.__contains__
     wrappers = routes.via_view.tree.children or ()
     pairs = zip(routes.via_view.tuples, wrappers, strict=True)

@@ -1711,23 +1711,17 @@ def test_each_redo_removes_its_child_at_the_restore_point(update, monkeypatch):
     assert at_point == [True] * (80 if update == ROOT_DELETION else 160)
 
 
-def test_a_redo_off_its_restore_point_finds_the_child_by_identity_then_by_id():
+def test_a_redo_off_its_restore_point_finds_the_child_by_id():
     # a place that does not hold the logged subtree, or none, falls back to
-    # the identity scan; on an id-preserving copy the subtree itself is not
-    # there, and its id finds the copy of it
+    # the id scan, which on an id-preserving copy finds the copy of it
     store = _single_doc_store("<R><A>1</A><A>2</A><A>3</A></R>")
     root = store.get("s")
-    kids = root.children
-    second = kids[1]
+    second = root.children[1]
     edit = Deleted(root.node_id, second.node_id, second)
-    for places in ({second.node_id: 0}, {second.node_id: 3}, {}, None):
-        root.children = list(kids)
-        replay_edits([edit], store, places)
-        assert [c.text for c in root.children] == ["1", "3"], places
-    root.children = list(kids)
-    copy = store.copy()
-    replay_edits([edit], copy, {second.node_id: 1})
-    assert serialize(copy.get("s")) == "<R><A>1</A><A>3</A></R>"
+    for at in (0, 1, 3, None):
+        copy = store.copy()
+        replay_edits([edit], copy, None if at is None else {second.node_id: at})
+        assert serialize(copy.get("s")) == "<R><A>1</A><A>3</A></R>", at
     assert len(root.children) == 3  # the original is untouched
 
 
