@@ -45,84 +45,71 @@ EXIT_VERIFY = 5
 _PARSE_ERRORS = (QuerySyntaxError, MalformedXml, UnsupportedFeature)
 
 
+def _read(path: str) -> str:
+    return Path(path).read_text(encoding="utf-8")
+
+
 def _load_store(pairs: list[str]) -> DocumentStore:
     store = DocumentStore()
     for pair in pairs or []:
         name, sep, path = pair.partition("=")
         if not sep:
             raise ValueError(f"--doc takes name=path bindings, got {pair!r}")
-        store.add(name, parse_document(Path(path).read_text(encoding="utf-8")))
+        store.add(name, parse_document(_read(path)))
     return store
 
 
-def _emit(args, text: str) -> None:
+def _emit(args, payload, text: str) -> None:
+    """Write a command's result to ``--out`` or stdout: ``payload`` as JSON
+    under ``--format json``, otherwise ``text``, as for ``fuzz``, which has
+    no ``--format``."""
+    if getattr(args, "format", "text") == "json":
+        text = json.dumps(payload)
     if args.out:
         Path(args.out).write_text(text + "\n", encoding="utf-8")
     else:
         print(text)
 
 
+def _reject(args, outcome: Rejected) -> int:
+    """Emit a rejection, as JSON in either format."""
+    payload = rejection_to_json(outcome)
+    _emit(args, payload, json.dumps(payload))
+    return EXIT_UNTRANSLATABLE
+
+
 def cmd_eval(args) -> int:
-    view = parse_view_def(Path(args.view).read_text(encoding="utf-8"))
-    store = _load_store(args.doc)
-    instance = evaluate_view(view, store)
-    rendered = serialize(instance.tree)
-    if args.format == "json":
-        _emit(args, json.dumps({"view": rendered}))
-    else:
-        _emit(args, rendered)
+    view = parse_view_def(_read(args.view))
+    rendered = serialize(evaluate_view(view, _load_store(args.doc)).tree)
+    _emit(args, {"view": rendered}, rendered)
     return EXIT_OK
 
 
 def cmd_translate(args) -> int:
-    view = parse_view_def(Path(args.view).read_text(encoding="utf-8"))
-    update = parse_update(Path(args.update).read_text(encoding="utf-8"))
-    outcome = translate(view, update)
+    view = parse_view_def(_read(args.view))
+    outcome = translate(view, parse_update(_read(args.update)))
     if isinstance(outcome, Rejected):
-        _emit(args, json.dumps(rejection_to_json(outcome)))
-        return EXIT_UNTRANSLATABLE
-    if args.format == "json":
-        _emit(
-            args,
-            json.dumps(
-                {
-                    "translatable": True,
-                    "case": outcome.case.value,
-                    "delta_s": render_update(outcome.statement),
-                }
-            ),
-        )
-    else:
-        _emit(args, render_update(outcome.statement))
+        return _reject(args, outcome)
+    rendered = render_update(outcome.statement)
+    payload = {"translatable": True, "case": outcome.case.value, "delta_s": rendered}
+    _emit(args, payload, rendered)
     return EXIT_OK
 
 
 def cmd_apply(args) -> int:
-    update = parse_update(Path(args.update).read_text(encoding="utf-8"))
+    update = parse_update(_read(args.update))
     if update.level != "source":
         raise LevelMismatch("apply expects a source-level update")
     store = _load_store(args.doc)
-    log = apply_update(update, store)
-    edits = [edit_to_json(e) for e in log]
+    edits = [edit_to_json(e) for e in apply_update(update, store)]
     if args.edits:
         Path(args.edits).write_text(
             "".join(line + "\n" for line in edits), encoding="utf-8"
         )
-    if args.format == "json":
-        _emit(
-            args,
-            json.dumps(
-                {
-                    "docs": {name: serialize(t) for name, t in store.docs.items()},
-                    "edits": [json.loads(line) for line in edits],
-                }
-            ),
-        )
-    else:
-        lines = [f"# doc {name}\n{serialize(tree)}" for name, tree in store.docs.items()]
-        lines.append("# edits")
-        lines.extend(edits)
-        _emit(args, "\n".join(lines))
+    docs = {name: serialize(t) for name, t in store.docs.items()}
+    payload = {"docs": docs, "edits": [json.loads(line) for line in edits]}
+    lines = [f"# doc {name}\n{text}" for name, text in docs.items()]
+    _emit(args, payload, "\n".join([*lines, "# edits", *edits]))
     return EXIT_OK
 
 
@@ -145,13 +132,13 @@ def _lemma_case(
 
 
 def cmd_verify(args) -> int:
-    view = parse_view_def(Path(args.view).read_text(encoding="utf-8"))
-    view_update = parse_update(Path(args.update).read_text(encoding="utf-8"))
+    view = parse_view_def(_read(args.view))
+    view_update = parse_update(_read(args.update))
     store = _load_store(args.doc)
 
     source_update = None
     if args.delta_s:
-        source_update = parse_update(Path(args.delta_s).read_text(encoding="utf-8"))
+        source_update = parse_update(_read(args.delta_s))
         if source_update.level != "source":
             raise LevelMismatch("--delta-s expects a source-level update")
     # under --delta-s a source-level view update is left for the planner to
@@ -163,35 +150,26 @@ def cmd_verify(args) -> int:
         case = _lemma_case(view, outcome, source_update)
     else:
         if isinstance(outcome, Rejected):
-            _emit(args, json.dumps(rejection_to_json(outcome)))
-            return EXIT_UNTRANSLATABLE
+            return _reject(args, outcome)
         source_update, case = outcome.statement, outcome.case
 
     report = verify_translation(view, view_update, source_update, store, case)
     payload = report.to_json()
+    lines = [
+        f"correct: {str(report.correct).lower()}",
+        f"minimal: {str(report.minimal).lower()}",
+    ]
     if not args.delta_s:
         payload["case"] = case.value
-    if args.format == "json":
-        _emit(args, json.dumps(payload))
-    else:
-        lines = [
-            f"correct: {str(report.correct).lower()}",
-            f"minimal: {str(report.minimal).lower()}",
-        ]
-        if not args.delta_s:
-            lines.append(f"case: {case.value}")
-        if report.view_diff:
-            lines.append(f"diff: {json.dumps(report.view_diff)}")
-        if report.witness:
-            lines.append(f"witness: {edit_to_json(report.witness)}")
-        if report.lemma_checks:
-            lines.append(
-                "lemmas: "
-                + " ".join(
-                    f"{n}={'pass' if ok else 'FAIL'}" for n, ok in report.lemma_checks
-                )
-            )
-        _emit(args, "\n".join(lines))
+        lines.append(f"case: {case.value}")
+    if report.view_diff:
+        lines.append(f"diff: {json.dumps(report.view_diff)}")
+    if report.witness:
+        lines.append(f"witness: {edit_to_json(report.witness)}")
+    if report.lemma_checks:
+        marks = (f"{n}={'pass' if ok else 'FAIL'}" for n, ok in report.lemma_checks)
+        lines.append("lemmas: " + " ".join(marks))
+    _emit(args, payload, "\n".join(lines))
     return EXIT_OK if report.passed else EXIT_VERIFY
 
 
@@ -223,7 +201,7 @@ def cmd_fuzz(args) -> int:
     for key in sorted(histogram, key=lambda k: (k.startswith("Rejected"), k)):
         lines.append(f"{key}: {histogram[key]}")
     lines.append(f"failures: {failures}")
-    _emit(args, "\n".join(lines))
+    _emit(args, None, "\n".join(lines))
     return EXIT_OK if failures == 0 else EXIT_VERIFY
 
 

@@ -109,9 +109,9 @@ def bind_level(
     a level with no partial tuple still raises an unknown document or a root
     label mismatch, whatever the data.  Every enumeration of tuples goes
     through here or, for a level whose nodes are the same for every
-    partial, through ``product_level``, so before a partial would extend the
-    level past ``TUPLE_BUDGET`` tuples, ``TupleBudgetExceeded`` is raised,
-    naming the bindings and the count reached."""
+    partial, through ``check_product`` first, so before a partial would
+    extend the level past ``TUPLE_BUDGET`` tuples, ``TupleBudgetExceeded`` is
+    raised, naming the bindings and the count reached."""
     context, steps = binding_scope(binding, store)
     located: dict[XmlTree, list[XmlTree]] = {}
     expanded: list[ForTuple] = []
@@ -130,21 +130,11 @@ def bind_level(
     return expanded
 
 
-def product_level(
-    partials: list[ForTuple], var: str, nodes: list[XmlTree]
-) -> list[ForTuple]:
-    """Each partial tuple, in order, extended by every one of ``nodes`` under
-    ``var``: a level whose nodes do not depend on the partial, under the
-    same budget as ``bind_level``, which raises at the same partial with
-    the same message (``check_product``)."""
-    check_product(partials, var, len(nodes))
-    return [{**p, var: n} for p in partials for n in nodes]
-
-
 def check_product(partials: list[ForTuple], var: str, width: int) -> None:
-    """Raise ``TupleBudgetExceeded`` as ``product_level`` would on extending
-    ``partials`` by ``width`` nodes each under ``var``, for a reader that
-    needs to know only whether such a level is empty."""
+    """Raise ``TupleBudgetExceeded`` as ``bind_level`` would, at the same
+    partial and with the same message, on extending ``partials`` by
+    ``width`` nodes each under ``var``: the check for a level whose nodes
+    are the same for every partial, made before it is built."""
     if width and len(partials) * width > TUPLE_BUDGET:
         fit = TUPLE_BUDGET // width  # the partials that fit in full
         raise _over_budget(partials[fit], var, fit * width, width)

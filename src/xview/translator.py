@@ -55,7 +55,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .errors import LevelMismatch, UnmappableName
 from .lang import (
@@ -191,35 +191,16 @@ def _fresh_var(view: ViewDef, base: str) -> str:
     return name
 
 
-# normalize_path(view, var, names) for one view (see ``_expansions``)
-Expand = Callable[..., QualifiedPath]
-
-
-def _expansions(view: ViewDef) -> Expand:
-    """``normalize_path`` over ``view``, for one translation: each variable's
-    binding chain is expanded once, at its first use, and a path is that
-    expansion plus its own names."""
-    bases: dict[str, QualifiedPath] = {}
-
-    def full(var: str, names: tuple[str, ...] = ()) -> QualifiedPath:
-        base = bases.get(var)
-        if base is None:
-            base = bases[var] = normalize_path(view, var)
-        return QualifiedPath(base.root, base.steps + names)
-
-    return full
-
-
-def _join_partner_vars(view: ViewDef, cond: MappedPath, full: Expand) -> set[str]:
+def _join_partner_vars(view: ViewDef, cond: MappedPath) -> set[str]:
     """Variables of every join atom one of whose sides equals the mapped
     condition path (compared on fully expanded, variable-free paths)."""
-    cond_qp = full(cond.var, cond.gamma + cond.theta)
+    cond_qp = normalize_path(view, cond.var, cond.gamma + cond.theta)
     partners: set[str] = set()
     for atom in view.conditions:
         if not isinstance(atom, PathEqPath):
             continue
         for side in (atom.lhs, atom.rhs):
-            if full(*side) == cond_qp:
+            if normalize_path(view, *side) == cond_qp:
                 partners.add(atom.lhs[0])
                 partners.add(atom.rhs[0])
     return partners
@@ -316,18 +297,17 @@ def translate(
     where = [*(side for a in view.conditions for side in atom_sides(a)), appended]
 
     single = _single_return_var(view)
-    full = _expansions(view)
     chain: set[str] = set()  # variables whose paths the guards leave out
     no_join: Optional[Rejected] = None
     if tgt.slot == "gamma":
         noun = "target path"
-        rewritten = full(tgt.var, tgt.gamma + tgt.theta)
+        rewritten = normalize_path(view, tgt.var, tgt.gamma + tgt.theta)
         # the action adds or removes children bearing its label
         label = action.label if isinstance(action, DeleteLabel) else action.tree.label
         changed = QualifiedPath(rewritten.root, rewritten.steps + (label,))
         if cond.var == tgt.var:
             case = Case.T1
-        elif tgt.var in _join_partner_vars(view, cond, full):
+        elif tgt.var in _join_partner_vars(view, cond):
             case = Case.T2
         else:
             no_join = Rejected(
@@ -361,7 +341,7 @@ def translate(
                 f"trees that tuple production can never yield",
             )
         noun = "deleted path"
-        rewritten = full(single, through.gamma)
+        rewritten = normalize_path(view, single, through.gamma)
         changed = rewritten
         case = Case.T3
         target = UpdateTarget(single, through.gamma, parent_step=True)
@@ -384,14 +364,14 @@ def translate(
             if isinstance(b.source.root, VarRoot) and b.source.root.var in chain:
                 chain.add(b.var)
         noun = "deleted path"
-        rewritten = full(single)
+        rewritten = normalize_path(view, single)
         changed = rewritten
         case, through = Case.T4, None
         target = UpdateTarget(single, (), parent_step=True)
         action = DeleteBinding(single)
 
     def outside(var_paths) -> list[QualifiedPath]:
-        return [full(v, ns) for v, ns in var_paths if v not in chain]
+        return [normalize_path(view, v, ns) for v, ns in var_paths if v not in chain]
 
     # the guard over where, return and binding paths; see the module docstring
     rejected = (

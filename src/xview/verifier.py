@@ -69,7 +69,6 @@ from .evaluator import (
     binding_scope,
     check_product,
     evaluate_view,
-    product_level,
     row_trees,
     satisfying_tuples,
     view_tree,
@@ -589,8 +588,9 @@ class _ProbeIndex:
         given at the first batch that shows a row, so no later batch is
         made.  Where the view has no where clause and a batch no later
         binding, every tuple of it shows a row, so it shows one exactly when
-        its path reaches some node: the batch is not built, only checked
-        against the tuple budget as ``product_level`` checks it."""
+        its path reaches some node: the batch is not built.  Built or not,
+        each batch is first checked against the tuple budget
+        (``check_product``)."""
         recipes = probe.recipes.get(restored.label)
         if recipes is None:
             recipes = probe.recipes[restored.label] = self._recipes(
@@ -599,12 +599,12 @@ class _ProbeIndex:
         clause_free = not self.view.conditions
         for var, partials, rest, later in recipes:
             nodes = locate(restored, rest)
+            check_product(partials, var, len(nodes))
             if clause_free and not later:
-                check_product(partials, var, len(nodes))
                 if nodes:  # the recipe's partials are never empty
                     return True
                 continue
-            level = product_level(partials, var, nodes)
+            level = [{**p, var: n} for p in partials for n in nodes]
             for binding in later:
                 level = bind_level(binding, level, self.store)
             if any(self.holds(level)):

@@ -599,6 +599,143 @@ def test_readme_demo_commands(capsys):
     assert json.loads(capsys.readouterr().out)["reason"] == "OverlappingExposure"
 
 
+# each command and format, on the demos, byte for byte, exit code included
+EVAL_D1 = (
+    "<v><e><B>b1</B><C><D>1</D><F><G>g1</G></F></C><C><D>2</D></C>"
+    "<G>g1</G><H>1</H></e></v>"
+)
+BOOKS_DS = (
+    'for x in doc("bkInf.xml")/bkInf/book, y in doc("subjInf.xml")/subjInf/uni, '
+    'z in y/subjs/subj\nwhere x/title=z/title and x/title="IS"\n'
+    "update x/auths { insert <aName>Susan</aName> }"
+)
+DROP_REFS_REJECTED = (
+    '{"translatable": false, "reason": "OverlappingExposure", "detail": "path '
+    "r/A/C/F/G is a prefix or an extension of another return expression's "
+    'path"}\n'
+)
+MIN_APPLIED = "<R><A><C>1</C><D>d</D><T/></A><A><C>2</C><D>d</D><T/></A></R>"
+MIN_EDITS = (
+    '{"op": "delete", "parent": 4, "tree": "<U>u</U>"}\n'
+    '{"op": "delete", "parent": 9, "tree": "<U>u</U>"}\n'
+)
+BOOKS = "--doc bkInf.xml=demo/bkInf.xml --doc subjInf.xml=demo/subjInf.xml"
+MIN_DELTA_S = (
+    "--view demo/min_view.xq --update demo/min_update.xq --doc s=demo/min.xml "
+    "--delta-s demo/min_unneeded.xq"
+)
+PINNED = {
+    "eval-text": (
+        "eval --view demo/view.xq --doc r=demo/d1.xml --format text",
+        0,
+        EVAL_D1 + "\n",
+    ),
+    "eval-json": (
+        "eval --view demo/view.xq --doc r=demo/d1.xml --format json",
+        0,
+        json.dumps({"view": EVAL_D1}) + "\n",
+    ),
+    "translate-text": (
+        "translate --view demo/books_view.xq --update demo/add_author.xq --format text",
+        0,
+        BOOKS_DS + "\n",
+    ),
+    "translate-json": (
+        "translate --view demo/books_view.xq --update demo/add_author.xq --format json",
+        0,
+        '{"translatable": true, "case": "T1", "delta_s": '
+        + json.dumps(BOOKS_DS)
+        + "}\n",
+    ),
+    "translate-rejected-text": (
+        "translate --view demo/view.xq --update demo/drop_refs.xq --format text",
+        2,
+        DROP_REFS_REJECTED,
+    ),
+    "translate-rejected-json": (
+        "translate --view demo/view.xq --update demo/drop_refs.xq --format json",
+        2,
+        DROP_REFS_REJECTED,
+    ),
+    "apply-edits-text": (
+        "apply --update demo/min_unneeded.xq --doc s=demo/min.xml --edits EDITS "
+        "--format text",
+        0,
+        f"# doc s\n{MIN_APPLIED}\n# edits\n{MIN_EDITS}",
+    ),
+    "apply-edits-json": (
+        "apply --update demo/min_unneeded.xq --doc s=demo/min.xml --edits EDITS "
+        "--format json",
+        0,
+        '{"docs": {"s": "' + MIN_APPLIED + '"}, "edits": ['
+        + ", ".join(MIN_EDITS.splitlines())
+        + "]}\n",
+    ),
+    "verify-json": (
+        "verify --view demo/books_view.xq --update demo/add_author.xq "
+        f"{BOOKS} --format json",
+        0,
+        '{"correct": true, "minimal": true, "diff": null, "witness": null, '
+        '"lemmas": {"L1": true, "L2": true, "L3": true}, "case": "T1"}\n',
+    ),
+    "verify-delta-s-text": (
+        f"verify {MIN_DELTA_S} --format text",
+        5,
+        "correct: true\nminimal: false\n"
+        'witness: {"op": "delete", "parent": 9, "tree": "<U>u</U>"}\n'
+        "lemmas: L1=pass L2=pass L3=pass\n",
+    ),
+    "verify-delta-s-json": (
+        f"verify {MIN_DELTA_S} --format json",
+        5,
+        '{"correct": true, "minimal": false, "diff": null, "witness": '
+        '{"op": "delete", "parent": 9, "tree": "<U>u</U>"}, '
+        '"lemmas": {"L1": true, "L2": true, "L3": true}}\n',
+    ),
+    "verify-rejected-text": (
+        "verify --view demo/view.xq --update demo/drop_refs.xq --doc r=demo/d1.xml "
+        "--format text",
+        2,
+        DROP_REFS_REJECTED,
+    ),
+    "verify-rejected-json": (
+        "verify --view demo/view.xq --update demo/drop_refs.xq --doc r=demo/d1.xml "
+        "--format json",
+        2,
+        DROP_REFS_REJECTED,
+    ),
+    "fuzz": (
+        "fuzz --seed 7 --count 20",
+        0,
+        "T1: 2\nT2: 6\nT3: 2\nT4: 1\n"
+        "Rejected(CondTargetDifferentVarsNoJoin): 3\n"
+        "Rejected(NoSpecifiableCondition): 2\n"
+        "Rejected(NoUniqueSourcePlacement): 1\n"
+        "Rejected(TargetPrefixOfWherePath): 2\n"
+        "Rejected(ViolatesProduction): 1\n"
+        "failures: 0\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("command, code, out", PINNED.values(), ids=PINNED.keys())
+def test_each_command_and_format_prints_its_pinned_bytes(
+    command, code, out, tmp_path, capsys, monkeypatch
+):
+    # node ids restart at 1, as in a fresh process; an --edits log holds
+    # the edit lines of the text form
+    monkeypatch.setattr(xml_model, "_COUNTER", itertools.count(1))
+    edits = tmp_path / "edits.jsonl"
+    argv = [
+        arg.replace("demo/", f"{DEMO}/").replace("EDITS", str(edits))
+        for arg in command.split()
+    ]
+    assert main(argv) == code
+    assert capsys.readouterr().out == out
+    if "--edits" in argv:
+        assert edits.read_text(encoding="utf-8") == MIN_EDITS
+
+
 def test_nested_demo_translates_to_a_bound_statement_that_verifies(capsys):
     # the condition and the target share the step B inside {x/B}: the
     # translation binds each B, and the verify passes with every lemma

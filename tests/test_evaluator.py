@@ -449,9 +449,10 @@ def test_bind_level_matches_the_per_partial_reference():
     assert levels > 21  # some views have several levels
 
 
-def test_product_level_builds_and_stops_as_bind_level_does(monkeypatch):
-    # y's nodes are the same for every partial: product_level over them
-    # gives bind_level's level, or its error at the same partial
+def test_a_checked_product_builds_and_stops_as_bind_level_does(monkeypatch):
+    # y's nodes are the same for every partial: checked by check_product and
+    # then built as their product, as a minimality probe builds a restored
+    # level, they give bind_level's level, or its error at the same partial
     view = parse_view_def(
         '<v>{for x in doc("s")/R/A, y in doc("s")/R/A return <e>{x}</e>}</v>'
     )
@@ -467,15 +468,20 @@ def test_product_level_builds_and_stops_as_bind_level_does(monkeypatch):
         except TupleBudgetExceeded as err:
             return str(err)
 
+    def product():
+        evaluator.check_product(partials, "y", len(nodes))
+        return [{**p, "y": n} for p in partials for n in nodes]
+
     for budget in range(11):
         monkeypatch.setattr(evaluator, "TUPLE_BUDGET", budget)
-        got = outcome(lambda: evaluator.product_level(partials, "y", nodes))
+        got = outcome(product)
         want = outcome(lambda: bind_level(second, partials, store))
         if isinstance(want, str):
             assert got == want, budget
         else:
             assert _same_tuples(got, want), budget
-    assert evaluator.product_level(partials, "y", []) == []
+    monkeypatch.setattr(evaluator, "TUPLE_BUDGET", 0)
+    evaluator.check_product(partials, "y", 0)  # an empty level fits any budget
 
 
 def test_bind_level_locates_once_per_distinct_context(monkeypatch):

@@ -1725,6 +1725,24 @@ def test_a_redo_off_its_restore_point_finds_the_child_by_id():
     assert len(root.children) == 3  # the original is untouched
 
 
+def test_a_redo_at_its_restore_point_keeps_a_decoy_of_the_same_id():
+    # an id-preserving copy holds the copy of the deleted A before the
+    # restore point, and the logged subtree itself at it: the redo removes
+    # the logged subtree there, where a scan by id would take the decoy
+    store = _single_doc_store("<R><A>1</A><A>2</A><A>3</A></R>")
+    root = store.get("s")
+    second = root.children[1]
+    edit = Deleted(root.node_id, second.node_id, second)
+    copy = store.copy()
+    kids = copy.get("s").children
+    decoy = kids[1]
+    assert decoy.node_id == second.node_id and decoy is not second
+    kids.insert(2, second)
+    replay_edits([edit], copy, {second.node_id: 2})
+    assert [kid.node_id for kid in kids] == [kid.node_id for kid in root.children]
+    assert kids[1] is decoy and all(kid is not second for kid in kids)
+
+
 # ----------------------------------------------------------------------
 # Restored batches of a view with no where clause, decided unbuilt
 
@@ -1742,7 +1760,8 @@ def _built_batches(index, probe, restored: XmlTree) -> list[tuple]:
             partials = index.partials.get((i, context.node_id))
             if partials and index.steps[i][: len(below)] == below:
                 nodes = locate(restored, index.steps[i][len(below) :])
-                level = evaluator.product_level(partials, binding.var, nodes)
+                evaluator.check_product(partials, binding.var, len(nodes))
+                level = [{**p, binding.var: n} for p in partials for n in nodes]
                 for later in bindings[i + 1 :]:
                     level = evaluator.bind_level(later, level, index.store)
                 later = i + 1 < len(bindings)
@@ -1777,16 +1796,40 @@ def _batches_checked(monkeypatch) -> dict[str, int]:
     return seen
 
 
+def _chained_free_case(rng: random.Random) -> tuple[str, str, str]:
+    """A view with no where clause whose bindings ``x``, ``z`` and ``y`` all
+    run through the children of ``x`` the update deletes: ``y`` in ``x/P``
+    (and maybe a step below), and ``z`` from the document root down through
+    ``x/P``.  A restored ``P`` whose batch of ``y`` under its ``x`` reaches
+    nothing is then decided at the root by ``z``'s batch, extended by ``y``.
+    ``_free_case`` seldom draws either shape (neither in 3,000 draws at seed
+    23): its doc-rooted bindings seldom run through a chained one's path."""
+    x = _free_path(rng)
+    step = tuple(rng.sample([n for n in LABELS if n not in x], rng.randint(1, 2)))
+    z = x + step[: rng.randint(1, len(step))]
+    bound = f'doc("s")/R/{"/".join(x)}'
+    view = (
+        f'<v>{{for x in {bound}, z in doc("s")/R/{"/".join(z)}, '
+        f'y in x/{"/".join(step)} return <e>{{y}}</e>}}</v>'
+    )
+    update = f'for x in {bound} where x/K="1" update x {{ delete {step[0]} }}'
+    return view, update, _free_doc(rng, [x + step, x + ("K",)])
+
+
 def test_clause_free_batches_decide_as_the_built_batches(monkeypatch):
     # on free views with no where clause, every restored-batch verdict is
     # that of building each batch in turn, every probe that of a rebuilt
     # view, and each log's verdict and witness the copy-and-replay
-    # reference's
+    # reference's.  The chained draws reach batches whose path reaches
+    # nothing, and probes deciding at two contexts of the chain
     seen = _batches_checked(monkeypatch)
     rng = random.Random(23)
+    draws = itertools.chain(
+        (_free_case(rng) for _ in range(3000)),
+        (_chained_free_case(rng) for _ in range(400)),
+    )
     logs = 0
-    for _ in range(3000):
-        view_text, update_text, doc = _free_case(rng)
+    for view_text, update_text, doc in draws:
         with contextlib.ExitStack() as held:
             try:
                 view, stmt = parse_view_def(view_text), parse_update(update_text)
@@ -1802,9 +1845,10 @@ def test_clause_free_batches_decide_as_the_built_batches(monkeypatch):
             _probes_against_rebuilt_views(routes, sources)
             _check_against_reference(routes, sources)
             logs += 1
-    assert logs > 200
+    assert logs > 300
     assert seen["later"] > 100 and seen["unbuilt"] > 300, seen
     assert seen["up the chain"] > 100, seen
+    assert seen["empty"] > 0 and seen["contexts"] > 0, seen
 
 
 @pytest.mark.parametrize(
@@ -1854,7 +1898,7 @@ def test_a_restored_batch_past_the_budget_raises_as_the_product_would(
     # route A deletes the B of three Cs.  With a budget of 5 tuples, the
     # view on route A's store, 2 As by 1 C, fits, but the restored B's
     # batch, 2 partials by 3 Cs, does not: decided unbuilt or built, the
-    # probe raises at the partial, and with the message, of product_level
+    # probe raises at the partial, and with the message, of check_product
     monkeypatch.setattr(evaluator, "TUPLE_BUDGET", 5)
     view = parse_view_def(
         f'<v>{{for x in doc("s")/R/A, y in doc("s")/R/B/C{where} '
@@ -1870,7 +1914,7 @@ def test_a_restored_batch_past_the_budget_raises_as_the_product_would(
         (edit,) = routes.log
         partials = routes.index.partials[(1, store.get("s").node_id)]
         with pytest.raises(TupleBudgetExceeded) as product:
-            evaluator.product_level(partials, "y", locate(edit.tree, ("C",)))
+            evaluator.check_product(partials, "y", len(locate(edit.tree, ("C",))))
     assert str(raised.value) == str(product.value) == (
         "the bindings x, y would enumerate more than 5 tuples "
         "(3 reached, the next partial tuple adds 3)"
