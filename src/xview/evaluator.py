@@ -3,10 +3,13 @@
 Evaluation follows nested-loop semantics: each for-clause binding
 enumerates, in document order, the subtrees its path locates within the
 context node ``binding_scope`` names, located once per distinct such node
-(not once per partial tuple).  Every condition-satisfying tuple yields
-exactly one wrapper tree under the view root, built over the trees its
-return expressions locate: fresh-id copies of them, or, for a reader that
-copies a row only before it edits one, the sources' own trees.
+(not once per partial tuple).  A tuple is positional: a plain tuple of the
+bound nodes in for-clause order, so entry k is the node of the k-th
+binding.  A reader turns variable names into positions (``positions``)
+once per pass or plan, never once per tuple.  Every condition-satisfying
+tuple yields exactly one wrapper tree under the view root, built over the
+trees its return expressions locate: fresh-id copies of them, or, for a
+reader that copies a row only before it edits one, the sources' own trees.
 
 The where clause has one statement of its semantics, ``eval_condition``,
 and one way of applying it to many tuples: a pass per binding level that
@@ -39,7 +42,6 @@ from .lang import (
     Binding,
     ConditionAtom,
     PathEqString,
-    ReturnExpr,
     ViewDef,
     atom_sides,
 )
@@ -56,15 +58,17 @@ from .xml_model import (
 
 
 # The most tuples one binding level may hold.  An unlinked cross product is
-# built in full, at several hundred bytes per tuple, so past this a level
+# built in full, at tens of bytes per tuple, so past this a level
 # raises TupleBudgetExceeded instead of exhausting the host's memory; the
 # benchmark's join session builds 10,000 tuples.
 TUPLE_BUDGET = 1_000_000
 
-# One variable assignment produced by the for-clause.  Copies of the same
+# One variable assignment produced by the for-clause: the bound nodes, in
+# for-clause order, so entry k is the node bound by the k-th binding, and a
+# partial tuple of the first k bindings holds k nodes.  Copies of the same
 # source binding in different tuples share the source node (and hence its
 # identifier); there is no deduplication of value-equal bindings.
-ForTuple = dict[str, XmlTree]
+ForTuple = tuple[XmlTree, ...]
 
 
 @dataclass
@@ -72,23 +76,32 @@ class ViewInstance:
     """A materialized evaluation result: the tree plus its tuples.
 
     Until an update edits the instance, the i-th wrapper tree under the
-    root is the one built for ``tuples[i]``.  An update edits only the
-    tree: ``tuples`` stays as evaluated.
+    root is the one built for ``tuples[i]``.  Each tuple is positional:
+    entry k is the node bound by the view's k-th binding.  An update edits
+    only the tree: ``tuples`` stays as evaluated.
     """
 
     tree: XmlTree
     tuples: list[ForTuple]  # the condition-satisfying tuples, in order
 
 
+def positions(bindings: Sequence[Binding]) -> dict[str, int]:
+    """Each variable of a for-clause with its position in the clause's
+    tuples: its binding's index."""
+    return {binding.var: i for i, binding in enumerate(bindings)}
+
+
 def binding_scope(
-    binding: Binding, store: DocumentStore
+    bindings: Sequence[Binding], i: int, store: DocumentStore
 ) -> tuple[Callable[[ForTuple], XmlTree], tuple[str, ...]]:
-    """Where a binding's path is evaluated from, as every reader takes it: a
-    function from the partial tuple of the earlier bindings to the context
-    node, and the path's steps below that node."""
-    source = binding.source
+    """Where binding ``i`` of a for-clause evaluates its path from, as every
+    reader takes it: a function from the partial tuple of the earlier
+    bindings to the context node (the entry at the position of the variable
+    the path starts from), and the path's steps below that node."""
+    source = bindings[i].source
     if isinstance(source.root, VarRoot):
-        return operator.itemgetter(source.root.var), source.steps
+        at = positions(bindings[:i])[source.root.var]
+        return operator.itemgetter(at), source.steps
     if not isinstance(source.root, DocRoot):
         raise LevelMismatch("this statement must be document-rooted")
     root = store.get(source.root.doc)
@@ -101,18 +114,19 @@ def binding_scope(
 
 
 def bind_level(
-    binding: Binding, partials: list[ForTuple], store: DocumentStore
+    bindings: Sequence[Binding], i: int, partials: list[ForTuple], store: DocumentStore
 ) -> list[ForTuple]:
-    """One level of the nested loop: extend each partial tuple, in order, by
-    every node the binding's path locates from its ``binding_scope`` context,
-    located once per distinct context node.  The scope is resolved first, so
-    a level with no partial tuple still raises an unknown document or a root
-    label mismatch, whatever the data.  Every enumeration of tuples goes
-    through here or, for a level whose nodes are the same for every
-    partial, through ``check_product`` first, so before a partial would
-    extend the level past ``TUPLE_BUDGET`` tuples, ``TupleBudgetExceeded`` is
-    raised, naming the bindings and the count reached."""
-    context, steps = binding_scope(binding, store)
+    """One level of the nested loop: extend each partial tuple of the first
+    ``i`` bindings, in order, by every node binding ``i``'s path locates
+    from its ``binding_scope`` context, located once per distinct context
+    node.  The scope is resolved first, so a level with no partial tuple
+    still raises an unknown document or a root label mismatch, whatever the
+    data.  Every enumeration of tuples goes through here or, for a level
+    whose nodes are the same for every partial, through ``check_product``
+    first, so before a partial would extend the level past ``TUPLE_BUDGET``
+    tuples, ``TupleBudgetExceeded`` is raised, naming the bindings and the
+    count reached."""
+    context, steps = binding_scope(bindings, i, store)
     located: dict[XmlTree, list[XmlTree]] = {}
     expanded: list[ForTuple] = []
     budget = TUPLE_BUDGET
@@ -122,30 +136,30 @@ def bind_level(
         if nodes is None:
             nodes = located[ctx] = locate(ctx, steps)
         if len(expanded) + len(nodes) > budget:
-            raise _over_budget(partial, binding.var, len(expanded), len(nodes))
+            raise _over_budget(bindings, i, len(expanded), len(nodes))
         for node in nodes:
-            assignment = dict(partial)
-            assignment[binding.var] = node
-            expanded.append(assignment)
+            expanded.append(partial + (node,))
     return expanded
 
 
-def check_product(partials: list[ForTuple], var: str, width: int) -> None:
+def check_product(
+    bindings: Sequence[Binding], i: int, partials: list[ForTuple], width: int
+) -> None:
     """Raise ``TupleBudgetExceeded`` as ``bind_level`` would, at the same
     partial and with the same message, on extending ``partials`` by
-    ``width`` nodes each under ``var``: the check for a level whose nodes
-    are the same for every partial, made before it is built."""
+    ``width`` nodes each under binding ``i``: the check for a level whose
+    nodes are the same for every partial, made before it is built."""
     if width and len(partials) * width > TUPLE_BUDGET:
         fit = TUPLE_BUDGET // width  # the partials that fit in full
-        raise _over_budget(partials[fit], var, fit * width, width)
+        raise _over_budget(bindings, i, fit * width, width)
 
 
 def _over_budget(
-    partial: ForTuple, var: str, reached: int, adding: int
+    bindings: Sequence[Binding], i: int, reached: int, adding: int
 ) -> TupleBudgetExceeded:
-    """The error for a level of ``reached`` tuples that ``partial``, bound
-    on by ``var``, would extend by ``adding`` past ``TUPLE_BUDGET``."""
-    names = ", ".join([*partial, var])
+    """The error for a level of ``reached`` tuples that a partial, bound on
+    by binding ``i``, would extend by ``adding`` past ``TUPLE_BUDGET``."""
+    names = ", ".join(binding.var for binding in bindings[: i + 1])
     return TupleBudgetExceeded(
         f"the bindings {names} would enumerate more than {TUPLE_BUDGET:,} "
         f"tuples ({reached:,} reached, the next partial tuple adds {adding:,})"
@@ -162,7 +176,7 @@ def _by_level(
     if len(bindings) == 1:
         return {0: list(atoms)}
     last = len(bindings) - 1
-    level = {binding.var: i for i, binding in enumerate(bindings)}
+    level = positions(bindings)
     levels: dict[int, list[ConditionAtom]] = {}
     for atom in atoms:
         at = max(level.get(var, last) for var, _ in atom_sides(atom))
@@ -190,11 +204,12 @@ def enumerate_bindings(
     """
     levels = _by_level(atoms, bindings) if atoms else {}
     levels.pop(len(bindings) - 1, None)  # the caller's
-    tuples: list[ForTuple] = [{}]
+    at = positions(bindings)
+    tuples: list[ForTuple] = [()]
     for i, binding in enumerate(bindings):
-        tuples = bind_level(binding, tuples, store)
+        tuples = bind_level(bindings, i, tuples, store)
         if i in levels:
-            tuples = _level_pass(tuples, levels[i], binding.var)
+            tuples = _level_pass(tuples, levels[i], binding.var, at)
     return tuples
 
 
@@ -214,7 +229,7 @@ def satisfying_tuples(
     early = [atom for level in levels.values() for atom in level]
     tuples = enumerate_bindings(bindings, store, early)
     if late and tuples:
-        tuples = _level_pass(tuples, late, bindings[-1].var)
+        tuples = _level_pass(tuples, late, bindings[-1].var, positions(bindings))
     return tuples
 
 
@@ -230,11 +245,12 @@ def where_holds(
         return lambda tuples: [True] * len(tuples)
     levels = _by_level(atoms, bindings)
     passes = [(bindings[i].var, level) for i, level in levels.items()]
+    at = positions(bindings)
 
     def holds(tuples: list[ForTuple]) -> list[bool]:
         kept = tuples
         for var, level in passes:
-            kept = _level_pass(kept, level, var)
+            kept = _level_pass(kept, level, var, at)
         kept_ids = set(map(id, kept))
         return [id(t) in kept_ids for t in tuples]
 
@@ -242,29 +258,35 @@ def where_holds(
 
 
 def _level_pass(
-    tuples: list[ForTuple], atoms: Sequence[ConditionAtom], var: str
+    tuples: list[ForTuple],
+    atoms: Sequence[ConditionAtom],
+    var: str,
+    at: dict[str, int],
 ) -> list[ForTuple]:
     """The tuples, in order, that satisfy ``atoms``, which the level of
-    ``var`` decides.  A join atom, one side on ``var`` and the other on an
-    earlier variable, is tested through an index of its own, from each
-    string value to the nodes of ``var`` whose side holds it; a partner
-    node's matches are read off it at the node's first lookup, so the atom
-    reads each side once per node.  Every other atom reads ``var``'s node
-    alone, so ``eval_condition`` decides the rest once per distinct such
-    node the joins keep, or on each tuple where a tuple binds one variable."""
+    ``var`` decides; ``at`` gives each variable's position (``positions``).
+    A join atom, one side on ``var`` and the other on an earlier variable,
+    is tested through an index of its own, from each string value to the
+    nodes of ``var`` whose side holds it; a partner node's matches are read
+    off it at the node's first lookup, so the atom reads each side once per
+    node.  Every other atom reads ``var``'s node alone, so
+    ``eval_condition`` decides the rest once per distinct such node the
+    joins keep, or on each tuple where a tuple binds one variable."""
     if not tuples or len(tuples[0]) == 1:
-        return [t for t in tuples if eval_condition(atoms, t)]
-    bound = tuples[0]  # no atom here reads a later variable
+        return [t for t in tuples if eval_condition(atoms, t, at)]
+    k = at[var]
     rest: list[ConditionAtom] = []
     for atom in atoms:
         sides = atom_sides(atom)
         if len(sides) == 2 and sides[1][0] == var:
             sides = sides[::-1]  # this level's side first
-        # a join atom: the other side on an earlier variable
-        if len(sides) == 2 and sides[0][0] == var != sides[1][0] in bound:
+        # a join atom: the other side on an earlier variable (no atom here
+        # reads a later one)
+        if len(sides) == 2 and sides[0][0] == var != sides[1][0] in at:
             (_, mine), (other, theirs) = sides
+            j = at[other]
             index: dict[str, set[XmlTree]] = {}
-            for node in set(map(operator.itemgetter(var), tuples)):
+            for node in set(map(operator.itemgetter(k), tuples)):
                 for value in _located_values(node, mine):
                     index.setdefault(value, set()).add(node)
             matches = _Memo(
@@ -272,12 +294,13 @@ def _level_pass(
                     *[index.get(v, ()) for v in _located_values(node, theirs)]
                 )
             )
-            tuples = [t for t in tuples if t[var] in matches[t[other]]]
+            tuples = [t for t in tuples if t[k] in matches[t[j]]]
         else:
             rest.append(atom)
     if rest:
-        holds = _Memo(lambda node: eval_condition(rest, {var: node}))
-        tuples = [t for t in tuples if holds[t[var]]]
+        alone = {var: 0}
+        holds = _Memo(lambda node: eval_condition(rest, (node,), alone))
+        tuples = [t for t in tuples if holds[t[k]]]
     return tuples
 
 
@@ -301,9 +324,12 @@ def _located_values(node: XmlTree, names: tuple[str, ...]) -> set[str]:
     return {string_value(n) for n in locate(node, names)}
 
 
-def eval_condition(atoms: Sequence[ConditionAtom], tup: ForTuple) -> bool:
-    """Whether one tuple satisfies the where clause ``atoms``: the one
-    statement of its semantics, which every pass applies.
+def eval_condition(
+    atoms: Sequence[ConditionAtom], tup: ForTuple, at: dict[str, int]
+) -> bool:
+    """Whether one tuple satisfies the where clause ``atoms``, each variable
+    read at its position ``at`` gives: the one statement of its semantics,
+    which every pass applies.
 
     The clause is a conjunction over atoms with existential equality
     semantics: a path=path atom holds iff some located subtree on the left
@@ -320,57 +346,67 @@ def eval_condition(atoms: Sequence[ConditionAtom], tup: ForTuple) -> bool:
             value = atom.value
             if len(names) == 1:  # locate's one-name case, without the call
                 name = names[0]
-                for node in tup[var].children or ():
+                for node in tup[at[var]].children or ():
                     if node.label == name and string_value(node) == value:
                         break
                 else:  # no located subtree holds the literal
                     return False
                 continue
-            for node in locate(tup[var], names):
+            for node in locate(tup[at[var]], names):
                 if string_value(node) == value:
                     break
             else:
                 return False
         else:
-            lhs = _located_values(tup[var], names)
+            lhs = _located_values(tup[at[var]], names)
             var, names = atom.rhs
-            if lhs.isdisjoint(_located_values(tup[var], names)):
+            if lhs.isdisjoint(_located_values(tup[at[var]], names)):
                 return False
     return True
 
 
-def row_trees(returns: Iterable[ReturnExpr], tup: ForTuple) -> list[XmlTree]:
+# A return expression ``{v/γ}`` as a row reads it: the position of ``v`` in
+# the view's tuples, and ``γ``.
+ReturnRead = tuple[int, tuple[str, ...]]
+
+
+def return_reads(view: ViewDef) -> list[ReturnRead]:
+    """The view's return expressions, in order, as ``row_trees`` reads them."""
+    at = positions(view.bindings)
+    return [(at[ret.var], ret.gamma) for ret in view.returns]
+
+
+def row_trees(reads: Iterable[ReturnRead], tup: ForTuple) -> list[XmlTree]:
     """The trees of a tuple's row, uncopied: every tree located by each
-    return expression, expression order outer, document order inner.  A bare
-    ``{x}`` expression contributes the binding itself, root label included.
-    A one-name expression, the commonest, reads the binding's children in
-    place, as ``locate`` would locate them.
+    return expression (``return_reads``), expression order outer, document
+    order inner.  A bare ``{x}`` expression contributes the binding itself,
+    root label included.  A one-name expression, the commonest, reads the
+    binding's children in place, as ``locate`` would locate them.
     """
     row: list[XmlTree] = []
-    for ret in returns:
-        names = ret.gamma
+    for k, names in reads:
         if len(names) != 1:
-            row += locate(tup[ret.var], names)
+            row += locate(tup[k], names)
             continue
         name = names[0]  # locate's one-name case, without the call
-        for child in tup[ret.var].children or ():
+        for child in tup[k].children or ():
             if child.label == name:
                 row.append(child)
     return row
 
 
-def build_etree(returns: Iterable[ReturnExpr], tup: ForTuple, wrapper: str) -> XmlTree:
+def build_etree(reads: Iterable[ReturnRead], tup: ForTuple, wrapper: str) -> XmlTree:
     """One wrapper tree for a tuple over its row trees (``row_trees``), the
     trees themselves, shared with the store they were located in: only the
     wrapper's child list is its own."""
-    return XmlTree(wrapper, children=row_trees(returns, tup))
+    return XmlTree(wrapper, children=row_trees(reads, tup))
 
 
 def view_tree(view: ViewDef, tuples: Iterable[ForTuple]) -> XmlTree:
     """The view root over one wrapper tree per tuple, in order
     (``build_etree``), each over its uncopied row trees."""
-    returns, wrapper = view.returns, view.wrapper
-    children = [build_etree(returns, t, wrapper) for t in tuples]
+    reads, wrapper = return_reads(view), view.wrapper
+    children = [build_etree(reads, t, wrapper) for t in tuples]
     return XmlTree(view.view_root, children=children)
 
 

@@ -37,6 +37,7 @@ from .evaluator import (
     ViewInstance,
     # not called here, but the bench tracer's tests read it at this name
     enumerate_bindings,
+    positions,
     satisfying_tuples,
 )
 from .lang import (
@@ -173,34 +174,36 @@ def _source_applications(
     Yields (target, parent) pairs, as ``_resolve`` takes them, for the trees
     ``target_trees`` reaches; but ``x/..`` (or a binding deletion) reaches
     the parent of the node bound to ``x``, read off the store's ``Ancestry``
-    only as deep as that node.
+    only as deep as that node.  The variable's position in the tuples is
+    read once per plan.
     """
     action, target = stmt.action, stmt.target
     deletes_binding = isinstance(action, DeleteBinding)
-    parent_of = None  # made at the first tuple that needs it
+    var = action.var if deletes_binding else target.var
+    k = positions(stmt.bindings)[var]
+    if not deletes_binding and not (target.parent_step and not target.path):
+        for tup in satisfied:
+            for node in target_trees(target, tup[k]):
+                yield node, node
+        return
+    parent_of = Ancestry(store).parent if satisfied else None
     for tup in satisfied:
-        if deletes_binding or (target.parent_step and not target.path):
-            var = action.var if deletes_binding else target.var
-            if parent_of is None:
-                parent_of = Ancestry(store).parent
-            parent = parent_of(tup[var])
-            if parent is None:
-                raise TargetIsRoot(
-                    f"binding {var!r} is a root and cannot be deleted"
-                    if deletes_binding
-                    else "the parent step would leave the document"
-                )
-            yield (tup[var] if deletes_binding else parent), parent
-            continue
-        for node in target_trees(target, tup):
-            yield node, node
+        parent = parent_of(tup[k])
+        if parent is None:
+            raise TargetIsRoot(
+                f"binding {var!r} is a root and cannot be deleted"
+                if deletes_binding
+                else "the parent step would leave the document"
+            )
+        yield (tup[k] if deletes_binding else parent), parent
 
 
-def target_trees(target: UpdateTarget, tup: ForTuple) -> list[XmlTree]:
-    """The trees ``target`` reaches in one tuple: those its path locates from
-    its variable's node; for ``x/M/T/..`` the ``M`` nodes with a ``T`` child,
-    and for ``x/..`` just ``[x]`` (the tuple does not hold x's parent)."""
-    context, path = tup[target.var], target.path
+def target_trees(target: UpdateTarget, context: XmlTree) -> list[XmlTree]:
+    """The trees ``target`` reaches from ``context``, the node its variable
+    binds: those its path locates from it; for ``x/M/T/..`` the ``M`` nodes
+    with a ``T`` child, and for ``x/..`` just ``[x]`` (the caller reads x's
+    parent)."""
+    path = target.path
     if target.parent_step and path:
         return [n for n in locate(context, path[:-1]) if locate(n, path[-1:])]
     return locate(context, path)

@@ -69,6 +69,8 @@ from .evaluator import (
     binding_scope,
     check_product,
     evaluate_view,
+    positions,
+    return_reads,
     row_trees,
     satisfying_tuples,
     view_tree,
@@ -478,11 +480,13 @@ class _ProbeIndex:
     condition flag, set by ``holds``: the view's clause prepared once with
     ``where_holds``.  ``prepare_probes`` adds what only probes read, so a
     verification with nothing to probe builds none of it: the partials
-    keyed by the node their level's path is evaluated from, and each
-    tuple's row number and the ids of the nodes it binds.  Ancestors are
-    read off ``chain``, the sources' ``Ancestry``, whose levels were read
-    before route A ran, so the index reads no level of the store; the edits'
-    parents are read off route A's put-back record, not off the index.
+    keyed by the node their level's path is evaluated from, each tuple's
+    row number, and ``binders``: per id of a bound node, the numbers of the
+    tuples that bind it, read off each tuple's entries, which are its bound
+    nodes in for-clause order.  Ancestors are read off ``chain``, the
+    sources' ``Ancestry``, whose levels were read before route A ran, so
+    the index reads no level of the store; the edits' parents are read off
+    route A's put-back record, not off the index.
     Undoing an edit changes one parent P's child list.  Only three sets of
     tuples can then differ: restored tuples, whose binding path runs
     through P to a restored child (the indexed partials, extended through
@@ -501,10 +505,11 @@ class _ProbeIndex:
 
     def __init__(self, view: ViewDef, store: DocumentStore, ancestry: Ancestry) -> None:
         self.view, self.store, self.chain = view, store, ancestry.chain
+        self.reads = return_reads(view)
         # levels[i]: the partial tuples binding i extends
-        self.levels: list[list[ForTuple]] = [[{}]]
-        for binding in view.bindings:
-            self.levels.append(bind_level(binding, self.levels[-1], store))
+        self.levels: list[list[ForTuple]] = [[()]]
+        for i in range(len(view.bindings)):
+            self.levels.append(bind_level(view.bindings, i, self.levels[-1], store))
         self.tuples = self.levels[-1]
         self.holds = where_holds(view.bindings, view.conditions)
         self.shown = self.holds(self.tuples)
@@ -515,9 +520,10 @@ class _ProbeIndex:
         # (level, context id) -> partial tuples; level -> path steps
         self.partials: dict[tuple[int, int], list[ForTuple]] = {}
         self.steps: dict[int, tuple[str, ...]] = {}
-        for i, (binding, level) in enumerate(zip(self.view.bindings, self.levels)):
+        bindings = self.view.bindings
+        for i, level in enumerate(self.levels[:-1]):
             if level:
-                context, self.steps[i] = binding_scope(binding, self.store)
+                context, self.steps[i] = binding_scope(bindings, i, self.store)
                 for partial in level:
                     key = (i, context(partial).node_id)
                     self.partials.setdefault(key, []).append(partial)
@@ -525,7 +531,7 @@ class _ProbeIndex:
         self.rows_before = list(itertools.accumulate(self.shown, initial=0))
         self.binders: dict[int, list[int]] = {}
         for t, tup in enumerate(self.tuples):
-            for node in tup.values():
+            for node in tup:
                 self.binders.setdefault(node.node_id, []).append(t)
 
     def parent_probe(self, parent: XmlTree) -> _ParentProbe:
@@ -565,9 +571,9 @@ class _ProbeIndex:
             if shows == probe.flags and (
                 inserted or not self._restored_shows(probe, moved)
             ):
-                returns, before = self.view.returns, self.rows_before
+                reads, before = self.reads, self.rows_before
                 return all(
-                    _same_row(row_trees(returns, self.tuples[t]), wrappers[before[t]])
+                    _same_row(row_trees(reads, self.tuples[t]), wrappers[before[t]])
                     for t in itertools.compress(probe.hit, shows)
                 )
         return self._view_matches(wrappers)
@@ -596,34 +602,33 @@ class _ProbeIndex:
             recipes = probe.recipes[restored.label] = self._recipes(
                 probe.chain, restored.label
             )
+        bindings = self.view.bindings
         clause_free = not self.view.conditions
-        for var, partials, rest, later in recipes:
+        for i, partials, rest in recipes:
             nodes = locate(restored, rest)
-            check_product(partials, var, len(nodes))
-            if clause_free and not later:
+            check_product(bindings, i, partials, len(nodes))
+            if clause_free and i == len(bindings) - 1:
                 if nodes:  # the recipe's partials are never empty
                     return True
                 continue
-            level = [{**p, var: n} for p in partials for n in nodes]
-            for binding in later:
-                level = bind_level(binding, level, self.store)
+            level = [p + (n,) for p in partials for n in nodes]
+            for later in range(i + 1, len(bindings)):
+                level = bind_level(bindings, later, level, self.store)
             if any(self.holds(level)):
                 return True
         return False
 
     def _recipes(self, chain: list[XmlTree], label: str) -> list[tuple]:
         """Per batch a restored child labelled ``label`` under ``chain[0]``
-        adds, in ``_restored_shows``'s order: the batch's variable, the
-        partials it extends, the path from the child to its nodes, and the
-        later bindings."""
-        bindings, recipes = self.view.bindings, []
+        adds, in ``_restored_shows``'s order: the batch's binding level, the
+        partials it extends and the path from the child to its nodes."""
+        recipes = []
         below = (label,)  # the labels from the context down to the child
         for context in chain:
-            for i, binding in enumerate(bindings):
+            for i in range(len(self.view.bindings)):
                 partials = self.partials.get((i, context.node_id))
                 if partials and self.steps[i][: len(below)] == below:
-                    rest = self.steps[i][len(below) :]
-                    recipes.append((binding.var, partials, rest, bindings[i + 1 :]))
+                    recipes.append((i, partials, self.steps[i][len(below) :]))
             below = (context.label,) + below
         return recipes
 
@@ -631,7 +636,7 @@ class _ProbeIndex:
         """Whether the view evaluated on the store shows the rows ``wrappers``."""
         view = self.view
         tuples = satisfying_tuples(view.bindings, self.store, view.conditions)
-        rows = [row_trees(view.returns, tup) for tup in tuples]
+        rows = [row_trees(self.reads, tup) for tup in tuples]
         return len(rows) == len(wrappers) and all(map(_same_row, rows, wrappers))
 
 
@@ -743,8 +748,7 @@ def _lemma1(routes: _Routes) -> bool:
     chains = [routes.index.chain(parent) for parent, _ in routes.put_back.values()]
     above = {chain[up] for chain in chains if len(chain) > up}
     return all(
-        {n.node_id for n in target_trees(target, {target.var: node})} <= touched
-        for node in above
+        {n.node_id for n in target_trees(target, node)} <= touched for node in above
     )
 
 
@@ -758,7 +762,8 @@ def _lemma2(routes: _Routes, case: Case) -> bool:
         if not isinstance(action, DeleteBinding):
             return False  # the case is a root deletion the statement does not make
         gone = {e.node_id for e in routes.log if isinstance(e, Deleted)}
-        return len(after) == sum(1 for t in before if t[action.var].node_id not in gone)
+        k = positions(routes.view.bindings)[action.var]
+        return len(after) == sum(1 for t in before if t[k].node_id not in gone)
     return len(after) == len(before)
 
 
@@ -779,22 +784,22 @@ def _lemma3(routes: _Routes, form: UpdateStatement) -> bool:
     test.  The suite's premise makes those the pairs L3 reads."""
     (context,) = form.bindings
     below = context.source.steps[2:]  # the path from a wrapper to its contexts
-    added = routes.source_update.bindings[len(routes.view.bindings) :]
+    bindings = routes.source_update.bindings
+    added = range(len(routes.view.bindings), len(bindings))
     by_source, by_view = routes.satisfied
-    held = {tuple(t.values()) for t in by_source}
-    source_holds = lambda t: tuple(t.values()) in held
-    view_holds = {t[context.var] for t in by_view}.__contains__
+    source_holds = set(by_source).__contains__
+    view_holds = {c for (c,) in by_view}.__contains__
     wrappers = routes.via_view.tree.children or ()
     pairs = zip(routes.via_view.tuples, wrappers, strict=True)
     # each tuple pairs with its wrapper: the loop below gives the same
-    # verdict, but its per-tuple list, locate and zip cost about 4% of a T4
+    # verdict, but its per-tuple list, locate and zip cost 10-16% of a T4
     # verify of 160 tuples (measured on a 2-core x86-64 host, Python 3.11)
     if not added and not below:
         return all(source_holds(t) == view_holds(w) for t, w in pairs)
     for tup, wrapper in pairs:
         extended = [tup]
-        for binding in added:
-            extended = bind_level(binding, extended, routes.store)
+        for i in added:
+            extended = bind_level(bindings, i, extended, routes.store)
         contexts = locate(wrapper, below)
         if len(extended) != len(contexts) or any(
             source_holds(t) != view_holds(c) for t, c in zip(extended, contexts)

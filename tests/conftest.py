@@ -106,6 +106,12 @@ QBK_DS_PADDED = (
 )
 
 
+def slots(bindings) -> dict[str, int]:
+    """Each variable's position in a for-clause's tuples, which hold the
+    bound nodes in for-clause order: its binding's index."""
+    return {binding.var: i for i, binding in enumerate(bindings)}
+
+
 def join_session_store() -> DocumentStore:
     """The join-session shape: 50 books, and 10 unis of 20 subjects; each
     book's title is the title of 4 subjects."""

@@ -27,7 +27,6 @@ from xview.evaluator import (
 from xview.fuzzgen import gen_t1, gen_t2, random_case
 from xview.lang import (
     PathEqString,
-    ReturnExpr,
     atom_sides,
     parse_update,
     parse_view_def,
@@ -51,12 +50,15 @@ from .conftest import (
     QBK_VIEW,
     SUBJINF_XML,
     join_session_store,
+    slots,
 )
 
 
 def _brute_force_tuples(view, store):
-    """Independent oracle: literal nested loops over located candidates."""
-    result = [{}]
+    """Independent oracle: literal nested loops over located candidates,
+    each tuple the bound nodes in for-clause order."""
+    at = slots(view.bindings)
+    result = [()]
     for binding in view.bindings:
         step = []
         for partial in result:
@@ -66,11 +68,9 @@ def _brute_force_tuples(view, store):
                 assert tree.label == src.steps[0]
                 candidates = locate(tree, src.steps[1:])
             else:
-                candidates = locate(partial[src.root.var], src.steps)
+                candidates = locate(partial[at[src.root.var]], src.steps)
             for node in candidates:
-                combined = dict(partial)
-                combined[binding.var] = node
-                step.append(combined)
+                step.append((*partial, node))
         result = step
     return result
 
@@ -82,10 +82,10 @@ def test_fortup_d1(d1_store, ex1_view):
     cs = locate(a, ("C",))
     h = locate(a, ("H",))[0]
     # both tuples share the A and H bindings; y walks the C children in order
-    for tup in tuples:
-        assert tup["x"].node_id == a.node_id
-        assert tup["z"].node_id == h.node_id
-    assert [t["y"].node_id for t in tuples] == [c.node_id for c in cs]
+    for x, _y, z in tuples:
+        assert x.node_id == a.node_id
+        assert z.node_id == h.node_id
+    assert [y.node_id for _x, y, _z in tuples] == [c.node_id for c in cs]
 
 
 def test_fortup_matches_brute_force_oracle(d1_store, ex1_view):
@@ -93,9 +93,7 @@ def test_fortup_matches_brute_force_oracle(d1_store, ex1_view):
     got = enumerate_bindings(ex1_view.bindings, d1_store)
     assert len(got) == len(expected)
     for tup, exp in zip(got, expected):
-        assert {v: n.node_id for v, n in tup.items()} == {
-            v: n.node_id for v, n in exp.items()
-        }
+        assert [n.node_id for n in tup] == [n.node_id for n in exp]
 
 
 def test_fortup_copies_share_source_ids():
@@ -113,7 +111,7 @@ def test_fortup_copies_share_source_ids():
     expected = _brute_force_tuples(view, store)
     assert len(tuples) == len(expected) == 2
     roots = locate(store.get("r"), ("A",))
-    assert [t["x"].node_id for t in tuples] == [r.node_id for r in roots]
+    assert [x.node_id for x, _y, _z in tuples] == [r.node_id for r in roots]
 
 
 def test_fortup_keeps_value_equal_bindings():
@@ -122,8 +120,9 @@ def test_fortup_keeps_value_equal_bindings():
     view = parse_view_def('<v>{for x in doc("r")/r/A return <e>{x/C}</e>}</v>')
     tuples = enumerate_bindings(view.bindings, store)
     assert len(tuples) == 2
-    assert tuples[0]["x"].node_id != tuples[1]["x"].node_id
-    assert value_equal(tuples[0]["x"], tuples[1]["x"])
+    ((x0,), (x1,)) = tuples
+    assert x0.node_id != x1.node_id
+    assert value_equal(x0, x1)
 
 
 def test_fortup_empty_match(d1_store):
@@ -144,14 +143,15 @@ def test_fortup_root_label_mismatch(d1_store):
 
 def test_eval_condition_d1(d1_store, ex1_view):
     t1, t2 = enumerate_bindings(ex1_view.bindings, d1_store)
-    assert eval_condition(ex1_view.conditions, t1)
-    assert not eval_condition(ex1_view.conditions, t2)
-    assert eval_condition((), t1)
+    at = slots(ex1_view.bindings)
+    assert eval_condition(ex1_view.conditions, t1, at)
+    assert not eval_condition(ex1_view.conditions, t2, at)
+    assert eval_condition((), t1, at)
 
 
 def test_build_etree_d1(d1_store, ex1_view):
     t1 = enumerate_bindings(ex1_view.bindings, d1_store)[0]
-    etree = build_etree(ex1_view.returns, t1, "e")
+    etree = build_etree(evaluator.return_reads(ex1_view), t1, "e")
     # both C subtrees are copied although only the first one joined
     assert serialize(etree) == (
         "<e><B>b1</B><C><D>1</D><F><G>g1</G></F></C>"
@@ -203,6 +203,27 @@ def test_evaluate_books_view(qbk_view, qbk_store):
     assert unis == ["UniSA", "Swinburne", "UniSA", "Swinburne"]
 
 
+def test_a_tuple_holds_each_bindings_node_at_its_position(qbk_view, qbk_store):
+    # entry k of each tuple is the node view.bindings[k] binds, and the
+    # tuples come in nested-loop order: books outer, then universities, then
+    # each university's subjects
+    instance = evaluate_view(qbk_view, qbk_store)
+    assert [b.var for b in qbk_view.bindings] == ["x", "y", "z"]
+    title = lambda node: string_value(locate(node, ("title",))[0])
+    expected = [
+        (x, y, z)
+        for x in locate(qbk_store.get("bkInf.xml"), ("book",))
+        for y in locate(qbk_store.get("subjInf.xml"), ("uni",))
+        for z in locate(y, ("subjs", "subj"))
+        if title(x) == title(z)
+    ]
+    assert len(expected) == 4
+    assert all(type(t) is tuple for t in instance.tuples)
+    assert len(instance.tuples) == len(expected)
+    for got, want in zip(instance.tuples, expected):
+        assert len(got) == 3 and all(map(operator.is_, got, want))
+
+
 def test_duplication_law(qbk_view, qbk_store):
     # the IS book joins two subjects, so its auths subtree is copied into
     # exactly two wrapper trees
@@ -225,11 +246,14 @@ def test_duplication_law_on_generated_fixtures():
             case = gen(rng)
             instance = evaluate_view(case.view, case.store)
             assert len(instance.tree.children) == len(instance.tuples)
+            at = slots(case.view.bindings)
             for etree, tup in zip(instance.tree.children, instance.tuples):
                 # each satisfying tuple contributes one copy per located tree,
                 # return-expression order outer, document order inner
                 located = [
-                    n for ret in case.view.returns for n in locate(tup[ret.var], ret.gamma)
+                    n
+                    for ret in case.view.returns
+                    for n in locate(tup[at[ret.var]], ret.gamma)
                 ]
                 assert len(etree.children) == len(located)
                 assert all(value_equal(c, n) for c, n in zip(etree.children, located))
@@ -241,17 +265,18 @@ def _reference_instance(view, store) -> str:
 
     out = [f"<{view.view_root}>"]
     wrote = False
+    at = slots(view.bindings)
     for tup in _brute_force_tuples(view, store):
         satisfied = True
         for atom in view.conditions:
             lvals = {
-                string_value(n) for n in locate(tup[atom.lhs[0]], atom.lhs[1])
+                string_value(n) for n in locate(tup[at[atom.lhs[0]]], atom.lhs[1])
             }
             if hasattr(atom, "value"):
                 satisfied = atom.value in lvals
             else:
                 rvals = {
-                    string_value(n) for n in locate(tup[atom.rhs[0]], atom.rhs[1])
+                    string_value(n) for n in locate(tup[at[atom.rhs[0]]], atom.rhs[1])
                 }
                 satisfied = bool(lvals & rvals)
             if not satisfied:
@@ -261,7 +286,7 @@ def _reference_instance(view, store) -> str:
         wrote = True
         out.append(f"<{view.wrapper}>")
         for ret in view.returns:
-            for node in locate(tup[ret.var], ret.gamma):
+            for node in locate(tup[at[ret.var]], ret.gamma):
                 out.append(serialize(node))
         out.append(f"</{view.wrapper}>")
     if not wrote:
@@ -382,9 +407,11 @@ def test_plan_update_on_a_join_matches_per_tuple_conditions():
     for _ in range(60):
         store = _single_doc_store(_join_document(rng))
         expected: list[int] = []
+        at = slots(stmt.bindings)
         for tup in enumerate_bindings(stmt.bindings, store):
-            if eval_condition(stmt.conditions, tup) and tup["x"].node_id not in expected:
-                expected.append(tup["x"].node_id)
+            x = tup[at["x"]]
+            if eval_condition(stmt.conditions, tup, at) and x.node_id not in expected:
+                expected.append(x.node_id)
         plan = plan_update(stmt, store)
         assert [op.target.node_id for op in plan] == expected
         planned_any += bool(plan)
@@ -395,16 +422,16 @@ def test_plan_update_on_a_join_matches_per_tuple_conditions():
 # One locate per distinct context node
 
 
-def _per_partial_bind_level(binding, partials, store):
+def _per_partial_bind_level(bindings, i, partials, store):
     """The reference: ``bind_level`` as it was before it located a path once
     per distinct context node.  A document-rooted path is located once, a
     relative one afresh for every partial tuple."""
     if not partials:
         return []
-    source, var = binding.source, binding.var
+    source = bindings[i].source
     relative = isinstance(source.root, VarRoot)
     if relative:
-        context, steps = source.root.var, source.steps
+        context, steps = slots(bindings[:i])[source.root.var], source.steps
     else:
         root = store.get(source.root.doc)
         assert root.label == source.steps[0]
@@ -412,9 +439,7 @@ def _per_partial_bind_level(binding, partials, store):
     expanded = []
     for partial in partials:
         for node in locate(partial[context], steps) if relative else nodes:
-            assignment = dict(partial)
-            assignment[var] = node
-            expanded.append(assignment)
+            expanded.append((*partial, node))
     return expanded
 
 
@@ -430,20 +455,21 @@ def _bind_level_views():
 
 
 def _same_tuples(got, want) -> bool:
-    """Equal tuple lists: the same variables in the same order, bound to
-    the very same nodes, tuple for tuple."""
+    """Equal tuple lists: plain tuples of the same length, binding the very
+    same nodes position for position, tuple for tuple."""
     return len(got) == len(want) and all(
-        list(g) == list(w) and all(g[k] is w[k] for k in w) for g, w in zip(got, want)
+        type(g) is tuple and len(g) == len(w) and all(map(operator.is_, g, w))
+        for g, w in zip(got, want)
     )
 
 
 def test_bind_level_matches_the_per_partial_reference():
     levels = 0
     for view, store in _bind_level_views():
-        partials = [{}]
-        for binding in view.bindings:
-            got = bind_level(binding, partials, store)
-            want = _per_partial_bind_level(binding, partials, store)
+        partials = [()]
+        for i, binding in enumerate(view.bindings):
+            got = bind_level(view.bindings, i, partials, store)
+            want = _per_partial_bind_level(view.bindings, i, partials, store)
             assert _same_tuples(got, want), binding
             partials, levels = got, levels + 1
     assert levels > 21  # some views have several levels
@@ -458,8 +484,8 @@ def test_a_checked_product_builds_and_stops_as_bind_level_does(monkeypatch):
     )
     store = DocumentStore()
     store.add("s", parse_document("<R><A/><A/><A/></R>"))
-    first, second = view.bindings
-    partials = bind_level(first, [{}], store)
+    bindings = view.bindings
+    partials = bind_level(bindings, 0, [()], store)
     nodes = locate(store.get("s"), ("A",))
 
     def outcome(build):
@@ -469,19 +495,19 @@ def test_a_checked_product_builds_and_stops_as_bind_level_does(monkeypatch):
             return str(err)
 
     def product():
-        evaluator.check_product(partials, "y", len(nodes))
-        return [{**p, "y": n} for p in partials for n in nodes]
+        evaluator.check_product(bindings, 1, partials, len(nodes))
+        return [(*p, n) for p in partials for n in nodes]
 
     for budget in range(11):
         monkeypatch.setattr(evaluator, "TUPLE_BUDGET", budget)
         got = outcome(product)
-        want = outcome(lambda: bind_level(second, partials, store))
+        want = outcome(lambda: bind_level(bindings, 1, partials, store))
         if isinstance(want, str):
             assert got == want, budget
         else:
             assert _same_tuples(got, want), budget
     monkeypatch.setattr(evaluator, "TUPLE_BUDGET", 0)
-    evaluator.check_product(partials, "y", 0)  # an empty level fits any budget
+    evaluator.check_product(bindings, 1, partials, 0)  # an empty level fits any budget
 
 
 def test_bind_level_locates_once_per_distinct_context(monkeypatch):
@@ -495,18 +521,19 @@ def test_bind_level_locates_once_per_distinct_context(monkeypatch):
     monkeypatch.setattr(evaluator, "locate", counting_locate)
     shared = 0  # levels where some context node serves several partials
     for view, store in _bind_level_views():
-        partials = [{}]
-        for binding in view.bindings:
+        partials = [()]
+        at = slots(view.bindings)
+        for i, binding in enumerate(view.bindings):
             root = binding.source.root
             if not partials:
                 contexts = []
             elif isinstance(root, VarRoot):
-                contexts = [p[root.var] for p in partials]
+                contexts = [p[at[root.var]] for p in partials]
             else:
                 contexts = [store.get(root.doc)]
             distinct = {id(node) for node in contexts}
             calls.clear()
-            partials = bind_level(binding, partials, store)
+            partials = bind_level(view.bindings, i, partials, store)
             assert len(calls) == len(distinct), binding
             assert {id(node) for node in calls} == distinct
             shared += len(contexts) > len(distinct)
@@ -522,8 +549,11 @@ def test_bind_level_locates_once_per_distinct_context(monkeypatch):
 def _unpruned_satisfying(view, store):
     """The reference: every tuple of the literal nested loops, then the
     whole where clause tested on each."""
+    at = slots(view.bindings)
     return [
-        t for t in _brute_force_tuples(view, store) if eval_condition(view.conditions, t)
+        t
+        for t in _brute_force_tuples(view, store)
+        if eval_condition(view.conditions, t, at)
     ]
 
 
@@ -545,7 +575,8 @@ def _unpruned_plan(stmt, store, monkeypatch):
 
     def unpruned(bindings, store, atoms):
         every = enumerate_bindings(bindings, store)
-        return [t for t in every if eval_condition(atoms, t)]
+        at = slots(bindings)
+        return [t for t in every if eval_condition(atoms, t, at)]
 
     with monkeypatch.context() as m:
         m.setattr(updater, "satisfying_tuples", unpruned)
@@ -660,16 +691,17 @@ def test_pushdown_tests_a_join_of_two_early_levels_at_the_later_one():
     }
     rng = random.Random(5)
     dropped = kept_late = 0
+    at = slots(view.bindings)
     for _ in range(30):
         store = _single_doc_store(_join_document(rng))
         every = enumerate_bindings(view.bindings, store)
         # x/K=y/K is tested at level 1; z/K="1", decided at the last level,
         # is left to the caller
-        joined = [t for t in every if eval_condition(view.conditions[:1], t)]
+        joined = [t for t in every if eval_condition(view.conditions[:1], t, at)]
         got = enumerate_bindings(view.bindings, store, view.conditions)
         assert _same_tuples(got, joined)
         dropped += len(every) - len(joined)
-        kept_late += any(not eval_condition(view.conditions[1:], t) for t in got)
+        kept_late += any(not eval_condition(view.conditions[1:], t, at) for t in got)
     assert dropped and kept_late
 
 
@@ -679,8 +711,8 @@ def _counting_bind_level(monkeypatch) -> list[tuple[int, int]]:
     levels: list[tuple[int, int]] = []
     real = evaluator.bind_level
 
-    def counting(binding, partials, store):
-        tuples = real(binding, partials, store)
+    def counting(bindings, i, partials, store):
+        tuples = real(bindings, i, partials, store)
         levels.append((len(partials), len(tuples)))
         return tuples
 
@@ -750,9 +782,11 @@ def _naive_satisfying(clause, store):
     the right have equal string values, a path=string atom when some
     located subtree's string value is the literal."""
 
+    at = slots(clause.bindings)
+
     def values(tup, side):
         var, names = side
-        return [string_value(n) for n in locate(tup[var], names)]
+        return [string_value(n) for n in locate(tup[at[var]], names)]
 
     def holds(atom, tup):
         left = values(tup, atom.lhs)
@@ -848,9 +882,10 @@ def test_a_join_pass_reads_each_bound_nodes_side_once(monkeypatch):
     for view, store in cases:
         (atom,) = view.conditions
         every = enumerate_bindings(view.bindings, store)
+        at = slots(view.bindings)
         expected = 0
         for var, names in (atom.lhs, atom.rhs):
-            for node in {id(t[var]): t[var] for t in every}.values():
+            for node in {id(t[at[var]]): t[at[var]] for t in every}.values():
                 expected += len(locate(node, names))
         reads.clear()
         evaluator.satisfying_tuples(view.bindings, store, view.conditions)
@@ -908,13 +943,16 @@ def test_joins_before_and_at_the_last_level_read_each_side_once(monkeypatch):
     read = 0
     for text in _INDEXED_JOINS[7:9]:
         view = parse_view_def(text)
+        at = slots(view.bindings)
         literals = [a for a in view.conditions if isinstance(a, PathEqString)]
         (join,) = [a for a in view.conditions if a not in literals]
         for _ in range(20):
             store = _single_doc_store(_join_document(rng))
             reaching = enumerate_bindings(view.bindings, store, literals)
             expected = {
-                (id(t[var]), names) for t in reaching for var, names in atom_sides(join)
+                (id(t[at[var]]), names)
+                for t in reaching
+                for var, names in atom_sides(join)
             }
             sides.clear()
             evaluator.satisfying_tuples(view.bindings, store, view.conditions)
@@ -937,9 +975,9 @@ def test_a_pass_decides_other_atoms_once_per_node(monkeypatch):
     calls = []
     real = evaluator.eval_condition
 
-    def counting(atoms, tup):
+    def counting(atoms, tup, at):
         calls[-1] += 1
-        return real(atoms, tup)
+        return real(atoms, tup, at)
 
     monkeypatch.setattr(evaluator, "eval_condition", counting)
     clauses = (('x/title=z/title and z/title="t03"', 4), ('z/title="t03"', 200))
@@ -979,13 +1017,14 @@ def test_one_name_reads_match_locate_on_fuzz_stores():
         for _ in range(200):
             store = random_case(rng).store
             paths = _one_and_two_name_paths(store)
-            returns = [ReturnExpr("x", ()), *(ReturnExpr("x", p) for p in paths)]
+            reads = [(0, ()), *((0, p) for p in paths)]
+            at = {"x": 0}
             for root in store.docs.values():
                 for node in iter_nodes(root):
-                    tup = {"x": node}
+                    tup = (node,)
                     located = [locate(node, p) for p in paths]
                     expected = [node, *itertools.chain.from_iterable(located)]
-                    got = row_trees(returns, tup)
+                    got = row_trees(reads, tup)
                     assert len(got) == len(expected)
                     assert all(map(operator.is_, got, expected))
                     near = {"absent", *map(string_value, node.children or ())}
@@ -993,7 +1032,7 @@ def test_one_name_reads_match_locate_on_fuzz_stores():
                         values = set(map(string_value, found))
                         for value in values | near:
                             atom = PathEqString(("x", path), value)
-                            held = eval_condition([atom], tup)
+                            held = eval_condition([atom], tup, at)
                             assert held == (value in values)
                             checked += 1
     assert checked > 500_000

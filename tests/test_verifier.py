@@ -13,7 +13,13 @@ import pytest
 
 from xview.errors import TupleBudgetExceeded, XviewError
 from xview import cli, evaluator, updater, verifier
-from xview.evaluator import ViewInstance, enumerate_bindings, evaluate_view, row_trees
+from xview.evaluator import (
+    ViewInstance,
+    enumerate_bindings,
+    evaluate_view,
+    return_reads,
+    row_trees,
+)
 from xview.fuzzgen import gen_t1, gen_t2, random_case
 from xview.lang import (
     DeleteBinding,
@@ -72,6 +78,7 @@ from .conftest import (
     free_space,
     free_space_doc,
     join_session_store,
+    slots,
 )
 
 
@@ -226,8 +233,9 @@ def _per_tuple_lemma1(routes: _Routes) -> bool:
     update = routes.source_update
     if isinstance(update.action, DeleteBinding):
         return True
+    at = slots(update.bindings)[update.target.var]
     for tup in enumerate_bindings(update.bindings, routes.store):
-        ids = {n.node_id for n in target_trees(update.target, tup)}
+        ids = {n.node_id for n in target_trees(update.target, tup[at])}
         hit = ids & routes.put_back.keys()
         if hit and hit != ids:
             return False
@@ -282,9 +290,9 @@ def test_a_join_verify_reads_each_target_node_once(monkeypatch):
     trees = [0]
     real = verifier.target_trees
 
-    def counting(target, tup):
+    def counting(target, node):
         trees[0] += 1
-        return real(target, tup)
+        return real(target, node)
 
     in_suite, suite_levels = [False], [0]
     real_suite, real_bind_level = verifier.run_lemma_suite, evaluator.bind_level
@@ -1444,9 +1452,9 @@ def _counting_eval_condition(monkeypatch) -> list[int]:
     calls = [0]
     real = evaluator.eval_condition
 
-    def counting(atoms, tup):
+    def counting(atoms, tup, at):
         calls[0] += 1
-        return real(atoms, tup)
+        return real(atoms, tup, at)
 
     monkeypatch.setattr(evaluator, "eval_condition", counting)
     return calls
@@ -1535,7 +1543,7 @@ def test_route_a_view_and_probe_index_share_one_enumeration(monkeypatch):
 
         monkeypatch.setattr(verifier, name, recorded)
 
-    record("bind_level", lambda binding, *_: binding == first)
+    record("bind_level", lambda bindings, i, *_: bindings[i] == first)
     for name in ("execute_plan", "_ProbeIndex", "check_minimality"):
         record(name)
     store = _single_doc_store(f"<R>{doc}</R>")
@@ -1756,14 +1764,14 @@ def _built_batches(index, probe, restored: XmlTree) -> list[tuple]:
     bindings, batches = index.view.bindings, []
     below = (restored.label,)
     for depth, context in enumerate(probe.chain):
-        for i, binding in enumerate(bindings):
+        for i in range(len(bindings)):
             partials = index.partials.get((i, context.node_id))
             if partials and index.steps[i][: len(below)] == below:
                 nodes = locate(restored, index.steps[i][len(below) :])
-                evaluator.check_product(partials, binding.var, len(nodes))
-                level = [{**p, binding.var: n} for p in partials for n in nodes]
-                for later in bindings[i + 1 :]:
-                    level = evaluator.bind_level(later, level, index.store)
+                evaluator.check_product(bindings, i, partials, len(nodes))
+                level = [(*p, n) for p in partials for n in nodes]
+                for later in range(i + 1, len(bindings)):
+                    level = evaluator.bind_level(bindings, later, level, index.store)
                 later = i + 1 < len(bindings)
                 batches.append((depth, later, len(nodes), any(index.holds(level))))
         below = (context.label,) + below
@@ -1914,7 +1922,8 @@ def test_a_restored_batch_past_the_budget_raises_as_the_product_would(
         (edit,) = routes.log
         partials = routes.index.partials[(1, store.get("s").node_id)]
         with pytest.raises(TupleBudgetExceeded) as product:
-            evaluator.check_product(partials, "y", len(locate(edit.tree, ("C",))))
+            width = len(locate(edit.tree, ("C",)))
+            evaluator.check_product(view.bindings, 1, partials, width)
     assert str(raised.value) == str(product.value) == (
         "the bindings x, y would enumerate more than 5 tuples "
         "(3 reached, the next partial tuple adds 3)"
@@ -2335,10 +2344,11 @@ def _parents_in_rows(view: ViewDef, stmt: UpdateStatement, store: DocumentStore)
     tree the view shows on ``store``."""
     parents = {op.parent.node_id for op in plan_update(stmt, store) if op.edits}
     rows = evaluate_view(view, store).tuples
+    reads = return_reads(view)
     return any(
         n.node_id in parents
         for tup in rows
-        for tree in row_trees(view.returns, tup)
+        for tree in row_trees(reads, tup)
         for n in iter_nodes(tree)
     )
 
@@ -2465,13 +2475,14 @@ def test_a_view_update_reaching_a_shared_wrapper_is_planned_again(monkeypatch):
     assert plans == [stmt, dv, dv]
 
 
-def _holds_by_sets(atoms, tup) -> bool:
+def _holds_by_sets(atoms, tup, at) -> bool:
     """The where clause as the set-based test read it: per atom, the string
-    values each side locates, searched for the literal or intersected."""
+    values each side locates, searched for the literal or intersected; each
+    variable is read at its position ``at`` gives."""
 
     def values(side) -> set[str]:
         var, names = side
-        return {string_value(n) for n in locate(tup[var], names)}
+        return {string_value(n) for n in locate(tup[at[var]], names)}
 
     for atom in atoms:
         lhs = values(atom.lhs)
@@ -2518,22 +2529,23 @@ def _shell_lemma3(routes: _Routes) -> bool:
     context_atom = PathEqString(("c", cond[common:]), atom.value)
     source = routes.source_update
     added = source.bindings[len(routes.view.bindings) :]
+    at, reads = slots(source.bindings), return_reads(routes.view)
     for tup in routes.via_view.tuples:
-        rows = row_trees(routes.view.returns, tup)
+        rows = row_trees(reads, tup)
         shell = XmlTree(routes.view.wrapper, children=rows)
         contexts = locate(shell, cond[2:common])
         extended = [tup]
         for b in added:
             extended = [
-                {**t, b.var: n}
+                (*t, n)
                 for t in extended
-                for n in locate(t[b.source.root.var], b.source.steps)
+                for n in locate(t[at[b.source.root.var]], b.source.steps)
             ]
         if len(extended) != len(contexts):
             return False
         for t, context in zip(extended, contexts):
-            source_holds = _holds_by_sets(source.conditions, t)
-            if source_holds != _holds_by_sets((context_atom,), {"c": context}):
+            source_holds = _holds_by_sets(source.conditions, t, at)
+            if source_holds != _holds_by_sets((context_atom,), (context,), {"c": 0}):
                 return False
     return True
 
