@@ -8,19 +8,23 @@ bound nodes in for-clause order, so entry k is the node of the k-th
 binding.  A reader turns variable names into positions (``positions``)
 once per pass or plan, never once per tuple.  Every condition-satisfying
 tuple yields exactly one wrapper tree under the view root, built over the
-trees its return expressions locate: fresh-id copies of them, or, for a
-reader that copies a row only before it edits one, the sources' own trees.
+trees its return expressions locate: fresh-id copies of them, made as the
+wrapper is built, or, for a reader that copies a row only before it edits
+one, the sources' own trees.
 
 The where clause has one statement of its semantics, ``eval_condition``,
 and one way of applying it to many tuples: a pass per binding level that
 decides some atom, the first level that binds all its variables.  A pass
 tests a join atom, one side on its level's variable and the other on an
-earlier one, through an index built for that atom, from each string value
-to the level's nodes whose side holds it, so each join atom reads a
-distinct bound node's side once and a tuple costs a set lookup.  It
-decides every other atom, which reads only its level's node, with
-``eval_condition`` once per distinct such node (per tuple where a tuple
-binds one variable).  The passes run in three places.
+earlier one (the partner), through an index built for that atom, from
+each string value to the level's nodes whose side holds it, so each join
+atom reads a distinct bound node's side once.  Tuples come in
+nested-loop order, so a partner node stays the same over runs of tuples:
+its match set is looked up once per run, made off the index at the
+partner's first run and kept for its later ones, and a tuple costs one
+set lookup.  A pass decides every other atom, which reads only its
+level's node, with ``eval_condition`` once per distinct such node (per
+tuple where a tuple binds one variable).  The passes run in three places.
 ``enumerate_bindings`` can take the where clause: it drops a partial tuple
 that fails an atom such as ``x/title="t03"`` before the later bindings
 extend it (predicate pushdown).  An atom decided only at the last level,
@@ -35,7 +39,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import LevelMismatch, RootLabelMismatch, TupleBudgetExceeded
 from .lang import (
@@ -204,7 +208,7 @@ def enumerate_bindings(
     """
     levels = _by_level(atoms, bindings) if atoms else {}
     levels.pop(len(bindings) - 1, None)  # the caller's
-    at = positions(bindings)
+    at = positions(bindings) if levels else {}
     tuples: list[ForTuple] = [()]
     for i, binding in enumerate(bindings):
         tuples = bind_level(bindings, i, tuples, store)
@@ -266,12 +270,10 @@ def _level_pass(
     """The tuples, in order, that satisfy ``atoms``, which the level of
     ``var`` decides; ``at`` gives each variable's position (``positions``).
     A join atom, one side on ``var`` and the other on an earlier variable,
-    is tested through an index of its own, from each string value to the
-    nodes of ``var`` whose side holds it; a partner node's matches are read
-    off it at the node's first lookup, so the atom reads each side once per
-    node.  Every other atom reads ``var``'s node alone, so
-    ``eval_condition`` decides the rest once per distinct such node the
-    joins keep, or on each tuple where a tuple binds one variable."""
+    is tested by ``_join_pass``.  Every other atom reads ``var``'s node
+    alone, so ``eval_condition`` decides the rest once per distinct such
+    node the joins keep, or on each tuple where a tuple binds one
+    variable."""
     if not tuples or len(tuples[0]) == 1:
         return [t for t in tuples if eval_condition(atoms, t, at)]
     k = at[var]
@@ -284,43 +286,63 @@ def _level_pass(
         # reads a later one)
         if len(sides) == 2 and sides[0][0] == var != sides[1][0] in at:
             (_, mine), (other, theirs) = sides
-            j = at[other]
-            index: dict[str, set[XmlTree]] = {}
-            for node in set(map(operator.itemgetter(k), tuples)):
-                for value in _located_values(node, mine):
-                    index.setdefault(value, set()).add(node)
-            matches = _Memo(
-                lambda node: set().union(
-                    *[index.get(v, ()) for v in _located_values(node, theirs)]
-                )
-            )
-            tuples = [t for t in tuples if t[k] in matches[t[j]]]
+            tuples = _join_pass(tuples, k, mine, at[other], theirs)
         else:
             rest.append(atom)
     if rest:
         alone = {var: 0}
-        holds = _Memo(lambda node: eval_condition(rest, (node,), alone))
+        holds = {
+            node: eval_condition(rest, (node,), alone)
+            for node in set(map(operator.itemgetter(k), tuples))
+        }
         tuples = [t for t in tuples if holds[t[k]]]
     return tuples
 
 
-class _Memo(dict):
-    """A dict that makes a missing key's entry with ``make`` at its first
-    lookup, and keeps it."""
-
-    __slots__ = ("make",)
-
-    def __init__(self, make: Callable) -> None:
-        super().__init__()
-        self.make = make
-
-    def __missing__(self, key):
-        value = self[key] = self.make(key)
-        return value
+def _join_pass(
+    tuples: list[ForTuple],
+    k: int,
+    mine: tuple[str, ...],
+    j: int,
+    theirs: tuple[str, ...],
+) -> list[ForTuple]:
+    """The tuples, in order, that satisfy the join atom ``t[k]/mine =
+    t[j]/theirs``.  An index maps each string value to the nodes at
+    position ``k`` whose side holds it, so each such node's side is read
+    once.  Tuples come in nested-loop order, so the partner node ``t[j]``
+    stays the same over runs of tuples: its match set, the nodes its side's
+    values index, is looked up once per run, made at the partner's first
+    run and kept for a partner that comes back in a later one.  A tuple
+    then costs one set lookup."""
+    index: dict[str, set[XmlTree]] = {}
+    for node in set(map(operator.itemgetter(k), tuples)):
+        for value in _located_values(node, mine):
+            index.setdefault(value, set()).add(node)
+    matches: dict[XmlTree, set[XmlTree]] = {}
+    kept: list[ForTuple] = []
+    keep = kept.append
+    partner = match = None
+    for t in tuples:
+        if t[j] is not partner:
+            partner = t[j]
+            match = matches.get(partner)
+            if match is None:
+                values = _located_values(partner, theirs)
+                match = matches[partner] = set().union(
+                    *[index.get(v, ()) for v in values]
+                )
+        if t[k] in match:
+            keep(t)
+    return kept
 
 
 def _located_values(node: XmlTree, names: tuple[str, ...]) -> set[str]:
-    """The string values of the subtrees ``names`` locates below ``node``."""
+    """The string values of the subtrees ``names`` locates below ``node``.
+    A one-name path, the commonest, reads ``node``'s children in place, as
+    ``locate`` would locate them."""
+    if len(names) == 1:
+        name = names[0]
+        return {string_value(c) for c in node.children or () if c.label == name}
     return {string_value(n) for n in locate(node, names)}
 
 
@@ -395,18 +417,29 @@ def row_trees(reads: Iterable[ReturnRead], tup: ForTuple) -> list[XmlTree]:
     return row
 
 
-def build_etree(reads: Iterable[ReturnRead], tup: ForTuple, wrapper: str) -> XmlTree:
-    """One wrapper tree for a tuple over its row trees (``row_trees``), the
-    trees themselves, shared with the store they were located in: only the
-    wrapper's child list is its own."""
-    return XmlTree(wrapper, children=row_trees(reads, tup))
+def build_etree(
+    reads: Iterable[ReturnRead],
+    tup: ForTuple,
+    wrapper: str,
+    copy: Optional[Callable[[XmlTree], XmlTree]] = None,
+) -> XmlTree:
+    """One wrapper tree for a tuple over its row trees (``row_trees``).
+    Without ``copy`` they are the trees themselves, shared with the store
+    they were located in: only the wrapper's child list is its own.  With
+    it, the wrapper holds ``copy`` of each, made as the wrapper is built."""
+    row = row_trees(reads, tup)
+    return XmlTree(wrapper, None, row if copy is None else list(map(copy, row)))
 
 
-def view_tree(view: ViewDef, tuples: Iterable[ForTuple]) -> XmlTree:
+def view_tree(
+    view: ViewDef,
+    tuples: Iterable[ForTuple],
+    copy: Optional[Callable[[XmlTree], XmlTree]] = None,
+) -> XmlTree:
     """The view root over one wrapper tree per tuple, in order
-    (``build_etree``), each over its uncopied row trees."""
+    (``build_etree``), each over its row trees, or over ``copy`` of each."""
     reads, wrapper = return_reads(view), view.wrapper
-    children = [build_etree(reads, t, wrapper) for t in tuples]
+    children = [build_etree(reads, t, wrapper, copy) for t in tuples]
     return XmlTree(view.view_root, children=children)
 
 
@@ -418,16 +451,15 @@ def evaluate_view(
 
     Pure up to fresh identifier assignment: evaluating twice yields
     value-equal instances, and the instance shares no node with the store,
-    since each wrapper's row trees are copied once ``view_tree`` returns.
-    With ``copy_rows=False`` they are not: each wrapper holds the store's
-    own row trees, for a reader that leaves them alone, or copies a
-    wrapper's rows before it edits inside them.
+    since each wrapper is built over fresh-id copies of its row trees
+    (``view_tree`` with ``copy_tree``).  The ids are unique and disjoint
+    from the store's; their order within the instance is not part of the
+    contract.  With ``copy_rows=False`` the rows are not copied: each
+    wrapper holds the store's own row trees, for a reader that leaves them
+    alone, or copies a wrapper's rows before it edits inside them.
     The cyclic garbage collector is held off while the call runs and then
     left as it was found (``xml_model._collector_deferred``).
     """
     satisfying = satisfying_tuples(view.bindings, store, view.conditions)
-    tree = view_tree(view, satisfying)
-    if copy_rows:
-        for wrapper in tree.children:
-            wrapper.children = [copy_tree(t) for t in wrapper.children]
+    tree = view_tree(view, satisfying, copy_tree if copy_rows else None)
     return ViewInstance(tree, satisfying)

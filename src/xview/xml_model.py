@@ -39,7 +39,8 @@ class XmlTree:
     tree holds no reference cycle and is freed by reference counting alone
     (see ``_collector_deferred``).  A node made without an identifier takes
     the next one of the process-wide counter that ``fresh_id`` reads,
-    without that call: every parsed and built node is made here.
+    without that call: every parsed and built node is made here, and only
+    ``copy_tree`` makes nodes without this check, from nodes that passed it.
     """
 
     __slots__ = ("node_id", "label", "text", "children")
@@ -73,12 +74,13 @@ def _collector_deferred(fn):
     on if it was on.
 
     For the calls that enumerate for-clause tuples: a join holds thousands
-    of tuple dicts at once, and the collections they would set off walk the
-    whole heap yet find nothing, since trees, tuples, plans and edit logs
-    hold no reference cycle (``tests/test_collector.py`` checks this).  A
-    call made with the collector already off, such as a nested one, just
-    calls through.  The collector is process-wide, so another thread can
-    find it off while such a call runs.
+    of binding tuples at once, each a container the collector tracks, and
+    the collections they would set off walk the whole heap yet find
+    nothing, since trees, tuples, plans and edit logs hold no reference
+    cycle (``tests/test_collector.py`` checks this).  A call made with the
+    collector already off, such as a nested one, just calls through.  The
+    collector is process-wide, so another thread can find it off while such
+    a call runs.
     """
 
     @functools.wraps(fn)
@@ -132,30 +134,39 @@ def copy_tree(t: XmlTree, preserve_ids: bool = False) -> XmlTree:
     """Deep-copy a tree.
 
     With ``preserve_ids`` the copy reuses the original identifiers, as
-    ``DocumentStore.copy`` needs.  Otherwise fresh identifiers
-    are assigned in document (preorder) order.  The walk keeps a stack of
-    child iterators, one per open element, so a tree of any depth is copied
-    without recursion.
+    ``DocumentStore.copy`` needs.  Otherwise fresh identifiers are assigned
+    in document (preorder) order within the copy.  A copied node is made by
+    ``object.__new__`` and its four slots stored directly, without
+    ``XmlTree.__init__``: the source node already holds either text or
+    children, so the copy does too, and ``XmlTree(...)`` stays the one
+    constructor that checks it.  The walk keeps a stack of child iterators,
+    one per open element, so a tree of any depth is copied without
+    recursion.
     """
-    counter = _COUNTER
-    node_id = t.node_id if preserve_ids else next(counter)
+    counter, make = _COUNTER, object.__new__
+    top = make(XmlTree)
+    top.node_id = t.node_id if preserve_ids else next(counter)
+    top.label, top.text = t.label, t.text
     if t.children is None:
-        return XmlTree(t.label, t.text, None, node_id)
-    top = XmlTree(t.label, None, [], node_id)
+        top.children = None
+        return top
+    top.children = []
     stack = [(iter(t.children), top.children)]
     while stack:
         todo, into = stack[-1]
         for node in todo:
-            node_id = node.node_id if preserve_ids else next(counter)
+            copy = make(XmlTree)
+            copy.node_id = node.node_id if preserve_ids else next(counter)
+            copy.label, copy.text = node.label, node.text
+            into.append(copy)
             kids = node.children
             if kids is None:
-                into.append(XmlTree(node.label, node.text, None, node_id))
-                continue
-            mine: list[XmlTree] = []
-            into.append(XmlTree(node.label, None, mine, node_id))
-            if kids:  # copy its children before its next sibling
-                stack.append((iter(kids), mine))
-                break
+                copy.children = None
+            else:
+                copy.children = mine = []
+                if kids:  # copy its children before its next sibling
+                    stack.append((iter(kids), mine))
+                    break
         else:
             stack.pop()
     return top

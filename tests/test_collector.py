@@ -185,9 +185,9 @@ def test_a_nested_evaluation_leaves_the_collector_off(monkeypatch):
 
 
 def test_a_join_evaluation_sets_off_no_collection():
-    # at 10,000 tuple dicts, a join evaluation with the collector running
-    # sets off about 16 young collections; the documents held here make a
-    # full collection walk a large heap
+    # at 10,000 binding tuples, a join evaluation with the collector
+    # running sets off about 17 young collections; the documents held here
+    # make a full collection walk a large heap
     held = [join_session_store() for _ in range(50)]
     view, store = parse_view_def(QBK_VIEW), join_session_store()
     starts = [0]

@@ -239,6 +239,42 @@ def test_duplication_law(qbk_view, qbk_store):
     assert all(string_value(locate(e, ("title",))[0]) == "IS" for e in holders)
 
 
+def test_copies_of_one_source_tree_are_separate_trees(qbk_view, qbk_store):
+    # on the README join, the IS book's auths and title and each
+    # university's name show in two wrappers: each wrapper holds its own
+    # copy, every node of the instance has an id of its own, none of them
+    # the store's, and editing one copy changes no other wrapper and not
+    # the store
+    instance = evaluate_view(qbk_view, qbk_store)
+    reads = evaluator.return_reads(qbk_view)
+    copies = collections.defaultdict(list)  # source tree -> its copies
+    for wrapper, tup in zip(instance.tree.children, instance.tuples):
+        sources = row_trees(reads, tup)
+        assert len(sources) == len(wrapper.children)
+        for source, copy in zip(sources, wrapper.children):
+            assert value_equal(copy, source) and copy is not source
+            copies[source].append(copy)
+    shared = [trees for trees in copies.values() if len(trees) > 1]
+    assert len(shared) == 4  # IS's auths and title, two uNames
+    store_ids = {n.node_id for t in qbk_store.docs.values() for n in iter_nodes(t)}
+    ids = [n.node_id for n in iter_nodes(instance.tree)]
+    assert len(set(ids)) == len(ids) and store_ids.isdisjoint(ids)
+    before = [serialize(w) for w in instance.tree.children]
+    sources = {name: serialize(t) for name, t in qbk_store.docs.items()}
+    for trees in shared:
+        first = trees[0]
+        edited = next(w for w in instance.tree.children if first in w.children)
+        if first.text is None:
+            first.children = first.children + [parse_document("<aName>n</aName>")]
+        else:
+            first.text += "!"
+        for wrapper, text in zip(instance.tree.children, before):
+            assert (serialize(wrapper) == text) == (wrapper is not edited)
+        assert all(serialize(t) != serialize(first) for t in trees[1:])
+        before = [serialize(w) for w in instance.tree.children]
+    assert {name: serialize(t) for name, t in qbk_store.docs.items()} == sources
+
+
 def test_duplication_law_on_generated_fixtures():
     rng = random.Random(5)
     for gen in (gen_t1, gen_t2):
@@ -865,6 +901,53 @@ def test_satisfying_tuples_matches_the_naive_nested_loop():
     assert kept and dropped
 
 
+# Three-binding joins whose partner variable, the other side of the atom
+# the last level decides, is bound at the middle level: in nested-loop order
+# a partner node comes back once per first-level node, in runs that are not
+# next to each other.
+_MIDDLE_PARTNER_JOINS = (
+    # the last binding relative to the first, as in
+    # for x in .../A, y in .../B, z in x/C where y/K=z/K
+    '<v>{for x in doc("s")/R/A, y in doc("s")/R/B, z in x/P where y/K=z/K '
+    "return <e>{y/N}{z}</e>}</v>",
+    # the sides swapped, a literal on the last level beside the join
+    '<v>{for x in doc("s")/R/A, y in doc("s")/R/B, z in x/P where z/K=y/K '
+    'and z/K="1" return <e>{y/N}{z}</e>}</v>',
+    # every binding document-rooted, the partner's side two names deep
+    '<v>{for x in doc("s")/R/B, y in doc("s")/R/A, z in doc("s")/R/B '
+    "where y/P/K=z/K return <e>{x/N}{z/K}</e>}</v>",
+)
+
+
+def _a_partner_comes_back(every, j: int) -> bool:
+    """Whether some node at position ``j`` starts two runs of tuples."""
+    runs = [node for node, _ in itertools.groupby(every, operator.itemgetter(j))]
+    return len(runs) > len(set(map(id, runs)))
+
+
+def test_a_middle_level_partner_matches_the_naive_nested_loop():
+    # satisfying_tuples and where_holds against the literal nested loops,
+    # with partners that come back in runs apart
+    rng = random.Random(37)
+    views = [parse_view_def(text) for text in _MIDDLE_PARTNER_JOINS]
+    mismatches = kept = dropped = returning = 0
+    for _ in range(60):
+        store = _single_doc_store(_join_document(rng))
+        for view in views:
+            every = _brute_force_tuples(view, store)
+            want = _naive_satisfying(view, store)
+            got = evaluator.satisfying_tuples(view.bindings, store, view.conditions)
+            flags = evaluator.where_holds(view.bindings, view.conditions)(every)
+            held = [t for t, holds in zip(every, flags) if holds]
+            mismatches += not _same_tuples(got, want)
+            mismatches += not _same_tuples(held, want)
+            kept += len(want)
+            dropped += len(every) - len(want)
+            returning += _a_partner_comes_back(every, 1)
+    assert mismatches == 0
+    assert kept and dropped and returning
+
+
 def test_a_join_pass_reads_each_bound_nodes_side_once(monkeypatch):
     reads = []
     real_string_value = evaluator.string_value
@@ -1005,12 +1088,13 @@ def _one_and_two_name_paths(store: DocumentStore) -> list[tuple[str, ...]]:
 
 
 def test_one_name_reads_match_locate_on_fuzz_stores():
-    # row_trees and eval_condition read a one-name path off the binding's
-    # children in place.  On every node of the stores of fuzz seeds 0-4 x
-    # 200, with the store's paths: row_trees locates what locate does,
-    # expression order outer, and a path=string atom holds exactly for the
-    # string values of the subtrees locate reaches, tried against those,
-    # the node's children's and one that no node holds
+    # row_trees, eval_condition and a join side's values read a one-name
+    # path off the binding's children in place.  On every node of the
+    # stores of fuzz seeds 0-4 x 200, with the store's paths: row_trees
+    # locates what locate does, expression order outer, a join side holds
+    # the string values of the subtrees locate reaches, and a path=string
+    # atom holds exactly for those values, tried against those, the node's
+    # children's and one that no node holds
     checked = 0
     for seed in range(5):
         rng = random.Random(seed)
@@ -1030,6 +1114,7 @@ def test_one_name_reads_match_locate_on_fuzz_stores():
                     near = {"absent", *map(string_value, node.children or ())}
                     for path, found in zip(paths, located):
                         values = set(map(string_value, found))
+                        assert evaluator._located_values(node, path) == values
                         for value in values | near:
                             atom = PathEqString(("x", path), value)
                             held = eval_condition([atom], tup, at)

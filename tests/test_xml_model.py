@@ -542,6 +542,43 @@ def test_kernels_match_their_recursive_references_on_a_deep_chain():
         sys.setrecursionlimit(limit)
 
 
+def test_copy_tree_keeps_ids_and_the_node_invariant_on_a_deep_chain():
+    # deeper than the recursion limit, which is left as it is: each element
+    # of the chain holds a text leaf, an empty element and the next link.
+    # A copy's nodes are plain XmlTree nodes, each holding either text or a
+    # child list of its own, never the source's; fresh ids run in preorder,
+    # preserved ids are the source's, in the same places
+    depth = sys.getrecursionlimit() + 1000
+    root = element("n")
+    tip = root
+    for i in range(depth):
+        child = element("n")
+        tip.children += [text_leaf("t", str(i)), element("e"), child]
+        tip = child
+    tip.children.append(text_leaf("t", ""))
+    nodes = list(iter_nodes(root))
+    start = xml_model.fresh_id() + 1
+    for copied, fresh in ((copy_tree(root), True), (copy_tree(root, True), False)):
+        copies = list(iter_nodes(copied))
+        assert len(copies) == len(nodes) == 3 * depth + 2
+        for n, (copy, source) in enumerate(zip(copies, nodes)):
+            assert type(copy) is XmlTree and copy is not source
+            assert (copy.text is None) != (copy.children is None)
+            assert copy.label == source.label and copy.text == source.text
+            if copy.children is not None:
+                assert copy.children is not source.children
+                assert len(copy.children) == len(source.children)
+            assert copy.node_id == (start + n if fresh else source.node_id)
+        assert value_equal(copied, root)
+    # the copy is a tree of its own: editing it leaves the source as it was
+    text = serialize(root)
+    copied = copy_tree(root)
+    bottom = list(iter_nodes(copied))[-3]
+    assert bottom.label == "e" and bottom.children == []
+    bottom.children.append(text_leaf("t", "x"))
+    assert serialize(root) == text and not value_equal(copied, root)
+
+
 # ----------------------------------------------------------------------
 # The ancestor reader
 
